@@ -1,0 +1,258 @@
+//! Exact-bytes pin for hot-path rewrites.
+//!
+//! `engine_equivalence` compares three engines that share one `Network`,
+//! `Gpu` and `Vault`, so a rewrite that shifts all of them equally passes
+//! it. This suite pins the bytes themselves: an FNV-1a hash of each
+//! case's output, taken once and committed in
+//! `tests/data/golden_reports.txt`, checked in every engine mode.
+//!
+//! A report case hashes the compact `SimReport` JSON plus the fields that
+//! document leaves out (traffic matrix, per-GPU digests, routing counters,
+//! channel utilization); the two stream cases hash a `--trace` and a
+//! `--metrics-every` payload. If a hash moves, either the change broke
+//! byte-identity (fix it) or it deliberately changed the model: then
+//! re-bless with
+//!
+//! ```sh
+//! cargo test --release --test golden_reports -- --ignored bless
+//! ```
+//!
+//! and say in CHANGES.md why behaviour moved.
+
+use memnet::common::time::ns_to_fs;
+use memnet::common::{FaultKind, FaultPlan, LinkClass};
+use memnet::noc::topo::{SlicedKind, TopologyKind};
+use memnet::noc::RoutingPolicy;
+use memnet::sim::{CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
+use memnet::wdl::fuzz::WorkloadFuzzer;
+use memnet::workloads::{Workload, WorkloadSpec};
+use std::fmt::Write as _;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_reports.txt");
+
+/// What a case runs and which bytes of the result it pins.
+enum Pin {
+    /// The whole report of a straight run.
+    Report,
+    /// The report of a run restored from its own pre-kernel checkpoint:
+    /// every component passes through `restore_state` mid-run.
+    Resumed,
+    /// The Chrome trace stream.
+    Trace,
+    /// The metrics-epoch stream.
+    Metrics,
+}
+
+fn small(org: Organization, w: Workload) -> SimBuilder {
+    rig(org, w.spec_small())
+}
+
+fn rig(org: Organization, spec: WorkloadSpec) -> SimBuilder {
+    SimBuilder::new(org).gpus(2).sms_per_gpu(2).workload(spec)
+}
+
+/// Eight single-SM GPUs: the reference run's fabric at test size.
+fn eight(topology: TopologyKind) -> SimBuilder {
+    SimBuilder::new(Organization::Umn)
+        .gpus(8)
+        .sms_per_gpu(1)
+        .workload(Workload::VecAdd.spec_small())
+        .topology(topology)
+}
+
+/// A ×64 BER degrade early in the kernel, then a cut of a neighbouring
+/// link while heads are queued on it (the run reports 1 reroute and
+/// 2 205 retries).
+fn link_faults() -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.push(
+        ns_to_fs(200.0),
+        FaultKind::LinkDegrade {
+            class: LinkClass::HmcHmc,
+            ordinal: 1,
+            factor: 64,
+        },
+    );
+    plan.push(
+        ns_to_fs(3_000.0),
+        FaultKind::LinkDown {
+            class: LinkClass::HmcHmc,
+            ordinal: 2,
+        },
+    );
+    plan
+}
+
+/// Loses a GPU mid-kernel: resident CTAs are rebalanced (32) and
+/// in-flight replies fail (20), so `Gpu::fail` runs on live state.
+fn gpu_loss() -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.push(ns_to_fs(500.0), FaultKind::GpuLoss { gpu: 1 });
+    plan
+}
+
+/// The pinned cases, in file order.
+fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
+    use Organization::*;
+    let sfbfly = TopologyKind::Sliced {
+        kind: SlicedKind::Fbfly,
+        double: false,
+    };
+    // CG.S computes on the host between kernels; shrunk so the CPU
+    // traffic the overlay carries stays test-sized.
+    let mut cg = Workload::CgS.spec_small();
+    let mut k = (*cg.kernel).clone();
+    k.ctas = 8;
+    k.iters = 2;
+    cg.kernel = std::sync::Arc::new(k);
+    vec![
+        ("umn-kmn", Pin::Report, small(Umn, Workload::Kmn)),
+        ("umn8-sfbfly", Pin::Report, eight(sfbfly)),
+        (
+            "umn8-dfbfly",
+            Pin::Report,
+            eight(TopologyKind::DistributorFbfly),
+        ),
+        ("pcie-scan", Pin::Report, small(Pcie, Workload::Scan)),
+        ("cmn-bp", Pin::Report, small(Cmn, Workload::Bp)),
+        ("gmn-srad", Pin::Report, small(Gmn, Workload::Srad)),
+        (
+            "umn4-ugal",
+            Pin::Report,
+            small(Umn, Workload::Bfs)
+                .gpus(4)
+                .routing(RoutingPolicy::Ugal),
+        ),
+        ("umn-overlay-cg", Pin::Report, rig(Umn, cg).overlay(true)),
+        (
+            "umn-stealing",
+            Pin::Report,
+            small(Umn, Workload::Bp).cta_policy(CtaPolicy::Stealing),
+        ),
+        (
+            "umn-link-cut-degrade64",
+            Pin::Report,
+            small(Umn, Workload::VecAdd).faults(link_faults()),
+        ),
+        (
+            "umn-gpu-loss",
+            Pin::Report,
+            small(Umn, Workload::VecAdd).faults(gpu_loss()),
+        ),
+        ("umn-fuzz2", Pin::Report, rig(Umn, WorkloadFuzzer::spec(2))),
+        (
+            "pcie-fuzz5",
+            Pin::Report,
+            rig(Pcie, WorkloadFuzzer::spec(5)),
+        ),
+        // Same configuration as the case above, so the same hash.
+        (
+            "pcie-fuzz5-resumed",
+            Pin::Resumed,
+            rig(Pcie, WorkloadFuzzer::spec(5)),
+        ),
+        (
+            "umn-trace",
+            Pin::Trace,
+            small(Umn, Workload::VecAdd).trace(1 << 16),
+        ),
+        (
+            "pcie-metrics",
+            Pin::Metrics,
+            small(Pcie, Workload::VecAdd).metrics_every(500),
+        ),
+    ]
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The compact JSON plus every report field it does not serialize.
+fn report_bytes(r: &SimReport) -> String {
+    let mut s = r.to_json_compact();
+    write!(
+        s,
+        "\n{:?}\n{:?}\n{} {} {:?}",
+        r.traffic, r.per_gpu, r.passthrough, r.nonminimal, r.channel_utilization
+    )
+    .expect("writing to a String");
+    s
+}
+
+fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
+    let b = b.engine(mode).sim_threads(4);
+    let bytes = match pin {
+        Pin::Report => report_bytes(&b.run()),
+        Pin::Resumed => {
+            let (_, snap) = b
+                .clone()
+                .try_run_checkpointed("golden")
+                .expect("checkpoint");
+            report_bytes(&b.try_run_restored(&snap).expect("restore"))
+        }
+        Pin::Trace => b.run().trace_json.expect("trace enabled"),
+        Pin::Metrics => b.run().metrics_json.expect("metrics enabled"),
+    };
+    fnv1a(bytes.as_bytes())
+}
+
+fn check(mode: EngineMode) {
+    let golden = std::fs::read_to_string(GOLDEN).expect("tests/data/golden_reports.txt");
+    let want: Vec<(&str, &str)> = golden
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| l.split_once(' ').expect("`name hash` line"))
+        .collect();
+    let cases = cases();
+    assert_eq!(
+        want.iter().map(|w| w.0).collect::<Vec<_>>(),
+        cases.iter().map(|c| c.0).collect::<Vec<_>>(),
+        "golden file and case list disagree; re-bless"
+    );
+    let mut moved = Vec::new();
+    for ((name, pin, b), (_, hash)) in cases.into_iter().zip(want) {
+        let got = format!("{:016x}", hash_case(&pin, b, mode));
+        if got != hash {
+            moved.push(format!("{name}: golden {hash}, got {got}"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "{}: output bytes moved:\n{}",
+        mode.name(),
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn cycle_stepped_matches_golden() {
+    check(EngineMode::CycleStepped);
+}
+
+#[test]
+fn event_driven_matches_golden() {
+    check(EngineMode::EventDriven);
+}
+
+#[test]
+fn parallel_matches_golden() {
+    check(EngineMode::Parallel);
+}
+
+/// Regenerates the golden file from the cycle-stepped reference engine.
+#[test]
+#[ignore = "rewrites tests/data/golden_reports.txt; run only for a deliberate model change"]
+fn bless() {
+    let mut out = String::from(
+        "# FNV-1a of each golden_reports case. Regenerate only for a deliberate model change:\n\
+         # cargo test --release --test golden_reports -- --ignored bless\n",
+    );
+    for (name, pin, b) in cases() {
+        let h = hash_case(&pin, b, EngineMode::CycleStepped);
+        writeln!(out, "{name} {h:016x}").expect("writing to a String");
+    }
+    std::fs::write(GOLDEN, out).expect("write golden file");
+}
