@@ -2198,6 +2198,13 @@ impl System {
             }
         }
         for i in 0..self.hmcs.len() {
+            let port = &self.hmc_ports[i];
+            if port.deferred.is_none()
+                && port.resp_q.is_empty()
+                && !self.net.has_eject(self.hmc_eps[i])
+            {
+                continue;
+            }
             // Retry a vault-rejected request before accepting more.
             if let Some((req, loc)) = self.hmc_ports[i].deferred.take() {
                 match self.hmcs[i].try_accept(req, loc.vault, loc.bank, loc.row) {

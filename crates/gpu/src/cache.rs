@@ -236,6 +236,8 @@ pub type Waiter = u32;
 pub struct MshrTable {
     map: BTreeMap<u64, Vec<Waiter>>,
     cap: usize,
+    /// Drained waiter lists kept for reuse; at most `cap` ever exist.
+    spare: Vec<Vec<Waiter>>,
 }
 
 /// Result of an MSHR allocation attempt.
@@ -255,6 +257,7 @@ impl MshrTable {
         MshrTable {
             map: BTreeMap::new(),
             cap,
+            spare: Vec::new(),
         }
     }
 
@@ -267,13 +270,25 @@ impl MshrTable {
         if self.map.len() >= self.cap {
             return MshrResult::Full;
         }
-        self.map.insert(line, vec![waiter]);
+        let mut ws = self.spare.pop().unwrap_or_default();
+        ws.push(waiter);
+        self.map.insert(line, ws);
         MshrResult::Allocated
     }
 
-    /// Completes `line`, returning all merged waiters.
+    /// Completes `line`, returning all merged waiters in arrival order.
+    /// Hand the list back through [`MshrTable::recycle`] once consumed.
     pub fn complete(&mut self, line: u64) -> Vec<Waiter> {
         self.map.remove(&line).unwrap_or_default()
+    }
+
+    /// Takes back a list [`MshrTable::complete`] returned, so the next
+    /// miss reuses its storage instead of allocating.
+    pub fn recycle(&mut self, mut ws: Vec<Waiter>) {
+        if ws.capacity() > 0 {
+            ws.clear();
+            self.spare.push(ws);
+        }
     }
 
     /// Outstanding distinct lines.

@@ -428,9 +428,10 @@ impl Gpu {
                 self.l2.fill(line);
                 let mut waiters = self.l2_mshr.complete(line);
                 waiters.dedup();
-                for sm in waiters {
+                for sm in waiters.drain(..) {
                     self.sms[sm as usize].refill(line, now + self.xbar_latency);
                 }
+                self.l2_mshr.recycle(waiters);
             }
             RespRoute::Atomic { sm, slot } => {
                 self.sms[sm as usize].schedule_completion(slot, now + self.xbar_latency);
@@ -468,6 +469,9 @@ impl Gpu {
         self.mem_reqs = s.mem_reqs;
         self.l2.restore_state(&s.l2);
         self.busy_cache = false;
+        for sm in &mut self.sms {
+            sm.wake();
+        }
     }
 
     /// Aggregate statistics.

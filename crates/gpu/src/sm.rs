@@ -84,6 +84,11 @@ pub struct Sm {
     to_l2_cap: usize,
     /// (cycle, slot) completion events for L1 hits and returned misses.
     completions: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Slots holding a CTA (every state but `Empty`).
+    resident: u32,
+    /// Earliest core cycle at which a tick can change state; until then
+    /// a tick only counts a busy cycle. See [`Sm::tick_traced`].
+    wake_at: u64,
     stats: SmStats,
 }
 
@@ -108,15 +113,15 @@ impl Sm {
             to_l2: VecDeque::new(),
             to_l2_cap: 16,
             completions: BinaryHeap::new(),
+            resident: 0,
+            wake_at: u64::MAX,
             stats: SmStats::default(),
         }
     }
 
     /// True if a CTA slot is free.
     pub fn has_free_slot(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| matches!(s.state, SlotState::Empty))
+        self.resident < self.slot_count()
     }
 
     /// Installs a CTA stream into a free slot.
@@ -154,6 +159,8 @@ impl Sm {
         slot.tag = cta;
         slot.launched_at = now;
         slot.model = model;
+        self.resident += 1;
+        self.wake_at = 0;
     }
 
     /// Fault injection: aborts every resident CTA and drops all in-flight
@@ -176,15 +183,14 @@ impl Sm {
         self.to_l2.clear();
         self.completions.clear();
         self.mshr.clear();
+        self.resident = 0;
+        self.wake_at = u64::MAX;
         orphans
     }
 
     /// Number of slots currently holding a CTA (occupancy numerator).
     pub fn resident_ctas(&self) -> u32 {
-        self.slots
-            .iter()
-            .filter(|s| !matches!(s.state, SlotState::Empty))
-            .count() as u32
+        self.resident
     }
 
     /// Total CTA slots (occupancy denominator).
@@ -198,10 +204,13 @@ impl Sm {
             || !self.to_l2.is_empty()
             || !self.completions.is_empty()
             || !self.mshr.is_empty()
-            || self
-                .slots
-                .iter()
-                .any(|s| !matches!(s.state, SlotState::Empty))
+            || self.resident > 0
+    }
+
+    /// Forgets the recorded wake cycle, so the next tick runs in full and
+    /// re-derives it (the owning GPU's cycle counter was overwritten).
+    pub fn wake(&mut self) {
+        self.wake_at = 0;
     }
 
     /// Pops one outbound request for the L2, if present.
@@ -212,15 +221,18 @@ impl Sm {
     /// Completes one outstanding transaction of `slot` at `cycle`.
     pub fn schedule_completion(&mut self, slot: u32, cycle: u64) {
         self.completions.push(Reverse((cycle, slot)));
+        self.wake_at = self.wake_at.min(cycle);
     }
 
     /// A refill for `line` arrived from the L2: fill the L1 and release all
     /// merged waiters at `cycle`.
     pub fn refill(&mut self, line: u64, cycle: u64) {
         self.l1.fill(line);
-        for slot in self.mshr.complete(line) {
-            self.completions.push(Reverse((cycle, slot)));
+        let mut waiters = self.mshr.complete(line);
+        for slot in waiters.drain(..) {
+            self.schedule_completion(slot, cycle);
         }
+        self.mshr.recycle(waiters);
     }
 
     /// L1 statistics.
@@ -241,13 +253,21 @@ impl Sm {
     /// [`Sm::tick`] with optional tracing. The SM holds no identity of its
     /// own, so the caller passes its `(gpu, sm)` coordinates for the
     /// CTA-retire spans.
+    ///
+    /// Most ticks of a memory-bound kernel find every resident CTA
+    /// waiting, so the SM sleeps: each full tick ends by recording in
+    /// `wake_at` the earliest cycle at which the next one could change
+    /// state, and ticks before it only count the busy cycle. What can
+    /// change state is a queued LSU access (issues, or re-probes the L1 on
+    /// a structural stall: every cycle), a due completion, or a compute
+    /// interval running out; everything that adds one of those from
+    /// outside a tick ([`Sm::assign_cta`], [`Sm::schedule_completion`],
+    /// [`Sm::refill`]) lowers `wake_at` to match.
     pub fn tick_traced(&mut self, now: u64, gpu: u16, sm: u32, mut tracer: Option<&mut Tracer>) {
-        if self
-            .slots
-            .iter()
-            .any(|s| !matches!(s.state, SlotState::Empty))
-        {
-            self.stats.busy_cycles += 1;
+        self.stats.busy_cycles += (self.resident > 0) as u64;
+        if now < self.wake_at {
+            debug_assert!(self.nothing_due(now), "SM slept through work at {now}");
+            return;
         }
 
         // 1. Deliver due completions.
@@ -279,12 +299,16 @@ impl Sm {
         }
 
         // 3. Advance ready slots.
+        let mut wake = u64::MAX;
         for i in 0..self.slots.len() {
             loop {
                 match self.slots[i].state {
                     SlotState::Computing(until) if until <= now => {
+                        // Fetches its next op on the following tick.
                         self.slots[i].state = SlotState::Ready;
+                        wake = now + 1;
                     }
+                    SlotState::Computing(until) => wake = wake.min(until),
                     SlotState::Ready => {
                         let op = self.slots[i]
                             .stream
@@ -297,6 +321,7 @@ impl Sm {
                                 self.slots[i].stream = None;
                                 self.slots[i].model = None;
                                 self.slots[i].state = SlotState::Empty;
+                                self.resident -= 1;
                                 self.stats.ctas_done += 1;
                                 if let Some(tr) = tracer.as_deref_mut() {
                                     let start = self.slots[i].launched_at;
@@ -332,6 +357,29 @@ impl Sm {
                 break;
             }
         }
+
+        self.wake_at = if !self.lsu_q.is_empty() {
+            now + 1
+        } else if let Some(&Reverse((c, _))) = self.completions.peek() {
+            wake.min(c)
+        } else {
+            wake
+        };
+    }
+
+    /// The sleeping branch's full no-op predicate: a tick at `now` would
+    /// deliver nothing, issue nothing and advance no slot.
+    fn nothing_due(&self, now: u64) -> bool {
+        self.lsu_q.is_empty()
+            && self
+                .completions
+                .peek()
+                .is_none_or(|&Reverse((c, _))| c > now)
+            && self.slots.iter().all(|s| match s.state {
+                SlotState::Ready => false,
+                SlotState::Computing(until) => until > now,
+                SlotState::Empty | SlotState::WaitMem(_) => true,
+            })
     }
 
     /// Tries to issue one transaction into the L1/L2 path; `false` on a
@@ -556,6 +604,48 @@ mod tests {
         for now in 100..200 {
             s.tick(now);
         }
+        assert!(!s.busy());
+    }
+
+    #[test]
+    fn long_compute_then_miss_retires_on_the_expected_cycle() {
+        // One CTA: Compute(100), then one read that misses the L1 and is
+        // refilled 50 cycles after it leaves the SM. Cycle by cycle:
+        //   0        Ready -> Compute -> Computing(100)
+        //   1..=99   nothing due (the SM sleeps)
+        //   100      compute interval over -> Ready
+        //   101      Ready -> Mem -> WaitMem(1), access queued on the LSU
+        //   102      LSU issues: L1 miss, request leaves for the L2
+        //   103..=152 waiting; the refill lands after tick 152
+        //   153      completion delivered -> Ready -> stream ends: retire
+        let mut s = sm();
+        let stream: CtaStream = Box::new(
+            [
+                CtaOp::Compute(100),
+                CtaOp::Mem(vec![MemAccess::read(0x1000)]),
+            ]
+            .into_iter(),
+        );
+        s.assign(stream);
+        let mut left_at = None;
+        let mut retired_at = None;
+        for now in 0..200u64 {
+            s.tick(now);
+            if let Some(r) = s.pop_to_l2() {
+                assert_eq!(left_at.replace(now), None, "one request only");
+                assert_eq!(r.access.addr, 0x1000);
+            }
+            if left_at.is_some_and(|t| t + 50 == now) {
+                s.refill(0x1000, now);
+            }
+            if retired_at.is_none() && s.stats().ctas_done == 1 {
+                retired_at = Some(now);
+            }
+        }
+        assert_eq!(left_at, Some(102));
+        assert_eq!(retired_at, Some(153));
+        assert_eq!(s.stats().busy_cycles, 154, "resident for ticks 0..=153");
+        assert_eq!(s.stats().mem_instrs, 1);
         assert!(!s.busy());
     }
 

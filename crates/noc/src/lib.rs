@@ -51,6 +51,7 @@
 //! ```
 
 pub mod builder;
+mod calq;
 pub mod network;
 pub mod packet;
 pub mod topo;

@@ -2,17 +2,17 @@
 //!
 //! See the crate docs for the model. The implementation is virtual
 //! cut-through at packet granularity with per-(port, VC) credit flow
-//! control, a binary-heap event list for channel traversals, and
+//! control, a calendar-queue event list for channel traversals, and
 //! deterministic round-robin allocation.
 
 use crate::builder::{LinkSpec, LinkTag, NetworkBuilder, NodeRec};
+use crate::calq::CalendarQueue;
 use crate::packet::{MsgClass, Packet, PacketId};
 use memnet_common::faults::LinkClass;
 use memnet_common::stats::RunningStats;
 use memnet_common::{NodeId, Payload, SplitMix64};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// How packets choose among paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -203,7 +203,7 @@ struct Endpoint {
     eject_q: VecDeque<PacketId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     ArriveRouter {
         router: u32,
@@ -226,30 +226,6 @@ enum Ev {
         vc: u8,
         flits: u32,
     },
-}
-
-#[derive(Debug)]
-struct Timed {
-    cycle: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Self) -> bool {
-        self.cycle == other.cycle && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.cycle, self.seq).cmp(&(other.cycle, other.seq))
-    }
 }
 
 /// Serializable mutable state of one directed channel (see
@@ -327,7 +303,9 @@ pub struct Network {
     /// Undeliverable packets awaiting [`Network::poll_failed`].
     failed_q: VecDeque<PacketId>,
 
-    events: BinaryHeap<Reverse<Timed>>,
+    events: CalendarQueue<Ev>,
+    /// Events ever scheduled. Nothing orders by it any more (the queue's
+    /// buckets are FIFO), but it is part of [`NetworkState`].
     seq: u64,
     cycle: u64,
     in_network: u64,
@@ -616,7 +594,7 @@ impl Network {
             link_ports,
             link_up,
             failed_q: VecDeque::new(),
-            events: BinaryHeap::new(),
+            events: CalendarQueue::new(),
             seq: 0,
             cycle: 0,
             in_network: 0,
@@ -681,15 +659,17 @@ impl Network {
     /// first win switch allocation at some tick `>= cycle()`, then pay
     /// the full lookahead.
     pub fn eject_lower_bound(&self) -> Option<u64> {
-        let mut bound = u64::MAX;
-        for Reverse(t) in &self.events {
-            if let Ev::ArriveEndpoint { .. } = t.ev {
-                bound = bound.min(t.cycle);
-            }
-        }
-        if self.in_network > 0 {
-            bound = bound.min(self.cycle + self.lookahead_cycles());
-        }
+        let buffered = if self.in_network > 0 {
+            self.cycle + self.lookahead_cycles()
+        } else {
+            u64::MAX
+        };
+        let bound = self
+            .events
+            .first_cycle_where(self.cycle, buffered, |ev| {
+                matches!(ev, Ev::ArriveEndpoint { .. })
+            })
+            .unwrap_or(buffered);
         (bound != u64::MAX).then_some(bound)
     }
 
@@ -1274,6 +1254,11 @@ impl Network {
         self.try_inject(e);
     }
 
+    /// True if [`Network::poll_eject`] at `ep` would return a packet.
+    pub fn has_eject(&self, ep: NodeId) -> bool {
+        !self.endpoints[self.ep_idx(ep) as usize].eject_q.is_empty()
+    }
+
     /// Takes the next delivered packet at `ep`, if any, returning credits to
     /// the network.
     pub fn poll_eject(&mut self, ep: NodeId) -> Option<EjectedPacket> {
@@ -1302,16 +1287,9 @@ impl Network {
     /// (queueing vs pipeline vs SerDes vs serialization) is recorded as
     /// [`TraceEventKind::PacketHop`] spans.
     pub fn tick_traced(&mut self, mut tracer: Option<&mut Tracer>) {
-        // 1. Deliver due events.
-        loop {
-            match self.events.peek() {
-                Some(Reverse(t)) if t.cycle <= self.cycle => {}
-                _ => break,
-            }
-            let Some(Reverse(t)) = self.events.pop() else {
-                break;
-            };
-            match t.ev {
+        // 1. Deliver this cycle's events, in the order they were scheduled.
+        while let Some(ev) = self.events.pop(self.cycle) {
+            match ev {
                 Ev::ArriveRouter {
                     router,
                     port,
@@ -1406,11 +1384,7 @@ impl Network {
 
     fn push_event(&mut self, cycle: u64, ev: Ev) {
         self.seq += 1;
-        self.events.push(Reverse(Timed {
-            cycle,
-            seq: self.seq,
-            ev,
-        }));
+        self.events.push(self.cycle, cycle, ev);
     }
 
     fn class_base(&self, class: MsgClass) -> usize {
