@@ -284,7 +284,7 @@ impl MshrTable {
 
     /// Takes back a list [`MshrTable::complete`] returned, so the next
     /// miss reuses its storage instead of allocating.
-    pub fn recycle(&mut self, mut ws: Vec<Waiter>) {
+    pub(crate) fn recycle(&mut self, mut ws: Vec<Waiter>) {
         if ws.capacity() > 0 {
             ws.clear();
             self.spare.push(ws);

@@ -209,7 +209,7 @@ impl Sm {
 
     /// Forgets the recorded wake cycle, so the next tick runs in full and
     /// re-derives it (the owning GPU's cycle counter was overwritten).
-    pub fn wake(&mut self) {
+    pub(crate) fn wake(&mut self) {
         self.wake_at = 0;
     }
 

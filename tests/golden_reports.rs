@@ -2,8 +2,8 @@
 //!
 //! `engine_equivalence` compares three engines that share one `Network`,
 //! `Gpu` and `Vault`, so a rewrite that shifts all of them equally passes
-//! it. This suite pins the bytes themselves: an FNV-1a hash of each
-//! case's output, taken once and committed in
+//! it. This suite pins the bytes themselves: an FNV-1a hash (`fnv1a64`)
+//! of each case's output, taken once and committed in
 //! `tests/data/golden_reports.txt`, checked in every engine mode.
 //!
 //! A report case hashes the compact `SimReport` JSON plus the fields that
@@ -23,7 +23,7 @@ use memnet::common::time::ns_to_fs;
 use memnet::common::{FaultKind, FaultPlan, LinkClass};
 use memnet::noc::topo::{SlicedKind, TopologyKind};
 use memnet::noc::RoutingPolicy;
-use memnet::sim::{CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
+use memnet::sim::{fnv1a64, CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
 use memnet::wdl::fuzz::WorkloadFuzzer;
 use memnet::workloads::{Workload, WorkloadSpec};
 use std::fmt::Write as _;
@@ -164,12 +164,6 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
     ]
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The compact JSON plus every report field it does not serialize.
 fn report_bytes(r: &SimReport) -> String {
     let mut s = r.to_json_compact();
@@ -196,7 +190,7 @@ fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
         Pin::Trace => b.run().trace_json.expect("trace enabled"),
         Pin::Metrics => b.run().metrics_json.expect("metrics enabled"),
     };
-    fnv1a(bytes.as_bytes())
+    fnv1a64(bytes.as_bytes())
 }
 
 fn check(mode: EngineMode) {
