@@ -11,7 +11,7 @@
 //! may leak into that document.
 
 use memnet_noc::LinkUtilization;
-use memnet_obs::prof::{AllocStats, LaneAttr, PhaseMark, ProfCat, Profiler};
+use memnet_obs::prof::{AllocStats, PhaseMark, ProfCat, Profiler};
 use memnet_obs::{HistSnapshot, JsonWriter};
 
 /// Wall-clock attribution for one profiler category.
@@ -108,15 +108,6 @@ pub struct ProfileReport {
     pub ctas_done: u64,
     /// Trace-ring drops observed (0 without tracing).
     pub trace_dropped: u64,
-    /// Horizon/commit publishes exchanged by the parallel engine's
-    /// conservative synchronization (0 for the sequential engines).
-    pub pdes_null_messages: u64,
-    /// Wall nanoseconds lanes spent waiting at the synchronization
-    /// barrier, summed over all lanes (0 for the sequential engines).
-    pub pdes_blocked_ns: u64,
-    /// Per-lane wall-clock attribution (`driver` first, then one entry
-    /// per worker; empty for the sequential engines).
-    pub lanes: Vec<LaneAttr>,
     /// Per-router / per-link utilization.
     pub heatmap: Heatmap,
 }
@@ -143,9 +134,6 @@ impl ProfileReport {
             flit_hops: 0,
             ctas_done: 0,
             trace_dropped: 0,
-            pdes_null_messages: p.pdes_null_messages(),
-            pdes_blocked_ns: p.pdes_blocked_ns(),
-            lanes: p.lanes().to_vec(),
             heatmap: Heatmap::default(),
         }
     }
@@ -223,21 +211,6 @@ impl ProfileReport {
         }
         w.end_object();
         w.field("trace_dropped", &self.trace_dropped);
-        w.key("pdes");
-        w.begin_object();
-        w.field("null_messages", &self.pdes_null_messages);
-        w.field("blocked_ns", &self.pdes_blocked_ns);
-        w.key("lanes");
-        w.begin_array();
-        for l in &self.lanes {
-            w.begin_object();
-            w.field("name", l.name.as_str());
-            w.field("wall_ns", &l.wall_ns);
-            w.field("blocked_ns", &l.blocked_ns);
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
         w.key("heatmap");
         self.heatmap.write_json(&mut w);
         w.end_object();

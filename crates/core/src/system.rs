@@ -38,13 +38,6 @@ use memnet_obs::{
 use memnet_workloads::{HostWork, WorkloadSpec};
 use std::collections::VecDeque;
 
-/// The parallel engine's worker crew ([`EngineMode::Parallel`]): shards
-/// GPU core/L2 and HMC DRAM edges across threads, bit-identical to the
-/// sequential engines. A child module so it can drive `System`'s private
-/// state without widening any visibility.
-#[path = "par.rs"]
-mod par;
-
 /// The multi-GPU system organizations of Table III.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Organization {
@@ -128,41 +121,51 @@ pub enum EngineMode {
     /// [`SimReport`]s (and trace/metric streams) to `CycleStepped`.
     #[default]
     EventDriven,
-    /// Shard the kernel phase across worker threads: each worker owns a
-    /// contiguous range of GPUs and executes their core/L2 clock edges
-    /// ahead of a driver thread (network, HMCs, CPU, bookkeeping) under
-    /// a conservative PDES horizon derived from the NoC SerDes +
-    /// router-pipeline lookahead. Cross-thread deliveries are merged by
-    /// (timestamp, domain slot, shard index), never arrival order, so
-    /// reports, traces, metrics and sanitizer results stay bit-identical
-    /// to both sequential engines at any thread count
-    /// ([`SimBuilder::sim_threads`]).
-    Parallel,
 }
 
 impl EngineMode {
-    /// Display name (`"cycle-stepped"` / `"event-driven"` /
-    /// `"parallel"`).
+    /// Display name (`"cycle-stepped"` / `"event-driven"`).
     pub fn name(self) -> &'static str {
         match self {
             EngineMode::CycleStepped => "cycle-stepped",
             EngineMode::EventDriven => "event-driven",
-            EngineMode::Parallel => "parallel",
         }
     }
 
-    /// The default mode, overridable through the `MEMNET_ENGINE`
-    /// environment variable (`cycle-stepped`/`cycle`,
-    /// `event-driven`/`event`, or `parallel`/`pdes`) so CI can run whole
-    /// test suites under any engine. An explicit [`SimBuilder::engine`]
-    /// call wins.
-    pub fn from_env() -> EngineMode {
-        match std::env::var("MEMNET_ENGINE").ok().as_deref() {
-            Some("cycle-stepped" | "cycle") => EngineMode::CycleStepped,
-            Some("event-driven" | "event") => EngineMode::EventDriven,
-            Some("parallel" | "pdes") => EngineMode::Parallel,
-            _ => EngineMode::default(),
+    /// Parses an engine name: `cycle`/`cycle-stepped` or
+    /// `event`/`event-driven`, in any case.
+    pub fn parse(s: &str) -> Option<EngineMode> {
+        Some(match s.to_ascii_lowercase().as_str() {
+            "cycle" | "cycle-stepped" => EngineMode::CycleStepped,
+            "event" | "event-driven" => EngineMode::EventDriven,
+            _ => return None,
+        })
+    }
+
+    /// The mode the `MEMNET_ENGINE` environment variable selects, so CI
+    /// can run whole test suites under either engine; unset or empty
+    /// means the default. A value that names no engine is an error, not
+    /// the default: a typo must not quietly test the other engine. Only
+    /// builders without an explicit [`SimBuilder::engine`] call consult
+    /// it.
+    pub fn from_env() -> Result<EngineMode, SimError> {
+        match std::env::var_os("MEMNET_ENGINE") {
+            Some(v) => EngineMode::from_env_value(&v.to_string_lossy()),
+            None => Ok(EngineMode::default()),
         }
+    }
+
+    /// [`EngineMode::from_env`] on the variable's value.
+    pub fn from_env_value(value: &str) -> Result<EngineMode, SimError> {
+        if value.is_empty() {
+            return Ok(EngineMode::default());
+        }
+        EngineMode::parse(value).ok_or_else(|| {
+            SimError::InvalidConfig(format!(
+                "MEMNET_ENGINE='{value}' names no engine (accepted: cycle, cycle-stepped, \
+                 event, event-driven)"
+            ))
+        })
     }
 }
 
@@ -367,8 +370,8 @@ pub struct SimBuilder {
     co_workloads: Vec<WorkloadSpec>,
     trace_capacity: Option<usize>,
     metrics_every: Option<u64>,
-    engine_mode: EngineMode,
-    sim_threads: Option<u32>,
+    /// `None` until [`SimBuilder::engine`]: `MEMNET_ENGINE` then decides.
+    engine_mode: Option<EngineMode>,
     trace_engine: bool,
     faults: FaultPlan,
     sanitize: SanitizeMode,
@@ -396,8 +399,7 @@ impl SimBuilder {
             co_workloads: Vec::new(),
             trace_capacity: None,
             metrics_every: None,
-            engine_mode: EngineMode::from_env(),
-            sim_threads: None,
+            engine_mode: None,
             trace_engine: false,
             faults: FaultPlan::new(),
             sanitize: SanitizeMode::from_env(),
@@ -435,22 +437,11 @@ impl SimBuilder {
     }
 
     /// Selects how the engine advances time (default:
-    /// [`EngineMode::EventDriven`]). Both modes produce bit-identical
+    /// [`EngineMode::from_env`]). Both modes produce bit-identical
     /// reports; `CycleStepped` exists as the reference for equivalence
     /// tests and wall-clock baselines.
     pub fn engine(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
-        self
-    }
-
-    /// Worker-thread count for [`EngineMode::Parallel`] (default:
-    /// `MEMNET_SIM_THREADS`, else the machine's available parallelism
-    /// capped at 4). Clamped to `[1, n_gpus]` at build time. Thread
-    /// count is a pure wall-clock knob — results are bit-identical at
-    /// any value — so it is excluded from the configuration fingerprint,
-    /// and the other engine modes ignore it.
-    pub fn sim_threads(mut self, n: u32) -> Self {
-        self.sim_threads = Some(n.max(1));
+        self.engine_mode = Some(mode);
         self
     }
 
@@ -781,16 +772,8 @@ struct System {
     cal: Calendar,
     /// True when idle domains may be parked ([`EngineMode::EventDriven`]).
     park: bool,
-    /// How this system advances time (drives kernel-phase dispatch and
-    /// the profile report's engine label).
+    /// How this system advances time (the profile report's engine label).
     engine_mode: EngineMode,
-    /// Worker threads for [`EngineMode::Parallel`] kernel phases,
-    /// clamped to `[1, n_gpus]`. Ignored by the sequential engines.
-    sim_threads: u32,
-    /// Live worker crew while a parallel kernel phase is running; the
-    /// tick arms route shard edges through it. Always `None` outside
-    /// [`System::run_kernel_phase_parallel`].
-    par: Option<std::sync::Arc<par::ParCrew>>,
     /// Record engine wake events into the trace.
     trace_engine: bool,
     now: Fs,
@@ -825,6 +808,10 @@ impl System {
         let cfg = b.cfg.clone();
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let workload = b.workload.clone().ok_or(SimError::MissingWorkload)?;
+        let engine_mode = match b.engine_mode {
+            Some(mode) => mode,
+            None => EngineMode::from_env()?,
+        };
         let n_gpus = cfg.n_gpus as usize;
         let local = cfg.hmcs_per_gpu as usize;
         let cpu_cluster = n_gpus as u32;
@@ -1046,18 +1033,8 @@ impl System {
             dma: DmaEngine::new(CpuId(0), 32),
             // Domain order must match the `domain` constants.
             cal: Calendar::new(vec![clk_core, clk_l2, clk_cpu, clk_net, clk_dram]),
-            park: b.engine_mode == EngineMode::EventDriven,
-            engine_mode: b.engine_mode,
-            sim_threads: b
-                .sim_threads
-                .or_else(|| {
-                    std::env::var("MEMNET_SIM_THREADS")
-                        .ok()
-                        .and_then(|v| v.parse().ok())
-                })
-                .unwrap_or_else(memnet_engine::pdes::default_threads)
-                .clamp(1, cfg.n_gpus),
-            par: None,
+            park: engine_mode == EngineMode::EventDriven,
+            engine_mode,
             trace_engine: b.trace_engine,
             now: 0,
             timed_out: false,
@@ -1571,16 +1548,6 @@ impl System {
     }
 
     fn run_kernel_phase(&mut self) -> Fs {
-        // Parallel engine: wrap this same phase in a worker crew (the
-        // recursive call lands below because `par` is then occupied).
-        // One worker would only add sync overhead to identical results.
-        if self.engine_mode == EngineMode::Parallel
-            && self.par.is_none()
-            && self.sim_threads > 1
-            && self.gpus.len() > 1
-        {
-            return self.run_kernel_phase_parallel();
-        }
         // Launch across the GPUs still alive — a GPU lost in an earlier
         // phase is simply excluded from the partition (SKE degraded mode).
         let live: Vec<usize> = (0..self.active_gpus as usize)
@@ -2012,21 +1979,13 @@ impl System {
     fn tick_domain(&mut self, d: usize) {
         match d {
             domain::CORE => {
-                if self.par.is_some() {
-                    self.par_edge(par::EDGE_CORE, 0);
-                } else {
-                    for g in &mut self.gpus {
-                        g.tick_core_traced(self.tracer.as_mut());
-                    }
+                for g in &mut self.gpus {
+                    g.tick_core_traced(self.tracer.as_mut());
                 }
             }
             domain::L2 => {
-                if self.par.is_some() {
-                    self.par_edge(par::EDGE_L2, 0);
-                } else {
-                    for g in &mut self.gpus {
-                        g.tick_l2();
-                    }
+                for g in &mut self.gpus {
+                    g.tick_l2();
                 }
             }
             domain::CPU => {
@@ -2075,15 +2034,11 @@ impl System {
             }
             domain::DRAM => {
                 let tck = self.cal.clock(domain::DRAM).cycles();
-                if self.par.is_some() {
-                    self.par_edge(par::EDGE_DRAM, tck);
-                } else {
-                    for (i, h) in self.hmcs.iter_mut().enumerate() {
-                        h.tick_traced(tck, i as u32, self.tracer.as_mut());
-                        while let Some(req) = h.pop_completed(tck) {
-                            if req.kind.returns_data() {
-                                self.hmc_ports[i].resp_q.push_back(req.response());
-                            }
+                for (i, h) in self.hmcs.iter_mut().enumerate() {
+                    h.tick_traced(tck, i as u32, self.tracer.as_mut());
+                    while let Some(req) = h.pop_completed(tck) {
+                        if req.kind.returns_data() {
+                            self.hmc_ports[i].resp_q.push_back(req.response());
                         }
                     }
                 }

@@ -15,17 +15,8 @@
 //! ordering. `memnet sweep --jobs N`, the bench harness, and the examples
 //! run on it.
 
-//! The [`pdes`] module holds the conservative-PDES primitives (gates,
-//! timestamp cells, FIFO channels, scoped actor threads) behind the
-//! parallel engine: `memnet-core` shards GPU core/L2 edges across worker
-//! threads that run ahead of a driver thread under a lookahead horizon
-//! derived from the NoC SerDes + router-pipeline latency, producing
-//! bit-identical results to both sequential engines.
-
 pub mod calendar;
-pub mod pdes;
 pub mod pool;
 
 pub use calendar::{Calendar, CalendarStats};
-pub use pdes::{ActorsResult, Channel, Gate, LaneCtx, LaneProf, PdesCounters, SeqCell, TimeCell};
 pub use pool::{run_jobs, run_jobs_observed, JobError, PoolConfig, PoolEvent, PoolObs, PoolStats};

@@ -2,13 +2,12 @@
 //! memnet workspace.
 //!
 //! The repo's core guarantee — bit-identical reports and traces for the
-//! same seed under all three engine modes (DESIGN §5, §12) — dies quietly
-//! the first time someone iterates a `HashMap` in a tick path, reads the
-//! wall clock inside the simulation, or weakens an atomic in the PDES
-//! rendezvous protocol. This crate is the static third of the defense
-//! (the runtime third is `MEMNET_SANITIZE` in `memnet-core`, the
-//! exhaustive third is the `memnet-mc` model checker): a
-//! zero-registry-dependency analyzer over the workspace source.
+//! same seed under both engine modes (DESIGN §5) — dies quietly the
+//! first time someone iterates a `HashMap` in a tick path, reads the
+//! wall clock inside the simulation, or spawns a thread in a simulation
+//! crate. This crate is the static half of the defense (the runtime half
+//! is `MEMNET_SANITIZE` in `memnet-core`): a zero-registry-dependency
+//! analyzer over the workspace source.
 //!
 //! It is *not* a Rust parser, but it is no longer a line stripper either:
 //! [`lexer`] tokenizes each file (comments, plain/raw/byte strings across
@@ -26,11 +25,10 @@
 //! | `fs-narrowing` | a bare `as` cast of a `*_fs`/cycle value to a narrower integer type; use the checked helpers in `memnet_common::time` |
 //! | `tick-unwrap` | `.unwrap()` anywhere in non-test code, and `.expect(` inside tick-path functions (names starting with `tick`/`pump`/`advance`/`route`/`alloc`/`poll`/`apply_due`) |
 //! | `metric-name-literal` | a `format!` inside the argument list of a metric-sink call (`.add(`/`.set(`/`.observe(`/`.record_hist(`) — those take `&'static str` names so series identity is stable and hot paths stay allocation-free; dynamic names must go through the explicit `add_dyn`/`set_dyn` escape hatch or `set_entity` for indexed series |
-//! | `thread-boundary` | `std::thread`/`thread::spawn`/`thread::scope`/`mpsc`/`crossbeam`/`rayon` outside `crates/engine/` and `crates/serve/` — threads and channels deliver in arrival order, so only the engine crate (pool, conservative-PDES crew) and the serve daemon may create them; simulation crates stay single-threaded |
-//! | `unsafe-code` | the `unsafe` keyword outside [`UNSAFE_ALLOWLIST`] — raw-pointer shard hand-off lives in `core::par` behind a documented temporal discipline, and the counting allocator implements `GlobalAlloc`; nowhere else may opt out of the borrow checker |
+//! | `thread-boundary` | `std::thread`/`thread::spawn`/`thread::scope`/`mpsc`/`crossbeam`/`rayon` outside `crates/engine/` and `crates/serve/` — threads and channels deliver in arrival order, so only the engine crate (the run pool) and the serve daemon may create them; simulation crates stay single-threaded |
+//! | `unsafe-code` | the `unsafe` keyword outside [`UNSAFE_ALLOWLIST`] — the counting allocator implements `GlobalAlloc`; nowhere else may opt out of the borrow checker |
 //! | `atomic-ordering` | `Ordering::Relaxed` or `Ordering::SeqCst` without a line-level justification — `Relaxed` is how happens-before edges quietly go missing and `SeqCst` is how reasoning gaps hide behind a global fence; each use must say why it is sound (`Acquire`/`Release`/`AcqRel` are the expected vocabulary and pass unremarked) |
-//! | `static-state` | `static mut` and `static` items in simulation crates — process-wide mutable state survives across runs in one process and breaks replay; engine-crate statics (spin calibration) are charter, everything else threads state through the `System` |
-//! | `shard-ownership` | worker-side functions (name starting with `worker`) in the PDES crew files touching `self` state outside the shard/protocol manifest ([`PAR_WORKER_FIELDS`]) — the byte-identity proof rests on workers owning *only* their shard slices and the rendezvous cells |
+//! | `static-state` | `static mut` and `static` items in simulation crates — process-wide mutable state survives across runs in one process and breaks replay; thread state through the `System` |
 //! | `bad-allow` | a `memnet-lint: allow(...)` directive naming an unknown rule or missing its reason |
 //!
 //! # Suppressions
@@ -82,63 +80,20 @@ pub const RULES: &[&str] = &[
     "unsafe-code",
     "atomic-ordering",
     "static-state",
-    "shard-ownership",
     "bad-allow",
 ];
 
 /// Files (workspace-relative) where wall-clock reads are legitimate: the
 /// run pool times real threads, and the self-profiler attributes
 /// driver-loop wall time — neither feeds simulated state.
-pub const WALL_CLOCK_ALLOWLIST: &[&str] = &[
-    "crates/engine/src/pool.rs",
-    "crates/engine/src/pdes.rs",
-    "crates/obs/src/prof.rs",
-];
+pub const WALL_CLOCK_ALLOWLIST: &[&str] = &["crates/engine/src/pool.rs", "crates/obs/src/prof.rs"];
 
 /// Files (workspace-relative) where `unsafe` is permitted. This is an
-/// explicit, reviewed surface, not a convenience: `core::par` hands raw
-/// shard pointers across threads under the temporal discipline documented
-/// there (and model-checked by `memnet-mc`), and `obs::prof` implements
+/// explicit, reviewed surface, not a convenience: `obs::prof` implements
 /// `GlobalAlloc`, whose trait methods are `unsafe` by contract. Any other
-/// `unsafe` must either move its need into one of these files or extend
-/// this list in a reviewed diff.
-pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/src/par.rs", "crates/obs/src/prof.rs"];
-
-/// Files carrying the conservative-PDES crew, where the `shard-ownership`
-/// rule applies: worker-side functions (named `worker*`) may touch only
-/// the fields in [`PAR_WORKER_FIELDS`].
-pub const SHARD_OWNERSHIP_FILES: &[&str] = &["crates/core/src/par.rs", "crates/engine/src/pdes.rs"];
-
-/// The shard-ownership manifest: every `self.<field>` a worker-side
-/// function in the PDES crew may name. It is exactly the union of the
-/// worker's shard slices (raw device pointers plus their bounds), the
-/// rendezvous protocol cells the worker reads or publishes, and the
-/// sanitizer's worker-side audit state. Driver-only state — the driver's
-/// blocked-time accumulator, the gates it owns for poison wakeups, the
-/// replay tracer — is deliberately absent: a worker naming it is a
-/// protocol violation even if it happens to be data-race-free today.
-pub const PAR_WORKER_FIELDS: &[&str] = &[
-    // Shard slices and bounds.
-    "gpus",
-    "n_gpus",
-    "hmcs",
-    "ports",
-    "n_hmcs",
-    "gpu_shards",
-    "hmc_shards",
-    // Rendezvous protocol cells and payloads.
-    "job",
-    "kind",
-    "dram_tck",
-    "commits",
-    // Lane bookkeeping shared by protocol design.
-    "counters",
-    "poisoned",
-    "traces",
-    "trace_clocks",
-    // Worker-side happens-before audit vectors (MEMNET_SANITIZE).
-    "hb",
-];
+/// `unsafe` must either move its need into this file or extend this list
+/// in a reviewed diff.
+pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/obs/src/prof.rs"];
 
 /// Per-crate rule exemptions: `(path prefix, rule)` pairs. Every file
 /// whose workspace-relative path starts with the prefix is exempt from
@@ -150,21 +105,14 @@ pub const PAR_WORKER_FIELDS: &[&str] = &[
 /// `allow` for anything narrower.
 pub const CRATE_RULE_EXEMPTIONS: &[(&str, &str)] = &[
     ("crates/serve/", "wall-clock"),
-    // The model checker is a host-side verification tool: its CLI times its
-    // own --budget-ms ceiling. Nothing in crates/mc feeds simulated state.
-    ("crates/mc/", "wall-clock"),
     // Threading is a charter, not a convenience: the engine crate owns
-    // every synchronization primitive (pool, conservative-PDES crew) and
-    // the serve daemon owns its per-connection handlers. Everything else
+    // the run pool and the serve daemon owns its per-connection
+    // handlers. Everything else
     // — core, gpu, hmc, noc, cpu, obs — must stay single-threaded so a
     // stray `thread::spawn` can never introduce arrival-order
     // nondeterminism into simulation state.
     ("crates/engine/", "thread-boundary"),
     ("crates/serve/", "thread-boundary"),
-    // The engine crate's one static is the spin-budget calibration
-    // (available_parallelism probed once); it feeds wall-clock behavior
-    // only, never simulated state. Simulation crates get no such pass.
-    ("crates/engine/", "static-state"),
 ];
 
 /// Metric-sink method names whose name argument must be a `'static`
@@ -321,7 +269,6 @@ struct Scanner<'a> {
     code: Vec<&'a Tok>,
     wall_clock_allowed: bool,
     unsafe_allowed: bool,
-    shard_rule_active: bool,
     found: Vec<Violation>,
 }
 
@@ -415,10 +362,9 @@ impl<'a> Scanner<'a> {
                     "unsafe" if !self.unsafe_allowed => self.push(
                         line,
                         "unsafe-code",
-                        "unsafe code is confined to the audited shard hand-off in core::par and \
-                         the GlobalAlloc impl in obs::prof (UNSAFE_ALLOWLIST); nothing else may \
-                         opt out of the borrow checker — restructure, or extend the allowlist \
-                         in a reviewed diff"
+                        "unsafe code is confined to the GlobalAlloc impl in obs::prof \
+                         (UNSAFE_ALLOWLIST); nothing else may opt out of the borrow checker — \
+                         restructure, or extend the allowlist in a reviewed diff"
                             .to_string(),
                     ),
                     "Ordering" if self.path_sep(p + 1) => {
@@ -469,26 +415,6 @@ impl<'a> Scanner<'a> {
                                         ),
                                     );
                                 }
-                            }
-                        }
-                    }
-                    "self" if self.shard_rule_active && self.punct(p + 1, '.') => {
-                        if let Some(field) = self.ident(p + 2) {
-                            if current_fn.is_some_and(|f| f.starts_with("worker"))
-                                && !PAR_WORKER_FIELDS.contains(&field)
-                            {
-                                let field = field.to_string();
-                                self.push(
-                                    self.line(p + 2),
-                                    "shard-ownership",
-                                    format!(
-                                        "worker-side code may touch only its shard slices and \
-                                         the rendezvous protocol cells (PAR_WORKER_FIELDS); \
-                                         `self.{field}` is driver-owned state — route it \
-                                         through the driver lane or extend the manifest in a \
-                                         reviewed diff"
-                                    ),
-                                );
                             }
                         }
                     }
@@ -549,7 +475,7 @@ impl<'a> Scanner<'a> {
             format!(
                 "`{what}` outside crates/engine and crates/serve: threads and channels \
                  deliver in arrival order, which breaks bit-identical replay; route \
-                 concurrency through the engine crate (pool / PDES crew) instead"
+                 concurrency through the engine crate's run pool instead"
             ),
         );
     }
@@ -637,7 +563,6 @@ pub fn lint_source(file: &str, text: &str) -> Vec<Violation> {
         wall_clock_allowed: exempt.contains(&"wall-clock")
             || WALL_CLOCK_ALLOWLIST.iter().any(|e| file_matches(file, e)),
         unsafe_allowed: UNSAFE_ALLOWLIST.iter().any(|e| file_matches(file, e)),
-        shard_rule_active: SHARD_OWNERSHIP_FILES.iter().any(|e| file_matches(file, e)),
         found,
     };
 
@@ -697,7 +622,7 @@ pub fn lint_source(file: &str, text: &str) -> Vec<Violation> {
             }
         }
 
-        // Function-name tracking for tick-path and worker-side rules.
+        // Function-name tracking for the tick-path rule.
         if sc.ident_is(p, "fn") {
             if let Some(name) = sc.ident(p + 1) {
                 pending_fn = Some(name.to_string());
@@ -1189,21 +1114,8 @@ mod tests {
         let spawny = "fn f() {\n\
                           std::thread::scope(|s| { s.spawn(|| 1); });\n\
                       }\n";
-        assert!(lint_source("crates/engine/src/pdes.rs", spawny).is_empty());
         assert!(lint_source("crates/engine/src/pool.rs", spawny).is_empty());
         assert!(lint_source("crates/serve/src/server.rs", spawny).is_empty());
-        // Shared state without lane creation is fine anywhere: the core
-        // crate's parallel shards use Arc/Mutex/atomics under the engine
-        // crate's scheduling.
-        let shared = "use std::sync::{Arc, Mutex};\n\
-                      use std::sync::atomic::{AtomicU64, Ordering};\n";
-        assert!(lint_source("crates/core/src/par.rs", shared).is_empty());
-    }
-
-    #[test]
-    fn pdes_module_may_read_the_wall_clock() {
-        let src = "fn f() {\n    let t = std::time::Instant::now();\n}\n";
-        assert!(lint_source("crates/engine/src/pdes.rs", src).is_empty());
     }
 
     #[test]
@@ -1223,8 +1135,7 @@ mod tests {
         let vs = lint_source("crates/gpu/src/gpu.rs", src);
         assert_eq!(rules_at(&vs), vec![("unsafe-code", 2), ("unsafe-code", 4)]);
         assert!(vs[0].message.contains("UNSAFE_ALLOWLIST"));
-        // The audited shard hand-off and the GlobalAlloc impl may.
-        assert!(lint_source("crates/core/src/par.rs", src).is_empty());
+        // The GlobalAlloc impl may.
         assert!(lint_source("crates/obs/src/prof.rs", src).is_empty());
         // `unsafe` in a string or comment is not code.
         let quoted = "fn f() { let s = \"unsafe\"; } // unsafe in prose\n";
@@ -1268,39 +1179,9 @@ mod tests {
             "the 'static lifetimes on line 3 are not static items: {vs:#?}"
         );
         assert!(vs[1].message.contains("static mut"));
-        // The engine crate's charter covers its spin-budget calibration.
-        assert!(lint_source("crates/engine/src/pdes.rs", src).is_empty());
         // Statics in test modules are test scaffolding.
         let test_static = "#[cfg(test)]\nmod tests {\n    static T: u64 = 0;\n}\n";
         assert!(lint_source("crates/noc/src/network.rs", test_static).is_empty());
-    }
-
-    #[test]
-    fn worker_side_functions_stay_inside_the_shard_manifest() {
-        // Inside the crew files, a worker-side fn touching driver-owned
-        // state is flagged…
-        let src = "impl ParCrew {\n\
-                       fn worker_loop(&self, w: usize) {\n\
-                           self.commits[w].publish(1, &self.counters);\n\
-                           self.driver_blocked.fetch_add(1, Ordering::Release);\n\
-                           self.job_gate.notify();\n\
-                       }\n\
-                       fn wait_commits(&self, job: u64) {\n\
-                           self.driver_blocked.fetch_add(1, Ordering::Release);\n\
-                       }\n\
-                   }\n";
-        let vs = lint_source("crates/core/src/par.rs", src);
-        assert_eq!(
-            rules_at(&vs),
-            vec![("shard-ownership", 4), ("shard-ownership", 5)],
-            "commits/counters are in the manifest; driver_blocked/job_gate are not, \
-             and driver-side fns may touch what they like: {vs:#?}"
-        );
-        assert!(vs[0].message.contains("PAR_WORKER_FIELDS"));
-        // …and the same code outside the crew files is not shard-checked.
-        assert!(lint_source("crates/x/src/lib.rs", src)
-            .iter()
-            .all(|v| v.rule != "shard-ownership"));
     }
 
     #[test]

@@ -120,33 +120,6 @@ impl<T: Copy> CalendarQueue<T> {
         Some(ev)
     }
 
-    /// The earliest cycle in `now..end` holding an event that satisfies
-    /// `pred`.
-    pub(crate) fn first_cycle_where(
-        &self,
-        now: u64,
-        end: u64,
-        pred: impl Fn(&T) -> bool,
-    ) -> Option<u64> {
-        let end = end.min(now.saturating_add(self.buckets.len() as u64));
-        let mut unseen = self.len;
-        for cycle in now..end {
-            if unseen == 0 {
-                break;
-            }
-            let mut idx = self.buckets[self.slot(cycle)].head;
-            while idx != NIL {
-                let node = &self.nodes[idx as usize];
-                if pred(&node.ev) {
-                    return Some(cycle);
-                }
-                unseen -= 1;
-                idx = node.next;
-            }
-        }
-        None
-    }
-
     /// Doubles the ring until `cycle` fits within one revolution of
     /// `now`. Every queued event lies in `now..now + old_len` and each old
     /// bucket holds a single cycle's events, so lists move whole.
@@ -248,11 +221,6 @@ mod tests {
         q.push(now, now + 64 * 1000, 'z');
         q.push(now, now + 5, 'd');
         assert!(q.buckets.len() >= 64 * 1000 && q.buckets.len().is_power_of_two());
-        assert_eq!(
-            q.first_cycle_where(now, u64::MAX, |&e| e == 'c'),
-            Some(now + 63)
-        );
-        assert_eq!(q.first_cycle_where(now, now + 63, |&e| e == 'c'), None);
         let mut out = Vec::new();
         for c in now..=now + 64 * 1000 {
             while let Some(e) = q.pop(c) {

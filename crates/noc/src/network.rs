@@ -628,61 +628,6 @@ impl Network {
         self.in_network == 0 && self.events.is_empty() && self.failed_q.is_empty()
     }
 
-    /// The fabric's conservative lookahead in router cycles: a packet
-    /// allocated at tick `t` cannot reach an endpoint before
-    /// `t + lookahead_cycles()`. This is the SerDes + router-pipeline
-    /// latency floor — `allocate` schedules `ArriveEndpoint` at
-    /// `cycle + pipe + serdes + ser` with `ser >= 1`, and an overlay
-    /// pass-through hop pays `passthrough + ser` — so the minimum over
-    /// both shapes, over all channels, is a hard lower bound. Link
-    /// degradation only *multiplies* `ser`, so the bound survives fault
-    /// injection.
-    pub fn lookahead_cycles(&self) -> u64 {
-        let min_serdes = self
-            .channels
-            .iter()
-            .map(|c| c.serdes_cycles as u64)
-            .min()
-            .unwrap_or(0);
-        1 + (self.pipeline_cycles as u64 + min_serdes).min(self.passthrough_cycles as u64)
-    }
-
-    /// Lower bound, in absolute router cycles, on the earliest tick at
-    /// which *any* endpoint could eject a packet — the heart of the
-    /// parallel engine's horizon. `None` means the fabric holds no
-    /// packet and no event, so nothing can eject until new traffic is
-    /// injected (whose ejection the caller bounds via
-    /// [`Network::lookahead_cycles`]).
-    ///
-    /// Two components: scheduled `ArriveEndpoint` events are exact, and
-    /// any packet still buffered (injection queues, VC buffers) must
-    /// first win switch allocation at some tick `>= cycle()`, then pay
-    /// the full lookahead.
-    pub fn eject_lower_bound(&self) -> Option<u64> {
-        let buffered = if self.in_network > 0 {
-            self.cycle + self.lookahead_cycles()
-        } else {
-            u64::MAX
-        };
-        let bound = self
-            .events
-            .first_cycle_where(self.cycle, buffered, |ev| {
-                matches!(ev, Ev::ArriveEndpoint { .. })
-            })
-            .unwrap_or(buffered);
-        (bound != u64::MAX).then_some(bound)
-    }
-
-    /// True while any link is fault-injected down. The parallel engine
-    /// drops to per-tick lockstep whenever this holds (and stays there
-    /// for the rest of the phase): a downed link triggers out-of-band
-    /// recovery deliveries — synthesized failure responses and dead
-    /// letters — at arbitrary network edges that the lookahead bound
-    /// does not cover.
-    pub fn any_link_down(&self) -> bool {
-        self.link_up.iter().any(|&u| !u)
-    }
-
     /// Advances the cycle counter over `cycles` quiescent ticks without
     /// executing them. Idle cycles still count toward channel idle energy
     /// and utilization denominators, so the event-driven engine calls

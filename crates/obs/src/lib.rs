@@ -39,5 +39,5 @@ pub mod trace;
 pub use config::parse_system_config;
 pub use json::{parse, JsonValue, JsonWriter, ToJson};
 pub use metrics::{Epoch, HistSnapshot, MetricSink, MetricsRegistry, NullSink};
-pub use prof::{alloc_stats, AllocStats, CountingAlloc, LaneAttr, PhaseMark, ProfCat, Profiler};
+pub use prof::{alloc_stats, AllocStats, CountingAlloc, PhaseMark, ProfCat, Profiler};
 pub use trace::{ClockDomain, TraceEvent, TraceEventKind, Tracer};

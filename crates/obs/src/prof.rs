@@ -102,21 +102,6 @@ pub struct PhaseMark {
     pub alloc_bytes: u64,
 }
 
-/// Per-lane wall-clock attribution for one parallel-engine phase
-/// (`"driver"`, `"worker0"`, ...). The parallel engine reports one entry
-/// per lane per kernel phase; [`Profiler::add_pdes`] accumulates them by
-/// lane name so a multi-phase run shows run totals.
-#[derive(Debug, Clone, Default)]
-pub struct LaneAttr {
-    /// Lane name (`"driver"`, `"worker0"`, ...).
-    pub name: String,
-    /// Wall nanoseconds the lane existed.
-    pub wall_ns: u64,
-    /// Wall nanoseconds the lane spent waiting on the sync protocol —
-    /// the visible cost of the conservative lookahead window.
-    pub blocked_ns: u64,
-}
-
 /// Scoped wall-clock timers, accumulated per [`ProfCat`].
 ///
 /// Non-reentrant per category: `begin(c)` then `begin(c)` discards the
@@ -132,9 +117,6 @@ pub struct Profiler {
     accum_ns: [u64; PROF_CATS],
     ticks: [u64; PROF_CATS],
     phases: Vec<PhaseMark>,
-    pdes_null_messages: u64,
-    pdes_blocked_ns: u64,
-    lanes: Vec<LaneAttr>,
 }
 
 impl Profiler {
@@ -151,48 +133,7 @@ impl Profiler {
             accum_ns: [0; PROF_CATS],
             ticks: [0; PROF_CATS],
             phases: Vec::new(),
-            pdes_null_messages: 0,
-            pdes_blocked_ns: 0,
-            lanes: Vec::new(),
         }
-    }
-
-    /// Folds one parallel-engine phase into the run totals: counter pair
-    /// plus per-lane attribution merged by lane name (first-seen order,
-    /// which is always driver first then workers in index order).
-    pub fn add_pdes(
-        &mut self,
-        null_messages: u64,
-        blocked_ns: u64,
-        lanes: impl IntoIterator<Item = LaneAttr>,
-    ) {
-        self.pdes_null_messages += null_messages;
-        self.pdes_blocked_ns += blocked_ns;
-        for l in lanes {
-            match self.lanes.iter_mut().find(|x| x.name == l.name) {
-                Some(x) => {
-                    x.wall_ns += l.wall_ns;
-                    x.blocked_ns += l.blocked_ns;
-                }
-                None => self.lanes.push(l),
-            }
-        }
-    }
-
-    /// Null messages (horizon/commit publishes) across parallel phases.
-    pub fn pdes_null_messages(&self) -> u64 {
-        self.pdes_null_messages
-    }
-
-    /// Wall nanoseconds lanes spent blocked on the sync protocol.
-    pub fn pdes_blocked_ns(&self) -> u64 {
-        self.pdes_blocked_ns
-    }
-
-    /// Per-lane attribution, driver first then workers in index order.
-    /// Empty unless the parallel engine ran.
-    pub fn lanes(&self) -> &[LaneAttr] {
-        &self.lanes
     }
 
     /// Opens a scoped timer for `cat`.
@@ -426,31 +367,6 @@ mod tests {
         p.phase_mark("kernel");
         let names: Vec<&str> = p.phases().iter().map(|m| m.name).collect();
         assert_eq!(names, ["memcpy-h2d", "kernel"]);
-    }
-
-    #[test]
-    fn pdes_attribution_merges_lanes_by_name() {
-        let mut p = Profiler::new();
-        let lane = |name: &str, wall: u64, blocked: u64| LaneAttr {
-            name: name.to_string(),
-            wall_ns: wall,
-            blocked_ns: blocked,
-        };
-        p.add_pdes(
-            10,
-            100,
-            vec![lane("driver", 50, 5), lane("worker0", 50, 20)],
-        );
-        p.add_pdes(7, 30, vec![lane("driver", 40, 1), lane("worker0", 40, 9)]);
-        assert_eq!(p.pdes_null_messages(), 17);
-        assert_eq!(p.pdes_blocked_ns(), 130);
-        let lanes = p.lanes();
-        assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[0].name, "driver");
-        assert_eq!(lanes[0].wall_ns, 90);
-        assert_eq!(lanes[0].blocked_ns, 6);
-        assert_eq!(lanes[1].wall_ns, 90);
-        assert_eq!(lanes[1].blocked_ns, 29);
     }
 
     #[test]

@@ -258,24 +258,6 @@ impl Tracer {
         self.events.push_back(ev);
     }
 
-    /// Replays an already-built event (same ring/drop policy as the emit
-    /// paths). The parallel engine's workers record core/L2 events into
-    /// per-shard tracers; the driver replays them here in deterministic
-    /// (edge, domain-slot, shard) order so the ring's insertion order —
-    /// and therefore the exported JSON — is byte-identical to a
-    /// sequential run.
-    #[inline]
-    pub fn replay(&mut self, ev: TraceEvent) {
-        self.push(ev);
-    }
-
-    /// Removes and returns every retained event, preserving recording
-    /// order. Used by parallel-engine workers to ship freshly recorded
-    /// events to the driver after each clock edge.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        self.events.drain(..).collect()
-    }
-
     /// Retained events, in recording order.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.events.iter()

@@ -103,15 +103,9 @@ pub fn parse_placement(s: &str) -> Option<PlacementPolicy> {
     })
 }
 
-/// Parses an engine mode name (`cycle` / `event` / `parallel`, long
-/// forms and the `pdes` alias accepted).
+/// Parses an engine mode name (`cycle` / `event`, long forms accepted).
 pub fn parse_engine(s: &str) -> Option<EngineMode> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "cycle" | "cycle-stepped" => EngineMode::CycleStepped,
-        "event" | "event-driven" => EngineMode::EventDriven,
-        "parallel" | "pdes" => EngineMode::Parallel,
-        _ => return None,
-    })
+    EngineMode::parse(s)
 }
 
 /// One simulation request, with the same defaults as `memnet run`.
@@ -146,10 +140,6 @@ pub struct JobSpec {
     pub chaos_seed: Option<u64>,
     /// Engine override; `None` follows the daemon's environment default.
     pub engine: Option<EngineMode>,
-    /// Worker thread count for the parallel engine; `None` follows
-    /// `MEMNET_SIM_THREADS` / the machine default. Ignored by the
-    /// sequential engines.
-    pub sim_threads: Option<u32>,
     /// Audit runtime invariants and attach a `SanitizerReport`.
     pub sanitize: bool,
 }
@@ -171,7 +161,6 @@ impl Default for JobSpec {
             budget_ms: 20.0,
             chaos_seed: None,
             engine: None,
-            sim_threads: None,
             sanitize: false,
         }
     }
@@ -281,15 +270,10 @@ impl JobSpec {
                     spec.chaos_seed = Some(want_uint(key, v, 9_007_199_254_740_992.0)?);
                 }
                 "engine" => {
-                    spec.engine = Some(
-                        parse_engine(want_str(key, v)?)
-                            .ok_or_else(|| format!("unknown engine mode {v:?}"))?,
-                    );
+                    spec.engine = Some(parse_engine(want_str(key, v)?).ok_or_else(|| {
+                        format!("parameter 'engine' must be cycle or event, got {v:?}")
+                    })?);
                 }
-                "sim_threads" => match want_uint(key, v, u32::MAX as f64)? {
-                    0 => return Err("parameter 'sim_threads' must be positive".into()),
-                    n => spec.sim_threads = Some(n as u32),
-                },
                 "sanitize" => spec.sanitize = want_bool(key, v)?,
                 _ => return Err(format!("unknown parameter '{key}'")),
             }
@@ -337,9 +321,6 @@ impl JobSpec {
         if let Some(mode) = self.engine {
             b = b.engine(mode);
         }
-        if let Some(n) = self.sim_threads {
-            b = b.sim_threads(n);
-        }
         if self.sanitize {
             b = b.sanitize(SanitizeMode::Record);
         }
@@ -380,7 +361,7 @@ mod tests {
             r#"{"org":"gmn","workload":"bp","small":true,"gpus":2,"sms":8,
                 "topology":"dfbfly","routing":"ugal","cta":"stealing",
                 "placement":"round-robin","overlay":true,"budget_ms":5.5,
-                "chaos_seed":7,"engine":"cycle","sim_threads":2,"sanitize":true}"#,
+                "chaos_seed":7,"engine":"cycle","sanitize":true}"#,
         )
         .expect("all-keys spec");
         assert_eq!(s.org, Organization::Gmn);
@@ -388,7 +369,6 @@ mod tests {
         assert!(s.small && s.overlay && s.sanitize);
         assert_eq!((s.gpus, s.sms), (2, 8));
         assert_eq!(s.engine, Some(EngineMode::CycleStepped));
-        assert_eq!(s.sim_threads, Some(2));
         assert_eq!(s.chaos_seed, Some(7));
         assert_eq!(s.budget_ms, 5.5);
     }
@@ -402,9 +382,14 @@ mod tests {
             .unwrap_err()
             .contains("organization"));
         assert!(spec_of(r#"{"gpus":0}"#).unwrap_err().contains("positive"));
-        assert!(spec_of(r#"{"sim_threads":0}"#)
+        // The parallel engine and its thread knob are gone: both spellings
+        // are refused by name, never silently run on another engine.
+        assert!(spec_of(r#"{"sim_threads":2}"#)
             .unwrap_err()
-            .contains("positive"));
+            .contains("unknown parameter 'sim_threads'"));
+        assert!(spec_of(r#"{"engine":"parallel"}"#)
+            .unwrap_err()
+            .contains("parameter 'engine'"));
         assert!(spec_of(r#"{"gpus":2.5}"#).unwrap_err().contains("integer"));
         assert!(spec_of(r#"{"small":1}"#).unwrap_err().contains("boolean"));
         assert!(spec_of(r#"{"budget_ms":-1}"#)
@@ -436,16 +421,8 @@ mod tests {
         cycle.engine = Some(EngineMode::CycleStepped);
         let mut audited = base();
         audited.sanitize = true;
-        let mut parallel = base();
-        parallel.engine = Some(EngineMode::Parallel);
-        parallel.sim_threads = Some(4);
         assert_eq!(a, cycle.fingerprint());
         assert_eq!(a, audited.fingerprint());
-        assert_eq!(
-            a,
-            parallel.fingerprint(),
-            "thread count is scheduling, not physics"
-        );
     }
 
     #[test]
@@ -525,8 +502,8 @@ mod tests {
         assert!(parse_cta("stealing").is_some() && parse_cta("x").is_none());
         assert!(parse_placement("contiguous").is_some() && parse_placement("x").is_none());
         assert_eq!(parse_engine("event-driven"), Some(EngineMode::EventDriven));
-        assert_eq!(parse_engine("parallel"), Some(EngineMode::Parallel));
-        assert_eq!(parse_engine("pdes"), Some(EngineMode::Parallel));
+        assert_eq!(parse_engine("parallel"), None);
+        assert_eq!(parse_engine("pdes"), None);
         assert_eq!(parse_engine("warp"), None);
     }
 }

@@ -6,8 +6,8 @@
 //! exposes: sequential/random/dependent/halo reads, writes, atomics,
 //! temporal reuse, butterfly strides and optional host phases. Models are
 //! deliberately tiny (tens of CTAs, a few iterations) so the differential
-//! conformance harness can run dozens of seeds across all three engines in
-//! CI time.
+//! conformance harness can run dozens of seeds across both engines in CI
+//! time.
 
 use crate::validate_spec;
 use memnet_common::SplitMix64;

@@ -64,12 +64,10 @@ USAGE:
                                    golden files checked by CI
   memnet lint [--root PATH] [--json]
                                    run the determinism/concurrency-soundness
-                                   lint over the workspace sources (same
-                                   rules as the memnet-lint binary): unsafe
+                                   lint over the workspace sources: unsafe
                                    outside the allowlist, unjustified
                                    Relaxed/SeqCst orderings, statics in sim
-                                   crates, shard-ownership violations,
-                                   wall-clock/HashMap/thread use, and
+                                   crates, wall-clock/HashMap/thread use, and
                                    malformed suppressions; --json prints a
                                    machine-readable report; exit 0 clean,
                                    1 violations, 2 i/o error
@@ -103,14 +101,9 @@ OPTIONS:
                        vault stalls, GPU loss — see DESIGN.md, Fault model)
   --chaos-seed <N>     inject a seeded random fault plan; the same seed
                        always produces the same failures
-  --engine <E>         cycle | event | parallel — simulation engine
-                       (default event; the MEMNET_ENGINE env var sets the
-                       fallback). `parallel` shards the kernel phase across
-                       worker threads, bit-identical to both sequential
-                       engines
-  --sim-threads <N>    worker threads for --engine parallel (default:
-                       MEMNET_SIM_THREADS, else the machine core count
-                       capped at 4; always clamped to the GPU count)
+  --engine <E>         cycle | event — simulation engine (default event;
+                       the MEMNET_ENGINE env var sets the fallback, and a
+                       value there that names neither is an error)
   --sanitize           audit runtime invariants (credit/packet/CTA/byte
                        conservation, clock alignment) and report findings;
                        nonzero exit on any violation. MEMNET_SANITIZE=1
@@ -275,8 +268,7 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
 }
 
 /// `memnet lint [--root PATH] [--json]`: the concurrency-soundness and
-/// determinism lint, in-process (the standalone `memnet-lint` binary stays
-/// as a thin alias for use without the full simulator build).
+/// determinism lint, in-process.
 fn lint_cmd(args: &[String]) -> ExitCode {
     let opts = match parse_lint_opts(args) {
         Ok(o) => o,
@@ -684,7 +676,6 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, ExitCode> {
     let mut faults = FaultPlan::new();
     let mut chaos_seed: Option<u64> = None;
     let mut engine: Option<EngineMode> = None;
-    let mut sim_threads: Option<u32> = None;
     let mut sanitize = false;
     let mut checkpoint: Option<String> = None;
     let mut restore: Option<String> = None;
@@ -806,10 +797,6 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, ExitCode> {
                 Some(mode) => engine = Some(mode),
                 None => return Err(usage()),
             },
-            "--sim-threads" => match value("--sim-threads").and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => sim_threads = Some(n),
-                _ => return Err(usage()),
-            },
             "--checkpoint" => match value("--checkpoint") {
                 Some(f) => checkpoint = Some(f),
                 None => return Err(usage()),
@@ -868,9 +855,6 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, ExitCode> {
     }
     if let Some(mode) = engine {
         b = b.engine(mode);
-    }
-    if let Some(n) = sim_threads {
-        b = b.sim_threads(n);
     }
     if sanitize {
         b = b.sanitize(SanitizeMode::Record);
@@ -1146,31 +1130,6 @@ fn print_profile(p: &ProfileReport) {
     if p.trace_dropped > 0 {
         println!("trace drops      : {}", p.trace_dropped);
     }
-    if !p.lanes.is_empty() {
-        println!(
-            "pdes sync        : {} null messages, {:.3} ms blocked (all lanes)",
-            p.pdes_null_messages,
-            p.pdes_blocked_ns as f64 / 1e6
-        );
-        println!(
-            "  {:<17} {:>12} {:>12} {:>7}",
-            "lane", "wall ms", "blocked ms", "idle"
-        );
-        for l in &p.lanes {
-            let idle = if l.wall_ns > 0 {
-                100.0 * l.blocked_ns as f64 / l.wall_ns as f64
-            } else {
-                0.0
-            };
-            println!(
-                "  {:<17} {:>12.3} {:>12.3} {:>6.1}%",
-                l.name,
-                l.wall_ns as f64 / 1e6,
-                l.blocked_ns as f64 / 1e6,
-                idle
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1217,9 +1176,8 @@ mod tests {
         assert!(parse_run_opts(&argv(&["--gpus", "many"])).is_err());
         assert!(parse_run_opts(&argv(&["--org", "nvlink"])).is_err());
         assert!(parse_run_opts(&argv(&["--engine", "quantum"])).is_err());
-        assert!(parse_run_opts(&argv(&["--sim-threads", "0"])).is_err());
-        assert!(parse_run_opts(&argv(&["--sim-threads", "many"])).is_err());
-        assert!(parse_run_opts(&argv(&["--engine", "parallel", "--sim-threads", "4"])).is_ok());
+        assert!(parse_run_opts(&argv(&["--engine", "parallel"])).is_err());
+        assert!(parse_run_opts(&argv(&["--sim-threads", "4"])).is_err());
         assert!(parse_run_opts(&argv(&["--checkpoint", "a.json", "--restore", "b.json"])).is_err());
         assert!(parse_run_opts(&argv(&["--gpus", "2", "--small"])).is_ok());
         assert!(parse_run_opts(&argv(&["--checkpoint", "a.json"])).is_ok());
@@ -1271,10 +1229,9 @@ mod tests {
     }
 
     #[test]
-    fn lint_subcommand_agrees_with_the_standalone_binary_on_this_workspace() {
-        // The subcommand and the alias binary share scan_workspace, so the
-        // tree this test builds from must come back clean through the
-        // in-process path too.
+    fn lint_subcommand_finds_this_workspace_clean() {
+        // The tree this test builds from must come back clean through the
+        // subcommand's in-process path.
         let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
         let res = memnet_lint::scan_workspace(&root).expect("scan own workspace");
         assert!(

@@ -1,38 +1,25 @@
-//! Bit-identity across the three engine modes.
+//! Bit-identity across the two engine modes.
 //!
-//! The event-driven engine (idle fast-forward) and the parallel engine
-//! (conservative-PDES worker crew) must both be observationally
+//! The event-driven engine (idle fast-forward) must be observationally
 //! indistinguishable from the cycle-stepped reference loop: same-seed
 //! runs produce bit-identical [`SimReport`]s — every float compared with
 //! `==`, no tolerances — and, when tracing/metrics/sanitizing are on,
 //! byte-identical trace, metrics and sanitizer payloads. Anything less
-//! means a parked domain woke on the wrong edge, a skipped counter
-//! drifted, or a cross-thread message was merged by arrival order.
+//! means a parked domain woke on the wrong edge or a skipped counter
+//! drifted.
 
 use memnet::noc::topo::{SlicedKind, TopologyKind};
 use memnet::sim::{CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
 use memnet::workloads::Workload;
 
 /// Every engine mode, reference first.
-const ALL_MODES: [EngineMode; 3] = [
-    EngineMode::CycleStepped,
-    EngineMode::EventDriven,
-    EngineMode::Parallel,
-];
+const ALL_MODES: [EngineMode; 2] = [EngineMode::CycleStepped, EngineMode::EventDriven];
 
-/// Runs the same builder under all three engine modes (the parallel
-/// engine with 4 requested workers, clamped to the GPU count).
-fn run_all(b: SimBuilder) -> [SimReport; 3] {
+/// Runs the same builder under both engine modes, reference first.
+fn run_both(b: SimBuilder) -> [SimReport; 2] {
     let cycle = b.clone().engine(EngineMode::CycleStepped).run();
-    let event = b.clone().engine(EngineMode::EventDriven).run();
-    let parallel = b.engine(EngineMode::Parallel).sim_threads(4).run();
-    [cycle, event, parallel]
-}
-
-/// Both non-reference engines against the cycle-stepped reference.
-fn assert_three(r: &[SimReport; 3], label: &str) {
-    assert_identical(&r[0], &r[1], &format!("{label}[event]"));
-    assert_identical(&r[0], &r[2], &format!("{label}[parallel]"));
+    let event = b.engine(EngineMode::EventDriven).run();
+    [cycle, event]
 }
 
 /// Field-by-field equality, floats compared exactly.
@@ -107,13 +94,13 @@ fn every_organization_is_bit_identical() {
     // with a memcpy phase where applicable — the idle-heavy stretch where
     // fast-forward does the most work and has the most room to go wrong.
     for org in Organization::all_extended() {
-        let r = run_all(small(org, Workload::VecAdd));
+        let r = run_both(small(org, Workload::VecAdd));
         assert!(
             !r[0].timed_out,
             "{} cycle-stepped run timed out",
             org.name()
         );
-        assert_three(&r, org.name());
+        assert_identical(&r[0], &r[1], org.name());
     }
 }
 
@@ -123,8 +110,8 @@ fn table2_workloads_on_pcie_and_umn_are_bit_identical() {
     // domains park); UMN exercises the all-shared path.
     for w in Workload::table2() {
         for org in [Organization::Pcie, Organization::Umn] {
-            let r = run_all(small(org, w));
-            assert_three(&r, &format!("{}/{}", w.abbr(), org.name()));
+            let r = run_both(small(org, w));
+            assert_identical(&r[0], &r[1], &format!("{}/{}", w.abbr(), org.name()));
         }
     }
 }
@@ -147,9 +134,9 @@ fn host_phase_workload_is_bit_identical() {
             .gpus(2)
             .sms_per_gpu(2)
             .workload(shrink(Workload::CgS.spec_small()));
-        let r = run_all(b);
+        let r = run_both(b);
         assert!(r[0].host_ns > 0.0, "CG.S must compute on the host");
-        assert_three(&r, &format!("CG.S/{}", org.name()));
+        assert_identical(&r[0], &r[1], &format!("CG.S/{}", org.name()));
     }
 }
 
@@ -174,8 +161,8 @@ fn alternate_topologies_are_bit_identical() {
     ] {
         for org in [Organization::Gmn, Organization::Umn] {
             let b = small(org, Workload::VecAdd).topology(topo);
-            let r = run_all(b);
-            assert_three(&r, &format!("{}/{}", org.name(), name));
+            let r = run_both(b);
+            assert_identical(&r[0], &r[1], &format!("{}/{}", org.name(), name));
         }
     }
 }
@@ -183,12 +170,12 @@ fn alternate_topologies_are_bit_identical() {
 #[test]
 fn stealing_policy_and_co_kernels_are_bit_identical() {
     let steal = small(Organization::Umn, Workload::Bp).cta_policy(CtaPolicy::Stealing);
-    let r = run_all(steal);
-    assert_three(&r, "stealing");
+    let r = run_both(steal);
+    assert_identical(&r[0], &r[1], "stealing");
 
     let co = small(Organization::Umn, Workload::Cp).co_workload(Workload::Scan.spec_small());
-    let r = run_all(co);
-    assert_three(&r, "co-kernels");
+    let r = run_both(co);
+    assert_identical(&r[0], &r[1], "co-kernels");
 }
 
 #[test]
@@ -200,22 +187,20 @@ fn trace_and_metrics_streams_are_byte_identical() {
         let b = small(org, Workload::VecAdd)
             .trace(1 << 16)
             .metrics_every(500);
-        let r = run_all(b);
-        assert_three(&r, &format!("traced/{}", org.name()));
-        for (m, other) in [("event", &r[1]), ("parallel", &r[2])] {
-            assert_eq!(
-                r[0].trace_json,
-                other.trace_json,
-                "{}[{m}]: trace streams differ",
-                org.name()
-            );
-            assert_eq!(
-                r[0].metrics_json,
-                other.metrics_json,
-                "{}[{m}]: metrics streams differ",
-                org.name()
-            );
-        }
+        let r = run_both(b);
+        assert_identical(&r[0], &r[1], &format!("traced/{}", org.name()));
+        assert_eq!(
+            r[0].trace_json,
+            r[1].trace_json,
+            "{}: trace streams differ",
+            org.name()
+        );
+        assert_eq!(
+            r[0].metrics_json,
+            r[1].metrics_json,
+            "{}: metrics streams differ",
+            org.name()
+        );
     }
 }
 
@@ -274,10 +259,10 @@ fn fault_plans_are_bit_identical_across_engines() {
     );
     plan.push(ns_to_fs(60.0), FaultKind::GpuLoss { gpu: 1 });
     for org in [Organization::Umn, Organization::Gmn, Organization::Pcie] {
-        let r = run_all(small(org, Workload::VecAdd).faults(plan.clone()));
+        let r = run_both(small(org, Workload::VecAdd).faults(plan.clone()));
         assert!(!r[0].timed_out, "{}: faulted run timed out", org.name());
         assert!(r[0].faults_injected > 0, "{}: plan never fired", org.name());
-        assert_three(&r, &format!("faulted/{}", org.name()));
+        assert_identical(&r[0], &r[1], &format!("faulted/{}", org.name()));
     }
 
     // Seeded chaos plans must agree too, including the trace/metrics
@@ -287,18 +272,16 @@ fn fault_plans_are_bit_identical_across_engines() {
         .faults(chaos)
         .trace(1 << 16)
         .metrics_every(500);
-    let r = run_all(b);
-    assert_three(&r, "chaos/umn");
-    for (m, other) in [("event", &r[1]), ("parallel", &r[2])] {
-        assert_eq!(
-            r[0].trace_json, other.trace_json,
-            "chaos[{m}] trace streams differ"
-        );
-        assert_eq!(
-            r[0].metrics_json, other.metrics_json,
-            "chaos[{m}] metrics streams differ"
-        );
-    }
+    let r = run_both(b);
+    assert_identical(&r[0], &r[1], "chaos/umn");
+    assert_eq!(
+        r[0].trace_json, r[1].trace_json,
+        "chaos trace streams differ"
+    );
+    assert_eq!(
+        r[0].metrics_json, r[1].metrics_json,
+        "chaos metrics streams differ"
+    );
 }
 
 #[test]
@@ -306,15 +289,11 @@ fn checkpoint_restore_is_bit_identical_in_all_modes() {
     // Acceptance criterion for the snapshot subsystem: a run that
     // checkpoints at the pre-kernel boundary, and a second run restored
     // from that checkpoint, must both be bit-identical to a straight run
-    // — under any engine. PCIe gives the prefix real work (host-pre
+    // — under either engine. PCIe gives the prefix real work (host-pre
     // compute plus H2D memcpy) so the snapshot carries warm caches, DMA
     // counters and network state, not just zeroes.
     for mode in ALL_MODES {
-        let b = || {
-            small(Organization::Pcie, Workload::Bp)
-                .engine(mode)
-                .sim_threads(4)
-        };
+        let b = || small(Organization::Pcie, Workload::Bp).engine(mode);
         let straight = b().run();
         let (checkpointed, snap) = b()
             .try_run_checkpointed("equivalence-test")
@@ -335,15 +314,10 @@ fn checkpoint_restore_is_bit_identical_in_all_modes() {
 
 #[test]
 fn snapshots_restore_across_engine_modes() {
-    // The fingerprint deliberately excludes the engine mode and thread
-    // count: snapshots capture physics, not scheduling. A checkpoint
-    // taken under any engine must replay bit-identically under every
-    // other one.
-    let b = |mode| {
-        small(Organization::Umn, Workload::VecAdd)
-            .engine(mode)
-            .sim_threads(4)
-    };
+    // The fingerprint deliberately excludes the engine mode: snapshots
+    // capture physics, not scheduling. A checkpoint taken under either
+    // engine must replay bit-identically under the other one.
+    let b = |mode| small(Organization::Umn, Workload::VecAdd).engine(mode);
     let straight = b(EngineMode::CycleStepped).run();
     for snap_mode in ALL_MODES {
         let (_, snap) = b(snap_mode)
@@ -399,7 +373,6 @@ fn fault_plan_straddling_the_snapshot_point_is_bit_identical() {
         let b = || {
             small(Organization::Gmn, Workload::VecAdd)
                 .engine(mode)
-                .sim_threads(4)
                 .faults(plan.clone())
         };
         let straight = b().run();
@@ -424,13 +397,13 @@ fn fault_plan_straddling_the_snapshot_point_is_bit_identical() {
 
 #[test]
 fn sanitizer_reports_are_clean_and_bit_identical() {
-    // With the runtime invariant sanitizer recording, all three engines
-    // must produce a present, clean, and byte-identical report — the
-    // parallel engine must neither trip a conservation check nor shift
-    // the cycle at which any check runs.
+    // With the runtime invariant sanitizer recording, both engines must
+    // produce a present, clean, and byte-identical report — fast-forward
+    // must neither trip a conservation check nor shift the cycle at which
+    // any check runs.
     use memnet::sim::SanitizeMode;
     for org in [Organization::Umn, Organization::Pcie] {
-        let r = run_all(small(org, Workload::VecAdd).sanitize(SanitizeMode::Record));
+        let r = run_both(small(org, Workload::VecAdd).sanitize(SanitizeMode::Record));
         for (rep, mode) in r.iter().zip(ALL_MODES) {
             let san = rep
                 .sanitizer
@@ -445,7 +418,7 @@ fn sanitizer_reports_are_clean_and_bit_identical() {
             );
             assert!(san.checks > 0, "{}: sanitizer never ran", org.name());
         }
-        assert_three(&r, &format!("sanitized/{}", org.name()));
+        assert_identical(&r[0], &r[1], &format!("sanitized/{}", org.name()));
     }
 }
 
@@ -487,4 +460,28 @@ fn builder_errors_are_typed_not_panics() {
         .expect_err("zero GPUs is invalid");
     assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
     assert!(err.to_string().contains("invalid system configuration"));
+
+    // MEMNET_ENGINE, parsed from strings (the test binary is
+    // multi-threaded, so the variable itself is never set here): unset or
+    // empty is the default, a known name selects, and anything else —
+    // such as the removed parallel engine — is refused by name rather
+    // than quietly testing the default engine.
+    assert_eq!(EngineMode::from_env_value(""), Ok(EngineMode::EventDriven));
+    assert_eq!(
+        EngineMode::from_env_value("cycle-stepped"),
+        Ok(EngineMode::CycleStepped)
+    );
+    assert_eq!(
+        EngineMode::from_env_value("event"),
+        Ok(EngineMode::EventDriven)
+    );
+    for stale in ["parallel", "cycle_stepped", "evnt"] {
+        let err = EngineMode::from_env_value(stale).expect_err("not an engine name");
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("MEMNET_ENGINE") && msg.contains(stale) && msg.contains("cycle-stepped"),
+            "names the variable, the value and the accepted spellings: {msg}"
+        );
+    }
 }

@@ -1,10 +1,10 @@
 //! Exact-bytes pin for hot-path rewrites.
 //!
-//! `engine_equivalence` compares three engines that share one `Network`,
-//! `Gpu` and `Vault`, so a rewrite that shifts all of them equally passes
+//! `engine_equivalence` compares two engines that share one `Network`,
+//! `Gpu` and `Vault`, so a rewrite that shifts both equally passes
 //! it. This suite pins the bytes themselves: an FNV-1a hash (`fnv1a64`)
 //! of each case's output, taken once and committed in
-//! `tests/data/golden_reports.txt`, checked in every engine mode.
+//! `tests/data/golden_reports.txt`, checked in both engine modes.
 //!
 //! A report case hashes the compact `SimReport` JSON plus the fields that
 //! document leaves out (traffic matrix, per-GPU digests, routing counters,
@@ -164,8 +164,11 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
     ]
 }
 
-/// The compact JSON plus every report field it does not serialize.
-fn report_bytes(r: &SimReport) -> String {
+/// The compact JSON plus every report field it does not serialize. The
+/// sanitizer's findings are left out so the pins hold when `MEMNET_SANITIZE`
+/// arms it for the whole suite; a dirty run is that mode's own failure.
+fn report_bytes(mut r: SimReport) -> String {
+    r.sanitizer = None;
     let mut s = r.to_json_compact();
     write!(
         s,
@@ -177,15 +180,15 @@ fn report_bytes(r: &SimReport) -> String {
 }
 
 fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
-    let b = b.engine(mode).sim_threads(4);
+    let b = b.engine(mode);
     let bytes = match pin {
-        Pin::Report => report_bytes(&b.run()),
+        Pin::Report => report_bytes(b.run()),
         Pin::Resumed => {
             let (_, snap) = b
                 .clone()
                 .try_run_checkpointed("golden")
                 .expect("checkpoint");
-            report_bytes(&b.try_run_restored(&snap).expect("restore"))
+            report_bytes(b.try_run_restored(&snap).expect("restore"))
         }
         Pin::Trace => b.run().trace_json.expect("trace enabled"),
         Pin::Metrics => b.run().metrics_json.expect("metrics enabled"),
@@ -229,11 +232,6 @@ fn cycle_stepped_matches_golden() {
 #[test]
 fn event_driven_matches_golden() {
     check(EngineMode::EventDriven);
-}
-
-#[test]
-fn parallel_matches_golden() {
-    check(EngineMode::Parallel);
 }
 
 /// Regenerates the golden file from the cycle-stepped reference engine.

@@ -16,11 +16,7 @@ fn base() -> SimBuilder {
 
 #[test]
 fn profiling_never_changes_the_report_in_either_engine_mode() {
-    for mode in [
-        EngineMode::CycleStepped,
-        EngineMode::EventDriven,
-        EngineMode::Parallel,
-    ] {
+    for mode in [EngineMode::CycleStepped, EngineMode::EventDriven] {
         let plain = base().engine(mode).run().to_json_string();
         let (r, prof) = base()
             .engine(mode)
@@ -171,56 +167,4 @@ fn profile_report_json_is_well_formed() {
         );
     }
     assert!(doc.get("heatmap").is_some());
-    let pdes = doc.get("pdes").expect("pdes object");
-    for k in ["null_messages", "blocked_ns"] {
-        assert!(
-            pdes.get(k).and_then(JsonValue::as_f64).is_some(),
-            "pdes missing {k}"
-        );
-    }
-    assert!(pdes.get("lanes").and_then(JsonValue::as_array).is_some());
-}
-
-#[test]
-fn parallel_engine_attributes_lanes_and_null_messages() {
-    let (_, prof) = base()
-        .gpus(2)
-        .engine(EngineMode::Parallel)
-        .sim_threads(2)
-        .profile(true)
-        .try_run_profiled()
-        .expect("run failed");
-    let p = prof.expect("profiling was enabled");
-    assert_eq!(p.engine, "parallel");
-    assert!(
-        p.pdes_null_messages > 0,
-        "conservative sync must exchange null messages"
-    );
-    assert!(!p.lanes.is_empty(), "lane attribution present");
-    assert_eq!(p.lanes[0].name, "driver");
-    assert!(
-        p.lanes.iter().skip(1).all(|l| l.name.starts_with("worker")),
-        "workers follow the driver: {:?}",
-        p.lanes.iter().map(|l| &l.name).collect::<Vec<_>>()
-    );
-    for l in &p.lanes {
-        assert!(l.wall_ns > 0, "{}: lane wall time recorded", l.name);
-        assert!(
-            l.blocked_ns <= l.wall_ns,
-            "{}: blocked time cannot exceed wall time",
-            l.name
-        );
-    }
-    let lane_blocked: u64 = p.lanes.iter().map(|l| l.blocked_ns).sum();
-    assert_eq!(
-        p.pdes_blocked_ns, lane_blocked,
-        "phase blocked total is the sum over lanes"
-    );
-
-    // Sequential engines report a zeroed pdes section.
-    let (_, prof) = base().profile(true).try_run_profiled().expect("run failed");
-    let p = prof.expect("profiling was enabled");
-    assert_eq!(p.pdes_null_messages, 0);
-    assert_eq!(p.pdes_blocked_ns, 0);
-    assert!(p.lanes.is_empty());
 }

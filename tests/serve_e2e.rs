@@ -194,3 +194,61 @@ fn cli_restore_refuses_a_mismatched_configuration() {
     assert!(stderr.contains("fingerprint"), "{stderr}");
     std::fs::remove_file(snap).expect("clean up snapshot");
 }
+
+#[test]
+fn cli_refuses_the_removed_engine_knobs_with_a_nonzero_exit() {
+    // The perf ledger records `engine.par2_wall_ratio` as omitted when the
+    // program refuses the parallel flags; that relies on a prompt non-zero
+    // exit, not a hang or a quiet run on another engine.
+    let run = |env: Option<&str>, args: &[&str]| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_memnet"));
+        cmd.args(["run", "--workload", "vecadd", "--small", "--gpus", "2"])
+            .args(["--sms", "2"])
+            .args(args);
+        match env {
+            Some(v) => cmd.env("MEMNET_ENGINE", v),
+            None => cmd.env_remove("MEMNET_ENGINE"),
+        };
+        cmd.output().expect("run memnet")
+    };
+    for args in [
+        &["--engine", "parallel"][..],
+        &["--sim-threads", "2"][..],
+        &["--engine", "parallel", "--sim-threads", "2"][..],
+    ] {
+        let out = run(None, args);
+        assert!(!out.status.success(), "{args:?} must be refused");
+        assert!(out.stdout.is_empty(), "{args:?} must not print a report");
+    }
+    // A stale MEMNET_ENGINE is a typed error naming the variable and the
+    // value; an explicit --engine does not consult it.
+    let out = run(Some("parallel"), &["--json"]);
+    assert!(!out.status.success(), "stale MEMNET_ENGINE must be refused");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("MEMNET_ENGINE") && stderr.contains("parallel"),
+        "{stderr}"
+    );
+    assert!(run(Some("parallel"), &["--engine", "cycle"])
+        .status
+        .success());
+    assert!(run(Some(""), &[]).status.success(), "empty means default");
+
+    // The daemon answers the same condition as a JSON-RPC error.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_memnet"))
+        .args(["serve", "--stdio"])
+        .env("MEMNET_ENGINE", "parallel")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn memnet serve --stdio");
+    let mut stdin = child.stdin.take().expect("child stdin");
+    writeln!(stdin, "{}", run_request(1)).expect("request");
+    drop(stdin);
+    let out = child.wait_with_output().expect("daemon exit");
+    let reply = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        reply.contains("\"error\"") && reply.contains("MEMNET_ENGINE"),
+        "{reply}"
+    );
+}

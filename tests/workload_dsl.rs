@@ -4,11 +4,11 @@
 //! simulator: a model exported from a built-in workload and loaded back
 //! has to drive every engine to the byte-identical `SimReport` its
 //! hard-coded twin produces, or the runtime surface silently forks the
-//! physics. The three proven-equivalent engines and the runtime sanitizer
+//! physics. The two proven-equivalent engines and the runtime sanitizer
 //! are the oracle:
 //!
 //! 1. **Round-trip conformance** — all 15 built-ins, exported → reloaded,
-//!    byte-identical reports vs the hard-coded spec in all three engine
+//!    byte-identical reports vs the hard-coded spec in both engine
 //!    modes.
 //! 2. **Fuzz conformance** — `WorkloadFuzzer` models (seed count from
 //!    `MEMNET_FUZZ_SEEDS`, default 8; CI runs 32) run sanitizer-clean and
@@ -22,11 +22,7 @@ use memnet::wdl::{self, fuzz::WorkloadFuzzer};
 use memnet::workloads::WorkloadSpec;
 
 /// Every engine mode, reference first.
-const ALL_MODES: [EngineMode; 3] = [
-    EngineMode::CycleStepped,
-    EngineMode::EventDriven,
-    EngineMode::Parallel,
-];
+const ALL_MODES: [EngineMode; 2] = [EngineMode::CycleStepped, EngineMode::EventDriven];
 
 /// The conformance rig: small but multi-GPU, so CTA distribution, the
 /// memory network and (for host-phase models) the CPU all participate.
@@ -36,14 +32,6 @@ fn rig(org: Organization, spec: WorkloadSpec) -> SimBuilder {
         .sms_per_gpu(2)
         .workload(spec)
         .sanitize(SanitizeMode::Record)
-}
-
-fn run_mode(b: SimBuilder, mode: EngineMode) -> SimReport {
-    let b = match mode {
-        EngineMode::Parallel => b.sim_threads(4),
-        _ => b,
-    };
-    b.engine(mode).run()
 }
 
 /// Number of fuzzer seeds to exercise: `MEMNET_FUZZ_SEEDS`, default 8.
@@ -76,10 +64,12 @@ fn builtin_models_conform_across_all_engines() {
         assert_eq!(twin, loaded, "{}: spec-level round trip", twin.abbr);
         let reference = format!(
             "{:?}",
-            run_mode(rig(Organization::Umn, twin.clone()), ALL_MODES[0])
+            rig(Organization::Umn, twin.clone())
+                .engine(ALL_MODES[0])
+                .run()
         );
         for mode in ALL_MODES {
-            let from_model = run_mode(rig(Organization::Umn, loaded.clone()), mode);
+            let from_model = rig(Organization::Umn, loaded.clone()).engine(mode).run();
             assert_clean(&from_model, &format!("{}[{mode:?}]", twin.abbr));
             assert_eq!(
                 reference,
@@ -102,13 +92,15 @@ fn fuzzed_models_run_sanitizer_clean_and_bit_identical() {
         let back = wdl::spec_from_json(&json).unwrap_or_else(|e| panic!("{label}: {e}"));
         assert_eq!(spec, back, "{label}: reload changed the spec");
         assert_eq!(json, wdl::spec_to_json(&back), "{label}: textual drift");
-        // Differential oracle: three independent engines, one report.
+        // Differential oracle: two independent engines, one report.
         let reference = format!(
             "{:?}",
-            run_mode(rig(Organization::Umn, back.clone()), ALL_MODES[0])
+            rig(Organization::Umn, back.clone())
+                .engine(ALL_MODES[0])
+                .run()
         );
         for mode in ALL_MODES {
-            let r = run_mode(rig(Organization::Umn, back.clone()), mode);
+            let r = rig(Organization::Umn, back.clone()).engine(mode).run();
             assert_clean(&r, &format!("{label}[{mode:?}]"));
             assert!(!r.timed_out, "{label}[{mode:?}]: fuzzed model hung");
             assert_eq!(
@@ -129,10 +121,9 @@ fn fuzzed_models_survive_checkpoint_restore() {
         let label = spec.abbr.clone();
         let plain = format!(
             "{:?}",
-            run_mode(
-                rig(Organization::Pcie, spec.clone()),
-                EngineMode::EventDriven
-            )
+            rig(Organization::Pcie, spec.clone())
+                .engine(EngineMode::EventDriven)
+                .run()
         );
         let (at_checkpoint, snap) = rig(Organization::Pcie, spec.clone())
             .try_run_checkpointed("workload_dsl conformance")
@@ -143,11 +134,7 @@ fn fuzzed_models_survive_checkpoint_restore() {
             "{label}: checkpointing perturbed the run"
         );
         for mode in ALL_MODES {
-            let b = match mode {
-                EngineMode::Parallel => rig(Organization::Pcie, spec.clone()).sim_threads(4),
-                _ => rig(Organization::Pcie, spec.clone()),
-            };
-            let restored = b
+            let restored = rig(Organization::Pcie, spec.clone())
                 .engine(mode)
                 .try_run_restored(&snap)
                 .unwrap_or_else(|e| panic!("{label}[{mode:?}]: restore failed: {e}"));
