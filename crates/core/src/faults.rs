@@ -23,10 +23,10 @@
 //! `link-up` takes the same fields as `link-down`.
 
 use memnet_common::faults::{FaultKind, LinkClass};
-use memnet_common::time::{ns_to_fs, Fs};
+use memnet_common::time::{fs_to_ns, ns_to_fs, Fs};
 use memnet_common::FaultPlan;
 use memnet_noc::Network;
-use memnet_obs::json::{parse, JsonValue};
+use memnet_obs::json::{parse, Field, Fields, MAX_SAFE_INT};
 use memnet_obs::JsonWriter;
 
 /// What a resolved fault does to the live system.
@@ -202,70 +202,70 @@ pub fn plan_to_json(plan: &FaultPlan) -> String {
     w.finish()
 }
 
-fn get_u64(ev: &JsonValue, key: &str) -> Result<u64, String> {
-    ev.get(key)
-        .and_then(JsonValue::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("fault event missing numeric field '{key}'"))
+/// Reads one event of the `events` array.
+fn read_event(ev: &Fields) -> Result<(Fs, FaultKind), String> {
+    let at_fs = match (ev.opt("at_fs")?, ev.opt("at_ns")?) {
+        (Some(fs), None) => fs.uint(MAX_SAFE_INT)?,
+        (None, Some(ns)) => match ns.f64()? {
+            t if (0.0..=fs_to_ns(MAX_SAFE_INT)).contains(&t) => ns_to_fs(t),
+            t => {
+                let path = ns.path();
+                return Err(format!("'{path}' = {t} is outside 0 ..= 2^53 fs"));
+            }
+        },
+        _ => {
+            return Err(format!(
+                "'{}' needs exactly one of 'at_fs' or 'at_ns'",
+                ev.path()
+            ))
+        }
+    };
+    let uint = |key| ev.req(key)?.uint(MAX_SAFE_INT);
+    let class = || ev.req("class")?.named("link class", LinkClass::parse);
+    let kind = ev.req("kind")?;
+    let kind = match kind.str()? {
+        "link-down" => FaultKind::LinkDown {
+            class: class()?,
+            ordinal: uint("ordinal")?,
+        },
+        "link-up" => FaultKind::LinkUp {
+            class: class()?,
+            ordinal: uint("ordinal")?,
+        },
+        "link-degrade" => FaultKind::LinkDegrade {
+            class: class()?,
+            ordinal: uint("ordinal")?,
+            factor: ev.req("factor")?.uint(u64::from(u32::MAX))?.max(1) as u32,
+        },
+        "vault-stall" => FaultKind::VaultStall {
+            hmc: uint("hmc")?,
+            vault: uint("vault")?,
+            stall_tcks: uint("stall_tcks")?,
+        },
+        "gpu-loss" => FaultKind::GpuLoss { gpu: uint("gpu")? },
+        other => return Err(format!("'{}': unknown fault kind '{other}'", kind.path())),
+    };
+    Ok((at_fs, kind))
 }
 
-fn get_class(ev: &JsonValue) -> Result<LinkClass, String> {
-    let s = ev
-        .get("class")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "link fault missing 'class'".to_string())?;
-    LinkClass::parse(s).ok_or_else(|| format!("unknown link class '{s}'"))
-}
-
-/// Parses a JSON fault plan.
+/// Parses a JSON fault plan through the workspace's one strict reader
+/// ([`Fields`]; DESIGN, "Input formats: one reader").
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed JSON, unknown kinds or
-/// classes, and missing fields.
+/// Returns a human-readable message on malformed JSON, and one naming the
+/// event index and field (`events[1].ordinal`) on unknown kinds or
+/// classes, unknown, duplicate or missing fields, and numbers that are
+/// not exact integers within 2^53 — a timestamp past that is no instant a
+/// run reaches, and the clock arithmetic that snaps it to an edge would
+/// overflow.
 pub fn plan_from_json(s: &str) -> Result<FaultPlan, String> {
     let v = parse(s).map_err(|e| format!("fault plan: {e}"))?;
-    let events = v
-        .get("events")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "fault plan must have an 'events' array".to_string())?;
+    let events = Field::root(&v, "")
+        .record(|doc| doc.req("events")?.list(|ev| ev.record(read_event)))
+        .map_err(|e| format!("fault plan: {e}"))?;
     let mut plan = FaultPlan::new();
-    for ev in events {
-        let at_fs = if let Some(fs) = ev.get("at_fs").and_then(JsonValue::as_f64) {
-            fs as Fs
-        } else if let Some(ns) = ev.get("at_ns").and_then(JsonValue::as_f64) {
-            ns_to_fs(ns)
-        } else {
-            return Err("fault event needs 'at_fs' or 'at_ns'".to_string());
-        };
-        let kind = ev
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "fault event missing 'kind'".to_string())?;
-        let kind = match kind {
-            "link-down" => FaultKind::LinkDown {
-                class: get_class(ev)?,
-                ordinal: get_u64(ev, "ordinal")?,
-            },
-            "link-up" => FaultKind::LinkUp {
-                class: get_class(ev)?,
-                ordinal: get_u64(ev, "ordinal")?,
-            },
-            "link-degrade" => FaultKind::LinkDegrade {
-                class: get_class(ev)?,
-                ordinal: get_u64(ev, "ordinal")?,
-                factor: get_u64(ev, "factor")?.clamp(1, u64::from(u32::MAX)) as u32,
-            },
-            "vault-stall" => FaultKind::VaultStall {
-                hmc: get_u64(ev, "hmc")?,
-                vault: get_u64(ev, "vault")?,
-                stall_tcks: get_u64(ev, "stall_tcks")?,
-            },
-            "gpu-loss" => FaultKind::GpuLoss {
-                gpu: get_u64(ev, "gpu")?,
-            },
-            other => return Err(format!("unknown fault kind '{other}'")),
-        };
+    for (at_fs, kind) in events {
         plan.push(at_fs, kind);
     }
     Ok(plan)
@@ -309,5 +309,36 @@ mod tests {
         )
         .unwrap_err()
         .contains("warp"));
+    }
+
+    #[test]
+    fn hostile_plans_name_the_event_and_field() {
+        // Each document was accepted before: the first hung the CLI (a
+        // saturated `as u64` timestamp), the second killed GPU 0.
+        let hang = r#"{"events":[{"at_fs":1e30,"kind":"gpu-loss","gpu":1}]}"#;
+        let err = plan_from_json(hang).unwrap_err();
+        assert!(err.contains("events[0].at_fs"), "{err}");
+        let lie = r#"{"events":[{"at_fs":-5,"kind":"gpu-loss","gpu":-1.7,"gpuz":3}],"evnts":[]}"#;
+        let err = plan_from_json(lie).unwrap_err();
+        assert!(err.contains("events[0].at_fs"), "{err}");
+        for (fixed, field) in [
+            (lie.replace("-5", "5"), "events[0].gpu"),
+            (
+                lie.replace("-5", "5").replace("-1.7", "1"),
+                "events[0].gpuz",
+            ),
+            (r#"{"events":[],"evnts":[]}"#.to_string(), "'evnts'"),
+            (
+                hang.replace("1e30", "1,\"at_fs\":2"),
+                "duplicate field 'events[0].at_fs'",
+            ),
+            (hang.replace("at_fs", "at_ns"), "events[0].at_ns"),
+            (hang.replace("1e30", "1,\"at_ns\":1"), "exactly one of"),
+        ] {
+            let err = plan_from_json(&fixed).unwrap_err();
+            assert!(err.contains(field), "{fixed}: {err}");
+        }
+        let ok = plan_from_json(&hang.replace("1e30", "9007199254740992")).expect("2^53 is exact");
+        assert_eq!(ok.events()[0].at_fs, MAX_SAFE_INT);
     }
 }

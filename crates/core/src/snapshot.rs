@@ -40,7 +40,7 @@ use memnet_gpu::cache::CacheState;
 use memnet_gpu::{CacheStats, GpuState};
 use memnet_hmc::{BankState, HmcState, VaultState};
 use memnet_noc::{ChannelState, NetStats, NetworkState};
-use memnet_obs::json::{parse, JsonValue};
+use memnet_obs::json::{parse, Field, Fields};
 use memnet_obs::JsonWriter;
 
 use crate::memory::MemoryState;
@@ -178,51 +178,9 @@ impl SystemSnapshot {
     /// unsupported format version, or any absent/mistyped field.
     pub fn from_json(text: &str) -> Result<SystemSnapshot, String> {
         let v = parse(text).map_err(|e| format!("snapshot: {e}"))?;
-        let version = gu(&v, "memnet_snapshot")?;
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "snapshot format version {version} is not supported (expected {FORMAT_VERSION})"
-            ));
-        }
-        Ok(SystemSnapshot {
-            fingerprint: gu(&v, "fingerprint")?,
-            meta: field(&v, "meta")?
-                .as_str()
-                .ok_or_else(|| "snapshot field 'meta' is not a string".to_string())?
-                .to_string(),
-            now: gu(&v, "now")?,
-            clock_cycles: gu_arr(&v, "clocks")?,
-            host_fs: gu(&v, "host_fs")?,
-            memcpy_fs: gu(&v, "memcpy_fs")?,
-            faults_injected: gu(&v, "faults_injected")?,
-            failed_requests: gu(&v, "failed_requests")?,
-            rebalanced_ctas: gu(&v, "rebalanced_ctas")?,
-            lost_gpus: gu(&v, "lost_gpus")?,
-            steal_events: gu(&v, "steal_events")?,
-            gpus: garr(&v, "gpus")?
-                .iter()
-                .map(read_gpu)
-                .collect::<Result<_, _>>()?,
-            cpu: read_cpu(field(&v, "cpu")?)?,
-            dma: {
-                let d = field(&v, "dma")?;
-                DmaState {
-                    next_req: gu(d, "next_req")?,
-                    bytes_copied: gu(d, "bytes_copied")?,
-                }
-            },
-            hmcs: garr(&v, "hmcs")?
-                .iter()
-                .map(read_hmc)
-                .collect::<Result<_, _>>()?,
-            net: read_net(field(&v, "net")?)?,
-            memory: read_memory(field(&v, "memory")?)?,
-            traffic_bytes: gu_arr(&v, "traffic")?,
-            sanitizer: match v.get("sanitizer") {
-                Some(s) => Some(read_sanitizer(s)?),
-                None => None,
-            },
-        })
+        Field::root(&v, "")
+            .record(read_snapshot)
+            .map_err(|e| format!("snapshot: {e}"))
     }
 }
 
@@ -418,238 +376,207 @@ fn write_sanitizer(w: &mut JsonWriter, s: &SanitizerState) {
 }
 
 // ---------------------------------------------------------------------------
-// Read helpers
+// Reading — through the one strict reader (`memnet_obs::Fields`), so every
+// message names the full path (`gpus[0].l2.ways`).
 // ---------------------------------------------------------------------------
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key)
-        .ok_or_else(|| format!("snapshot missing field '{key}'"))
+fn read_snapshot(f: &Fields) -> Result<SystemSnapshot, String> {
+    let version = f.req("memnet_snapshot")?.u64_str()?;
+    if version != FORMAT_VERSION {
+        return Err(format!(
+            "format version {version} is not supported (expected {FORMAT_VERSION})"
+        ));
+    }
+    Ok(SystemSnapshot {
+        fingerprint: f.req("fingerprint")?.u64_str()?,
+        meta: f.req("meta")?.str()?.to_string(),
+        now: f.req("now")?.u64_str()?,
+        clock_cycles: f.req("clocks")?.list(|x| x.u64_str())?,
+        host_fs: f.req("host_fs")?.u64_str()?,
+        memcpy_fs: f.req("memcpy_fs")?.u64_str()?,
+        faults_injected: f.req("faults_injected")?.u64_str()?,
+        failed_requests: f.req("failed_requests")?.u64_str()?,
+        rebalanced_ctas: f.req("rebalanced_ctas")?.u64_str()?,
+        lost_gpus: f.req("lost_gpus")?.u64_str()?,
+        steal_events: f.req("steal_events")?.u64_str()?,
+        gpus: f.req("gpus")?.list(|x| x.record(read_gpu))?,
+        cpu: f.req("cpu")?.record(read_cpu)?,
+        dma: f.req("dma")?.record(|d| {
+            Ok(DmaState {
+                next_req: d.req("next_req")?.u64_str()?,
+                bytes_copied: d.req("bytes_copied")?.u64_str()?,
+            })
+        })?,
+        hmcs: f.req("hmcs")?.list(|x| x.record(read_hmc))?,
+        net: f.req("net")?.record(read_net)?,
+        memory: f.req("memory")?.record(read_memory)?,
+        traffic_bytes: f.req("traffic")?.list(|x| x.u64_str())?,
+        sanitizer: f
+            .opt("sanitizer")?
+            .map(|x| x.record(read_sanitizer))
+            .transpose()?,
+    })
 }
 
-fn gu(v: &JsonValue, key: &str) -> Result<u64, String> {
-    field(v, key)?
-        .as_str()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("snapshot field '{key}' is not a u64 decimal string"))
+/// A flattened array of fixed-width records: `each` converts one record.
+fn rows<'a, 'p, T>(
+    flat: Field<'a, 'p>,
+    width: usize,
+    each: impl Fn(&[Field<'a, 'p>]) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let cells = flat.list(Ok)?;
+    if cells.len() % width != 0 {
+        let path = flat.path();
+        return Err(format!("'{path}' length is not a multiple of {width}"));
+    }
+    cells.chunks_exact(width).map(each).collect()
 }
 
-fn gf(v: &JsonValue, key: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(gu(v, key)?))
+/// A decimal-string `u64` that must also fit a `u32`.
+fn u32_str(x: Field) -> Result<u32, String> {
+    u32::try_from(x.u64_str()?).map_err(|_| format!("'{}' is out of u32 range", x.path()))
 }
 
-fn garr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| format!("snapshot field '{key}' is not an array"))
-}
-
-fn gu_arr(v: &JsonValue, key: &str) -> Result<Vec<u64>, String> {
-    garr(v, key)?
-        .iter()
-        .map(|e| {
-            e.as_str()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| format!("snapshot array '{key}' holds a non-u64 element"))
-        })
-        .collect()
-}
-
-fn read_running(v: &JsonValue, key: &str) -> Result<RunningStats, String> {
-    let s = field(v, key)?;
+fn read_running(f: &Fields) -> Result<RunningStats, String> {
+    let bits = |key| f.req(key)?.u64_str().map(f64::from_bits);
     Ok(RunningStats::from_raw(
-        gu(s, "count")?,
-        gf(s, "sum")?,
-        gf(s, "min")?,
-        gf(s, "max")?,
+        f.req("count")?.u64_str()?,
+        bits("sum")?,
+        bits("min")?,
+        bits("max")?,
     ))
 }
 
-fn read_cache_stats(v: &JsonValue) -> Result<CacheStats, String> {
-    Ok(CacheStats {
-        read_hits: gu(v, "read_hits")?,
-        read_misses: gu(v, "read_misses")?,
-        write_hits: gu(v, "write_hits")?,
-        write_misses: gu(v, "write_misses")?,
-    })
-}
-
-fn read_cache(v: &JsonValue) -> Result<CacheState, String> {
-    let flat = gu_arr(v, "ways")?;
-    if flat.len() % 3 != 0 {
-        return Err("snapshot cache 'ways' length is not a multiple of 3".into());
-    }
+fn read_cache(f: &Fields) -> Result<CacheState, String> {
     Ok(CacheState {
-        ways: flat
-            .chunks_exact(3)
-            .map(|c| (c[0], c[1] != 0, c[2]))
-            .collect(),
-        tick: gu(v, "tick")?,
-        stats: read_cache_stats(v)?,
+        ways: rows(f.req("ways")?, 3, |c| {
+            Ok((c[0].u64_str()?, c[1].u64_str()? != 0, c[2].u64_str()?))
+        })?,
+        tick: f.req("tick")?.u64_str()?,
+        stats: CacheStats {
+            read_hits: f.req("read_hits")?.u64_str()?,
+            read_misses: f.req("read_misses")?.u64_str()?,
+            write_hits: f.req("write_hits")?.u64_str()?,
+            write_misses: f.req("write_misses")?.u64_str()?,
+        },
     })
 }
 
-fn read_gpu(v: &JsonValue) -> Result<GpuState, String> {
+fn read_gpu(f: &Fields) -> Result<GpuState, String> {
     Ok(GpuState {
-        dead: field(v, "dead")?
-            .as_bool()
-            .ok_or_else(|| "snapshot field 'dead' is not a bool".to_string())?,
-        core_cycle: gu(v, "core_cycle")?,
-        next_req: gu(v, "next_req")?,
-        mem_reqs: gu(v, "mem_reqs")?,
-        l2: read_cache(field(v, "l2")?)?,
+        dead: f.req("dead")?.bool()?,
+        core_cycle: f.req("core_cycle")?.u64_str()?,
+        next_req: f.req("next_req")?.u64_str()?,
+        mem_reqs: f.req("mem_reqs")?.u64_str()?,
+        l2: f.req("l2")?.record(read_cache)?,
     })
 }
 
-fn read_cpu(v: &JsonValue) -> Result<CpuState, String> {
+fn read_cpu(f: &Fields) -> Result<CpuState, String> {
     Ok(CpuState {
-        cycle: gu(v, "cycle")?,
-        compute_until: gu(v, "compute_until")?,
-        next_req: gu(v, "next_req")?,
+        cycle: f.req("cycle")?.u64_str()?,
+        compute_until: f.req("compute_until")?.u64_str()?,
+        next_req: f.req("next_req")?.u64_str()?,
         stats: memnet_cpu::CpuStats {
-            ops: gu(v, "ops")?,
-            mem_reads: gu(v, "mem_reads")?,
-            busy_cycles: gu(v, "busy_cycles")?,
+            ops: f.req("ops")?.u64_str()?,
+            mem_reads: f.req("mem_reads")?.u64_str()?,
+            busy_cycles: f.req("busy_cycles")?.u64_str()?,
         },
-        l1: read_cache(field(v, "l1")?)?,
-        l2: read_cache(field(v, "l2")?)?,
+        l1: f.req("l1")?.record(read_cache)?,
+        l2: f.req("l2")?.record(read_cache)?,
     })
 }
 
-fn read_hmc(v: &JsonValue) -> Result<HmcState, String> {
-    let mut vaults = Vec::new();
-    for vv in garr(v, "vaults")? {
-        let flat = gu_arr_opt_rows(vv, "banks")?;
-        if flat.len() % 5 != 0 {
-            return Err("snapshot vault 'banks' length is not a multiple of 5".into());
-        }
-        vaults.push(VaultState {
-            banks: flat
-                .chunks_exact(5)
-                .map(|c| BankState {
-                    open_row: c[0],
-                    next_cmd: c[1].unwrap_or(0),
-                    activated_at: c[2].unwrap_or(0),
-                    write_recovery_until: c[3].unwrap_or(0),
-                    next_refresh: c[4].unwrap_or(0),
-                })
-                .collect(),
-            bus_free_at: gu(vv, "bus_free_at")?,
-            stats: memnet_hmc::vault::VaultStats {
-                row_hits: gu(vv, "row_hits")?,
-                row_misses: gu(vv, "row_misses")?,
-                served: gu(vv, "served")?,
-                bytes: gu(vv, "bytes")?,
-                refreshes: gu(vv, "refreshes")?,
-            },
-        });
-    }
+fn read_vault(f: &Fields) -> Result<VaultState, String> {
+    Ok(VaultState {
+        banks: rows(f.req("banks")?, 5, |c| {
+            Ok(BankState {
+                open_row: match c[0].str()? {
+                    "-" => None,
+                    _ => Some(c[0].u64_str()?),
+                },
+                next_cmd: c[1].u64_str()?,
+                activated_at: c[2].u64_str()?,
+                write_recovery_until: c[3].u64_str()?,
+                next_refresh: c[4].u64_str()?,
+            })
+        })?,
+        bus_free_at: f.req("bus_free_at")?.u64_str()?,
+        stats: memnet_hmc::vault::VaultStats {
+            row_hits: f.req("row_hits")?.u64_str()?,
+            row_misses: f.req("row_misses")?.u64_str()?,
+            served: f.req("served")?.u64_str()?,
+            bytes: f.req("bytes")?.u64_str()?,
+            refreshes: f.req("refreshes")?.u64_str()?,
+        },
+    })
+}
+
+fn read_hmc(f: &Fields) -> Result<HmcState, String> {
     Ok(HmcState {
-        seq: gu(v, "seq")?,
-        stalled_until: gu_arr(v, "stalled_until")?,
-        stalls: gu(v, "stalls")?,
-        vaults,
+        seq: f.req("seq")?.u64_str()?,
+        stalled_until: f.req("stalled_until")?.list(|x| x.u64_str())?,
+        stalls: f.req("stalls")?.u64_str()?,
+        vaults: f.req("vaults")?.list(|x| x.record(read_vault))?,
     })
 }
 
-/// Like [`gu_arr`] but `"-"` elements parse to `None` (closed bank rows).
-fn gu_arr_opt_rows(v: &JsonValue, key: &str) -> Result<Vec<Option<u64>>, String> {
-    garr(v, key)?
-        .iter()
-        .map(|e| match e.as_str() {
-            Some("-") => Ok(None),
-            Some(s) => s
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("snapshot array '{key}' holds a non-u64 element")),
-            None => Err(format!("snapshot array '{key}' holds a non-string element")),
-        })
-        .collect()
+fn read_net_stats(s: &Fields) -> Result<NetStats, String> {
+    Ok(NetStats {
+        delivered: s.req("delivered")?.u64_str()?,
+        latency: s.req("latency")?.record(read_running)?,
+        hops: s.req("hops")?.record(read_running)?,
+        nonminimal: s.req("nonminimal")?.u64_str()?,
+        passthrough: s.req("passthrough")?.u64_str()?,
+        bytes_delivered: s.req("bytes_delivered")?.u64_str()?,
+        flits_injected: s.req("flits_injected")?.u64_str()?,
+        reroutes: s.req("reroutes")?.u64_str()?,
+        retries: s.req("retries")?.u64_str()?,
+        dead_letters: s.req("dead_letters")?.u64_str()?,
+        packets_injected: s.req("packets_injected")?.u64_str()?,
+        flit_hops: s.req("flit_hops")?.u64_str()?,
+    })
 }
 
-fn read_net(v: &JsonValue) -> Result<NetworkState, String> {
-    let chan_flat = gu_arr_opt_rows(v, "channels")?;
-    if chan_flat.len() % 5 != 0 {
-        return Err("snapshot net 'channels' length is not a multiple of 5".into());
-    }
-    let channels = chan_flat
-        .chunks_exact(5)
-        .map(|c| {
-            let deg = c[1].unwrap_or(1);
-            Ok(ChannelState {
-                up: c[0].unwrap_or(0) != 0,
-                degrade: u32::try_from(deg)
-                    .map_err(|_| "snapshot channel degrade out of u32 range".to_string())?,
-                busy_until: c[2].unwrap_or(0),
-                bytes_moved: c[3].unwrap_or(0),
-                busy_cycles: c[4].unwrap_or(0),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let link_up = garr(v, "link_up")?
-        .iter()
-        .map(|e| {
-            e.as_bool()
-                .ok_or_else(|| "snapshot 'link_up' holds a non-bool element".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let s = field(v, "stats")?;
+fn read_net(f: &Fields) -> Result<NetworkState, String> {
     Ok(NetworkState {
-        cycle: gu(v, "cycle")?,
-        seq: gu(v, "seq")?,
-        rng_state: gu(v, "rng_state")?,
-        packet_slots: gu(v, "packet_slots")?,
-        free_pids: gu_arr(v, "free_pids")?
-            .into_iter()
-            .map(|p| {
-                u32::try_from(p).map_err(|_| "snapshot packet id out of u32 range".to_string())
+        cycle: f.req("cycle")?.u64_str()?,
+        seq: f.req("seq")?.u64_str()?,
+        rng_state: f.req("rng_state")?.u64_str()?,
+        packet_slots: f.req("packet_slots")?.u64_str()?,
+        free_pids: f.req("free_pids")?.list(u32_str)?,
+        link_up: f.req("link_up")?.list(|x| x.bool())?,
+        channels: rows(f.req("channels")?, 5, |c| {
+            Ok(ChannelState {
+                up: c[0].u64_str()? != 0,
+                degrade: u32_str(c[1])?,
+                busy_until: c[2].u64_str()?,
+                bytes_moved: c[3].u64_str()?,
+                busy_cycles: c[4].u64_str()?,
             })
-            .collect::<Result<Vec<_>, _>>()?,
-        link_up,
-        channels,
-        stats: NetStats {
-            delivered: gu(s, "delivered")?,
-            latency: read_running(s, "latency")?,
-            hops: read_running(s, "hops")?,
-            nonminimal: gu(s, "nonminimal")?,
-            passthrough: gu(s, "passthrough")?,
-            bytes_delivered: gu(s, "bytes_delivered")?,
-            flits_injected: gu(s, "flits_injected")?,
-            reroutes: gu(s, "reroutes")?,
-            retries: gu(s, "retries")?,
-            dead_letters: gu(s, "dead_letters")?,
-            packets_injected: gu(s, "packets_injected")?,
-            flit_hops: gu(s, "flit_hops")?,
-        },
+        })?,
+        stats: f.req("stats")?.record(read_net_stats)?,
     })
 }
 
-fn read_memory(v: &JsonValue) -> Result<MemoryState, String> {
-    let flat = gu_arr(v, "page_table")?;
-    if flat.len() % 2 != 0 {
-        return Err("snapshot 'page_table' length is not even".into());
-    }
+fn read_memory(f: &Fields) -> Result<MemoryState, String> {
     Ok(MemoryState {
-        page_table: flat.chunks_exact(2).map(|c| (c[0], c[1])).collect(),
-        next_seq: gu_arr(v, "next_seq")?,
-        rng_state: gu(v, "rng_state")?,
-        rr_next: gu(v, "rr_next")?,
+        page_table: rows(f.req("page_table")?, 2, |c| {
+            Ok((c[0].u64_str()?, c[1].u64_str()?))
+        })?,
+        next_seq: f.req("next_seq")?.list(|x| x.u64_str())?,
+        rng_state: f.req("rng_state")?.u64_str()?,
+        rr_next: f.req("rr_next")?.u64_str()?,
     })
 }
 
-fn read_sanitizer(v: &JsonValue) -> Result<SanitizerState, String> {
+fn read_sanitizer(f: &Fields) -> Result<SanitizerState, String> {
     Ok(SanitizerState {
-        checks: gu(v, "checks")?,
-        violations: garr(v, "violations")?
-            .iter()
-            .map(|e| {
-                e.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "snapshot 'violations' holds a non-string".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        dropped: gu(v, "dropped")?,
-        ctas_launched: gu(v, "ctas_launched")?,
-        ctas_dropped: gu(v, "ctas_dropped")?,
+        checks: f.req("checks")?.u64_str()?,
+        violations: f.req("violations")?.list(|x| x.str().map(str::to_string))?,
+        dropped: f.req("dropped")?.u64_str()?,
+        ctas_launched: f.req("ctas_launched")?.u64_str()?,
+        ctas_dropped: f.req("ctas_dropped")?.u64_str()?,
     })
 }
 
@@ -667,110 +594,31 @@ mod tests {
         assert!((a ^ b).count_ones() > 8);
     }
 
+    /// A real snapshot (sanitizing tiny run), then bent to carry the
+    /// hazards the string encoding exists for: u64s above 2^53, an empty
+    /// `RunningStats` with its ±∞ sentinels, text that needs escaping.
     fn sample_snapshot() -> SystemSnapshot {
-        SystemSnapshot {
-            fingerprint: u64::MAX - 3,
-            meta: "run --org UMN \"quoted\"\nline2".into(),
-            now: (1u64 << 60) + 7,
-            clock_cycles: vec![1, 2, 3, 4, 5],
-            host_fs: 42,
-            memcpy_fs: 0,
-            faults_injected: 1,
-            failed_requests: 2,
-            rebalanced_ctas: 3,
-            lost_gpus: 4,
-            steal_events: 5,
-            gpus: vec![GpuState {
-                dead: true,
-                core_cycle: 9,
-                next_req: 1 << 55,
-                mem_reqs: 11,
-                l2: CacheState {
-                    ways: vec![(u64::MAX, true, 3), (7, false, 0)],
-                    tick: 12,
-                    stats: CacheStats {
-                        read_hits: 1,
-                        read_misses: 2,
-                        write_hits: 3,
-                        write_misses: 4,
-                    },
-                },
-            }],
-            cpu: CpuState {
-                cycle: 100,
-                compute_until: 90,
-                next_req: 5,
-                stats: memnet_cpu::CpuStats {
-                    ops: 6,
-                    mem_reads: 7,
-                    busy_cycles: 8,
-                },
-                l1: CacheState::default(),
-                l2: CacheState::default(),
-            },
-            dma: DmaState {
-                next_req: 2,
-                bytes_copied: 1 << 54,
-            },
-            hmcs: vec![HmcState {
-                seq: 3,
-                stalled_until: vec![0, 9],
-                stalls: 1,
-                vaults: vec![VaultState {
-                    banks: vec![
-                        BankState {
-                            open_row: Some(123),
-                            next_cmd: 4,
-                            activated_at: 5,
-                            write_recovery_until: 6,
-                            next_refresh: 7,
-                        },
-                        BankState::default(),
-                    ],
-                    bus_free_at: 77,
-                    stats: memnet_hmc::vault::VaultStats {
-                        row_hits: 1,
-                        row_misses: 2,
-                        served: 3,
-                        bytes: 4,
-                        refreshes: 5,
-                    },
-                }],
-            }],
-            net: NetworkState {
-                cycle: 1000,
-                seq: 2000,
-                rng_state: u64::MAX,
-                packet_slots: 4,
-                free_pids: vec![3, 1, 0, 2],
-                link_up: vec![true, false],
-                channels: vec![ChannelState {
-                    up: false,
-                    degrade: 4,
-                    busy_until: 8,
-                    bytes_moved: 16,
-                    busy_cycles: 32,
-                }],
-                stats: NetStats {
-                    latency: RunningStats::from_raw(2, 30.5, 10.25, 20.25),
-                    ..NetStats::default()
-                },
-            },
-            memory: MemoryState {
-                page_table: vec![(1, 2), (1 << 53, (1 << 53) + 1)],
-                next_seq: vec![4, 5],
-                rng_state: 6,
-                rr_next: 7,
-            },
-            traffic_bytes: vec![0, 1 << 62, 3],
-            sanitizer: Some(SanitizerState {
-                checks: 8,
-                violations: vec!["phase: net: lost a credit".into()],
-                dropped: 0,
-                ctas_launched: 9,
-                ctas_dropped: 1,
-            }),
-        }
+        let (_, mut snap) = crate::SimBuilder::new(crate::Organization::Gmn)
+            .gpus(2)
+            .sms_per_gpu(2)
+            .workload(memnet_workloads::Workload::VecAdd.spec_small())
+            .sanitize(crate::SanitizeMode::Record)
+            .try_run_checkpointed("")
+            .expect("checkpoint");
+        snap.fingerprint = u64::MAX - 3;
+        snap.meta = "run --org UMN \"quoted\"\nline2".into();
+        snap.now = (1u64 << 60) + 7;
+        snap.gpus[0].next_req = 1 << 55;
+        snap.gpus[0].dead = true;
+        snap.traffic_bytes[1] = 1 << 62;
+        snap.net.stats.hops = RunningStats::new();
+        snap.net.stats.latency = RunningStats::from_raw(2, 30.5, 10.25, 20.25);
+        snap.net.channels[0].up = false;
+        snap.hmcs[0].vaults[0].banks[0].open_row = Some(123);
+        snap.hmcs[0].vaults[0].banks[1].open_row = None;
+        let san = snap.sanitizer.as_mut().expect("the run sanitized");
+        san.violations.push("phase: net: lost a credit".into());
+        snap
     }
 
     #[test]
@@ -784,8 +632,6 @@ mod tests {
         assert_eq!(back.fingerprint(), snap.fingerprint());
         assert_eq!(back.meta(), snap.meta());
         assert_eq!(back.now_fs(), snap.now_fs());
-        // Spot-check the hazards the string encoding exists for: u64s
-        // above 2^53 and empty RunningStats ±∞ sentinels.
         assert_eq!(back.gpus[0].next_req, 1 << 55);
         assert_eq!(back.traffic_bytes[1], 1 << 62);
         let (count, _, min, max) = back.net.stats.hops.raw();
@@ -804,11 +650,28 @@ mod tests {
         assert!(SystemSnapshot::from_json(v2)
             .unwrap_err()
             .contains("version"));
-        // Numeric fields must be strings, not JSON numbers.
-        let bad = sample_snapshot().to_json_string().replace(
-            "\"now\": \"1152921504606846983\"",
-            "\"now\": 1152921504606846983",
-        );
-        assert!(SystemSnapshot::from_json(&bad).unwrap_err().contains("now"));
+        // Numbers must be decimal strings, and unknown or duplicate keys
+        // are refused, each by its full path.
+        let good = sample_snapshot().to_json_string();
+        let now = "\"now\": \"1152921504606846983\"";
+        for (from, to, want) in [
+            (now, "\"now\": 1152921504606846983", "'now' must be a u64"),
+            (
+                now,
+                "\"now\": \"1\", \"now\": \"2\"",
+                "duplicate field 'now'",
+            ),
+            (
+                "\"dead\": true",
+                "\"dead\": true, \"deaf\": true",
+                "'gpus[0].deaf'",
+            ),
+            ("\"stalls\": \"0\"", "\"stalls\": \"x\"", "'hmcs[0].stalls'"),
+            ("\"123\"", "\"-123\"", "'hmcs[0].vaults[0].banks[0]'"),
+        ] {
+            assert!(good.contains(from), "fixture lost {from}");
+            let err = SystemSnapshot::from_json(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 }

@@ -135,11 +135,14 @@ impl EngineMode {
     /// Parses an engine name: `cycle`/`cycle-stepped` or
     /// `event`/`event-driven`, in any case.
     pub fn parse(s: &str) -> Option<EngineMode> {
-        Some(match s.to_ascii_lowercase().as_str() {
-            "cycle" | "cycle-stepped" => EngineMode::CycleStepped,
-            "event" | "event-driven" => EngineMode::EventDriven,
-            _ => return None,
-        })
+        let is = |name: &str| s.eq_ignore_ascii_case(name);
+        if is("cycle") || is("cycle-stepped") {
+            Some(EngineMode::CycleStepped)
+        } else if is("event") || is("event-driven") {
+            Some(EngineMode::EventDriven)
+        } else {
+            None
+        }
     }
 
     /// The mode the `MEMNET_ENGINE` environment variable selects, so CI
@@ -436,6 +439,12 @@ impl SimBuilder {
         self
     }
 
+    /// The installed fault plan (empty by default), so a caller can add
+    /// events to what an earlier layer installed instead of replacing it.
+    pub fn fault_plan(&self) -> &FaultPlan {
+        &self.faults
+    }
+
     /// Selects how the engine advances time (default:
     /// [`EngineMode::from_env`]). Both modes produce bit-identical
     /// reports; `CycleStepped` exists as the reference for equivalence
@@ -625,7 +634,9 @@ impl SimBuilder {
     ///
     /// Same conditions as [`SimBuilder::try_run`], plus
     /// [`SimError::Snapshot`] when the snapshot's configuration
-    /// fingerprint does not match this builder.
+    /// fingerprint does not match this builder, or when one of its arrays
+    /// does not have the length this configuration's state has (the
+    /// message names the field).
     pub fn try_run_restored(self, snap: &SystemSnapshot) -> Result<SimReport, SimError> {
         let fp = self.fingerprint();
         if snap.fingerprint() != fp {
@@ -637,6 +648,9 @@ impl SimBuilder {
             )));
         }
         let mut sys = System::try_build(self)?;
+        // Every shape is checked here, once, before anything is applied;
+        // the `restore_state` asserts downstream stay as invariants.
+        sys.check_snapshot(snap).map_err(SimError::Snapshot)?;
         sys.apply_snapshot(snap);
         Ok(sys.run_from_snapshot_point(snap.host_fs, snap.memcpy_fs).0)
     }
@@ -681,6 +695,33 @@ impl SimBuilder {
         let _ = write!(s, "faults={};", crate::faults::plan_to_json(&self.faults));
         s
     }
+}
+
+/// Every array of `s` whose length the configuration fixes, by reader
+/// path. A container comes before its elements' own arrays.
+fn snapshot_lens(s: &SystemSnapshot) -> Vec<(String, usize)> {
+    let mut v = vec![
+        ("clocks".to_string(), s.clock_cycles.len()),
+        ("traffic".to_string(), s.traffic_bytes.len()),
+        ("memory.next_seq".to_string(), s.memory.next_seq.len()),
+        ("net.link_up".to_string(), s.net.link_up.len()),
+        ("net.channels".to_string(), s.net.channels.len()),
+        ("cpu.l1.ways".to_string(), s.cpu.l1.ways.len()),
+        ("cpu.l2.ways".to_string(), s.cpu.l2.ways.len()),
+        ("gpus".to_string(), s.gpus.len()),
+    ];
+    for (i, g) in s.gpus.iter().enumerate() {
+        v.push((format!("gpus[{i}].l2.ways"), g.l2.ways.len()));
+    }
+    v.push(("hmcs".to_string(), s.hmcs.len()));
+    for (i, h) in s.hmcs.iter().enumerate() {
+        v.push((format!("hmcs[{i}].stalled_until"), h.stalled_until.len()));
+        v.push((format!("hmcs[{i}].vaults"), h.vaults.len()));
+        for (j, vault) in h.vaults.iter().enumerate() {
+            v.push((format!("hmcs[{i}].vaults[{j}].banks"), vault.banks.len()));
+        }
+    }
+    v
 }
 
 /// Clock-domain indices in intra-timestep tick (priority) order. A domain
@@ -1325,6 +1366,43 @@ impl System {
             traffic_bytes: self.traffic.raw_bytes().to_vec(),
             sanitizer: self.san.as_ref().map(Sanitizer::snapshot_state),
         }
+    }
+
+    /// Checks that `s` fits this freshly built system before anything is
+    /// applied — a matching fingerprint does not stop a hand-edited file —
+    /// so a truncated or padded array is a typed error naming the field
+    /// instead of a failed `restore_state` assertion halfway through.
+    fn check_snapshot(&self, s: &SystemSnapshot) -> Result<(), String> {
+        let built = self.take_snapshot("", 0, 0, 0);
+        for ((path, got), (_, want)) in snapshot_lens(s).into_iter().zip(snapshot_lens(&built)) {
+            if got != want {
+                return Err(format!(
+                    "field '{path}' holds {got} entries, this configuration has {want}"
+                ));
+            }
+        }
+        // A quiescent fabric owns no packet: every slot is on the free
+        // list exactly once.
+        let mut free = s.net.free_pids.clone();
+        free.sort_unstable();
+        let slots = s.net.packet_slots;
+        if !free.iter().map(|&p| u64::from(p)).eq(0..slots) {
+            return Err(format!(
+                "field 'net.free_pids' is not a permutation of the {slots} packet slots"
+            ));
+        }
+        // Every clock was normalized to the boundary: its next edge is the
+        // first one after `now`.
+        for (d, &cycles) in s.clock_cycles.iter().enumerate() {
+            let period = self.cal.clock(d).period_fs();
+            let edge = cycles.checked_mul(period);
+            if edge.is_none_or(|e| e.abs_diff(s.now) > period) {
+                return Err(format!(
+                    "field 'clocks[{d}]' is not within one period of 'now'"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Overwrites mutable state from a snapshot taken on an identically
@@ -2741,5 +2819,44 @@ mod tests {
             r.passthrough > 0,
             "CPU packets should take pass-through hops"
         );
+    }
+
+    #[test]
+    fn truncated_snapshots_are_refused_by_field_before_anything_is_applied() {
+        fn shorten<T>(v: &mut Vec<T>) {
+            v.pop();
+        }
+        let builder = || {
+            SimBuilder::new(Organization::Gmn)
+                .gpus(2)
+                .sms_per_gpu(2)
+                .workload(Workload::VecAdd.spec_small())
+        };
+        let (report, snap) = builder().try_run_checkpointed("").expect("checkpoint");
+        let restored = builder().try_run_restored(&snap).expect("intact restore");
+        assert_eq!(restored.to_json_compact(), report.to_json_compact());
+        // Each cut used to reach an `assert_eq!` in a component's
+        // `restore_state` (the first one in `System::apply_snapshot`).
+        type Cut = fn(&mut SystemSnapshot);
+        let cuts: [(&str, Cut); 8] = [
+            ("'clocks'", |s| shorten(&mut s.clock_cycles)),
+            ("'gpus'", |s| shorten(&mut s.gpus)),
+            ("'hmcs'", |s| shorten(&mut s.hmcs)),
+            ("'traffic'", |s| shorten(&mut s.traffic_bytes)),
+            ("'gpus[1].l2.ways'", |s| shorten(&mut s.gpus[1].l2.ways)),
+            ("'hmcs[0].vaults[2].banks'", |s| {
+                shorten(&mut s.hmcs[0].vaults[2].banks)
+            }),
+            ("'net.free_pids'", |s| s.net.packet_slots += 1),
+            ("'clocks[0]'", |s| s.now *= 2),
+        ];
+        for (field, cut) in cuts {
+            let mut bad = snap.clone();
+            cut(&mut bad);
+            match builder().try_run_restored(&bad) {
+                Err(SimError::Snapshot(why)) => assert!(why.contains(field), "{field}: {why}"),
+                other => panic!("{field}: expected a snapshot error, got {other:?}"),
+            }
+        }
     }
 }

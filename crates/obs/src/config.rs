@@ -1,18 +1,14 @@
-//! JSON bindings for the shared configuration and statistics types in
-//! `memnet-common`.
+//! JSON bindings for the shared configuration types in `memnet-common`.
 //!
 //! `memnet-common` stays dependency-free and serialization-agnostic; this
-//! module owns the mapping of its public types onto [`crate::json`] —
-//! [`ToJson`] impls for export plus [`parse_system_config`] for reading a
-//! [`SystemConfig`] back (used by config round-trips and experiment
-//! post-processing).
+//! module owns the mapping of its public types onto [`crate::json`]: the
+//! [`ToJson`](crate::json::ToJson) impls the configuration fingerprint
+//! hashes.
 
-use crate::json::{JsonValue, JsonWriter, ToJson};
 use crate::to_json_struct;
 use memnet_common::config::{
     CacheConfig, CpuConfig, GpuConfig, HmcConfig, NocConfig, PcieConfig, SystemConfig,
 };
-use memnet_common::stats::{Histogram, RunningStats, TrafficMatrix};
 
 to_json_struct!(CacheConfig {
     size_bytes,
@@ -85,202 +81,3 @@ to_json_struct!(SystemConfig {
     pcie,
     seed,
 });
-
-impl ToJson for RunningStats {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field("count", &self.count());
-        w.field("sum", &self.sum());
-        w.field("mean", &self.mean());
-        w.field("min", &self.min());
-        w.field("max", &self.max());
-        w.end_object();
-    }
-}
-
-impl ToJson for Histogram {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field("count", &self.count());
-        w.key("buckets");
-        w.value(self.buckets());
-        w.end_object();
-    }
-}
-
-impl ToJson for TrafficMatrix {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object();
-        w.field("rows", &self.rows());
-        w.field("cols", &self.cols());
-        w.key("bytes");
-        w.begin_array();
-        for r in 0..self.rows() {
-            let row: Vec<u64> = (0..self.cols()).map(|c| self.get(r, c)).collect();
-            w.value(&row);
-        }
-        w.end_array();
-        w.end_object();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Config parsing
-// ---------------------------------------------------------------------------
-
-fn num(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing number field `{key}`"))
-}
-
-fn u64_of(v: &JsonValue, key: &str) -> Result<u64, String> {
-    let n = num(v, key)?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("field `{key}` is not an unsigned integer: {n}"));
-    }
-    Ok(n as u64)
-}
-
-fn u32_of(v: &JsonValue, key: &str) -> Result<u32, String> {
-    let n = u64_of(v, key)?;
-    u32::try_from(n).map_err(|_| format!("field `{key}` out of u32 range: {n}"))
-}
-
-fn obj<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    match v.get(key) {
-        Some(o @ JsonValue::Object(_)) => Ok(o),
-        _ => Err(format!("missing object field `{key}`")),
-    }
-}
-
-fn cache_of(v: &JsonValue, key: &str) -> Result<CacheConfig, String> {
-    let c = obj(v, key)?;
-    Ok(CacheConfig {
-        size_bytes: u64_of(c, "size_bytes")?,
-        assoc: u32_of(c, "assoc")?,
-        line_bytes: u32_of(c, "line_bytes")?,
-        latency_cycles: u32_of(c, "latency_cycles")?,
-        mshrs: u32_of(c, "mshrs")?,
-    })
-}
-
-/// Parses a [`SystemConfig`] from the JSON produced by its [`ToJson`] impl.
-pub fn parse_system_config(text: &str) -> Result<SystemConfig, String> {
-    let v = crate::json::parse(text).map_err(|e| e.to_string())?;
-    let gpu = obj(&v, "gpu")?;
-    let cpu = obj(&v, "cpu")?;
-    let hmc = obj(&v, "hmc")?;
-    let noc = obj(&v, "noc")?;
-    let pcie = obj(&v, "pcie")?;
-    Ok(SystemConfig {
-        n_gpus: u32_of(&v, "n_gpus")?,
-        hmcs_per_gpu: u32_of(&v, "hmcs_per_gpu")?,
-        cpu_hmcs: u32_of(&v, "cpu_hmcs")?,
-        page_bytes: u64_of(&v, "page_bytes")?,
-        gpu: GpuConfig {
-            n_sms: u32_of(gpu, "n_sms")?,
-            threads_per_sm: u32_of(gpu, "threads_per_sm")?,
-            ctas_per_sm: u32_of(gpu, "ctas_per_sm")?,
-            simd_width: u32_of(gpu, "simd_width")?,
-            l1: cache_of(gpu, "l1")?,
-            l2: cache_of(gpu, "l2")?,
-            core_mhz: num(gpu, "core_mhz")?,
-            xbar_mhz: num(gpu, "xbar_mhz")?,
-            l2_mhz: num(gpu, "l2_mhz")?,
-            xbar_latency: u32_of(gpu, "xbar_latency")?,
-            l2_banks: u32_of(gpu, "l2_banks")?,
-        },
-        cpu: CpuConfig {
-            freq_mhz: num(cpu, "freq_mhz")?,
-            issue_width: u32_of(cpu, "issue_width")?,
-            rob_size: u32_of(cpu, "rob_size")?,
-            l1: cache_of(cpu, "l1")?,
-            l2: cache_of(cpu, "l2")?,
-        },
-        hmc: HmcConfig {
-            layers: u32_of(hmc, "layers")?,
-            vaults: u32_of(hmc, "vaults")?,
-            banks_per_vault: u32_of(hmc, "banks_per_vault")?,
-            capacity_bytes: u64_of(hmc, "capacity_bytes")?,
-            vault_queue: u32_of(hmc, "vault_queue")?,
-            tck_ns: num(hmc, "tck_ns")?,
-            t_rp: u32_of(hmc, "t_rp")?,
-            t_ccd: u32_of(hmc, "t_ccd")?,
-            t_rcd: u32_of(hmc, "t_rcd")?,
-            t_cl: u32_of(hmc, "t_cl")?,
-            t_wr: u32_of(hmc, "t_wr")?,
-            t_ras: u32_of(hmc, "t_ras")?,
-            vault_bus_bytes_per_tck: u32_of(hmc, "vault_bus_bytes_per_tck")?,
-            t_refi: u32_of(hmc, "t_refi")?,
-            t_rfc: u32_of(hmc, "t_rfc")?,
-            atomic_extra_tck: u32_of(hmc, "atomic_extra_tck")?,
-        },
-        noc: NocConfig {
-            channel_gbs: num(noc, "channel_gbs")?,
-            channels_per_device: u32_of(noc, "channels_per_device")?,
-            router_mhz: num(noc, "router_mhz")?,
-            pipeline_stages: u32_of(noc, "pipeline_stages")?,
-            serdes_ns: num(noc, "serdes_ns")?,
-            vcs_per_class: u32_of(noc, "vcs_per_class")?,
-            vc_buffer_bytes: u32_of(noc, "vc_buffer_bytes")?,
-            flit_bytes: u32_of(noc, "flit_bytes")?,
-            energy_pj_per_bit: num(noc, "energy_pj_per_bit")?,
-            idle_pj_per_bit: num(noc, "idle_pj_per_bit")?,
-            passthrough_cycles: u32_of(noc, "passthrough_cycles")?,
-        },
-        pcie: PcieConfig {
-            gbs: num(pcie, "gbs")?,
-            latency_ns: num(pcie, "latency_ns")?,
-        },
-        seed: u64_of(&v, "seed")?,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn system_config_round_trips_through_json() {
-        for cfg in [SystemConfig::paper(), SystemConfig::scaled()] {
-            let json = cfg.to_json();
-            let back = parse_system_config(&json).expect("parse back");
-            assert_eq!(back, cfg);
-        }
-    }
-
-    #[test]
-    fn parse_rejects_missing_and_malformed_fields() {
-        assert!(parse_system_config("{}").is_err());
-        assert!(parse_system_config("not json").is_err());
-        let mut cfg = SystemConfig::paper();
-        cfg.seed = 7;
-        let json = cfg.to_json().replace("\"n_gpus\":4", "\"n_gpus\":4.5");
-        assert!(parse_system_config(&json).unwrap_err().contains("n_gpus"));
-    }
-
-    #[test]
-    fn stats_types_serialize() {
-        let mut s = RunningStats::new();
-        s.record(3.0);
-        let v = crate::json::parse(&s.to_json()).expect("valid");
-        assert_eq!(v.get("count").and_then(JsonValue::as_f64), Some(1.0));
-        assert_eq!(v.get("min").and_then(JsonValue::as_f64), Some(3.0));
-        // Empty accumulator: min/max are None → null, not ±∞ garbage.
-        let empty = RunningStats::new().to_json();
-        let v = crate::json::parse(&empty).expect("valid");
-        assert_eq!(v.get("min"), Some(&JsonValue::Null));
-
-        let mut h = Histogram::new();
-        h.record(5);
-        let v = crate::json::parse(&h.to_json()).expect("valid");
-        assert_eq!(v.get("count").and_then(JsonValue::as_f64), Some(1.0));
-
-        let mut m = TrafficMatrix::new(2, 2);
-        m.add(0, 1, 64);
-        let v = crate::json::parse(&m.to_json()).expect("valid");
-        let rows = v.get("bytes").and_then(JsonValue::as_array).expect("rows");
-        assert_eq!(rows.len(), 2);
-    }
-}

@@ -9,7 +9,11 @@
 //! * [`ToJson`] — implemented for primitives, strings, slices, options and
 //!   (via [`to_json_struct!`](crate::to_json_struct)) plain structs;
 //! * [`parse`] — a strict parser into [`JsonValue`] for reading artifacts
-//!   back (e.g. the fig. 17 energy bench re-reads fig. 16's output).
+//!   back (e.g. the fig. 17 energy bench re-reads fig. 16's output);
+//! * [`Fields`] — the one strict typed reader that turns a parsed outside
+//!   input (serve request, workload model, fault plan, snapshot) into
+//!   values: deny unknown, deny duplicate, exact integers, path in every
+//!   error.
 //!
 //! Non-finite floats have no JSON representation; the writer emits `null`
 //! for NaN and ±∞, matching what `JSON.stringify` does.
@@ -473,6 +477,7 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -483,9 +488,16 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
     Ok(v)
 }
 
+/// Deepest container nesting [`parse`] follows. The parser recurses per
+/// level, so an unbounded `[[[[…` line would overflow the stack; no
+/// document the workspace reads or writes nests past eight.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -523,8 +535,9 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -532,6 +545,16 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -687,9 +710,277 @@ impl<'a> Parser<'a> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Strict typed reader
+// ---------------------------------------------------------------------------
+
+/// Largest integer a JSON number carries exactly (the parser stores `f64`).
+pub const MAX_SAFE_INT: u64 = 1 << 53;
+
+/// A strict view over one JSON object's members, carrying its dotted path.
+///
+/// Every outside input — serve requests, workload models, fault plans,
+/// snapshots — becomes a typed value through this one reader (DESIGN,
+/// "Input formats: one reader"). Members are taken by key with
+/// [`req`](Self::req) / [`opt`](Self::opt) and converted by the [`Field`]
+/// accessors; [`finish`](Self::finish) then rejects the first member
+/// nobody took. A key that occurs twice is an error when it is taken.
+/// Every message names the full path (`events[1].ordinal`,
+/// `params.model.kernel.iters`).
+#[derive(Debug)]
+pub struct Fields<'a> {
+    path: String,
+    members: &'a [(String, JsonValue)],
+    /// Bit `i` is set once member `i` was taken.
+    taken: std::cell::Cell<u64>,
+}
+
+/// One member (or array element) handed out by [`Fields`], not yet typed.
+#[derive(Debug, Clone, Copy)]
+pub struct Field<'a, 'p> {
+    prefix: &'p str,
+    key: &'p str,
+    index: Option<usize>,
+    value: &'a JsonValue,
+}
+
+impl<'a> Fields<'a> {
+    /// Views `v` as an object located at `path`, for a reader that must
+    /// [`finish`](Self::finish) before it acts on what it read; the others
+    /// use [`Field::record`].
+    pub fn new(v: &'a JsonValue, path: &str) -> Result<Fields<'a>, String> {
+        Field::root(v, path).object()
+    }
+
+    /// The dotted path of this object (empty at a document root).
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// The optional member `key`.
+    pub fn opt<'p>(&'p self, key: &'p str) -> Result<Option<Field<'a, 'p>>, String> {
+        let mut hits = self.members.iter().enumerate().filter(|(_, m)| m.0 == key);
+        let Some((i, (_, value))) = hits.next() else {
+            return Ok(None);
+        };
+        let field = Field {
+            prefix: &self.path,
+            key,
+            index: None,
+            value,
+        };
+        if hits.next().is_some() {
+            return Err(format!("duplicate field '{}'", field.path()));
+        }
+        self.taken.set(self.taken.get() | 1 << i);
+        Ok(Some(field))
+    }
+
+    /// The required member `key`.
+    pub fn req<'p>(&'p self, key: &'p str) -> Result<Field<'a, 'p>, String> {
+        self.opt(key)?
+            .ok_or_else(|| format!("missing field '{}'", join(&self.path, key)))
+    }
+
+    /// Ends the read: the first member nobody took is an unknown field.
+    pub fn finish(&self) -> Result<(), String> {
+        match (!self.taken.get()).trailing_zeros() as usize {
+            i if i < self.members.len() => Err(self.unknown(i)),
+            _ => Ok(()),
+        }
+    }
+
+    fn unknown(&self, i: usize) -> String {
+        format!("unknown field '{}'", join(&self.path, &self.members[i].0))
+    }
+}
+
+/// `prefix.key`, without the dot when either side is empty.
+fn join(prefix: &str, key: &str) -> String {
+    let sep = if prefix.is_empty() || key.is_empty() {
+        ""
+    } else {
+        "."
+    };
+    format!("{prefix}{sep}{key}")
+}
+
+impl<'a, 'p> Field<'a, 'p> {
+    /// A whole document (or an already-located value) as a field at
+    /// `path`; empty for a document root.
+    pub fn root(value: &'a JsonValue, path: &'p str) -> Field<'a, 'p> {
+        Field {
+            prefix: "",
+            key: path,
+            index: None,
+            value,
+        }
+    }
+
+    /// The full dotted path, e.g. `gpus[0].l2.ways`.
+    pub fn path(&self) -> String {
+        let path = join(self.prefix, self.key);
+        match self.index {
+            Some(i) => format!("{path}[{i}]"),
+            None => path,
+        }
+    }
+
+    fn want<T>(&self, got: Option<T>, what: impl std::fmt::Display) -> Result<T, String> {
+        got.ok_or_else(|| match self.path() {
+            root if root.is_empty() => format!("the document must be {what}"),
+            path => format!("'{path}' must be {what}"),
+        })
+    }
+
+    /// The raw value, for members that are echoed rather than interpreted.
+    pub fn value(&self) -> &'a JsonValue {
+        self.value
+    }
+
+    /// A string.
+    pub fn str(&self) -> Result<&'a str, String> {
+        self.want(self.value.as_str(), "a string")
+    }
+
+    /// A string that `parse` recognises as the name of a `what`.
+    pub fn named<T>(
+        &self,
+        what: &str,
+        parse: impl FnOnce(&'a str) -> Option<T>,
+    ) -> Result<T, String> {
+        let name = self.str()?;
+        parse(name).ok_or_else(|| format!("'{}': unknown {what} '{name}'", self.path()))
+    }
+
+    /// A boolean.
+    pub fn bool(&self) -> Result<bool, String> {
+        self.want(self.value.as_bool(), "a boolean")
+    }
+
+    /// A finite number.
+    pub fn f64(&self) -> Result<f64, String> {
+        let n = self.value.as_f64().filter(|n| n.is_finite());
+        self.want(n, "a finite number")
+    }
+
+    /// An exact non-negative integer no larger than `limit` — and never
+    /// above 2^53, past which the parser's `f64` would have rounded it.
+    pub fn uint(&self, limit: u64) -> Result<u64, String> {
+        let limit = limit.min(MAX_SAFE_INT);
+        let n = self
+            .value
+            .as_f64()
+            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0 && *n <= limit as f64);
+        // Exact: `n` is an integer within 2^53.
+        self.want(
+            n.map(|n| n as u64),
+            format_args!("an exact non-negative integer ≤ {limit}"),
+        )
+    }
+
+    /// A `u64` written as a decimal string (the snapshot encoding, which
+    /// keeps values above 2^53 exact).
+    pub fn u64_str(&self) -> Result<u64, String> {
+        let n = self.value.as_str().and_then(|s| s.parse().ok());
+        self.want(n, "a u64 decimal string")
+    }
+
+    /// An array, each element converted by `each` under an indexed path.
+    pub fn list<T>(
+        &self,
+        each: impl Fn(Field<'a, 'p>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.want(self.value.as_array(), "an array")?;
+        let indexed = |(i, value)| Field {
+            index: Some(i),
+            value,
+            ..*self
+        };
+        items.iter().enumerate().map(indexed).map(each).collect()
+    }
+
+    /// A child object read to the end by `read`: members it leaves
+    /// untaken are refused.
+    pub fn record<T>(
+        &self,
+        read: impl FnOnce(&Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let fields = self.object()?;
+        let v = read(&fields)?;
+        fields.finish()?;
+        Ok(v)
+    }
+
+    fn object(&self) -> Result<Fields<'a>, String> {
+        let members = self.want(self.value.as_object(), "an object")?;
+        let fields = Fields {
+            path: self.path(),
+            members,
+            taken: std::cell::Cell::new(0),
+        };
+        // No schema here has 64 fields, so member 64 cannot be a known one.
+        if members.len() > 64 {
+            return Err(fields.unknown(64));
+        }
+        Ok(fields)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reader_takes_typed_fields_and_names_every_failure_by_path() {
+        let v = parse(
+            r#"{"n":3,"s":"x","b":true,"f":1.5,"big":"18446744073709551615",
+                "xs":[1,2.5],"child":{"k":1,"typo":2},"dup":1,"dup":2}"#,
+        )
+        .expect("parse");
+        let f = Fields::new(&v, "").expect("object");
+        assert_eq!(f.req("n").and_then(|x| x.uint(10)), Ok(3));
+        assert_eq!(f.req("s").and_then(|x| x.str()), Ok("x"));
+        assert_eq!(f.req("b").and_then(|x| x.bool()), Ok(true));
+        assert_eq!(f.req("f").and_then(|x| x.f64()), Ok(1.5));
+        assert_eq!(f.req("big").and_then(|x| x.u64_str()), Ok(u64::MAX));
+        assert!(f.opt("absent").expect("no duplicate").is_none());
+        let err = |r: Result<u64, String>| r.unwrap_err();
+        assert!(err(f.req("absent").and_then(|x| x.uint(1))).contains("missing field 'absent'"));
+        assert!(err(f.req("n").and_then(|x| x.uint(2))).contains("'n' must be an exact"));
+        assert!(err(f.req("f").and_then(|x| x.uint(9))).contains("'f'"));
+        assert!(err(f.req("s").and_then(|x| x.u64_str())).contains("'s'"));
+        assert!(err(f.req("dup").and_then(|x| x.uint(9))).contains("duplicate field 'dup'"));
+        let xs = f.req("xs").and_then(|x| x.list(|e| e.uint(9)));
+        assert!(xs.unwrap_err().contains("'xs[1]'"));
+        let child = f
+            .req("child")
+            .and_then(|x| x.record(|c| c.req("k")?.uint(9)));
+        assert_eq!(child.unwrap_err(), "unknown field 'child.typo'");
+        assert_eq!(f.finish().unwrap_err(), "unknown field 'dup'");
+        assert!(Fields::new(&JsonValue::Null, "params")
+            .unwrap_err()
+            .contains("'params' must be an object"));
+    }
+
+    #[test]
+    fn reader_refuses_inexact_and_out_of_range_integers() {
+        for bad in ["-1", "1e30", "9007199254740994", "0.5", "\"7\"", "null"] {
+            let v = parse(&format!("{{\"n\":{bad}}}")).expect("parse");
+            let f = Fields::new(&v, "").expect("object");
+            assert!(f.req("n").and_then(|x| x.uint(u64::MAX)).is_err(), "{bad}");
+        }
+        let v = parse(r#"{"n":9007199254740992}"#).expect("parse");
+        let f = Fields::new(&v, "").expect("object");
+        assert_eq!(f.req("n").and_then(|x| x.uint(u64::MAX)), Ok(MAX_SAFE_INT));
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let deep = "[".repeat(100_000);
+        assert_eq!(parse(&deep).unwrap_err().msg, "nesting too deep");
+        assert!(parse(&format!("{}1{}", "[".repeat(64), "]".repeat(64))).is_ok());
+    }
 
     #[test]
     fn escaping_covers_quotes_backslashes_and_control_chars() {

@@ -4,8 +4,9 @@
 //!
 //! - [`json`] — a hand-rolled JSON writer ([`json::JsonWriter`], the
 //!   [`json::ToJson`] trait, the [`to_json_struct!`] helper macro) and a
-//!   strict parser ([`json::parse`] → [`json::JsonValue`]). This replaces
-//!   `serde`/`serde_json` everywhere in the workspace.
+//!   strict parser ([`json::parse`] → [`json::JsonValue`]) with the one
+//!   typed reader every outside input goes through ([`json::Fields`]).
+//!   This replaces `serde`/`serde_json` everywhere in the workspace.
 //! - [`metrics`] — hierarchically-named counters and gauges behind the
 //!   [`metrics::MetricSink`] trait, with periodic epoch snapshots
 //!   ([`metrics::MetricsRegistry::snapshot`]) so per-interval rates
@@ -27,8 +28,8 @@
 //!   This is the *only* module allowed to read wall clocks on the tick
 //!   path (enforced by `memnet-lint`'s `wall-clock` rule allowlist).
 //!
-//! [`config`] binds the shared `memnet-common` configuration and
-//! statistics types to the JSON layer (export + [`config::parse_system_config`]).
+//! [`config`] binds the shared `memnet-common` configuration types to the
+//! JSON layer (export only: the configuration fingerprint hashes it).
 
 pub mod config;
 pub mod json;
@@ -36,8 +37,7 @@ pub mod metrics;
 pub mod prof;
 pub mod trace;
 
-pub use config::parse_system_config;
-pub use json::{parse, JsonValue, JsonWriter, ToJson};
+pub use json::{parse, Field, Fields, JsonValue, JsonWriter, ToJson, MAX_SAFE_INT};
 pub use metrics::{Epoch, HistSnapshot, MetricSink, MetricsRegistry, NullSink};
 pub use prof::{alloc_stats, AllocStats, CountingAlloc, PhaseMark, ProfCat, Profiler};
 pub use trace::{ClockDomain, TraceEvent, TraceEventKind, Tracer};

@@ -1,9 +1,11 @@
 //! Job specifications: the canonical form of one simulation request.
 //!
-//! A [`JobSpec`] is the serve protocol's mirror of the `memnet run`
-//! flags. Parsing is strict — an unknown parameter is an error, not a
-//! silent default — because a typo'd key (`"gpu"` for `"gpus"`) would
-//! otherwise cache a result under the wrong configuration. The spec's
+//! A [`JobSpec`] is what both front ends lower onto: the serve protocol
+//! parses `params` into one and `memnet run` fills one from its flags.
+//! Parsing goes through the workspace's one strict reader
+//! (`memnet_obs::Fields`) — an unknown or duplicate parameter is an
+//! error, not a silent default — because a typo'd key (`"gpu"` for
+//! `"gpus"`) would otherwise cache a result under the wrong configuration. The spec's
 //! identity is [`JobSpec::fingerprint`], the configuration fingerprint of
 //! the `SimBuilder` it expands to, which is also what the checkpoint
 //! subsystem uses to pair snapshots with configurations.
@@ -17,22 +19,19 @@ use memnet_common::FaultPlan;
 use memnet_core::{CtaPolicy, EngineMode, Organization, PlacementPolicy, SanitizeMode, SimBuilder};
 use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_noc::RoutingPolicy;
-use memnet_obs::JsonValue;
+use memnet_obs::{Field, Fields, JsonValue, MAX_SAFE_INT};
 use memnet_workloads::{Workload, WorkloadSpec};
+
+/// The first entry of a name table that matches `s`, ignoring ASCII case.
+fn lookup<T: Copy>(table: &[(&str, T)], s: &str) -> Option<T> {
+    let hit = table.iter().find(|(name, _)| name.eq_ignore_ascii_case(s));
+    hit.map(|&(_, v)| v)
+}
 
 /// Parses an organization name (`pcie`, `cmn-zc`, `umn`, …).
 pub fn parse_org(s: &str) -> Option<Organization> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "pcie" => Organization::Pcie,
-        "pcie-zc" => Organization::PcieZc,
-        "cmn" => Organization::Cmn,
-        "cmn-zc" => Organization::CmnZc,
-        "gmn" => Organization::Gmn,
-        "gmn-zc" => Organization::GmnZc,
-        "umn" => Organization::Umn,
-        "pcn" => Organization::Pcn,
-        _ => return None,
-    })
+    let mut all = Organization::all_extended().into_iter();
+    all.find(|o| o.name().eq_ignore_ascii_case(s))
 }
 
 /// Parses a Table II workload abbreviation, or `vecadd`.
@@ -47,60 +46,46 @@ pub fn parse_workload(s: &str) -> Option<Workload> {
 
 /// Parses a topology name (`smesh`, `storus2x`, `sfbfly`, `dfbfly`, …).
 pub fn parse_topology(s: &str) -> Option<TopologyKind> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "smesh" => TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: false,
-        },
-        "storus" => TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: false,
-        },
-        "smesh2x" => TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: true,
-        },
-        "storus2x" => TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: true,
-        },
-        "sfbfly" => TopologyKind::Sliced {
-            kind: SlicedKind::Fbfly,
-            double: false,
-        },
-        "dfbfly" => TopologyKind::DistributorFbfly,
-        "ddfly" => TopologyKind::DistributorDfly,
-        _ => return None,
-    })
+    let sliced = |kind, double| TopologyKind::Sliced { kind, double };
+    let table = [
+        ("smesh", sliced(SlicedKind::Mesh, false)),
+        ("storus", sliced(SlicedKind::Torus, false)),
+        ("smesh2x", sliced(SlicedKind::Mesh, true)),
+        ("storus2x", sliced(SlicedKind::Torus, true)),
+        ("sfbfly", sliced(SlicedKind::Fbfly, false)),
+        ("dfbfly", TopologyKind::DistributorFbfly),
+        ("ddfly", TopologyKind::DistributorDfly),
+    ];
+    lookup(&table, s)
 }
 
 /// Parses a routing policy name (`minimal` / `ugal`).
 pub fn parse_routing(s: &str) -> Option<RoutingPolicy> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "minimal" => RoutingPolicy::Minimal,
-        "ugal" => RoutingPolicy::Ugal,
-        _ => return None,
-    })
+    let table = [
+        ("minimal", RoutingPolicy::Minimal),
+        ("ugal", RoutingPolicy::Ugal),
+    ];
+    lookup(&table, s)
 }
 
 /// Parses a CTA partitioning policy name (`static` / `rr` / `stealing`).
 pub fn parse_cta(s: &str) -> Option<CtaPolicy> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "static" => CtaPolicy::StaticChunk,
-        "rr" => CtaPolicy::RoundRobin,
-        "stealing" => CtaPolicy::Stealing,
-        _ => return None,
-    })
+    let table = [
+        ("static", CtaPolicy::StaticChunk),
+        ("rr", CtaPolicy::RoundRobin),
+        ("stealing", CtaPolicy::Stealing),
+    ];
+    lookup(&table, s)
 }
 
 /// Parses a page placement policy name.
 pub fn parse_placement(s: &str) -> Option<PlacementPolicy> {
-    Some(match s.to_ascii_lowercase().as_str() {
-        "random" => PlacementPolicy::Random,
-        "round-robin" => PlacementPolicy::RoundRobin,
-        "contiguous" => PlacementPolicy::Contiguous,
-        _ => return None,
-    })
+    let table = [
+        ("random", PlacementPolicy::Random),
+        ("round-robin", PlacementPolicy::RoundRobin),
+        ("contiguous", PlacementPolicy::Contiguous),
+    ];
+    lookup(&table, s)
 }
 
 /// Parses an engine mode name (`cycle` / `event`, long forms accepted).
@@ -166,130 +151,112 @@ impl Default for JobSpec {
     }
 }
 
-fn want_str<'a>(key: &str, v: &'a JsonValue) -> Result<&'a str, String> {
-    v.as_str()
-        .ok_or_else(|| format!("parameter '{key}' must be a string"))
-}
-
-fn want_bool(key: &str, v: &JsonValue) -> Result<bool, String> {
-    v.as_bool()
-        .ok_or_else(|| format!("parameter '{key}' must be a boolean"))
-}
-
-/// A JSON number that is a non-negative integer small enough for `limit`.
-fn want_uint(key: &str, v: &JsonValue, limit: f64) -> Result<u64, String> {
-    match v.as_f64() {
-        Some(n) if n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= limit => Ok(n as u64),
-        _ => Err(format!(
-            "parameter '{key}' must be a non-negative integer (≤ {limit})"
-        )),
-    }
+/// Reads the workload model at `path` (`--workload-file`, `"workload_file"`).
+pub fn load_model(path: &str) -> Result<WorkloadSpec, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read workload model {path}: {e}"))?;
+    memnet_wdl::spec_from_json(&text).map_err(|e| format!("bad workload model {path}: {e}"))
 }
 
 impl JobSpec {
     /// Parses a spec from the `params` member of a protocol request.
-    /// Absent keys take the `memnet run` defaults; unknown keys and
-    /// mistyped values are errors.
+    /// Absent keys take the `memnet run` defaults; unknown or duplicate
+    /// keys, mistyped values and out-of-range values are errors naming
+    /// the key (`params.gpus`).
     pub fn from_json(params: &JsonValue) -> Result<JobSpec, String> {
-        let members = params
-            .as_object()
-            .ok_or_else(|| "params must be an object".to_string())?;
+        JobSpec::from_field(Field::root(params, "params"))
+    }
+
+    /// [`JobSpec::from_json`] over an already-located object (a batch
+    /// job carries the `params.jobs[i]` path).
+    pub fn from_field(params: Field) -> Result<JobSpec, String> {
+        params.record(JobSpec::read)
+    }
+
+    fn read(f: &Fields) -> Result<JobSpec, String> {
         let mut spec = JobSpec::default();
-        let mut saw_workload = false;
-        let mut saw_small = false;
-        for (key, v) in members {
-            match key.as_str() {
-                "org" => {
-                    spec.org = parse_org(want_str(key, v)?)
-                        .ok_or_else(|| format!("unknown organization {v:?}"))?;
-                }
-                "workload" => {
-                    spec.workload = parse_workload(want_str(key, v)?)
-                        .ok_or_else(|| format!("unknown workload {v:?}"))?;
-                    saw_workload = true;
-                }
-                "small" => {
-                    spec.small = want_bool(key, v)?;
-                    saw_small = true;
-                }
-                "model" => {
-                    if spec.model.is_some() {
-                        return Err("parameters 'model' and 'workload_file' are mutually \
-                                    exclusive"
-                            .into());
-                    }
-                    spec.model = Some(memnet_wdl::spec_from_value(v)?);
-                }
-                "workload_file" => {
-                    if spec.model.is_some() {
-                        return Err("parameters 'model' and 'workload_file' are mutually \
-                                    exclusive"
-                            .into());
-                    }
-                    let path = want_str(key, v)?;
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read workload model {path}: {e}"))?;
-                    spec.model = Some(
-                        memnet_wdl::spec_from_json(&text)
-                            .map_err(|e| format!("bad workload model {path}: {e}"))?,
-                    );
-                }
-                "gpus" => match want_uint(key, v, u32::MAX as f64)? {
-                    0 => return Err("parameter 'gpus' must be positive".into()),
-                    n => spec.gpus = n as u32,
-                },
-                "sms" => match want_uint(key, v, u32::MAX as f64)? {
-                    0 => return Err("parameter 'sms' must be positive".into()),
-                    n => spec.sms = n as u32,
-                },
-                "topology" => {
-                    spec.topology = Some(
-                        parse_topology(want_str(key, v)?)
-                            .ok_or_else(|| format!("unknown topology {v:?}"))?,
-                    );
-                }
-                "routing" => {
-                    spec.routing = parse_routing(want_str(key, v)?)
-                        .ok_or_else(|| format!("unknown routing policy {v:?}"))?;
-                }
-                "cta" => {
-                    spec.cta = parse_cta(want_str(key, v)?)
-                        .ok_or_else(|| format!("unknown CTA policy {v:?}"))?;
-                }
-                "placement" => {
-                    spec.placement = parse_placement(want_str(key, v)?)
-                        .ok_or_else(|| format!("unknown placement policy {v:?}"))?;
-                }
-                "overlay" => spec.overlay = want_bool(key, v)?,
-                "budget_ms" => match v.as_f64() {
-                    Some(ms) if ms.is_finite() && ms > 0.0 => spec.budget_ms = ms,
-                    _ => return Err("parameter 'budget_ms' must be a positive number".into()),
-                },
-                "chaos_seed" => {
-                    // f64-exact integers only; the parser stores numbers as f64.
-                    spec.chaos_seed = Some(want_uint(key, v, 9_007_199_254_740_992.0)?);
-                }
-                "engine" => {
-                    spec.engine = Some(parse_engine(want_str(key, v)?).ok_or_else(|| {
-                        format!("parameter 'engine' must be cycle or event, got {v:?}")
-                    })?);
-                }
-                "sanitize" => spec.sanitize = want_bool(key, v)?,
-                _ => return Err(format!("unknown parameter '{key}'")),
+        let (workload, small) = (f.opt("workload")?, f.opt("small")?);
+        spec.model = match (f.opt("model")?, f.opt("workload_file")?) {
+            (Some(m), Some(p)) => {
+                let (m, p) = (m.path(), p.path());
+                return Err(format!("'{m}' and '{p}' are mutually exclusive"));
             }
-        }
-        if spec.model.is_some() && (saw_workload || saw_small) {
+            (Some(model), None) => Some(memnet_wdl::spec_from_field(model)?),
+            (None, Some(path)) => Some(load_model(path.str()?)?),
+            (None, None) => None,
+        };
+        if spec.model.is_some() && (workload.is_some() || small.is_some()) {
             return Err(
                 "a runtime model ('model'/'workload_file') cannot be combined \
                         with 'workload' or 'small'"
                     .into(),
             );
         }
+        if let Some(x) = f.opt("org")? {
+            spec.org = x.named("organization", parse_org)?;
+        }
+        if let Some(x) = workload {
+            spec.workload = x.named("workload", parse_workload)?;
+        }
+        if let Some(x) = small {
+            spec.small = x.bool()?;
+        }
+        if let Some(x) = f.opt("gpus")? {
+            spec.gpus = x.uint(u64::from(u32::MAX))? as u32;
+        }
+        if let Some(x) = f.opt("sms")? {
+            spec.sms = x.uint(u64::from(u32::MAX))? as u32;
+        }
+        if let Some(x) = f.opt("topology")? {
+            spec.topology = Some(x.named("topology", parse_topology)?);
+        }
+        if let Some(x) = f.opt("routing")? {
+            spec.routing = x.named("routing policy", parse_routing)?;
+        }
+        if let Some(x) = f.opt("cta")? {
+            spec.cta = x.named("CTA policy", parse_cta)?;
+        }
+        if let Some(x) = f.opt("placement")? {
+            spec.placement = x.named("placement policy", parse_placement)?;
+        }
+        if let Some(x) = f.opt("overlay")? {
+            spec.overlay = x.bool()?;
+        }
+        if let Some(x) = f.opt("budget_ms")? {
+            spec.budget_ms = x.f64()?;
+        }
+        if let Some(x) = f.opt("chaos_seed")? {
+            spec.chaos_seed = Some(x.uint(MAX_SAFE_INT)?);
+        }
+        if let Some(x) = f.opt("engine")? {
+            spec.engine = Some(x.named("engine (cycle | event)", parse_engine)?);
+        }
+        if let Some(x) = f.opt("sanitize")? {
+            spec.sanitize = x.bool()?;
+        }
+        spec.validate()
+            .map_err(|e| format!("'{}': {e}", f.path()))?;
         Ok(spec)
     }
 
-    /// Expands the spec into a runnable builder, exactly as `memnet run`
-    /// would assemble it from the equivalent flags.
+    /// The range checks the CLI and the daemon share: a value no run can
+    /// use is refused by name, whichever front end it came through.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.gpus == 0 {
+            return Err("'gpus' must be positive".into());
+        }
+        if self.sms == 0 {
+            return Err("'sms' must be positive".into());
+        }
+        if !(self.budget_ms.is_finite() && self.budget_ms > 0.0) {
+            return Err("'budget_ms' must be a positive number".into());
+        }
+        Ok(())
+    }
+
+    /// Expands the spec into a runnable builder. `memnet run` assembles
+    /// its builder through this same function, so the two front ends
+    /// cannot drift apart on a default, a range or the chaos plan.
     pub fn builder(&self) -> SimBuilder {
         let spec = if let Some(model) = &self.model {
             model.clone()
@@ -311,12 +278,15 @@ impl JobSpec {
             b = b.topology(t);
         }
         if let Some(seed) = self.chaos_seed {
-            let plan = FaultPlan::random(seed, 12, self.gpus as usize, ns_to_fs(2_000.0));
-            let mut faults = FaultPlan::new();
-            for ev in plan.events() {
-                faults.push(ev.at_fs, ev.kind.clone());
-            }
-            b = b.faults(faults);
+            // Seeded chaos: a dozen failures spread over the first couple
+            // of simulated microseconds, early enough to land while even
+            // the --small workloads are still in flight.
+            b = b.faults(FaultPlan::random(
+                seed,
+                12,
+                self.gpus as usize,
+                ns_to_fs(2_000.0),
+            ));
         }
         if let Some(mode) = self.engine {
             b = b.engine(mode);
@@ -375,27 +345,39 @@ mod tests {
 
     #[test]
     fn unknown_keys_and_bad_values_are_rejected() {
-        assert!(spec_of(r#"{"gpu":2}"#)
-            .unwrap_err()
-            .contains("unknown parameter"));
-        assert!(spec_of(r#"{"org":"nvlink"}"#)
-            .unwrap_err()
-            .contains("organization"));
-        assert!(spec_of(r#"{"gpus":0}"#).unwrap_err().contains("positive"));
         // The parallel engine and its thread knob are gone: both spellings
         // are refused by name, never silently run on another engine.
-        assert!(spec_of(r#"{"sim_threads":2}"#)
-            .unwrap_err()
-            .contains("unknown parameter 'sim_threads'"));
-        assert!(spec_of(r#"{"engine":"parallel"}"#)
-            .unwrap_err()
-            .contains("parameter 'engine'"));
-        assert!(spec_of(r#"{"gpus":2.5}"#).unwrap_err().contains("integer"));
-        assert!(spec_of(r#"{"small":1}"#).unwrap_err().contains("boolean"));
-        assert!(spec_of(r#"{"budget_ms":-1}"#)
-            .unwrap_err()
-            .contains("positive"));
-        assert!(spec_of(r#"[1,2]"#).unwrap_err().contains("object"));
+        for (params, want) in [
+            (r#"{"gpu":2}"#, "unknown field 'params.gpu'"),
+            (r#"{"gpus":2,"gpus":4}"#, "duplicate field 'params.gpus'"),
+            (r#"{"org":"nvlink"}"#, "'params.org': unknown organization"),
+            (r#"{"gpus":0}"#, "'gpus' must be positive"),
+            (r#"{"sms":0}"#, "'sms' must be positive"),
+            (r#"{"sim_threads":2}"#, "unknown field 'params.sim_threads'"),
+            (
+                r#"{"engine":"parallel"}"#,
+                "'params.engine': unknown engine",
+            ),
+            (
+                r#"{"gpus":2.5}"#,
+                "'params.gpus' must be an exact non-negative integer",
+            ),
+            (r#"{"gpus":4294967296}"#, "'params.gpus'"),
+            (r#"{"chaos_seed":9007199254740994}"#, "'params.chaos_seed'"),
+            (r#"{"small":1}"#, "'params.small' must be a boolean"),
+            (
+                r#"{"budget_ms":-1}"#,
+                "'budget_ms' must be a positive number",
+            ),
+            (
+                r#"{"budget_ms":0}"#,
+                "'budget_ms' must be a positive number",
+            ),
+            (r#"[1,2]"#, "'params' must be an object"),
+        ] {
+            let err = spec_of(params).unwrap_err();
+            assert!(err.contains(want), "{params}: {err}");
+        }
     }
 
     #[test]
@@ -484,6 +466,7 @@ mod tests {
     fn name_parsers_cover_the_cli_vocabulary() {
         for o in Organization::all_extended() {
             assert_eq!(parse_org(&o.name().to_ascii_lowercase()), Some(o));
+            assert_eq!(parse_org(o.name()), Some(o));
         }
         assert_eq!(parse_org("nvlink"), None);
         for w in Workload::table2() {
@@ -498,9 +481,16 @@ mod tests {
             assert!(parse_topology(t).is_some(), "{t}");
         }
         assert!(parse_topology("hypercube").is_none());
-        assert!(parse_routing("ugal").is_some() && parse_routing("x").is_none());
-        assert!(parse_cta("stealing").is_some() && parse_cta("x").is_none());
-        assert!(parse_placement("contiguous").is_some() && parse_placement("x").is_none());
+        assert_eq!(parse_topology("SFBfly"), parse_topology("sfbfly"));
+        assert_eq!(parse_routing("UGAL"), Some(RoutingPolicy::Ugal));
+        assert!(parse_routing("x").is_none());
+        assert_eq!(parse_cta("Stealing"), Some(CtaPolicy::Stealing));
+        assert!(parse_cta("x").is_none());
+        assert_eq!(
+            parse_placement("Round-Robin"),
+            Some(PlacementPolicy::RoundRobin)
+        );
+        assert!(parse_placement("x").is_none());
         assert_eq!(parse_engine("event-driven"), Some(EngineMode::EventDriven));
         assert_eq!(parse_engine("parallel"), None);
         assert_eq!(parse_engine("pdes"), None);

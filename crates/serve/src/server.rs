@@ -23,7 +23,7 @@
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
 use memnet_engine::{run_jobs_observed, PoolConfig};
-use memnet_obs::{parse, JsonValue, JsonWriter, MetricSink, MetricsRegistry};
+use memnet_obs::{parse, Field, Fields, JsonValue, JsonWriter, MetricSink, MetricsRegistry};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -144,66 +144,74 @@ impl Server {
         &self.metrics
     }
 
-    /// Handles one request line, producing one response line.
+    /// Handles one request line, producing one response line. The
+    /// envelope is read as strictly as the job inside it: an unknown or
+    /// duplicate key (`"parms"`) is an error reply, never a default job.
     pub fn handle_line(&mut self, line: &str) -> Reply {
-        let request = match parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                return Reply {
-                    text: err_line("null", &format!("bad request: {e}")),
-                    shutdown: false,
-                }
-            }
-        };
-        let id = json_of(request.get("id").unwrap_or(&JsonValue::Null));
-        let method = request.get("method").and_then(JsonValue::as_str);
-        let default_params = JsonValue::Object(Vec::new());
-        let params = request.get("params").unwrap_or(&default_params);
         let mut shutdown = false;
-        let text = match method {
-            Some("ping") => ok_line(&id, "{\"pong\":true}"),
-            Some("run") => self.run_one(&id, params),
-            Some("batch") => self.run_batch(&id, params),
-            Some("stats") => ok_line(&id, &self.stats_body()),
-            Some("shutdown") => {
-                shutdown = true;
-                ok_line(&id, "{\"ok\":true}")
-            }
-            Some(other) => err_line(&id, &format!("unknown method '{other}'")),
-            None => err_line(&id, "request has no 'method' string"),
+        let mut id = String::from("null");
+        let text = match self.dispatch(line, &mut id, &mut shutdown) {
+            Ok(body) => ok_line(&id, &body),
+            Err(e) => err_line(&id, &e),
         };
         Reply { text, shutdown }
     }
 
-    fn run_one(&mut self, id: &str, params: &JsonValue) -> String {
-        let spec = match JobSpec::from_json(params) {
-            Ok(s) => s,
-            Err(e) => return err_line(id, &e),
+    /// Reads the envelope and runs the method; `id` is filled in as soon
+    /// as it is known so an error reply can still echo it.
+    fn dispatch(
+        &mut self,
+        line: &str,
+        id: &mut String,
+        shutdown: &mut bool,
+    ) -> Result<String, String> {
+        let request = parse(line).map_err(|e| format!("bad request: {e}"))?;
+        let envelope = Fields::new(&request, "").map_err(|e| format!("bad request: {e}"))?;
+        if let Some(x) = envelope.opt("id")? {
+            *id = json_of(x.value());
+        }
+        let method = envelope.req("method")?.str()?;
+        let no_params = JsonValue::Object(Vec::new());
+        let params = envelope.opt("params")?;
+        let params = params.unwrap_or(Field::root(&no_params, "params"));
+        envelope.finish()?;
+        let body = match method {
+            "run" => return self.run_one(JobSpec::from_field(params)?),
+            "batch" => {
+                let jobs =
+                    params.record(|p| p.req("jobs")?.list(|job| Ok(JobSpec::from_field(job))))?;
+                return Ok(self.run_batch(jobs));
+            }
+            "ping" => "{\"pong\":true}".to_string(),
+            "stats" => self.stats_body(),
+            "shutdown" => "{\"ok\":true}".to_string(),
+            other => return Err(format!("unknown method '{other}'")),
         };
+        // These three take no parameters at all.
+        params.record(|_| Ok(()))?;
+        *shutdown = method == "shutdown";
+        Ok(body)
+    }
+
+    fn run_one(&mut self, spec: JobSpec) -> Result<String, String> {
         let fingerprint = spec.fingerprint();
         if let Some(report) = self.cache.get(fingerprint) {
             let body = run_body(true, fingerprint, report);
             self.metrics.add("cache.hit", 1);
-            return ok_line(id, &body);
+            return Ok(body);
         }
         self.metrics.add("cache.miss", 1);
-        let mut outcomes = self.execute(vec![spec]);
-        match outcomes.pop() {
-            Some(Ok(report)) => {
-                if self.cache.insert(fingerprint, report.clone()) {
-                    self.metrics.add("cache.evict", 1);
-                }
-                ok_line(id, &run_body(false, fingerprint, &report))
-            }
-            Some(Err(e)) => err_line(id, &e),
-            None => err_line(id, "pool returned no outcome"),
+        let report = self
+            .execute(vec![spec])
+            .pop()
+            .unwrap_or_else(|| Err("pool returned no outcome".into()))?;
+        if self.cache.insert(fingerprint, report.clone()) {
+            self.metrics.add("cache.evict", 1);
         }
+        Ok(run_body(false, fingerprint, &report))
     }
 
-    fn run_batch(&mut self, id: &str, params: &JsonValue) -> String {
-        let Some(jobs) = params.get("jobs").and_then(JsonValue::as_array) else {
-            return err_line(id, "batch params need a 'jobs' array");
-        };
+    fn run_batch(&mut self, jobs: Vec<Result<JobSpec, String>>) -> String {
         // Classify each job: parse error, cache hit, or unique run —
         // duplicates of an earlier miss are deduplicated onto it.
         let mut slots = Vec::with_capacity(jobs.len());
@@ -211,7 +219,7 @@ impl Server {
         let mut unique_fps: Vec<u64> = Vec::new();
         let mut deduped = 0u64;
         for job in jobs {
-            let spec = match JobSpec::from_json(job) {
+            let spec = match job {
                 Ok(s) => s,
                 Err(e) => {
                     slots.push(Slot::Bad(e));
@@ -271,10 +279,7 @@ impl Server {
                 },
             })
             .collect();
-        ok_line(
-            id,
-            &format!("{{\"deduped\":{deduped},\"jobs\":[{}]}}", entries.join(",")),
-        )
+        format!("{{\"deduped\":{deduped},\"jobs\":[{}]}}", entries.join(","))
     }
 
     /// Runs specs on the work pool (panic isolation, ordered results),
@@ -520,15 +525,55 @@ mod tests {
     fn malformed_requests_are_errors_not_panics() {
         let mut s = server();
         assert!(s.handle_line("not json").text.contains("bad request"));
-        assert!(s.handle_line(r#"{"id":1}"#).text.contains("no 'method'"));
+        assert!(s
+            .handle_line(r#"{"id":1}"#)
+            .text
+            .contains("missing field 'method'"));
         assert!(s
             .handle_line(r#"{"id":1,"method":"warp"}"#)
             .text
             .contains("unknown method"));
-        assert!(s
-            .handle_line(r#"{"id":1,"method":"run","params":{"gpu":2}}"#)
-            .text
-            .contains("unknown parameter"));
+        // The envelope is as strict as the job: a typo'd or repeated key
+        // is an error reply that still echoes the id, never a default run.
+        for (line, want) in [
+            (
+                r#"{"id":1,"method":"run","params":{"gpu":2}}"#,
+                "unknown field 'params.gpu'",
+            ),
+            (
+                r#"{"id":1,"method":"run","parms":{"gpus":2}}"#,
+                "unknown field 'parms'",
+            ),
+            (
+                r#"{"id":1,"method":"ping","method":"shutdown"}"#,
+                "duplicate field 'method'",
+            ),
+            (
+                r#"{"id":1,"method":"run","params":[]}"#,
+                "'params' must be an object",
+            ),
+            (
+                r#"{"id":1,"method":"stats","params":{"verbose":true}}"#,
+                "unknown field 'params.verbose'",
+            ),
+            (
+                r#"{"id":1,"method":"batch","params":{"jobs":[],"job":[]}}"#,
+                "unknown field 'params.job'",
+            ),
+            (
+                r#"{"id":1,"method":"batch","params":{}}"#,
+                "missing field 'params.jobs'",
+            ),
+        ] {
+            let r = s.handle_line(line);
+            assert!(
+                r.text.starts_with(r#"{"id":1,"error":"#) && r.text.contains(want),
+                "{line}: {}",
+                r.text
+            );
+            assert!(!r.shutdown);
+        }
+        assert_eq!(s.metrics().counter("cache.miss"), 0, "nothing ran");
     }
 
     #[test]
@@ -577,7 +622,10 @@ mod tests {
             ))
             .text;
         assert!(r.contains("\"deduped\":2"), "{r}");
-        assert!(r.contains("unknown parameter"), "bad job reports inline");
+        assert!(
+            r.contains("unknown field 'params.jobs[4].bogus'"),
+            "bad job reports inline: {r}"
+        );
         // Only two simulations ran for the five submitted jobs.
         assert_eq!(s.metrics().counter("pool.jobs"), 2);
         assert_eq!(s.metrics().counter("cache.dedup"), 2);

@@ -26,26 +26,24 @@
 //! ```
 //!
 //! `h2d_bytes`/`d2h_bytes` are optional and default to the staging sizes
-//! the built-in constructors use (`shared + read` and `write`). Parsing is
-//! strict in the style of `serve::job`: unknown fields, missing kernel
-//! parameters, wrong types and semantically invalid kernels are all
-//! reported with actionable messages. [`spec_to_json`] is the inverse, and
+//! the built-in constructors use (`shared + read` and `write`). Parsing
+//! goes through the workspace's one strict reader (`memnet_obs::Fields`;
+//! DESIGN, "Input formats: one reader"): unknown or duplicate fields,
+//! missing kernel parameters, wrong types and semantically invalid kernels
+//! are all reported by full field path. [`spec_to_json`] is the inverse, and
 //! round-trips every built-in model exactly; [`fuzz::WorkloadFuzzer`]
 //! generates random-but-valid models for the differential conformance
 //! harness.
 
 pub mod fuzz;
 
-use memnet_obs::json::{parse, JsonValue};
+use memnet_obs::json::{parse, Field, Fields, MAX_SAFE_INT};
 use memnet_obs::JsonWriter;
 use memnet_workloads::{HostWork, SyntheticKernel, Workload, WorkloadSpec};
 use std::sync::Arc;
 
 /// Format tag required in every model file. Bump on breaking changes.
 pub const FORMAT: &str = "memnet-wdl-v1";
-
-/// Largest integer JSON can carry exactly (the parser goes through f64).
-const MAX_SAFE_INT: u64 = 1 << 53;
 
 /// Cap on any byte-size field: 1 TB of virtual footprint is far beyond
 /// anything the simulator models and catches nonsense like `1e30`.
@@ -118,196 +116,80 @@ pub fn spec_to_json(s: &WorkloadSpec) -> String {
     w.finish()
 }
 
-fn want_str<'a>(key: &str, v: &'a JsonValue) -> Result<&'a str, String> {
-    v.as_str()
-        .ok_or_else(|| format!("workload model: '{key}' must be a string"))
-}
-
-fn want_uint(key: &str, v: &JsonValue, limit: u64) -> Result<u64, String> {
-    let f = v
-        .as_f64()
-        .ok_or_else(|| format!("workload model: '{key}' must be a non-negative integer"))?;
-    if !(f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f <= MAX_SAFE_INT as f64) {
-        return Err(format!(
-            "workload model: '{key}' must be an exact non-negative integer (≤ 2^53), got {f}"
-        ));
-    }
-    let n = f as u64;
-    if n > limit {
-        return Err(format!(
-            "workload model: '{key}' = {n} exceeds the limit of {limit}"
-        ));
-    }
-    Ok(n)
-}
-
-fn want_u32(key: &str, v: &JsonValue) -> Result<u32, String> {
-    Ok(want_uint(key, v, u64::from(u32::MAX))? as u32)
-}
-
-fn parse_host_work(key: &str, v: &JsonValue) -> Result<HostWork, String> {
-    let members = v
-        .as_object()
-        .ok_or_else(|| format!("workload model: '{key}' must be an object"))?;
-    let mut reads = None;
-    let mut region_base = None;
-    let mut region_bytes = None;
-    let mut stride = None;
-    let mut compute_per_read = None;
-    let mut tail_compute = None;
-    for (k, val) in members {
-        let qual = format!("{key}.{k}");
-        match k.as_str() {
-            "reads" => reads = Some(want_uint(&qual, val, MAX_SAFE_INT)?),
-            "region_base" => region_base = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "region_bytes" => region_bytes = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "stride" => stride = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "compute_per_read" => compute_per_read = Some(want_uint(&qual, val, MAX_SAFE_INT)?),
-            "tail_compute" => tail_compute = Some(want_uint(&qual, val, MAX_SAFE_INT)?),
-            other => {
-                return Err(format!("workload model: unknown field '{key}.{other}'"));
-            }
-        }
-    }
-    let need = |field: &str, o: Option<u64>| {
-        o.ok_or_else(|| format!("workload model: '{key}' is missing '{key}.{field}'"))
-    };
+fn read_host_work(f: &Fields) -> Result<HostWork, String> {
     Ok(HostWork {
-        reads: need("reads", reads)?,
-        region_base: need("region_base", region_base)?,
-        region_bytes: need("region_bytes", region_bytes)?,
-        stride: need("stride", stride)?,
-        compute_per_read: need("compute_per_read", compute_per_read)?,
-        tail_compute: need("tail_compute", tail_compute)?,
+        reads: f.req("reads")?.uint(MAX_SAFE_INT)?,
+        region_base: f.req("region_base")?.uint(MAX_BYTES)?,
+        region_bytes: f.req("region_bytes")?.uint(MAX_BYTES)?,
+        stride: f.req("stride")?.uint(MAX_BYTES)?,
+        compute_per_read: f.req("compute_per_read")?.uint(MAX_SAFE_INT)?,
+        tail_compute: f.req("tail_compute")?.uint(MAX_SAFE_INT)?,
     })
 }
 
-fn parse_kernel(v: &JsonValue) -> Result<SyntheticKernel, String> {
-    let members = v
-        .as_object()
-        .ok_or_else(|| "workload model: 'kernel' must be an object".to_string())?;
-    let mut ctas = None;
-    let mut iters = None;
-    let mut compute_gap = None;
-    let mut seq_reads = None;
-    let mut rand_reads = None;
-    let mut dep_reads = None;
-    let mut writes = None;
-    let mut halo_reads = None;
-    let mut atomic_every = None;
-    let mut reuse = None;
-    let mut shared_bytes = None;
-    let mut read_bytes = None;
-    let mut write_bytes = None;
-    let mut stride = None;
-    let mut seed = None;
-    for (k, val) in members {
-        let qual = format!("kernel.{k}");
-        match k.as_str() {
-            "ctas" => ctas = Some(want_u32(&qual, val)?),
-            "iters" => iters = Some(want_u32(&qual, val)?),
-            "compute_gap" => compute_gap = Some(want_u32(&qual, val)?),
-            "seq_reads" => seq_reads = Some(want_u32(&qual, val)?),
-            "rand_reads" => rand_reads = Some(want_u32(&qual, val)?),
-            "dep_reads" => dep_reads = Some(want_u32(&qual, val)?),
-            "writes" => writes = Some(want_u32(&qual, val)?),
-            "halo_reads" => halo_reads = Some(want_u32(&qual, val)?),
-            "atomic_every" => atomic_every = Some(want_u32(&qual, val)?),
-            "reuse" => reuse = Some(want_u32(&qual, val)?),
-            "shared_bytes" => shared_bytes = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "read_bytes" => read_bytes = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "write_bytes" => write_bytes = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "stride" => stride = Some(want_uint(&qual, val, MAX_BYTES)?),
-            "seed" => seed = Some(want_uint(&qual, val, MAX_SAFE_INT)?),
-            other => {
-                return Err(format!("workload model: unknown field 'kernel.{other}'"));
-            }
-        }
-    }
-    fn need<T>(field: &str, o: Option<T>) -> Result<T, String> {
-        o.ok_or_else(|| format!("workload model: 'kernel' is missing 'kernel.{field}'"))
-    }
+fn read_kernel(f: &Fields) -> Result<SyntheticKernel, String> {
+    let u32_of = |key| Ok::<_, String>(f.req(key)?.uint(u64::from(u32::MAX))? as u32);
     Ok(SyntheticKernel {
-        ctas: need("ctas", ctas)?,
-        iters: need("iters", iters)?,
-        compute_gap: need("compute_gap", compute_gap)?,
-        seq_reads: need("seq_reads", seq_reads)?,
-        rand_reads: need("rand_reads", rand_reads)?,
-        dep_reads: need("dep_reads", dep_reads)?,
-        writes: need("writes", writes)?,
-        halo_reads: need("halo_reads", halo_reads)?,
-        atomic_every: need("atomic_every", atomic_every)?,
-        reuse: need("reuse", reuse)?,
-        shared_bytes: need("shared_bytes", shared_bytes)?,
-        read_bytes: need("read_bytes", read_bytes)?,
-        write_bytes: need("write_bytes", write_bytes)?,
-        stride: need("stride", stride)?,
-        seed: need("seed", seed)?,
+        ctas: u32_of("ctas")?,
+        iters: u32_of("iters")?,
+        compute_gap: u32_of("compute_gap")?,
+        seq_reads: u32_of("seq_reads")?,
+        rand_reads: u32_of("rand_reads")?,
+        dep_reads: u32_of("dep_reads")?,
+        writes: u32_of("writes")?,
+        halo_reads: u32_of("halo_reads")?,
+        atomic_every: u32_of("atomic_every")?,
+        reuse: u32_of("reuse")?,
+        shared_bytes: f.req("shared_bytes")?.uint(MAX_BYTES)?,
+        read_bytes: f.req("read_bytes")?.uint(MAX_BYTES)?,
+        write_bytes: f.req("write_bytes")?.uint(MAX_BYTES)?,
+        stride: f.req("stride")?.uint(MAX_BYTES)?,
+        seed: f.req("seed")?.uint(MAX_SAFE_INT)?,
     })
 }
 
-/// Builds a spec from an already-parsed model object.
+fn read_spec(f: &Fields) -> Result<WorkloadSpec, String> {
+    let format = f.req("format")?.str()?;
+    if format != FORMAT {
+        return Err(format!(
+            "unsupported format '{format}' (this build reads \"{FORMAT}\")"
+        ));
+    }
+    let abbr = f.req("abbr")?.str()?;
+    if abbr.is_empty() {
+        return Err("'abbr' must not be empty".to_string());
+    }
+    let kernel = f.req("kernel")?.record(read_kernel)?;
+    let bytes = |key| f.opt(key)?.map(|x| x.uint(MAX_BYTES)).transpose();
+    let host = |key| f.opt(key)?.map(|x| x.record(read_host_work)).transpose();
+    Ok(WorkloadSpec {
+        abbr: abbr.to_string(),
+        name: f.req("name")?.str()?.to_string(),
+        h2d_bytes: bytes("h2d_bytes")?.unwrap_or(kernel.shared_bytes + kernel.read_bytes),
+        d2h_bytes: bytes("d2h_bytes")?.unwrap_or(kernel.write_bytes),
+        kernel: Arc::new(kernel),
+        host_pre: host("host_pre")?,
+        host_post: host("host_post")?,
+    })
+}
+
+/// Builds a spec from an already-parsed model object, read through the
+/// workspace's one strict reader ([`Field::record`]).
 ///
-/// This is what `serve` uses for inline `"model"` JobSpec fields; the CLI
-/// path goes through [`spec_from_json`].
+/// This is what `serve` uses for inline `"model"` JobSpec fields (the field
+/// then carries the `params.model` path); the CLI path goes through
+/// [`spec_from_json`].
 ///
 /// # Errors
 ///
-/// Returns an actionable message naming the offending field on unknown
-/// keys, missing required fields, type mismatches, a wrong or missing
-/// `format` tag, and semantically invalid models ([`validate_spec`]).
-pub fn spec_from_value(v: &JsonValue) -> Result<WorkloadSpec, String> {
-    let members = v
-        .as_object()
-        .ok_or_else(|| "workload model must be a JSON object".to_string())?;
-    let mut format = None;
-    let mut abbr = None;
-    let mut name = None;
-    let mut kernel = None;
-    let mut h2d_bytes = None;
-    let mut d2h_bytes = None;
-    let mut host_pre = None;
-    let mut host_post = None;
-    for (k, val) in members {
-        match k.as_str() {
-            "format" => format = Some(want_str("format", val)?.to_string()),
-            "abbr" => abbr = Some(want_str("abbr", val)?.to_string()),
-            "name" => name = Some(want_str("name", val)?.to_string()),
-            "kernel" => kernel = Some(parse_kernel(val)?),
-            "h2d_bytes" => h2d_bytes = Some(want_uint("h2d_bytes", val, MAX_BYTES)?),
-            "d2h_bytes" => d2h_bytes = Some(want_uint("d2h_bytes", val, MAX_BYTES)?),
-            "host_pre" => host_pre = Some(parse_host_work("host_pre", val)?),
-            "host_post" => host_post = Some(parse_host_work("host_post", val)?),
-            other => {
-                return Err(format!(
-                    "workload model: unknown field '{other}' (expected format, abbr, name, \
-                     kernel, h2d_bytes, d2h_bytes, host_pre, host_post)"
-                ));
-            }
-        }
-    }
-    let format = format
-        .ok_or_else(|| format!("workload model: missing 'format' (expected \"{FORMAT}\")"))?;
-    if format != FORMAT {
-        return Err(format!(
-            "workload model: unsupported format '{format}' (this build reads \"{FORMAT}\")"
-        ));
-    }
-    let abbr = abbr.ok_or_else(|| "workload model: missing 'abbr'".to_string())?;
-    if abbr.is_empty() {
-        return Err("workload model: 'abbr' must not be empty".to_string());
-    }
-    let name = name.ok_or_else(|| "workload model: missing 'name'".to_string())?;
-    let kernel = kernel.ok_or_else(|| "workload model: missing 'kernel'".to_string())?;
-    let spec = WorkloadSpec {
-        abbr,
-        name,
-        h2d_bytes: h2d_bytes.unwrap_or(kernel.shared_bytes + kernel.read_bytes),
-        d2h_bytes: d2h_bytes.unwrap_or(kernel.write_bytes),
-        kernel: Arc::new(kernel),
-        host_pre,
-        host_post,
-    };
+/// Returns an actionable message naming the offending field by its full
+/// path on unknown or duplicate keys, missing required fields, type
+/// mismatches, a wrong or missing `format` tag, and semantically invalid
+/// models ([`validate_spec`]).
+pub fn spec_from_field(model: Field) -> Result<WorkloadSpec, String> {
+    let spec = model
+        .record(read_spec)
+        .map_err(|e| format!("workload model: {e}"))?;
     validate_spec(&spec)?;
     Ok(spec)
 }
@@ -317,10 +199,10 @@ pub fn spec_from_value(v: &JsonValue) -> Result<WorkloadSpec, String> {
 /// # Errors
 ///
 /// Returns a human-readable message on malformed JSON or an invalid model
-/// (see [`spec_from_value`]).
+/// (see [`spec_from_field`]).
 pub fn spec_from_json(s: &str) -> Result<WorkloadSpec, String> {
     let v = parse(s).map_err(|e| format!("workload model: {e}"))?;
-    spec_from_value(&v)
+    spec_from_field(Field::root(&v, ""))
 }
 
 /// Semantic validation beyond types: the kernel must be self-consistent

@@ -10,19 +10,16 @@
 //! memnet list
 //! ```
 
-use memnet::common::time::ns_to_fs;
 use memnet::common::FaultPlan;
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
-use memnet::noc::RoutingPolicy;
 use memnet::obs::{MetricSink, MetricsRegistry, TraceEventKind, Tracer};
 use memnet::serve::job::{
-    parse_cta, parse_engine, parse_org, parse_placement, parse_routing, parse_topology,
+    load_model, parse_cta, parse_engine, parse_org, parse_placement, parse_routing, parse_topology,
     parse_workload,
 };
-use memnet::serve::{serve_stdio, ServeConfig, Server, TcpDaemon};
+use memnet::serve::{serve_stdio, JobSpec, ServeConfig, Server, TcpDaemon};
 use memnet::sim::{
-    plan_from_json, CtaPolicy, EngineMode, Organization, PlacementPolicy, ProfileReport,
-    SanitizeMode, SimBuilder, SimReport, SystemSnapshot,
+    plan_from_json, Organization, ProfileReport, SimBuilder, SimReport, SystemSnapshot,
 };
 use memnet::wdl;
 use memnet::workloads::{Workload, WorkloadSpec};
@@ -208,9 +205,26 @@ fn print_json(r: &SimReport) {
     println!("{}", r.to_json_string());
 }
 
+/// A subcommand's outcome. `Err` is an early stop whose message is already
+/// on stderr ([`fail`], or [`walk_flags`] above the usage text), so every
+/// step that can stop a command is a `?`.
+type Cmd = Result<ExitCode, ExitCode>;
+
+/// Prints `msg` and yields the failing exit code, for `.map_err(..)?`.
+fn fail(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::FAILURE
+}
+
+/// [`fail`] for a command line that makes no sense: the usage text follows.
+fn misuse(msg: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{msg}");
+    usage()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("list") => {
             println!("workloads (Table II):");
             for w in Workload::table2() {
@@ -222,7 +236,7 @@ fn main() -> ExitCode {
             for o in Organization::all_extended() {
                 println!("  {}", o.name());
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("run") => run_cmd(&args[1..]),
         Some("lint") => lint_cmd(&args[1..]),
@@ -230,8 +244,62 @@ fn main() -> ExitCode {
         Some("sweep") => sweep_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
         Some("export") => export_cmd(&args[1..]),
-        _ => usage(),
+        _ => Err(usage()),
+    };
+    outcome.unwrap_or_else(|code| code)
+}
+
+/// The one flag cursor. Every subcommand reads its options through
+/// [`walk_flags`], which hands each option name and this cursor to the
+/// subcommand's `match`: a switch is a plain arm, an option with an
+/// argument takes it with [`Flags::value`] or [`Flags::parsed`], and the
+/// fall-through arm is [`unknown`].
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    /// The argument of option `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        let v = self.rest.next().map(String::as_str);
+        v.ok_or_else(|| format!("missing value for {flag}"))
     }
+
+    /// The argument of `flag` as converted by `parse`; `expects` says what
+    /// a valid one looks like.
+    fn parsed<T>(
+        &mut self,
+        flag: &str,
+        expects: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.value(flag)?;
+        parse(v).ok_or_else(|| format!("{flag} expects {expects}, got '{v}'"))
+    }
+}
+
+/// Walks `args` once, calling `each` per option; an error is a [`misuse`].
+fn walk_flags<'a>(
+    args: &'a [String],
+    mut each: impl FnMut(&'a str, &mut Flags<'a>) -> Result<(), String>,
+) -> Result<(), ExitCode> {
+    let mut flags = Flags { rest: args.iter() };
+    while let Some(flag) = flags.rest.next() {
+        each(flag, &mut flags).map_err(misuse)?;
+    }
+    Ok(())
+}
+
+fn unknown(flag: &str) -> Result<(), String> {
+    Err(format!("unknown option {flag}"))
+}
+
+fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
+fn positive<T: std::str::FromStr + PartialOrd + Default>(s: &str) -> Option<T> {
+    num(s).filter(|n| *n > T::default())
 }
 
 /// `memnet lint` options, split from execution for unit testing.
@@ -247,40 +315,26 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
         root: std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")),
         json: false,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    walk_flags(args, |flag, f| {
+        match flag {
             "--json" => opts.json = true,
-            "--root" => match it.next() {
-                Some(p) => opts.root = std::path::PathBuf::from(p),
-                None => {
-                    eprintln!("missing value for --root");
-                    return Err(usage());
-                }
-            },
-            _ => {
-                eprintln!("unknown option {a}");
-                return Err(usage());
-            }
+            "--root" => opts.root = f.value(flag)?.into(),
+            _ => return unknown(flag),
         }
-    }
+        Ok(())
+    })?;
     Ok(opts)
 }
 
 /// `memnet lint [--root PATH] [--json]`: the concurrency-soundness and
 /// determinism lint, in-process.
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let opts = match parse_lint_opts(args) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
+fn lint_cmd(args: &[String]) -> Cmd {
+    let opts = parse_lint_opts(args)?;
     match memnet_lint::scan_workspace(&opts.root) {
         Err(e) => {
-            eprintln!(
-                "memnet lint: i/o error scanning {}: {e}",
-                opts.root.display()
-            );
-            ExitCode::from(2)
+            let root = opts.root.display();
+            eprintln!("memnet lint: i/o error scanning {root}: {e}");
+            Err(ExitCode::from(2))
         }
         Ok(res) => {
             if opts.json {
@@ -301,11 +355,11 @@ fn lint_cmd(args: &[String]) -> ExitCode {
                     res.files
                 );
             }
-            if res.violations.is_empty() {
+            Ok(if res.violations.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::FAILURE
-            }
+            })
         }
     }
 }
@@ -313,41 +367,24 @@ fn lint_cmd(args: &[String]) -> ExitCode {
 /// `memnet export [--dir DIR]`: writes every built-in workload as a
 /// `memnet-wdl-v1` model file. This is also the regeneration path for the
 /// golden files under `tests/data/` (see EXPERIMENTS.md).
-fn export_cmd(args: &[String]) -> ExitCode {
-    let mut dir = String::from(".");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--dir" => match it.next() {
-                Some(d) => dir = d.clone(),
-                None => {
-                    eprintln!("missing value for --dir");
-                    return usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown option {a}");
-                return usage();
-            }
-        }
-    }
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {dir}: {e}");
-        return ExitCode::FAILURE;
-    }
+fn export_cmd(args: &[String]) -> Cmd {
+    let mut dir = ".";
+    walk_flags(args, |flag, f| match flag {
+        "--dir" => f.value(flag).map(|d| dir = d),
+        _ => unknown(flag),
+    })?;
+    std::fs::create_dir_all(dir).map_err(|e| fail(format_args!("cannot create {dir}: {e}")))?;
     let builtins = wdl::all_builtins();
     for w in &builtins {
         let spec = w.spec();
         let mut text = wdl::spec_to_json(&spec);
         text.push('\n');
         let path = format!("{dir}/{}", wdl::model_file_name(&spec.abbr));
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, text)
+            .map_err(|e| fail(format_args!("failed to write {path}: {e}")))?;
     }
     eprintln!("[wrote {} models to {dir}]", builtins.len());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `memnet sweep` options, split from execution so flag handling (in
@@ -367,37 +404,16 @@ fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, ExitCode> {
         trace_file: None,
         workload_files: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    walk_flags(args, |flag, f| {
+        match flag {
             "--small" => opts.small = true,
-            "--workload-file" => match it.next() {
-                Some(f) => opts.workload_files.push(f.clone()),
-                None => {
-                    eprintln!("missing value for --workload-file");
-                    return Err(usage());
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.jobs = n,
-                _ => {
-                    eprintln!("--jobs expects a positive integer");
-                    return Err(usage());
-                }
-            },
-            "--trace" => match it.next() {
-                Some(f) => opts.trace_file = Some(f.clone()),
-                None => {
-                    eprintln!("missing value for --trace");
-                    return Err(usage());
-                }
-            },
-            _ => {
-                eprintln!("unknown option {a}");
-                return Err(usage());
-            }
+            "--workload-file" => opts.workload_files.push(f.value(flag)?.to_string()),
+            "--jobs" => opts.jobs = f.parsed(flag, "a positive integer", positive)?,
+            "--trace" => opts.trace_file = Some(f.value(flag)?.to_string()),
+            _ => return unknown(flag),
         }
-    }
+        Ok(())
+    })?;
     Ok(opts)
 }
 
@@ -425,38 +441,16 @@ fn sweep_builder(spec: WorkloadSpec, org: Organization) -> SimBuilder {
     SimBuilder::new(org).workload(spec).phase_budget_ns(30e6)
 }
 
-fn sweep_cmd(args: &[String]) -> ExitCode {
-    let opts = match parse_sweep_opts(args) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
-    let SweepOpts {
-        small,
-        jobs,
-        trace_file,
-        workload_files,
-    } = opts;
+fn sweep_cmd(args: &[String]) -> Cmd {
+    let opts = parse_sweep_opts(args)?;
 
     // Table II rows first, then any runtime-loaded model rows.
     let mut rows: Vec<WorkloadSpec> = Workload::table2()
         .into_iter()
-        .map(|w| if small { w.spec_small() } else { w.spec() })
+        .map(|w| if opts.small { w.spec_small() } else { w.spec() })
         .collect();
-    for path in &workload_files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read workload model {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match wdl::spec_from_json(&text) {
-            Ok(spec) => rows.push(spec),
-            Err(e) => {
-                eprintln!("bad workload model {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    for path in &opts.workload_files {
+        rows.push(load_model(path).map_err(fail)?);
     }
 
     // Simulations run on the pool; the table prints afterwards in the
@@ -486,15 +480,13 @@ fn sweep_cmd(args: &[String]) -> ExitCode {
         })
         .collect();
     let cfg = PoolConfig {
-        workers: jobs,
+        workers: opts.jobs,
         ..PoolConfig::default()
     };
     let (outcomes, obs) = run_jobs_observed(&cfg, sims);
-    if let Some(path) = &trace_file {
-        if let Err(e) = std::fs::write(path, pool_trace_json(&obs)) {
-            eprintln!("failed to write pool trace {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &opts.trace_file {
+        std::fs::write(path, pool_trace_json(&obs))
+            .map_err(|e| fail(format_args!("failed to write pool trace {path}: {e}")))?;
         eprintln!(
             "[wrote pool trace: {path} ({} jobs, {} retries, {} timeouts, {} panics)]",
             obs.stats.jobs, obs.stats.retries, obs.stats.timeouts, obs.stats.panics
@@ -503,17 +495,12 @@ fn sweep_cmd(args: &[String]) -> ExitCode {
     let mut unique_results = Vec::with_capacity(unique.len());
     for (outcome, &i) in outcomes.into_iter().zip(&unique) {
         let (s, org) = cells[i];
-        match outcome {
-            Ok(Ok(r)) => unique_results.push(r),
-            Ok(Err(e)) => {
-                eprintln!("sweep {}/{} failed: {e}", s.abbr, org.name());
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("sweep {}/{} worker failed: {e}", s.abbr, org.name());
-                return ExitCode::FAILURE;
-            }
-        }
+        let cell = format_args!("sweep {}/{}", s.abbr, org.name());
+        unique_results.push(match outcome {
+            Ok(Ok(r)) => r,
+            Ok(Err(e)) => return Err(fail(format_args!("{cell} failed: {e}"))),
+            Err(e) => return Err(fail(format_args!("{cell} worker failed: {e}"))),
+        });
     }
     // Fan the distinct results back out to the full cell grid.
     let results: Vec<&SimReport> = slot_of.iter().map(|&s| &unique_results[s]).collect();
@@ -539,77 +526,42 @@ fn sweep_cmd(args: &[String]) -> ExitCode {
          job(s) deduplicated by configuration fingerprint)",
         cells.len()
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn serve_cmd(args: &[String]) -> ExitCode {
+fn serve_cmd(args: &[String]) -> Cmd {
     let mut cfg = ServeConfig::default();
     let mut port: Option<u16> = None;
     let mut stdio = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    walk_flags(args, |flag, f| {
+        match flag {
             "--stdio" => stdio = true,
-            "--port" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(p) => port = Some(p),
-                None => {
-                    eprintln!("--port expects a port number (0 picks a free port)");
-                    return usage();
-                }
-            },
-            "--cache" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => cfg.cache_capacity = n,
-                _ => {
-                    eprintln!("--cache expects a positive entry count");
-                    return usage();
-                }
-            },
-            "--workers" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.workers = n,
-                None => {
-                    eprintln!("--workers expects a thread count (0 = all cores)");
-                    return usage();
-                }
-            },
-            "--retries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => cfg.retries = n,
-                None => {
-                    eprintln!("--retries expects a count");
-                    return usage();
-                }
-            },
-            _ => {
-                eprintln!("unknown option {a}");
-                return usage();
-            }
+            "--port" => port = Some(f.parsed(flag, "a port number (0 picks a free port)", num)?),
+            "--cache" => cfg.cache_capacity = f.parsed(flag, "a positive entry count", positive)?,
+            "--workers" => cfg.workers = f.parsed(flag, "a thread count (0 = all cores)", num)?,
+            "--retries" => cfg.retries = f.parsed(flag, "a count", num)?,
+            _ => return unknown(flag),
         }
-    }
+        Ok(())
+    })?;
     if stdio && port.is_some() {
-        eprintln!("--stdio and --port are mutually exclusive");
-        return usage();
+        return Err(misuse("--stdio and --port are mutually exclusive"));
     }
     let mut server = Server::new(&cfg);
     let outcome = match port {
         None => serve_stdio(&mut server),
-        Some(p) => match TcpDaemon::bind(p) {
-            Ok(daemon) => {
-                match daemon.local_addr() {
-                    Ok(addr) => eprintln!("[memnet serve: listening on {addr}]"),
-                    Err(e) => eprintln!("[memnet serve: listening (addr unavailable: {e})]"),
-                }
-                daemon.run(&mut server)
+        Some(p) => {
+            let daemon = TcpDaemon::bind(p)
+                .map_err(|e| fail(format_args!("memnet serve: cannot bind 127.0.0.1:{p}: {e}")))?;
+            match daemon.local_addr() {
+                Ok(addr) => eprintln!("[memnet serve: listening on {addr}]"),
+                Err(e) => eprintln!("[memnet serve: listening (addr unavailable: {e})]"),
             }
-            Err(e) => {
-                eprintln!("memnet serve: cannot bind 127.0.0.1:{p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+            daemon.run(&mut server)
+        }
     };
-    if let Err(e) = outcome {
-        eprintln!("memnet serve: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    outcome.map_err(|e| fail(format_args!("memnet serve: {e}")))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Renders one pool run's schedule (retries, timeouts, panic isolations)
@@ -644,12 +596,17 @@ fn pool_trace_json(obs: &PoolObs) -> String {
     tracer.to_chrome_json(Some(&m))
 }
 
-/// Everything `memnet run` and `memnet profile` share: the fully
-/// configured builder plus the presentation flags.
+/// Everything `memnet run` and `memnet profile` share: the job — the same
+/// [`JobSpec`] a serve request parses into, so defaults, range checks and
+/// the chaos plan exist once — plus what only the command line has.
 struct RunOpts {
-    builder: SimBuilder,
+    spec: JobSpec,
+    /// Events of the `--faults` files.
+    faults: FaultPlan,
     json: bool,
     trace_file: Option<String>,
+    trace_events: usize,
+    metrics_every: Option<u64>,
     /// Write a warmup-boundary snapshot here (`--checkpoint`).
     checkpoint: Option<String>,
     /// Resume from a snapshot here instead of simulating the warmup
@@ -657,265 +614,128 @@ struct RunOpts {
     restore: Option<String>,
 }
 
-fn parse_run_opts(args: &[String]) -> Result<RunOpts, ExitCode> {
-    let mut org = Organization::Umn;
-    let mut workload = Workload::Kmn;
-    let mut gpus = 4u32;
-    let mut sms = 16u32;
-    let mut topology = None;
-    let mut routing = RoutingPolicy::Minimal;
-    let mut cta = CtaPolicy::StaticChunk;
-    let mut placement = PlacementPolicy::Random;
-    let mut overlay = false;
-    let mut small = false;
-    let mut json = false;
-    let mut budget_ms = 20.0f64;
-    let mut trace_file: Option<String> = None;
-    let mut trace_events = 1_000_000usize;
-    let mut metrics_every: Option<u64> = None;
-    let mut faults = FaultPlan::new();
-    let mut chaos_seed: Option<u64> = None;
-    let mut engine: Option<EngineMode> = None;
-    let mut sanitize = false;
-    let mut checkpoint: Option<String> = None;
-    let mut restore: Option<String> = None;
-    let mut workload_set = false;
-    let mut model: Option<WorkloadSpec> = None;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Option<String> {
-            let v = it.next();
-            if v.is_none() {
-                eprintln!("missing value for {name}");
+impl RunOpts {
+    /// The job's builder with the command-line extras applied.
+    fn builder(&self) -> SimBuilder {
+        let mut b = self.spec.builder();
+        if !self.faults.is_empty() {
+            // File events first, then the chaos plan the spec installed.
+            let mut plan = self.faults.clone();
+            for ev in b.fault_plan().events() {
+                plan.push(ev.at_fs, ev.kind.clone());
             }
-            v.cloned()
-        };
-        match a.as_str() {
-            "--org" => match value("--org").and_then(|v| parse_org(&v)) {
-                Some(o) => org = o,
-                None => return Err(usage()),
-            },
-            "--workload" => match value("--workload").and_then(|v| parse_workload(&v)) {
-                Some(w) => {
-                    workload = w;
-                    workload_set = true;
-                }
-                None => return Err(usage()),
-            },
-            "--workload-file" => match value("--workload-file") {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(&path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("cannot read workload model {path}: {e}");
-                            return Err(ExitCode::FAILURE);
-                        }
-                    };
-                    match wdl::spec_from_json(&text) {
-                        Ok(spec) => model = Some(spec),
-                        Err(e) => {
-                            eprintln!("bad workload model {path}: {e}");
-                            return Err(ExitCode::FAILURE);
-                        }
-                    }
-                }
-                None => return Err(usage()),
-            },
-            "--gpus" => match value("--gpus").and_then(|v| v.parse().ok()) {
-                Some(n) => gpus = n,
-                None => return Err(usage()),
-            },
-            "--sms" => match value("--sms").and_then(|v| v.parse().ok()) {
-                Some(n) => sms = n,
-                None => return Err(usage()),
-            },
-            "--topology" => match value("--topology").and_then(|v| parse_topology(&v)) {
-                Some(t) => topology = Some(t),
-                None => return Err(usage()),
-            },
-            "--routing" => match value("--routing").and_then(|v| parse_routing(&v)) {
-                Some(r) => routing = r,
-                None => return Err(usage()),
-            },
-            "--cta" => match value("--cta").and_then(|v| parse_cta(&v)) {
-                Some(p) => cta = p,
-                None => return Err(usage()),
-            },
-            "--placement" => match value("--placement").and_then(|v| parse_placement(&v)) {
-                Some(p) => placement = p,
-                None => return Err(usage()),
-            },
-            "--overlay" => overlay = true,
-            "--small" => small = true,
-            "--json" => json = true,
-            "--sanitize" => sanitize = true,
-            "--seconds-budget" => match value("--seconds-budget").and_then(|v| v.parse().ok()) {
-                Some(ms) => budget_ms = ms,
-                None => return Err(usage()),
-            },
-            "--trace" => match value("--trace") {
-                Some(f) => trace_file = Some(f),
-                None => return Err(usage()),
-            },
-            "--trace-events" => match value("--trace-events").and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => trace_events = n,
-                _ => return Err(usage()),
-            },
-            "--metrics-every" => match value("--metrics-every").and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => metrics_every = Some(n),
-                _ => return Err(usage()),
-            },
-            "--faults" => match value("--faults") {
-                Some(path) => {
-                    let text = match std::fs::read_to_string(&path) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            eprintln!("cannot read fault plan {path}: {e}");
-                            return Err(ExitCode::FAILURE);
-                        }
-                    };
-                    match plan_from_json(&text) {
-                        Ok(plan) => {
-                            for ev in plan.events() {
-                                faults.push(ev.at_fs, ev.kind.clone());
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("bad fault plan {path}: {e}");
-                            return Err(ExitCode::FAILURE);
-                        }
-                    }
-                }
-                None => return Err(usage()),
-            },
-            "--chaos-seed" => match value("--chaos-seed").and_then(|v| v.parse().ok()) {
-                Some(n) => chaos_seed = Some(n),
-                None => return Err(usage()),
-            },
-            "--engine" => match value("--engine").and_then(|v| parse_engine(&v)) {
-                Some(mode) => engine = Some(mode),
-                None => return Err(usage()),
-            },
-            "--checkpoint" => match value("--checkpoint") {
-                Some(f) => checkpoint = Some(f),
-                None => return Err(usage()),
-            },
-            "--restore" => match value("--restore") {
-                Some(f) => restore = Some(f),
-                None => return Err(usage()),
-            },
-            _ => {
-                eprintln!("unknown option {a}");
-                return Err(usage());
-            }
+            b = b.faults(plan);
         }
-    }
-
-    let spec = if let Some(spec) = model {
-        if workload_set || small {
-            eprintln!("--workload-file replaces the built-in suite; it cannot be combined with --workload or --small");
-            return Err(usage());
+        if self.trace_file.is_some() {
+            b = b.trace(self.trace_events);
         }
-        spec
-    } else if small {
-        workload.spec_small()
-    } else {
-        workload.spec()
-    };
-    let mut b = SimBuilder::new(org)
-        .gpus(gpus)
-        .sms_per_gpu(sms)
-        .workload(spec)
-        .cta_policy(cta)
-        .placement(placement)
-        .overlay(overlay)
-        .routing(routing)
-        .phase_budget_ns(budget_ms * 1e6);
-    if let Some(t) = topology {
-        b = b.topology(t);
-    }
-    if trace_file.is_some() {
-        b = b.trace(trace_events);
-    }
-    if let Some(n) = metrics_every {
-        b = b.metrics_every(n);
-    }
-    if let Some(seed) = chaos_seed {
-        // Seeded chaos: a dozen failures spread over the first couple of
-        // simulated microseconds, early enough to land while even the
-        // --small workloads are still in flight.
-        let plan = FaultPlan::random(seed, 12, gpus as usize, ns_to_fs(2_000.0));
-        for ev in plan.events() {
-            faults.push(ev.at_fs, ev.kind.clone());
+        if let Some(n) = self.metrics_every {
+            b = b.metrics_every(n);
         }
+        b
     }
-    if !faults.is_empty() {
-        b = b.faults(faults);
-    }
-    if let Some(mode) = engine {
-        b = b.engine(mode);
-    }
-    if sanitize {
-        b = b.sanitize(SanitizeMode::Record);
-    }
-    if checkpoint.is_some() && restore.is_some() {
-        eprintln!("--checkpoint and --restore are mutually exclusive");
-        return Err(usage());
-    }
-    Ok(RunOpts {
-        builder: b,
-        json,
-        trace_file,
-        checkpoint,
-        restore,
-    })
 }
 
-fn run_cmd(args: &[String]) -> ExitCode {
-    let opts = match parse_run_opts(args) {
-        Ok(o) => o,
-        Err(code) => return code,
+/// Parses the run options; `extra` sees every option first and returns
+/// whether it took it (`memnet profile` adds its output files this way).
+fn parse_run_opts<'a>(
+    args: &'a [String],
+    mut extra: impl FnMut(&'a str, &mut Flags<'a>) -> Result<bool, String>,
+) -> Result<RunOpts, ExitCode> {
+    let mut o = RunOpts {
+        spec: JobSpec::default(),
+        faults: FaultPlan::new(),
+        json: false,
+        trace_file: None,
+        trace_events: 1_000_000,
+        metrics_every: None,
+        checkpoint: None,
+        restore: None,
     };
-    let r = if let Some(path) = &opts.restore {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read snapshot {path}: {e}");
-                return ExitCode::FAILURE;
+    let mut workload_set = false;
+    let mut model_file = None;
+    let mut fault_files = Vec::new();
+    walk_flags(args, |flag, f| {
+        let spec = &mut o.spec;
+        match flag {
+            _ if extra(flag, f)? => {}
+            "--org" => spec.org = f.parsed(flag, "an organization", parse_org)?,
+            "--workload" => {
+                spec.workload = f.parsed(flag, "a workload abbreviation", parse_workload)?;
+                workload_set = true;
             }
-        };
-        let snap = match SystemSnapshot::from_json(&text) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("bad snapshot {path}: {e}");
-                return ExitCode::FAILURE;
+            "--workload-file" => model_file = Some(f.value(flag)?),
+            "--gpus" => spec.gpus = f.parsed(flag, "a count", num)?,
+            "--sms" => spec.sms = f.parsed(flag, "a count", num)?,
+            "--topology" => spec.topology = Some(f.parsed(flag, "a topology", parse_topology)?),
+            "--routing" => spec.routing = f.parsed(flag, "minimal or ugal", parse_routing)?,
+            "--cta" => spec.cta = f.parsed(flag, "static, rr or stealing", parse_cta)?,
+            "--placement" => {
+                spec.placement = f.parsed(flag, "a placement policy", parse_placement)?
             }
-        };
-        match opts.builder.try_run_restored(&snap) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("memnet: {e}");
-                return ExitCode::FAILURE;
+            "--overlay" => spec.overlay = true,
+            "--small" => spec.small = true,
+            "--json" => o.json = true,
+            "--sanitize" => spec.sanitize = true,
+            "--seconds-budget" => spec.budget_ms = f.parsed(flag, "milliseconds", num)?,
+            "--trace" => o.trace_file = Some(f.value(flag)?.to_string()),
+            "--trace-events" => o.trace_events = f.parsed(flag, "a positive count", positive)?,
+            "--metrics-every" => {
+                o.metrics_every = Some(f.parsed(flag, "a positive cycle count", positive)?)
             }
+            "--faults" => fault_files.push(f.value(flag)?),
+            "--chaos-seed" => spec.chaos_seed = Some(f.parsed(flag, "a seed", num)?),
+            "--engine" => spec.engine = Some(f.parsed(flag, "cycle or event", parse_engine)?),
+            "--checkpoint" => o.checkpoint = Some(f.value(flag)?.to_string()),
+            "--restore" => o.restore = Some(f.value(flag)?.to_string()),
+            _ => return unknown(flag),
         }
+        Ok(())
+    })?;
+
+    if model_file.is_some() && (workload_set || o.spec.small) {
+        return Err(misuse(
+            "--workload-file replaces the built-in suite; it cannot be combined with \
+             --workload or --small",
+        ));
+    }
+    if o.checkpoint.is_some() && o.restore.is_some() {
+        return Err(misuse("--checkpoint and --restore are mutually exclusive"));
+    }
+    o.spec.validate().map_err(misuse)?;
+    // Files are read last, so a bad one is reported without the usage text.
+    for path in fault_files {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| fail(format_args!("cannot read fault plan {path}: {e}")))?;
+        let plan =
+            plan_from_json(&text).map_err(|e| fail(format_args!("bad fault plan {path}: {e}")))?;
+        for ev in plan.events() {
+            o.faults.push(ev.at_fs, ev.kind.clone());
+        }
+    }
+    o.spec.model = model_file.map(load_model).transpose().map_err(fail)?;
+    Ok(o)
+}
+
+fn run_cmd(args: &[String]) -> Cmd {
+    let opts = parse_run_opts(args, |_, _| Ok(false))?;
+    let builder = opts.builder();
+    let sim_failed = |e| fail(format_args!("memnet: {e}"));
+    let r = if let Some(path) = &opts.restore {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| fail(format_args!("cannot read snapshot {path}: {e}")))?;
+        let snap = SystemSnapshot::from_json(&text)
+            .map_err(|e| fail(format_args!("bad snapshot {path}: {e}")))?;
+        builder.try_run_restored(&snap).map_err(sim_failed)?
     } else if let Some(path) = &opts.checkpoint {
         // The snapshot remembers the flags that produced it, so a later
         // `--restore` failure can say what configuration to re-create.
         let meta = args.join(" ");
-        let (r, snap) = match opts.builder.try_run_checkpointed(&meta) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("memnet: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let (r, snap) = builder.try_run_checkpointed(&meta).map_err(sim_failed)?;
         let mut text = snap.to_json_string();
         text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write snapshot {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(path, text)
+            .map_err(|e| fail(format_args!("failed to write snapshot {path}: {e}")))?;
         eprintln!(
             "[wrote snapshot: {path} (taken at {} fs, fingerprint {:016x})]",
             snap.now_fs(),
@@ -923,39 +743,29 @@ fn run_cmd(args: &[String]) -> ExitCode {
         );
         r
     } else {
-        match opts.builder.try_run() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("memnet: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        builder.try_run().map_err(sim_failed)?
     };
     if opts.json {
         print_json(&r);
     } else {
         print_table(&r);
     }
-    if write_trace(&r, opts.trace_file.as_deref()).is_err() {
-        return ExitCode::FAILURE;
-    }
+    write_trace(&r, opts.trace_file.as_deref())?;
     if !opts.json && opts.trace_file.is_none() {
         if let Some(m) = &r.metrics_json {
             println!("{m}");
         }
     }
-    exit_code(&r)
+    Ok(exit_code(&r))
 }
 
 /// Writes the Chrome trace when `--trace` was given. If the tracer ring
 /// overflowed, says so once — silent event loss makes a trace lie.
-fn write_trace(r: &SimReport, path: Option<&str>) -> Result<(), ()> {
+fn write_trace(r: &SimReport, path: Option<&str>) -> Result<(), ExitCode> {
     let Some(path) = path else { return Ok(()) };
     let trace = r.trace_json.as_deref().expect("tracing was enabled");
-    if let Err(e) = std::fs::write(path, trace) {
-        eprintln!("failed to write trace {path}: {e}");
-        return Err(());
-    }
+    std::fs::write(path, trace)
+        .map_err(|e| fail(format_args!("failed to write trace {path}: {e}")))?;
     if r.trace_dropped > 0 {
         eprintln!(
             "[trace: dropped {} oldest event(s) — ring full; raise --trace-events]",
@@ -975,86 +785,48 @@ fn exit_code(r: &SimReport) -> ExitCode {
     }
 }
 
-fn profile_cmd(args: &[String]) -> ExitCode {
-    let mut out: Option<String> = None;
-    let mut heatmap: Option<String> = None;
-    let mut report: Option<String> = None;
-    let mut rest: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Option<String> {
-            let v = it.next();
-            if v.is_none() {
-                eprintln!("missing value for {name}");
-            }
-            v.cloned()
+fn profile_cmd(args: &[String]) -> Cmd {
+    let (mut out, mut heatmap, mut report) = (None, None, None);
+    let opts = parse_run_opts(args, |flag, f| {
+        let slot = match flag {
+            "--out" => &mut out,
+            "--heatmap" => &mut heatmap,
+            "--report" => &mut report,
+            _ => return Ok(false),
         };
-        match a.as_str() {
-            "--out" => match value("--out") {
-                Some(f) => out = Some(f),
-                None => return usage(),
-            },
-            "--heatmap" => match value("--heatmap") {
-                Some(f) => heatmap = Some(f),
-                None => return usage(),
-            },
-            "--report" => match value("--report") {
-                Some(f) => report = Some(f),
-                None => return usage(),
-            },
-            _ => rest.push(a.clone()),
-        }
-    }
-    let opts = match parse_run_opts(&rest) {
-        Ok(o) => o,
-        Err(code) => return code,
-    };
+        *slot = Some(f.value(flag)?.to_string());
+        Ok(true)
+    })?;
     if opts.checkpoint.is_some() || opts.restore.is_some() {
-        eprintln!("memnet profile does not support --checkpoint/--restore");
-        return usage();
+        return Err(misuse(
+            "memnet profile does not support --checkpoint/--restore",
+        ));
     }
-    let json = opts.json;
-    let (r, prof) = match opts.builder.profile(true).try_run_profiled() {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("memnet: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (r, prof) = opts
+        .builder()
+        .profile(true)
+        .try_run_profiled()
+        .map_err(|e| fail(format_args!("memnet: {e}")))?;
     let prof = prof.expect("profiling was enabled");
-    if json {
+    if opts.json {
         print!("{}", prof.to_json_string());
     } else {
         print_table(&r);
         println!();
         print_profile(&prof);
     }
-    if let Some(path) = &report {
-        // Exactly the bytes `memnet run --json` prints (to_json_string
-        // plus println!'s newline), so CI can `cmp` the two documents.
-        let mut text = r.to_json_string();
-        text.push('\n');
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("failed to write report {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, prof.to_json_string()) {
-            eprintln!("failed to write profile {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &heatmap {
-        if let Err(e) = std::fs::write(path, prof.heatmap.to_json_string()) {
-            eprintln!("failed to write heatmap {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if write_trace(&r, opts.trace_file.as_deref()).is_err() {
-        return ExitCode::FAILURE;
-    }
-    exit_code(&r)
+    // The report is exactly the bytes `memnet run --json` prints
+    // (to_json_string plus println!'s newline), so CI can `cmp` the two.
+    let write = |what: &str, path: &Option<String>, text: &dyn Fn() -> String| {
+        let Some(path) = path else { return Ok(()) };
+        std::fs::write(path, text())
+            .map_err(|e| fail(format_args!("failed to write {what} {path}: {e}")))
+    };
+    write("report", &report, &|| r.to_json_string() + "\n")?;
+    write("profile", &out, &|| prof.to_json_string())?;
+    write("heatmap", &heatmap, &|| prof.heatmap.to_json_string())?;
+    write_trace(&r, opts.trace_file.as_deref())?;
+    Ok(exit_code(&r))
 }
 
 fn print_profile(p: &ProfileReport) {
@@ -1140,47 +912,84 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    #[test]
-    fn org_parsing_covers_all_names() {
-        // The parsers are shared with memnet-serve (`serve::job`); this
-        // pins the CLI-visible vocabulary from the binary's side too.
-        for o in Organization::all_extended() {
-            let parsed = parse_org(&o.name().to_ascii_lowercase());
-            assert_eq!(parsed, Some(o), "{}", o.name());
-        }
-        assert_eq!(parse_org("nvlink"), None);
-    }
-
-    #[test]
-    fn workload_parsing_accepts_table2_abbreviations() {
-        for w in Workload::table2() {
-            assert_eq!(parse_workload(w.abbr()), Some(w));
-            assert_eq!(parse_workload(&w.abbr().to_ascii_lowercase()), Some(w));
-        }
-        assert_eq!(parse_workload("VECADD"), Some(Workload::VecAdd));
-        assert_eq!(parse_workload("nope"), None);
-    }
-
-    #[test]
-    fn topology_parsing() {
-        assert!(parse_topology("sfbfly").is_some());
-        assert!(parse_topology("smesh2x").is_some());
-        assert!(parse_topology("ddfly").is_some());
-        assert!(parse_topology("hypercube").is_none());
+    fn run_opts(args: &[&str]) -> Result<RunOpts, ExitCode> {
+        parse_run_opts(&argv(args), |_, _| Ok(false))
     }
 
     #[test]
     fn run_rejects_unknown_flags_and_bad_values() {
-        assert!(parse_run_opts(&argv(&["--warp", "9"])).is_err());
-        assert!(parse_run_opts(&argv(&["--gpus"])).is_err(), "missing value");
-        assert!(parse_run_opts(&argv(&["--gpus", "many"])).is_err());
-        assert!(parse_run_opts(&argv(&["--org", "nvlink"])).is_err());
-        assert!(parse_run_opts(&argv(&["--engine", "quantum"])).is_err());
-        assert!(parse_run_opts(&argv(&["--engine", "parallel"])).is_err());
-        assert!(parse_run_opts(&argv(&["--sim-threads", "4"])).is_err());
-        assert!(parse_run_opts(&argv(&["--checkpoint", "a.json", "--restore", "b.json"])).is_err());
-        assert!(parse_run_opts(&argv(&["--gpus", "2", "--small"])).is_ok());
-        assert!(parse_run_opts(&argv(&["--checkpoint", "a.json"])).is_ok());
+        assert!(run_opts(&["--warp", "9"]).is_err());
+        assert!(run_opts(&["--gpus"]).is_err(), "missing value");
+        assert!(run_opts(&["--gpus", "many"]).is_err());
+        assert!(run_opts(&["--org", "nvlink"]).is_err());
+        assert!(run_opts(&["--engine", "quantum"]).is_err());
+        assert!(run_opts(&["--engine", "parallel"]).is_err());
+        assert!(run_opts(&["--sim-threads", "4"]).is_err());
+        assert!(run_opts(&["--checkpoint", "a.json", "--restore", "b.json"]).is_err());
+        assert!(run_opts(&["--gpus", "2", "--small"]).is_ok());
+        assert!(run_opts(&["--checkpoint", "a.json"]).is_ok());
+    }
+
+    #[test]
+    fn cli_flags_and_serve_params_lower_onto_the_same_job() {
+        let plan = std::env::temp_dir().join("memnet-cli-test-faults.json");
+        let event = r#"{"events":[{"at_fs":5,"kind":"gpu-loss","gpu":1}]}"#;
+        std::fs::write(&plan, event).expect("tmp write");
+        let line = |flags: &str| run_opts(&flags.split(' ').collect::<Vec<_>>());
+        let job = |params: &str| {
+            JobSpec::from_json(&memnet::obs::parse(params).expect("test params parse"))
+        };
+        let chaos = "--chaos-seed 7 --gpus 2";
+        let both = format!("{chaos} --faults {}", plan.display());
+        for (flags, params) in [
+            ("--json", "{}"),
+            (
+                "--workload vecadd --small --gpus 2 --sms 2",
+                r#"{"workload":"vecadd","small":true,"gpus":2,"sms":2}"#,
+            ),
+            (
+                "--org GMN-ZC --topology dfbfly --routing UGAL",
+                r#"{"org":"gmn-zc","topology":"dfbfly","routing":"ugal"}"#,
+            ),
+            (
+                "--cta stealing --placement round-robin --overlay",
+                r#"{"cta":"stealing","placement":"round-robin","overlay":true}"#,
+            ),
+            (
+                "--seconds-budget 5.5 --engine cycle --sanitize",
+                r#"{"budget_ms":5.5,"engine":"cycle","sanitize":true}"#,
+            ),
+            (chaos, r#"{"chaos_seed":7,"gpus":2}"#),
+            // A fault file rides on top of the job; the job is the same.
+            (both.as_str(), r#"{"chaos_seed":7,"gpus":2}"#),
+        ] {
+            let cli = line(flags).unwrap_or_else(|_| panic!("{flags} must parse"));
+            let served = job(params).expect("valid params").fingerprint();
+            assert_eq!(cli.spec.fingerprint(), served, "{flags}");
+            let same_run = cli.builder().fingerprint() == served;
+            assert_eq!(same_run, !flags.contains("--faults"), "{flags}");
+        }
+        // --faults with --chaos-seed: the file's events first, then the
+        // very plan the job alone installs.
+        let both = line(&both).expect("parsed above").builder();
+        let chaos = line(chaos).expect("parsed above").builder();
+        let (both, chaos) = (both.fault_plan().events(), chaos.fault_plan().events());
+        assert_eq!(both[0].at_fs, 5);
+        assert_eq!(&both[1..], chaos);
+        let _ = std::fs::remove_file(plan);
+
+        // Values no run can use are errors on both sides, not a 20 ms
+        // timeout (`--sms 0`) or a 0.7 ns one (`--seconds-budget -1`).
+        for (flags, params) in [
+            ("--sms 0", r#"{"sms":0}"#),
+            ("--gpus 0", r#"{"gpus":0}"#),
+            ("--seconds-budget -1", r#"{"budget_ms":-1}"#),
+            ("--seconds-budget nan", r#"{"budget_ms":null}"#),
+            ("--seconds-budget inf", r#"{"budget_ms":1e999}"#),
+        ] {
+            assert!(line(flags).is_err(), "{flags}");
+            assert!(job(params).is_err(), "{params}");
+        }
     }
 
     #[test]
@@ -1253,20 +1062,17 @@ mod tests {
         let path = dir.join("memnet-cli-test-model.json");
         let path = path.to_str().expect("utf-8 temp path");
         std::fs::write(path, wdl::spec_to_json(&Workload::Bp.spec_small())).expect("tmp write");
-        assert!(parse_run_opts(&argv(&["--workload-file", path])).is_ok());
-        assert!(parse_run_opts(&argv(&["--workload-file", path, "--workload", "kmn"])).is_err());
-        assert!(parse_run_opts(&argv(&["--workload-file", path, "--small"])).is_err());
+        assert!(run_opts(&["--workload-file", path]).is_ok());
+        assert!(run_opts(&["--workload-file", path, "--workload", "kmn"]).is_err());
+        assert!(run_opts(&["--workload-file", path, "--small"]).is_err());
+        assert!(run_opts(&["--workload-file"]).is_err(), "missing value");
         assert!(
-            parse_run_opts(&argv(&["--workload-file"])).is_err(),
-            "missing value"
-        );
-        assert!(
-            parse_run_opts(&argv(&["--workload-file", "/nonexistent/model.json"])).is_err(),
+            run_opts(&["--workload-file", "/nonexistent/model.json"]).is_err(),
             "unreadable file"
         );
         std::fs::write(path, "{}").expect("tmp write");
         assert!(
-            parse_run_opts(&argv(&["--workload-file", path])).is_err(),
+            run_opts(&["--workload-file", path]).is_err(),
             "invalid model"
         );
         let _ = std::fs::remove_file(path);

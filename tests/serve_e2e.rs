@@ -38,6 +38,24 @@ fn in_process_server_cold_then_cached_byte_identical() {
 }
 
 #[test]
+fn a_typo_in_the_envelope_is_an_error_not_the_default_job() {
+    // `"parms"` used to be ignored: the daemon ran and cached the default
+    // full-size KMN/UMN/4-GPU job, fingerprint 20c543c2b9ce3c61.
+    let mut server = Server::new(&ServeConfig::default());
+    let typo = run_request(7).replace("\"params\"", "\"parms\"");
+    let reply = server.handle_line(&typo).text;
+    assert!(
+        reply.starts_with(r#"{"id":7,"error":"#) && reply.contains("unknown field 'parms'"),
+        "{reply}"
+    );
+    let stats = server.handle_line(r#"{"id":8,"method":"stats"}"#).text;
+    assert!(
+        stats.contains("\"entries\":0") && stats.contains("\"misses\":0"),
+        "nothing ran, nothing was cached: {stats}"
+    );
+}
+
+#[test]
 fn inline_models_share_the_cache_with_their_builtin_twin() {
     // A runtime-loaded model is content-addressed by the physics it
     // encodes: the same model hits, an edited model misses, and a model
