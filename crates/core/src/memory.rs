@@ -152,6 +152,11 @@ impl MemoryLayout {
         self.page_table.len()
     }
 
+    /// Number of allocation clusters ([`MemoryState::next_seq`]'s length).
+    pub(crate) fn clusters(&self) -> usize {
+        self.next_seq.len()
+    }
+
     /// Captures the mutable placement state for checkpointing. Regions and
     /// policy are configuration (re-derived on rebuild); what must carry
     /// over is the first-touch outcome: the page table, per-cluster

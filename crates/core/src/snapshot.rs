@@ -311,23 +311,13 @@ fn write_net(w: &mut JsonWriter, n: &NetworkState) {
     wu(w, "rng_state", n.rng_state);
     wu(w, "packet_slots", n.packet_slots);
     wu_arr(w, "free_pids", n.free_pids.iter().map(|&p| u64::from(p)));
-    w.key("link_up");
-    w.begin_array();
-    for &up in &n.link_up {
-        w.boolean(up);
-    }
-    w.end_array();
+    w.field("link_up", &n.link_up);
     // Per channel: [up, degrade, busy_until, bytes_moved, busy_cycles].
-    w.key("channels");
-    w.begin_array();
-    for c in &n.channels {
-        w.string(if c.up { "1" } else { "0" });
-        w.string(&c.degrade.to_string());
-        w.string(&c.busy_until.to_string());
-        w.string(&c.bytes_moved.to_string());
-        w.string(&c.busy_cycles.to_string());
-    }
-    w.end_array();
+    let cells = |c: &ChannelState| {
+        let (up, degrade) = (u64::from(c.up), u64::from(c.degrade));
+        [up, degrade, c.busy_until, c.bytes_moved, c.busy_cycles]
+    };
+    wu_arr(w, "channels", n.channels.iter().flat_map(cells));
     w.key("stats");
     w.begin_object();
     wu(w, "delivered", n.stats.delivered);
@@ -363,12 +353,7 @@ fn write_memory(w: &mut JsonWriter, m: &MemoryState) {
 fn write_sanitizer(w: &mut JsonWriter, s: &SanitizerState) {
     w.begin_object();
     wu(w, "checks", s.checks);
-    w.key("violations");
-    w.begin_array();
-    for v in &s.violations {
-        w.string(v);
-    }
-    w.end_array();
+    w.field("violations", &s.violations);
     wu(w, "dropped", s.dropped);
     wu(w, "ctas_launched", s.ctas_launched);
     wu(w, "ctas_dropped", s.ctas_dropped);
@@ -594,11 +579,17 @@ mod tests {
         assert!((a ^ b).count_ones() > 8);
     }
 
-    /// A real snapshot (sanitizing tiny run), then bent to carry the
-    /// hazards the string encoding exists for: u64s above 2^53, an empty
-    /// `RunningStats` with its ±∞ sentinels, text that needs escaping.
+    /// A real snapshot (a sanitizing tiny run with 8 KiB caches, so the
+    /// document stays small), then bent to carry the hazards the string
+    /// encoding exists for: u64s above 2^53, an empty `RunningStats` with
+    /// its ±∞ sentinels, text that needs escaping, non-default flags.
     fn sample_snapshot() -> SystemSnapshot {
+        let mut cfg = memnet_common::SystemConfig::scaled();
+        for cache in [&mut cfg.cpu.l1, &mut cfg.cpu.l2, &mut cfg.gpu.l2] {
+            cache.size_bytes = 8 * 1024;
+        }
         let (_, mut snap) = crate::SimBuilder::new(crate::Organization::Gmn)
+            .config(cfg)
             .gpus(2)
             .sms_per_gpu(2)
             .workload(memnet_workloads::Workload::VecAdd.spec_small())
@@ -610,10 +601,17 @@ mod tests {
         snap.now = (1u64 << 60) + 7;
         snap.gpus[0].next_req = 1 << 55;
         snap.gpus[0].dead = true;
+        snap.gpus[0].l2.ways[0] = (u64::MAX, true, 3);
+        snap.dma.bytes_copied = 1 << 54;
         snap.traffic_bytes[1] = 1 << 62;
+        snap.memory.page_table.push((1 << 53, (1 << 53) + 1));
+        snap.net.rng_state = u64::MAX;
+        snap.net.free_pids.reverse();
+        snap.net.link_up[1] = false;
+        snap.net.channels[0].up = false;
+        snap.net.channels[0].degrade = 4;
         snap.net.stats.hops = RunningStats::new();
         snap.net.stats.latency = RunningStats::from_raw(2, 30.5, 10.25, 20.25);
-        snap.net.channels[0].up = false;
         snap.hmcs[0].vaults[0].banks[0].open_row = Some(123);
         snap.hmcs[0].vaults[0].banks[1].open_row = None;
         let san = snap.sanitizer.as_mut().expect("the run sanitized");
@@ -667,7 +665,13 @@ mod tests {
                 "'gpus[0].deaf'",
             ),
             ("\"stalls\": \"0\"", "\"stalls\": \"x\"", "'hmcs[0].stalls'"),
-            ("\"123\"", "\"-123\"", "'hmcs[0].vaults[0].banks[0]'"),
+            // Anchored on the array opening: bank 0's open row, not some
+            // cache tag that happens to print as "123".
+            (
+                "\"banks\": [\n            \"123\"",
+                "\"banks\": [\n            \"-123\"",
+                "'hmcs[0].vaults[0].banks[0]'",
+            ),
         ] {
             assert!(good.contains(from), "fixture lost {from}");
             let err = SystemSnapshot::from_json(&good.replacen(from, to, 1)).unwrap_err();

@@ -17,6 +17,7 @@ use crate::profile::{Heatmap, ProfileHist, ProfileReport};
 use crate::sanitize::{SanitizeMode, Sanitizer, SanitizerReport};
 use crate::ske::{self, CtaPolicy};
 use crate::snapshot::SystemSnapshot;
+use memnet_common::config::CacheConfig;
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::{fs_to_ns, Fs};
 use memnet_common::{
@@ -697,33 +698,6 @@ impl SimBuilder {
     }
 }
 
-/// Every array of `s` whose length the configuration fixes, by reader
-/// path. A container comes before its elements' own arrays.
-fn snapshot_lens(s: &SystemSnapshot) -> Vec<(String, usize)> {
-    let mut v = vec![
-        ("clocks".to_string(), s.clock_cycles.len()),
-        ("traffic".to_string(), s.traffic_bytes.len()),
-        ("memory.next_seq".to_string(), s.memory.next_seq.len()),
-        ("net.link_up".to_string(), s.net.link_up.len()),
-        ("net.channels".to_string(), s.net.channels.len()),
-        ("cpu.l1.ways".to_string(), s.cpu.l1.ways.len()),
-        ("cpu.l2.ways".to_string(), s.cpu.l2.ways.len()),
-        ("gpus".to_string(), s.gpus.len()),
-    ];
-    for (i, g) in s.gpus.iter().enumerate() {
-        v.push((format!("gpus[{i}].l2.ways"), g.l2.ways.len()));
-    }
-    v.push(("hmcs".to_string(), s.hmcs.len()));
-    for (i, h) in s.hmcs.iter().enumerate() {
-        v.push((format!("hmcs[{i}].stalled_until"), h.stalled_until.len()));
-        v.push((format!("hmcs[{i}].vaults"), h.vaults.len()));
-        for (j, vault) in h.vaults.iter().enumerate() {
-            v.push((format!("hmcs[{i}].vaults[{j}].banks"), vault.banks.len()));
-        }
-    }
-    v
-}
-
 /// Clock-domain indices in intra-timestep tick (priority) order. A domain
 /// earlier in this order ticks first within one timestep, which decides
 /// whether work it produces is visible to a later domain at the *same*
@@ -1373,12 +1347,41 @@ impl System {
     /// so a truncated or padded array is a typed error naming the field
     /// instead of a failed `restore_state` assertion halfway through.
     fn check_snapshot(&self, s: &SystemSnapshot) -> Result<(), String> {
-        let built = self.take_snapshot("", 0, 0, 0);
-        for ((path, got), (_, want)) in snapshot_lens(s).into_iter().zip(snapshot_lens(&built)) {
-            if got != want {
-                return Err(format!(
-                    "field '{path}' holds {got} entries, this configuration has {want}"
-                ));
+        // Lengths come from what this system already holds; `path` is only
+        // formatted for the one field that does not fit.
+        fn fit(path: impl std::fmt::Display, got: usize, want: usize) -> Result<(), String> {
+            if got == want {
+                return Ok(());
+            }
+            Err(format!(
+                "field '{path}' holds {got} entries, this configuration has {want}"
+            ))
+        }
+        let cfg = &self.cfg;
+        let ways = |c: &CacheConfig| (c.sets() * u64::from(c.assoc)) as usize;
+        let (traffic, clusters) = (self.traffic.raw_bytes().len(), self.layout.clusters());
+        let (links, channels) = self.net.state_shape();
+        let (vaults, banks) = (cfg.hmc.vaults as usize, cfg.hmc.banks_per_vault as usize);
+        fit("clocks", s.clock_cycles.len(), domain::COUNT)?;
+        fit("traffic", s.traffic_bytes.len(), traffic)?;
+        fit("memory.next_seq", s.memory.next_seq.len(), clusters)?;
+        fit("net.link_up", s.net.link_up.len(), links)?;
+        fit("net.channels", s.net.channels.len(), channels)?;
+        fit("cpu.l1.ways", s.cpu.l1.ways.len(), ways(&cfg.cpu.l1))?;
+        fit("cpu.l2.ways", s.cpu.l2.ways.len(), ways(&cfg.cpu.l2))?;
+        fit("gpus", s.gpus.len(), self.gpus.len())?;
+        for (i, g) in s.gpus.iter().enumerate() {
+            let want = ways(&cfg.gpu.l2);
+            fit(format_args!("gpus[{i}].l2.ways"), g.l2.ways.len(), want)?;
+        }
+        fit("hmcs", s.hmcs.len(), self.hmcs.len())?;
+        for (i, h) in s.hmcs.iter().enumerate() {
+            let stalled = h.stalled_until.len();
+            fit(format_args!("hmcs[{i}].stalled_until"), stalled, vaults)?;
+            fit(format_args!("hmcs[{i}].vaults"), h.vaults.len(), vaults)?;
+            for (j, v) in h.vaults.iter().enumerate() {
+                let path = format_args!("hmcs[{i}].vaults[{j}].banks");
+                fit(path, v.banks.len(), banks)?;
             }
         }
         // A quiescent fabric owns no packet: every slot is on the free

@@ -785,6 +785,12 @@ impl Network {
         }
     }
 
+    /// The `(link_up, channels)` lengths a [`NetworkState`] of this
+    /// network has, so a caller can refuse a misshapen one up front.
+    pub fn state_shape(&self) -> (usize, usize) {
+        (self.link_up.len(), self.channels.len())
+    }
+
     /// Overwrites the mutable state from a [`Network::snapshot_state`]
     /// taken on a network built from the identical topology. Route tables
     /// are recomputed from the restored link states.

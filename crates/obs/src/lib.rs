@@ -28,8 +28,9 @@
 //!   This is the *only* module allowed to read wall clocks on the tick
 //!   path (enforced by `memnet-lint`'s `wall-clock` rule allowlist).
 //!
-//! [`config`] binds the shared `memnet-common` configuration types to the
-//! JSON layer (export only: the configuration fingerprint hashes it).
+//! [`config`] binds the shared `memnet-common` configuration and
+//! statistics types to the JSON layer (export only: the configuration
+//! fingerprint hashes it).
 
 pub mod config;
 pub mod json;

@@ -235,21 +235,22 @@ impl JobSpec {
             spec.sanitize = x.bool()?;
         }
         spec.validate()
-            .map_err(|e| format!("'{}': {e}", f.path()))?;
+            .map_err(|(key, why)| format!("'{}.{key}' {why}", f.path()))?;
         Ok(spec)
     }
 
     /// The range checks the CLI and the daemon share: a value no run can
-    /// use is refused by name, whichever front end it came through.
-    pub fn validate(&self) -> Result<(), String> {
+    /// use is refused as `(parameter, why)`, so each front end names it
+    /// its own way (`'params.sms'`, `--sms`).
+    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
         if self.gpus == 0 {
-            return Err("'gpus' must be positive".into());
+            return Err(("gpus", "must be positive"));
         }
         if self.sms == 0 {
-            return Err("'sms' must be positive".into());
+            return Err(("sms", "must be positive"));
         }
         if !(self.budget_ms.is_finite() && self.budget_ms > 0.0) {
-            return Err("'budget_ms' must be a positive number".into());
+            return Err(("budget_ms", "must be a positive number"));
         }
         Ok(())
     }
@@ -351,8 +352,8 @@ mod tests {
             (r#"{"gpu":2}"#, "unknown field 'params.gpu'"),
             (r#"{"gpus":2,"gpus":4}"#, "duplicate field 'params.gpus'"),
             (r#"{"org":"nvlink"}"#, "'params.org': unknown organization"),
-            (r#"{"gpus":0}"#, "'gpus' must be positive"),
-            (r#"{"sms":0}"#, "'sms' must be positive"),
+            (r#"{"gpus":0}"#, "'params.gpus' must be positive"),
+            (r#"{"sms":0}"#, "'params.sms' must be positive"),
             (r#"{"sim_threads":2}"#, "unknown field 'params.sim_threads'"),
             (
                 r#"{"engine":"parallel"}"#,
@@ -367,11 +368,11 @@ mod tests {
             (r#"{"small":1}"#, "'params.small' must be a boolean"),
             (
                 r#"{"budget_ms":-1}"#,
-                "'budget_ms' must be a positive number",
+                "'params.budget_ms' must be a positive number",
             ),
             (
                 r#"{"budget_ms":0}"#,
-                "'budget_ms' must be a positive number",
+                "'params.budget_ms' must be a positive number",
             ),
             (r#"[1,2]"#, "'params' must be an object"),
         ] {

@@ -55,11 +55,11 @@ fn render_profile_heatmap(path: &str) {
             let get = |k: &str| l.get(k).and_then(JsonValue::as_f64).expect("link field");
             let tag = l.get("tag").and_then(JsonValue::as_str).expect("link tag");
             let up = l.get("up").and_then(JsonValue::as_bool).unwrap_or(true);
-            let (a, b) = (get("a"), get("b"));
+            let (a, b) = (get("a") as u64, get("b") as u64);
             let (fwd, rev) = (get("fwd_busy_frac"), get("rev_busy_frac"));
             let hot = fwd.max(rev);
             let row = format!(
-                "  {:>3.0} {} {:<3.0} [{}{}] {:>5.1}% / {:>5.1}%  {:<10}{}",
+                "  {:>3} {} {:<3} [{}{}] {:>5.1}% / {:>5.1}%  {:<10}{}",
                 a,
                 "<->",
                 b,

@@ -10,7 +10,7 @@
 //! memnet list
 //! ```
 
-use memnet::common::FaultPlan;
+use memnet::common::{FaultEvent, FaultPlan};
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
 use memnet::obs::{MetricSink, MetricsRegistry, TraceEventKind, Tracer};
 use memnet::serve::job::{
@@ -250,48 +250,51 @@ fn main() -> ExitCode {
 }
 
 /// The one flag cursor. Every subcommand reads its options through
-/// [`walk_flags`], which hands each option name and this cursor to the
-/// subcommand's `match`: a switch is a plain arm, an option with an
-/// argument takes it with [`Flags::value`] or [`Flags::parsed`], and the
-/// fall-through arm is [`unknown`].
+/// [`walk_flags`], which hands this cursor, parked on each option in
+/// turn, to the subcommand's `match` on [`Flags::flag`]: a switch is a
+/// plain arm, an option with an argument takes it with [`Flags::value`] or
+/// [`Flags::parsed`], and the fall-through arm is [`Flags::unknown`].
 struct Flags<'a> {
+    /// The option being read.
+    flag: &'a str,
     rest: std::slice::Iter<'a, String>,
 }
 
 impl<'a> Flags<'a> {
-    /// The argument of option `flag`.
-    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+    /// The argument of the current option.
+    fn value(&mut self) -> Result<&'a str, String> {
         let v = self.rest.next().map(String::as_str);
-        v.ok_or_else(|| format!("missing value for {flag}"))
+        v.ok_or_else(|| format!("missing value for {}", self.flag))
     }
 
-    /// The argument of `flag` as converted by `parse`; `expects` says what
-    /// a valid one looks like.
+    /// The argument as converted by `parse`; `expects` says what a valid
+    /// one looks like.
     fn parsed<T>(
         &mut self,
-        flag: &str,
         expects: &str,
         parse: impl FnOnce(&str) -> Option<T>,
     ) -> Result<T, String> {
-        let v = self.value(flag)?;
+        let (flag, v) = (self.flag, self.value()?);
         parse(v).ok_or_else(|| format!("{flag} expects {expects}, got '{v}'"))
+    }
+
+    fn unknown(&self) -> Result<(), String> {
+        Err(format!("unknown option {}", self.flag))
     }
 }
 
 /// Walks `args` once, calling `each` per option; an error is a [`misuse`].
 fn walk_flags<'a>(
     args: &'a [String],
-    mut each: impl FnMut(&'a str, &mut Flags<'a>) -> Result<(), String>,
+    mut each: impl FnMut(&mut Flags<'a>) -> Result<(), String>,
 ) -> Result<(), ExitCode> {
-    let mut flags = Flags { rest: args.iter() };
+    let rest = args.iter();
+    let mut flags = Flags { flag: "", rest };
     while let Some(flag) = flags.rest.next() {
-        each(flag, &mut flags).map_err(misuse)?;
+        flags.flag = flag;
+        each(&mut flags).map_err(misuse)?;
     }
     Ok(())
-}
-
-fn unknown(flag: &str) -> Result<(), String> {
-    Err(format!("unknown option {flag}"))
 }
 
 fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
@@ -315,11 +318,11 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
         root: std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")),
         json: false,
     };
-    walk_flags(args, |flag, f| {
-        match flag {
+    walk_flags(args, |f| {
+        match f.flag {
             "--json" => opts.json = true,
-            "--root" => opts.root = f.value(flag)?.into(),
-            _ => return unknown(flag),
+            "--root" => opts.root = f.value()?.into(),
+            _ => return f.unknown(),
         }
         Ok(())
     })?;
@@ -330,38 +333,34 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
 /// determinism lint, in-process.
 fn lint_cmd(args: &[String]) -> Cmd {
     let opts = parse_lint_opts(args)?;
-    match memnet_lint::scan_workspace(&opts.root) {
-        Err(e) => {
-            let root = opts.root.display();
-            eprintln!("memnet lint: i/o error scanning {root}: {e}");
-            Err(ExitCode::from(2))
+    let res = memnet_lint::scan_workspace(&opts.root).map_err(|e| {
+        let root = opts.root.display();
+        eprintln!("memnet lint: i/o error scanning {root}: {e}");
+        ExitCode::from(2)
+    })?;
+    if opts.json {
+        println!("{}", res.to_json_string());
+    } else if res.violations.is_empty() {
+        println!(
+            "memnet lint: {} files clean ({} rules)",
+            res.files,
+            memnet_lint::RULES.len()
+        );
+    } else {
+        for v in &res.violations {
+            println!("{v}");
         }
-        Ok(res) => {
-            if opts.json {
-                println!("{}", res.to_json_string());
-            } else if res.violations.is_empty() {
-                println!(
-                    "memnet lint: {} files clean ({} rules)",
-                    res.files,
-                    memnet_lint::RULES.len()
-                );
-            } else {
-                for v in &res.violations {
-                    println!("{v}");
-                }
-                eprintln!(
-                    "memnet lint: {} violation(s) in {} files scanned",
-                    res.violations.len(),
-                    res.files
-                );
-            }
-            Ok(if res.violations.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            })
-        }
+        eprintln!(
+            "memnet lint: {} violation(s) in {} files scanned",
+            res.violations.len(),
+            res.files
+        );
     }
+    Ok(if res.violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// `memnet export [--dir DIR]`: writes every built-in workload as a
@@ -369,9 +368,9 @@ fn lint_cmd(args: &[String]) -> Cmd {
 /// golden files under `tests/data/` (see EXPERIMENTS.md).
 fn export_cmd(args: &[String]) -> Cmd {
     let mut dir = ".";
-    walk_flags(args, |flag, f| match flag {
-        "--dir" => f.value(flag).map(|d| dir = d),
-        _ => unknown(flag),
+    walk_flags(args, |f| match f.flag {
+        "--dir" => f.value().map(|d| dir = d),
+        _ => f.unknown(),
     })?;
     std::fs::create_dir_all(dir).map_err(|e| fail(format_args!("cannot create {dir}: {e}")))?;
     let builtins = wdl::all_builtins();
@@ -389,6 +388,7 @@ fn export_cmd(args: &[String]) -> Cmd {
 
 /// `memnet sweep` options, split from execution so flag handling (in
 /// particular unknown-flag rejection) is unit-testable.
+#[derive(Default)]
 struct SweepOpts {
     small: bool,
     jobs: usize, // 0 = pool default (available parallelism)
@@ -398,19 +398,14 @@ struct SweepOpts {
 }
 
 fn parse_sweep_opts(args: &[String]) -> Result<SweepOpts, ExitCode> {
-    let mut opts = SweepOpts {
-        small: false,
-        jobs: 0,
-        trace_file: None,
-        workload_files: Vec::new(),
-    };
-    walk_flags(args, |flag, f| {
-        match flag {
+    let mut opts = SweepOpts::default();
+    walk_flags(args, |f| {
+        match f.flag {
             "--small" => opts.small = true,
-            "--workload-file" => opts.workload_files.push(f.value(flag)?.to_string()),
-            "--jobs" => opts.jobs = f.parsed(flag, "a positive integer", positive)?,
-            "--trace" => opts.trace_file = Some(f.value(flag)?.to_string()),
-            _ => return unknown(flag),
+            "--workload-file" => opts.workload_files.push(f.value()?.to_string()),
+            "--jobs" => opts.jobs = f.parsed("a positive integer", positive)?,
+            "--trace" => opts.trace_file = Some(f.value()?.to_string()),
+            _ => return f.unknown(),
         }
         Ok(())
     })?;
@@ -533,14 +528,14 @@ fn serve_cmd(args: &[String]) -> Cmd {
     let mut cfg = ServeConfig::default();
     let mut port: Option<u16> = None;
     let mut stdio = false;
-    walk_flags(args, |flag, f| {
-        match flag {
+    walk_flags(args, |f| {
+        match f.flag {
             "--stdio" => stdio = true,
-            "--port" => port = Some(f.parsed(flag, "a port number (0 picks a free port)", num)?),
-            "--cache" => cfg.cache_capacity = f.parsed(flag, "a positive entry count", positive)?,
-            "--workers" => cfg.workers = f.parsed(flag, "a thread count (0 = all cores)", num)?,
-            "--retries" => cfg.retries = f.parsed(flag, "a count", num)?,
-            _ => return unknown(flag),
+            "--port" => port = Some(f.parsed("a port number (0 picks a free port)", num)?),
+            "--cache" => cfg.cache_capacity = f.parsed("a positive entry count", positive)?,
+            "--workers" => cfg.workers = f.parsed("a thread count (0 = all cores)", num)?,
+            "--retries" => cfg.retries = f.parsed("a count", num)?,
+            _ => return f.unknown(),
         }
         Ok(())
     })?;
@@ -599,13 +594,15 @@ fn pool_trace_json(obs: &PoolObs) -> String {
 /// Everything `memnet run` and `memnet profile` share: the job — the same
 /// [`JobSpec`] a serve request parses into, so defaults, range checks and
 /// the chaos plan exist once — plus what only the command line has.
+#[derive(Default)]
 struct RunOpts {
     spec: JobSpec,
     /// Events of the `--faults` files.
-    faults: FaultPlan,
+    faults: Vec<FaultEvent>,
     json: bool,
     trace_file: Option<String>,
-    trace_events: usize,
+    /// Tracer ring capacity (`--trace-events`, default 1M).
+    trace_events: Option<usize>,
     metrics_every: Option<u64>,
     /// Write a warmup-boundary snapshot here (`--checkpoint`).
     checkpoint: Option<String>,
@@ -620,14 +617,14 @@ impl RunOpts {
         let mut b = self.spec.builder();
         if !self.faults.is_empty() {
             // File events first, then the chaos plan the spec installed.
-            let mut plan = self.faults.clone();
-            for ev in b.fault_plan().events() {
+            let mut plan = FaultPlan::new();
+            for ev in self.faults.iter().chain(b.fault_plan().events()) {
                 plan.push(ev.at_fs, ev.kind.clone());
             }
             b = b.faults(plan);
         }
         if self.trace_file.is_some() {
-            b = b.trace(self.trace_events);
+            b = b.trace(self.trace_events.unwrap_or(1_000_000));
         }
         if let Some(n) = self.metrics_every {
             b = b.metrics_every(n);
@@ -640,55 +637,46 @@ impl RunOpts {
 /// whether it took it (`memnet profile` adds its output files this way).
 fn parse_run_opts<'a>(
     args: &'a [String],
-    mut extra: impl FnMut(&'a str, &mut Flags<'a>) -> Result<bool, String>,
+    mut extra: impl FnMut(&mut Flags<'a>) -> Result<bool, String>,
 ) -> Result<RunOpts, ExitCode> {
-    let mut o = RunOpts {
-        spec: JobSpec::default(),
-        faults: FaultPlan::new(),
-        json: false,
-        trace_file: None,
-        trace_events: 1_000_000,
-        metrics_every: None,
-        checkpoint: None,
-        restore: None,
-    };
+    let mut o = RunOpts::default();
     let mut workload_set = false;
     let mut model_file = None;
     let mut fault_files = Vec::new();
-    walk_flags(args, |flag, f| {
+    walk_flags(args, |f| {
         let spec = &mut o.spec;
-        match flag {
-            _ if extra(flag, f)? => {}
-            "--org" => spec.org = f.parsed(flag, "an organization", parse_org)?,
+        if extra(f)? {
+            return Ok(());
+        }
+        match f.flag {
+            "--org" => spec.org = f.parsed("an organization", parse_org)?,
             "--workload" => {
-                spec.workload = f.parsed(flag, "a workload abbreviation", parse_workload)?;
+                spec.workload = f.parsed("a workload abbreviation", parse_workload)?;
                 workload_set = true;
             }
-            "--workload-file" => model_file = Some(f.value(flag)?),
-            "--gpus" => spec.gpus = f.parsed(flag, "a count", num)?,
-            "--sms" => spec.sms = f.parsed(flag, "a count", num)?,
-            "--topology" => spec.topology = Some(f.parsed(flag, "a topology", parse_topology)?),
-            "--routing" => spec.routing = f.parsed(flag, "minimal or ugal", parse_routing)?,
-            "--cta" => spec.cta = f.parsed(flag, "static, rr or stealing", parse_cta)?,
-            "--placement" => {
-                spec.placement = f.parsed(flag, "a placement policy", parse_placement)?
-            }
+            "--workload-file" => model_file = Some(f.value()?),
+            "--gpus" => spec.gpus = f.parsed("a count", num)?,
+            "--sms" => spec.sms = f.parsed("a count", num)?,
+            "--topology" => spec.topology = Some(f.parsed("a topology", parse_topology)?),
+            "--routing" => spec.routing = f.parsed("minimal or ugal", parse_routing)?,
+            "--cta" => spec.cta = f.parsed("static, rr or stealing", parse_cta)?,
+            "--placement" => spec.placement = f.parsed("a placement policy", parse_placement)?,
             "--overlay" => spec.overlay = true,
             "--small" => spec.small = true,
             "--json" => o.json = true,
             "--sanitize" => spec.sanitize = true,
-            "--seconds-budget" => spec.budget_ms = f.parsed(flag, "milliseconds", num)?,
-            "--trace" => o.trace_file = Some(f.value(flag)?.to_string()),
-            "--trace-events" => o.trace_events = f.parsed(flag, "a positive count", positive)?,
+            "--seconds-budget" => spec.budget_ms = f.parsed("milliseconds", num)?,
+            "--trace" => o.trace_file = Some(f.value()?.to_string()),
+            "--trace-events" => o.trace_events = Some(f.parsed("a positive count", positive)?),
             "--metrics-every" => {
-                o.metrics_every = Some(f.parsed(flag, "a positive cycle count", positive)?)
+                o.metrics_every = Some(f.parsed("a positive cycle count", positive)?)
             }
-            "--faults" => fault_files.push(f.value(flag)?),
-            "--chaos-seed" => spec.chaos_seed = Some(f.parsed(flag, "a seed", num)?),
-            "--engine" => spec.engine = Some(f.parsed(flag, "cycle or event", parse_engine)?),
-            "--checkpoint" => o.checkpoint = Some(f.value(flag)?.to_string()),
-            "--restore" => o.restore = Some(f.value(flag)?.to_string()),
-            _ => return unknown(flag),
+            "--faults" => fault_files.push(f.value()?),
+            "--chaos-seed" => spec.chaos_seed = Some(f.parsed("a seed", num)?),
+            "--engine" => spec.engine = Some(f.parsed("cycle or event", parse_engine)?),
+            "--checkpoint" => o.checkpoint = Some(f.value()?.to_string()),
+            "--restore" => o.restore = Some(f.value()?.to_string()),
+            _ => return f.unknown(),
         }
         Ok(())
     })?;
@@ -702,23 +690,29 @@ fn parse_run_opts<'a>(
     if o.checkpoint.is_some() && o.restore.is_some() {
         return Err(misuse("--checkpoint and --restore are mutually exclusive"));
     }
-    o.spec.validate().map_err(misuse)?;
+    o.spec.validate().map_err(|(key, why)| {
+        // The job names its parameters; the command line names its flags.
+        let flag = if key == "budget_ms" {
+            "seconds-budget"
+        } else {
+            key
+        };
+        misuse(format_args!("--{flag} {why}"))
+    })?;
     // Files are read last, so a bad one is reported without the usage text.
     for path in fault_files {
         let text = std::fs::read_to_string(path)
             .map_err(|e| fail(format_args!("cannot read fault plan {path}: {e}")))?;
         let plan =
             plan_from_json(&text).map_err(|e| fail(format_args!("bad fault plan {path}: {e}")))?;
-        for ev in plan.events() {
-            o.faults.push(ev.at_fs, ev.kind.clone());
-        }
+        o.faults.extend_from_slice(plan.events());
     }
     o.spec.model = model_file.map(load_model).transpose().map_err(fail)?;
     Ok(o)
 }
 
 fn run_cmd(args: &[String]) -> Cmd {
-    let opts = parse_run_opts(args, |_, _| Ok(false))?;
+    let opts = parse_run_opts(args, |_| Ok(false))?;
     let builder = opts.builder();
     let sim_failed = |e| fail(format_args!("memnet: {e}"));
     let r = if let Some(path) = &opts.restore {
@@ -787,14 +781,14 @@ fn exit_code(r: &SimReport) -> ExitCode {
 
 fn profile_cmd(args: &[String]) -> Cmd {
     let (mut out, mut heatmap, mut report) = (None, None, None);
-    let opts = parse_run_opts(args, |flag, f| {
-        let slot = match flag {
+    let opts = parse_run_opts(args, |f| {
+        let slot = match f.flag {
             "--out" => &mut out,
             "--heatmap" => &mut heatmap,
             "--report" => &mut report,
             _ => return Ok(false),
         };
-        *slot = Some(f.value(flag)?.to_string());
+        *slot = Some(f.value()?.to_string());
         Ok(true)
     })?;
     if opts.checkpoint.is_some() || opts.restore.is_some() {
@@ -913,7 +907,7 @@ mod tests {
     }
 
     fn run_opts(args: &[&str]) -> Result<RunOpts, ExitCode> {
-        parse_run_opts(&argv(args), |_, _| Ok(false))
+        parse_run_opts(&argv(args), |_| Ok(false))
     }
 
     #[test]
