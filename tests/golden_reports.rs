@@ -116,6 +116,10 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
         ("pcie-scan", Pin::Report, small(Pcie, Workload::Scan)),
         ("cmn-bp", Pin::Report, small(Cmn, Workload::Bp)),
         ("gmn-srad", Pin::Report, small(Gmn, Workload::Srad)),
+        ("pcn-vecadd", Pin::Report, small(Pcn, Workload::VecAdd)),
+        ("pciezc-scan", Pin::Report, small(PcieZc, Workload::Scan)),
+        ("cmnzc-bp", Pin::Report, small(CmnZc, Workload::Bp)),
+        ("gmnzc-srad", Pin::Report, small(GmnZc, Workload::Srad)),
         (
             "umn4-ugal",
             Pin::Report,
