@@ -6,7 +6,7 @@
 //! versus round-robin); stealing adds <1 % because large grids rarely
 //! load-imbalance.
 
-use memnet_core::{CtaPolicy, Organization, SimReport};
+use memnet_core::{CtaPolicy, Organization};
 use memnet_workloads::Workload;
 
 struct Row {
@@ -32,18 +32,9 @@ fn main() {
         ("stealing", CtaPolicy::Stealing),
     ];
     let workloads = Workload::table2();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| policies.iter().map(move |&(_, p)| (w, p)))
-        .map(|(w, p)| {
-            Box::new(move || {
-                memnet_bench::eval_builder(Organization::Umn, w)
-                    .cta_policy(p)
-                    .run()
-            }) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), policies.len()], |[wi, pi]| {
+        memnet_bench::eval_builder(Organization::Umn, workloads[wi]).cta_policy(policies[pi].1)
+    });
 
     let mut rows = Vec::new();
     let mut static_vs_rr = Vec::new();
@@ -55,8 +46,8 @@ fn main() {
         "", "static ns", "rr ns", "stealing ns"
     );
     for (wi, w) in workloads.iter().enumerate() {
-        let per: Vec<&SimReport> = (0..3).map(|pi| &reports[wi * 3 + pi]).collect();
-        let (st, rr, steal) = (per[0], per[1], per[2]);
+        let per = reports.row(wi);
+        let (st, rr, steal) = (&per[0], &per[1], &per[2]);
         println!(
             "  {:<6} {:>12.0} {:>12.0} {:>12.0}   {:>5.1}%/{:<5.1}%   {:>5.1}%/{:<5.1}%",
             w.abbr(),

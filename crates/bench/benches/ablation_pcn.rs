@@ -8,7 +8,7 @@
 //! PCIe soundly (more bandwidth), but GMN/UMN still win because remote
 //! traffic skips the remote GPU entirely.
 
-use memnet_core::{Organization, SimReport};
+use memnet_core::Organization;
 use memnet_workloads::Workload;
 
 struct Row {
@@ -35,21 +35,15 @@ fn main() {
         Organization::Umn,
     ];
     let workloads = [Workload::Bp, Workload::Bfs, Workload::Cp];
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| orgs.iter().map(move |&o| (w, o)))
-        .map(|(w, o)| {
-            Box::new(move || memnet_bench::run_org(o, w)) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), orgs.len()], |[wi, oi]| {
+        memnet_bench::eval_builder(orgs[oi], workloads[wi])
+    });
 
     let mut rows = Vec::new();
     for (wi, w) in workloads.iter().enumerate() {
         println!("\n{}:", w.abbr());
-        let base = reports[wi * orgs.len()].total_ns();
-        for oi in 0..orgs.len() {
-            let r = &reports[wi * orgs.len() + oi];
+        let base = reports[[wi, 0]].total_ns();
+        for r in reports.row(wi) {
             assert!(!r.timed_out, "{} {} timed out", w.abbr(), r.org.name());
             println!(
                 "  {:<6} kernel {:>11.0} ns   memcpy {:>11.0} ns   total {:>11.0} ns   {:>6.2}x vs PCIe",

@@ -7,7 +7,7 @@
 //! (both balance traffic), while contiguous placement concentrates the
 //! footprint on one cluster, saturating its four HMCs.
 
-use memnet_core::{Organization, PlacementPolicy, SimReport};
+use memnet_core::{Organization, PlacementPolicy};
 use memnet_workloads::Workload;
 
 struct Row {
@@ -31,24 +31,15 @@ fn main() {
         ("contiguous", PlacementPolicy::Contiguous),
     ];
     let workloads = [Workload::Kmn, Workload::Bp, Workload::Scan];
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| policies.iter().map(move |&(_, p)| (w, p)))
-        .map(|(w, p)| {
-            Box::new(move || {
-                memnet_bench::eval_builder(Organization::Umn, w)
-                    .placement(p)
-                    .run()
-            }) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), policies.len()], |[wi, pi]| {
+        memnet_bench::eval_builder(Organization::Umn, workloads[wi]).placement(policies[pi].1)
+    });
 
     let mut rows = Vec::new();
     for (wi, w) in workloads.iter().enumerate() {
         println!("\n{}:", w.abbr());
         for (pi, (name, _)) in policies.iter().enumerate() {
-            let r = &reports[wi * policies.len() + pi];
+            let r = &reports[[wi, pi]];
             assert!(!r.timed_out, "{} {} timed out", w.abbr(), name);
             let cols = r.traffic.column_totals();
             let share =

@@ -28,15 +28,6 @@ memnet_obs::to_json_struct!(Row {
     normalized
 });
 
-fn run(org: Organization, clusters: Vec<u32>) -> f64 {
-    let r = memnet_bench::eval_builder(org, Workload::VecAdd)
-        .active_gpus(1)
-        .data_clusters(clusters)
-        .run();
-    assert!(!r.timed_out, "fig07 run timed out");
-    r.kernel_ns
-}
-
 fn main() {
     memnet_bench::header("Fig. 7: vectorAdd kernel time vs. data distribution (1 executing GPU)");
     let cases = [
@@ -44,22 +35,22 @@ fn main() {
         (vec![0, 1], 0.5),
         (vec![0, 1, 2, 3], 0.75),
     ];
-    let mut rows = Vec::new();
-    for (system, org) in [
+    let systems = [
         ("PCIe (a)", Organization::Pcie),
         ("GMN sFBFLY (b)", Organization::Gmn),
-    ] {
-        let jobs: Vec<Box<dyn FnOnce() -> f64 + Send>> = cases
-            .iter()
-            .map(|(cl, _)| {
-                let cl = cl.clone();
-                Box::new(move || run(org, cl)) as Box<dyn FnOnce() -> f64 + Send>
-            })
-            .collect();
-        let times = memnet_bench::run_parallel(jobs);
-        let base = times[0];
+    ];
+    let reports = memnet_bench::grid([systems.len(), cases.len()], |[si, ci]| {
+        memnet_bench::eval_builder(systems[si].1, Workload::VecAdd)
+            .active_gpus(1)
+            .data_clusters(cases[ci].0.clone())
+    });
+    let mut rows = Vec::new();
+    for (si, (system, _)) in systems.into_iter().enumerate() {
+        let base = reports[[si, 0]].kernel_ns;
         println!("\n{system}: normalized kernel time (1.0 = all data local)");
-        for ((clusters, remote), t) in cases.iter().zip(&times) {
+        for ((clusters, remote), r) in cases.iter().zip(reports.row(si)) {
+            assert!(!r.timed_out, "fig07 run timed out");
+            let t = r.kernel_ns;
             let norm = t / base;
             println!(
                 "  {} cluster(s), {:>4.0}% remote: {:>12.0} ns  -> {:.2}x",
@@ -72,7 +63,7 @@ fn main() {
                 system,
                 clusters: clusters.len(),
                 remote_fraction: *remote,
-                kernel_ns: *t,
+                kernel_ns: t,
                 normalized: norm,
             });
         }

@@ -10,7 +10,7 @@
 //! * memcpy dominates 3DFD, BP, SCAN, so zero-copy wins there;
 //! * BFS kernel under PCIe-ZC is ~2.75× slower than with staged data.
 
-use memnet_core::{Organization, SimReport};
+use memnet_core::Organization;
 use memnet_workloads::Workload;
 
 struct Row {
@@ -36,14 +36,9 @@ fn main() {
     memnet_bench::header("Fig. 14: runtime breakdown (memcpy + kernel) per organization");
     let workloads = Workload::table2();
     let orgs = Organization::all();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| orgs.iter().map(move |&o| (w, o)))
-        .map(|(w, o)| {
-            Box::new(move || memnet_bench::run_org(o, w)) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), orgs.len()], |[wi, oi]| {
+        memnet_bench::eval_builder(orgs[oi], workloads[wi])
+    });
 
     let mut rows = Vec::new();
     let mut gmn_speedups = Vec::new();
@@ -56,10 +51,8 @@ fn main() {
             "  {:<9} {:>12} {:>12} {:>12} {:>12}",
             "org", "kernel ns", "memcpy ns", "host ns", "total ns"
         );
-        let per_org: Vec<&SimReport> = (0..orgs.len())
-            .map(|oi| &reports[wi * orgs.len() + oi])
-            .collect();
-        for r in &per_org {
+        let per_org = reports.row(wi);
+        for r in per_org {
             println!(
                 "  {:<9} {:>12.0} {:>12.0} {:>12.0} {:>12.0}{}",
                 r.org.name(),
@@ -79,9 +72,9 @@ fn main() {
                 timed_out: r.timed_out,
             });
         }
-        let pcie = per_org[0];
-        let gmn = per_org[4];
-        let umn = per_org[6];
+        let pcie = &per_org[0];
+        let gmn = &per_org[4];
+        let umn = &per_org[6];
         gmn_speedups.push(pcie.kernel_ns / gmn.kernel_ns);
         umn_speedups.push(pcie.total_ns() / umn.total_ns());
         cmn_speedups.push(pcie.total_ns() / per_org[2].total_ns());

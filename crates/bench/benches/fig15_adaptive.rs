@@ -5,7 +5,7 @@
 //! (KMN, CP) because random traffic self-balances; CG.S gains **9.5 %** on
 //! dFBFLY because its traffic is imbalanced (Fig. 10(b)).
 
-use memnet_core::{Organization, SimReport};
+use memnet_core::Organization;
 use memnet_noc::topo::TopologyKind;
 use memnet_noc::RoutingPolicy;
 use memnet_workloads::Workload;
@@ -27,13 +27,6 @@ memnet_obs::to_json_struct!(Row {
     nonminimal_packets
 });
 
-fn run(w: Workload, topo: TopologyKind, routing: RoutingPolicy) -> SimReport {
-    memnet_bench::eval_builder(Organization::Gmn, w)
-        .topology(topo)
-        .routing(routing)
-        .run()
-}
-
 fn main() {
     memnet_bench::header("Fig. 15: MIN vs UGAL on dDFLY and dFBFLY (GMN kernel time)");
     let topos = [
@@ -41,26 +34,19 @@ fn main() {
         TopologyKind::DistributorFbfly,
     ];
     let workloads = [Workload::Kmn, Workload::Cp, Workload::CgS];
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| {
-            topos.iter().flat_map(move |&t| {
-                [RoutingPolicy::Minimal, RoutingPolicy::Ugal]
-                    .into_iter()
-                    .map(move |r| (w, t, r))
-            })
-        })
-        .map(|(w, t, r)| Box::new(move || run(w, t, r)) as Box<dyn FnOnce() -> SimReport + Send>)
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let routings = [RoutingPolicy::Minimal, RoutingPolicy::Ugal];
+    let dims = [workloads.len(), topos.len(), routings.len()];
+    let reports = memnet_bench::grid(dims, |[wi, ti, ri]| {
+        memnet_bench::eval_builder(Organization::Gmn, workloads[wi])
+            .topology(topos[ti])
+            .routing(routings[ri])
+    });
 
     let mut rows = Vec::new();
-    let mut i = 0;
-    for w in workloads {
-        for topo in topos {
-            let min = &reports[i];
-            let ugal = &reports[i + 1];
-            i += 2;
+    for (wi, w) in workloads.into_iter().enumerate() {
+        for (ti, topo) in topos.into_iter().enumerate() {
+            let min = &reports[[wi, ti, 0]];
+            let ugal = &reports[[wi, ti, 1]];
             assert!(!min.timed_out && !ugal.timed_out, "{} timed out", w.abbr());
             let gain = 100.0 * (min.kernel_ns / ugal.kernel_ns - 1.0);
             println!(

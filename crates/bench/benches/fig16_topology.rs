@@ -5,8 +5,7 @@
 //! versions by adding bandwidth; sFBFLY is best or comparable everywhere —
 //! equal bisection bandwidth to sTORUS-2x but lower hop count.
 
-use memnet_core::{Organization, SimReport};
-use memnet_noc::topo::{SlicedKind, TopologyKind};
+use memnet_core::Organization;
 use memnet_workloads::Workload;
 
 struct Row {
@@ -24,47 +23,13 @@ memnet_obs::to_json_struct!(Row {
     energy_mj
 });
 
-pub fn topologies() -> [TopologyKind; 5] {
-    [
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Fbfly,
-            double: false,
-        },
-    ]
-}
-
 fn main() {
     memnet_bench::header("Fig. 16: kernel time of sliced topologies (GMN)");
-    let topos = topologies();
+    let topos = memnet_bench::sliced_topologies();
     let workloads = Workload::table2();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| topos.iter().map(move |&t| (w, t)))
-        .map(|(w, t)| {
-            Box::new(move || {
-                memnet_bench::eval_builder(Organization::Gmn, w)
-                    .topology(t)
-                    .run()
-            }) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), topos.len()], |[wi, ti]| {
+        memnet_bench::eval_builder(Organization::Gmn, workloads[wi]).topology(topos[ti])
+    });
 
     let mut rows = Vec::new();
     println!(
@@ -73,11 +38,9 @@ fn main() {
     );
     let mut wins = 0;
     for (wi, w) in workloads.iter().enumerate() {
-        let per: Vec<&SimReport> = (0..topos.len())
-            .map(|ti| &reports[wi * topos.len() + ti])
-            .collect();
+        let per = reports.row(wi);
         print!("  {:<6}", w.abbr());
-        for r in &per {
+        for r in per {
             print!(" {:>10.0}", r.kernel_ns);
         }
         let best = per

@@ -11,8 +11,7 @@
 //! that target's JSON artifact exists it is reused; otherwise the sweep
 //! runs here.
 
-use memnet_core::{Organization, SimReport};
-use memnet_noc::topo::{SlicedKind, TopologyKind};
+use memnet_core::Organization;
 use memnet_obs::JsonValue;
 use memnet_workloads::Workload;
 
@@ -28,31 +27,6 @@ memnet_obs::to_json_struct!(Row {
     energy_mj,
     kernel_ns
 });
-
-fn topologies() -> [TopologyKind; 5] {
-    [
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Fbfly,
-            double: false,
-        },
-    ]
-}
 
 /// Tries to reuse the rows fig16 wrote (same simulations).
 fn load_from_fig16() -> Option<Vec<Row>> {
@@ -74,7 +48,7 @@ fn load_from_fig16() -> Option<Vec<Row>> {
             })
         })
         .collect::<Option<Vec<Row>>>()?;
-    let expected = Workload::table2().len() * topologies().len();
+    let expected = Workload::table2().len() * memnet_bench::sliced_topologies().len();
     if rows.len() != expected {
         return None; // stale or fast-mode artifact: rerun
     }
@@ -82,33 +56,23 @@ fn load_from_fig16() -> Option<Vec<Row>> {
 }
 
 fn run_sweep() -> Vec<Row> {
-    let topos = topologies();
+    let topos = memnet_bench::sliced_topologies();
     let workloads = Workload::table2();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| topos.iter().map(move |&t| (w, t)))
-        .map(|(w, t)| {
-            Box::new(move || {
-                memnet_bench::eval_builder(Organization::Gmn, w)
-                    .topology(t)
-                    .run()
-            }) as Box<dyn FnOnce() -> SimReport + Send>
-        })
-        .collect();
-    memnet_bench::run_parallel(jobs)
-        .into_iter()
-        .zip(
-            workloads
-                .iter()
-                .flat_map(|&w| topos.iter().map(move |&t| (w, t))),
-        )
-        .map(|(r, (_, t))| Row {
-            workload: r.workload.to_string(),
-            topology: t.name().to_string(),
-            energy_mj: r.energy_mj,
-            kernel_ns: r.kernel_ns,
-        })
-        .collect()
+    let reports = memnet_bench::grid([workloads.len(), topos.len()], |[wi, ti]| {
+        memnet_bench::eval_builder(Organization::Gmn, workloads[wi]).topology(topos[ti])
+    });
+    let mut rows = Vec::new();
+    for wi in 0..workloads.len() {
+        for (t, r) in topos.iter().zip(reports.row(wi)) {
+            rows.push(Row {
+                workload: r.workload.to_string(),
+                topology: t.name().to_string(),
+                energy_mj: r.energy_mj,
+                kernel_ns: r.kernel_ns,
+            });
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -120,7 +84,10 @@ fn main() {
     if reused {
         println!("  (reusing the fig16_topology sweep — identical simulations)");
     }
-    let topo_names: Vec<&str> = topologies().iter().map(|t| t.name()).collect();
+    let topo_names: Vec<&str> = memnet_bench::sliced_topologies()
+        .iter()
+        .map(|t| t.name())
+        .collect();
     let mut savings = Vec::new();
     println!(
         "  {:<6} {:>10} {:>10} {:>10} {:>10} {:>10}   (mJ)",

@@ -6,7 +6,7 @@
 //! fastest — pass-through slashes per-hop latency even though hop count is
 //! higher; sFBFLY beats sMESH on hop count.
 
-use memnet_core::{Organization, SimReport};
+use memnet_core::Organization;
 use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_workloads::Workload;
 
@@ -26,14 +26,6 @@ memnet_obs::to_json_struct!(Row {
     avg_pkt_latency_ns,
     passthrough
 });
-
-fn run(w: Workload, topo: TopologyKind, overlay: bool) -> SimReport {
-    memnet_bench::eval_builder(Organization::Umn, w)
-        .gpus(3)
-        .topology(topo)
-        .overlay(overlay)
-        .run()
-}
 
 fn main() {
     memnet_bench::header("Fig. 18: host-thread performance on UMN (1 CPU + 3 GPU + 16 HMC)");
@@ -64,18 +56,19 @@ fn main() {
         ),
     ];
     let workloads = [Workload::CgS, Workload::FtS];
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| designs.iter().map(move |&(_, t, o)| (w, t, o)))
-        .map(|(w, t, o)| Box::new(move || run(w, t, o)) as Box<dyn FnOnce() -> SimReport + Send>)
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), designs.len()], |[wi, di]| {
+        let (_, topo, overlay) = designs[di];
+        memnet_bench::eval_builder(Organization::Umn, workloads[wi])
+            .gpus(3)
+            .topology(topo)
+            .overlay(overlay)
+    });
 
     let mut rows = Vec::new();
     for (wi, w) in workloads.iter().enumerate() {
         println!("\n{}:", w.abbr());
         for (di, (name, _, _)) in designs.iter().enumerate() {
-            let r = &reports[wi * designs.len() + di];
+            let r = &reports[[wi, di]];
             assert!(!r.timed_out, "{} {name} timed out", w.abbr());
             println!(
                 "  {:<8} host {:>11.0} ns   total {:>11.0} ns   pkt-lat {:>6.1} ns   passthrough {}",

@@ -7,7 +7,7 @@
 //! rates); FWT is lowest (**11.2×**) because its input cannot keep 16
 //! GPUs busy.
 
-use memnet_core::{Organization, SimBuilder, SimReport};
+use memnet_core::{Organization, SimBuilder};
 use memnet_workloads::Workload;
 
 struct Row {
@@ -25,7 +25,7 @@ memnet_obs::to_json_struct!(Row {
     l2_hit_rate
 });
 
-fn run(w: Workload, gpus: u32) -> SimReport {
+fn builder(w: Workload, gpus: u32) -> SimBuilder {
     let spec = if memnet_bench::fast_mode() {
         w.spec_small()
     } else {
@@ -35,19 +35,15 @@ fn run(w: Workload, gpus: u32) -> SimReport {
         .gpus(gpus)
         .workload(spec)
         .phase_budget_ns(60_000_000.0)
-        .run()
 }
 
 fn main() {
     memnet_bench::header("Fig. 19: kernel speedup vs GPU count (UMN sFBFLY, enlarged inputs)");
     let gpu_counts = [1u32, 2, 4, 8, 16];
     let workloads = Workload::scalability_set();
-    let jobs: Vec<Box<dyn FnOnce() -> SimReport + Send>> = workloads
-        .iter()
-        .flat_map(|&w| gpu_counts.iter().map(move |&g| (w, g)))
-        .map(|(w, g)| Box::new(move || run(w, g)) as Box<dyn FnOnce() -> SimReport + Send>)
-        .collect();
-    let reports = memnet_bench::run_parallel(jobs);
+    let reports = memnet_bench::grid([workloads.len(), gpu_counts.len()], |[wi, gi]| {
+        builder(workloads[wi], gpu_counts[gi])
+    });
 
     let mut rows = Vec::new();
     let mut speedups_at_16 = Vec::new();
@@ -56,12 +52,10 @@ fn main() {
         "", 1, 2, 4, 8, 16
     );
     for (wi, w) in workloads.iter().enumerate() {
-        let per: Vec<&SimReport> = (0..gpu_counts.len())
-            .map(|gi| &reports[wi * gpu_counts.len() + gi])
-            .collect();
+        let per = reports.row(wi);
         let base = per[0].kernel_ns;
         print!("  {:<6}", w.abbr());
-        for (g, r) in gpu_counts.iter().zip(&per) {
+        for (g, r) in gpu_counts.iter().zip(per) {
             assert!(!r.timed_out, "{} @{} GPUs timed out", w.abbr(), g);
             let s = base / r.kernel_ns;
             print!(" {:>8.2}", s);

@@ -4,7 +4,7 @@
 //! `crates/bench/benches/` (run with `cargo bench`, or a single one with
 //! `cargo bench --bench fig14_orgs`). Each target:
 //!
-//! 1. runs the simulations (in parallel across workloads/configurations),
+//! 1. runs the simulations ([`grid`]: in parallel across workloads/configurations),
 //! 2. prints the figure's rows with the paper's reference values next to
 //!    the measured ones,
 //! 3. writes machine-readable JSON to `target/experiments/<name>.json`
@@ -14,6 +14,7 @@
 //! points) for a quick smoke pass.
 
 use memnet_core::{Organization, SimBuilder, SimReport};
+use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_obs::ToJson;
 use memnet_workloads::{Workload, WorkloadSpec};
 use std::io::Write as _;
@@ -51,35 +52,95 @@ pub fn eval_builder(org: Organization, w: Workload) -> SimBuilder {
     b
 }
 
-/// Runs `jobs` in parallel on the shared `memnet-engine` pool (bounded by
-/// available cores) and returns the results in submission order.
+/// The reports of a [`grid`] run: `g[[i, j]]` is the point at position `i`
+/// on the first axis and `j` on the second (any number of axes).
+pub struct Grid<const N: usize> {
+    dims: [usize; N],
+    reports: Vec<SimReport>,
+}
+
+/// Runs one simulation per point of the product of `N` axes — `dims[k]` is
+/// the length of axis `k`, `build` turns a point's axis positions into its
+/// builder — in parallel on the shared `memnet-engine` pool (bounded by
+/// available cores).
 ///
 /// # Panics
 ///
 /// Propagates the first job panic — the harness should fail loudly.
-pub fn run_parallel<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
-    // The pool wants `Fn` so it can retry; the harness hands out `FnOnce`
-    // closures, so each rides in a take-once cell and retries stay off.
-    let cells: Vec<_> = jobs
-        .into_iter()
-        .map(|f| std::sync::Mutex::new(Some(f)))
-        .collect();
-    let once = |cell: &std::sync::Mutex<Option<Box<dyn FnOnce() -> T + Send>>>| {
-        let f = cell
-            .lock()
-            .expect("job cell")
-            .take()
-            .expect("job runs once");
-        f()
+pub fn grid<const N: usize>(
+    dims: [usize; N],
+    build: impl Fn([usize; N]) -> SimBuilder + Sync,
+) -> Grid<N> {
+    // Row-major: the last axis varies fastest.
+    let point = |mut flat: usize| {
+        let mut at = [0; N];
+        for k in (0..N).rev() {
+            at[k] = flat % dims[k];
+            flat /= dims[k];
+        }
+        at
     };
+    let build = &build;
+    let jobs = (0..dims.iter().product())
+        .map(|flat| move || build(point(flat)).run())
+        .collect();
+    // A simulation that panicked once panics again: no retries.
     let cfg = memnet_engine::PoolConfig {
         retries: 0,
         ..Default::default()
     };
-    memnet_engine::run_jobs(&cfg, cells.iter().map(|c| move || once(c)).collect())
+    let reports = memnet_engine::run_jobs(&cfg, jobs)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("bench job failed: {e}")))
-        .collect()
+        .collect();
+    Grid { dims, reports }
+}
+
+impl<const N: usize> Grid<N> {
+    /// Every report whose first axis position is `i`, the remaining axes
+    /// in row-major order.
+    pub fn row(&self, i: usize) -> &[SimReport] {
+        let len = self.reports.len() / self.dims[0];
+        &self.reports[i * len..(i + 1) * len]
+    }
+}
+
+impl<const N: usize> std::ops::Index<[usize; N]> for Grid<N> {
+    type Output = SimReport;
+
+    fn index(&self, at: [usize; N]) -> &SimReport {
+        let flat = at.iter().zip(&self.dims).fold(0, |flat, (&i, &len)| {
+            assert!(i < len, "grid index {at:?} outside {:?}", self.dims);
+            flat * len + i
+        });
+        &self.reports[flat]
+    }
+}
+
+/// The five sliced topologies Figs. 16 and 17 sweep, in column order.
+pub fn sliced_topologies() -> [TopologyKind; 5] {
+    [
+        TopologyKind::Sliced {
+            kind: SlicedKind::Mesh,
+            double: false,
+        },
+        TopologyKind::Sliced {
+            kind: SlicedKind::Torus,
+            double: false,
+        },
+        TopologyKind::Sliced {
+            kind: SlicedKind::Mesh,
+            double: true,
+        },
+        TopologyKind::Sliced {
+            kind: SlicedKind::Torus,
+            double: true,
+        },
+        TopologyKind::Sliced {
+            kind: SlicedKind::Fbfly,
+            double: false,
+        },
+    ]
 }
 
 /// Runs one (organization, workload) pair on the evaluation machine.
@@ -128,23 +189,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parallel_results_keep_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..32usize)
-            .map(|i| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = run_parallel(jobs);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+    fn grid_reports_sit_at_their_axis_positions() {
+        let gpus = [1u32, 2];
+        let orgs = [Organization::Umn, Organization::Gmn, Organization::Pcie];
+        let g = grid([gpus.len(), orgs.len()], |[gi, oi]| {
+            SimBuilder::new(orgs[oi])
+                .gpus(gpus[gi])
+                .sms_per_gpu(1)
+                .workload(Workload::VecAdd.spec_small())
+        });
+        for (gi, &n) in gpus.iter().enumerate() {
+            assert_eq!(g.row(gi).len(), orgs.len());
+            for (oi, &org) in orgs.iter().enumerate() {
+                assert_eq!(g[[gi, oi]].org, org);
+                assert_eq!(g[[gi, oi]].per_gpu.len(), n as usize);
+                assert_eq!(g.row(gi)[oi].kernel_ns, g[[gi, oi]].kernel_ns);
+            }
+        }
     }
 
     #[test]
     fn ratio_formatting() {
         assert_eq!(ratio(3.0, 2.0), "1.50x");
         assert_eq!(ratio(1.0, 0.0), "n/a");
-    }
-
-    #[test]
-    fn empty_parallel_run() {
-        let out: Vec<u32> = run_parallel(Vec::new());
-        assert!(out.is_empty());
     }
 }

@@ -1,0 +1,227 @@
+//! How a [`SimBuilder`] becomes a live [`System`]: the organization's graph,
+//! the memory layout, the devices, the clocks, the fault plan on their edges.
+
+use super::observers::ProfPack;
+use super::{domain, EngineMode, HmcPort, Organization, SimBuilder, SimError, System};
+use crate::faults::{resolve_plan, FaultOwners, ResolvedFault};
+use crate::memory::{MemoryLayout, HOST_BASE};
+use crate::sanitize::{SanitizeMode, Sanitizer};
+use memnet_common::stats::TrafficMatrix;
+use memnet_common::time::Fs;
+use memnet_common::{Clock, CpuId, GpuId, NodeId};
+use memnet_cpu::{CpuCore, DmaEngine};
+use memnet_engine::Calendar;
+use memnet_gpu::Gpu;
+use memnet_hmc::HmcDevice;
+use memnet_noc::topo::{add_cpu_overlay, add_pcie_tree, build_clusters, TopologyKind};
+use memnet_noc::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
+use memnet_obs::{ClockDomain, MetricsRegistry, Tracer};
+use memnet_workloads::WorkloadSpec;
+use std::collections::VecDeque;
+
+impl System {
+    pub(super) fn try_build(b: SimBuilder) -> Result<System, SimError> {
+        let cfg = b.cfg.clone();
+        cfg.validate().map_err(SimError::InvalidConfig)?;
+        let workload = b.workload.clone().ok_or(SimError::MissingWorkload)?;
+        let engine_mode = match b.engine_mode {
+            Some(mode) => mode,
+            None => EngineMode::from_env()?,
+        };
+        let n_gpus = cfg.n_gpus as usize;
+        let local = cfg.hmcs_per_gpu as usize;
+        let cpu_cluster = n_gpus as u32;
+
+        let mut params = NocParams::from_config(&cfg.noc);
+        params.seed = cfg.seed;
+        let mut nb = NetworkBuilder::new(params);
+        nb.routing(b.routing);
+
+        let cpd = cfg.noc.channels_per_device;
+        let (gpu_eps, cpu_ep, hmc_eps) = if b.org == Organization::Umn {
+            // All clusters (GPUs first, CPU last) in one memory network.
+            let c = build_clusters(&mut nb, n_gpus + 1, local, cpd, b.topology);
+            if b.overlay {
+                add_cpu_overlay(&mut nb, &c, n_gpus);
+            }
+            let gpu_eps = c.device_eps[..n_gpus].to_vec();
+            (gpu_eps, c.device_eps[n_gpus], c.hmc_eps_flat())
+        } else {
+            // Everyone else keeps the GPU clusters (wired to each other
+            // only under GMN) apart from the one CPU cluster; what joins
+            // the devices is the organization's own.
+            let gpu_topo = match b.org {
+                Organization::Gmn | Organization::GmnZc => b.topology,
+                _ => TopologyKind::Isolated,
+            };
+            let g = build_clusters(&mut nb, n_gpus, local, cpd, gpu_topo);
+            let c = build_clusters(&mut nb, 1, local, cpd, TopologyKind::Isolated);
+            let mut devs = g.device_routers.clone();
+            devs.push(c.device_routers[0]);
+            // A direct HMC-class channel between every pair of `nodes`.
+            let all_pairs = |nb: &mut NetworkBuilder, nodes: &[NodeId], tag: LinkTag| {
+                for i in 0..nodes.len() {
+                    for j in i + 1..nodes.len() {
+                        nb.link(nodes[i], nodes[j], LinkSpec::hmc_channel(), tag);
+                    }
+                }
+            };
+            match b.org {
+                Organization::Umn => unreachable!("wired above"),
+                Organization::Pcie
+                | Organization::PcieZc
+                | Organization::Gmn
+                | Organization::GmnZc => {
+                    add_pcie_tree(&mut nb, &devs, cfg.pcie.latency_ns);
+                }
+                // Processor-centric network: every device pair gets a
+                // direct NVLink-class channel; memories remain local.
+                Organization::Pcn => all_pairs(&mut nb, &devs, LinkTag::Nvlink),
+                Organization::Cmn | Organization::CmnZc => {
+                    // The CPU's HMCs form the memory network (fully connected),
+                    // and each GPU taps into it with two channels — replacing
+                    // the PCIe interface (Fig. 8(a)).
+                    let cpu_hmcs = &c.hmc_routers[0];
+                    all_pairs(&mut nb, cpu_hmcs, LinkTag::HmcHmc);
+                    for (gi, &gr) in g.device_routers.iter().enumerate() {
+                        for tap in [gi, gi + 1] {
+                            let hmc = cpu_hmcs[tap % cpu_hmcs.len()];
+                            nb.link(gr, hmc, LinkSpec::hmc_channel(), LinkTag::DeviceHmc);
+                        }
+                    }
+                }
+            }
+            let mut hmc_eps = g.hmc_eps_flat();
+            hmc_eps.extend(c.hmc_eps_flat());
+            (g.device_eps, c.device_eps[0], hmc_eps)
+        };
+        let net = nb.build();
+
+        // Memory layout: regions per data-residency policy. Co-workloads
+        // stack above the primary footprint at page-aligned bases.
+        let mut co_workloads: Vec<(WorkloadSpec, u64)> = Vec::new();
+        let mut next_base = workload
+            .footprint_bytes()
+            .max(4096)
+            .div_ceil(cfg.page_bytes)
+            * cfg.page_bytes;
+        for w in &b.co_workloads {
+            assert!(
+                w.host_pre.is_none() && w.host_post.is_none(),
+                "co-workloads cannot have host compute phases"
+            );
+            co_workloads.push((w.clone(), next_base));
+            next_base += w.footprint_bytes().max(4096).div_ceil(cfg.page_bytes) * cfg.page_bytes;
+        }
+        let fp = next_base.max(4096);
+        let mut layout = MemoryLayout::new(&cfg, cpu_cluster + 1);
+        layout.set_policy(b.placement);
+        let device_clusters: Vec<u32> = match b.org {
+            org if org.zero_copy() => vec![cpu_cluster],
+            Organization::Umn => (0..=cpu_cluster).collect(),
+            _ => b
+                .data_clusters
+                .clone()
+                .unwrap_or_else(|| (0..cpu_cluster).collect()),
+        };
+        layout.add_region(0, fp, &device_clusters);
+        layout.add_region(HOST_BASE, fp, &[cpu_cluster]);
+
+        let gpus: Vec<Gpu> = (0..n_gpus)
+            .map(|g| Gpu::new(GpuId(g as u16), &cfg.gpu))
+            .collect();
+        let hmcs: Vec<HmcDevice> = (0..hmc_eps.len())
+            .map(|_| HmcDevice::new(&cfg.hmc))
+            .collect();
+        let hmc_ports = (0..hmc_eps.len()).map(|_| HmcPort::default()).collect();
+        let traffic = TrafficMatrix::new(n_gpus + 1, hmc_eps.len());
+
+        // One clock per domain, in the order of the `domain` constants.
+        let clocks = vec![
+            Clock::from_freq_mhz(cfg.gpu.core_mhz),
+            Clock::from_freq_mhz(cfg.gpu.l2_mhz),
+            Clock::from_freq_mhz(cfg.cpu.freq_mhz),
+            Clock::from_freq_mhz(cfg.noc.router_mhz),
+            Clock::new(memnet_common::time::ns_to_fs(cfg.hmc.tck_ns)),
+        ];
+        let periods: Vec<Fs> = clocks.iter().map(Clock::period_fs).collect();
+        let tracer = b.trace_capacity.map(|cap| {
+            use ClockDomain::{Core, Cpu, Dram, Net, L2};
+            let mut t = Tracer::new(cap);
+            for (dom, &period) in [Core, L2, Cpu, Net, Dram].into_iter().zip(&periods) {
+                t.set_clock(dom, period as f64);
+            }
+            t
+        });
+        let metrics_every = b.metrics_every.unwrap_or(0);
+
+        // Pin every fault-plan event to the first clock edge of its
+        // owning domain at or after its timestamp — pure clock
+        // arithmetic, identical under both engine modes.
+        let (resolved, faults_skipped) = resolve_plan(
+            &b.faults,
+            &net,
+            hmc_eps.len(),
+            n_gpus,
+            FaultOwners {
+                net: domain::NET,
+                dram: domain::DRAM,
+                core: domain::CORE,
+            },
+            &periods,
+        );
+        let mut fault_q: [VecDeque<ResolvedFault>; domain::COUNT] = Default::default();
+        for f in resolved {
+            fault_q[f.owner].push_back(f);
+        }
+
+        Ok(System {
+            active_gpus: b.active_gpus.unwrap_or(cfg.n_gpus).min(cfg.n_gpus),
+            use_overlay: b.overlay,
+            phase_budget: (b.phase_budget_ns * 1e6) as Fs,
+            cpu: CpuCore::new(CpuId(0), &cfg.cpu),
+            dma: DmaEngine::new(CpuId(0), 32),
+            cal: Calendar::new(clocks),
+            park: engine_mode == EngineMode::EventDriven,
+            engine_mode,
+            now: 0,
+            timed_out: false,
+            fault_q,
+            faults_injected: 0,
+            faults_skipped,
+            failed_requests: 0,
+            rebalanced_ctas: 0,
+            lost_gpus: 0,
+            tracer,
+            san: b
+                .sanitize
+                .enabled()
+                .then(|| Sanitizer::new(b.sanitize == SanitizeMode::Fatal)),
+            metrics: (metrics_every > 0).then(MetricsRegistry::new),
+            prof: b.profile.then(|| {
+                ProfPack::new(if metrics_every > 0 {
+                    metrics_every
+                } else {
+                    ProfPack::SAMPLE_EVERY
+                })
+            }),
+            metrics_every,
+            next_epoch: metrics_every,
+            steal_events: 0,
+            cta_policy: b.cta_policy,
+            org: b.org,
+            workload,
+            co_workloads,
+            cfg,
+            net,
+            gpus,
+            gpu_eps,
+            cpu_ep,
+            hmcs,
+            hmc_eps,
+            hmc_ports,
+            layout,
+            traffic,
+        })
+    }
+}

@@ -1097,7 +1097,7 @@ mod tests {
                       }\n";
         // Simulation crates and the root binary may not create threads…
         assert_eq!(
-            rules_at(&lint_source("crates/core/src/system.rs", spawny)),
+            rules_at(&lint_source("crates/core/src/system/engine.rs", spawny)),
             vec![("thread-boundary", 2), ("thread-boundary", 3)]
         );
         assert_eq!(

@@ -267,6 +267,9 @@ pub struct NetworkState {
     pub stats: NetStats,
 }
 
+/// Output-port sets indexed `[router][destination]`.
+type PortTable = Vec<Vec<Vec<u8>>>;
+
 /// A frozen, runnable network.
 #[derive(Debug)]
 pub struct Network {
@@ -287,9 +290,9 @@ pub struct Network {
     /// Router-to-router hop distances.
     dist: Vec<Vec<u16>>,
     /// Minimal output ports per (router, destination endpoint).
-    min_ports_ep: Vec<Vec<Vec<u8>>>,
+    min_ports_ep: PortTable,
     /// Minimal output ports per (router, destination router), for Valiant.
-    min_ports_rtr: Vec<Vec<Vec<u8>>>,
+    min_ports_rtr: PortTable,
     /// Home router of each endpoint.
     home: Vec<u32>,
 
@@ -316,6 +319,91 @@ pub struct Network {
     /// Injection-credit capacity per VC at every endpoint (uniform; the
     /// audit's upper bound and quiescent-restore target).
     ep_inj_cap: i32,
+}
+
+/// Router-to-router hop counts over the links `up` admits, by BFS from
+/// every router; `u16::MAX` marks an unreachable pair.
+fn all_pairs_hops(
+    nr: usize,
+    link_rtrs: &[(u32, u32)],
+    up: impl Fn(usize) -> bool,
+) -> Vec<Vec<u16>> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nr];
+    for (li, &(a, b)) in link_rtrs.iter().enumerate() {
+        if up(li) {
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
+        }
+    }
+    let mut dist = vec![vec![u16::MAX; nr]; nr];
+    for (s, row) in dist.iter_mut().enumerate() {
+        let mut q = VecDeque::new();
+        row[s] = 0;
+        q.push_back(s as u32);
+        while let Some(u) = q.pop_front() {
+            for &v in &adj[u as usize] {
+                if row[v as usize] == u16::MAX {
+                    row[v as usize] = row[u as usize] + 1;
+                    q.push_back(v);
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// The minimal output ports per (router, destination router) and per
+/// (router, destination endpoint), in port order: the ports whose channel
+/// is up and whose peer is one hop closer under `dist`. An unreachable
+/// destination gets an empty set.
+fn min_port_tables(
+    routers: &[Router],
+    channels: &[Channel],
+    endpoints: &[Endpoint],
+    dist: &[Vec<u16>],
+) -> (PortTable, PortTable) {
+    let nr = routers.len();
+    let to_rtr: PortTable = (0..nr)
+        .map(|r| {
+            (0..nr)
+                .map(|d| {
+                    if r == d || dist[r][d] == u16::MAX {
+                        return Vec::new();
+                    }
+                    routers[r]
+                        .ports
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(pi, port)| match port.peer {
+                            Peer::Router { idx, .. }
+                                if channels[port.out_channel as usize].up
+                                    && dist[idx as usize][d] != u16::MAX
+                                    && dist[idx as usize][d] + 1 == dist[r][d] =>
+                            {
+                                Some(pi as u8)
+                            }
+                            _ => None,
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let to_ep = (0..nr)
+        .map(|r| {
+            endpoints
+                .iter()
+                .map(|e| {
+                    if r == e.router as usize {
+                        vec![e.router_port]
+                    } else {
+                        to_rtr[r][e.router as usize].clone()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (to_rtr, to_ep)
 }
 
 impl Network {
@@ -347,34 +435,16 @@ impl Network {
         assert!(nr > 0, "network needs at least one router");
         assert!(ne > 0, "network needs at least one endpoint");
 
-        // Adjacency from links (router-router) for distance computation.
         let ridx = |n: NodeId| -> u32 {
             match kind[n.index()] {
                 Peer::Router { idx, .. } => idx,
                 Peer::Endpoint { .. } => panic!("expected router node {n}"),
             }
         };
-        let mut adj: Vec<Vec<(u32, usize)>> = vec![Vec::new(); nr]; // (peer router, link idx)
-        for (li, l) in b.links.iter().enumerate() {
-            adj[ridx(l.a) as usize].push((ridx(l.b), li));
-            adj[ridx(l.b) as usize].push((ridx(l.a), li));
-        }
+        let link_rtrs: Vec<(u32, u32)> = b.links.iter().map(|l| (ridx(l.a), ridx(l.b))).collect();
 
-        // BFS all-pairs over routers.
-        let mut dist = vec![vec![u16::MAX; nr]; nr];
-        for (s, row) in dist.iter_mut().enumerate() {
-            let mut q = VecDeque::new();
-            row[s] = 0;
-            q.push_back(s as u32);
-            while let Some(u) = q.pop_front() {
-                for &(v, _) in &adj[u as usize] {
-                    if row[v as usize] == u16::MAX {
-                        row[v as usize] = row[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-        }
+        // Needed before any port exists: the diameter sizes the VCs.
+        let dist = all_pairs_hops(nr, &link_rtrs, |_| true);
         let diameter = dist
             .iter()
             .flat_map(|row| row.iter().copied())
@@ -486,45 +556,7 @@ impl Network {
             }
         }
 
-        // Minimal port tables.
-        let min_ports_rtr: Vec<Vec<Vec<u8>>> = (0..nr)
-            .map(|r| {
-                (0..nr)
-                    .map(|d| {
-                        if r == d {
-                            return Vec::new();
-                        }
-                        routers[r]
-                            .ports
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(pi, port)| match port.peer {
-                                Peer::Router { idx, .. }
-                                    if dist[idx as usize][d] + 1 == dist[r][d] =>
-                                {
-                                    Some(pi as u8)
-                                }
-                                _ => None,
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let min_ports_ep: Vec<Vec<Vec<u8>>> = (0..nr)
-            .map(|r| {
-                (0..ne)
-                    .map(|e| {
-                        let h = home[e] as usize;
-                        if r == h {
-                            vec![endpoints[e].router_port]
-                        } else {
-                            min_ports_rtr[r][h].clone()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        let (min_ports_rtr, min_ports_ep) = min_port_tables(&routers, &channels, &endpoints, &dist);
 
         // Overlay chains: for each router on a chain, destination endpoints
         // homed further along the chain (in either direction) are reached
@@ -569,7 +601,6 @@ impl Network {
         }
 
         let link_tags: Vec<LinkTag> = b.links.iter().map(|l| l.tag).collect();
-        let link_rtrs: Vec<(u32, u32)> = b.links.iter().map(|l| (ridx(l.a), ridx(l.b))).collect();
         let link_up = vec![true; b.links.len()];
 
         Network {
@@ -1044,69 +1075,9 @@ impl Network {
     /// construction-time connectivity check.
     fn recompute_routes(&mut self) {
         let nr = self.routers.len();
-        let ne = self.endpoints.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nr];
-        for (li, &(a, b)) in self.link_rtrs.iter().enumerate() {
-            if self.link_up[li] {
-                adj[a as usize].push(b);
-                adj[b as usize].push(a);
-            }
-        }
-        let mut dist = vec![vec![u16::MAX; nr]; nr];
-        for (s, row) in dist.iter_mut().enumerate() {
-            let mut q = VecDeque::new();
-            row[s] = 0;
-            q.push_back(s as u32);
-            while let Some(u) = q.pop_front() {
-                for &v in &adj[u as usize] {
-                    if row[v as usize] == u16::MAX {
-                        row[v as usize] = row[u as usize] + 1;
-                        q.push_back(v);
-                    }
-                }
-            }
-        }
-        self.dist = dist;
-        self.min_ports_rtr = (0..nr)
-            .map(|r| {
-                (0..nr)
-                    .map(|d| {
-                        if r == d || self.dist[r][d] == u16::MAX {
-                            return Vec::new();
-                        }
-                        self.routers[r]
-                            .ports
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(pi, port)| match port.peer {
-                                Peer::Router { idx, .. }
-                                    if self.channels[port.out_channel as usize].up
-                                        && self.dist[idx as usize][d] != u16::MAX
-                                        && self.dist[idx as usize][d] + 1 == self.dist[r][d] =>
-                                {
-                                    Some(pi as u8)
-                                }
-                                _ => None,
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        self.min_ports_ep = (0..nr)
-            .map(|r| {
-                (0..ne)
-                    .map(|e| {
-                        let h = self.home[e] as usize;
-                        if r == h {
-                            vec![self.endpoints[e].router_port]
-                        } else {
-                            self.min_ports_rtr[r][h].clone()
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
+        self.dist = all_pairs_hops(nr, &self.link_rtrs, |li| self.link_up[li]);
+        (self.min_ports_rtr, self.min_ports_ep) =
+            min_port_tables(&self.routers, &self.channels, &self.endpoints, &self.dist);
     }
 
     /// Pulls the head packet of an input VC buffer out of the fabric:

@@ -129,16 +129,6 @@ pub enum TraceEventKind {
         /// Phase name (`"host"`, `"memcpy-h2d"`, `"kernel"`, ...).
         name: &'static str,
     },
-    /// The event-driven engine re-armed a parked clock domain, skipping
-    /// idle edges. Only recorded when engine-event tracing is explicitly
-    /// enabled, so default traces stay identical across engine modes.
-    EngineWake {
-        /// Clock-domain name (`"core"`, `"l2"`, `"cpu"`, `"net"`,
-        /// `"dram"`).
-        domain: &'static str,
-        /// Idle edges fast-forwarded over.
-        skipped: u64,
-    },
     /// The runtime sanitizer recorded an invariant violation (instant on
     /// a dedicated "sanitizer" track). Never emitted on a clean run, so
     /// enabling the sanitizer leaves clean traces bit-identical.
@@ -354,7 +344,6 @@ const PID: u64 = 1;
 const TID_PHASES: u64 = 0;
 const TID_NET_ENDPOINTS: u64 = 1;
 const TID_SKE: u64 = 2;
-const TID_ENGINE: u64 = 3;
 const TID_FAULTS: u64 = 4;
 const TID_SANITIZER: u64 = 5;
 const TID_POOL: u64 = 6;
@@ -378,7 +367,6 @@ fn tid_of(kind: &TraceEventKind) -> (u64, &'static str, Option<u64>) {
             (TID_GPU_BASE + *gpu as u64, "gpu ", Some(*gpu as u64))
         }
         TraceEventKind::CtaSteal { .. } => (TID_SKE, "ske", None),
-        TraceEventKind::EngineWake { .. } => (TID_ENGINE, "engine", None),
         TraceEventKind::PoolJob { .. } => (TID_POOL, "pool", None),
         TraceEventKind::Fault { .. } => (TID_FAULTS, "faults", None),
         TraceEventKind::SanitizerViolation { .. } => (TID_SANITIZER, "sanitizer", None),
@@ -520,15 +508,6 @@ fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
             w.field("dur", &dur);
             w.key("args");
             w.begin_object();
-            w.end_object();
-        }
-        TraceEventKind::EngineWake { domain, skipped } => {
-            event_head(w, "engine-wake", "engine", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
-            w.field("domain", domain);
-            w.field("skipped", skipped);
             w.end_object();
         }
         TraceEventKind::PoolJob { what, job, attempt } => {

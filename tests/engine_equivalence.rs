@@ -205,34 +205,6 @@ fn trace_and_metrics_streams_are_byte_identical() {
 }
 
 #[test]
-fn engine_wake_events_only_appear_when_asked() {
-    // Pinned to the event engine: wake events only exist where domains
-    // park, and the MEMNET_ENGINE env var may override the default.
-    let plain = small(Organization::Pcie, Workload::VecAdd)
-        .engine(EngineMode::EventDriven)
-        .trace(1 << 16)
-        .run();
-    let verbose = small(Organization::Pcie, Workload::VecAdd)
-        .engine(EngineMode::EventDriven)
-        .trace(1 << 16)
-        .trace_engine(true)
-        .run();
-    let plain_json = plain.trace_json.expect("trace enabled");
-    let verbose_json = verbose.trace_json.expect("trace enabled");
-    assert!(
-        !plain_json.contains("engine-wake"),
-        "default traces must stay engine-agnostic"
-    );
-    assert!(
-        verbose_json.contains("engine-wake"),
-        "opt-in engine tracing records wake events"
-    );
-    // The physics must not care about the extra instrumentation.
-    assert_eq!(plain.kernel_ns, verbose.kernel_ns);
-    assert_eq!(plain.traffic, verbose.traffic);
-}
-
-#[test]
 fn fault_plans_are_bit_identical_across_engines() {
     // Acceptance criterion: an identical fault plan plus seed must yield
     // bit-identical reports from both engines. Faults are pinned to owner
