@@ -84,10 +84,8 @@ fn main() {
     if reused {
         println!("  (reusing the fig16_topology sweep — identical simulations)");
     }
-    let topo_names: Vec<&str> = memnet_bench::sliced_topologies()
-        .iter()
-        .map(|t| t.name())
-        .collect();
+    let topos = memnet_bench::sliced_topologies();
+    let topo_names: Vec<&str> = topos.iter().map(|t| t.name()).collect();
     let mut savings = Vec::new();
     println!(
         "  {:<6} {:>10} {:>10} {:>10} {:>10} {:>10}   (mJ)",
