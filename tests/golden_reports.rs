@@ -1,17 +1,22 @@
-//! Exact-bytes pin for hot-path rewrites.
+//! Exact-bytes pins: the one oracle for "same report".
 //!
-//! `engine_equivalence` compares two engines that share one `Network`,
-//! `Gpu` and `Vault`, so a rewrite that shifts both equally passes
-//! it. This suite pins the bytes themselves: an FNV-1a hash (`fnv1a64`)
-//! of each case's output, taken once and committed in
-//! `tests/data/golden_reports.txt`, checked in both engine modes.
+//! Each row of [`cases`] is a small configuration whose output is hashed
+//! (FNV-1a, `fnv1a64`) and held to the value committed in
+//! `tests/data/golden_reports.txt`, once per engine. Both engines against
+//! one committed hash says they agree with each other, and also catches
+//! what comparing them to each other cannot: a rewrite of the `Network`,
+//! `Gpu` or `Vault` they share that shifts both equally. The rows after
+//! the first twenty are the configurations the two-way engine matrix used
+//! to run.
 //!
-//! A report case hashes the compact `SimReport` JSON plus the fields that
+//! A report row hashes the compact `SimReport` JSON, the fields that
 //! document leaves out (traffic matrix, per-GPU digests, routing counters,
-//! channel utilization); the two stream cases hash a `--trace` and a
-//! `--metrics-every` payload. If a hash moves, either the change broke
-//! byte-identity (fix it) or it deliberately changed the model: then
-//! re-bless with
+//! channel utilization) and the trace and metrics streams when the row
+//! switched them on. To pin a new configuration, add a row to [`cases`]
+//! and re-bless on the commit *before* the change it is to guard; the
+//! bless must add that row's line and move no other. If a hash moves,
+//! either the change broke byte-identity (fix it) or it deliberately
+//! changed the model: then re-bless with
 //!
 //! ```sh
 //! cargo test --release --test golden_reports -- --ignored bless
@@ -32,7 +37,7 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/golden_rep
 
 /// What a case runs and which bytes of the result it pins.
 enum Pin {
-    /// The whole report of a straight run.
+    /// The whole report of a straight run, streams included.
     Report,
     /// The report of a run restored from its own pre-kernel checkpoint:
     /// every component passes through `restore_state` mid-run.
@@ -91,8 +96,32 @@ fn gpu_loss() -> FaultPlan {
     plan
 }
 
+/// A link cut, a vault stall and a GPU loss 20 ns apart, early enough to
+/// land in the memcpy phase where there is one: faults are pinned to owner
+/// clock edges, so the event-driven engine must wake parked domains there.
+fn three_faults() -> FaultPlan {
+    let mut plan = FaultPlan::new();
+    plan.push(
+        ns_to_fs(20.0),
+        FaultKind::LinkDown {
+            class: LinkClass::HmcHmc,
+            ordinal: 0,
+        },
+    );
+    plan.push(
+        ns_to_fs(40.0),
+        FaultKind::VaultStall {
+            hmc: 0,
+            vault: 3,
+            stall_tcks: 2_000,
+        },
+    );
+    plan.push(ns_to_fs(60.0), FaultKind::GpuLoss { gpu: 1 });
+    plan
+}
+
 /// The pinned cases, in file order.
-fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
+fn cases() -> Vec<(String, Pin, SimBuilder)> {
     use Organization::*;
     let sfbfly = TopologyKind::Sliced {
         kind: SlicedKind::Fbfly,
@@ -105,7 +134,7 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
     k.ctas = 8;
     k.iters = 2;
     cg.kernel = std::sync::Arc::new(k);
-    vec![
+    let mut rows = vec![
         ("umn-kmn", Pin::Report, small(Umn, Workload::Kmn)),
         ("umn8-sfbfly", Pin::Report, eight(sfbfly)),
         (
@@ -127,7 +156,11 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
                 .gpus(4)
                 .routing(RoutingPolicy::Ugal),
         ),
-        ("umn-overlay-cg", Pin::Report, rig(Umn, cg).overlay(true)),
+        (
+            "umn-overlay-cg",
+            Pin::Report,
+            rig(Umn, cg.clone()).overlay(true),
+        ),
         (
             "umn-stealing",
             Pin::Report,
@@ -166,11 +199,91 @@ fn cases() -> Vec<(&'static str, Pin, SimBuilder)> {
             small(Pcie, Workload::VecAdd).metrics_every(500),
         ),
     ]
+    .into_iter()
+    .map(|(name, pin, b)| (name.to_string(), pin, b))
+    .collect::<Vec<_>>();
+
+    // What the two-way engine matrix ran. Rows it shared with the list
+    // above (umn-kmn, pcie-scan, pcn-vecadd, umn-stealing) are not repeated.
+    let key = |org: Organization, what: &str| {
+        format!("{}-{what}", org.name().replace('-', "")).to_lowercase()
+    };
+    let mut report = |name: String, b: SimBuilder| rows.push((name, Pin::Report, b));
+    // Every organization, with a memcpy phase where it has one: the
+    // idle-heavy stretch where fast-forward skips the most.
+    for org in Organization::all_extended() {
+        if org != Pcn {
+            report(key(org, "vecadd"), small(org, Workload::VecAdd));
+        }
+    }
+    // Table II on PCIe (DMA, network and DRAM run while the GPU domains
+    // park) and on UMN (the all-shared path).
+    for w in Workload::table2() {
+        for org in [Pcie, Umn] {
+            if (org, w) != (Umn, Workload::Kmn) && (org, w) != (Pcie, Workload::Scan) {
+                report(key(org, w.abbr()), small(org, w));
+            }
+        }
+    }
+    // Pure host compute between kernels parks every domain but the CPU.
+    for org in [Pcie, Umn] {
+        report(key(org, "cg-shrunk"), rig(org, cg.clone()));
+    }
+    for (name, topology) in [
+        (
+            "smesh",
+            TopologyKind::Sliced {
+                kind: SlicedKind::Mesh,
+                double: false,
+            },
+        ),
+        (
+            "storus2x",
+            TopologyKind::Sliced {
+                kind: SlicedKind::Torus,
+                double: true,
+            },
+        ),
+        ("dfbfly", TopologyKind::DistributorFbfly),
+    ] {
+        for org in [Gmn, Umn] {
+            report(
+                key(org, name),
+                small(org, Workload::VecAdd).topology(topology),
+            );
+        }
+    }
+    report(
+        key(Umn, "co-kernels"),
+        small(Umn, Workload::Cp).co_workload(Workload::Scan.spec_small()),
+    );
+    // Same events, same order, same epoch numbering in both engines.
+    let streams = |b: SimBuilder| b.trace(1 << 16).metrics_every(500);
+    for org in [Pcie, Umn] {
+        report(
+            key(org, "trace-metrics"),
+            streams(small(org, Workload::VecAdd)),
+        );
+    }
+    for org in [Umn, Gmn, Pcie] {
+        report(
+            key(org, "three-faults"),
+            small(org, Workload::VecAdd).faults(three_faults()),
+        );
+    }
+    // A seeded chaos plan, with the streams that record its injections.
+    let chaos = FaultPlan::random(0xC0FFEE, 8, 2, ns_to_fs(500.0));
+    report(
+        key(Umn, "chaos-c0ffee"),
+        streams(small(Umn, Workload::Bp).faults(chaos)),
+    );
+    rows
 }
 
-/// The compact JSON plus every report field it does not serialize. The
-/// sanitizer's findings are left out so the pins hold when `MEMNET_SANITIZE`
-/// arms it for the whole suite; a dirty run is that mode's own failure.
+/// The compact JSON, every report field it does not serialize, then the
+/// trace and metrics streams of a run that recorded them. The sanitizer's
+/// findings are left out so the pins hold when `MEMNET_SANITIZE` arms it
+/// for the whole suite; a dirty run is that mode's own failure.
 fn report_bytes(mut r: SimReport) -> String {
     r.sanitizer = None;
     let mut s = r.to_json_compact();
@@ -180,6 +293,9 @@ fn report_bytes(mut r: SimReport) -> String {
         r.traffic, r.per_gpu, r.passthrough, r.nonminimal, r.channel_utilization
     )
     .expect("writing to a String");
+    for stream in [r.trace_json, r.metrics_json].into_iter().flatten() {
+        s.push_str(&stream);
+    }
     s
 }
 
@@ -210,7 +326,7 @@ fn check(mode: EngineMode) {
     let cases = cases();
     assert_eq!(
         want.iter().map(|w| w.0).collect::<Vec<_>>(),
-        cases.iter().map(|c| c.0).collect::<Vec<_>>(),
+        cases.iter().map(|c| c.0.as_str()).collect::<Vec<_>>(),
         "golden file and case list disagree; re-bless"
     );
     let mut moved = Vec::new();
