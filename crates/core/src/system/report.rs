@@ -9,7 +9,7 @@ use memnet_common::time::{fs_to_ns, Fs};
 use memnet_obs::{JsonWriter, ToJson, Tracer};
 
 /// Per-GPU digest for detailed reporting.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSummary {
     /// L1 read hit rate.
     pub l1_hit_rate: f64,
@@ -22,7 +22,11 @@ pub struct GpuSummary {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone)]
+///
+/// `==` is how tests say two runs agree: it is derived, so a field added
+/// here is compared from the day it is added. No float below can be NaN
+/// (every rate and mean is 0.0 over an empty denominator).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Organization simulated.
     pub org: Organization,

@@ -99,13 +99,7 @@ fn seeded_chaos_matrix_completes_with_balanced_accounting() {
                 .engine(EngineMode::EventDriven)
                 .run();
             assert_invariants(&event, seed, &label);
-            // Engine modes are independent code paths; byte-equal debug
-            // renderings mean every field (floats included) agrees.
-            assert_eq!(
-                format!("{cycle:?}"),
-                format!("{event:?}"),
-                "{label}: engine modes disagree under chaos"
-            );
+            assert_eq!(cycle, event, "{label}: engine modes disagree under chaos");
         }
     }
 }
@@ -113,9 +107,7 @@ fn seeded_chaos_matrix_completes_with_balanced_accounting() {
 #[test]
 fn same_seed_is_byte_identical_and_different_seed_is_not() {
     let run = || chaos_builder(Organization::Umn, Workload::VecAdd, 77).run();
-    let a = format!("{:?}", run());
-    let b = format!("{:?}", run());
-    assert_eq!(a, b, "same seed must reproduce the exact report");
+    assert_eq!(run(), run(), "same seed must reproduce the exact report");
 
     let plan_a = FaultPlan::random(77, EVENTS, GPUS, ns_to_fs(HORIZON_NS));
     let plan_b = FaultPlan::random(78, EVENTS, GPUS, ns_to_fs(HORIZON_NS));
@@ -185,8 +177,8 @@ fn fuzzed_models_hold_the_chaos_invariants_across_engines() {
             assert_invariants(&cycle, seed, &format!("{label}/{}", org.name()));
             let event = build(org).engine(EngineMode::EventDriven).run();
             assert_eq!(
-                format!("{cycle:?}"),
-                format!("{event:?}"),
+                cycle,
+                event,
                 "{label}/{}: event engine diverged",
                 org.name()
             );

@@ -203,8 +203,5 @@ fn overlay_reduces_cpu_latency_on_umn() {
 fn reports_are_deterministic_across_runs() {
     let a = tiny(Organization::Cmn, Workload::Bfs).run();
     let b = tiny(Organization::Cmn, Workload::Bfs).run();
-    assert_eq!(a.kernel_ns, b.kernel_ns);
-    assert_eq!(a.memcpy_ns, b.memcpy_ns);
-    assert_eq!(a.energy_mj, b.energy_mj);
-    assert_eq!(a.traffic.total(), b.traffic.total());
+    assert_eq!(a, b);
 }

@@ -146,10 +146,5 @@ fn exact_determinism_pin() {
     // intentional model change, something became nondeterministic.
     let a = run(Organization::Umn, Workload::Bfs);
     let b = run(Organization::Umn, Workload::Bfs);
-    assert_eq!(a.kernel_ns.to_bits(), b.kernel_ns.to_bits());
-    assert_eq!(a.energy_mj.to_bits(), b.energy_mj.to_bits());
-    assert_eq!(
-        a.avg_pkt_latency_ns.to_bits(),
-        b.avg_pkt_latency_ns.to_bits()
-    );
+    assert_eq!(a, b);
 }

@@ -55,25 +55,20 @@ fn assert_clean(r: &SimReport, label: &str) {
 #[test]
 fn builtin_models_conform_across_all_engines() {
     // Export each built-in's small spec, reload it through the DSL, and
-    // demand byte-identical reports vs the hard-coded twin under every
-    // engine. Debug rendering compares every field, floats included.
+    // demand identical reports vs the hard-coded twin under every engine.
     for w in wdl::all_builtins() {
         let twin = w.spec_small();
         let loaded = wdl::spec_from_json(&wdl::spec_to_json(&twin))
             .unwrap_or_else(|e| panic!("{}: model did not reload: {e}", twin.abbr));
         assert_eq!(twin, loaded, "{}: spec-level round trip", twin.abbr);
-        let reference = format!(
-            "{:?}",
-            rig(Organization::Umn, twin.clone())
-                .engine(ALL_MODES[0])
-                .run()
-        );
+        let reference = rig(Organization::Umn, twin.clone())
+            .engine(ALL_MODES[0])
+            .run();
         for mode in ALL_MODES {
             let from_model = rig(Organization::Umn, loaded.clone()).engine(mode).run();
             assert_clean(&from_model, &format!("{}[{mode:?}]", twin.abbr));
             assert_eq!(
-                reference,
-                format!("{from_model:?}"),
+                reference, from_model,
                 "{}: model-driven {mode:?} run diverged from the hard-coded twin",
                 twin.abbr
             );
@@ -93,21 +88,14 @@ fn fuzzed_models_run_sanitizer_clean_and_bit_identical() {
         assert_eq!(spec, back, "{label}: reload changed the spec");
         assert_eq!(json, wdl::spec_to_json(&back), "{label}: textual drift");
         // Differential oracle: two independent engines, one report.
-        let reference = format!(
-            "{:?}",
-            rig(Organization::Umn, back.clone())
-                .engine(ALL_MODES[0])
-                .run()
-        );
+        let reference = rig(Organization::Umn, back.clone())
+            .engine(ALL_MODES[0])
+            .run();
         for mode in ALL_MODES {
             let r = rig(Organization::Umn, back.clone()).engine(mode).run();
             assert_clean(&r, &format!("{label}[{mode:?}]"));
             assert!(!r.timed_out, "{label}[{mode:?}]: fuzzed model hung");
-            assert_eq!(
-                reference,
-                format!("{r:?}"),
-                "{label}: engines disagree on a fuzzed model"
-            );
+            assert_eq!(reference, r, "{label}: engines disagree on a fuzzed model");
         }
     }
 }
@@ -119,18 +107,14 @@ fn fuzzed_models_survive_checkpoint_restore() {
     for seed in [2u64, 5] {
         let spec = WorkloadFuzzer::spec(seed);
         let label = spec.abbr.clone();
-        let plain = format!(
-            "{:?}",
-            rig(Organization::Pcie, spec.clone())
-                .engine(EngineMode::EventDriven)
-                .run()
-        );
+        let plain = rig(Organization::Pcie, spec.clone())
+            .engine(EngineMode::EventDriven)
+            .run();
         let (at_checkpoint, snap) = rig(Organization::Pcie, spec.clone())
             .try_run_checkpointed("workload_dsl conformance")
             .unwrap_or_else(|e| panic!("{label}: checkpoint run failed: {e}"));
         assert_eq!(
-            plain,
-            format!("{at_checkpoint:?}"),
+            plain, at_checkpoint,
             "{label}: checkpointing perturbed the run"
         );
         for mode in ALL_MODES {
@@ -138,11 +122,7 @@ fn fuzzed_models_survive_checkpoint_restore() {
                 .engine(mode)
                 .try_run_restored(&snap)
                 .unwrap_or_else(|e| panic!("{label}[{mode:?}]: restore failed: {e}"));
-            assert_eq!(
-                plain,
-                format!("{restored:?}"),
-                "{label}[{mode:?}]: restored run diverged"
-            );
+            assert_eq!(plain, restored, "{label}[{mode:?}]: restored run diverged");
         }
     }
 }
