@@ -11,8 +11,7 @@
 //!
 //! The [`pool`] module is a std-only work pool (`std::thread::scope` +
 //! a `Mutex<VecDeque>` queue, no registry dependencies) with per-job
-//! panic isolation, soft timeouts, retry, and deterministic result
-//! ordering. `memnet sweep --jobs N`, the bench harness, and the examples
+//! panic isolation, retry, and deterministic result ordering. `memnet sweep --jobs N`, the bench harness, and the examples
 //! run on it.
 
 pub mod calendar;

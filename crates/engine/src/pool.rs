@@ -2,10 +2,10 @@
 //!
 //! `std::thread::scope` workers drain a shared `Mutex<VecDeque>` of job
 //! indices. Each job runs under `catch_unwind`, so one panicking
-//! configuration cannot take down a sweep; failed attempts (panic or soft
-//! timeout) are retried up to [`PoolConfig::retries`] times. Results come
-//! back in **submission order** regardless of which worker finished first,
-//! so sweeps stay deterministic.
+//! configuration cannot take down a sweep; a panicked attempt is retried
+//! up to [`PoolConfig::retries`] times. Results come back in **submission
+//! order** regardless of which worker finished first, so sweeps stay
+//! deterministic.
 //!
 //! No registry dependencies: the workspace's hermetic `--offline` build is
 //! preserved.
@@ -14,19 +14,15 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Pool sizing and failure policy.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Worker threads; 0 means [`default_workers`].
     pub workers: usize,
-    /// Extra attempts after a failed one (panic or timeout).
+    /// Extra attempts after a panicked one.
     pub retries: u32,
-    /// Soft per-attempt wall-clock budget. Jobs are cooperative — a
-    /// running attempt is never killed — but an attempt observed to
-    /// exceed the budget counts as failed and is retried or reported.
-    pub timeout: Option<Duration>,
 }
 
 impl Default for PoolConfig {
@@ -34,7 +30,6 @@ impl Default for PoolConfig {
         PoolConfig {
             workers: 0,
             retries: 1,
-            timeout: None,
         }
     }
 }
@@ -49,15 +44,6 @@ pub enum JobError {
         /// Panic payload of the final attempt, when it was a string.
         message: String,
     },
-    /// Every attempt exceeded the soft timeout.
-    TimedOut {
-        /// Attempts made (1 + retries).
-        attempts: u32,
-        /// Wall-clock time of the final attempt.
-        elapsed: Duration,
-        /// The configured budget it exceeded.
-        budget: Duration,
-    },
 }
 
 impl std::fmt::Display for JobError {
@@ -66,14 +52,6 @@ impl std::fmt::Display for JobError {
             JobError::Panicked { attempts, message } => {
                 write!(f, "panicked on all {attempts} attempt(s): {message}")
             }
-            JobError::TimedOut {
-                attempts,
-                elapsed,
-                budget,
-            } => write!(
-                f,
-                "exceeded the {budget:?} soft timeout on all {attempts} attempt(s) (last took {elapsed:?})"
-            ),
         }
     }
 }
@@ -94,8 +72,8 @@ pub fn default_workers() -> usize {
 pub struct PoolEvent {
     /// Milliseconds since the pool started.
     pub at_ms: u64,
-    /// What happened: `"panic"`, `"timeout"` (a failed attempt),
-    /// `"retry"` (another attempt follows a failure), or `"done"`.
+    /// What happened: `"panic"` (a failed attempt), `"retry"` (another
+    /// attempt follows a failure), or `"done"`.
     pub what: &'static str,
     /// Submission-order job index.
     pub job: usize,
@@ -116,8 +94,6 @@ pub struct PoolStats {
     pub retries: u64,
     /// Attempts that panicked.
     pub panics: u64,
-    /// Attempts that exceeded the soft timeout.
-    pub timeouts: u64,
 }
 
 /// What [`run_jobs_observed`] saw: counters plus the event log, sorted
@@ -131,8 +107,8 @@ pub struct PoolObs {
 }
 
 /// Runs `jobs` on the pool and returns one result per job, in submission
-/// order. Jobs must be `Fn` (not `FnOnce`) so a panicked or timed-out
-/// attempt can be retried.
+/// order. Jobs must be `Fn` (not `FnOnce`) so a panicked attempt can be
+/// retried.
 pub fn run_jobs<T, F>(cfg: &PoolConfig, jobs: Vec<F>) -> Vec<Result<T, JobError>>
 where
     T: Send,
@@ -141,8 +117,8 @@ where
     run_jobs_observed(cfg, jobs).0
 }
 
-/// Like [`run_jobs`], but also returns what happened: retries, timeouts
-/// and panic isolations that [`run_jobs`] absorbs silently. Feed
+/// Like [`run_jobs`], but also returns what happened: the retries and
+/// panic isolations that [`run_jobs`] absorbs silently. Feed
 /// [`PoolObs::events`] to a tracer and [`PoolObs::stats`] to a metrics
 /// registry to make sweep failures observable.
 pub fn run_jobs_observed<T, F>(
@@ -202,12 +178,11 @@ where
         failed: results.iter().filter(|r| r.is_err()).count(),
         retries: count("retry"),
         panics: count("panic"),
-        timeouts: count("timeout"),
     };
     (results, PoolObs { stats, events })
 }
 
-/// One job with retry: first failure mode of the final attempt wins.
+/// One job with retry: the error carries the final attempt's panic.
 /// `observe` is called with (`what`, 1-based attempt) for every failed
 /// attempt, every retry, and the successful completion.
 fn run_one<T>(
@@ -221,24 +196,10 @@ fn run_one<T>(
         if attempt > 1 {
             observe("retry", attempt);
         }
-        let started = Instant::now();
         match catch_unwind(AssertUnwindSafe(job)) {
             Ok(v) => {
-                let elapsed = started.elapsed();
-                match cfg.timeout {
-                    Some(budget) if elapsed > budget => {
-                        observe("timeout", attempt);
-                        last_err = Some(JobError::TimedOut {
-                            attempts,
-                            elapsed,
-                            budget,
-                        });
-                    }
-                    _ => {
-                        observe("done", attempt);
-                        return Ok(v);
-                    }
-                }
+                observe("done", attempt);
+                return Ok(v);
             }
             Err(payload) => {
                 observe("panic", attempt);
@@ -258,12 +219,12 @@ fn run_one<T>(
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::time::Duration;
 
     fn cfg(workers: usize) -> PoolConfig {
         PoolConfig {
             workers,
             retries: 1,
-            timeout: None,
         }
     }
 
@@ -319,17 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_job_trips_the_soft_timeout() {
-        let c = PoolConfig {
-            workers: 1,
-            retries: 0,
-            timeout: Some(Duration::from_millis(1)),
-        };
-        let out = run_jobs(&c, vec![|| std::thread::sleep(Duration::from_millis(20))]);
-        assert!(matches!(out[0], Err(JobError::TimedOut { .. })));
-    }
-
-    #[test]
     fn adversarial_durations_still_come_back_in_submission_order() {
         // Worst case for ordering bugs: job 0 is by far the slowest, the
         // rest finish immediately and in reverse queue order across many
@@ -346,78 +296,6 @@ mod tests {
         let out = run_jobs(&cfg(8), jobs);
         let got: Vec<usize> = out.into_iter().map(|r| r.expect("ok")).collect();
         assert_eq!(got, (0..24).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn timed_out_attempt_is_retried_and_can_succeed() {
-        // First attempt busts the budget, the retry is instant: the job
-        // must come back Ok, proving a soft timeout consumes an attempt
-        // rather than condemning the job.
-        let tries = AtomicU32::new(0);
-        let c = PoolConfig {
-            workers: 1,
-            retries: 1,
-            timeout: Some(Duration::from_millis(10)),
-        };
-        let out = run_jobs(
-            &c,
-            vec![|| {
-                if tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_millis(30));
-                }
-                9u32
-            }],
-        );
-        assert_eq!(out[0], Ok(9));
-        assert_eq!(tries.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn exhausted_timeout_reports_attempts_and_budget() {
-        let c = PoolConfig {
-            workers: 1,
-            retries: 2,
-            timeout: Some(Duration::from_millis(1)),
-        };
-        let out = run_jobs(&c, vec![|| std::thread::sleep(Duration::from_millis(15))]);
-        match &out[0] {
-            Err(JobError::TimedOut {
-                attempts,
-                elapsed,
-                budget,
-            }) => {
-                assert_eq!(*attempts, 3, "1 + 2 retries");
-                assert_eq!(*budget, Duration::from_millis(1));
-                assert!(*elapsed >= *budget);
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn panic_then_timeout_reports_the_final_attempts_failure() {
-        // Mixed failure modes across attempts: the error reflects the
-        // *last* attempt (timeout), not the first (panic).
-        let tries = AtomicU32::new(0);
-        let c = PoolConfig {
-            workers: 1,
-            retries: 1,
-            timeout: Some(Duration::from_millis(1)),
-        };
-        let out = run_jobs(
-            &c,
-            vec![|| {
-                if tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("first attempt dies loudly");
-                }
-                std::thread::sleep(Duration::from_millis(15));
-            }],
-        );
-        assert!(
-            matches!(out[0], Err(JobError::TimedOut { .. })),
-            "final attempt's failure mode wins: {:?}",
-            out[0]
-        );
     }
 
     #[test]
@@ -440,7 +318,6 @@ mod tests {
         assert_eq!(obs.stats.failed, 0);
         assert_eq!(obs.stats.panics, 1, "first attempt of job 1 panicked");
         assert_eq!(obs.stats.retries, 1);
-        assert_eq!(obs.stats.timeouts, 0);
         // The panic event names job 1, attempt 1; a retry follows.
         let panic = obs
             .events
@@ -450,21 +327,6 @@ mod tests {
         assert_eq!((panic.job, panic.attempt), (1, 1));
         assert!(obs.events.iter().any(|e| e.what == "retry" && e.job == 1));
         assert_eq!(obs.events.iter().filter(|e| e.what == "done").count(), 2);
-    }
-
-    #[test]
-    fn observed_timeout_exhaustion_counts_every_attempt() {
-        let c = PoolConfig {
-            workers: 1,
-            retries: 1,
-            timeout: Some(Duration::from_millis(1)),
-        };
-        let (out, obs) =
-            run_jobs_observed(&c, vec![|| std::thread::sleep(Duration::from_millis(10))]);
-        assert!(matches!(out[0], Err(JobError::TimedOut { .. })));
-        assert_eq!(obs.stats.failed, 1);
-        assert_eq!(obs.stats.timeouts, 2, "both attempts busted the budget");
-        assert_eq!(obs.stats.retries, 1);
         // Events come back time-sorted.
         assert!(obs.events.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
     }

@@ -136,12 +136,12 @@ pub enum TraceEventKind {
         /// The violation message (law broken, location, cycle).
         message: String,
     },
-    /// A run-pool job lifecycle event (retry, timeout, panic isolation)
+    /// A run-pool job lifecycle event (retry, panic isolation, completion)
     /// from `memnet sweep --jobs N`, on a dedicated "pool" track.
     /// Timestamps are wall-clock offsets from pool start, not simulated
     /// time — pool traces are exported separately from simulation traces.
     PoolJob {
-        /// What happened (`"retry"`, `"timeout"`, `"panic"`, `"done"`).
+        /// What happened (`"retry"`, `"panic"`, `"done"`).
         what: &'static str,
         /// Submission-order job index.
         job: u64,
@@ -713,7 +713,7 @@ mod tests {
 
     #[test]
     fn metrics_epochs_become_counter_events() {
-        use crate::metrics::{MetricSink, MetricsRegistry};
+        use crate::metrics::MetricsRegistry;
         let mut t = Tracer::new(4);
         t.emit_fs(0, 10, TraceEventKind::Phase { name: "kernel" });
         let mut m = MetricsRegistry::new();
