@@ -6,7 +6,7 @@ use crate::profile::{Heatmap, ProfileHist, ProfileReport};
 use memnet_common::time::Fs;
 use memnet_obs::metrics::Histogram;
 use memnet_obs::prof::{ProfCat, Profiler};
-use memnet_obs::{HistSnapshot, MetricSink, TraceEventKind};
+use memnet_obs::{HistSnapshot, TraceEventKind};
 
 /// Profiling state owned by the engine driver, fully outside simulation
 /// state. The [`Profiler`] is written only from the driver loop

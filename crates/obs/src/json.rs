@@ -333,13 +333,17 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 /// Implements [`ToJson`] for a struct as an object of its named fields.
+/// Given the field names of a struct declared elsewhere it writes the
+/// `impl`; given the declaration itself it writes both, so the field list
+/// exists once.
 ///
 /// ```
-/// struct Row {
-///     workload: &'static str,
-///     kernel_ns: f64,
+/// memnet_obs::to_json_struct! {
+///     struct Row {
+///         workload: &'static str,
+///         kernel_ns: f64,
+///     }
 /// }
-/// memnet_obs::to_json_struct!(Row { workload, kernel_ns });
 /// # use memnet_obs::json::ToJson;
 /// assert_eq!(
 ///     Row { workload: "KMN", kernel_ns: 1.5 }.to_json(),
@@ -348,6 +352,12 @@ impl<T: ToJson> ToJson for Option<T> {
 /// ```
 #[macro_export]
 macro_rules! to_json_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name { $($(#[$fmeta])* $fvis $field: $fty),+ }
+        $crate::to_json_struct!($name { $($field),+ });
+    };
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn write_json(&self, w: &mut $crate::json::JsonWriter) {
@@ -1038,12 +1048,13 @@ mod tests {
 
     #[test]
     fn struct_macro_roundtrips() {
-        struct Row {
-            name: &'static str,
-            value: f64,
-            flag: bool,
+        crate::to_json_struct! {
+            struct Row {
+                name: &'static str,
+                value: f64,
+                flag: bool,
+            }
         }
-        crate::to_json_struct!(Row { name, value, flag });
         let s = Row {
             name: "kmn",
             value: 2.25,

@@ -7,8 +7,8 @@
 //!   strict parser ([`json::parse`] → [`json::JsonValue`]) with the one
 //!   typed reader every outside input goes through ([`json::Fields`]).
 //!   This replaces `serde`/`serde_json` everywhere in the workspace.
-//! - [`metrics`] — hierarchically-named counters and gauges behind the
-//!   [`metrics::MetricSink`] trait, with periodic epoch snapshots
+//! - [`metrics`] — hierarchically-named counters and gauges
+//!   ([`metrics::MetricsRegistry`]), with periodic epoch snapshots
 //!   ([`metrics::MetricsRegistry::snapshot`]) so per-interval rates
 //!   (injected flits/cycle, SM occupancy, vault queue depth) can be
 //!   plotted over time rather than only summed at the end of a run.
@@ -39,6 +39,6 @@ pub mod prof;
 pub mod trace;
 
 pub use json::{parse, Field, Fields, JsonValue, JsonWriter, ToJson, MAX_SAFE_INT};
-pub use metrics::{Epoch, HistSnapshot, MetricSink, MetricsRegistry, NullSink};
+pub use metrics::{Epoch, HistSnapshot, MetricsRegistry};
 pub use prof::{alloc_stats, AllocStats, CountingAlloc, PhaseMark, ProfCat, Profiler};
 pub use trace::{ClockDomain, TraceEvent, TraceEventKind, Tracer};

@@ -2,16 +2,14 @@
 //! log-bucketed histograms with periodic epoch snapshots.
 //!
 //! Names are dotted paths (`net.flits_injected`, `gpu0.sm_occupancy`,
-//! `hmc3.vault_queue`), kept sorted so exports are deterministic. The
-//! engine feeds values through the [`MetricSink`] trait so instrumented
-//! code never depends on the concrete registry; [`NullSink`] makes the
-//! disabled path free.
+//! `hmc3.vault_queue`), kept sorted so exports are deterministic. A run
+//! that records no metrics holds no registry (`Option<MetricsRegistry>`).
 //!
 //! Name discipline (enforced by `memnet-lint`'s `metric-name-literal`
 //! rule): instrumented code passes `&'static str` literals to
-//! [`MetricSink::add`]/[`MetricSink::set`]/[`MetricsRegistry::record_hist`].
+//! [`MetricsRegistry::add`]/[`MetricsRegistry::set`]/[`MetricsRegistry::record_hist`].
 //! Per-entity series (`gpu3.occupancy`) go through
-//! [`MetricSink::set_entity`], which builds the dotted name *inside* the
+//! [`MetricsRegistry::set_entity`], which builds the dotted name *inside* the
 //! observability layer — call sites never `format!` a metric name, so the
 //! registry cannot be fragmented by ad-hoc name construction.
 //!
@@ -31,58 +29,6 @@ use std::collections::BTreeMap;
 // memnet-common; re-exported here so instrumented code can name them
 // through the observability layer.
 pub use memnet_common::stats::{Histogram, RunningStats as Stats};
-
-/// Destination for metric updates from instrumented code.
-///
-/// `add`/`set` take `&'static str` so every series name is a literal
-/// registered at the call site; dynamic per-entity names are built only
-/// by the provided helpers, keeping the namespace auditable.
-pub trait MetricSink {
-    /// Adds `delta` to the counter `name` (wrapping on overflow).
-    fn add(&mut self, name: &'static str, delta: u64) {
-        self.add_dyn(name, delta);
-    }
-
-    /// Sets the gauge `name` to `value`.
-    fn set(&mut self, name: &'static str, value: f64) {
-        self.set_dyn(name, value);
-    }
-
-    /// Counter update with a runtime-built name. Implementation detail of
-    /// the entity helpers — instrumented code should use [`MetricSink::add`].
-    fn add_dyn(&mut self, name: &str, delta: u64);
-
-    /// Gauge update with a runtime-built name. Implementation detail of
-    /// the entity helpers — instrumented code should use [`MetricSink::set`].
-    fn set_dyn(&mut self, name: &str, value: f64);
-
-    /// Sets the per-entity gauge `{class}{index}.{field}` (e.g.
-    /// `gpu3.occupancy`). The only sanctioned way to produce an indexed
-    /// series name.
-    fn set_entity(&mut self, class: &'static str, index: usize, field: &'static str, value: f64) {
-        self.set_dyn(&format!("{class}{index}.{field}"), value);
-    }
-
-    /// Publishes a [`RunningStats`] accumulator as `name.count/mean/min/max`
-    /// gauges.
-    fn observe(&mut self, name: &'static str, stats: &RunningStats) {
-        self.set_dyn(&format!("{name}.count"), stats.count() as f64);
-        self.set_dyn(&format!("{name}.mean"), stats.mean());
-        if let (Some(min), Some(max)) = (stats.min(), stats.max()) {
-            self.set_dyn(&format!("{name}.min"), min);
-            self.set_dyn(&format!("{name}.max"), max);
-        }
-    }
-}
-
-/// A sink that drops everything (tracing disabled).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl MetricSink for NullSink {
-    fn add_dyn(&mut self, _name: &str, _delta: u64) {}
-    fn set_dyn(&mut self, _name: &str, _value: f64) {}
-}
 
 /// Digest of a [`Histogram`] at snapshot time: sample count plus
 /// log-bucket percentile estimates.
@@ -139,6 +85,64 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Adds `delta` to the counter `name` (wrapping on overflow).
+    ///
+    /// `add`/`set` take `&'static str` so every series name is a literal
+    /// registered at the call site; dynamic per-entity names are built only
+    /// by the helpers below, keeping the namespace auditable.
+    pub fn add(&mut self, name: &'static str, delta: u64) {
+        self.add_dyn(name, delta);
+    }
+
+    /// Sets the gauge `name` to `value`.
+    pub fn set(&mut self, name: &'static str, value: f64) {
+        self.set_dyn(name, value);
+    }
+
+    /// Counter update with a runtime-built name. Implementation detail of
+    /// the entity helpers — instrumented code should use [`Self::add`].
+    pub fn add_dyn(&mut self, name: &str, delta: u64) {
+        if let Some(v) = self.counters.get_mut(name) {
+            *v = v.wrapping_add(delta);
+        } else {
+            self.counters.insert(name.to_string(), delta);
+        }
+    }
+
+    /// Gauge update with a runtime-built name. Implementation detail of
+    /// the entity helpers — instrumented code should use [`Self::set`].
+    pub fn set_dyn(&mut self, name: &str, value: f64) {
+        if let Some(v) = self.gauges.get_mut(name) {
+            *v = value;
+        } else {
+            self.gauges.insert(name.to_string(), value);
+        }
+    }
+
+    /// Sets the per-entity gauge `{class}{index}.{field}` (e.g.
+    /// `gpu3.occupancy`). The only sanctioned way to produce an indexed
+    /// series name.
+    pub fn set_entity(
+        &mut self,
+        class: &'static str,
+        index: usize,
+        field: &'static str,
+        value: f64,
+    ) {
+        self.set_dyn(&format!("{class}{index}.{field}"), value);
+    }
+
+    /// Publishes a [`RunningStats`] accumulator as `name.count/mean/min/max`
+    /// gauges.
+    pub fn observe(&mut self, name: &'static str, stats: &RunningStats) {
+        self.set_dyn(&format!("{name}.count"), stats.count() as f64);
+        self.set_dyn(&format!("{name}.mean"), stats.mean());
+        if let (Some(min), Some(max)) = (stats.min(), stats.max()) {
+            self.set_dyn(&format!("{name}.min"), min);
+            self.set_dyn(&format!("{name}.max"), max);
+        }
     }
 
     /// Current value of a counter (0 if never written).
@@ -199,24 +203,6 @@ impl MetricsRegistry {
                 .map(|(k, h)| (k.clone(), HistSnapshot::of(h)))
                 .collect(),
         });
-    }
-}
-
-impl MetricSink for MetricsRegistry {
-    fn add_dyn(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v = v.wrapping_add(delta);
-        } else {
-            self.counters.insert(name.to_string(), delta);
-        }
-    }
-
-    fn set_dyn(&mut self, name: &str, value: f64) {
-        if let Some(v) = self.gauges.get_mut(name) {
-            *v = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
     }
 }
 
@@ -376,14 +362,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    #[test]
-    fn null_sink_ignores_everything() {
-        let mut s = NullSink;
-        s.add("x", 1);
-        s.set("y", 2.0);
-        s.set_entity("gpu", 0, "occupancy", 1.0);
     }
 
     // --- Epoch edge cases ------------------------------------------------

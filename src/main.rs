@@ -12,7 +12,7 @@
 
 use memnet::common::{FaultEvent, FaultPlan};
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
-use memnet::obs::{MetricSink, MetricsRegistry, TraceEventKind, Tracer};
+use memnet::obs::{MetricsRegistry, TraceEventKind, Tracer};
 use memnet::serve::job::{
     load_model, parse_cta, parse_engine, parse_org, parse_placement, parse_routing, parse_topology,
     parse_workload,
@@ -52,7 +52,7 @@ USAGE:
                                    deduplicated by configuration fingerprint
                                    before they reach the pool; --trace
                                    writes the pool schedule (retries,
-                                   timeouts, panics) as a Chrome trace;
+                                   panics) as a Chrome trace;
                                    each --workload-file adds a model row
                                    after the Table II rows
   memnet export [--dir DIR]        write every built-in workload as a
@@ -483,8 +483,8 @@ fn sweep_cmd(args: &[String]) -> Cmd {
         std::fs::write(path, pool_trace_json(&obs))
             .map_err(|e| fail(format_args!("failed to write pool trace {path}: {e}")))?;
         eprintln!(
-            "[wrote pool trace: {path} ({} jobs, {} retries, {} timeouts, {} panics)]",
-            obs.stats.jobs, obs.stats.retries, obs.stats.timeouts, obs.stats.panics
+            "[wrote pool trace: {path} ({} jobs, {} retries, {} panics)]",
+            obs.stats.jobs, obs.stats.retries, obs.stats.panics
         );
     }
     let mut unique_results = Vec::with_capacity(unique.len());
@@ -559,7 +559,7 @@ fn serve_cmd(args: &[String]) -> Cmd {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Renders one pool run's schedule (retries, timeouts, panic isolations)
+/// Renders one pool run's schedule (retries, panic isolations)
 /// as a Chrome trace: one instant per lifecycle event on the pool track,
 /// plus `pool.*` counters from the aggregate stats. Pool timestamps are
 /// wall-clock milliseconds since pool start, mapped onto the trace's
@@ -586,7 +586,6 @@ fn pool_trace_json(obs: &PoolObs) -> String {
     m.add("pool.failed", obs.stats.failed as u64);
     m.add("pool.retries", obs.stats.retries);
     m.add("pool.panics", obs.stats.panics);
-    m.add("pool.timeouts", obs.stats.timeouts);
     m.snapshot(last_fs);
     tracer.to_chrome_json(Some(&m))
 }
