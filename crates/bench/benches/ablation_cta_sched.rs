@@ -9,20 +9,15 @@
 use memnet_core::{CtaPolicy, Organization};
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    policy: &'static str,
-    kernel_ns: f64,
-    l1_hit_rate: f64,
-    l2_hit_rate: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        policy: &'static str,
+        kernel_ns: f64,
+        l1_hit_rate: f64,
+        l2_hit_rate: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    policy,
-    kernel_ns,
-    l1_hit_rate,
-    l2_hit_rate
-});
 
 fn main() {
     memnet_bench::header("Ablation (Sec. III-B): CTA assignment policy");

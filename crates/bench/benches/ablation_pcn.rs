@@ -11,20 +11,15 @@
 use memnet_core::Organization;
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    org: &'static str,
-    kernel_ns: f64,
-    memcpy_ns: f64,
-    total_ns: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        org: &'static str,
+        kernel_ns: f64,
+        memcpy_ns: f64,
+        total_ns: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    org,
-    kernel_ns,
-    memcpy_ns,
-    total_ns
-});
 
 fn main() {
     memnet_bench::header("Extension: processor-centric (NVLink-style) vs memory-centric networks");

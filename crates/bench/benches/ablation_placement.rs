@@ -10,18 +10,14 @@
 use memnet_core::{Organization, PlacementPolicy};
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    policy: &'static str,
-    kernel_ns: f64,
-    hot_share_pct: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        policy: &'static str,
+        kernel_ns: f64,
+        hot_share_pct: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    policy,
-    kernel_ns,
-    hot_share_pct
-});
 
 fn main() {
     memnet_bench::header("Extension: page placement policy (UMN kernels)");

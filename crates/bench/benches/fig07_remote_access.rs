@@ -13,20 +13,15 @@
 use memnet_core::Organization;
 use memnet_workloads::Workload;
 
-struct Row {
-    system: &'static str,
-    clusters: usize,
-    remote_fraction: f64,
-    kernel_ns: f64,
-    normalized: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        system: &'static str,
+        clusters: usize,
+        remote_fraction: f64,
+        kernel_ns: f64,
+        normalized: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    system,
-    clusters,
-    remote_fraction,
-    kernel_ns,
-    normalized
-});
 
 fn main() {
     memnet_bench::header("Fig. 7: vectorAdd kernel time vs. data distribution (1 executing GPU)");

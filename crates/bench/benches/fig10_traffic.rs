@@ -10,18 +10,14 @@
 use memnet_core::Organization;
 use memnet_workloads::Workload;
 
-struct Matrix {
-    workload: &'static str,
-    fractions: Vec<Vec<f64>>,
-    hot_cold_ratio: f64,
-    intra_cluster_ratio: f64,
+memnet_obs::to_json_struct! {
+    struct Matrix {
+        workload: &'static str,
+        fractions: Vec<Vec<f64>>,
+        hot_cold_ratio: f64,
+        intra_cluster_ratio: f64,
+    }
 }
-memnet_obs::to_json_struct!(Matrix {
-    workload,
-    fractions,
-    hot_cold_ratio,
-    intra_cluster_ratio
-});
 
 fn main() {
     memnet_bench::header(

@@ -9,22 +9,16 @@
 use memnet_noc::topo::{build_clusters, SlicedKind, TopologyKind};
 use memnet_noc::{LinkTag, NetworkBuilder, NocParams};
 
-struct Row {
-    gpus: usize,
-    dfbfly_channels: usize,
-    sfbfly_channels: usize,
-    reduction_pct: f64,
-    dfbfly_max_radix: usize,
-    sfbfly_max_radix: usize,
+memnet_obs::to_json_struct! {
+    struct Row {
+        gpus: usize,
+        dfbfly_channels: usize,
+        sfbfly_channels: usize,
+        reduction_pct: f64,
+        dfbfly_max_radix: usize,
+        sfbfly_max_radix: usize,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    gpus,
-    dfbfly_channels,
-    sfbfly_channels,
-    reduction_pct,
-    dfbfly_max_radix,
-    sfbfly_max_radix
-});
 
 fn count(n: usize, kind: TopologyKind) -> (usize, usize) {
     let mut b = NetworkBuilder::new(NocParams::default());

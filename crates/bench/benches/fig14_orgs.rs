@@ -13,24 +13,17 @@
 use memnet_core::Organization;
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    org: &'static str,
-    kernel_ns: f64,
-    memcpy_ns: f64,
-    host_ns: f64,
-    total_ns: f64,
-    timed_out: bool,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        org: &'static str,
+        kernel_ns: f64,
+        memcpy_ns: f64,
+        host_ns: f64,
+        total_ns: f64,
+        timed_out: bool,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    org,
-    kernel_ns,
-    memcpy_ns,
-    host_ns,
-    total_ns,
-    timed_out
-});
 
 fn main() {
     memnet_bench::header("Fig. 14: runtime breakdown (memcpy + kernel) per organization");

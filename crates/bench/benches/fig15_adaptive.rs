@@ -10,22 +10,16 @@ use memnet_noc::topo::TopologyKind;
 use memnet_noc::RoutingPolicy;
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    topology: &'static str,
-    min_kernel_ns: f64,
-    ugal_kernel_ns: f64,
-    ugal_gain_pct: f64,
-    nonminimal_packets: u64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        topology: &'static str,
+        min_kernel_ns: f64,
+        ugal_kernel_ns: f64,
+        ugal_gain_pct: f64,
+        nonminimal_packets: u64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    topology,
-    min_kernel_ns,
-    ugal_kernel_ns,
-    ugal_gain_pct,
-    nonminimal_packets
-});
 
 fn main() {
     memnet_bench::header("Fig. 15: MIN vs UGAL on dDFLY and dFBFLY (GMN kernel time)");

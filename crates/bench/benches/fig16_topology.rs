@@ -8,20 +8,15 @@
 use memnet_core::Organization;
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    topology: &'static str,
-    kernel_ns: f64,
-    avg_hops: f64,
-    energy_mj: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        topology: &'static str,
+        kernel_ns: f64,
+        avg_hops: f64,
+        energy_mj: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    topology,
-    kernel_ns,
-    avg_hops,
-    energy_mj
-});
 
 fn main() {
     memnet_bench::header("Fig. 16: kernel time of sliced topologies (GMN)");

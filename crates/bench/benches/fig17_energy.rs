@@ -15,18 +15,14 @@ use memnet_core::Organization;
 use memnet_obs::JsonValue;
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: String,
-    topology: String,
-    energy_mj: f64,
-    kernel_ns: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: String,
+        topology: String,
+        energy_mj: f64,
+        kernel_ns: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    topology,
-    energy_mj,
-    kernel_ns
-});
 
 /// Tries to reuse the rows fig16 wrote (same simulations).
 fn load_from_fig16() -> Option<Vec<Row>> {

@@ -10,22 +10,16 @@ use memnet_core::Organization;
 use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    design: &'static str,
-    host_ns: f64,
-    total_ns: f64,
-    avg_pkt_latency_ns: f64,
-    passthrough: u64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        design: &'static str,
+        host_ns: f64,
+        total_ns: f64,
+        avg_pkt_latency_ns: f64,
+        passthrough: u64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    design,
-    host_ns,
-    total_ns,
-    avg_pkt_latency_ns,
-    passthrough
-});
 
 fn main() {
     memnet_bench::header("Fig. 18: host-thread performance on UMN (1 CPU + 3 GPU + 16 HMC)");

@@ -10,20 +10,15 @@
 use memnet_core::{Organization, SimBuilder};
 use memnet_workloads::Workload;
 
-struct Row {
-    workload: &'static str,
-    gpus: u32,
-    kernel_ns: f64,
-    speedup: f64,
-    l2_hit_rate: f64,
+memnet_obs::to_json_struct! {
+    struct Row {
+        workload: &'static str,
+        gpus: u32,
+        kernel_ns: f64,
+        speedup: f64,
+        l2_hit_rate: f64,
+    }
 }
-memnet_obs::to_json_struct!(Row {
-    workload,
-    gpus,
-    kernel_ns,
-    speedup,
-    l2_hit_rate
-});
 
 fn builder(w: Workload, gpus: u32) -> SimBuilder {
     let spec = if memnet_bench::fast_mode() {

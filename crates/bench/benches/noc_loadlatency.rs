@@ -12,20 +12,15 @@ use memnet_noc::topo::{build_clusters, SlicedKind, TopologyKind};
 use memnet_noc::traffic::{run_load_point, Pattern};
 use memnet_noc::{NetworkBuilder, NocParams};
 
-struct Point {
-    topology: &'static str,
-    offered: f64,
-    accepted: f64,
-    latency_cycles: f64,
-    saturated: bool,
+memnet_obs::to_json_struct! {
+    struct Point {
+        topology: &'static str,
+        offered: f64,
+        accepted: f64,
+        latency_cycles: f64,
+        saturated: bool,
+    }
 }
-memnet_obs::to_json_struct!(Point {
-    topology,
-    offered,
-    accepted,
-    latency_cycles,
-    saturated
-});
 
 fn main() {
     memnet_bench::header("Extension: load-latency of memory-network topologies (uniform traffic)");
