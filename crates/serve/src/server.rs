@@ -3,7 +3,8 @@
 //! One request per line, one compact-JSON response per line. The
 //! [`Server`] is transport-agnostic — [`Server::handle_line`] maps a
 //! request line to a [`Reply`] — and the two thin daemons
-//! ([`serve_stdio`], [`TcpDaemon`]) feed it lines. The stdio daemon
+//! ([`serve_stdio`], [`TcpDaemon`]) feed it lines through one reader that
+//! buffers at most [`MAX_LINE_BYTES`] of a line. The stdio daemon
 //! processes requests sequentially; the TCP daemon accepts connections
 //! concurrently (one handler thread per peer) but serializes every
 //! request through one mutex around the [`Server`], so each connection
@@ -23,8 +24,8 @@
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
 use memnet_engine::{run_jobs_observed, PoolConfig};
-use memnet_obs::{parse, Field, Fields, JsonValue, JsonWriter, MetricSink, MetricsRegistry};
-use std::io::{self, BufRead, BufReader, Write};
+use memnet_obs::{parse, Field, Fields, JsonValue, JsonWriter, MetricsRegistry};
+use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -130,7 +131,6 @@ impl Server {
             pool: PoolConfig {
                 workers: cfg.workers,
                 retries: cfg.retries,
-                ..PoolConfig::default()
             },
             cache: ResultCache::new(cfg.cache_capacity),
             metrics: MetricsRegistry::new(),
@@ -300,7 +300,6 @@ impl Server {
         self.metrics.add("pool.jobs", obs.stats.jobs as u64);
         self.metrics.add("pool.retries", obs.stats.retries);
         self.metrics.add("pool.panics", obs.stats.panics);
-        self.metrics.add("pool.timeouts", obs.stats.timeouts);
         outcomes
             .into_iter()
             .map(|outcome| match outcome {
@@ -337,8 +336,6 @@ impl Server {
         w.uint(self.metrics.counter("pool.retries"));
         w.key("panics");
         w.uint(self.metrics.counter("pool.panics"));
-        w.key("timeouts");
-        w.uint(self.metrics.counter("pool.timeouts"));
         w.end_object();
         w.key("busy_ms");
         w.uint(self.busy_ms);
@@ -347,24 +344,79 @@ impl Server {
     }
 }
 
+/// Longest request line a daemon will buffer, in bytes. The largest
+/// request the perf ledger sends, a 120-job batch, is a few KB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Serves one peer, stdio or TCP: reads newline-delimited requests from
+/// `reader` and writes one reply line each to `writer`, until EOF, a
+/// `shutdown` request (returns true), or `stopped()` answers true while a
+/// read timed out (a blocking reader never asks). A line longer than
+/// [`MAX_LINE_BYTES`] is never buffered: it gets one error reply naming the
+/// cap, the rest of it is read and dropped so the reply is not lost to a
+/// connection reset, and the session ends.
+fn serve_session(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    mut handle: impl FnMut(&str) -> Reply,
+    stopped: impl Fn() -> bool,
+) -> io::Result<bool> {
+    let mut line = Vec::new();
+    let mut too_long = false;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            // What has arrived of the line stays in `line`.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stopped() {
+                    return Ok(false);
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let eof = buf.is_empty();
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(buf.len(), |i| i + 1);
+        if !too_long && line.len() + take > MAX_LINE_BYTES {
+            too_long = true;
+            let why = format!("bad request: line exceeds the {MAX_LINE_BYTES}-byte limit");
+            writeln!(writer, "{}", err_line("null", &why))?;
+            writer.flush()?;
+        }
+        if !too_long {
+            line.extend_from_slice(&buf[..take]);
+        }
+        reader.consume(take);
+        if newline.is_none() && !eof {
+            continue;
+        }
+        if too_long {
+            return Ok(false);
+        }
+        let text =
+            std::str::from_utf8(&line).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
+        if !text.trim().is_empty() {
+            let reply = handle(text);
+            writeln!(writer, "{}", reply.text)?;
+            writer.flush()?;
+            if reply.shutdown {
+                return Ok(true);
+            }
+        }
+        if eof {
+            return Ok(false);
+        }
+        line.clear();
+    }
+}
+
 /// Serves newline-delimited requests from stdin to stdout until EOF or a
 /// `shutdown` request.
 pub fn serve_stdio(server: &mut Server) -> io::Result<()> {
-    let stdin = io::stdin();
-    let mut out = io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = server.handle_line(&line);
-        writeln!(out, "{}", reply.text)?;
-        out.flush()?;
-        if reply.shutdown {
-            break;
-        }
-    }
-    Ok(())
+    let (stdin, stdout) = (io::stdin().lock(), io::stdout().lock());
+    serve_session(stdin, stdout, |line| server.handle_line(line), || false).map(|_| ())
 }
 
 /// A loopback TCP daemon: accepts connections concurrently — one
@@ -386,46 +438,21 @@ fn handle_conn(
     // Poll rather than block forever so an idle peer cannot hold the
     // daemon open after another connection requested shutdown.
     conn.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = conn;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // peer closed
-                Ok(_) => break,
-                // Timeout mid-wait: partial bytes stay in `line` and the
-                // retry appends after them.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; SeqCst on a cold timeout path costs nothing)
-                    if stop.load(Ordering::SeqCst) {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = server.lock().expect("server lock").handle_line(&line);
-        writeln!(writer, "{}", reply.text)?;
-        writer.flush()?;
-        if reply.shutdown {
-            // Flag the accept loop, then poke it with a throwaway
-            // connection so a blocked `accept` wakes up and sees it.
-            // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; set once at shutdown)
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            return Ok(());
-        }
+    let shutdown = serve_session(
+        BufReader::new(conn.try_clone()?),
+        conn,
+        |line| server.lock().expect("server lock").handle_line(line),
+        // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; SeqCst on a cold timeout path costs nothing)
+        || stop.load(Ordering::SeqCst),
+    )?;
+    if shutdown {
+        // Flag the accept loop, then poke it with a throwaway
+        // connection so a blocked `accept` wakes up and sees it.
+        // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; set once at shutdown)
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
     }
+    Ok(())
 }
 
 impl TcpDaemon {

@@ -11,7 +11,7 @@
 
 use memnet::serve::{ServeConfig, Server, TcpDaemon};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 
 const RUN_PARAMS: &str = r#"{"org":"gmn","workload":"vecadd","small":true,"gpus":2,"sms":2}"#;
@@ -93,25 +93,34 @@ fn inline_models_share_the_cache_with_their_builtin_twin() {
     );
 }
 
-#[test]
-fn tcp_daemon_serves_and_shuts_down() {
+/// A daemon on an ephemeral loopback port and the thread it runs on.
+fn spawn_daemon() -> (SocketAddr, std::thread::JoinHandle<()>) {
     let daemon = TcpDaemon::bind(0).expect("bind an ephemeral loopback port");
     let addr = daemon.local_addr().expect("bound address");
     let handle = std::thread::spawn(move || {
         let mut server = Server::new(&ServeConfig::default());
         daemon.run(&mut server).expect("daemon run loop");
     });
+    (addr, handle)
+}
 
+/// Sends one request line and reads its one reply line. Requests and
+/// replies alternate, so a reader per call leaves nothing behind.
+fn ask(mut conn: &TcpStream, line: &str) -> String {
+    writeln!(conn, "{line}").expect("send request");
+    let mut response = String::new();
+    BufReader::new(conn)
+        .read_line(&mut response)
+        .expect("read response");
+    assert!(response.ends_with('\n'), "line-delimited response");
+    response.trim_end().to_string()
+}
+
+#[test]
+fn tcp_daemon_serves_and_shuts_down() {
+    let (addr, handle) = spawn_daemon();
     let conn = TcpStream::connect(addr).expect("connect to the daemon");
-    let mut reader = BufReader::new(conn.try_clone().expect("clone the stream"));
-    let mut send = |line: &str| {
-        let mut conn = &conn;
-        writeln!(conn, "{line}").expect("send request");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("read response");
-        assert!(response.ends_with('\n'), "line-delimited response");
-        response.trim_end().to_string()
-    };
+    let send = |line: &str| ask(&conn, line);
 
     let pong = send(r#"{"id":0,"method":"ping"}"#);
     assert_eq!(pong, r#"{"id":0,"result":{"pong":true}}"#);
@@ -127,6 +136,28 @@ fn tcp_daemon_serves_and_shuts_down() {
     );
     let bye = send(r#"{"id":4,"method":"shutdown"}"#);
     assert!(bye.contains("\"ok\":true"), "{bye}");
+    handle.join().expect("daemon thread exits after shutdown");
+}
+
+#[test]
+fn an_over_long_line_is_refused_by_its_cap_and_the_daemon_keeps_serving() {
+    // Neither read loop used to bound a line, so one peer could make the
+    // daemon buffer without limit. A 2 MiB line is answered with the cap
+    // (1 MiB) and costs that peer its session, nobody else theirs.
+    let (addr, handle) = spawn_daemon();
+    let hog = TcpStream::connect(addr).expect("connect to the daemon");
+    let refusal = ask(&hog, &"x".repeat(2 << 20));
+    assert!(
+        refusal.contains("\"error\"") && refusal.contains("1048576-byte limit"),
+        "{refusal}"
+    );
+    let closed = BufReader::new(&hog).read_line(&mut String::new());
+    assert_eq!(closed.expect("a clean close"), 0, "the session has ended");
+
+    let next = TcpStream::connect(addr).expect("a second connection");
+    let pong = ask(&next, r#"{"id":0,"method":"ping"}"#);
+    assert_eq!(pong, r#"{"id":0,"result":{"pong":true}}"#);
+    ask(&next, r#"{"id":1,"method":"shutdown"}"#);
     handle.join().expect("daemon thread exits after shutdown");
 }
 
