@@ -5,9 +5,7 @@
 //! `tests/data/golden_reports.txt`, once per engine. Both engines against
 //! one committed hash says they agree with each other, and also catches
 //! what comparing them to each other cannot: a rewrite of the `Network`,
-//! `Gpu` or `Vault` they share that shifts both equally. The rows after
-//! the first twenty are the configurations the two-way engine matrix used
-//! to run.
+//! `Gpu` or `Vault` they share that shifts both equally.
 //!
 //! A report row hashes the compact `SimReport` JSON, the fields that
 //! document leaves out (traffic matrix, per-GPU digests, routing counters,
@@ -26,8 +24,9 @@
 
 use memnet::common::time::ns_to_fs;
 use memnet::common::{FaultKind, FaultPlan, LinkClass};
-use memnet::noc::topo::{SlicedKind, TopologyKind};
+use memnet::noc::topo::TopologyKind;
 use memnet::noc::RoutingPolicy;
+use memnet::serve::job::parse_topology;
 use memnet::sim::{fnv1a64, CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
 use memnet::wdl::fuzz::WorkloadFuzzer;
 use memnet::workloads::{Workload, WorkloadSpec};
@@ -123,10 +122,7 @@ fn three_faults() -> FaultPlan {
 /// The pinned cases, in file order.
 fn cases() -> Vec<(String, Pin, SimBuilder)> {
     use Organization::*;
-    let sfbfly = TopologyKind::Sliced {
-        kind: SlicedKind::Fbfly,
-        double: false,
-    };
+    let topology = |name: &str| parse_topology(name).expect("a topology name");
     // CG.S computes on the host between kernels; shrunk so the CPU
     // traffic the overlay carries stays test-sized.
     let mut cg = Workload::CgS.spec_small();
@@ -136,12 +132,8 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
     cg.kernel = std::sync::Arc::new(k);
     let mut rows = vec![
         ("umn-kmn", Pin::Report, small(Umn, Workload::Kmn)),
-        ("umn8-sfbfly", Pin::Report, eight(sfbfly)),
-        (
-            "umn8-dfbfly",
-            Pin::Report,
-            eight(TopologyKind::DistributorFbfly),
-        ),
+        ("umn8-sfbfly", Pin::Report, eight(topology("sfbfly"))),
+        ("umn8-dfbfly", Pin::Report, eight(topology("dfbfly"))),
         ("pcie-scan", Pin::Report, small(Pcie, Workload::Scan)),
         ("cmn-bp", Pin::Report, small(Cmn, Workload::Bp)),
         ("gmn-srad", Pin::Report, small(Gmn, Workload::Srad)),
@@ -203,14 +195,14 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
     .map(|(name, pin, b)| (name.to_string(), pin, b))
     .collect::<Vec<_>>();
 
-    // What the two-way engine matrix ran. Rows it shared with the list
-    // above (umn-kmn, pcie-scan, pcn-vecadd, umn-stealing) are not repeated.
+    // The engine-equivalence matrix: where fast-forward has the most to
+    // skip. Four of its cells are rows above (umn-kmn, pcie-scan,
+    // pcn-vecadd, umn-stealing) and are not repeated.
     let key = |org: Organization, what: &str| {
         format!("{}-{what}", org.name().replace('-', "")).to_lowercase()
     };
     let mut report = |name: String, b: SimBuilder| rows.push((name, Pin::Report, b));
-    // Every organization, with a memcpy phase where it has one: the
-    // idle-heavy stretch where fast-forward skips the most.
+    // Every organization, with a memcpy phase where it has one.
     for org in Organization::all_extended() {
         if org != Pcn {
             report(key(org, "vecadd"), small(org, Workload::VecAdd));
@@ -229,27 +221,11 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
     for org in [Pcie, Umn] {
         report(key(org, "cg-shrunk"), rig(org, cg.clone()));
     }
-    for (name, topology) in [
-        (
-            "smesh",
-            TopologyKind::Sliced {
-                kind: SlicedKind::Mesh,
-                double: false,
-            },
-        ),
-        (
-            "storus2x",
-            TopologyKind::Sliced {
-                kind: SlicedKind::Torus,
-                double: true,
-            },
-        ),
-        ("dfbfly", TopologyKind::DistributorFbfly),
-    ] {
+    for name in ["smesh", "storus2x", "dfbfly"] {
         for org in [Gmn, Umn] {
             report(
                 key(org, name),
-                small(org, Workload::VecAdd).topology(topology),
+                small(org, Workload::VecAdd).topology(topology(name)),
             );
         }
     }
