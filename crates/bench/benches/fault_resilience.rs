@@ -17,7 +17,7 @@
 //! runs, exit non-zero if sFBFLY exceeds the 2× bound or the PCIe
 //! GPU-loss run fails to complete.
 
-use memnet_common::faults::{FaultKind, LinkClass};
+use memnet_common::faults::{FaultKind, LinkTag};
 use memnet_common::time::ns_to_fs;
 use memnet_common::FaultPlan;
 use memnet_core::{Organization, SimBuilder, SimReport};
@@ -37,7 +37,7 @@ fn link_cut_plan(at_ns: f64) -> FaultPlan {
     plan.push(
         ns_to_fs(at_ns),
         FaultKind::LinkDown {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 0,
         },
     );

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] is a sorted list of [`FaultEvent`]s, each firing at a
 //! simulated femtosecond timestamp. The plan is pure data — the engine
-//! resolves abstract targets (a link *class* plus ordinal, a vault index,
+//! resolves abstract targets (a [`LinkTag`] plus ordinal, a vault index,
 //! a GPU id) against the concrete system it built, then applies each
 //! event on the first clock edge of the owning domain at or after the
 //! event's timestamp. Because application points are derived from clock
@@ -16,46 +16,52 @@
 use crate::rng::SplitMix64;
 use crate::time::Fs;
 
-/// Which physical link population a link fault targets.
-///
-/// Mirrors the NoC's link tags without depending on the NoC crate; the
-/// engine maps each class onto the tagged links of the network it built
-/// and picks the `ordinal`-th one (modulo the population size, so random
-/// plans stay valid across topologies).
+/// What a link is: the physical populations the organizations differ in
+/// (memory-network trunks, device taps, the PCIe tree, the PCN mesh) plus
+/// the on-die device attachment. The network tags every link it builds
+/// (Fig. 12 channel counts, energy scoping, heatmap classes), and a link
+/// fault names its target as a tag and an `ordinal` into that tag's
+/// population (modulo the population size, so random plans stay valid
+/// across topologies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkClass {
-    /// Inter-cluster HMC-to-HMC channels (the memory network trunks).
+pub enum LinkTag {
+    /// HMC-to-HMC memory-network channel.
     HmcHmc,
-    /// GPU/CPU device-to-HMC taps.
+    /// GPU/CPU-to-local-HMC channel.
     DeviceHmc,
-    /// PCIe tree links.
+    /// PCIe channel.
     Pcie,
-    /// Point-to-point device interconnect (PCN).
+    /// NVLink-class processor-to-processor channel (PCN organizations).
     Nvlink,
+    /// On-die device-to-endpoint connection (not a physical channel).
+    Internal,
 }
 
-impl LinkClass {
-    /// All classes, in a fixed order (used by the random generator).
-    pub const ALL: [LinkClass; 4] = [
-        LinkClass::HmcHmc,
-        LinkClass::DeviceHmc,
-        LinkClass::Pcie,
-        LinkClass::Nvlink,
+impl LinkTag {
+    /// The tags a fault may name, in a fixed order (the random generator
+    /// draws by index). `Internal` is no physical channel, so it is absent.
+    pub const FAULTABLE: [LinkTag; 4] = [
+        LinkTag::HmcHmc,
+        LinkTag::DeviceHmc,
+        LinkTag::Pcie,
+        LinkTag::Nvlink,
     ];
 
-    /// Stable lowercase name (used in JSON plans and trace events).
+    /// Stable lowercase name (JSON plans, heatmap link classes).
     pub fn name(self) -> &'static str {
         match self {
-            LinkClass::HmcHmc => "hmc-hmc",
-            LinkClass::DeviceHmc => "device-hmc",
-            LinkClass::Pcie => "pcie",
-            LinkClass::Nvlink => "nvlink",
+            LinkTag::HmcHmc => "hmc-hmc",
+            LinkTag::DeviceHmc => "device-hmc",
+            LinkTag::Pcie => "pcie",
+            LinkTag::Nvlink => "nvlink",
+            LinkTag::Internal => "internal",
         }
     }
 
-    /// Parses a name produced by [`LinkClass::name`].
-    pub fn parse(s: &str) -> Option<LinkClass> {
-        LinkClass::ALL.into_iter().find(|c| c.name() == s)
+    /// Parses the name of a [`LinkTag::FAULTABLE`] tag; `internal` is
+    /// refused like any unknown name.
+    pub fn parse(s: &str) -> Option<LinkTag> {
+        LinkTag::FAULTABLE.into_iter().find(|c| c.name() == s)
     }
 }
 
@@ -64,14 +70,14 @@ impl LinkClass {
 pub enum FaultKind {
     /// Takes a link down: both directed channels stop accepting flits and
     /// routing recomputes over the survivors.
-    LinkDown { class: LinkClass, ordinal: u64 },
+    LinkDown { class: LinkTag, ordinal: u64 },
     /// Restores a previously downed link (routing recomputes again).
-    LinkUp { class: LinkClass, ordinal: u64 },
+    LinkUp { class: LinkTag, ordinal: u64 },
     /// Elevated BER on a link: every flit crossing it pays `factor`× the
     /// serialization latency (modeling deterministic retransmits).
     /// `factor == 1` restores the clean channel.
     LinkDegrade {
-        class: LinkClass,
+        class: LinkTag,
         ordinal: u64,
         factor: u32,
     },
@@ -115,9 +121,9 @@ pub struct FaultEvent {
 /// # Example
 ///
 /// ```
-/// use memnet_common::faults::{FaultPlan, FaultKind, LinkClass};
+/// use memnet_common::faults::{FaultPlan, FaultKind, LinkTag};
 /// let mut plan = FaultPlan::new();
-/// plan.push(1_000_000, FaultKind::LinkDown { class: LinkClass::HmcHmc, ordinal: 0 });
+/// plan.push(1_000_000, FaultKind::LinkDown { class: LinkTag::HmcHmc, ordinal: 0 });
 /// assert_eq!(plan.events().len(), 1);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -131,12 +137,12 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Adds an event; the plan re-sorts lazily on [`FaultPlan::events`].
+    /// Inserts an event after every event at or before `at_fs`, so the
+    /// plan stays sorted and same-timestamp events keep insertion order:
+    /// application order is a pure function of the plan's contents.
     pub fn push(&mut self, at_fs: Fs, kind: FaultKind) {
-        self.events.push(FaultEvent { at_fs, kind });
-        // Stable sort keeps same-timestamp events in insertion order, so a
-        // plan's application order is a pure function of its contents.
-        self.events.sort_by_key(|e| e.at_fs);
+        let i = self.events.partition_point(|e| e.at_fs <= at_fs);
+        self.events.insert(i, FaultEvent { at_fs, kind });
     }
 
     /// The schedule, sorted by timestamp (ties in insertion order).
@@ -169,7 +175,7 @@ impl FaultPlan {
             let at_fs = 1 + rng.next_below(horizon_fs.max(2) - 1);
             let roll = rng.next_below(100);
             let kind = if roll < 35 {
-                let class = LinkClass::ALL[rng.next_below(4) as usize];
+                let class = LinkTag::FAULTABLE[rng.next_below(4) as usize];
                 let ordinal = rng.next_below(16);
                 if rng.chance(0.5) {
                     let up_at = at_fs + 1 + rng.next_below(horizon_fs.max(2) / 2);
@@ -178,7 +184,7 @@ impl FaultPlan {
                 FaultKind::LinkDown { class, ordinal }
             } else if roll < 55 {
                 FaultKind::LinkDegrade {
-                    class: LinkClass::ALL[rng.next_below(4) as usize],
+                    class: LinkTag::FAULTABLE[rng.next_below(4) as usize],
                     ordinal: rng.next_below(16),
                     factor: 2 + rng.next_below(7) as u32,
                 }
@@ -194,7 +200,7 @@ impl FaultPlan {
                     // Would kill the last survivor (or re-kill): degrade a
                     // link instead so the event count stays as asked.
                     FaultKind::LinkDegrade {
-                        class: LinkClass::ALL[rng.next_below(4) as usize],
+                        class: LinkTag::FAULTABLE[rng.next_below(4) as usize],
                         ordinal: rng.next_below(16),
                         factor: 2 + rng.next_below(7) as u32,
                     }
@@ -268,9 +274,10 @@ mod tests {
 
     #[test]
     fn link_class_names_round_trip() {
-        for c in LinkClass::ALL {
-            assert_eq!(LinkClass::parse(c.name()), Some(c));
+        for c in LinkTag::FAULTABLE {
+            assert_eq!(LinkTag::parse(c.name()), Some(c));
         }
-        assert_eq!(LinkClass::parse("bogus"), None);
+        assert_eq!(LinkTag::parse("bogus"), None);
+        assert_eq!(LinkTag::parse("internal"), None, "no fault targets it");
     }
 }

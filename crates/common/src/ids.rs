@@ -79,17 +79,6 @@ pub enum Agent {
     Dma(CpuId),
 }
 
-impl Agent {
-    /// True if this agent is latency-sensitive (the CPU side of the system).
-    ///
-    /// Overlay pass-through paths (Section V-C) are reserved for these
-    /// agents' packets.
-    #[inline]
-    pub fn is_cpu_side(self) -> bool {
-        matches!(self, Agent::Cpu(_))
-    }
-}
-
 impl fmt::Display for Agent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -111,13 +100,6 @@ mod tests {
         assert_eq!(g.to_string(), "GpuId3");
         let h: HmcId = 7u16.into();
         assert_eq!(h.index(), 7);
-    }
-
-    #[test]
-    fn agent_cpu_side() {
-        assert!(Agent::Cpu(CpuId(0)).is_cpu_side());
-        assert!(!Agent::Gpu(GpuId(0)).is_cpu_side());
-        assert!(!Agent::Dma(CpuId(0)).is_cpu_side());
     }
 
     #[test]

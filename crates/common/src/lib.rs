@@ -11,7 +11,8 @@
 //! * statistics helpers — running means, histograms and the GPU×HMC traffic
 //!   matrix of Fig. 10 ([`stats`]),
 //! * the Table I system configuration ([`config`]),
-//! * deterministic fault plans for chaos and resilience runs ([`faults`]).
+//! * deterministic fault plans for chaos and resilience runs, and the
+//!   [`LinkTag`] vocabulary they share with the network ([`faults`]).
 //!
 //! # Example
 //!
@@ -36,7 +37,7 @@ pub mod stats;
 pub mod time;
 
 pub use config::SystemConfig;
-pub use faults::{FaultEvent, FaultKind, FaultPlan, LinkClass};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, LinkTag};
 pub use ids::{Agent, CpuId, GpuId, HmcId, NodeId, ReqId, SmId, VaultId};
 pub use mem::{AccessKind, MemReq, MemResp, Payload};
 pub use rng::SplitMix64;

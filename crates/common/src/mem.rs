@@ -133,12 +133,6 @@ impl Payload {
             Payload::Resp(r) => r.src,
         }
     }
-
-    /// True if this is a request (toward memory).
-    #[inline]
-    pub fn is_req(&self) -> bool {
-        matches!(self, Payload::Req(_))
-    }
 }
 
 #[cfg(test)]
@@ -198,11 +192,9 @@ mod tests {
             src: Agent::Cpu(CpuId(0)),
         };
         let p = Payload::Req(r);
-        assert!(p.is_req());
         assert_eq!(p.src(), Agent::Cpu(CpuId(0)));
         assert_eq!(p.packet_bytes(), 16);
         let q = Payload::Resp(r.response());
-        assert!(!q.is_req());
         assert_eq!(q.packet_bytes(), 80);
     }
 }

@@ -258,16 +258,13 @@ impl TrafficMatrix {
     /// Overwrites the cell contents from a [`TrafficMatrix::raw_bytes`]
     /// slice recorded on an identically shaped matrix.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bytes.len() != rows * cols`.
-    pub fn restore_bytes(&mut self, bytes: &[u64]) {
-        assert_eq!(
-            bytes.len(),
-            self.rows * self.cols,
-            "traffic matrix shape mismatch on restore"
-        );
+    /// Refuses, untouched, a slice that is not `rows * cols` long.
+    pub fn restore_bytes(&mut self, bytes: &[u64]) -> Result<(), String> {
+        crate::config::fit_len("", bytes.len(), self.bytes.len())?;
         self.bytes.copy_from_slice(bytes);
+        Ok(())
     }
 
     /// Ratio of the hottest to the coldest *nonzero* destination, the

@@ -94,12 +94,6 @@ impl Clock {
         self.cycles += 1;
     }
 
-    /// Converts a cycle count in this domain to femtoseconds.
-    #[inline]
-    pub fn cycles_to_fs(&self, cycles: u64) -> Fs {
-        cycles * self.period_fs
-    }
-
     /// True while the clock sits on the invariant `next_fs == cycles *
     /// period_fs` that [`Clock::new`] establishes and every mutator must
     /// preserve. The runtime sanitizer audits this after each engine
@@ -156,17 +150,6 @@ pub fn narrow_u32(v: u64, what: &str) -> u32 {
     u32::try_from(v).unwrap_or_else(|_| panic!("{what} overflows u32: {v}"))
 }
 
-/// Finds the time of the earliest pending tick across several clocks.
-///
-/// Returns `u64::MAX` when `clocks` is empty.
-pub fn earliest_tick<'a, I: IntoIterator<Item = &'a Clock>>(clocks: I) -> Fs {
-    clocks
-        .into_iter()
-        .map(|c| c.next_fs())
-        .min()
-        .unwrap_or(Fs::MAX)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,15 +174,6 @@ mod tests {
         assert!(c.due(10));
         c.advance();
         assert_eq!(c.next_fs(), 20);
-    }
-
-    #[test]
-    fn earliest_across_domains() {
-        let mut a = Clock::new(10);
-        let b = Clock::new(7);
-        a.advance();
-        assert_eq!(earliest_tick([&a, &b]), 0);
-        assert_eq!(earliest_tick(std::iter::empty()), Fs::MAX);
     }
 
     #[test]

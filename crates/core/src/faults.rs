@@ -1,12 +1,8 @@
-//! Fault-plan resolution and the on-disk JSON plan format.
+//! The on-disk JSON fault-plan format.
 //!
-//! A [`FaultPlan`](memnet_common::FaultPlan) is abstract — link *classes*
-//! plus ordinals, HMC/vault indices, GPU ids. This module resolves it
-//! against the concrete system a [`SimBuilder`](crate::SimBuilder) built:
-//! each event becomes a [`ResolvedFault`] pinned to the first clock edge
-//! of its owning domain at or after the event timestamp. Because that
-//! edge is pure clock arithmetic, both engine modes apply every fault at
-//! the identical simulated instant and produce bit-identical reports.
+//! A [`FaultPlan`](memnet_common::FaultPlan) is abstract — link tags plus
+//! ordinals, HMC/vault indices, GPU ids; the driver resolves it against
+//! the system a [`SimBuilder`](crate::SimBuilder) built (DESIGN §5b).
 //!
 //! The JSON format (for `memnet run --faults plan.json`):
 //!
@@ -22,141 +18,11 @@
 //! Timestamps are femtoseconds (`at_fs`) or nanoseconds (`at_ns`);
 //! `link-up` takes the same fields as `link-down`.
 
-use memnet_common::faults::{FaultKind, LinkClass};
+use memnet_common::faults::{FaultKind, LinkTag};
 use memnet_common::time::{fs_to_ns, ns_to_fs, Fs};
 use memnet_common::FaultPlan;
-use memnet_noc::Network;
 use memnet_obs::json::{parse, Field, Fields, MAX_SAFE_INT};
 use memnet_obs::JsonWriter;
-
-/// What a resolved fault does to the live system.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum FaultAction {
-    /// Cut network link (dense link index).
-    LinkDown(usize),
-    /// Restore network link.
-    LinkUp(usize),
-    /// Multiply a link's serialization latency (1 restores it).
-    LinkDegrade(usize, u32),
-    /// Freeze one vault of one cube for a stretch of DRAM clocks.
-    VaultStall {
-        hmc: usize,
-        vault: u64,
-        stall_tcks: u64,
-    },
-    /// Kill a GPU and rebalance its CTAs onto survivors.
-    GpuLoss(usize),
-}
-
-/// A fault pinned to a concrete target and an owner-domain clock edge.
-#[derive(Debug, Clone)]
-pub(crate) struct ResolvedFault {
-    /// First owner-domain edge at or after the plan timestamp.
-    pub edge_fs: Fs,
-    /// Owning clock domain (`domain::NET`, `domain::DRAM`, `domain::CORE`).
-    pub owner: usize,
-    pub action: FaultAction,
-    /// Stable kind name for trace events.
-    pub kind: &'static str,
-    /// Kind-specific target for trace events (link index, HMC id, GPU id).
-    pub target: u64,
-    /// Kind-specific detail for trace events (factor, stall tCKs, vault).
-    pub detail: u64,
-}
-
-/// Owning clock domain per fault category: link faults apply on network
-/// edges, vault stalls on DRAM edges, GPU loss on core edges.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FaultOwners {
-    pub net: usize,
-    pub dram: usize,
-    pub core: usize,
-}
-
-/// Resolves `plan` against a built system. `periods[d]` is the period of
-/// clock domain `d`; `owners` maps each fault category to its owning
-/// domain. Events whose link class has no population in this
-/// organization are dropped and counted in the returned skip tally.
-pub(crate) fn resolve_plan(
-    plan: &FaultPlan,
-    net: &Network,
-    n_hmcs: usize,
-    n_gpus: usize,
-    owners: FaultOwners,
-    periods: &[Fs],
-) -> (Vec<ResolvedFault>, u64) {
-    let mut out = Vec::with_capacity(plan.events().len());
-    let mut skipped = 0u64;
-    for ev in plan.events() {
-        let (owner, action, target, detail) = match &ev.kind {
-            FaultKind::LinkDown { class, ordinal } => {
-                let Some(li) = net.resolve_link(*class, *ordinal) else {
-                    skipped += 1;
-                    continue;
-                };
-                (owners.net, FaultAction::LinkDown(li), li as u64, 0)
-            }
-            FaultKind::LinkUp { class, ordinal } => {
-                let Some(li) = net.resolve_link(*class, *ordinal) else {
-                    skipped += 1;
-                    continue;
-                };
-                (owners.net, FaultAction::LinkUp(li), li as u64, 0)
-            }
-            FaultKind::LinkDegrade {
-                class,
-                ordinal,
-                factor,
-            } => {
-                let Some(li) = net.resolve_link(*class, *ordinal) else {
-                    skipped += 1;
-                    continue;
-                };
-                (
-                    owners.net,
-                    FaultAction::LinkDegrade(li, *factor),
-                    li as u64,
-                    u64::from(*factor),
-                )
-            }
-            FaultKind::VaultStall {
-                hmc,
-                vault,
-                stall_tcks,
-            } => {
-                let h = (*hmc % n_hmcs.max(1) as u64) as usize;
-                (
-                    owners.dram,
-                    FaultAction::VaultStall {
-                        hmc: h,
-                        vault: *vault,
-                        stall_tcks: *stall_tcks,
-                    },
-                    h as u64,
-                    *stall_tcks,
-                )
-            }
-            FaultKind::GpuLoss { gpu } => {
-                let g = (*gpu % n_gpus.max(1) as u64) as usize;
-                (owners.core, FaultAction::GpuLoss(g), g as u64, 0)
-            }
-        };
-        let period = periods[owner];
-        out.push(ResolvedFault {
-            edge_fs: ev.at_fs.div_ceil(period) * period,
-            owner,
-            action,
-            kind: ev.kind.name(),
-            target,
-            detail,
-        });
-    }
-    // The plan is sorted by at_fs; snapping to owner edges can reorder
-    // events across domains with different periods. Stable sort keeps
-    // same-edge events in plan order.
-    out.sort_by_key(|f| f.edge_fs);
-    (out, skipped)
-}
 
 /// Serializes a plan to the JSON format accepted by [`plan_from_json`].
 pub fn plan_to_json(plan: &FaultPlan) -> String {
@@ -221,7 +87,7 @@ fn read_event(ev: &Fields) -> Result<(Fs, FaultKind), String> {
         }
     };
     let uint = |key| ev.req(key)?.uint(MAX_SAFE_INT);
-    let class = || ev.req("class")?.named("link class", LinkClass::parse);
+    let class = || ev.req("class")?.named("link class", LinkTag::parse);
     let kind = ev.req("kind")?;
     let kind = match kind.str()? {
         "link-down" => FaultKind::LinkDown {

@@ -16,6 +16,7 @@
 //! * UMN: the footprint is spread over *all* clusters (no copies);
 //! * Fig. 7: the device region is restricted to 1, 2 or 4 GPU clusters.
 
+use memnet_common::config::fit_len;
 use memnet_common::{SplitMix64, SystemConfig};
 use memnet_hmc::mapping::{AddressMap, Location};
 use std::collections::BTreeMap;
@@ -152,11 +153,6 @@ impl MemoryLayout {
         self.page_table.len()
     }
 
-    /// Number of allocation clusters ([`MemoryState::next_seq`]'s length).
-    pub(crate) fn clusters(&self) -> usize {
-        self.next_seq.len()
-    }
-
     /// Captures the mutable placement state for checkpointing. Regions and
     /// policy are configuration (re-derived on rebuild); what must carry
     /// over is the first-touch outcome: the page table, per-cluster
@@ -174,19 +170,16 @@ impl MemoryLayout {
     /// [`MemoryLayout::snapshot_state`] taken on an identically configured
     /// layout.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the cluster count does not match.
-    pub(crate) fn restore_state(&mut self, s: &MemoryState) {
-        assert_eq!(
-            s.next_seq.len(),
-            self.next_seq.len(),
-            "memory layout cluster count mismatch on restore"
-        );
+    /// Refuses, untouched, a cluster count this layout does not have.
+    pub(crate) fn restore_state(&mut self, s: &MemoryState) -> Result<(), String> {
+        fit_len("next_seq", s.next_seq.len(), self.next_seq.len())?;
         self.page_table = s.page_table.iter().copied().collect();
         self.next_seq.clone_from(&s.next_seq);
         self.rng = SplitMix64::new(s.rng_state);
         self.rr_next = s.rr_next as usize;
+        Ok(())
     }
 }
 

@@ -34,7 +34,6 @@ pub struct SimBuilder {
     pub(super) engine_mode: Option<EngineMode>,
     pub(super) faults: FaultPlan,
     pub(super) sanitize: SanitizeMode,
-    pub(super) profile: bool,
 }
 
 impl SimBuilder {
@@ -61,19 +60,7 @@ impl SimBuilder {
             engine_mode: None,
             faults: FaultPlan::new(),
             sanitize: SanitizeMode::from_env(),
-            profile: false,
         }
-    }
-
-    /// Enables the self-profiler: wall-clock attribution per clock
-    /// domain, per-phase allocation deltas, latency/occupancy histograms
-    /// and utilization heatmaps, returned as the [`ProfileReport`] half
-    /// of [`SimBuilder::try_run_profiled`]. The profiler observes the
-    /// driver loop from outside simulation state, so the [`SimReport`]
-    /// stays byte-identical with profiling on or off.
-    pub fn profile(mut self, on: bool) -> Self {
-        self.profile = on;
-        self
     }
 
     /// Enables the runtime invariant sanitizer (default: resolved from
@@ -241,14 +228,21 @@ impl SimBuilder {
         Ok(System::try_build(self)?.run_profiled().0)
     }
 
-    /// Like [`SimBuilder::try_run`], but also returns the
-    /// [`ProfileReport`] when [`SimBuilder::profile`] was enabled.
+    /// Like [`SimBuilder::try_run`], with the self-profiler on: it also
+    /// returns a [`ProfileReport`] — wall-clock attribution per clock
+    /// domain, per-phase allocation deltas, latency/occupancy histograms
+    /// and utilization heatmaps. The profiler observes the driver loop
+    /// from outside simulation state, so the [`SimReport`] is
+    /// byte-identical to [`SimBuilder::try_run`]'s.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SimBuilder::try_run`].
-    pub fn try_run_profiled(self) -> Result<(SimReport, Option<ProfileReport>), SimError> {
-        Ok(System::try_build(self)?.run_profiled())
+    pub fn try_run_profiled(self) -> Result<(SimReport, ProfileReport), SimError> {
+        let mut sys = System::try_build(self)?;
+        sys.arm_profiler();
+        let (report, prof) = sys.run_profiled();
+        Ok((report, prof.expect("the profiler was armed above")))
     }
 
     /// Like [`SimBuilder::try_run`], but also captures a deterministic
@@ -295,10 +289,7 @@ impl SimBuilder {
             )));
         }
         let mut sys = System::try_build(self)?;
-        // Every shape is checked here, once, before anything is applied;
-        // the `restore_state` asserts downstream stay as invariants.
-        sys.check_snapshot(snap).map_err(SimError::Snapshot)?;
-        sys.apply_snapshot(snap);
+        sys.apply_snapshot(snap).map_err(SimError::Snapshot)?;
         Ok(sys.run_from_snapshot_point(snap.host_fs, snap.memcpy_fs).0)
     }
 

@@ -210,7 +210,6 @@ impl System {
                 self.wake_at_or_after_now(d);
             }
         }
-        self.cal.count_timestep();
         self.prof_end(ProfCat::CalendarAdvance);
 
         for d in 0..domain::COUNT {

@@ -1,12 +1,57 @@
-//! What a due fault does to the live system: link state, vault stalls,
-//! and GPU loss with its CTA rebalancing.
+//! Where each fault-plan event lands — its owning clock domain, the first
+//! edge there at or after its timestamp, its concrete target — and what a
+//! due fault does to the live system: link state, vault stalls, and GPU
+//! loss with its CTA rebalancing.
 
 use super::{domain, System};
-use crate::faults::{FaultAction, ResolvedFault};
 use crate::ske::CtaPolicy;
+use memnet_common::faults::FaultKind;
+use memnet_common::time::Fs;
+use memnet_common::FaultPlan;
 use memnet_obs::TraceEventKind;
 
+/// A plan event pinned to an edge of its owning domain.
+#[derive(Debug, Clone)]
+pub(super) struct ResolvedFault {
+    /// First owner-domain edge at or after the plan timestamp.
+    pub(super) edge_fs: Fs,
+    pub(super) kind: FaultKind,
+    /// Dense link index, HMC id or GPU id, by kind.
+    pub(super) target: usize,
+}
+
 impl System {
+    /// Queues every event of `plan` on its owning domain: link faults on
+    /// network edges, vault stalls on DRAM edges, GPU loss on core edges.
+    /// The edge is pure clock arithmetic, so both engine modes apply each
+    /// fault at the same simulated instant. No queue needs sorting: the
+    /// plan is in timestamp order, and for one period the edge never
+    /// decreases as the timestamp grows. Events whose link tag has no
+    /// population in this organization are dropped and counted.
+    pub(super) fn resolve_faults(&mut self, plan: &FaultPlan) {
+        for ev in plan.events() {
+            let (owner, target) = match ev.kind {
+                FaultKind::LinkDown { class, ordinal }
+                | FaultKind::LinkUp { class, ordinal }
+                | FaultKind::LinkDegrade { class, ordinal, .. } => {
+                    let Some(li) = self.net.resolve_link(class, ordinal) else {
+                        self.faults_skipped += 1;
+                        continue;
+                    };
+                    (domain::NET, li)
+                }
+                FaultKind::VaultStall { hmc, .. } => (domain::DRAM, wrap(hmc, self.hmcs.len())),
+                FaultKind::GpuLoss { gpu } => (domain::CORE, wrap(gpu, self.gpus.len())),
+            };
+            let period = self.cal.clock(owner).period_fs();
+            self.fault_q[owner].push_back(ResolvedFault {
+                edge_fs: ev.at_fs.div_ceil(period) * period,
+                kind: ev.kind.clone(),
+                target,
+            });
+        }
+    }
+
     /// Applies every pending fault owned by domain `d` whose edge has
     /// arrived. Called just before `d`'s tick so the fault's effect is
     /// visible to that very tick — in both engine modes, at the same edge.
@@ -22,25 +67,38 @@ impl System {
     }
 
     fn apply_fault(&mut self, f: &ResolvedFault) {
-        match f.action {
-            FaultAction::LinkDown(li) => self.net.set_link_state(li, false),
-            FaultAction::LinkUp(li) => self.net.set_link_state(li, true),
-            FaultAction::LinkDegrade(li, factor) => self.net.degrade_link(li, factor),
-            FaultAction::VaultStall {
-                hmc,
-                vault,
-                stall_tcks,
+        let t = f.target;
+        // The trace's kind-specific detail: degrade factor, stall tCKs.
+        let detail = match f.kind {
+            FaultKind::LinkDown { .. } => {
+                self.net.set_link_state(t, false);
+                0
+            }
+            FaultKind::LinkUp { .. } => {
+                self.net.set_link_state(t, true);
+                0
+            }
+            FaultKind::LinkDegrade { factor, .. } => {
+                self.net.degrade_link(t, factor);
+                u64::from(factor)
+            }
+            FaultKind::VaultStall {
+                vault, stall_tcks, ..
             } => {
                 let tck = self.cal.clock(domain::DRAM).cycles();
-                self.hmcs[hmc].stall_vault(vault, tck + stall_tcks);
+                self.hmcs[t].stall_vault(vault, tck + stall_tcks);
+                stall_tcks
             }
-            FaultAction::GpuLoss(g) => self.apply_gpu_loss(g),
-        }
+            FaultKind::GpuLoss { .. } => {
+                self.apply_gpu_loss(t);
+                0
+            }
+        };
         self.faults_injected += 1;
         let fault = TraceEventKind::Fault {
-            kind: f.kind,
-            target: f.target,
-            detail: f.detail,
+            kind: f.kind.name(),
+            target: t as u64,
+            detail,
         };
         self.trace_fs(self.now, fault);
     }
@@ -88,4 +146,10 @@ impl System {
             }
         }
     }
+}
+
+/// A plan's device index wrapped onto the `n` this system has, so seeded
+/// plans stay valid at any size.
+fn wrap(index: u64, n: usize) -> usize {
+    (index % n.max(1) as u64) as usize
 }

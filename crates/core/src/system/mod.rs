@@ -20,8 +20,8 @@
 //! * `phases` — which phases run in which order, straight or checkpointed;
 //! * `engine` — which clock domain ticks when (park / wake / skip);
 //! * `pumps` — how requests and responses cross device ↔ fabric ↔ HMC;
-//! * `faults` — what a due fault does to the live system;
-//! * `snapshot` — what a checkpoint holds, and when one is refused;
+//! * `faults` — where a fault-plan event lands, and what it does when due;
+//! * `snapshot` — what a checkpoint holds, and how one is checked and applied;
 //! * `observers` — trace marks, sanitizer audits, metric epochs, profiling;
 //! * `report` — what a finished system is summarized as.
 
@@ -41,10 +41,10 @@ pub use builder::SimBuilder;
 pub use engine::EngineMode;
 pub use report::{GpuSummary, SimReport};
 
-use crate::faults::ResolvedFault;
 use crate::memory::MemoryLayout;
 use crate::sanitize::Sanitizer;
 use crate::ske::CtaPolicy;
+use faults::ResolvedFault;
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::Fs;
 use memnet_common::{MemReq, MemResp, NodeId, SystemConfig};
@@ -219,8 +219,8 @@ struct System {
     traffic: TrafficMatrix,
     timed_out: bool,
 
-    /// Pending resolved faults per owning clock domain, each queue sorted
-    /// by edge time (ties in plan order).
+    /// Pending resolved faults per owning clock domain, each queue in plan
+    /// order, which is edge order.
     fault_q: [VecDeque<ResolvedFault>; domain::COUNT],
     faults_injected: u64,
     faults_skipped: u64,

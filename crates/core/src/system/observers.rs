@@ -31,9 +31,9 @@ pub(super) struct ProfPack {
 
 impl ProfPack {
     /// Default occupancy-sampling cadence, network cycles.
-    pub(super) const SAMPLE_EVERY: u64 = 1_000;
+    const SAMPLE_EVERY: u64 = 1_000;
 
-    pub(super) fn new(sample_every: u64) -> Self {
+    fn new(sample_every: u64) -> Self {
         ProfPack {
             profiler: Profiler::new(),
             lat_hist: Histogram::default(),
@@ -75,6 +75,17 @@ impl ProfPack {
 }
 
 impl System {
+    /// Switches the self-profiler on. Occupancy samples ride the metrics
+    /// epoch when there is one, else every [`ProfPack::SAMPLE_EVERY`]
+    /// network cycles.
+    pub(super) fn arm_profiler(&mut self) {
+        let every = match self.metrics_every {
+            0 => ProfPack::SAMPLE_EVERY,
+            n => n,
+        };
+        self.prof = Some(ProfPack::new(every));
+    }
+
     /// Records `kind` as a span from `start` to now (no-op without a
     /// tracer).
     pub(super) fn trace_fs(&mut self, start: Fs, kind: TraceEventKind) {

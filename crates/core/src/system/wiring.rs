@@ -1,9 +1,7 @@
 //! How a [`SimBuilder`] becomes a live [`System`]: the organization's graph,
 //! the memory layout, the devices, the clocks, the fault plan on their edges.
 
-use super::observers::ProfPack;
-use super::{domain, EngineMode, HmcPort, Organization, SimBuilder, SimError, System};
-use crate::faults::{resolve_plan, FaultOwners, ResolvedFault};
+use super::{EngineMode, HmcPort, Organization, SimBuilder, SimError, System};
 use crate::memory::{MemoryLayout, HOST_BASE};
 use crate::sanitize::{SanitizeMode, Sanitizer};
 use memnet_common::stats::TrafficMatrix;
@@ -17,7 +15,6 @@ use memnet_noc::topo::{add_cpu_overlay, add_pcie_tree, build_clusters, TopologyK
 use memnet_noc::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
 use memnet_obs::{ClockDomain, MetricsRegistry, Tracer};
 use memnet_workloads::WorkloadSpec;
-use std::collections::VecDeque;
 
 impl System {
     pub(super) fn try_build(b: SimBuilder) -> Result<System, SimError> {
@@ -155,27 +152,7 @@ impl System {
         });
         let metrics_every = b.metrics_every.unwrap_or(0);
 
-        // Pin every fault-plan event to the first clock edge of its
-        // owning domain at or after its timestamp — pure clock
-        // arithmetic, identical under both engine modes.
-        let (resolved, faults_skipped) = resolve_plan(
-            &b.faults,
-            &net,
-            hmc_eps.len(),
-            n_gpus,
-            FaultOwners {
-                net: domain::NET,
-                dram: domain::DRAM,
-                core: domain::CORE,
-            },
-            &periods,
-        );
-        let mut fault_q: [VecDeque<ResolvedFault>; domain::COUNT] = Default::default();
-        for f in resolved {
-            fault_q[f.owner].push_back(f);
-        }
-
-        Ok(System {
+        let mut sys = System {
             active_gpus: b.active_gpus.unwrap_or(cfg.n_gpus).min(cfg.n_gpus),
             use_overlay: b.overlay,
             phase_budget: (b.phase_budget_ns * 1e6) as Fs,
@@ -186,9 +163,9 @@ impl System {
             engine_mode,
             now: 0,
             timed_out: false,
-            fault_q,
+            fault_q: Default::default(),
             faults_injected: 0,
-            faults_skipped,
+            faults_skipped: 0,
             failed_requests: 0,
             rebalanced_ctas: 0,
             lost_gpus: 0,
@@ -198,13 +175,7 @@ impl System {
                 .enabled()
                 .then(|| Sanitizer::new(b.sanitize == SanitizeMode::Fatal)),
             metrics: (metrics_every > 0).then(MetricsRegistry::new),
-            prof: b.profile.then(|| {
-                ProfPack::new(if metrics_every > 0 {
-                    metrics_every
-                } else {
-                    ProfPack::SAMPLE_EVERY
-                })
-            }),
+            prof: None,
             metrics_every,
             next_epoch: metrics_every,
             steal_events: 0,
@@ -222,6 +193,8 @@ impl System {
             hmc_ports,
             layout,
             traffic,
-        })
+        };
+        sys.resolve_faults(&b.faults);
+        Ok(sys)
     }
 }

@@ -26,7 +26,7 @@
 //! cpu.tick();
 //! ```
 
-use memnet_common::config::CpuConfig;
+use memnet_common::config::{nest, CpuConfig};
 use memnet_common::{AccessKind, Agent, CpuId, MemReq, MemResp, ReqId};
 use memnet_gpu::cache::Cache;
 use std::cmp::Reverse;
@@ -283,13 +283,18 @@ impl CpuCore {
 
     /// Overwrites the mutable state from a [`CpuCore::snapshot_state`]
     /// taken on an identically configured core.
-    pub fn restore_state(&mut self, s: &CpuState) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses a cache level its cache refuses.
+    pub fn restore_state(&mut self, s: &CpuState) -> Result<(), String> {
+        self.l1.restore_state(&s.l1).map_err(|e| nest("l1", e))?;
+        self.l2.restore_state(&s.l2).map_err(|e| nest("l2", e))?;
         self.cycle = s.cycle;
         self.compute_until = s.compute_until;
         self.next_req = s.next_req;
         self.stats = s.stats;
-        self.l1.restore_state(&s.l1);
-        self.l2.restore_state(&s.l2);
+        Ok(())
     }
 }
 
@@ -387,11 +392,6 @@ impl DmaEngine {
     /// Total bytes whose writes have been issued.
     pub fn bytes_copied(&self) -> u64 {
         self.bytes_copied
-    }
-
-    /// Copy jobs queued or in progress (gauge).
-    pub fn jobs_queued(&self) -> usize {
-        self.jobs.len()
     }
 
     /// Line reads issued for the active job but not yet answered (gauge).

@@ -16,26 +16,11 @@
 
 use memnet_common::time::{Clock, Fs};
 
-/// Counters describing how much work the calendar avoided.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CalendarStats {
-    /// Timesteps executed (distinct values of `now` with ≥1 active tick).
-    pub timesteps: u64,
-    /// Times a domain was descheduled.
-    pub parks: u64,
-    /// Times a parked domain was re-armed.
-    pub wakes: u64,
-    /// Clock edges skipped across all wakes — each would have been a
-    /// no-op tick of every component in the domain.
-    pub skipped_edges: u64,
-}
-
 /// A set of clock domains with park/wake scheduling.
 #[derive(Debug, Clone)]
 pub struct Calendar {
     clocks: Vec<Clock>,
     parked: Vec<bool>,
-    stats: CalendarStats,
 }
 
 impl Calendar {
@@ -45,7 +30,6 @@ impl Calendar {
         Calendar {
             clocks,
             parked: vec![false; n],
-            stats: CalendarStats::default(),
         }
     }
 
@@ -88,12 +72,6 @@ impl Calendar {
         self.clocks[d].advance();
     }
 
-    /// Counts a timestep in the stats.
-    #[inline]
-    pub fn count_timestep(&mut self) {
-        self.stats.timesteps += 1;
-    }
-
     /// True if domain `d` is currently descheduled.
     #[inline]
     pub fn is_parked(&self, d: usize) -> bool {
@@ -105,7 +83,6 @@ impl Calendar {
     pub fn park(&mut self, d: usize) {
         debug_assert!(!self.parked[d], "parking an already-parked domain");
         self.parked[d] = true;
-        self.stats.parks += 1;
     }
 
     /// Re-arms parked domain `d` at its first edge **at or after** `t`,
@@ -120,10 +97,7 @@ impl Calendar {
             return 0;
         }
         self.parked[d] = false;
-        self.stats.wakes += 1;
-        let skipped = self.clocks[d].fast_forward_at_or_after(t);
-        self.stats.skipped_edges += skipped;
-        skipped
+        self.clocks[d].fast_forward_at_or_after(t)
     }
 
     /// Re-arms parked domain `d` at its first edge **strictly after** `t`,
@@ -138,10 +112,7 @@ impl Calendar {
             return 0;
         }
         self.parked[d] = false;
-        self.stats.wakes += 1;
-        let skipped = self.clocks[d].fast_forward_after(t);
-        self.stats.skipped_edges += skipped;
-        skipped
+        self.clocks[d].fast_forward_after(t)
     }
 
     /// Fast-forwards a parked domain's clock past `t` **without**
@@ -153,23 +124,14 @@ impl Calendar {
         if !self.parked[d] {
             return 0;
         }
-        let skipped = self.clocks[d].fast_forward_after(t);
-        self.stats.skipped_edges += skipped;
-        skipped
-    }
-
-    /// Scheduling counters accumulated so far.
-    pub fn stats(&self) -> CalendarStats {
-        self.stats
+        self.clocks[d].fast_forward_after(t)
     }
 
     /// Overwrites domain `d`'s clock with one that has ticked exactly
     /// `cycles` edges (so `next_fs == cycles * period_fs`), re-arming the
     /// domain. Checkpoint-restore hook: the edge-grid invariant means a
     /// clock's whole state is `(period, cycles)`, so replaying `cycles`
-    /// edges onto a fresh clock reconstructs it bit-identically. Does not
-    /// touch [`CalendarStats`] — scheduling counters are wall-clock-side
-    /// diagnostics, not simulation state.
+    /// edges onto a fresh clock reconstructs it bit-identically.
     pub fn restore_clock(&mut self, d: usize, cycles: u64) {
         let period = self.clocks[d].period_fs();
         let mut fresh = Clock::new(period);
@@ -226,8 +188,6 @@ mod tests {
         assert!(!c.is_parked(0));
         assert_eq!(c.clock(0).next_fs(), 40);
         assert_eq!(c.clock(0).cycles(), 4);
-        let s = c.stats();
-        assert_eq!((s.parks, s.wakes, s.skipped_edges), (1, 1, 4));
     }
 
     #[test]
@@ -244,8 +204,8 @@ mod tests {
     fn waking_an_armed_domain_is_a_no_op() {
         let mut c = cal();
         assert_eq!(c.wake_after(0, 100), 0);
+        assert_eq!(c.wake_at_or_after(0, 100), 0);
         assert_eq!(c.clock(0).next_fs(), 0, "armed clock untouched");
-        assert_eq!(c.stats().wakes, 0);
     }
 
     #[test]

@@ -17,5 +17,5 @@
 pub mod calendar;
 pub mod pool;
 
-pub use calendar::{Calendar, CalendarStats};
+pub use calendar::Calendar;
 pub use pool::{run_jobs, run_jobs_observed, JobError, PoolConfig, PoolEvent, PoolObs, PoolStats};

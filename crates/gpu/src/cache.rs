@@ -5,7 +5,7 @@
 //! the latest committed value under the relaxed consistency model. This
 //! cache is timing-only (tags, no data).
 
-use memnet_common::config::CacheConfig;
+use memnet_common::config::{fit_len, CacheConfig};
 use std::collections::BTreeMap;
 
 /// Hit/miss counters.
@@ -196,21 +196,18 @@ impl Cache {
     /// Overwrites the mutable state from a [`Cache::snapshot_state`] taken
     /// on an identically configured cache.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the way count does not match this cache's geometry.
-    pub fn restore_state(&mut self, s: &CacheState) {
+    /// Refuses, untouched, a way count this cache's geometry does not have.
+    pub fn restore_state(&mut self, s: &CacheState) -> Result<(), String> {
         let assoc = self.sets[0].len();
-        assert_eq!(
-            s.ways.len(),
-            self.sets.len() * assoc,
-            "cache geometry mismatch on restore"
-        );
+        fit_len("ways", s.ways.len(), self.sets.len() * assoc)?;
         for (i, &(tag, valid, lru)) in s.ways.iter().enumerate() {
             self.sets[i / assoc][i % assoc] = Way { tag, valid, lru };
         }
         self.tick = s.tick;
         self.stats = s.stats;
+        Ok(())
     }
 }
 

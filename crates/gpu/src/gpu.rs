@@ -10,7 +10,7 @@
 use crate::cache::{Cache, CacheStats, MshrResult, MshrTable};
 use crate::kernel::KernelModel;
 use crate::sm::{L2Req, Sm, SmStats};
-use memnet_common::config::GpuConfig;
+use memnet_common::config::{nest, GpuConfig};
 use memnet_common::{AccessKind, Agent, GpuId, MemReq, MemResp, ReqId};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, VecDeque};
@@ -462,16 +462,21 @@ impl Gpu {
 
     /// Overwrites the mutable state from a [`Gpu::snapshot_state`] taken
     /// on an identically configured GPU at a quiescent boundary.
-    pub fn restore_state(&mut self, s: &GpuState) {
+    ///
+    /// # Errors
+    ///
+    /// Refuses an L2 the cache refuses (see [`Cache::restore_state`]).
+    pub fn restore_state(&mut self, s: &GpuState) -> Result<(), String> {
+        self.l2.restore_state(&s.l2).map_err(|e| nest("l2", e))?;
         self.dead = s.dead;
         self.core_cycle = s.core_cycle;
         self.next_req = s.next_req;
         self.mem_reqs = s.mem_reqs;
-        self.l2.restore_state(&s.l2);
         self.busy_cache = false;
         for sm in &mut self.sms {
             sm.wake();
         }
+        Ok(())
     }
 
     /// Aggregate statistics.

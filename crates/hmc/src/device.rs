@@ -8,7 +8,7 @@
 //! (Section III-D).
 
 use crate::vault::{Vault, VaultStats};
-use memnet_common::config::HmcConfig;
+use memnet_common::config::{fit_len, nest, HmcConfig};
 use memnet_common::MemReq;
 use memnet_obs::Tracer;
 use std::cmp::Reverse;
@@ -205,23 +205,24 @@ impl HmcDevice {
     /// Overwrites the mutable state from a [`HmcDevice::snapshot_state`]
     /// taken on an identically configured cube.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the vault count does not match.
-    pub fn restore_state(&mut self, s: &HmcState) {
-        assert_eq!(
-            s.vaults.len(),
-            self.vaults.len(),
-            "HMC vault count mismatch on restore"
-        );
+    /// Refuses a stall-deadline or vault count this cube does not have,
+    /// and a vault its vault refuses.
+    pub fn restore_state(&mut self, s: &HmcState) -> Result<(), String> {
+        let vaults = self.vaults.len();
+        fit_len("stalled_until", s.stalled_until.len(), vaults)?;
+        fit_len("vaults", s.vaults.len(), vaults)?;
+        for (j, (v, vs)) in self.vaults.iter_mut().zip(&s.vaults).enumerate() {
+            v.restore_state(vs)
+                .map_err(|e| nest(format_args!("vaults[{j}]"), e))?;
+        }
         self.seq = s.seq;
         self.stalled_until.clone_from(&s.stalled_until);
         self.stalls = s.stalls;
         self.completions.clear();
         self.inflight = 0;
-        for (v, vs) in self.vaults.iter_mut().zip(&s.vaults) {
-            v.restore_state(vs);
-        }
+        Ok(())
     }
 
     /// Merged statistics over all vaults.

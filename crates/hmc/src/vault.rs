@@ -7,7 +7,7 @@
 //! can accept a command, row hits win; ties break by age. All times are in
 //! DRAM clock cycles (tCK = 1.25 ns).
 
-use memnet_common::config::HmcConfig;
+use memnet_common::config::{fit_len, HmcConfig};
 use memnet_common::{AccessKind, MemReq};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::VecDeque;
@@ -279,15 +279,11 @@ impl Vault {
     /// Overwrites the mutable state from a [`Vault::snapshot_state`] taken
     /// on an identically configured vault.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the bank count does not match.
-    pub fn restore_state(&mut self, s: &VaultState) {
-        assert_eq!(
-            s.banks.len(),
-            self.banks.len(),
-            "vault bank count mismatch on restore"
-        );
+    /// Refuses, untouched, a bank count this vault does not have.
+    pub fn restore_state(&mut self, s: &VaultState) -> Result<(), String> {
+        fit_len("banks", s.banks.len(), self.banks.len())?;
         for (b, bs) in self.banks.iter_mut().zip(&s.banks) {
             b.open_row = bs.open_row;
             b.next_cmd = bs.next_cmd;
@@ -297,6 +293,7 @@ impl Vault {
         }
         self.bus_free_at = s.bus_free_at;
         self.stats = s.stats;
+        Ok(())
     }
 }
 

@@ -24,7 +24,7 @@
 //! | `wall-clock` | `Instant::now`/`SystemTime` outside the engine pool allowlist (benches live under `benches/`, which is not scanned) |
 //! | `fs-narrowing` | a bare `as` cast of a `*_fs`/cycle value to a narrower integer type; use the checked helpers in `memnet_common::time` |
 //! | `tick-unwrap` | `.unwrap()` anywhere in non-test code, and `.expect(` inside tick-path functions (names starting with `tick`/`pump`/`advance`/`route`/`alloc`/`poll`/`apply_due`) |
-//! | `metric-name-literal` | a `format!` inside the argument list of a metric-sink call (`.add(`/`.set(`/`.observe(`/`.record_hist(`) — those take `&'static str` names so series identity is stable and hot paths stay allocation-free; dynamic names must go through the explicit `add_dyn`/`set_dyn` escape hatch or `set_entity` for indexed series |
+//! | `metric-name-literal` | a `format!` inside the argument list of a metric-sink call (`.add(`/`.set(`/`.record_hist(`) — those take `&'static str` names so series identity is stable and hot paths stay allocation-free; dynamic names must go through the explicit `add_dyn`/`set_dyn` escape hatch or `set_entity` for indexed series |
 //! | `thread-boundary` | `std::thread`/`thread::spawn`/`thread::scope`/`mpsc`/`crossbeam`/`rayon` outside `crates/engine/` and `crates/serve/` — threads and channels deliver in arrival order, so only the engine crate (the run pool) and the serve daemon may create them; simulation crates stay single-threaded |
 //! | `unsafe-code` | the `unsafe` keyword outside [`UNSAFE_ALLOWLIST`] — the counting allocator implements `GlobalAlloc`; nowhere else may opt out of the borrow checker |
 //! | `atomic-ordering` | `Ordering::Relaxed` or `Ordering::SeqCst` without a line-level justification — `Relaxed` is how happens-before edges quietly go missing and `SeqCst` is how reasoning gaps hide behind a global fence; each use must say why it is sound (`Acquire`/`Release`/`AcqRel` are the expected vocabulary and pass unremarked) |
@@ -118,7 +118,7 @@ pub const CRATE_RULE_EXEMPTIONS: &[(&str, &str)] = &[
 /// Metric-sink method names whose name argument must be a `'static`
 /// literal. `add_dyn`/`set_dyn` deliberately do not match: they are the
 /// audited escape hatch for genuinely dynamic series names.
-const METRIC_SINK_CALLS: &[&str] = &["add", "set", "observe", "record_hist"];
+const METRIC_SINK_CALLS: &[&str] = &["add", "set", "record_hist"];
 
 /// Function-name prefixes that mark a tick path (per-cycle simulation
 /// code, where a panic takes down the whole run with no context).
@@ -983,7 +983,6 @@ mod tests {
         let src = "fn snapshot(m: &mut M, i: usize) {\n\
                        m.add(&format!(\"gpu{i}.reqs\"), 1);\n\
                        m.set(&format!(\"gpu{i}.occ\"), 0.5);\n\
-                       m.observe(&format!(\"lat{i}\"), &s);\n\
                        m.record_hist(&format!(\"h{i}\"), 3);\n\
                    }\n";
         let vs = lint_source("crates/x/src/lib.rs", src);
@@ -992,8 +991,7 @@ mod tests {
             vec![
                 ("metric-name-literal", 2),
                 ("metric-name-literal", 3),
-                ("metric-name-literal", 4),
-                ("metric-name-literal", 5)
+                ("metric-name-literal", 4)
             ]
         );
         assert!(vs[0].message.contains("add_dyn"));

@@ -122,33 +122,8 @@ impl Default for LinkSpec {
     }
 }
 
-/// What a link is, for channel-count accounting (Fig. 12) and energy scoping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LinkTag {
-    /// HMC-to-HMC memory-network channel.
-    HmcHmc,
-    /// GPU/CPU-to-local-HMC channel.
-    DeviceHmc,
-    /// PCIe channel.
-    Pcie,
-    /// NVLink-class processor-to-processor channel (PCN organizations).
-    Nvlink,
-    /// On-die device-to-endpoint connection (not a physical channel).
-    Internal,
-}
-
-impl LinkTag {
-    /// Stable lowercase name for JSON exports (heatmap link classes).
-    pub fn name(self) -> &'static str {
-        match self {
-            LinkTag::HmcHmc => "hmc-hmc",
-            LinkTag::DeviceHmc => "device-hmc",
-            LinkTag::Pcie => "pcie",
-            LinkTag::Nvlink => "nvlink",
-            LinkTag::Internal => "internal",
-        }
-    }
-}
+/// What a link is — owned by `memnet_common`, which fault plans share.
+pub use memnet_common::LinkTag;
 
 /// A recorded bidirectional link.
 #[derive(Debug, Clone, Copy)]

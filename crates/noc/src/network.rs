@@ -8,7 +8,7 @@
 use crate::builder::{LinkSpec, LinkTag, NetworkBuilder, NodeRec};
 use crate::calq::CalendarQueue;
 use crate::packet::{MsgClass, Packet, PacketId};
-use memnet_common::faults::LinkClass;
+use memnet_common::config::fit_len;
 use memnet_common::stats::RunningStats;
 use memnet_common::{NodeId, Payload, SplitMix64};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
@@ -816,30 +816,26 @@ impl Network {
         }
     }
 
-    /// The `(link_up, channels)` lengths a [`NetworkState`] of this
-    /// network has, so a caller can refuse a misshapen one up front.
-    pub fn state_shape(&self) -> (usize, usize) {
-        (self.link_up.len(), self.channels.len())
-    }
-
     /// Overwrites the mutable state from a [`Network::snapshot_state`]
     /// taken on a network built from the identical topology. Route tables
     /// are recomputed from the restored link states.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the channel or link count does not match.
-    pub fn restore_state(&mut self, s: &NetworkState) {
-        assert_eq!(
-            s.channels.len(),
-            self.channels.len(),
-            "network channel count mismatch on restore"
-        );
-        assert_eq!(
-            s.link_up.len(),
-            self.link_up.len(),
-            "network link count mismatch on restore"
-        );
+    /// Refuses, untouched, a link or channel count this network does not
+    /// have, and a free list that is not a permutation of the packet
+    /// slots — a quiescent fabric owns no packet.
+    pub fn restore_state(&mut self, s: &NetworkState) -> Result<(), String> {
+        fit_len("link_up", s.link_up.len(), self.link_up.len())?;
+        fit_len("channels", s.channels.len(), self.channels.len())?;
+        let mut free = s.free_pids.clone();
+        free.sort_unstable();
+        let slots = s.packet_slots;
+        if !free.iter().map(|&p| u64::from(p)).eq(0..slots) {
+            return Err(format!(
+                "field 'free_pids' is not a permutation of the {slots} packet slots"
+            ));
+        }
         self.cycle = s.cycle;
         self.seq = s.seq;
         self.rng = SplitMix64::new(s.rng_state);
@@ -858,6 +854,7 @@ impl Network {
         self.in_network = 0;
         self.stats = s.stats.clone();
         self.recompute_routes();
+        Ok(())
     }
 
     /// Mean utilization of powered channels: busy cycles over elapsed
@@ -959,27 +956,15 @@ impl Network {
         pj * 1e-9
     }
 
-    /// Maps an abstract fault-plan link class onto this network's tags.
-    fn tag_of_class(class: LinkClass) -> LinkTag {
-        match class {
-            LinkClass::HmcHmc => LinkTag::HmcHmc,
-            LinkClass::DeviceHmc => LinkTag::DeviceHmc,
-            LinkClass::Pcie => LinkTag::Pcie,
-            LinkClass::Nvlink => LinkTag::Nvlink,
-        }
-    }
-
-    /// Number of builder links carrying the given class's tag.
-    pub fn count_links_of(&self, class: LinkClass) -> usize {
-        let tag = Self::tag_of_class(class);
+    /// Number of builder links carrying `tag`.
+    pub fn count_links_of(&self, tag: LinkTag) -> usize {
         self.link_tags.iter().filter(|&&t| t == tag).count()
     }
 
-    /// Resolves (class, ordinal) to a concrete link index, wrapping the
-    /// ordinal over the class population so seeded plans stay valid on any
-    /// topology. `None` when the topology has no links of that class.
-    pub fn resolve_link(&self, class: LinkClass, ordinal: u64) -> Option<usize> {
-        let tag = Self::tag_of_class(class);
+    /// Resolves (tag, ordinal) to a concrete link index, wrapping the
+    /// ordinal over the tag's population so seeded plans stay valid on any
+    /// topology. `None` when the topology has no links with that tag.
+    pub fn resolve_link(&self, tag: LinkTag, ordinal: u64) -> Option<usize> {
         let pop: Vec<usize> = (0..self.link_tags.len())
             .filter(|&li| self.link_tags[li] == tag)
             .collect();
@@ -1985,9 +1970,8 @@ mod tests {
 
     #[test]
     fn link_cut_reroutes_over_surviving_path() {
-        use memnet_common::faults::LinkClass;
         let (mut net, eps) = diamond();
-        assert_eq!(net.count_links_of(LinkClass::HmcHmc), 4);
+        assert_eq!(net.count_links_of(LinkTag::HmcHmc), 4);
         // Cut r0–r1; everything must flow r0→r2→r3.
         net.set_link_state(0, false);
         assert!(!net.link_is_up(0));
@@ -2205,11 +2189,10 @@ mod tests {
 
     #[test]
     fn resolve_link_wraps_ordinal_over_population() {
-        use memnet_common::faults::LinkClass;
         let (net, _) = diamond();
-        assert_eq!(net.resolve_link(LinkClass::HmcHmc, 1), Some(1));
-        assert_eq!(net.resolve_link(LinkClass::HmcHmc, 5), Some(1));
-        assert_eq!(net.resolve_link(LinkClass::Pcie, 0), None);
+        assert_eq!(net.resolve_link(LinkTag::HmcHmc, 1), Some(1));
+        assert_eq!(net.resolve_link(LinkTag::HmcHmc, 5), Some(1));
+        assert_eq!(net.resolve_link(LinkTag::Pcie, 0), None);
     }
 
     #[test]

@@ -22,13 +22,11 @@
 //! latency percentiles, ...).
 
 use crate::json::{JsonWriter, ToJson};
-use memnet_common::stats::RunningStats;
 use std::collections::BTreeMap;
 
-// The statistics accumulators the registry understands natively live in
-// memnet-common; re-exported here so instrumented code can name them
-// through the observability layer.
-pub use memnet_common::stats::{Histogram, RunningStats as Stats};
+// The histogram the registry records lives in memnet-common; re-exported
+// here so instrumented code can name it through the observability layer.
+pub use memnet_common::stats::Histogram;
 
 /// Digest of a [`Histogram`] at snapshot time: sample count plus
 /// log-bucket percentile estimates.
@@ -134,17 +132,6 @@ impl MetricsRegistry {
         self.set_dyn(&format!("{class}{index}.{field}"), value);
     }
 
-    /// Publishes a [`RunningStats`] accumulator as `name.count/mean/min/max`
-    /// gauges.
-    pub fn observe(&mut self, name: &'static str, stats: &RunningStats) {
-        self.set_dyn(&format!("{name}.count"), stats.count() as f64);
-        self.set_dyn(&format!("{name}.mean"), stats.mean());
-        if let (Some(min), Some(max)) = (stats.min(), stats.max()) {
-            self.set_dyn(&format!("{name}.min"), min);
-            self.set_dyn(&format!("{name}.max"), max);
-        }
-    }
-
     /// Current value of a counter (0 if never written).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
@@ -155,16 +142,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Records one sample into the histogram `name`, creating it on first
     /// use.
     pub fn record_hist(&mut self, name: &'static str, value: u64) {
@@ -172,16 +149,6 @@ impl MetricsRegistry {
             .entry(name.to_string())
             .or_default()
             .record(value);
-    }
-
-    /// The histogram `name`, if any sample was ever recorded.
-    pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// All histograms, sorted by name.
-    pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// The recorded epoch snapshots, oldest first.
@@ -321,19 +288,6 @@ mod tests {
         assert_eq!(m.epochs()[0].counters, vec![("x".to_string(), 1)]);
         assert_eq!(m.epochs()[1].counters, vec![("x".to_string(), 2)]);
         assert_eq!(m.epochs()[1].gauges, vec![("g".to_string(), 2.0)]);
-    }
-
-    #[test]
-    fn observe_publishes_runningstats_fields() {
-        let mut m = MetricsRegistry::new();
-        let mut s = RunningStats::new();
-        s.record(2.0);
-        s.record(6.0);
-        m.observe("lat", &s);
-        assert_eq!(m.gauge("lat.count"), Some(2.0));
-        assert_eq!(m.gauge("lat.mean"), Some(4.0));
-        assert_eq!(m.gauge("lat.min"), Some(2.0));
-        assert_eq!(m.gauge("lat.max"), Some(6.0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! `memnet run --faults plan.json`.
 
 use memnet::common::time::ns_to_fs;
-use memnet::common::{FaultKind, FaultPlan, LinkClass};
+use memnet::common::{FaultKind, FaultPlan, LinkTag};
 use memnet::sim::{plan_from_json, plan_to_json, Organization, SimBuilder};
 use memnet::workloads::Workload;
 
@@ -26,7 +26,7 @@ fn main() {
     plan.push(
         ns_to_fs(10.0),
         FaultKind::LinkDegrade {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 2,
             factor: 4,
         },
@@ -34,7 +34,7 @@ fn main() {
     plan.push(
         ns_to_fs(25.0),
         FaultKind::LinkDown {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 0,
         },
     );

@@ -797,10 +797,8 @@ fn profile_cmd(args: &[String]) -> Cmd {
     }
     let (r, prof) = opts
         .builder()
-        .profile(true)
         .try_run_profiled()
         .map_err(|e| fail(format_args!("memnet: {e}")))?;
-    let prof = prof.expect("profiling was enabled");
     if opts.json {
         print!("{}", prof.to_json_string());
     } else {

@@ -84,7 +84,7 @@ fn fault_plan_straddling_the_snapshot_point_is_bit_identical() {
     // edge. Any double-injection or lost edge shows up as a counter or
     // traffic diff against the straight run.
     use memnet::common::time::ns_to_fs;
-    use memnet::common::{FaultKind, FaultPlan, LinkClass};
+    use memnet::common::{FaultKind, FaultPlan, LinkTag};
 
     // GMN/VecAdd-small puts the pre-kernel boundary around 40.5 µs (end
     // of the H2D memcpy): the link failure lands mid-copy, the vault
@@ -94,7 +94,7 @@ fn fault_plan_straddling_the_snapshot_point_is_bit_identical() {
     plan.push(
         ns_to_fs(5_000.0),
         FaultKind::LinkDown {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 0,
         },
     );

@@ -23,7 +23,7 @@
 //! and say in CHANGES.md why behaviour moved.
 
 use memnet::common::time::ns_to_fs;
-use memnet::common::{FaultKind, FaultPlan, LinkClass};
+use memnet::common::{FaultKind, FaultPlan, LinkTag};
 use memnet::noc::topo::TopologyKind;
 use memnet::noc::RoutingPolicy;
 use memnet::serve::job::parse_topology;
@@ -72,7 +72,7 @@ fn link_faults() -> FaultPlan {
     plan.push(
         ns_to_fs(200.0),
         FaultKind::LinkDegrade {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 1,
             factor: 64,
         },
@@ -80,7 +80,7 @@ fn link_faults() -> FaultPlan {
     plan.push(
         ns_to_fs(3_000.0),
         FaultKind::LinkDown {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 2,
         },
     );
@@ -103,7 +103,7 @@ fn three_faults() -> FaultPlan {
     plan.push(
         ns_to_fs(20.0),
         FaultKind::LinkDown {
-            class: LinkClass::HmcHmc,
+            class: LinkTag::HmcHmc,
             ordinal: 0,
         },
     );

@@ -1,17 +1,19 @@
-//! Seeded byte-level mutation of every outside input format, parse only.
+//! Seeded byte-level mutation of every outside input format.
 //!
 //! Each format's valid document is flipped, cut and padded a few bytes at
 //! a time under a `SplitMix64` seed, then handed to the format's own
 //! parser. The contract (ROADMAP, robustness bar; DESIGN, "Input formats:
 //! one reader") is that the parser answers `Ok` or an error that says
 //! something — it never panics, and never lets through a number it would
-//! have had to round.
+//! have had to round. A snapshot that parses is also restored and run.
 
 use memnet::common::rng::SplitMix64;
 use memnet::common::{FaultPlan, SystemConfig};
 use memnet::obs::MAX_SAFE_INT;
 use memnet::serve::JobSpec;
-use memnet::sim::{plan_from_json, plan_to_json, Organization, SimBuilder, SystemSnapshot};
+use memnet::sim::{
+    plan_from_json, plan_to_json, Organization, SanitizeMode, SimBuilder, SimError, SystemSnapshot,
+};
 use memnet::wdl;
 use memnet::workloads::Workload;
 
@@ -85,21 +87,37 @@ fn mutated_job_params_are_refused_or_in_range() {
 #[test]
 fn mutated_snapshots_are_refused_or_parse() {
     // The stock caches make an 11 MB snapshot; shrink them so 200 parses
-    // stay well inside the tier-1 budget.
+    // stay well inside the tier-1 budget, and the phase budget too, so a
+    // restored run a mutation stalls ends quickly. The sanitizer records,
+    // never panics: a run from a corrupted state may well break a law.
     let mut cfg = SystemConfig::scaled();
     for cache in [&mut cfg.cpu.l1, &mut cfg.cpu.l2, &mut cfg.gpu.l2] {
         cache.size_bytes = 8 * 1024;
     }
-    let (_, snap) = SimBuilder::new(Organization::Gmn)
-        .config(cfg)
-        .gpus(2)
-        .sms_per_gpu(2)
-        .workload(Workload::VecAdd.spec_small())
+    let builder = || {
+        SimBuilder::new(Organization::Gmn)
+            .config(cfg.clone())
+            .gpus(2)
+            .sms_per_gpu(2)
+            .phase_budget_ns(2e6)
+            .sanitize(SanitizeMode::Record)
+            .workload(Workload::VecAdd.spec_small())
+    };
+    let (_, snap) = builder()
         .try_run_checkpointed("hostile_inputs")
         .expect("checkpoint");
-    survive(
+    let mut ran = 0;
+    for snap in survive(
         "snapshot",
         &snap.to_json_string(),
         SystemSnapshot::from_json,
-    );
+    ) {
+        // A report (`timed_out` allowed) or a typed refusal, never a panic.
+        match builder().try_run_restored(&snap) {
+            Ok(_) => ran += 1,
+            Err(SimError::Snapshot(why)) => assert!(!why.trim().is_empty()),
+            Err(e) => panic!("restoring a parsed snapshot: {e}"),
+        }
+    }
+    assert!(ran > 0, "no parsed mutation restored and ran");
 }

@@ -18,20 +18,17 @@ fn base() -> SimBuilder {
 fn profiling_never_changes_the_report_in_either_engine_mode() {
     for mode in [EngineMode::CycleStepped, EngineMode::EventDriven] {
         let plain = base().engine(mode).run();
-        let (r, prof) = base()
+        let (r, _) = base()
             .engine(mode)
-            .profile(true)
             .try_run_profiled()
             .expect("profiled run failed");
-        assert!(prof.is_some(), "profile(true) must yield a ProfileReport");
         assert_eq!(r, plain, "{} report changed under profiling", mode.name());
     }
 }
 
 #[test]
 fn profile_report_attributes_the_run_wall_clock() {
-    let (_, prof) = base().profile(true).try_run_profiled().expect("run failed");
-    let p = prof.expect("profiling was enabled");
+    let (_, p) = base().try_run_profiled().expect("run failed");
     assert!(p.wall_ns > 0, "a run takes nonzero wall time");
     let names: Vec<&str> = p.domains.iter().map(|d| d.name).collect();
     for n in [
@@ -73,11 +70,9 @@ fn simulation_statistics_in_the_profile_match_across_engine_modes() {
     let run = |mode| {
         base()
             .engine(mode)
-            .profile(true)
             .try_run_profiled()
             .expect("run failed")
             .1
-            .expect("profiling was enabled")
     };
     let cycle = run(EngineMode::CycleStepped);
     let event = run(EngineMode::EventDriven);
@@ -106,8 +101,7 @@ fn simulation_statistics_in_the_profile_match_across_engine_modes() {
 
 #[test]
 fn heatmap_covers_every_router_and_link_with_sane_fractions() {
-    let (_, prof) = base().profile(true).try_run_profiled().expect("run failed");
-    let p = prof.expect("profiling was enabled");
+    let (_, p) = base().try_run_profiled().expect("run failed");
     assert!(!p.heatmap.routers.is_empty(), "router utilization present");
     assert!(!p.heatmap.links.is_empty(), "link utilization present");
     for &u in &p.heatmap.routers {
@@ -144,8 +138,7 @@ fn heatmap_covers_every_router_and_link_with_sane_fractions() {
 
 #[test]
 fn profile_report_json_is_well_formed() {
-    let (_, prof) = base().profile(true).try_run_profiled().expect("run failed");
-    let p = prof.expect("profiling was enabled");
+    let (_, p) = base().try_run_profiled().expect("run failed");
     let text = p.to_json_string();
     assert!(text.ends_with('\n'));
     let doc = memnet::obs::parse(&text).expect("ProfileReport JSON parses");
