@@ -84,7 +84,10 @@ impl System {
             // crossbar release times computed from `core_cycle` stay
             // exact. The L2 services the same work, on the same signal.
             domain::CORE | domain::L2 => self.gpus.iter().any(|g| !g.is_idle()),
-            domain::CPU => !self.cpu.is_idle() || !self.dma.is_idle(),
+            // The DMA engine only issues reads; its responses and queue
+            // drains arrive on net ticks, later in the timestep, and the
+            // top-of-`advance` wake replays the edges a full window skipped.
+            domain::CPU => !self.cpu.is_idle() || self.dma.can_issue(),
             // The net domain also hosts the metrics heartbeat: epoch
             // snapshots ride net ticks and sample *live* gauges of other
             // components, so with metrics enabled the domain is pinned

@@ -24,7 +24,9 @@
 //!   loopback TCP socket, std-only. Misses run on the
 //!   [`memnet_engine::pool`] work pool (panic isolation, deterministic
 //!   result order); batches are deduplicated by fingerprint before they
-//!   reach the pool.
+//!   reach the pool. A bounded memo from a request's `params` to its
+//!   fingerprint lets a repeated request skip both the parse and the
+//!   fingerprint on its way to the cache.
 //!
 //! # Protocol
 //!
