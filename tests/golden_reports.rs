@@ -21,11 +21,15 @@
 //! ```
 //!
 //! and say in CHANGES.md why behaviour moved.
+//!
+//! The rows after the reports ([`net_cases`]) pin the standalone network
+//! under `run_load_point`, which no full-system row saturates.
 
 use memnet::common::time::ns_to_fs;
 use memnet::common::{FaultKind, FaultPlan, LinkTag};
-use memnet::noc::topo::TopologyKind;
-use memnet::noc::RoutingPolicy;
+use memnet::noc::topo::{build_clusters, SlicedKind, TopologyKind};
+use memnet::noc::traffic::run_load_point;
+use memnet::noc::{NetworkBuilder, NocParams, Pattern, RoutingPolicy};
 use memnet::serve::job::parse_topology;
 use memnet::sim::{fnv1a64, CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
 use memnet::wdl::fuzz::WorkloadFuzzer;
@@ -292,32 +296,82 @@ fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
     fnv1a64(bytes.as_bytes())
 }
 
-fn check(mode: EngineMode) {
+/// The noc-saturated workload's fabric (8 clusters × 4 HMCs, sFBFLY, GPUs
+/// inject, HMCs eject) at test size: name, routing, pattern, offered load.
+fn net_cases() -> [(&'static str, RoutingPolicy, Pattern, f64); 3] {
+    use {Pattern::*, RoutingPolicy::*};
+    [
+        ("net-min-uniform-0.8", Minimal, Uniform, 0.8),
+        ("net-ugal-uniform-0.8", Ugal, Uniform, 0.8),
+        ("net-min-hotspot-0.5", Minimal, Hotspot, 0.5),
+    ]
+}
+
+/// One load point, then everything the network reports about it.
+fn hash_net(policy: RoutingPolicy, pattern: Pattern, load: f64) -> u64 {
+    let mut b = NetworkBuilder::new(NocParams::default());
+    let kind = TopologyKind::Sliced {
+        kind: SlicedKind::Fbfly,
+        double: false,
+    };
+    let c = build_clusters(&mut b, 8, 4, 8, kind);
+    b.routing(policy);
+    let mut net = b.build();
+    let hmc = c.hmc_eps_flat();
+    let point = run_load_point(&mut net, &c.device_eps, &hmc, pattern, load, 200, 1000, 1);
+    let bytes = format!(
+        "{point:?}\n{:?}\n{}\n{:?}\n{:?}\n{}",
+        net.stats(),
+        net.energy_mj(),
+        net.link_utilization(),
+        net.router_utilization(),
+        net.cycle()
+    );
+    fnv1a64(bytes.as_bytes())
+}
+
+/// The committed `name hash` lines: the report rows, then the network rows.
+fn golden() -> Vec<(String, String)> {
     let golden = std::fs::read_to_string(GOLDEN).expect("tests/data/golden_reports.txt");
-    let want: Vec<(&str, &str)> = golden
+    let want: Vec<(String, String)> = golden
         .lines()
         .filter(|l| !l.starts_with('#') && !l.is_empty())
         .map(|l| l.split_once(' ').expect("`name hash` line"))
+        .map(|(name, hash)| (name.to_string(), hash.to_string()))
         .collect();
-    let cases = cases();
+    let names = cases().into_iter().map(|c| c.0);
     assert_eq!(
-        want.iter().map(|w| w.0).collect::<Vec<_>>(),
-        cases.iter().map(|c| c.0.as_str()).collect::<Vec<_>>(),
+        want.iter().map(|w| w.0.clone()).collect::<Vec<_>>(),
+        names
+            .chain(net_cases().map(|c| c.0.to_string()))
+            .collect::<Vec<_>>(),
         "golden file and case list disagree; re-bless"
     );
+    want
+}
+
+/// Holds each `(name, hash)` to the committed line in the same position.
+fn held(what: &str, got: Vec<(String, u64)>, want: &[(String, String)]) {
     let mut moved = Vec::new();
-    for ((name, pin, b), (_, hash)) in cases.into_iter().zip(want) {
-        let got = format!("{:016x}", hash_case(&pin, b, mode));
-        if got != hash {
+    for ((name, got), (_, hash)) in got.into_iter().zip(want) {
+        let got = format!("{got:016x}");
+        if got != *hash {
             moved.push(format!("{name}: golden {hash}, got {got}"));
         }
     }
     assert!(
         moved.is_empty(),
-        "{}: output bytes moved:\n{}",
-        mode.name(),
+        "{what}: output bytes moved:\n{}",
         moved.join("\n")
     );
+}
+
+fn check(mode: EngineMode) {
+    let got = cases()
+        .into_iter()
+        .map(|(name, pin, b)| (name, hash_case(&pin, b, mode)))
+        .collect();
+    held(mode.name(), got, &golden());
 }
 
 #[test]
@@ -330,6 +384,15 @@ fn event_driven_matches_golden() {
     check(EngineMode::EventDriven);
 }
 
+#[test]
+fn network_matches_golden() {
+    let got = net_cases()
+        .into_iter()
+        .map(|(name, policy, pattern, load)| (name.to_string(), hash_net(policy, pattern, load)))
+        .collect();
+    held("network", got, &golden()[cases().len()..]);
+}
+
 /// Regenerates the golden file from the cycle-stepped reference engine.
 #[test]
 #[ignore = "rewrites tests/data/golden_reports.txt; run only for a deliberate model change"]
@@ -340,6 +403,10 @@ fn bless() {
     );
     for (name, pin, b) in cases() {
         let h = hash_case(&pin, b, EngineMode::CycleStepped);
+        writeln!(out, "{name} {h:016x}").expect("writing to a String");
+    }
+    for (name, policy, pattern, load) in net_cases() {
+        let h = hash_net(policy, pattern, load);
         writeln!(out, "{name} {h:016x}").expect("writing to a String");
     }
     std::fs::write(GOLDEN, out).expect("write golden file");
