@@ -449,7 +449,8 @@ fn truncated_snapshots_are_refused_by_field() {
     // Each cut is refused by the array's owner — the driver or a
     // component's `restore_state` — and named by its full path.
     type Cut = fn(&mut SystemSnapshot);
-    let cuts: [(&str, Cut); 13] = [
+    let last_channel = format!("'net.channels[{}]'", snap.net.channels.len() - 1);
+    let cuts: [(&str, Cut); 16] = [
         ("'clocks'", |s| shorten(&mut s.clock_cycles)),
         ("'gpus'", |s| shorten(&mut s.gpus)),
         ("'hmcs'", |s| shorten(&mut s.hmcs)),
@@ -465,6 +466,13 @@ fn truncated_snapshots_are_refused_by_field() {
         }),
         ("'net.link_up'", |s| shorten(&mut s.net.link_up)),
         ("'net.channels'", |s| shorten(&mut s.net.channels)),
+        // Channel states no run reaches: a free wire, a link's channel
+        // down while its link is up, and a down endpoint channel.
+        ("'net.channels[0]'", |s| s.net.channels[0].degrade = 0),
+        ("'net.channels[1]'", |s| s.net.channels[1].up = false),
+        (&last_channel, |s| {
+            s.net.channels.last_mut().expect("channels").up = false
+        }),
         ("'cpu.l1.ways'", |s| shorten(&mut s.cpu.l1.ways)),
         ("'memory.next_seq'", |s| shorten(&mut s.memory.next_seq)),
     ];

@@ -1170,7 +1170,7 @@ mod tests {
         let src = "static COUNTER: AtomicU64 = AtomicU64::new(0);\n\
                    static mut SCRATCH: u64 = 0;\n\
                    fn f(s: &'static str) -> &'static str { s }\n";
-        let vs = lint_source("crates/noc/src/network.rs", src);
+        let vs = lint_source("crates/noc/src/network/tick.rs", src);
         assert_eq!(
             rules_at(&vs),
             vec![("static-state", 1), ("static-state", 2)],
@@ -1179,7 +1179,7 @@ mod tests {
         assert!(vs[1].message.contains("static mut"));
         // Statics in test modules are test scaffolding.
         let test_static = "#[cfg(test)]\nmod tests {\n    static T: u64 = 0;\n}\n";
-        assert!(lint_source("crates/noc/src/network.rs", test_static).is_empty());
+        assert!(lint_source("crates/noc/src/network/tick.rs", test_static).is_empty());
     }
 
     #[test]

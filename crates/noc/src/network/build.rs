@@ -1,0 +1,275 @@
+//! From a [`NetworkBuilder`] to a runnable [`Network`]: dense indices,
+//! ports and channels, VC sizing, minimal-route tables and overlay chains.
+
+use super::RoutingPolicy;
+use super::{dense, Channel, Endpoint, NetStats, Network, Peer, Port, PortTable, Router};
+use crate::builder::{LinkSpec, LinkTag, NetworkBuilder, NodeRec};
+use crate::calq::CalendarQueue;
+use crate::packet::MsgClass;
+use memnet_common::{NodeId, SplitMix64};
+use std::collections::{BTreeMap, VecDeque};
+
+/// Router-to-router hop counts over the links `up` admits, by BFS from
+/// every router; `u16::MAX` marks an unreachable pair.
+pub(super) fn all_pairs_hops(
+    nr: usize,
+    link_rtrs: &[(u32, u32)],
+    up: impl Fn(usize) -> bool,
+) -> Vec<Vec<u16>> {
+    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); nr];
+    for (li, &(a, b)) in link_rtrs.iter().enumerate() {
+        if up(li) {
+            adj[a as usize].push(b);
+            adj[b as usize].push(a);
+        }
+    }
+    let mut dist = vec![vec![u16::MAX; nr]; nr];
+    for (s, row) in dist.iter_mut().enumerate() {
+        let mut q = VecDeque::new();
+        row[s] = 0;
+        q.push_back(s as u32);
+        while let Some(u) = q.pop_front() {
+            for &v in &adj[u as usize] {
+                if row[v as usize] == u16::MAX {
+                    row[v as usize] = row[u as usize] + 1;
+                    q.push_back(v);
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// The minimal output ports per (router, destination router) and per
+/// (router, destination endpoint), in port order: the ports whose channel
+/// is up and whose peer is one hop closer under `dist`. An unreachable
+/// destination gets an empty set.
+pub(super) fn min_port_tables(
+    routers: &[Router],
+    channels: &[Channel],
+    endpoints: &[Endpoint],
+    dist: &[Vec<u16>],
+) -> (PortTable, PortTable) {
+    let nr = routers.len();
+    let to_rtr: PortTable = (0..nr)
+        .map(|r| {
+            (0..nr)
+                .map(|d| {
+                    if r == d || dist[r][d] == u16::MAX {
+                        return Vec::new();
+                    }
+                    routers[r]
+                        .ports
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(pi, port)| match port.peer {
+                            Peer::Router { idx, .. }
+                                if channels[port.out_channel as usize].up
+                                    && dist[idx as usize][d] != u16::MAX
+                                    && dist[idx as usize][d] + 1 == dist[r][d] =>
+                            {
+                                Some(pi as u8)
+                            }
+                            _ => None,
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let to_ep = (0..nr)
+        .map(|r| {
+            endpoints
+                .iter()
+                .map(|e| {
+                    if r == e.router as usize {
+                        vec![e.router_port]
+                    } else {
+                        to_rtr[r][e.router as usize].clone()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (to_rtr, to_ep)
+}
+
+impl Network {
+    pub(crate) fn from_builder(b: NetworkBuilder) -> Network {
+        let p = b.params;
+        // Dense router / endpoint indices.
+        let mut kind = Vec::with_capacity(b.nodes.len());
+        let mut node_of_router = Vec::new();
+        let mut node_of_endpoint = Vec::new();
+        for (i, n) in b.nodes.iter().enumerate() {
+            match n {
+                NodeRec::Router => {
+                    kind.push(Peer::Router {
+                        idx: node_of_router.len() as u32,
+                        port: 0,
+                    });
+                    node_of_router.push(NodeId(i as u16));
+                }
+                NodeRec::Endpoint { .. } => {
+                    kind.push(Peer::Endpoint {
+                        idx: node_of_endpoint.len() as u32,
+                    });
+                    node_of_endpoint.push(NodeId(i as u16));
+                }
+            }
+        }
+        let nr = node_of_router.len();
+        let ne = node_of_endpoint.len();
+        assert!(nr > 0, "network needs at least one router");
+        assert!(ne > 0, "network needs at least one endpoint");
+
+        let ridx = |n: NodeId| dense(&kind, n, true);
+        let link_rtrs: Vec<(u32, u32)> = b.links.iter().map(|l| (ridx(l.a), ridx(l.b))).collect();
+
+        // Needed before any port exists: the diameter sizes the VCs.
+        let dist = all_pairs_hops(nr, &link_rtrs, |_| true);
+        let diameter = dist
+            .iter()
+            .flat_map(|row| row.iter().copied())
+            .filter(|&d| d != u16::MAX)
+            .max()
+            .unwrap_or(0) as u32;
+        for row in &dist {
+            for &d in row {
+                assert!(d != u16::MAX, "router graph is disconnected");
+            }
+        }
+
+        // Effective VCs per class: enough for hop-indexed VCs even on
+        // Valiant paths.
+        let needed = match b.policy {
+            RoutingPolicy::Minimal => diameter + 1,
+            RoutingPolicy::Ugal => 2 * diameter + 2,
+        };
+        let vcs_per_class = p.vcs_per_class.max(needed);
+        let total_vcs = (vcs_per_class as usize) * MsgClass::COUNT;
+
+        // Materialize routers: each link contributes one port on each side;
+        // each endpoint contributes one port on its home router.
+        let mut channels = Vec::new();
+        let mut routers: Vec<Router> = (0..nr)
+            .map(|_| Router {
+                ports: Vec::new(),
+                overlay_next: BTreeMap::new(),
+            })
+            .collect();
+        // Buffers (and thus the credit window) must cover the link's
+        // round-trip time or long-latency links (PCIe) throttle far below
+        // their bandwidth: depth ≥ 2 × (serdes + pipeline) + slack.
+        let depth_for = |spec: &LinkSpec| -> u32 {
+            p.vc_buffer_flits
+                .max(2 * (spec.serdes_cycles + p.pipeline_cycles) + 16)
+        };
+        // Map (link idx) -> (port on a, port on b) for overlay lookup.
+        let mut link_ports: Vec<(u8, u8)> = Vec::with_capacity(b.links.len());
+        for (l, &(ai, bi)) in b.links.iter().zip(&link_rtrs) {
+            let pa = routers[ai as usize].ports.len() as u8;
+            let pb = routers[bi as usize].ports.len() as u8;
+            let depth = depth_for(&l.spec) as i32;
+            for (from, idx, port) in [(ai, bi, pb), (bi, ai, pa)] {
+                let ch = channels.len() as u32;
+                channels.push(Channel::new(l.spec, l.tag));
+                let ports = &mut routers[from as usize].ports;
+                ports.push(Port::new(Peer::Router { idx, port }, ch, total_vcs, depth));
+            }
+            link_ports.push((pa, pb));
+        }
+        let mut endpoints = Vec::with_capacity(ne);
+        for n in b.nodes.iter() {
+            if let NodeRec::Endpoint { router, link } = n {
+                let ri = ridx(*router);
+                let inj_channel = channels.len() as u32; // endpoint -> router
+                channels.push(Channel::new(*link, LinkTag::Internal));
+                channels.push(Channel::new(*link, LinkTag::Internal)); // router -> endpoint
+                let ports = &mut routers[ri as usize].ports;
+                let peer = Peer::Endpoint {
+                    idx: endpoints.len() as u32,
+                };
+                let cap = p.eject_buffer_flits as i32;
+                ports.push(Port::new(peer, inj_channel + 1, total_vcs, cap));
+                endpoints.push(Endpoint {
+                    router: ri,
+                    router_port: (ports.len() - 1) as u8,
+                    inj_channel,
+                    inj_credits: vec![p.vc_buffer_flits as i32; total_vcs],
+                    inject_q: VecDeque::new(),
+                    eject_q: VecDeque::new(),
+                });
+            }
+        }
+
+        let (min_ports_rtr, min_ports_ep) = min_port_tables(&routers, &channels, &endpoints, &dist);
+
+        // Overlay chains: for each router on a chain, destination endpoints
+        // homed further along the chain (in either direction) are reached
+        // through the chain port toward them.
+        for chain in &b.overlay_chains {
+            let idxs: Vec<u32> = chain.iter().map(|&n| ridx(n)).collect();
+            // Port used to go from chain[i] to chain[i+1] and back.
+            let mut fwd_port = vec![0u8; idxs.len()];
+            let mut back_port = vec![0u8; idxs.len()];
+            for w in 0..idxs.len() - 1 {
+                let (a, bb) = (idxs[w], idxs[w + 1]);
+                let li = link_rtrs
+                    .iter()
+                    .position(|&l| l == (a, bb) || l == (bb, a))
+                    .expect("validated by overlay_chain");
+                let (pa, pb) = link_ports[li];
+                let a_is_link_a = link_rtrs[li].0 == a;
+                fwd_port[w] = if a_is_link_a { pa } else { pb };
+                back_port[w + 1] = if a_is_link_a { pb } else { pa };
+            }
+            for (i, &r) in idxs.iter().enumerate() {
+                for (j, &other) in idxs.iter().enumerate() {
+                    if i == j {
+                        continue;
+                    }
+                    let port = if j > i { fwd_port[i] } else { back_port[i] };
+                    // All endpoints homed at `other` are reachable via the chain.
+                    for (e, ep) in endpoints.iter().enumerate() {
+                        if ep.router == other {
+                            routers[r as usize]
+                                .overlay_next
+                                .insert(node_of_endpoint[e], port);
+                        }
+                    }
+                }
+            }
+        }
+
+        Network {
+            flit_bytes: p.flit_bytes,
+            pipeline_cycles: p.pipeline_cycles,
+            passthrough_cycles: p.passthrough_cycles,
+            vcs_per_class,
+            energy_pj_per_bit: p.energy_pj_per_bit,
+            idle_pj_per_bit: p.idle_pj_per_bit,
+            policy: b.policy,
+            routers,
+            endpoints,
+            channels,
+            kind,
+            node_of_router,
+            dist,
+            min_ports_ep,
+            min_ports_rtr,
+            link_rtrs,
+            link_ports,
+            failed_q: VecDeque::new(),
+            events: CalendarQueue::new(),
+            seq: 0,
+            cycle: 0,
+            in_network: 0,
+            packets: Vec::new(),
+            free_pids: Vec::new(),
+            rng: SplitMix64::new(p.seed),
+            stats: NetStats::default(),
+            ep_inj_cap: p.vc_buffer_flits as i32,
+        }
+    }
+}

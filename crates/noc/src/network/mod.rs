@@ -1,0 +1,375 @@
+//! The runnable network: routers, endpoints, channels, events and stats.
+//!
+//! See the crate docs for the model. The implementation is virtual
+//! cut-through at packet granularity with per-(port, VC) credit flow
+//! control, a calendar-queue event list for channel traversals, and
+//! deterministic round-robin allocation.
+
+mod build;
+mod endpoint;
+mod links;
+mod route;
+mod snapshot;
+mod stats;
+#[cfg(test)]
+mod tests;
+mod tick;
+
+pub use snapshot::{ChannelState, NetworkState};
+pub use stats::LinkUtilization;
+
+use crate::builder::{LinkSpec, LinkTag};
+use crate::calq::CalendarQueue;
+use crate::packet::{MsgClass, Packet, PacketId};
+use memnet_common::stats::RunningStats;
+use memnet_common::{NodeId, Payload, SplitMix64};
+use std::collections::{BTreeMap, VecDeque};
+
+/// How packets choose among paths.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RoutingPolicy {
+    /// Oblivious minimal routing, hash-spread over all minimal ports.
+    #[default]
+    Minimal,
+    /// UGAL-style load-balanced routing: at injection, choose between the
+    /// minimal path and a Valiant path through a random intermediate router
+    /// by comparing (queue depth × hops); per hop, pick the least-loaded
+    /// minimal port.
+    Ugal,
+}
+
+/// A packet handed back to the consumer at an endpoint.
+#[derive(Debug, Clone)]
+pub struct EjectedPacket {
+    /// The carried memory message.
+    pub payload: Payload,
+    /// Injecting endpoint.
+    pub src: NodeId,
+    /// Network residency in router cycles (injection to ejection).
+    pub latency_cycles: u64,
+    /// Router-to-router hops taken.
+    pub hops: u32,
+}
+
+/// A packet the network could not deliver: after a link cut its current
+/// router had no surviving path to the destination, so it was pulled out
+/// of the fabric (credits returned) and parked here for the consumer to
+/// account for. Nothing is silently dropped.
+#[derive(Debug, Clone)]
+pub struct FailedPacket {
+    /// The carried memory message.
+    pub payload: Payload,
+    /// Injecting endpoint.
+    pub src: NodeId,
+    /// Destination it could not reach.
+    pub dest: NodeId,
+}
+
+/// Aggregate network statistics.
+#[derive(Debug, Clone, Default)]
+pub struct NetStats {
+    /// Packets delivered.
+    pub delivered: u64,
+    /// Packet latency in router cycles.
+    pub latency: RunningStats,
+    /// Router-to-router hop counts.
+    pub hops: RunningStats,
+    /// Packets that took a Valiant (non-minimal) path.
+    pub nonminimal: u64,
+    /// Packets forwarded at least once through an overlay pass-through.
+    pub passthrough: u64,
+    /// Total bytes delivered (payload + headers).
+    pub bytes_delivered: u64,
+    /// Flits that left endpoint injection queues onto the wire (drives the
+    /// injected-flits/cycle metric epoch series).
+    pub flits_injected: u64,
+    /// Head packets re-routed after a link cut invalidated their chosen
+    /// output port.
+    pub reroutes: u64,
+    /// Extra serialization slots paid to retransmits on degraded-BER
+    /// channels (factor − 1 per traversal).
+    pub retries: u64,
+    /// Packets pulled from the fabric because no surviving path to their
+    /// destination existed (drained via [`Network::poll_failed`]).
+    pub dead_letters: u64,
+    /// Packets accepted by [`Network::inject`]. The sanitizer's
+    /// conservation law: `packets_injected == delivered + in-flight +
+    /// dead_letters` at every cycle.
+    pub packets_injected: u64,
+    /// Flit-hops: flits committed onto any channel (endpoint injection or
+    /// router crossbar). The denominator for the cycles/flit-hop cost
+    /// metric in the profiling bench.
+    pub flit_hops: u64,
+}
+
+#[derive(Debug)]
+struct Channel {
+    bytes_per_cycle: f64,
+    serdes_cycles: u32,
+    powered: bool,
+    tag: LinkTag,
+    /// False while the owning link is fault-injected down; the one record
+    /// of a link's state.
+    up: bool,
+    /// Serialization multiplier modeling retransmits on a degraded-BER
+    /// link; 1 = clean.
+    degrade: u32,
+    busy_until: u64,
+    bytes_moved: u64,
+    busy_cycles: u64,
+}
+
+impl Channel {
+    fn new(spec: LinkSpec, tag: LinkTag) -> Self {
+        Channel {
+            bytes_per_cycle: spec.bytes_per_cycle,
+            serdes_cycles: spec.serdes_cycles,
+            powered: spec.powered,
+            tag,
+            up: true,
+            degrade: 1,
+            busy_until: 0,
+            bytes_moved: 0,
+            busy_cycles: 0,
+        }
+    }
+
+    fn ser_cycles(&self, bytes: u32) -> u64 {
+        ((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1) * self.degrade as u64
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Peer {
+    Router { idx: u32, port: u8 },
+    Endpoint { idx: u32 },
+}
+
+/// Dense index of node `n` among the routers (`router`) or among the
+/// endpoints, which are numbered apart.
+///
+/// # Panics
+///
+/// Panics if `n` is the other kind of node.
+fn dense(kind: &[Peer], n: NodeId, router: bool) -> u32 {
+    match kind[n.index()] {
+        Peer::Router { idx, .. } if router => idx,
+        Peer::Endpoint { idx } if !router => idx,
+        Peer::Router { .. } => panic!("{n} is a router, not an endpoint"),
+        Peer::Endpoint { .. } => panic!("{n} is an endpoint, not a router"),
+    }
+}
+
+#[derive(Debug, Default)]
+struct VcBuf {
+    q: VecDeque<PacketId>,
+    occ: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Cand {
+    in_port: u8,
+    vc: u8,
+    passthrough: bool,
+}
+
+#[derive(Debug)]
+struct Port {
+    peer: Peer,
+    out_channel: u32,
+    /// Input VC buffers for traffic arriving *from* the peer.
+    vcs: Vec<VcBuf>,
+    /// Credits (free flits) per VC at the peer's matching input buffers.
+    credits: Vec<i32>,
+    /// Capacity each VC's credits started from (the peer's buffer depth).
+    cap: i32,
+    /// Head packets routed to this *output* port, awaiting allocation.
+    pending: VecDeque<Cand>,
+}
+
+impl Port {
+    /// A port toward `peer` that sends on `out_channel` and has `vcs` empty
+    /// input VC buffers. Its credits start at the peer's buffer depth
+    /// `cap` in every VC — except toward an endpoint, whose eject buffer's
+    /// credits live in VC 0 alone.
+    fn new(peer: Peer, out_channel: u32, vcs: usize, cap: i32) -> Port {
+        let mut credits = vec![cap; vcs];
+        if let Peer::Endpoint { .. } = peer {
+            credits[1..].fill(0);
+        }
+        Port {
+            peer,
+            out_channel,
+            vcs: std::iter::repeat_with(VcBuf::default).take(vcs).collect(),
+            credits,
+            cap,
+            pending: VecDeque::new(),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Router {
+    ports: Vec<Port>,
+    /// Overlay pass-through next-hop: destination endpoint → output port.
+    overlay_next: BTreeMap<NodeId, u8>,
+}
+
+#[derive(Debug)]
+struct Endpoint {
+    /// Home router (dense index).
+    router: u32,
+    /// Port index on the router for this endpoint's link.
+    router_port: u8,
+    /// Directed channel endpoint→router.
+    inj_channel: u32,
+    /// Credits at the router's input buffers, per VC.
+    inj_credits: Vec<i32>,
+    inject_q: VecDeque<PacketId>,
+    eject_q: VecDeque<PacketId>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    ArriveRouter {
+        router: u32,
+        port: u8,
+        vc: u8,
+        pid: PacketId,
+    },
+    ArriveEndpoint {
+        ep: u32,
+        pid: PacketId,
+    },
+    Credit {
+        router: u32,
+        port: u8,
+        vc: u8,
+        flits: u32,
+    },
+    CreditEp {
+        ep: u32,
+        vc: u8,
+        flits: u32,
+    },
+}
+
+/// Output-port sets indexed `[router][destination]`.
+type PortTable = Vec<Vec<Vec<u8>>>;
+
+/// A frozen, runnable network.
+#[derive(Debug)]
+pub struct Network {
+    flit_bytes: u32,
+    pipeline_cycles: u32,
+    passthrough_cycles: u32,
+    vcs_per_class: u32,
+    energy_pj_per_bit: f64,
+    idle_pj_per_bit: f64,
+    policy: RoutingPolicy,
+
+    routers: Vec<Router>,
+    endpoints: Vec<Endpoint>,
+    /// Directed channels. Builder link `li` owns `2·li` (`link_rtrs[li].0`
+    /// → `.1`) and `2·li + 1` (the reverse); each endpoint then owns two
+    /// (endpoint → router, router → endpoint).
+    channels: Vec<Channel>,
+    /// NodeId → (is_router, dense index).
+    kind: Vec<Peer>,
+    node_of_router: Vec<NodeId>,
+    /// Router-to-router hop distances.
+    dist: Vec<Vec<u16>>,
+    /// Minimal output ports per (router, destination endpoint).
+    min_ports_ep: PortTable,
+    /// Minimal output ports per (router, destination router), for Valiant.
+    min_ports_rtr: PortTable,
+
+    /// Per builder link: router pair (dense indices) and port pair. Index
+    /// = builder link order, so fault targets are stable for a given
+    /// topology; the link's tag and state live on its two channels.
+    link_rtrs: Vec<(u32, u32)>,
+    link_ports: Vec<(u8, u8)>,
+    /// Undeliverable packets awaiting [`Network::poll_failed`].
+    failed_q: VecDeque<PacketId>,
+
+    events: CalendarQueue<Ev>,
+    /// Events ever scheduled. Nothing orders by it any more (the queue's
+    /// buckets are FIFO), but it is part of [`NetworkState`].
+    seq: u64,
+    cycle: u64,
+    in_network: u64,
+    packets: Vec<Option<Packet>>,
+    free_pids: Vec<PacketId>,
+    rng: SplitMix64,
+    stats: NetStats,
+    /// Injection-credit capacity per VC at every endpoint (uniform; the
+    /// audit's upper bound and quiescent-restore target).
+    ep_inj_cap: i32,
+}
+
+impl Network {
+    /// Current router-clock cycle.
+    #[inline]
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// True while any packet is buffered or in flight, or an undeliverable
+    /// packet awaits [`Network::poll_failed`].
+    #[inline]
+    pub fn has_work(&self) -> bool {
+        self.in_network > 0 || !self.failed_q.is_empty()
+    }
+
+    /// True when a tick would be a pure no-op: nothing buffered or in
+    /// flight *and* no scheduled event (a credit return can outlive its
+    /// packet by a cycle). Stricter than [`Network::has_work`]; this is
+    /// the idle signal the event-driven engine parks the net domain on.
+    #[inline]
+    pub fn is_quiescent(&self) -> bool {
+        self.in_network == 0 && self.events.is_empty() && self.failed_q.is_empty()
+    }
+
+    /// Advances the cycle counter over `cycles` quiescent ticks without
+    /// executing them. Idle cycles still count toward channel idle energy
+    /// and utilization denominators, so the event-driven engine calls
+    /// this when it wakes a parked net domain to keep those figures
+    /// bit-identical with a cycle-stepped run.
+    pub fn skip_idle_cycles(&mut self, cycles: u64) {
+        debug_assert!(self.is_quiescent(), "skipping cycles on a busy network");
+        self.cycle += cycles;
+    }
+
+    /// Aggregate statistics.
+    pub fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    /// Packets currently owned by the fabric (buffered or on the wire).
+    #[inline]
+    pub fn in_flight(&self) -> u64 {
+        self.in_network
+    }
+
+    /// Dense endpoint index for a node id.
+    fn ep_idx(&self, ep: NodeId) -> usize {
+        dense(&self.kind, ep, false) as usize
+    }
+
+    /// The packet behind an id the fabric holds in a VC buffer or a
+    /// crossbar slot. Only an event's id can outlive its packet (a
+    /// dead-letter while the arrival was in flight, see `tick`).
+    fn live(&mut self, pid: PacketId) -> &mut Packet {
+        // memnet-lint: allow(tick-unwrap, a pid queued in a VC buffer or holding a crossbar slot always names a live packet)
+        self.packets[pid as usize].as_mut().expect("live packet")
+    }
+
+    fn push_event(&mut self, cycle: u64, ev: Ev) {
+        self.seq += 1;
+        self.events.push(self.cycle, cycle, ev);
+    }
+
+    fn class_base(&self, class: MsgClass) -> usize {
+        class.index() * self.vcs_per_class as usize
+    }
+}

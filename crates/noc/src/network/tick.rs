@@ -1,0 +1,236 @@
+//! One router cycle: deliver the cycle's events, allocate one transfer per
+//! output port, then move packets out of the endpoint injection queues.
+
+use super::{Ev, Network, Peer};
+use crate::packet::PacketId;
+use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
+
+impl Network {
+    /// Advances the network by one router cycle.
+    pub fn tick(&mut self) {
+        self.tick_traced(None);
+    }
+
+    /// [`Network::tick`] with optional event tracing. Per-hop stage timing
+    /// (queueing vs pipeline vs SerDes vs serialization) is recorded as
+    /// [`TraceEventKind::PacketHop`] spans.
+    pub fn tick_traced(&mut self, mut tracer: Option<&mut Tracer>) {
+        // 1. Deliver this cycle's events, in the order they were scheduled.
+        while let Some(ev) = self.events.pop(self.cycle) {
+            match ev {
+                Ev::ArriveRouter {
+                    router,
+                    port,
+                    vc,
+                    pid,
+                } => {
+                    // A packet slot can legitimately be empty under fault
+                    // injection (the packet was dead-lettered while its
+                    // arrival was in flight); drop the stale event rather
+                    // than panicking.
+                    let Some(pkt) = self.packets[pid as usize].as_mut() else {
+                        continue;
+                    };
+                    pkt.arrived_cycle = self.cycle;
+                    let flits = pkt.flits;
+                    let buf =
+                        &mut self.routers[router as usize].ports[port as usize].vcs[vc as usize];
+                    buf.q.push_back(pid);
+                    buf.occ += flits;
+                    if buf.q.len() == 1 {
+                        self.route_head(router as usize, port as usize, vc as usize);
+                    }
+                }
+                Ev::ArriveEndpoint { ep, pid } => {
+                    let Some(pkt) = self.packets[pid as usize].as_ref() else {
+                        continue;
+                    };
+                    self.stats.delivered += 1;
+                    self.stats.bytes_delivered += pkt.bytes as u64;
+                    self.stats
+                        .latency
+                        .record((self.cycle - pkt.injected_cycle) as f64);
+                    self.stats.hops.record(pkt.hops as f64);
+                    self.endpoints[ep as usize].eject_q.push_back(pid);
+                    self.in_network -= 1;
+                }
+                Ev::Credit {
+                    router,
+                    port,
+                    vc,
+                    flits,
+                } => {
+                    self.routers[router as usize].ports[port as usize].credits[vc as usize] +=
+                        flits as i32;
+                }
+                Ev::CreditEp { ep, vc, flits } => {
+                    self.endpoints[ep as usize].inj_credits[vc as usize] += flits as i32;
+                }
+            }
+        }
+
+        // 2. Switch allocation, one transfer per output port per cycle.
+        for r in 0..self.routers.len() {
+            for p in 0..self.routers[r].ports.len() {
+                self.allocate(r, p, tracer.as_deref_mut());
+            }
+        }
+
+        // 3. Endpoint injection.
+        for e in 0..self.endpoints.len() {
+            self.try_inject(e);
+        }
+
+        self.cycle += 1;
+    }
+
+    /// Puts a `bytes`-byte, `flits`-flit packet on channel `ch` this cycle
+    /// and returns its serialization time, for which the channel is busy.
+    fn commit(&mut self, ch: usize, bytes: u32, flits: u32) -> u64 {
+        self.stats.flit_hops += flits as u64;
+        let c = &mut self.channels[ch];
+        let ser = c.ser_cycles(bytes);
+        c.busy_until = self.cycle + ser;
+        c.bytes_moved += bytes as u64;
+        c.busy_cycles += ser;
+        ser
+    }
+
+    /// Schedules `pid`'s arrival at `peer` — in VC `vc` of a router's input
+    /// port, or at an endpoint — for cycle `at`.
+    fn arrive(&mut self, at: u64, peer: Peer, vc: u8, pid: PacketId) {
+        let ev = match peer {
+            Peer::Router { idx, port } => Ev::ArriveRouter {
+                router: idx,
+                port,
+                vc,
+                pid,
+            },
+            Peer::Endpoint { idx } => Ev::ArriveEndpoint { ep: idx, pid },
+        };
+        self.push_event(at, ev);
+    }
+
+    /// Tries to send one packet through output port `p` of router `r`.
+    fn allocate(&mut self, r: usize, p: usize, mut tracer: Option<&mut Tracer>) {
+        if self.routers[r].ports[p].pending.is_empty() {
+            return;
+        }
+        let ch_idx = self.routers[r].ports[p].out_channel as usize;
+        if !self.channels[ch_idx].up || self.channels[ch_idx].busy_until > self.cycle {
+            return;
+        }
+        let n = self.routers[r].ports[p].pending.len();
+        for _ in 0..n {
+            let Some(&cand) = self.routers[r].ports[p].pending.front() else {
+                return;
+            };
+            let (in_port, in_vc) = (cand.in_port as usize, cand.vc as usize);
+            // Under fault injection a candidate can go stale: its head was
+            // dead-lettered or already moved. Drop it instead of panicking.
+            let Some(&pid) = self.routers[r].ports[in_port].vcs[in_vc].q.front() else {
+                self.routers[r].ports[p].pending.pop_front();
+                continue;
+            };
+            let Some((flits, bytes, class, hops)) = self.packets[pid as usize]
+                .as_ref()
+                .map(|pkt| (pkt.flits, pkt.bytes, pkt.class, pkt.hops))
+            else {
+                self.routers[r].ports[p].pending.pop_front();
+                continue;
+            };
+            let peer = self.routers[r].ports[p].peer;
+            let out_vc = match peer {
+                Peer::Endpoint { .. } => 0usize,
+                Peer::Router { .. } => {
+                    // Hop-indexed VC, clamped: paths longer than the VC
+                    // count share the last VC (still deadlock-free, the
+                    // escape ordering only needs monotonicity).
+                    self.class_base(class)
+                        + ((hops + 1) as usize).min(self.vcs_per_class as usize - 1)
+                }
+            };
+            let port = &mut self.routers[r].ports[p];
+            if port.credits[out_vc] < flits as i32 {
+                // Blocked: rotate and try the next candidate.
+                port.pending.rotate_left(1);
+                continue;
+            }
+
+            // Commit the transfer.
+            port.pending.pop_front();
+            port.credits[out_vc] -= flits as i32;
+            let (pipe, serdes) = if cand.passthrough {
+                self.stats.passthrough += 1;
+                (self.passthrough_cycles as u64, 0u64)
+            } else {
+                (
+                    self.pipeline_cycles as u64,
+                    self.channels[ch_idx].serdes_cycles as u64,
+                )
+            };
+            let ser = self.commit(ch_idx, bytes, flits);
+            let lat = pipe + serdes + ser;
+            if self.channels[ch_idx].degrade > 1 {
+                self.stats.retries += self.channels[ch_idx].degrade as u64 - 1;
+            }
+
+            if let Some(tr) = tracer.as_deref_mut() {
+                let arrived = self.live(pid).arrived_cycle;
+                let queue_cycles = self.cycle - arrived;
+                tr.emit(
+                    ClockDomain::Net,
+                    arrived,
+                    queue_cycles + lat,
+                    TraceEventKind::PacketHop {
+                        router: r as u32,
+                        port: p as u8,
+                        queue_cycles,
+                        pipeline_cycles: pipe,
+                        serdes_cycles: serdes,
+                        ser_cycles: ser,
+                        passthrough: cand.passthrough,
+                    },
+                );
+            }
+
+            if let Peer::Router { .. } = peer {
+                self.live(pid).hops += 1;
+            }
+            self.arrive(self.cycle + lat, peer, out_vc as u8, pid);
+            // Leave the input buffer, credit upstream, route the new head.
+            let popped = self.pop_head(r, in_port, in_vc);
+            debug_assert_eq!(popped, Some(pid));
+            self.route_head(r, in_port, in_vc);
+            return;
+        }
+    }
+
+    /// Moves packets from an endpoint's injection queue into its router.
+    pub(super) fn try_inject(&mut self, e: usize) {
+        while let Some(&pid) = self.endpoints[e].inject_q.front() {
+            let Some((flits, bytes, class)) = self.packets[pid as usize]
+                .as_ref()
+                .map(|pkt| (pkt.flits, pkt.bytes, pkt.class))
+            else {
+                self.endpoints[e].inject_q.pop_front();
+                continue;
+            };
+            let vc = self.class_base(class); // hop 0
+            let ep = &mut self.endpoints[e];
+            let ch = ep.inj_channel as usize;
+            if ep.inj_credits[vc] < flits as i32 || self.channels[ch].busy_until > self.cycle {
+                return;
+            }
+            ep.inject_q.pop_front();
+            ep.inj_credits[vc] -= flits as i32;
+            let to = Peer::Router {
+                idx: ep.router,
+                port: ep.router_port,
+            };
+            self.stats.flits_injected += flits as u64;
+            let ser = self.commit(ch, bytes, flits);
+            self.arrive(self.cycle + ser + 1, to, vc as u8, pid);
+        }
+    }
+}

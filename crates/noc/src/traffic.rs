@@ -89,7 +89,6 @@ pub fn run_load_point(
     let mut rng = SplitMix64::new(seed);
     let mut sent = 0u64;
     let mut backlog = 0u64;
-    let start_cycle = net.cycle();
     let mut latency = RunningStats::new();
     let mut accepted = 0u64;
 
@@ -134,8 +133,6 @@ pub fn run_load_point(
         }
         spin += 1;
     }
-    let cycles = (net.cycle() - start_cycle).max(1);
-    let _ = cycles;
     LoadPoint {
         offered,
         accepted: accepted as f64 / (measure.max(1) as f64 * sources.len() as f64),
