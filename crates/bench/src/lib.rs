@@ -12,6 +12,7 @@
 //!
 //! Setting `MEMNET_FAST=1` shrinks every experiment (tiny workloads, fewer
 //! points) for a quick smoke pass.
+#![forbid(unsafe_code)]
 
 use memnet_core::{Organization, SimBuilder, SimReport};
 use memnet_noc::topo::{SlicedKind, TopologyKind};

@@ -27,6 +27,7 @@
 //! assert!(!clk.due(FS_PER_NS / 2));
 //! assert!(clk.due(FS_PER_NS));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod faults;

@@ -26,6 +26,7 @@
 //! assert!(report.kernel_ns > 0.0);
 //! assert_eq!(report.memcpy_ns, 0.0); // UMN shares memory — no copies
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod faults;
 pub mod memory;

@@ -25,6 +25,7 @@
 //! assert!(cpu.busy());
 //! cpu.tick();
 //! ```
+#![forbid(unsafe_code)]
 
 use memnet_common::config::{nest, CpuConfig};
 use memnet_common::{AccessKind, Agent, CpuId, MemReq, MemResp, ReqId};

@@ -13,6 +13,7 @@
 //! a `Mutex<VecDeque>` queue, no registry dependencies) with per-job
 //! panic isolation, retry, and deterministic result ordering. `memnet sweep --jobs N`, the bench harness, and the examples
 //! run on it.
+#![forbid(unsafe_code)]
 
 pub mod calendar;
 pub mod pool;

@@ -29,6 +29,7 @@
 //! assert!(gpu.busy());
 //! gpu.tick_core();
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod gpu;

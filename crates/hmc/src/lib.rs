@@ -28,6 +28,7 @@
 //! assert!(loc.vault < 16);
 //! assert_eq!(map.encode(loc), 0x1234_5678 & !0x1F); // column-word aligned
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod device;
 pub mod mapping;

@@ -10,10 +10,11 @@
 //!
 //! The token vocabulary is exactly what the rules need:
 //!
-//! * [`TokKind::Ident`] — identifiers *and* keywords (`fn`, `as`, `unsafe`,
-//!   `static` are just idents here; the scanner decides what they mean).
-//! * [`TokKind::Lifetime`] — `'a`, `'static`. Kept distinct so the
-//!   `static-state` rule never confuses `&'static str` with a `static` item.
+//! * [`TokKind::Ident`] — identifiers *and* keywords (`fn`, `as` are just
+//!   idents here; the scanner decides what they mean).
+//! * [`TokKind::Lifetime`] — `'a`, `'static`. Kept distinct so the quote
+//!   of a lifetime never opens a char literal that would swallow the code
+//!   after it.
 //! * [`TokKind::Str`] / [`TokKind::Char`] / [`TokKind::Num`] — literals.
 //!   String contents are preserved in `text` but rules never look inside.
 //!   Plain, raw (`r"…"`, `r#"…"#`, any hash depth), and byte forms are all
@@ -431,8 +432,8 @@ mod tests {
             .collect();
         assert_eq!(lifetimes, vec!["static", "a", "a"]);
         assert_eq!(toks.iter().filter(|t| t.0 == TokKind::Char).count(), 2);
-        // Crucially: no Ident("static") token — that is the static-state
-        // rule's trigger and must come only from item position.
+        // The quote and the name are one Lifetime token, never a char
+        // literal plus a stray Ident("static").
         assert!(!toks
             .iter()
             .any(|t| t.0 == TokKind::Ident && t.1 == "static"));

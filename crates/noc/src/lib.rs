@@ -49,6 +49,7 @@
 //! let out = net.poll_eject(ep1).expect("packet should arrive");
 //! assert!(matches!(out.payload, Payload::Req(_)));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod builder;
 mod calq;

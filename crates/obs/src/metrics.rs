@@ -5,8 +5,8 @@
 //! `hmc3.vault_queue`), kept sorted so exports are deterministic. A run
 //! that records no metrics holds no registry (`Option<MetricsRegistry>`).
 //!
-//! Name discipline (enforced by `memnet-lint`'s `metric-name-literal`
-//! rule): instrumented code passes `&'static str` literals to
+//! Name discipline (enforced by the compiler: a `&format!(…)` temporary
+//! is not `'static`): instrumented code passes `&'static str` literals to
 //! [`MetricsRegistry::add`]/[`MetricsRegistry::set`]/[`MetricsRegistry::record_hist`].
 //! Per-entity series (`gpu3.occupancy`) go through
 //! [`MetricsRegistry::set_entity`], which builds the dotted name *inside* the
@@ -101,7 +101,7 @@ impl MetricsRegistry {
 
     /// Counter update with a runtime-built name. Implementation detail of
     /// the entity helpers — instrumented code should use [`Self::add`].
-    pub fn add_dyn(&mut self, name: &str, delta: u64) {
+    fn add_dyn(&mut self, name: &str, delta: u64) {
         if let Some(v) = self.counters.get_mut(name) {
             *v = v.wrapping_add(delta);
         } else {
@@ -111,7 +111,7 @@ impl MetricsRegistry {
 
     /// Gauge update with a runtime-built name. Implementation detail of
     /// the entity helpers — instrumented code should use [`Self::set`].
-    pub fn set_dyn(&mut self, name: &str, value: f64) {
+    fn set_dyn(&mut self, name: &str, value: f64) {
         if let Some(v) = self.gauges.get_mut(name) {
             *v = value;
         } else {

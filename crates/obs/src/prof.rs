@@ -1,13 +1,15 @@
 //! Self-profiler: wall-clock attribution for the engine driver loop, plus
 //! a counting global allocator.
 //!
-//! This module is the **only** place outside the engine run pool where the
-//! workspace may read the host clock (`memnet-lint` allowlists exactly
-//! this file). The contract that keeps reports byte-identical with
-//! profiling enabled: a [`Profiler`] is *written to* only from the engine
-//! driver loop (`System::advance` and friends) and *read* only after the
-//! run; no simulated component ever observes a wall-clock value, so the
-//! simulation cannot branch on one.
+//! This module is the **only** place outside the engine run pool and the
+//! serve daemon where the workspace may read the host clock
+//! (`memnet-lint`'s `EXEMPTIONS` table names exactly this file), and the
+//! only `unsafe` code: the crate root denies `unsafe_code`, and only the
+//! `GlobalAlloc` impl and its test allow it. The contract that keeps
+//! reports byte-identical with profiling enabled: a [`Profiler`] is
+//! *written to* only from the engine driver loop (`System::advance` and
+//! friends) and *read* only after the run; no simulated component ever
+//! observes a wall-clock value, so the simulation cannot branch on one.
 //!
 //! Two instruments live here:
 //!
@@ -206,13 +208,9 @@ impl Default for Profiler {
 // The four tallies must be process-global: `#[global_allocator]` is a
 // process-wide hook with no instance state. They count host allocations,
 // never simulated state, so replay identity is unaffected.
-// memnet-lint: allow(static-state, GlobalAlloc is process-global by contract; host-side tally only)
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-// memnet-lint: allow(static-state, see ALLOC_CALLS)
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-// memnet-lint: allow(static-state, see ALLOC_CALLS)
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-// memnet-lint: allow(static-state, see ALLOC_CALLS)
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// A `#[global_allocator]` wrapper over [`std::alloc::System`] that counts
@@ -236,7 +234,6 @@ impl CountingAlloc {
 /// the reporting layer, which tolerates staleness.
 #[inline]
 fn bump(tally: &AtomicU64, delta: u64) -> u64 {
-    // memnet-lint: allow(atomic-ordering, pure tally outside sim state; never synchronizes, reporting tolerates staleness)
     tally.fetch_add(delta, Ordering::Relaxed)
 }
 
@@ -245,16 +242,21 @@ fn count_alloc(size: usize) {
     bump(&ALLOC_CALLS, 1);
     bump(&ALLOC_BYTES, size as u64);
     let live = bump(&LIVE_BYTES, size as u64) + size as u64;
-    // memnet-lint: allow(atomic-ordering, racy max loses at most a transient peak; the high-water mark is a reporting approximation)
+    // A racy max loses at most a transient peak: the high-water mark is a
+    // reporting approximation.
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 #[inline]
 fn count_free(size: usize) {
-    // memnet-lint: allow(atomic-ordering, pure tally; see bump)
+    // Relaxed: a pure tally, as in `bump`.
     LIVE_BYTES.fetch_sub(size as u64, Ordering::Relaxed);
 }
 
+#[allow(
+    unsafe_code,
+    reason = "GlobalAlloc's methods are unsafe by contract; this impl is the crate's one opt-out"
+)]
 // SAFETY: pure delegation to `System`; the atomic bookkeeping neither
 // reads nor writes the allocations themselves.
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -312,7 +314,6 @@ pub fn alloc_stats() -> AllocStats {
     // is acceptable by design.
     #[inline]
     fn read(tally: &AtomicU64) -> u64 {
-        // memnet-lint: allow(atomic-ordering, point-in-time reporting read; staleness acceptable)
         tally.load(Ordering::Relaxed)
     }
     let allocs = read(&ALLOC_CALLS);
@@ -375,6 +376,9 @@ mod tests {
         // GlobalAlloc impl directly.
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(64, 8).expect("layout");
+        #[allow(unsafe_code, reason = "calls the GlobalAlloc impl under test directly")]
+        // SAFETY: a nonzero-size layout; `p` is checked non-null before the
+        // write and freed once, with the layout it was allocated with.
         unsafe {
             let p = a.alloc(layout);
             assert!(!p.is_null());

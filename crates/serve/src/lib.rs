@@ -43,6 +43,7 @@
 //! is observable as `cache.hit` / `cache.miss` / `cache.evict` counters
 //! in the server's [`MetricsRegistry`](memnet_obs::MetricsRegistry),
 //! surfaced by the `stats` method.
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod job;

@@ -17,7 +17,7 @@
 //! JSON writer.
 //!
 //! This crate is on the lint's wall-clock exemption list
-//! (`CRATE_RULE_EXEMPTIONS`): the daemon times real work (`busy_ms` in
+//! (`EXEMPTIONS`): the daemon times real work (`busy_ms` in
 //! `stats`) like the engine pool does. No wall-clock value feeds
 //! simulated state.
 
@@ -538,13 +538,11 @@ fn handle_conn(
         BufReader::new(conn.try_clone()?),
         conn,
         |line| server.lock().expect("server lock").handle_line(line),
-        // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; SeqCst on a cold timeout path costs nothing)
         || stop.load(Ordering::SeqCst),
     )?;
     if shutdown {
         // Flag the accept loop, then poke it with a throwaway
         // connection so a blocked `accept` wakes up and sees it.
-        // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; set once at shutdown)
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
     }
@@ -573,10 +571,12 @@ impl TcpDaemon {
     pub fn run(self, server: &mut Server) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
         let server = Mutex::new(server);
+        // A one-shot stop flag guarding no data; SeqCst on its cold paths
+        // (set once at shutdown, read per timeout and per connection)
+        // costs nothing.
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
             for conn in self.listener.incoming() {
-                // memnet-lint: allow(atomic-ordering, one-shot stop flag guarding no data; checked once per accepted connection)
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }

@@ -34,6 +34,7 @@
 //! round-trips every built-in model exactly; [`fuzz::WorkloadFuzzer`]
 //! generates random-but-valid models for the differential conformance
 //! harness.
+#![forbid(unsafe_code)]
 
 pub mod fuzz;
 

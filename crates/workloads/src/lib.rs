@@ -34,6 +34,7 @@
 //! assert_eq!(spec.abbr, "KMN");
 //! assert!(spec.kernel.ctas > 0);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod host;
 pub mod synth;

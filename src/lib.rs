@@ -39,6 +39,7 @@
 //! assert!(report.kernel_ns > 0.0);
 //! # }
 //! ```
+#![forbid(unsafe_code)]
 
 pub use memnet_common as common;
 pub use memnet_core as sim;

@@ -9,6 +9,7 @@
 //! memnet run --org gmn --workload cg.s --topology dfbfly --routing ugal
 //! memnet list
 //! ```
+#![forbid(unsafe_code)]
 
 use memnet::common::{FaultEvent, FaultPlan};
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
@@ -30,7 +31,6 @@ use std::process::ExitCode;
 /// simulation state, so reports stay byte-identical with it installed.
 #[cfg(feature = "count-alloc")]
 #[global_allocator]
-// memnet-lint: allow(static-state, the global_allocator hook is a static by language rule; stateless pass-through)
 static ALLOC: memnet::obs::CountingAlloc = memnet::obs::CountingAlloc::new();
 
 fn usage() -> ExitCode {
@@ -59,15 +59,13 @@ USAGE:
                                    memnet-wdl-v1 JSON model (default DIR .);
                                    `--dir tests/data` regenerates the
                                    golden files checked by CI
-  memnet lint [--root PATH] [--json]
-                                   run the determinism/concurrency-soundness
-                                   lint over the workspace sources: unsafe
-                                   outside the allowlist, unjustified
-                                   Relaxed/SeqCst orderings, statics in sim
-                                   crates, wall-clock/HashMap/thread use, and
-                                   malformed suppressions; --json prints a
-                                   machine-readable report; exit 0 clean,
-                                   1 violations, 2 i/o error
+  memnet lint [--root PATH]        run the determinism lint over the
+                                   workspace sources: HashMap/HashSet,
+                                   wall-clock reads, bare narrowing of
+                                   time/cycle values, unwrap, threads outside
+                                   the engine and serve crates, and malformed
+                                   suppressions; exit 0 clean, 1 violations,
+                                   2 i/o error
   memnet serve [--stdio | --port N] [--cache N] [--workers N] [--retries N]
                                    run the sim-as-a-service daemon:
                                    newline-delimited JSON-RPC (run / batch /
@@ -308,7 +306,6 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(s: &str) -> Option<T> {
 /// `memnet lint` options, split from execution for unit testing.
 struct LintOpts {
     root: std::path::PathBuf,
-    json: bool,
 }
 
 fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
@@ -316,11 +313,9 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
     // dir IS the workspace root — the natural default scan target.
     let mut opts = LintOpts {
         root: std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")),
-        json: false,
     };
     walk_flags(args, |f| {
         match f.flag {
-            "--json" => opts.json = true,
             "--root" => opts.root = f.value()?.into(),
             _ => return f.unknown(),
         }
@@ -329,8 +324,7 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
     Ok(opts)
 }
 
-/// `memnet lint [--root PATH] [--json]`: the concurrency-soundness and
-/// determinism lint, in-process.
+/// `memnet lint [--root PATH]`: the determinism lint, in-process.
 fn lint_cmd(args: &[String]) -> Cmd {
     let opts = parse_lint_opts(args)?;
     let res = memnet_lint::scan_workspace(&opts.root).map_err(|e| {
@@ -338,9 +332,7 @@ fn lint_cmd(args: &[String]) -> Cmd {
         eprintln!("memnet lint: i/o error scanning {root}: {e}");
         ExitCode::from(2)
     })?;
-    if opts.json {
-        println!("{}", res.to_json_string());
-    } else if res.violations.is_empty() {
+    if res.violations.is_empty() {
         println!(
             "memnet lint: {} files clean ({} rules)",
             res.files,
@@ -1012,20 +1004,18 @@ mod tests {
     #[test]
     fn lint_flag_parsing() {
         let opts = parse_lint_opts(&argv(&[])).expect("defaults are valid");
-        assert!(!opts.json);
         assert!(
             opts.root.join("Cargo.toml").is_file(),
             "default root must be the workspace root"
         );
-        let opts =
-            parse_lint_opts(&argv(&["--root", "/tmp/elsewhere", "--json"])).expect("valid flags");
-        assert!(opts.json);
+        let opts = parse_lint_opts(&argv(&["--root", "/tmp/elsewhere"])).expect("valid flags");
         assert_eq!(opts.root, std::path::Path::new("/tmp/elsewhere"));
         assert!(
             parse_lint_opts(&argv(&["--root"])).is_err(),
             "missing value"
         );
         assert!(parse_lint_opts(&argv(&["--fix"])).is_err(), "unknown flag");
+        assert!(parse_lint_opts(&argv(&["--json"])).is_err(), "removed flag");
     }
 
     #[test]
@@ -1040,10 +1030,24 @@ mod tests {
             res.violations
         );
         assert!(res.files > 50, "scan should cover the whole workspace");
-        // The JSON rendering is well-formed enough for CI to parse the
-        // headline counts back out.
-        let json = res.to_json_string();
-        assert!(json.contains("\"violations\": []"), "clean report: {json}");
+    }
+
+    #[test]
+    fn design_section_9a_lists_exactly_the_lint_rules() {
+        // A suppression copied from DESIGN §9a must name a rule that
+        // exists, so its rule bullets (* **`rule`**) are held to RULES.
+        let design = include_str!("../DESIGN.md");
+        let start = design.find("### 9a.").expect("DESIGN.md has §9a");
+        let end = start + design[start..].find("\n### 9b.").expect("§9b follows §9a");
+        let mut listed: Vec<&str> = design[start..end]
+            .lines()
+            .filter_map(|l| l.strip_prefix("* **`")?.split_once("`**"))
+            .map(|(rule, _)| rule)
+            .collect();
+        let mut rules = memnet_lint::RULES.to_vec();
+        listed.sort_unstable();
+        rules.sort_unstable();
+        assert_eq!(listed, rules);
     }
 
     #[test]
