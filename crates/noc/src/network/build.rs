@@ -1,8 +1,8 @@
 //! From a [`NetworkBuilder`] to a runnable [`Network`]: dense indices,
 //! ports and channels, VC sizing, minimal-route tables and overlay chains.
 
-use super::RoutingPolicy;
 use super::{dense, Channel, Endpoint, NetStats, Network, Peer, Port, PortTable, Router};
+use super::{Ready, RoutingPolicy, Vc};
 use crate::builder::{LinkSpec, LinkTag, NetworkBuilder, NodeRec};
 use crate::calq::CalendarQueue;
 use crate::packet::MsgClass;
@@ -175,7 +175,7 @@ impl Network {
                 let ch = channels.len() as u32;
                 channels.push(Channel::new(l.spec, l.tag));
                 let ports = &mut routers[from as usize].ports;
-                ports.push(Port::new(Peer::Router { idx, port }, ch, total_vcs, depth));
+                ports.push(Port::new(Peer::Router { idx, port }, ch, depth));
             }
             link_ports.push((pa, pb));
         }
@@ -191,7 +191,7 @@ impl Network {
                     idx: endpoints.len() as u32,
                 };
                 let cap = p.eject_buffer_flits as i32;
-                ports.push(Port::new(peer, inj_channel + 1, total_vcs, cap));
+                ports.push(Port::new(peer, inj_channel + 1, cap));
                 endpoints.push(Endpoint {
                     router: ri,
                     router_port: (ports.len() - 1) as u8,
@@ -242,6 +242,15 @@ impl Network {
             }
         }
 
+        // The per-VC state, flat and router-major.
+        let mut port_base = vec![0];
+        for r in &routers {
+            port_base.push(port_base[port_base.len() - 1] + r.ports.len() as u32);
+        }
+        let credits: Vec<i32> = (routers.iter().flat_map(|r| &r.ports))
+            .flat_map(|port| (0..total_vcs).map(|vc| port.vc_cap(vc)))
+            .collect();
+
         Network {
             flit_bytes: p.flit_bytes,
             pipeline_cycles: p.pipeline_cycles,
@@ -250,7 +259,12 @@ impl Network {
             energy_pj_per_bit: p.energy_pj_per_bit,
             idle_pj_per_bit: p.idle_pj_per_bit,
             policy: b.policy,
+            ready_ports: Ready::new(port_base[nr] as usize),
+            vcs: vec![Vc::default(); credits.len()],
+            credits,
+            port_base,
             routers,
+            ready_eps: Ready::new(ne),
             endpoints,
             channels,
             kind,
@@ -266,6 +280,7 @@ impl Network {
             cycle: 0,
             in_network: 0,
             packets: Vec::new(),
+            next: Vec::new(),
             free_pids: Vec::new(),
             rng: SplitMix64::new(p.seed),
             stats: NetStats::default(),

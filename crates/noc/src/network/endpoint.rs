@@ -41,6 +41,7 @@ impl Network {
         let pid = self.alloc(pkt);
         let e = self.ep_idx(src);
         self.endpoints[e].inject_q.push_back(pid);
+        self.ready_eps.insert(e);
         self.in_network += 1;
         self.stats.packets_injected += 1;
         self.try_inject(e);
@@ -57,11 +58,9 @@ impl Network {
         let e = self.ep_idx(ep);
         let pid = self.endpoints[e].eject_q.pop_front()?;
         let pkt = self.free(pid);
-        let (router, port) = (
-            self.endpoints[e].router as usize,
-            self.endpoints[e].router_port as usize,
-        );
-        self.routers[router].ports[port].credits[0] += pkt.flits as i32;
+        let ep = &self.endpoints[e];
+        let at = self.vc_at(ep.router as usize, ep.router_port as usize, 0);
+        self.credits[at] += pkt.flits as i32;
         Some(EjectedPacket {
             payload: pkt.payload,
             src: pkt.src,
@@ -89,6 +88,7 @@ impl Network {
             pid
         } else {
             self.packets.push(Some(pkt));
+            self.next.push(0);
             (self.packets.len() - 1) as PacketId
         }
     }

@@ -3,7 +3,7 @@
 //! that are up.
 
 use super::build::{all_pairs_hops, min_port_tables};
-use super::{Cand, Network};
+use super::Network;
 use crate::builder::LinkTag;
 use memnet_common::NodeId;
 
@@ -48,10 +48,8 @@ impl Network {
             let (a, b) = self.link_rtrs[li];
             let (pa, pb) = self.link_ports[li];
             for (r, p) in [(a, pa), (b, pb)] {
-                let stranded: Vec<Cand> = self.routers[r as usize].ports[p as usize]
-                    .pending
-                    .drain(..)
-                    .collect();
+                let stranded =
+                    std::mem::take(&mut self.routers[r as usize].ports[p as usize].pending);
                 for cand in stranded {
                     self.stats.reroutes += 1;
                     self.route_head(r as usize, cand.in_port as usize, cand.vc as usize);

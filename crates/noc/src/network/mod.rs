@@ -160,10 +160,44 @@ fn dense(kind: &[Peer], n: NodeId, router: bool) -> u32 {
     }
 }
 
-#[derive(Debug, Default)]
-struct VcBuf {
-    q: VecDeque<PacketId>,
+/// One router input VC buffer: a FIFO of packet ids threaded through
+/// [`Network::next`], and the flits it holds. A packet has at least one
+/// flit, so `occ == 0` means empty (`head` and `tail` are then stale).
+#[derive(Debug, Clone, Copy, Default)]
+struct Vc {
+    head: PacketId,
+    tail: PacketId,
     occ: u32,
+}
+
+/// A set of flat port or endpoint indices, as a bit vector.
+#[derive(Debug)]
+struct Ready(Vec<u64>);
+
+impl Ready {
+    fn new(n: usize) -> Ready {
+        Ready(vec![0; n.div_ceil(64)])
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// The least member ≥ `from`, read from the words as they are now, so
+    /// a member inserted above the last one returned is still found.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = self.0.get(w)? & (!0 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.0.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -173,14 +207,12 @@ struct Cand {
     passthrough: bool,
 }
 
+/// A router port. Its input VC buffers and the credits of the peer's
+/// matching buffers live in [`Network::vcs`] and [`Network::credits`].
 #[derive(Debug)]
 struct Port {
     peer: Peer,
     out_channel: u32,
-    /// Input VC buffers for traffic arriving *from* the peer.
-    vcs: Vec<VcBuf>,
-    /// Credits (free flits) per VC at the peer's matching input buffers.
-    credits: Vec<i32>,
     /// Capacity each VC's credits started from (the peer's buffer depth).
     cap: i32,
     /// Head packets routed to this *output* port, awaiting allocation.
@@ -188,22 +220,23 @@ struct Port {
 }
 
 impl Port {
-    /// A port toward `peer` that sends on `out_channel` and has `vcs` empty
-    /// input VC buffers. Its credits start at the peer's buffer depth
-    /// `cap` in every VC — except toward an endpoint, whose eject buffer's
-    /// credits live in VC 0 alone.
-    fn new(peer: Peer, out_channel: u32, vcs: usize, cap: i32) -> Port {
-        let mut credits = vec![cap; vcs];
-        if let Peer::Endpoint { .. } = peer {
-            credits[1..].fill(0);
-        }
+    /// A port toward `peer` that sends on `out_channel`, whose credits
+    /// start at the peer's buffer depth `cap`.
+    fn new(peer: Peer, out_channel: u32, cap: i32) -> Port {
         Port {
             peer,
             out_channel,
-            vcs: std::iter::repeat_with(VcBuf::default).take(vcs).collect(),
-            credits,
             cap,
             pending: VecDeque::new(),
+        }
+    }
+
+    /// The credits VC `vc` starts from: `cap`, except toward an endpoint,
+    /// whose eject buffer's credits live in VC 0 alone.
+    fn vc_cap(&self, vc: usize) -> i32 {
+        match self.peer {
+            Peer::Endpoint { .. } if vc != 0 => 0,
+            _ => self.cap,
         }
     }
 }
@@ -241,10 +274,9 @@ enum Ev {
         ep: u32,
         pid: PacketId,
     },
+    /// Credits returned to the output VC at `credits[at]`.
     Credit {
-        router: u32,
-        port: u8,
-        vc: u8,
+        at: u32,
         flits: u32,
     },
     CreditEp {
@@ -269,7 +301,19 @@ pub struct Network {
     policy: RoutingPolicy,
 
     routers: Vec<Router>,
+    /// Flat index of each router's port 0, plus the port count at the end:
+    /// port `p` of router `r` is `port_base[r] + p`, router-major.
+    port_base: Vec<u32>,
+    /// Input VC buffers, indexed `flat port × VCs per port + vc`.
+    vcs: Vec<Vc>,
+    /// Credits (free flits) at the peer's matching input VC, like `vcs`.
+    credits: Vec<i32>,
+    /// Flat ports whose `pending` may be non-empty; every non-empty one is
+    /// in it. Cleared lazily, when allocation leaves a port with none.
+    ready_ports: Ready,
     endpoints: Vec<Endpoint>,
+    /// Endpoints whose `inject_q` may be non-empty, likewise.
+    ready_eps: Ready,
     /// Directed channels. Builder link `li` owns `2·li` (`link_rtrs[li].0`
     /// → `.1`) and `2·li + 1` (the reverse); each endpoint then owns two
     /// (endpoint → router, router → endpoint).
@@ -299,6 +343,9 @@ pub struct Network {
     cycle: u64,
     in_network: u64,
     packets: Vec<Option<Packet>>,
+    /// Per packet slot: the packet behind it in its VC. A packet sits in
+    /// at most one VC at a time.
+    next: Vec<PacketId>,
     free_pids: Vec<PacketId>,
     rng: SplitMix64,
     stats: NetStats,
@@ -356,11 +403,11 @@ impl Network {
         dense(&self.kind, ep, false) as usize
     }
 
-    /// The packet behind an id the fabric holds in a VC buffer or a
-    /// crossbar slot. Only an event's id can outlive its packet (a
-    /// dead-letter while the arrival was in flight, see `tick`).
+    /// The packet behind an id the fabric holds in an injection queue, a
+    /// VC buffer or a crossbar slot. Only an event's id can outlive its
+    /// packet (a dead-letter while the arrival was in flight, see `tick`).
     fn live(&mut self, pid: PacketId) -> &mut Packet {
-        // memnet-lint: allow(tick-unwrap, a pid queued in a VC buffer or holding a crossbar slot always names a live packet)
+        // memnet-lint: allow(tick-unwrap, a pid queued for injection, in a VC buffer or holding a crossbar slot always names a live packet)
         self.packets[pid as usize].as_mut().expect("live packet")
     }
 
@@ -371,5 +418,17 @@ impl Network {
 
     fn class_base(&self, class: MsgClass) -> usize {
         class.index() * self.vcs_per_class as usize
+    }
+
+    /// Index into `vcs` and `credits` of VC `vc` on port `p` of router `r`.
+    fn vc_at(&self, r: usize, p: usize, vc: usize) -> usize {
+        let per_port = self.vcs_per_class as usize * MsgClass::COUNT;
+        (self.port_base[r] as usize + p) * per_port + vc
+    }
+
+    /// The packet at the head of input VC `vc` on port `p` of router `r`.
+    fn vc_head(&self, r: usize, p: usize, vc: usize) -> Option<PacketId> {
+        let buf = self.vcs[self.vc_at(r, p, vc)];
+        (buf.occ != 0).then_some(buf.head)
     }
 }

@@ -9,18 +9,31 @@ impl Network {
     /// Queue pressure toward `port`: occupied downstream credits across the
     /// packet's class VCs (used by UGAL).
     fn port_pressure(&self, r: usize, port: u8, class: MsgClass) -> i64 {
-        let base = self.class_base(class);
-        let port = &self.routers[r].ports[port as usize];
-        (0..self.vcs_per_class as usize)
-            .map(|v| port.cap as i64 - port.credits[base + v] as i64)
+        let at = self.vc_at(r, port as usize, self.class_base(class));
+        let cap = self.routers[r].ports[port as usize].cap as i64;
+        (self.credits[at..at + self.vcs_per_class as usize].iter())
+            .map(|&c| cap - c as i64)
             .sum()
     }
 
-    /// Decides the output port for the packet at the head of
-    /// `routers[r].ports[in_port].vcs[vc]`, if there is one, and registers
-    /// it for allocation.
+    /// Queues the head of input VC `vc` on port `in_port` of router `r` at
+    /// output port `out` for allocation, and marks that port ready.
+    fn pend(&mut self, r: usize, out: u8, in_port: usize, vc: usize, passthrough: bool) {
+        let cand = Cand {
+            in_port: in_port as u8,
+            vc: vc as u8,
+            passthrough,
+        };
+        self.routers[r].ports[out as usize].pending.push_back(cand);
+        self.ready_ports
+            .insert(self.port_base[r] as usize + out as usize);
+    }
+
+    /// Decides the output port for the packet at the head of input VC `vc`
+    /// on port `in_port` of router `r`, if there is one, and registers it
+    /// for allocation.
     pub(super) fn route_head(&mut self, r: usize, in_port: usize, vc: usize) {
-        let Some(&pid) = self.routers[r].ports[in_port].vcs[vc].q.front() else {
+        let Some(pid) = self.vc_head(r, in_port, vc) else {
             return;
         };
         let p = self.live(pid);
@@ -33,13 +46,7 @@ impl Network {
             if let Some(&port) = self.routers[r].overlay_next.get(&dest) {
                 let ch = self.routers[r].ports[port as usize].out_channel as usize;
                 if self.channels[ch].up {
-                    self.routers[r].ports[port as usize]
-                        .pending
-                        .push_back(Cand {
-                            in_port: in_port as u8,
-                            vc: vc as u8,
-                            passthrough: true,
-                        });
+                    self.pend(r, port, in_port, vc, true);
                     return;
                 }
             }
@@ -116,27 +123,22 @@ impl Network {
                 }
             }
         };
-        self.routers[r].ports[out as usize].pending.push_back(Cand {
-            in_port: in_port as u8,
-            vc: vc as u8,
-            passthrough: false,
-        });
+        self.pend(r, out, in_port, vc, false);
     }
 
-    /// Takes the head packet off `routers[r].ports[in_port].vcs[vc]`, if
-    /// any, and returns its flits' credits to the upstream sender next
-    /// cycle.
+    /// Takes the head packet off input VC `vc` on port `in_port` of router
+    /// `r`, if any, and returns its flits' credits to the upstream sender
+    /// next cycle.
     pub(super) fn pop_head(&mut self, r: usize, in_port: usize, vc: usize) -> Option<PacketId> {
-        let pid = self.routers[r].ports[in_port].vcs[vc].q.pop_front()?;
+        let pid = self.vc_head(r, in_port, vc)?;
         let flits = self.live(pid).flits;
-        let port = &mut self.routers[r].ports[in_port];
-        port.vcs[vc].occ -= flits;
+        let at = self.vc_at(r, in_port, vc);
+        self.vcs[at].head = self.next[pid as usize];
+        self.vcs[at].occ -= flits;
         let vc = vc as u8;
-        let ev = match port.peer {
+        let ev = match self.routers[r].ports[in_port].peer {
             Peer::Router { idx, port } => Ev::Credit {
-                router: idx,
-                port,
-                vc,
+                at: self.vc_at(idx as usize, port as usize, vc as usize) as u32,
                 flits,
             },
             Peer::Endpoint { idx } => Ev::CreditEp { ep: idx, vc, flits },

@@ -144,6 +144,9 @@ impl Network {
         self.seq = s.seq;
         self.rng = SplitMix64::new(s.rng_state);
         self.packets = (0..s.packet_slots).map(|_| None).collect();
+        self.next = vec![0; self.packets.len()];
+        self.ready_ports.0.fill(0);
+        self.ready_eps.0.fill(0);
         self.free_pids.clone_from(&s.free_pids);
         for (c, cs) in self.channels.iter_mut().zip(&s.channels) {
             c.up = cs.up;

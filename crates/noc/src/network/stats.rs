@@ -2,7 +2,7 @@
 //! conservation audit, channel, link and router utilization, VC
 //! occupancy and energy.
 
-use super::{Network, Peer};
+use super::Network;
 use crate::builder::LinkTag;
 
 /// Utilization of one builder link (both directed channels), as reported
@@ -60,11 +60,10 @@ impl Network {
         let settled = self.is_quiescent() && self.endpoints.iter().all(|e| e.eject_q.is_empty());
         for (r, router) in self.routers.iter().enumerate() {
             for (pi, port) in router.ports.iter().enumerate() {
-                let ep_facing = matches!(port.peer, Peer::Endpoint { .. });
-                for (vc, &cr) in port.credits.iter().enumerate() {
-                    // Eject credits live in VC 0 only on endpoint-facing
-                    // ports; the other VCs must stay pinned at 0.
-                    let cap = if ep_facing && vc != 0 { 0 } else { port.cap };
+                let (at, end) = (self.vc_at(r, pi, 0), self.vc_at(r, pi + 1, 0));
+                for (vc, &cr) in self.credits[at..end].iter().enumerate() {
+                    // Toward an endpoint, VCs above 0 stay pinned at 0.
+                    let cap = port.vc_cap(vc);
                     if cr < 0 || cr > cap {
                         out.push(format!(
                             "cycle {cyc}: router {r} port {pi} vc {vc}: credits {cr} \
@@ -104,7 +103,8 @@ impl Network {
     /// simulation model.
     #[doc(hidden)]
     pub fn debug_corrupt_credit(&mut self, router: usize, port: usize, vc: usize, delta: i32) {
-        self.routers[router].ports[port].credits[vc] += delta;
+        let at = self.vc_at(router, port, vc);
+        self.credits[at] += delta;
     }
 
     /// Mean utilization of powered channels: busy cycles over elapsed
@@ -174,12 +174,8 @@ impl Network {
     /// Visits the current occupancy (flits) of every router input VC
     /// buffer, for queue-depth histogram sampling.
     pub fn sample_vc_occupancy(&self, mut f: impl FnMut(u64)) {
-        for r in &self.routers {
-            for p in &r.ports {
-                for vc in &p.vcs {
-                    f(vc.occ as u64);
-                }
-            }
+        for vc in &self.vcs {
+            f(vc.occ as u64);
         }
     }
 

@@ -60,6 +60,54 @@ fn diamond(policy: RoutingPolicy) -> (Network, Vec<NodeId>) {
     (b.build(), eps)
 }
 
+/// A star: router r0 reaches endpoint `d[i]` through its output port `i`
+/// (the link to r1, then the link to r2). Endpoint `a` on r0 sends a
+/// 9-flit write to `d[first]`, which holds that port busy, then two reads
+/// that queue behind each other in one input VC of r0: read 1 to
+/// `d[first]`, read 2 to `d[second]`. Returns the cycle each read is
+/// ejected at its destination.
+fn queued_pair_arrivals(first: usize, second: usize) -> [u64; 2] {
+    let mut b = NetworkBuilder::new(NocParams::default());
+    let rs: Vec<NodeId> = (0..3).map(|_| b.router()).collect();
+    b.link(rs[0], rs[1], LinkSpec::default(), LinkTag::HmcHmc);
+    b.link(rs[0], rs[2], LinkSpec::default(), LinkTag::HmcHmc);
+    let a = b.endpoint(rs[0]);
+    let d = [b.endpoint(rs[1]), b.endpoint(rs[2])];
+    let mut net = b.build();
+    for (id, dst, kind) in [
+        (0, d[first], AccessKind::Write),
+        (1, d[first], AccessKind::Read),
+        (2, d[second], AccessKind::Read),
+    ] {
+        net.inject(a, dst, MsgClass::Req, payload(128, kind, id), false);
+    }
+    let mut at = [0; 2];
+    while net.has_work() && net.cycle() < 1_000 {
+        net.tick();
+        for &e in &d {
+            while let Some(pkt) = net.poll_eject(e) {
+                if let Payload::Req(MemReq {
+                    id: ReqId(id @ 1..=2),
+                    ..
+                }) = pkt.payload
+                {
+                    at[id as usize - 1] = net.cycle();
+                }
+            }
+        }
+    }
+    at
+}
+
+#[test]
+fn a_head_routed_onto_a_later_port_leaves_in_the_same_cycle() {
+    // Read 1 leaves r0 in the cycle the write frees its port, and that
+    // commit routes read 2. The allocation scan still reaches a later port
+    // of the same router in this cycle; an earlier port waits a cycle.
+    assert_eq!(queued_pair_arrivals(0, 1), [26, 26]);
+    assert_eq!(queued_pair_arrivals(1, 0), [26, 27]);
+}
+
 #[test]
 fn single_hop_delivery_and_latency() {
     let (mut net, eps) = line(2);
@@ -387,4 +435,128 @@ fn utilization_tracks_traffic() {
     drain(&mut net, &eps);
     let u = net.channel_utilization();
     assert!(u > 0.05 && u <= 1.0, "utilization {u}");
+}
+
+/// A 2 × 3 mesh (r0 r1 r2 over r3 r4 r5), one endpoint per router, with an
+/// overlay chain r3 → r0 → r1 → r2. Builder links: 0 r0–r1, 1 r1–r2,
+/// 2 r3–r4, 3 r4–r5, 4 r0–r3, 5 r1–r4, 6 r2–r5.
+fn overlay_mesh(policy: RoutingPolicy) -> (Network, Vec<NodeId>) {
+    let mut b = NetworkBuilder::new(NocParams::default());
+    let rs: Vec<NodeId> = (0..6).map(|_| b.router()).collect();
+    for (x, y) in [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)] {
+        b.link(rs[x], rs[y], LinkSpec::default(), LinkTag::HmcHmc);
+    }
+    b.overlay_chain(&[rs[3], rs[0], rs[1], rs[2]]);
+    let eps: Vec<NodeId> = rs.iter().map(|&r| b.endpoint(r)).collect();
+    b.routing(policy);
+    (b.build(), eps)
+}
+
+/// Every port with a candidate and every endpoint with a queued packet is
+/// in its ready set, which is what lets the tick skip the rest.
+fn assert_ready_covers_work(net: &Network) {
+    let has = |set: &Ready, i: usize| set.0[i / 64] >> (i % 64) & 1 == 1;
+    for (r, router) in net.routers.iter().enumerate() {
+        for (p, port) in router.ports.iter().enumerate() {
+            let i = net.port_base[r] as usize + p;
+            assert!(
+                port.pending.is_empty() || has(&net.ready_ports, i),
+                "cycle {}: router {r} port {p} has candidates but is not ready",
+                net.cycle
+            );
+        }
+    }
+    for (e, ep) in net.endpoints.iter().enumerate() {
+        assert!(
+            ep.inject_q.is_empty() || has(&net.ready_eps, e),
+            "cycle {}: endpoint {e} has queued packets but is not ready",
+            net.cycle
+        );
+    }
+}
+
+/// Seeded random traffic, a third of it overlay-flagged, for 500 cycles
+/// from cycle `start`: link 0 (on the overlay chain) is cut mid-flight at
+/// +150 and restored at +350, link 5 degrades 3× at +250. Ticks until
+/// drained, checking the ready sets after every tick; returns the number
+/// of packets injected.
+fn random_traffic(net: &mut Network, eps: &[NodeId], seed: u64, start: u64) -> u64 {
+    let mut rng = SplitMix64::new(seed);
+    let mut injected = 0;
+    while net.cycle() < start + 500 || (net.has_work() && net.cycle() < start + 50_000) {
+        match net.cycle() - start {
+            150 => net.set_link_state(0, false),
+            250 => net.degrade_link(5, 3),
+            350 => net.set_link_state(0, true),
+            _ => {}
+        }
+        let sending = net.cycle() < start + 500;
+        for &src in eps.iter().filter(|_| sending) {
+            if !rng.chance(0.2) {
+                continue;
+            }
+            let dst = eps[rng.next_below(eps.len() as u64) as usize];
+            if dst == src {
+                continue;
+            }
+            let class = [MsgClass::Req, MsgClass::Resp][rng.next_below(2) as usize];
+            let kind = [AccessKind::Read, AccessKind::Write][rng.next_below(2) as usize];
+            let p = payload(128, kind, injected);
+            net.inject(src, dst, class, p, rng.chance(0.3));
+            injected += 1;
+        }
+        net.tick();
+        assert_ready_covers_work(net);
+        for &e in eps {
+            while net.poll_eject(e).is_some() {}
+        }
+        while net.poll_failed().is_some() {}
+    }
+    injected
+}
+
+#[test]
+fn ready_sets_cover_the_work_under_faults_and_overlay() {
+    for policy in [RoutingPolicy::Minimal, RoutingPolicy::Ugal] {
+        let mut seen = [0; 3];
+        for seed in 1..=3 {
+            let (mut net, eps) = overlay_mesh(policy);
+            let injected = random_traffic(&mut net, &eps, seed, 0);
+            assert!(!net.has_work(), "{policy:?} seed {seed} drains");
+            let s = net.stats();
+            assert_eq!(s.delivered + s.dead_letters, injected);
+            for (n, v) in seen.iter_mut().zip([s.passthrough, s.reroutes, s.retries]) {
+                *n += v;
+            }
+        }
+        // The overlay chain, the heads stranded by the cut, the degrade.
+        assert!(seen.iter().all(|&n| n > 0), "{policy:?}: {seen:?}");
+    }
+}
+
+#[test]
+fn a_restored_network_continues_like_the_original() {
+    let (mut net, eps) = overlay_mesh(RoutingPolicy::Ugal);
+    random_traffic(&mut net, &eps, 7, 0);
+    net.tick(); // the last credit returns
+    let state = net.snapshot_state();
+    let (mut restored, _) = overlay_mesh(RoutingPolicy::Ugal);
+    restored.restore_state(&state).expect("same topology");
+    assert_eq!(restored.ready_ports.next_from(0), None);
+    assert_eq!(restored.ready_eps.next_from(0), None);
+    assert_eq!(restored.next.len() as u64, state.packet_slots);
+    let outcome = |net: &mut Network| {
+        let start = net.cycle();
+        let injected = random_traffic(net, &eps, 8, start);
+        let s = net.stats();
+        (
+            injected,
+            net.cycle(),
+            s.delivered,
+            s.latency.mean(),
+            s.flit_hops,
+        )
+    };
+    assert_eq!(outcome(&mut restored), outcome(&mut net));
+    assert!(restored.audit().is_empty(), "{:?}", restored.audit());
 }

@@ -33,12 +33,19 @@ impl Network {
                     };
                     pkt.arrived_cycle = self.cycle;
                     let flits = pkt.flits;
-                    let buf =
-                        &mut self.routers[router as usize].ports[port as usize].vcs[vc as usize];
-                    buf.q.push_back(pid);
+                    let (r, p, vc) = (router as usize, port as usize, vc as usize);
+                    let at = self.vc_at(r, p, vc);
+                    let buf = &mut self.vcs[at];
+                    let was_empty = buf.occ == 0;
+                    if was_empty {
+                        buf.head = pid;
+                    } else {
+                        self.next[buf.tail as usize] = pid;
+                    }
+                    buf.tail = pid;
                     buf.occ += flits;
-                    if buf.q.len() == 1 {
-                        self.route_head(router as usize, port as usize, vc as usize);
+                    if was_empty {
+                        self.route_head(r, p, vc);
                     }
                 }
                 Ev::ArriveEndpoint { ep, pid } => {
@@ -54,31 +61,39 @@ impl Network {
                     self.endpoints[ep as usize].eject_q.push_back(pid);
                     self.in_network -= 1;
                 }
-                Ev::Credit {
-                    router,
-                    port,
-                    vc,
-                    flits,
-                } => {
-                    self.routers[router as usize].ports[port as usize].credits[vc as usize] +=
-                        flits as i32;
-                }
+                Ev::Credit { at, flits } => self.credits[at as usize] += flits as i32,
                 Ev::CreditEp { ep, vc, flits } => {
                     self.endpoints[ep as usize].inj_credits[vc as usize] += flits as i32;
                 }
             }
         }
 
-        // 2. Switch allocation, one transfer per output port per cycle.
-        for r in 0..self.routers.len() {
-            for p in 0..self.routers[r].ports.len() {
-                self.allocate(r, p, tracer.as_deref_mut());
+        // 2. Switch allocation, one transfer per output port per cycle, on
+        // the ready ports in (router, port) order: an empty `pending` is a
+        // no-op. A head routed onto a later port of the same router sets a
+        // bit the walk has yet to read, so it leaves this cycle, as in a
+        // scan of every port (DESIGN §3).
+        let (mut r, mut from) = (0, 0);
+        while let Some(i) = self.ready_ports.next_from(from) {
+            while self.port_base[r + 1] as usize <= i {
+                r += 1;
             }
+            let p = i - self.port_base[r] as usize;
+            self.allocate(r, p, tracer.as_deref_mut());
+            if self.routers[r].ports[p].pending.is_empty() {
+                self.ready_ports.remove(i);
+            }
+            from = i + 1;
         }
 
-        // 3. Endpoint injection.
-        for e in 0..self.endpoints.len() {
+        // 3. Endpoint injection, in endpoint order.
+        let mut from = 0;
+        while let Some(e) = self.ready_eps.next_from(from) {
             self.try_inject(e);
+            if self.endpoints[e].inject_q.is_empty() {
+                self.ready_eps.remove(e);
+            }
+            from = e + 1;
         }
 
         self.cycle += 1;
@@ -113,9 +128,6 @@ impl Network {
 
     /// Tries to send one packet through output port `p` of router `r`.
     fn allocate(&mut self, r: usize, p: usize, mut tracer: Option<&mut Tracer>) {
-        if self.routers[r].ports[p].pending.is_empty() {
-            return;
-        }
         let ch_idx = self.routers[r].ports[p].out_channel as usize;
         if !self.channels[ch_idx].up || self.channels[ch_idx].busy_until > self.cycle {
             return;
@@ -128,17 +140,12 @@ impl Network {
             let (in_port, in_vc) = (cand.in_port as usize, cand.vc as usize);
             // Under fault injection a candidate can go stale: its head was
             // dead-lettered or already moved. Drop it instead of panicking.
-            let Some(&pid) = self.routers[r].ports[in_port].vcs[in_vc].q.front() else {
+            let Some(pid) = self.vc_head(r, in_port, in_vc) else {
                 self.routers[r].ports[p].pending.pop_front();
                 continue;
             };
-            let Some((flits, bytes, class, hops)) = self.packets[pid as usize]
-                .as_ref()
-                .map(|pkt| (pkt.flits, pkt.bytes, pkt.class, pkt.hops))
-            else {
-                self.routers[r].ports[p].pending.pop_front();
-                continue;
-            };
+            let pkt = self.live(pid);
+            let (flits, bytes, class, hops) = (pkt.flits, pkt.bytes, pkt.class, pkt.hops);
             let peer = self.routers[r].ports[p].peer;
             let out_vc = match peer {
                 Peer::Endpoint { .. } => 0usize,
@@ -150,16 +157,17 @@ impl Network {
                         + ((hops + 1) as usize).min(self.vcs_per_class as usize - 1)
                 }
             };
-            let port = &mut self.routers[r].ports[p];
-            if port.credits[out_vc] < flits as i32 {
+            let at = self.vc_at(r, p, out_vc);
+            let pending = &mut self.routers[r].ports[p].pending;
+            if self.credits[at] < flits as i32 {
                 // Blocked: rotate and try the next candidate.
-                port.pending.rotate_left(1);
+                pending.rotate_left(1);
                 continue;
             }
 
             // Commit the transfer.
-            port.pending.pop_front();
-            port.credits[out_vc] -= flits as i32;
+            pending.pop_front();
+            self.credits[at] -= flits as i32;
             let (pipe, serdes) = if cand.passthrough {
                 self.stats.passthrough += 1;
                 (self.passthrough_cycles as u64, 0u64)
@@ -209,13 +217,8 @@ impl Network {
     /// Moves packets from an endpoint's injection queue into its router.
     pub(super) fn try_inject(&mut self, e: usize) {
         while let Some(&pid) = self.endpoints[e].inject_q.front() {
-            let Some((flits, bytes, class)) = self.packets[pid as usize]
-                .as_ref()
-                .map(|pkt| (pkt.flits, pkt.bytes, pkt.class))
-            else {
-                self.endpoints[e].inject_q.pop_front();
-                continue;
-            };
+            let pkt = self.live(pid);
+            let (flits, bytes, class) = (pkt.flits, pkt.bytes, pkt.class);
             let vc = self.class_base(class); // hop 0
             let ep = &mut self.endpoints[e];
             let ch = ep.inj_channel as usize;
