@@ -31,7 +31,9 @@ use memnet::noc::topo::{build_clusters, SlicedKind, TopologyKind};
 use memnet::noc::traffic::run_load_point;
 use memnet::noc::{NetworkBuilder, NocParams, Pattern, RoutingPolicy};
 use memnet::serve::job::parse_topology;
-use memnet::sim::{fnv1a64, CtaPolicy, EngineMode, Organization, SimBuilder, SimReport};
+use memnet::sim::{
+    fnv1a64, CtaPolicy, EngineMode, Organization, SanitizeMode, SimBuilder, SimReport,
+};
 use memnet::wdl::fuzz::WorkloadFuzzer;
 use memnet::workloads::{Workload, WorkloadSpec};
 use std::fmt::Write as _;
@@ -43,12 +45,16 @@ enum Pin {
     /// The whole report of a straight run, streams included.
     Report,
     /// The report of a run restored from its own pre-kernel checkpoint:
-    /// every component passes through `restore_state` mid-run.
+    /// every component reads its snapshot record back mid-run.
     Resumed,
     /// The Chrome trace stream.
     Trace,
     /// The metrics-epoch stream.
     Metrics,
+    /// The pre-kernel snapshot document, always taken under the
+    /// event-driven engine: its `cpu.cycle` counts the CPU domain's ticks,
+    /// which differ between the engines by design (DESIGN §11c).
+    Snapshot,
 }
 
 fn small(org: Organization, w: Workload) -> SimBuilder {
@@ -257,6 +263,24 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
         key(Umn, "chaos-c0ffee"),
         streams(small(Umn, Workload::Bp).faults(chaos)),
     );
+    // The snapshot document itself: with a sanitizer block; with a link
+    // down, a vault stalled and a GPU lost before the boundary; with the
+    // DMA counters of a memcpy. The sanitizer is set on each row, so
+    // `MEMNET_SANITIZE` cannot add or remove that block.
+    let off = |b: SimBuilder| b.sanitize(SanitizeMode::Off);
+    for (name, b) in [
+        (
+            "snap-gmn-vecadd-sanitized",
+            small(Gmn, Workload::VecAdd).sanitize(SanitizeMode::Record),
+        ),
+        (
+            "snap-gmn-three-faults",
+            off(small(Gmn, Workload::VecAdd).faults(three_faults())),
+        ),
+        ("snap-pcie-scan", off(small(Pcie, Workload::Scan))),
+    ] {
+        rows.push((name.to_string(), Pin::Snapshot, b));
+    }
     rows
 }
 
@@ -292,6 +316,13 @@ fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
         }
         Pin::Trace => b.run().trace_json.expect("trace enabled"),
         Pin::Metrics => b.run().metrics_json.expect("metrics enabled"),
+        Pin::Snapshot => {
+            let (_, snap) = b
+                .engine(EngineMode::EventDriven)
+                .try_run_checkpointed("golden")
+                .expect("checkpoint");
+            snap.to_json_string()
+        }
     };
     fnv1a64(bytes.as_bytes())
 }
