@@ -113,13 +113,6 @@ pub struct HmcConfig {
     pub atomic_extra_tck: u32,
 }
 
-impl HmcConfig {
-    /// Peak data bandwidth of one vault in GB/s.
-    pub fn vault_peak_gbs(&self) -> f64 {
-        self.vault_bus_bytes_per_tck as f64 / self.tck_ns
-    }
-}
-
 /// Interconnection-network parameters (Section VI-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
@@ -345,30 +338,6 @@ impl SystemConfig {
     }
 }
 
-/// Refuses a snapshot array of `got` entries where the component restoring
-/// it holds `want`, naming the array by its `path` inside that component
-/// (`""` for the component's own array). Each owner on the way up prefixes
-/// its own path with [`nest`].
-pub fn fit_len(path: &str, got: usize, want: usize) -> Result<(), String> {
-    if got == want {
-        return Ok(());
-    }
-    Err(format!(
-        "field '{path}' holds {got} entries, this configuration has {want}"
-    ))
-}
-
-/// Prefixes `outer` onto the field path a restore error names: `field
-/// 'ways' …` nested in `l2`, then in `gpus[1]`, reads `field
-/// 'gpus[1].l2.ways' …`.
-pub fn nest(outer: impl std::fmt::Display, err: String) -> String {
-    match err.strip_prefix("field '") {
-        Some(rest) if rest.starts_with('\'') => format!("field '{outer}{rest}"),
-        Some(rest) => format!("field '{outer}.{rest}"),
-        None => err,
-    }
-}
-
 impl Default for SystemConfig {
     fn default() -> Self {
         Self::scaled()
@@ -378,18 +347,6 @@ impl Default for SystemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn restore_errors_nest_into_the_full_field_path() {
-        let err = fit_len("ways", 3, 4).unwrap_err();
-        let err = nest(format_args!("gpus[{}]", 1), nest("l2", err));
-        assert_eq!(
-            err,
-            "field 'gpus[1].l2.ways' holds 3 entries, this configuration has 4"
-        );
-        assert!(nest("traffic", fit_len("", 1, 2).unwrap_err()).starts_with("field 'traffic' "));
-        assert_eq!(fit_len("x", 2, 2), Ok(()));
-    }
 
     #[test]
     fn paper_config_matches_table1() {
@@ -429,7 +386,7 @@ mod tests {
     #[test]
     fn vault_bandwidth() {
         let h = SystemConfig::paper().hmc;
-        assert!((h.vault_peak_gbs() - 6.4).abs() < 1e-9);
+        assert!((h.vault_bus_bytes_per_tck as f64 / h.tck_ns - 6.4).abs() < 1e-9);
     }
 
     #[test]

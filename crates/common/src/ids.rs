@@ -64,6 +64,12 @@ id_type!(
     ReqId(u64)
 );
 
+impl ReqId {
+    /// Largest per-issuer sequence number: an issuer packs its kind and
+    /// device id above the low 48 bits of its request ids.
+    pub const MAX_SEQ: u64 = (1 << 48) - 1;
+}
+
 /// The originator of a memory request.
 ///
 /// Responses are routed back to the agent's network endpoint, and statistics

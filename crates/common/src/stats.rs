@@ -65,16 +65,6 @@ impl RunningStats {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// The raw `(count, sum, min, max)` fields, including the ±∞ sentinels
     /// of an empty accumulator. Checkpoint hook: feed the tuple back
     /// through [`RunningStats::from_raw`] to reconstruct bit-identically.
@@ -94,8 +84,8 @@ impl RunningStats {
 }
 
 // A derived Default would zero-initialize `min`/`max`, silently clamping
-// the observed minimum of any default-constructed accumulator to 0.0 (and
-// corrupting the result of `merge`). Defer to `new()` and its ±∞ sentinels.
+// the observed minimum of any default-constructed accumulator to 0.0.
+// Defer to `new()` and its ±∞ sentinels.
 impl Default for RunningStats {
     fn default() -> Self {
         Self::new()
@@ -230,18 +220,6 @@ impl TrafficMatrix {
         self.bytes.iter().sum()
     }
 
-    /// Each cell as a fraction of the total (all zeros when empty).
-    pub fn fractions(&self) -> Vec<Vec<f64>> {
-        let total = self.total().max(1) as f64;
-        (0..self.rows)
-            .map(|r| {
-                (0..self.cols)
-                    .map(|c| self.get(r, c) as f64 / total)
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Per-destination (column) totals — the per-HMC load used to measure
     /// the Fig. 10(b) imbalance.
     pub fn column_totals(&self) -> Vec<u64> {
@@ -255,16 +233,9 @@ impl TrafficMatrix {
         &self.bytes
     }
 
-    /// Overwrites the cell contents from a [`TrafficMatrix::raw_bytes`]
-    /// slice recorded on an identically shaped matrix.
-    ///
-    /// # Errors
-    ///
-    /// Refuses, untouched, a slice that is not `rows * cols` long.
-    pub fn restore_bytes(&mut self, bytes: &[u64]) -> Result<(), String> {
-        crate::config::fit_len("", bytes.len(), self.bytes.len())?;
-        self.bytes.copy_from_slice(bytes);
-        Ok(())
+    /// The same cells, for a restore to overwrite.
+    pub fn raw_bytes_mut(&mut self) -> &mut [u64] {
+        &mut self.bytes
     }
 
     /// Ratio of the hottest to the coldest *nonzero* destination, the
@@ -308,42 +279,17 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_merge() {
-        let mut a = RunningStats::new();
-        a.record(1.0);
-        let mut b = RunningStats::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), Some(5.0));
-        let empty = RunningStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
     fn default_uses_infinity_sentinels() {
         // Regression: a derived Default zeroed min/max, so a default
         // accumulator reported min() = Some(0.0) after recording only
-        // positive samples, and merging it corrupted the other side's min.
+        // positive samples, and max() = Some(0.0) after negative ones.
         let mut d = RunningStats::default();
         d.record(5.0);
         assert_eq!(d.min(), Some(5.0));
         assert_eq!(d.max(), Some(5.0));
-
-        let mut a = RunningStats::new();
-        a.record(3.0);
-        a.merge(&RunningStats::default());
-        assert_eq!(a.min(), Some(3.0));
-
-        let mut b = RunningStats::default();
-        b.record(-2.0);
-        let mut c = RunningStats::new();
-        c.record(7.0);
-        c.merge(&b);
-        assert_eq!(c.min(), Some(-2.0));
-        assert_eq!(c.max(), Some(7.0));
-        assert_eq!(c.count(), 2);
+        let mut n = RunningStats::default();
+        n.record(-2.0);
+        assert_eq!(n.max(), Some(-2.0));
     }
 
     #[test]
@@ -364,17 +310,6 @@ mod tests {
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn traffic_matrix_fractions_sum_to_one() {
-        let mut m = TrafficMatrix::new(2, 4);
-        m.add(0, 0, 100);
-        m.add(1, 3, 300);
-        let f = m.fractions();
-        let total: f64 = f.iter().flatten().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((f[1][3] - 0.75).abs() < 1e-12);
     }
 
     #[test]

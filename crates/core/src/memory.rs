@@ -16,9 +16,9 @@
 //! * UMN: the footprint is spread over *all* clusters (no copies);
 //! * Fig. 7: the device region is restricted to 1, 2 or 4 GPU clusters.
 
-use memnet_common::config::fit_len;
 use memnet_common::{SplitMix64, SystemConfig};
 use memnet_hmc::mapping::{AddressMap, Location};
+use memnet_obs::json::{u64_str, u64_strs, Fields, JsonValue};
 use std::collections::BTreeMap;
 
 /// How fresh pages pick a cluster from their region's allowed set.
@@ -148,53 +148,60 @@ impl MemoryLayout {
         (paddr, self.map.decode(paddr))
     }
 
-    /// Number of distinct pages allocated.
-    pub fn pages_allocated(&self) -> usize {
-        self.page_table.len()
+    /// The snapshot record of the placement state. Regions and policy are
+    /// configuration (re-derived on rebuild); what must carry over is the
+    /// first-touch outcome: the page table, per-cluster allocation
+    /// cursors, the placement RNG and the round-robin cursor.
+    pub(crate) fn snapshot(&self) -> JsonValue {
+        // (vpage, ppage) pairs, flattened in ascending key order.
+        let pages = self.page_table.iter().flat_map(|(&v, &p)| [v, p]);
+        JsonValue::object([
+            ("page_table", u64_strs(pages)),
+            ("next_seq", u64_strs(self.next_seq.iter().copied())),
+            ("rng_state", u64_str(self.rng.state())),
+            ("rr_next", u64_str(self.rr_next as u64)),
+        ])
     }
 
-    /// Captures the mutable placement state for checkpointing. Regions and
-    /// policy are configuration (re-derived on rebuild); what must carry
-    /// over is the first-touch outcome: the page table, per-cluster
-    /// allocation cursors, the placement RNG and the round-robin cursor.
-    pub(crate) fn snapshot_state(&self) -> MemoryState {
-        MemoryState {
-            page_table: self.page_table.iter().map(|(&v, &p)| (v, p)).collect(),
-            next_seq: self.next_seq.clone(),
-            rng_state: self.rng.state(),
-            rr_next: self.rr_next as u64,
-        }
-    }
-
-    /// Overwrites the mutable placement state from a
-    /// [`MemoryLayout::snapshot_state`] taken on an identically configured
-    /// layout.
+    /// Reads back a [`MemoryLayout::snapshot`] record taken on an
+    /// identically configured layout.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a cluster count this layout does not have.
-    pub(crate) fn restore_state(&mut self, s: &MemoryState) -> Result<(), String> {
-        fit_len("next_seq", s.next_seq.len(), self.next_seq.len())?;
-        self.page_table = s.page_table.iter().copied().collect();
-        self.next_seq.clone_from(&s.next_seq);
-        self.rng = SplitMix64::new(s.rng_state);
-        self.rr_next = s.rr_next as usize;
+    /// Refuses, untouched, a mistyped field, a cluster count this layout
+    /// does not have, and a physical page or allocation cursor the
+    /// address map cannot hand out on one of this layout's clusters.
+    pub(crate) fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        let clusters = self.next_seq.len();
+        let page_table = f.req("page_table")?.rows(2, None, |c| {
+            let ppage = c[1].uint_str()?;
+            let on = self.map.page_cluster(ppage) as usize;
+            if ppage.checked_mul(self.page_bytes).is_none() || on >= clusters {
+                let path = c[1].path();
+                return Err(format!(
+                    "field '{path}' is not a page this layout hands out"
+                ));
+            }
+            Ok((c[0].uint_str()?, ppage))
+        })?;
+        let limit = self.map.pages_per_cluster();
+        let next = f.req("next_seq")?;
+        let next_seq = next.list_of(clusters, |x| {
+            let seq = x.uint_str()?;
+            if seq >= limit {
+                let path = x.path();
+                return Err(format!("field '{path}' is past a cluster's {limit} pages"));
+            }
+            Ok(seq)
+        })?;
+        let rng_state = f.req("rng_state")?.u64_str()?;
+        let rr_next = f.req("rr_next")?.uint_str()?;
+        self.page_table = page_table.into_iter().collect();
+        self.next_seq = next_seq;
+        self.rng = SplitMix64::new(rng_state);
+        self.rr_next = rr_next as usize;
         Ok(())
     }
-}
-
-/// Serializable mutable state of a [`MemoryLayout`] (see
-/// [`MemoryLayout::snapshot_state`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MemoryState {
-    /// `(virtual page, physical page)` pairs in ascending key order.
-    pub(crate) page_table: Vec<(u64, u64)>,
-    /// Next page sequence number per cluster.
-    pub(crate) next_seq: Vec<u64>,
-    /// Placement RNG internal state.
-    pub(crate) rng_state: u64,
-    /// Round-robin placement cursor.
-    pub(crate) rr_next: u64,
 }
 
 #[cfg(test)]
@@ -212,7 +219,7 @@ mod tests {
         let a = l.translate(0x1234);
         let b = l.translate(0x1238);
         assert_eq!(a + 4, b, "offsets within a page are preserved");
-        assert_eq!(l.pages_allocated(), 1);
+        assert_eq!(l.page_table.len(), 1);
     }
 
     #[test]

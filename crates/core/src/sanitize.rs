@@ -23,6 +23,8 @@
 //! across [`EngineMode`](crate::EngineMode)s (the event-driven engine
 //! skips idle ticks, so tick counts are engine-variant).
 
+use memnet_obs::json::{u64_str, Fields, JsonValue};
+
 /// Hard cap on recorded violation messages; the rest are only counted.
 /// A broken invariant usually fires every tick — the first few messages
 /// locate the bug, the remaining millions would just burn memory.
@@ -122,27 +124,31 @@ impl Sanitizer {
         }
     }
 
-    /// Captures accumulated audit state for checkpointing, so a restored
+    /// The snapshot record of the accumulated audit state, so a restored
     /// sanitizing run reports totals identical to an unbroken one.
-    pub(crate) fn snapshot_state(&self) -> SanitizerState {
-        SanitizerState {
-            checks: self.checks,
-            violations: self.violations.clone(),
-            dropped: self.dropped,
-            ctas_launched: self.ctas_launched,
-            ctas_dropped: self.ctas_dropped,
-        }
+    pub(crate) fn snapshot(&self) -> JsonValue {
+        let violations = self.violations.iter().cloned().map(JsonValue::String);
+        JsonValue::object([
+            ("checks", u64_str(self.checks)),
+            ("violations", JsonValue::Array(violations.collect())),
+            ("dropped", u64_str(self.dropped)),
+            ("ctas_launched", u64_str(self.ctas_launched)),
+            ("ctas_dropped", u64_str(self.ctas_dropped)),
+        ])
     }
 
-    /// Overwrites accumulated audit state from a
-    /// [`Sanitizer::snapshot_state`]. The fatal flag is the restoring
-    /// run's own choice and is left untouched.
-    pub(crate) fn restore_state(&mut self, s: &SanitizerState) {
-        self.checks = s.checks;
-        self.violations.clone_from(&s.violations);
-        self.dropped = s.dropped;
-        self.ctas_launched = s.ctas_launched;
-        self.ctas_dropped = s.ctas_dropped;
+    /// Reads back a [`Sanitizer::snapshot`] record. The fatal flag is the
+    /// restoring run's own choice and is left untouched.
+    pub(crate) fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        *self = Sanitizer {
+            fatal: self.fatal,
+            checks: f.req("checks")?.uint_str()?,
+            violations: f.req("violations")?.list(|x| x.str().map(str::to_string))?,
+            dropped: f.req("dropped")?.uint_str()?,
+            ctas_launched: f.req("ctas_launched")?.uint_str()?,
+            ctas_dropped: f.req("ctas_dropped")?.uint_str()?,
+        };
+        Ok(())
     }
 
     /// Finishes the run: panics in fatal mode if anything was found,
@@ -163,21 +169,6 @@ impl Sanitizer {
         }
         rep
     }
-}
-
-/// Serializable accumulated audit state (see [`Sanitizer::snapshot_state`]).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SanitizerState {
-    /// Phase-boundary checkpoints executed.
-    pub(crate) checks: u64,
-    /// Recorded violation messages.
-    pub(crate) violations: Vec<String>,
-    /// Violations beyond the message cap.
-    pub(crate) dropped: u64,
-    /// CTAs handed to `Gpu::launch` across all kernels.
-    pub(crate) ctas_launched: u64,
-    /// Orphaned CTAs dropped with a dead GPU.
-    pub(crate) ctas_dropped: u64,
 }
 
 #[cfg(test)]

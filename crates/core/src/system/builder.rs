@@ -275,8 +275,8 @@ impl SimBuilder {
     ///
     /// Same conditions as [`SimBuilder::try_run`], plus
     /// [`SimError::Snapshot`] when the snapshot's configuration
-    /// fingerprint does not match this builder, or when one of its arrays
-    /// does not have the length this configuration's state has (the
+    /// fingerprint does not match this builder, or when one of its
+    /// records is mistyped or does not fit this configuration's state (the
     /// message names the field).
     pub fn try_run_restored(self, snap: &SystemSnapshot) -> Result<SimReport, SimError> {
         let fp = self.fingerprint();
@@ -289,8 +289,8 @@ impl SimBuilder {
             )));
         }
         let mut sys = System::try_build(self)?;
-        sys.apply_snapshot(snap).map_err(SimError::Snapshot)?;
-        Ok(sys.run_from_snapshot_point(snap.host_fs, snap.memcpy_fs).0)
+        let (host_fs, memcpy_fs) = sys.apply_snapshot(snap).map_err(SimError::Snapshot)?;
+        Ok(sys.run_from_snapshot_point(host_fs, memcpy_fs).0)
     }
 
     /// Content-address of everything that determines simulated outcomes:

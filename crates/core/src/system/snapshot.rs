@@ -1,19 +1,20 @@
-//! What a checkpoint holds, and how one is checked and applied onto a
-//! freshly built system.
+//! What a checkpoint holds, and how each record is handed back to its
+//! owner on a freshly built system.
 
 use super::{domain, System};
 use crate::sanitize::Sanitizer;
-use crate::snapshot::SystemSnapshot;
-use memnet_common::config::{fit_len, nest};
+use crate::snapshot::{Header, SystemSnapshot};
 use memnet_common::time::Fs;
 use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
+use memnet_obs::json::{fit_len, u64_strs, Field, Fields, JsonValue};
 
 impl System {
     /// Captures the full mutable simulation state at the normalized,
-    /// quiescent pre-kernel boundary. Pure observers (tracer, metrics
-    /// registry, profiler) are deliberately *not* part of a snapshot: a
-    /// restored run starts them fresh, observing only its own suffix.
+    /// quiescent pre-kernel boundary: the header, then each component's
+    /// own record. Pure observers (tracer, metrics registry, profiler) are
+    /// deliberately *not* part of a snapshot: a restored run starts them
+    /// fresh, observing only its own suffix.
     pub(super) fn take_snapshot(
         &self,
         meta: &str,
@@ -21,96 +22,111 @@ impl System {
         host_fs: Fs,
         memcpy_fs: Fs,
     ) -> SystemSnapshot {
-        SystemSnapshot {
+        let header = Header {
             fingerprint,
             meta: meta.to_string(),
             now: self.now,
-            clock_cycles: (0..domain::COUNT)
+            clocks: (0..domain::COUNT)
                 .map(|d| self.cal.clock(d).cycles())
                 .collect(),
             host_fs,
             memcpy_fs,
-            faults_injected: self.faults_injected,
-            failed_requests: self.failed_requests,
-            rebalanced_ctas: self.rebalanced_ctas,
-            lost_gpus: self.lost_gpus,
-            steal_events: self.steal_events,
-            gpus: self.gpus.iter().map(Gpu::snapshot_state).collect(),
-            cpu: self.cpu.snapshot_state(),
-            dma: self.dma.snapshot_state(),
-            hmcs: self.hmcs.iter().map(HmcDevice::snapshot_state).collect(),
-            net: self.net.snapshot_state(),
-            memory: self.layout.snapshot_state(),
-            traffic_bytes: self.traffic.raw_bytes().to_vec(),
-            sanitizer: self.san.as_ref().map(Sanitizer::snapshot_state),
-        }
+            counters: [
+                self.faults_injected,
+                self.failed_requests,
+                self.rebalanced_ctas,
+                self.lost_gpus,
+                self.steal_events,
+            ],
+        };
+        let gpus = self.gpus.iter().map(Gpu::snapshot).collect();
+        let hmcs = self.hmcs.iter().map(HmcDevice::snapshot).collect();
+        let traffic = u64_strs(self.traffic.raw_bytes().iter().copied());
+        let mut records = vec![
+            ("gpus", JsonValue::Array(gpus)),
+            ("cpu", self.cpu.snapshot()),
+            ("dma", self.dma.snapshot()),
+            ("hmcs", JsonValue::Array(hmcs)),
+            ("net", self.net.snapshot()),
+            ("memory", self.layout.snapshot()),
+            ("traffic", traffic),
+        ];
+        records.extend(self.san.as_ref().map(|s| ("sanitizer", s.snapshot())));
+        SystemSnapshot::new(header, records)
     }
 
     /// Overwrites mutable state from a snapshot taken on an identically
-    /// configured system (enforced upstream by the fingerprint check).
-    /// All clock domains come back armed; in event-driven mode idle
-    /// domains tick one no-op edge and re-park, which yields the same
-    /// counter end-state as the checkpointing run's bulk skip accounting.
-    /// Pending resolved faults whose edge lies at or before the snapshot
-    /// instant were already applied by the checkpointing run — their
-    /// effects live in the restored component state — so they are dropped
-    /// from the queue fronts.
+    /// configured system (enforced upstream by the fingerprint check) and
+    /// returns the prefix's `(host_fs, memcpy_fs)`. All clock domains come
+    /// back armed; in event-driven mode idle domains tick one no-op edge
+    /// and re-park, which yields the same counter end-state as the
+    /// checkpointing run's bulk skip accounting. Pending resolved faults
+    /// whose edge lies at or before the snapshot instant were already
+    /// applied by the checkpointing run — their effects live in the
+    /// restored component state — so they are dropped from the queue
+    /// fronts.
     ///
-    /// A matching fingerprint does not stop a hand-edited file, so every
-    /// array is checked by its owner: the clocks and device counts here,
-    /// each component's own arrays in its `restore_state`, with the path
-    /// prefixed on the way up. An error leaves a half-restored system,
-    /// which the caller drops.
-    pub(super) fn apply_snapshot(&mut self, s: &SystemSnapshot) -> Result<(), String> {
-        fit_len("clocks", s.clock_cycles.len(), domain::COUNT)?;
-        fit_len("gpus", s.gpus.len(), self.gpus.len())?;
-        fit_len("hmcs", s.hmcs.len(), self.hmcs.len())?;
+    /// A matching fingerprint does not stop a hand-edited file, so each
+    /// record is read, and checked, by its owner: the header, the clocks
+    /// and the device counts here, each component's record in its
+    /// `restore`, every message naming the full path. An error leaves a
+    /// half-restored system, which the caller drops.
+    pub(super) fn apply_snapshot(&mut self, s: &SystemSnapshot) -> Result<(Fs, Fs), String> {
+        Field::root(&s.doc, "").record(|f| self.restore(f))
+    }
+
+    fn restore(&mut self, f: &Fields) -> Result<(Fs, Fs), String> {
+        let h = Header::read(f)?;
+        fit_len("clocks", h.clocks.len(), domain::COUNT)?;
         // Every clock was normalized to the boundary: its next edge is the
         // first one after `now`.
-        for (d, &cycles) in s.clock_cycles.iter().enumerate() {
+        for (d, &cycles) in h.clocks.iter().enumerate() {
             let period = self.cal.clock(d).period_fs();
             let edge = cycles.checked_mul(period);
-            if edge.is_none_or(|e| e.abs_diff(s.now) > period) {
+            if edge.is_none_or(|e| e.abs_diff(h.now) > period) {
                 return Err(format!(
                     "field 'clocks[{d}]' is not within one period of 'now'"
                 ));
             }
             self.cal.restore_clock(d, cycles);
         }
-        self.now = s.now;
-        for (i, (g, gs)) in self.gpus.iter_mut().zip(&s.gpus).enumerate() {
-            g.restore_state(gs)
-                .map_err(|e| nest(format_args!("gpus[{i}]"), e))?;
+        self.now = h.now;
+        let gpus = f.req("gpus")?.list_of(self.gpus.len(), Ok)?;
+        for (g, x) in self.gpus.iter_mut().zip(gpus) {
+            x.record(|r| g.restore(r, h.clocks[domain::CORE]))?;
         }
-        self.cpu.restore_state(&s.cpu).map_err(|e| nest("cpu", e))?;
-        self.dma.restore_state(&s.dma);
-        for (i, (h, hs)) in self.hmcs.iter_mut().zip(&s.hmcs).enumerate() {
-            h.restore_state(hs)
-                .map_err(|e| nest(format_args!("hmcs[{i}]"), e))?;
+        f.req("cpu")?.record(|r| self.cpu.restore(r))?;
+        f.req("dma")?.record(|r| self.dma.restore(r))?;
+        let hmcs = f.req("hmcs")?.list_of(self.hmcs.len(), Ok)?;
+        for (hmc, x) in self.hmcs.iter_mut().zip(hmcs) {
+            x.record(|r| hmc.restore(r))?;
         }
-        self.net.restore_state(&s.net).map_err(|e| nest("net", e))?;
-        self.layout
-            .restore_state(&s.memory)
-            .map_err(|e| nest("memory", e))?;
-        self.traffic
-            .restore_bytes(&s.traffic_bytes)
-            .map_err(|e| nest("traffic", e))?;
-        self.faults_injected = s.faults_injected;
-        self.failed_requests = s.failed_requests;
-        self.rebalanced_ctas = s.rebalanced_ctas;
-        self.lost_gpus = s.lost_gpus;
-        self.steal_events = s.steal_events;
+        f.req("net")?
+            .record(|r| self.net.restore(r, h.clocks[domain::NET]))?;
+        f.req("memory")?.record(|r| self.layout.restore(r))?;
+        let cells = self.traffic.raw_bytes_mut();
+        let traffic = f.req("traffic")?.list_of(cells.len(), |x| x.uint_str())?;
+        cells.copy_from_slice(&traffic);
+        [
+            self.faults_injected,
+            self.failed_requests,
+            self.rebalanced_ctas,
+            self.lost_gpus,
+            self.steal_events,
+        ] = h.counters;
         for q in &mut self.fault_q {
-            while q.front().is_some_and(|f| f.edge_fs <= s.now) {
+            while q.front().is_some_and(|f| f.edge_fs <= h.now) {
                 q.pop_front();
             }
         }
         // The sanitizer's accumulated audit state carries over only when
         // the restoring run sanitizes too; its totals then match an
         // unbroken sanitized run. A snapshot from a non-sanitized run
-        // restores with counters starting at the boundary.
-        if let (Some(san), Some(ss)) = (self.san.as_mut(), s.sanitizer.as_ref()) {
-            san.restore_state(ss);
+        // restores with counters starting at the boundary, and a
+        // non-sanitizing run still checks the record it ignores.
+        if let Some(x) = f.opt("sanitizer")? {
+            let mut ignored = Sanitizer::new(false);
+            x.record(|r| self.san.as_mut().unwrap_or(&mut ignored).restore(r))?;
         }
         // First epoch lands on the next whole period after the restored
         // network clock, exactly where the checkpointing run would have
@@ -118,6 +134,6 @@ impl System {
         if let Some(periods) = self.net.cycle().checked_div(self.metrics_every) {
             self.next_epoch = (periods + 1) * self.metrics_every;
         }
-        Ok(())
+        Ok((h.host_fs, h.memcpy_fs))
     }
 }

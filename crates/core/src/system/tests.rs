@@ -1,7 +1,7 @@
 use super::{Organization, SimBuilder, SimError, SimReport};
 use crate::ske::CtaPolicy;
-use crate::snapshot::SystemSnapshot;
 use memnet_common::SystemConfig;
+use memnet_obs::json::JsonValue;
 use memnet_workloads::Workload;
 
 /// The test machine: two GPUs of two SMs each.
@@ -437,52 +437,83 @@ fn overlay_umn_uses_passthrough_for_cpu_traffic() {
     );
 }
 
+/// The member at `path` (`.`-separated keys and indices) of a document.
+fn member<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut JsonValue {
+    path.split('.').fold(doc, |v, step| match v {
+        JsonValue::Object(ms) => &mut ms.iter_mut().find(|m| m.0 == step).expect("a key").1,
+        JsonValue::Array(xs) => &mut xs[step.parse::<usize>().expect("an index")],
+        _ => panic!("'{step}' inside a scalar"),
+    })
+}
+
 #[test]
-fn truncated_snapshots_are_refused_by_field() {
-    fn shorten<T>(v: &mut Vec<T>) {
-        v.pop();
+fn damaged_snapshots_are_refused_by_field() {
+    enum Edit {
+        /// Drops this many trailing elements.
+        Cut(usize),
+        /// Replaces the value with this string.
+        Set(&'static str),
     }
+    use Edit::{Cut, Set};
+    const LIMIT: &str = "9007199254740992";
     let builder = || rig(Organization::Gmn).workload(Workload::VecAdd.spec_small());
     let (report, snap) = builder().try_run_checkpointed("").expect("checkpoint");
     let restored = builder().try_run_restored(&snap).expect("intact restore");
     assert_eq!(restored, report);
-    // Each cut is refused by the array's owner — the driver or a
-    // component's `restore_state` — and named by its full path.
-    type Cut = fn(&mut SystemSnapshot);
-    let last_channel = format!("'net.channels[{}]'", snap.net.channels.len() - 1);
-    let cuts: [(&str, Cut); 16] = [
-        ("'clocks'", |s| shorten(&mut s.clock_cycles)),
-        ("'gpus'", |s| shorten(&mut s.gpus)),
-        ("'hmcs'", |s| shorten(&mut s.hmcs)),
-        ("'traffic'", |s| shorten(&mut s.traffic_bytes)),
-        ("'gpus[1].l2.ways'", |s| shorten(&mut s.gpus[1].l2.ways)),
-        ("'hmcs[0].vaults[2].banks'", |s| {
-            shorten(&mut s.hmcs[0].vaults[2].banks)
-        }),
-        ("'net.free_pids'", |s| s.net.packet_slots += 1),
-        ("'clocks[0]'", |s| s.now *= 2),
-        ("'hmcs[0].stalled_until'", |s| {
-            shorten(&mut s.hmcs[0].stalled_until)
-        }),
-        ("'net.link_up'", |s| shorten(&mut s.net.link_up)),
-        ("'net.channels'", |s| shorten(&mut s.net.channels)),
+    let channels = snap.doc.get("net").and_then(|n| n.get("channels"));
+    let last = channels
+        .and_then(JsonValue::as_array)
+        .expect("channels")
+        .len()
+        / 5
+        - 1;
+    let (last_up, last_channel) = (
+        format!("net.channels.{}", 5 * last),
+        format!("'net.channels[{last}]'"),
+    );
+    // Each damage is refused by the record's owner — the driver or the
+    // component — and named by its full path.
+    let damages = [
+        ("'clocks'", "clocks", Cut(1)),
+        ("'gpus'", "gpus", Cut(1)),
+        ("'hmcs'", "hmcs", Cut(1)),
+        ("'traffic'", "traffic", Cut(1)),
+        ("'gpus[1].l2.ways'", "gpus.1.l2.ways", Cut(3)),
+        ("'hmcs[0].vaults[2].banks'", "hmcs.0.vaults.2.banks", Cut(5)),
+        ("'net.free_pids'", "net.free_pids", Cut(1)),
+        ("'clocks[0]'", "clocks.0", Set("1")),
+        ("'hmcs[0].stalled_until'", "hmcs.0.stalled_until", Cut(1)),
+        ("'net.link_up'", "net.link_up", Cut(1)),
+        ("'net.channels'", "net.channels", Cut(5)),
         // Channel states no run reaches: a free wire, a link's channel
         // down while its link is up, and a down endpoint channel.
-        ("'net.channels[0]'", |s| s.net.channels[0].degrade = 0),
-        ("'net.channels[1]'", |s| s.net.channels[1].up = false),
-        (&last_channel, |s| {
-            s.net.channels.last_mut().expect("channels").up = false
-        }),
-        ("'cpu.l1.ways'", |s| shorten(&mut s.cpu.l1.ways)),
-        ("'memory.next_seq'", |s| shorten(&mut s.memory.next_seq)),
+        ("'net.channels[0]'", "net.channels.1", Set("0")),
+        ("'net.channels[1]'", "net.channels.5", Set("0")),
+        (last_channel.as_str(), last_up.as_str(), Set("0")),
+        ("'cpu.l1.ways'", "cpu.l1.ways", Cut(3)),
+        ("'memory.next_seq'", "memory.next_seq", Cut(1)),
+        ("'hmcs[0].stalls'", "hmcs.0.stalls", Set("x")),
+        (
+            "'hmcs[0].vaults[0].banks[0]'",
+            "hmcs.0.vaults.0.banks.0",
+            Set("-1"),
+        ),
+        // Counts the owners hold to their clocks, their idle state and
+        // their address space.
+        ("'gpus[0].core_cycle'", "gpus.0.core_cycle", Set("1")),
+        ("'net.cycle'", "net.cycle", Set("1")),
+        ("'cpu.compute_until'", "cpu.compute_until", Set(LIMIT)),
+        ("'memory.next_seq[0]'", "memory.next_seq.0", Set(LIMIT)),
     ];
-    for (field, cut) in cuts {
+    for (field, path, edit) in damages {
         let mut bad = snap.clone();
-        cut(&mut bad);
+        match (member(&mut bad.doc, path), edit) {
+            (JsonValue::Array(xs), Cut(n)) => xs.truncate(xs.len() - n),
+            (v, Set(s)) => *v = JsonValue::String(s.into()),
+            (v, Cut(_)) => panic!("{path}: {v:?} is not an array"),
+        }
         match builder().try_run_restored(&bad) {
-            Err(SimError::Snapshot(why)) => {
-                assert!(why.starts_with(&format!("field {field} ")), "{why}")
-            }
+            Err(SimError::Snapshot(why)) => assert!(why.contains(field), "{field}: {why}"),
             other => panic!("{field}: expected a snapshot error, got {other:?}"),
         }
     }

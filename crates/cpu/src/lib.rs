@@ -27,9 +27,10 @@
 //! ```
 #![forbid(unsafe_code)]
 
-use memnet_common::config::{nest, CpuConfig};
+use memnet_common::config::CpuConfig;
 use memnet_common::{AccessKind, Agent, CpuId, MemReq, MemResp, ReqId};
 use memnet_gpu::cache::Cache;
+use memnet_obs::json::{u64_str, Fields, JsonValue};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -259,62 +260,62 @@ impl CpuCore {
         }
     }
 
-    /// Captures the mutable state for checkpointing. Only valid while the
-    /// core is idle: no program, no outstanding accesses, no queued
-    /// requests. Cache contents (tags, LRU, counters) are captured so a
-    /// restored run's later host phases see the same warm hierarchy.
+    /// The snapshot record. Only valid while the core is idle: no
+    /// program, no outstanding accesses, no queued requests. Cache
+    /// contents (tags, LRU, counters) are recorded so a restored run's
+    /// later host phases see the same warm hierarchy.
     ///
     /// # Panics
     ///
     /// Panics if the core still holds in-flight work.
-    pub fn snapshot_state(&self) -> CpuState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(
             !self.busy() && self.mem_out.is_empty(),
             "CPU snapshot requires a quiescent phase boundary"
         );
-        CpuState {
-            cycle: self.cycle,
-            compute_until: self.compute_until,
-            next_req: self.next_req,
-            stats: self.stats,
-            l1: self.l1.snapshot_state(),
-            l2: self.l2.snapshot_state(),
-        }
+        let s = &self.stats;
+        JsonValue::object([
+            ("cycle", u64_str(self.cycle)),
+            ("compute_until", u64_str(self.compute_until)),
+            ("next_req", u64_str(self.next_req)),
+            ("ops", u64_str(s.ops)),
+            ("mem_reads", u64_str(s.mem_reads)),
+            ("busy_cycles", u64_str(s.busy_cycles)),
+            ("l1", self.l1.snapshot()),
+            ("l2", self.l2.snapshot()),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`CpuCore::snapshot_state`]
-    /// taken on an identically configured core.
+    /// Reads back a [`CpuCore::snapshot`] record taken on an identically
+    /// configured core.
     ///
     /// # Errors
     ///
-    /// Refuses a cache level its cache refuses.
-    pub fn restore_state(&mut self, s: &CpuState) -> Result<(), String> {
-        self.l1.restore_state(&s.l1).map_err(|e| nest("l1", e))?;
-        self.l2.restore_state(&s.l2).map_err(|e| nest("l2", e))?;
-        self.cycle = s.cycle;
-        self.compute_until = s.compute_until;
-        self.next_req = s.next_req;
-        self.stats = s.stats;
+    /// Refuses a mistyped field, a compute backlog past `cycle` (the
+    /// recorded core is idle), a request sequence past
+    /// [`ReqId::MAX_SEQ`], and a cache level its cache refuses.
+    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        let cycle = f.req("cycle")?.uint_str()?;
+        let until = f.req("compute_until")?;
+        let compute_until = until.uint_str()?;
+        if compute_until > cycle {
+            let path = until.path();
+            return Err(format!("field '{path}' is past 'cycle' on an idle core"));
+        }
+        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+        let stats = CpuStats {
+            ops: f.req("ops")?.uint_str()?,
+            mem_reads: f.req("mem_reads")?.uint_str()?,
+            busy_cycles: f.req("busy_cycles")?.uint_str()?,
+        };
+        f.req("l1")?.record(|c| self.l1.restore(c))?;
+        f.req("l2")?.record(|c| self.l2.restore(c))?;
+        self.cycle = cycle;
+        self.compute_until = compute_until;
+        self.next_req = next_req;
+        self.stats = stats;
         Ok(())
     }
-}
-
-/// Serializable mutable state of a quiescent [`CpuCore`] (see
-/// [`CpuCore::snapshot_state`]).
-#[derive(Debug, Clone, Default)]
-pub struct CpuState {
-    /// Core cycle counter.
-    pub cycle: u64,
-    /// Compute-backlog deadline (≤ `cycle` when idle).
-    pub compute_until: u64,
-    /// Last allocated request sequence number.
-    pub next_req: u64,
-    /// Execution counters.
-    pub stats: CpuStats,
-    /// L1 data cache state.
-    pub l1: memnet_gpu::cache::CacheState,
-    /// L2 cache state.
-    pub l2: memnet_gpu::cache::CacheState,
 }
 
 /// A `memcpy` job for the DMA engine.
@@ -436,24 +437,31 @@ impl DmaEngine {
         self.mem_out.pop_front()
     }
 
-    /// Captures the mutable state for checkpointing. Only valid while the
-    /// engine is idle (no jobs, no queued requests).
+    /// The snapshot record. Only valid while the engine is idle (no jobs,
+    /// no queued requests).
     ///
     /// # Panics
     ///
     /// Panics if a copy is still in flight.
-    pub fn snapshot_state(&self) -> DmaState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(!self.busy(), "DMA snapshot requires a quiescent boundary");
-        DmaState {
-            next_req: self.next_req,
-            bytes_copied: self.bytes_copied,
-        }
+        JsonValue::object([
+            ("next_req", u64_str(self.next_req)),
+            ("bytes_copied", u64_str(self.bytes_copied)),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`DmaEngine::snapshot_state`].
-    pub fn restore_state(&mut self, s: &DmaState) {
-        self.next_req = s.next_req;
-        self.bytes_copied = s.bytes_copied;
+    /// Reads back a [`DmaEngine::snapshot`] record.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a mistyped field and a request sequence past
+    /// [`ReqId::MAX_SEQ`].
+    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+        self.bytes_copied = f.req("bytes_copied")?.uint_str()?;
+        self.next_req = next_req;
+        Ok(())
     }
 
     /// Delivers a read response: emits the matching write to the
@@ -482,16 +490,6 @@ impl DmaEngine {
             self.jobs.pop_front();
         }
     }
-}
-
-/// Serializable mutable state of an idle [`DmaEngine`] (see
-/// [`DmaEngine::snapshot_state`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DmaState {
-    /// Last allocated request sequence number.
-    pub next_req: u64,
-    /// Total bytes whose writes have been issued.
-    pub bytes_copied: u64,
 }
 
 #[cfg(test)]

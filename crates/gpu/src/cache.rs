@@ -5,7 +5,8 @@
 //! the latest committed value under the relaxed consistency model. This
 //! cache is timing-only (tags, no data).
 
-use memnet_common::config::{fit_len, CacheConfig};
+use memnet_common::config::CacheConfig;
+use memnet_obs::json::{u64_str, Fields, JsonValue};
 use std::collections::BTreeMap;
 
 /// Hit/miss counters.
@@ -176,51 +177,54 @@ impl Cache {
         self.stats
     }
 
-    /// Captures the full mutable state (tags, validity, LRU stamps, tick,
-    /// counters) for checkpointing. Geometry is not captured — a restored
-    /// cache must be built from the same [`CacheConfig`].
-    pub fn snapshot_state(&self) -> CacheState {
-        let mut ways = Vec::with_capacity(self.sets.len() * self.sets[0].len());
-        for set in &self.sets {
-            for w in set {
-                ways.push((w.tag, w.valid, w.lru));
-            }
-        }
-        CacheState {
-            ways,
-            tick: self.tick,
-            stats: self.stats,
-        }
+    /// The snapshot record: every way as a flat `(tag, valid, lru)` row,
+    /// set-major, then the LRU clock and the counters. Geometry is not
+    /// recorded — a restored cache must be built from the same
+    /// [`CacheConfig`].
+    pub fn snapshot(&self) -> JsonValue {
+        let ways = self.sets.iter().flatten();
+        let cells = ways.flat_map(|w| [u64_str(w.tag), u64_str(w.valid.into()), u64_str(w.lru)]);
+        let s = &self.stats;
+        JsonValue::object([
+            ("ways", JsonValue::Array(cells.collect())),
+            ("tick", u64_str(self.tick)),
+            ("read_hits", u64_str(s.read_hits)),
+            ("read_misses", u64_str(s.read_misses)),
+            ("write_hits", u64_str(s.write_hits)),
+            ("write_misses", u64_str(s.write_misses)),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`Cache::snapshot_state`] taken
-    /// on an identically configured cache.
+    /// Reads back a [`Cache::snapshot`] record taken on an identically
+    /// configured cache.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a way count this cache's geometry does not have.
-    pub fn restore_state(&mut self, s: &CacheState) -> Result<(), String> {
+    /// Refuses, untouched, a mistyped field and a way count this cache's
+    /// geometry does not have.
+    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
         let assoc = self.sets[0].len();
-        fit_len("ways", s.ways.len(), self.sets.len() * assoc)?;
-        for (i, &(tag, valid, lru)) in s.ways.iter().enumerate() {
-            self.sets[i / assoc][i % assoc] = Way { tag, valid, lru };
+        let ways = f.req("ways")?.rows(3, Some(self.sets.len() * assoc), |c| {
+            Ok(Way {
+                tag: c[0].u64_str()?,
+                valid: c[1].uint_str()? != 0,
+                lru: c[2].uint_str()?,
+            })
+        })?;
+        let tick = f.req("tick")?.uint_str()?;
+        let stats = CacheStats {
+            read_hits: f.req("read_hits")?.uint_str()?,
+            read_misses: f.req("read_misses")?.uint_str()?,
+            write_hits: f.req("write_hits")?.uint_str()?,
+            write_misses: f.req("write_misses")?.uint_str()?,
+        };
+        for (i, w) in ways.into_iter().enumerate() {
+            self.sets[i / assoc][i % assoc] = w;
         }
-        self.tick = s.tick;
-        self.stats = s.stats;
+        self.tick = tick;
+        self.stats = stats;
         Ok(())
     }
-}
-
-/// Serializable mutable state of a [`Cache`] (see
-/// [`Cache::snapshot_state`]). Ways are flattened set-major.
-#[derive(Debug, Clone, Default)]
-pub struct CacheState {
-    /// `(tag, valid, lru)` per way, set-major.
-    pub ways: Vec<(u64, bool, u64)>,
-    /// LRU clock.
-    pub tick: u64,
-    /// Hit/miss counters.
-    pub stats: CacheStats,
 }
 
 /// A waiter for an outstanding miss: opaque token returned to the owner

@@ -10,8 +10,9 @@
 use crate::cache::{Cache, CacheStats, MshrResult, MshrTable};
 use crate::kernel::KernelModel;
 use crate::sm::{L2Req, Sm, SmStats};
-use memnet_common::config::{nest, GpuConfig};
+use memnet_common::config::GpuConfig;
 use memnet_common::{AccessKind, Agent, GpuId, MemReq, MemResp, ReqId};
+use memnet_obs::json::{u64_str, Fields, JsonValue};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -439,39 +440,53 @@ impl Gpu {
         }
     }
 
-    /// Captures the mutable state for checkpointing. Only valid at a
-    /// quiescent phase boundary: no pending CTAs, no in-flight requests,
-    /// no crossbar traffic — everything transient must have drained.
+    /// The snapshot record. Only valid at a quiescent phase boundary: no
+    /// pending CTAs, no in-flight requests, no crossbar traffic —
+    /// everything transient must have drained. SM-internal state
+    /// (resident CTAs, L1 contents) is absent: a quiescent GPU has none.
     ///
     /// # Panics
     ///
     /// Panics if the GPU still holds in-flight work.
-    pub fn snapshot_state(&self) -> GpuState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(
             !self.busy(),
             "GPU snapshot requires a quiescent phase boundary"
         );
-        GpuState {
-            dead: self.dead,
-            core_cycle: self.core_cycle,
-            next_req: self.next_req,
-            mem_reqs: self.mem_reqs,
-            l2: self.l2.snapshot_state(),
-        }
+        JsonValue::object([
+            ("dead", JsonValue::Bool(self.dead)),
+            ("core_cycle", u64_str(self.core_cycle)),
+            ("next_req", u64_str(self.next_req)),
+            ("mem_reqs", u64_str(self.mem_reqs)),
+            ("l2", self.l2.snapshot()),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`Gpu::snapshot_state`] taken
-    /// on an identically configured GPU at a quiescent boundary.
+    /// Reads back a [`Gpu::snapshot`] record taken on an identically
+    /// configured GPU at a quiescent boundary. `core_cycle` is the core
+    /// clock's restored cycle, which a GPU's own count equals there.
     ///
     /// # Errors
     ///
-    /// Refuses an L2 the cache refuses (see [`Cache::restore_state`]).
-    pub fn restore_state(&mut self, s: &GpuState) -> Result<(), String> {
-        self.l2.restore_state(&s.l2).map_err(|e| nest("l2", e))?;
-        self.dead = s.dead;
-        self.core_cycle = s.core_cycle;
-        self.next_req = s.next_req;
-        self.mem_reqs = s.mem_reqs;
+    /// Refuses a mistyped field, a core cycle off the clock, a request
+    /// sequence past [`ReqId::MAX_SEQ`], and an L2 the cache refuses (see
+    /// [`Cache::restore`]).
+    pub fn restore(&mut self, f: &Fields, core_cycle: u64) -> Result<(), String> {
+        let dead = f.req("dead")?.bool()?;
+        let cycle = f.req("core_cycle")?;
+        if cycle.uint_str()? != core_cycle {
+            let path = cycle.path();
+            return Err(format!(
+                "field '{path}' is not the core clock's cycle {core_cycle}"
+            ));
+        }
+        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+        let mem_reqs = f.req("mem_reqs")?.uint_str()?;
+        f.req("l2")?.record(|c| self.l2.restore(c))?;
+        self.dead = dead;
+        self.core_cycle = core_cycle;
+        self.next_req = next_req;
+        self.mem_reqs = mem_reqs;
         self.busy_cache = false;
         for sm in &mut self.sms {
             sm.wake();
@@ -498,23 +513,6 @@ impl Gpu {
         }
         s
     }
-}
-
-/// Serializable mutable state of a quiescent [`Gpu`] (see
-/// [`Gpu::snapshot_state`]). SM-internal state (resident CTAs, L1
-/// contents) is deliberately absent: a quiescent GPU has none.
-#[derive(Debug, Clone, Default)]
-pub struct GpuState {
-    /// True after a [`Gpu::fail`] fault.
-    pub dead: bool,
-    /// Core-clock cycle counter.
-    pub core_cycle: u64,
-    /// Last allocated request sequence number.
-    pub next_req: u64,
-    /// Off-chip requests issued so far.
-    pub mem_reqs: u64,
-    /// Shared L2 tag/LRU/counter state.
-    pub l2: crate::cache::CacheState,
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod gpu;
 pub mod kernel;
 pub mod sm;
 
-pub use cache::{Cache, CacheState, CacheStats, MshrTable};
-pub use gpu::{Gpu, GpuState, GpuStats};
+pub use cache::{Cache, CacheStats, MshrTable};
+pub use gpu::{Gpu, GpuStats};
 pub use kernel::{CtaOp, CtaStream, KernelModel, MemAccess};
 pub use sm::Sm;

@@ -8,8 +8,9 @@
 //! (Section III-D).
 
 use crate::vault::{Vault, VaultStats};
-use memnet_common::config::{fit_len, nest, HmcConfig};
+use memnet_common::config::HmcConfig;
 use memnet_common::MemReq;
+use memnet_obs::json::{u64_str, u64_strs, Fields, JsonValue};
 use memnet_obs::Tracer;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -78,11 +79,6 @@ impl HmcDevice {
         let v = (vault % self.vaults.len() as u64) as usize;
         self.stalled_until[v] = self.stalled_until[v].max(until_tck);
         self.stalls += 1;
-    }
-
-    /// Vault-stall events injected so far.
-    pub fn stall_count(&self) -> u64 {
-        self.stalls
     }
 
     /// True if `vault` can accept another request.
@@ -180,46 +176,48 @@ impl HmcDevice {
         !self.has_work()
     }
 
-    /// Captures the mutable state for checkpointing. Only valid while the
-    /// cube is drained (no queued requests, no pending completions) — a
-    /// quiescent phase boundary. `stalled_until` deadlines are preserved
-    /// verbatim so vault-stall faults injected before the snapshot keep
-    /// acting after restore.
+    /// The snapshot record. Only valid while the cube is drained (no
+    /// queued requests, no pending completions) — a quiescent phase
+    /// boundary. `stalled_until` deadlines are preserved verbatim so
+    /// vault-stall faults injected before the snapshot keep acting after
+    /// restore.
     ///
     /// # Panics
     ///
     /// Panics if any request is in flight.
-    pub fn snapshot_state(&self) -> HmcState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(
             !self.has_work() && self.completions.is_empty(),
             "HMC snapshot requires a drained cube (quiescent phase boundary)"
         );
-        HmcState {
-            seq: self.seq,
-            stalled_until: self.stalled_until.clone(),
-            stalls: self.stalls,
-            vaults: self.vaults.iter().map(Vault::snapshot_state).collect(),
-        }
+        let stalled = u64_strs(self.stalled_until.iter().copied());
+        let vaults = self.vaults.iter().map(Vault::snapshot).collect();
+        JsonValue::object([
+            ("seq", u64_str(self.seq)),
+            ("stalled_until", stalled),
+            ("stalls", u64_str(self.stalls)),
+            ("vaults", JsonValue::Array(vaults)),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`HmcDevice::snapshot_state`]
-    /// taken on an identically configured cube.
+    /// Reads back a [`HmcDevice::snapshot`] record taken on an identically
+    /// configured cube.
     ///
     /// # Errors
     ///
-    /// Refuses a stall-deadline or vault count this cube does not have,
-    /// and a vault its vault refuses.
-    pub fn restore_state(&mut self, s: &HmcState) -> Result<(), String> {
-        let vaults = self.vaults.len();
-        fit_len("stalled_until", s.stalled_until.len(), vaults)?;
-        fit_len("vaults", s.vaults.len(), vaults)?;
-        for (j, (v, vs)) in self.vaults.iter_mut().zip(&s.vaults).enumerate() {
-            v.restore_state(vs)
-                .map_err(|e| nest(format_args!("vaults[{j}]"), e))?;
+    /// Refuses a mistyped field, a stall-deadline or vault count this cube
+    /// does not have, and a vault record its vault refuses.
+    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        let n = self.vaults.len();
+        let seq = f.req("seq")?.uint_str()?;
+        let stalled_until = f.req("stalled_until")?.list_of(n, |x| x.uint_str())?;
+        let stalls = f.req("stalls")?.uint_str()?;
+        for (v, x) in self.vaults.iter_mut().zip(f.req("vaults")?.list_of(n, Ok)?) {
+            x.record(|r| v.restore(r))?;
         }
-        self.seq = s.seq;
-        self.stalled_until.clone_from(&s.stalled_until);
-        self.stalls = s.stalls;
+        self.seq = seq;
+        self.stalled_until = stalled_until;
+        self.stalls = stalls;
         self.completions.clear();
         self.inflight = 0;
         Ok(())
@@ -237,20 +235,6 @@ impl HmcDevice {
         }
         s
     }
-}
-
-/// Serializable mutable state of a drained [`HmcDevice`] (see
-/// [`HmcDevice::snapshot_state`]).
-#[derive(Debug, Clone, Default)]
-pub struct HmcState {
-    /// Completion tie-break sequence counter.
-    pub seq: u64,
-    /// Per-vault fault-stall deadlines (exclusive, absolute tCK).
-    pub stalled_until: Vec<u64>,
-    /// Cumulative vault-stall events injected.
-    pub stalls: u64,
-    /// Per-vault controller state.
-    pub vaults: Vec<crate::vault::VaultState>,
 }
 
 #[cfg(test)]
@@ -388,7 +372,7 @@ mod tests {
         let mut d = HmcDevice::new(&cfg);
         d.stall_vault(3, 5_000);
         d.stall_vault(3, 1_000);
-        assert_eq!(d.stall_count(), 2);
+        assert_eq!(d.stalls, 2);
         d.try_accept(req(0), 3, 0, 0).unwrap();
         for now in 0..4_999 {
             d.tick(now);
@@ -405,7 +389,7 @@ mod tests {
         let mut d = HmcDevice::new(&cfg);
         let n = d.vault_count() as u64;
         d.stall_vault(n + 2, 100); // targets vault 2, no panic
-        assert_eq!(d.stall_count(), 1);
+        assert_eq!(d.stalls, 1);
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub mod device;
 pub mod mapping;
 pub mod vault;
 
-pub use device::{HmcDevice, HmcState};
+pub use device::HmcDevice;
 pub use mapping::{AddressMap, Location};
-pub use vault::{BankState, Vault, VaultState};
+pub use vault::Vault;

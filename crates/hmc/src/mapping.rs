@@ -170,6 +170,12 @@ impl AddressMap {
         (high << (low_bits + self.ct_bits)) | ((cluster as u64) << low_bits) | low
     }
 
+    /// How many pages [`AddressMap::page_for_cluster`] places on one
+    /// cluster before a page's byte address would pass 2^64.
+    pub fn pages_per_cluster(&self) -> u64 {
+        1 << (64 - self.page_bits - self.ct_bits)
+    }
+
     /// The cluster a physical page lives on.
     pub fn page_cluster(&self, page: u64) -> u32 {
         let low_bits = self.ct_shift() - self.page_bits;

@@ -7,8 +7,9 @@
 //! can accept a command, row hits win; ties break by age. All times are in
 //! DRAM clock cycles (tCK = 1.25 ns).
 
-use memnet_common::config::{fit_len, HmcConfig};
+use memnet_common::config::HmcConfig;
 use memnet_common::{AccessKind, MemReq};
+use memnet_obs::json::{u64_str, Fields, JsonValue};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::VecDeque;
 
@@ -48,17 +49,6 @@ pub struct VaultStats {
     pub bytes: u64,
     /// Refresh commands issued.
     pub refreshes: u64,
-}
-
-impl VaultStats {
-    /// Row-hit fraction of serviced requests (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        if self.served == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / self.served as f64
-        }
-    }
 }
 
 /// One vault: queue + banks + data bus.
@@ -246,82 +236,78 @@ impl Vault {
         Some((e.req, done))
     }
 
-    /// Captures the mutable state for checkpointing. Only valid while the
-    /// queue is empty (a quiescent phase boundary). Bank timing state —
-    /// open rows, command deadlines, the staggered refresh schedule — and
-    /// the bus deadline are all in absolute tCK, so they restore verbatim.
+    /// The snapshot record. Only valid while the queue is empty (a
+    /// quiescent phase boundary). Bank timing state — open rows, command
+    /// deadlines, the staggered refresh schedule — and the bus deadline
+    /// are all in absolute tCK, so they restore verbatim.
     ///
     /// # Panics
     ///
     /// Panics if requests are still queued.
-    pub fn snapshot_state(&self) -> VaultState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(
             self.queue.is_empty(),
             "vault snapshot requires an empty request queue"
         );
-        VaultState {
-            banks: self
-                .banks
-                .iter()
-                .map(|b| BankState {
-                    open_row: b.open_row,
-                    next_cmd: b.next_cmd,
-                    activated_at: b.activated_at,
-                    write_recovery_until: b.write_recovery_until,
-                    next_refresh: b.next_refresh,
-                })
-                .collect(),
-            bus_free_at: self.bus_free_at,
-            stats: self.stats,
-        }
+        // Per bank: [open_row ("-" = closed), next_cmd, activated_at,
+        // write_recovery_until, next_refresh], flattened.
+        let banks = self.banks.iter().flat_map(|b| {
+            let row = b
+                .open_row
+                .map_or_else(|| JsonValue::String("-".into()), u64_str);
+            let deadlines = [
+                b.next_cmd,
+                b.activated_at,
+                b.write_recovery_until,
+                b.next_refresh,
+            ];
+            std::iter::once(row).chain(deadlines.map(u64_str))
+        });
+        let s = &self.stats;
+        JsonValue::object([
+            ("banks", JsonValue::Array(banks.collect())),
+            ("bus_free_at", u64_str(self.bus_free_at)),
+            ("row_hits", u64_str(s.row_hits)),
+            ("row_misses", u64_str(s.row_misses)),
+            ("served", u64_str(s.served)),
+            ("bytes", u64_str(s.bytes)),
+            ("refreshes", u64_str(s.refreshes)),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`Vault::snapshot_state`] taken
-    /// on an identically configured vault.
+    /// Reads back a [`Vault::snapshot`] record taken on an identically
+    /// configured vault.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a bank count this vault does not have.
-    pub fn restore_state(&mut self, s: &VaultState) -> Result<(), String> {
-        fit_len("banks", s.banks.len(), self.banks.len())?;
-        for (b, bs) in self.banks.iter_mut().zip(&s.banks) {
-            b.open_row = bs.open_row;
-            b.next_cmd = bs.next_cmd;
-            b.activated_at = bs.activated_at;
-            b.write_recovery_until = bs.write_recovery_until;
-            b.next_refresh = bs.next_refresh;
-        }
-        self.bus_free_at = s.bus_free_at;
-        self.stats = s.stats;
+    /// Refuses, untouched, a mistyped field and a bank count this vault
+    /// does not have.
+    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+        let banks = f.req("banks")?.rows(5, Some(self.banks.len()), |c| {
+            Ok(Bank {
+                open_row: match c[0].str()? {
+                    "-" => None,
+                    _ => Some(c[0].uint_str()?),
+                },
+                next_cmd: c[1].uint_str()?,
+                activated_at: c[2].uint_str()?,
+                write_recovery_until: c[3].uint_str()?,
+                next_refresh: c[4].uint_str()?,
+            })
+        })?;
+        let bus_free_at = f.req("bus_free_at")?.uint_str()?;
+        let stats = VaultStats {
+            row_hits: f.req("row_hits")?.uint_str()?,
+            row_misses: f.req("row_misses")?.uint_str()?,
+            served: f.req("served")?.uint_str()?,
+            bytes: f.req("bytes")?.uint_str()?,
+            refreshes: f.req("refreshes")?.uint_str()?,
+        };
+        self.banks = banks;
+        self.bus_free_at = bus_free_at;
+        self.stats = stats;
         Ok(())
     }
-}
-
-/// Serializable timing state of one DRAM bank (see
-/// [`Vault::snapshot_state`]). All deadlines are absolute tCK.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BankState {
-    /// The open row, if any.
-    pub open_row: Option<u64>,
-    /// Earliest tCK the next command may issue.
-    pub next_cmd: u64,
-    /// When the current row was activated.
-    pub activated_at: u64,
-    /// End of write recovery.
-    pub write_recovery_until: u64,
-    /// Next scheduled refresh.
-    pub next_refresh: u64,
-}
-
-/// Serializable mutable state of a quiescent [`Vault`].
-#[derive(Debug, Clone, Default)]
-pub struct VaultState {
-    /// Per-bank timing state.
-    pub banks: Vec<BankState>,
-    /// TSV data-bus deadline, absolute tCK.
-    pub bus_free_at: u64,
-    /// Scheduling counters.
-    pub stats: VaultStats,
 }
 
 #[cfg(test)]
@@ -486,11 +472,8 @@ mod tests {
             }
             now += 1;
         }
-        assert!(
-            v.stats().hit_rate() > 0.9,
-            "hit rate {}",
-            v.stats().hit_rate()
-        );
+        let s = v.stats();
+        assert!(s.row_hits * 10 > s.served * 9, "{s:?}");
     }
 }
 

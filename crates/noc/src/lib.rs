@@ -59,9 +59,6 @@ pub mod topo;
 pub mod traffic;
 
 pub use builder::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
-pub use network::{
-    ChannelState, EjectedPacket, FailedPacket, LinkUtilization, NetStats, Network, NetworkState,
-    RoutingPolicy,
-};
+pub use network::{EjectedPacket, FailedPacket, LinkUtilization, NetStats, Network, RoutingPolicy};
 pub use packet::{MsgClass, Packet, PacketId};
 pub use traffic::{LoadPoint, Pattern};

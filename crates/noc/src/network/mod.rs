@@ -15,7 +15,6 @@ mod stats;
 mod tests;
 mod tick;
 
-pub use snapshot::{ChannelState, NetworkState};
 pub use stats::LinkUtilization;
 
 use crate::builder::{LinkSpec, LinkTag};
@@ -338,7 +337,7 @@ pub struct Network {
 
     events: CalendarQueue<Ev>,
     /// Events ever scheduled. Nothing orders by it any more (the queue's
-    /// buckets are FIFO), but it is part of [`NetworkState`].
+    /// buckets are FIFO), but the snapshot record carries it.
     seq: u64,
     cycle: u64,
     in_network: u64,

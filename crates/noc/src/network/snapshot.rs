@@ -1,66 +1,26 @@
-//! What a quiescent network carries across a checkpoint, and the checks a
-//! restored state must pass before it replaces the live one.
+//! What a quiescent network writes into a checkpoint, and the checks its
+//! record must pass before it replaces the live state.
 
 use super::{NetStats, Network};
-use crate::packet::PacketId;
-use memnet_common::config::fit_len;
+use memnet_common::stats::RunningStats;
 use memnet_common::SplitMix64;
-
-/// Serializable mutable state of one directed channel (see
-/// [`Network::snapshot_state`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChannelState {
-    /// False while the owning link is fault-injected down.
-    pub up: bool,
-    /// Retransmit serialization multiplier; 1 = clean.
-    pub degrade: u32,
-    /// Serialization deadline, absolute network cycles.
-    pub busy_until: u64,
-    /// Bytes moved (utilization/energy numerator).
-    pub bytes_moved: u64,
-    /// Serialization-busy cycles (utilization numerator).
-    pub busy_cycles: u64,
-}
-
-/// Serializable mutable state of a quiescent [`Network`] (see
-/// [`Network::snapshot_state`]).
-#[derive(Debug, Clone, Default)]
-pub struct NetworkState {
-    /// Router-clock cycle.
-    pub cycle: u64,
-    /// Event tie-break sequence counter.
-    pub seq: u64,
-    /// Routing RNG internal state.
-    pub rng_state: u64,
-    /// Packet-slot arena size.
-    pub packet_slots: u64,
-    /// Free packet-slot ids, in stack order — determines future
-    /// [`PacketId`] assignment and thus hash-spread port choices.
-    pub free_pids: Vec<PacketId>,
-    /// Per builder link: up/down fault state.
-    pub link_up: Vec<bool>,
-    /// Per directed channel: fault and utilization state.
-    pub channels: Vec<ChannelState>,
-    /// Aggregate delivery statistics.
-    pub stats: NetStats,
-}
+use memnet_obs::json::{f64_bits, u64_str, u64_strs, Fields, JsonValue};
 
 impl Network {
-    /// Captures the mutable state for checkpointing. Only valid while the
-    /// fabric is quiescent with every eject queue drained — at that point
-    /// all credits are provably back at capacity (see [`Network::audit`])
-    /// and no packet slot is live, so topology, buffers and credits need
-    /// no serialization. What *does* carry over: the cycle counter, the
-    /// event tie-break sequence, the routing RNG, the packet-slot free
-    /// list (its order determines future [`PacketId`] assignment and thus
-    /// minimal-port hash spreading), fault state (links down, BER
-    /// degrades), per-channel utilization counters, and the aggregate
-    /// stats.
+    /// The snapshot record. Only valid while the fabric is quiescent with
+    /// every eject queue drained — at that point all credits are provably
+    /// back at capacity (see [`Network::audit`]) and no packet slot is
+    /// live, so topology, buffers and credits need no record. What *does*
+    /// carry over: the cycle counter, the event tie-break sequence, the
+    /// routing RNG, the packet-slot free list (its order determines future
+    /// [`PacketId`](crate::PacketId) assignment and thus minimal-port hash
+    /// spreading), fault state (links down, BER degrades), per-channel
+    /// utilization counters, and the aggregate stats.
     ///
     /// # Panics
     ///
     /// Panics if the fabric still owns packets, events or queued ejects.
-    pub fn snapshot_state(&self) -> NetworkState {
+    pub fn snapshot(&self) -> JsonValue {
         assert!(
             self.is_quiescent(),
             "network snapshot requires a quiescent fabric"
@@ -76,90 +36,167 @@ impl Network {
             self.packets.len(),
             "network snapshot requires every packet slot to be free"
         );
-        NetworkState {
-            cycle: self.cycle,
-            seq: self.seq,
-            rng_state: self.rng.state(),
-            packet_slots: self.packets.len() as u64,
-            free_pids: self.free_pids.clone(),
-            link_up: (0..self.link_rtrs.len())
-                .map(|li| self.channels[Self::link_channels(li)[0]].up)
-                .collect(),
-            channels: self
-                .channels
-                .iter()
-                .map(|c| ChannelState {
-                    up: c.up,
-                    degrade: c.degrade,
-                    busy_until: c.busy_until,
-                    bytes_moved: c.bytes_moved,
-                    busy_cycles: c.busy_cycles,
-                })
-                .collect(),
-            stats: self.stats.clone(),
-        }
+        let link_up = (0..self.link_rtrs.len())
+            .map(|li| JsonValue::Bool(self.channels[Self::link_channels(li)[0]].up));
+        // Per channel: [up, degrade, busy_until, bytes_moved, busy_cycles].
+        let channels = self.channels.iter().flat_map(|c| {
+            let (up, degrade) = (u64::from(c.up), u64::from(c.degrade));
+            [up, degrade, c.busy_until, c.bytes_moved, c.busy_cycles]
+        });
+        JsonValue::object([
+            ("cycle", u64_str(self.cycle)),
+            ("seq", u64_str(self.seq)),
+            ("rng_state", u64_str(self.rng.state())),
+            ("packet_slots", u64_str(self.packets.len() as u64)),
+            (
+                "free_pids",
+                u64_strs(self.free_pids.iter().map(|&p| u64::from(p))),
+            ),
+            ("link_up", JsonValue::Array(link_up.collect())),
+            ("channels", u64_strs(channels)),
+            ("stats", stats_record(&self.stats)),
+        ])
     }
 
-    /// Overwrites the mutable state from a [`Network::snapshot_state`]
-    /// taken on a network built from the identical topology. Route tables
-    /// are recomputed from the restored link states.
+    /// Reads back a [`Network::snapshot`] record taken on a network built
+    /// from the identical topology. `cycle` is the network clock's
+    /// restored cycle, which the fabric's own count equals there. Route
+    /// tables are recomputed from the restored link states.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a link or channel count this network does not
-    /// have, a free list that is not a permutation of the packet slots — a
-    /// quiescent fabric owns no packet — and a channel no run can reach: a
-    /// degrade of 0 (a free wire), an `up` that disagrees with its link's
-    /// `link_up`, or an endpoint channel that is down (no fault takes one
-    /// down, and nothing would bring it back).
-    pub fn restore_state(&mut self, s: &NetworkState) -> Result<(), String> {
-        fit_len("link_up", s.link_up.len(), self.link_rtrs.len())?;
-        fit_len("channels", s.channels.len(), self.channels.len())?;
-        let mut free = s.free_pids.clone();
-        free.sort_unstable();
-        let slots = s.packet_slots;
-        if !free.iter().map(|&p| u64::from(p)).eq(0..slots) {
+    /// Refuses, untouched, a mistyped field, a cycle off the clock, a link
+    /// or channel count this network does not have, a free list that is
+    /// not a permutation of the packet slots — a quiescent fabric owns no
+    /// packet; checked before the slab is allocated — and a channel no run
+    /// can reach: a degrade of 0 (a free wire), an `up` that disagrees
+    /// with its link's `link_up`, or an endpoint channel that is down (no
+    /// fault takes one down, and nothing would bring it back).
+    pub fn restore(&mut self, f: &Fields, cycle: u64) -> Result<(), String> {
+        let at = f.req("cycle")?;
+        if at.uint_str()? != cycle {
+            let path = at.path();
             return Err(format!(
-                "field 'free_pids' is not a permutation of the {slots} packet slots"
+                "field '{path}' is not the network clock's cycle {cycle}"
             ));
         }
-        for (i, c) in s.channels.iter().enumerate() {
-            if c.degrade == 0 {
+        let seq = f.req("seq")?.uint_str()?;
+        let rng_state = f.req("rng_state")?.u64_str()?;
+        let slots = f.req("packet_slots")?.uint_str()?;
+        let free = f.req("free_pids")?;
+        let free_pids = free.list(|x| x.u32_str())?;
+        let mut sorted = free_pids.clone();
+        sorted.sort_unstable();
+        if !sorted.iter().map(|&p| u64::from(p)).eq(0..slots) {
+            let path = free.path();
+            return Err(format!(
+                "field '{path}' is not a permutation of the {slots} 'packet_slots'"
+            ));
+        }
+        let link_up = f
+            .req("link_up")?
+            .list_of(self.link_rtrs.len(), |x| x.bool())?;
+        let rows = f.req("channels")?;
+        let channels = rows.rows(5, Some(self.channels.len()), |c| {
+            let up = c[0].uint_str()? != 0;
+            let counts = (c[2].uint_str()?, c[3].uint_str()?, c[4].uint_str()?);
+            Ok((up, c[1].u32_str()?, counts))
+        })?;
+        let path = rows.path();
+        for (i, &(up, degrade, _)) in channels.iter().enumerate() {
+            if degrade == 0 {
                 return Err(format!(
-                    "field 'channels[{i}]' has degrade 0; a clean channel has 1"
+                    "field '{path}[{i}]' has degrade 0; a clean channel has 1"
                 ));
             }
             // Link `li` owns channels 2·li and 2·li + 1; the rest are
             // endpoints' links, which are always up.
-            let up = s.link_up.get(i / 2).copied().unwrap_or(true);
-            if c.up != up {
+            let link = link_up.get(i / 2).copied().unwrap_or(true);
+            if up != link {
                 let state = |up: bool| if up { "up" } else { "down" };
-                let (got, want) = (state(c.up), state(up));
+                let (got, want) = (state(up), state(link));
                 return Err(format!(
-                    "field 'channels[{i}]' is {got}, but its link is {want}"
+                    "field '{path}[{i}]' is {got}, but its link is {want}"
                 ));
             }
         }
-        self.cycle = s.cycle;
-        self.seq = s.seq;
-        self.rng = SplitMix64::new(s.rng_state);
-        self.packets = (0..s.packet_slots).map(|_| None).collect();
+        let stats = f.req("stats")?.record(read_stats)?;
+        self.cycle = cycle;
+        self.seq = seq;
+        self.rng = SplitMix64::new(rng_state);
+        self.packets = (0..slots).map(|_| None).collect();
         self.next = vec![0; self.packets.len()];
         self.ready_ports.0.fill(0);
         self.ready_eps.0.fill(0);
-        self.free_pids.clone_from(&s.free_pids);
-        for (c, cs) in self.channels.iter_mut().zip(&s.channels) {
-            c.up = cs.up;
-            c.degrade = cs.degrade;
-            c.busy_until = cs.busy_until;
-            c.bytes_moved = cs.bytes_moved;
-            c.busy_cycles = cs.busy_cycles;
+        self.free_pids = free_pids;
+        for (c, (up, degrade, counts)) in self.channels.iter_mut().zip(channels) {
+            c.up = up;
+            c.degrade = degrade;
+            (c.busy_until, c.bytes_moved, c.busy_cycles) = counts;
         }
         self.events.clear();
         self.failed_q.clear();
         self.in_network = 0;
-        self.stats = s.stats.clone();
+        self.stats = stats;
         self.recompute_routes();
         Ok(())
     }
+}
+
+/// An accumulator as `{count, sum, min, max}`, the ±∞ sentinels of an
+/// empty one included.
+fn running(s: &RunningStats) -> JsonValue {
+    let (count, sum, min, max) = s.raw();
+    JsonValue::object([
+        ("count", u64_str(count)),
+        ("sum", f64_bits(sum)),
+        ("min", f64_bits(min)),
+        ("max", f64_bits(max)),
+    ])
+}
+
+fn read_running(f: &Fields) -> Result<RunningStats, String> {
+    let bits = |key| f.req(key)?.f64_bits();
+    let count = f.req("count")?.uint_str()?;
+    Ok(RunningStats::from_raw(
+        count,
+        bits("sum")?,
+        bits("min")?,
+        bits("max")?,
+    ))
+}
+
+fn stats_record(s: &NetStats) -> JsonValue {
+    JsonValue::object([
+        ("delivered", u64_str(s.delivered)),
+        ("latency", running(&s.latency)),
+        ("hops", running(&s.hops)),
+        ("nonminimal", u64_str(s.nonminimal)),
+        ("passthrough", u64_str(s.passthrough)),
+        ("bytes_delivered", u64_str(s.bytes_delivered)),
+        ("flits_injected", u64_str(s.flits_injected)),
+        ("reroutes", u64_str(s.reroutes)),
+        ("retries", u64_str(s.retries)),
+        ("dead_letters", u64_str(s.dead_letters)),
+        ("packets_injected", u64_str(s.packets_injected)),
+        ("flit_hops", u64_str(s.flit_hops)),
+    ])
+}
+
+fn read_stats(f: &Fields) -> Result<NetStats, String> {
+    let count = |key| f.req(key)?.uint_str();
+    Ok(NetStats {
+        delivered: count("delivered")?,
+        latency: f.req("latency")?.record(read_running)?,
+        hops: f.req("hops")?.record(read_running)?,
+        nonminimal: count("nonminimal")?,
+        passthrough: count("passthrough")?,
+        bytes_delivered: count("bytes_delivered")?,
+        flits_injected: count("flits_injected")?,
+        reroutes: count("reroutes")?,
+        retries: count("retries")?,
+        dead_letters: count("dead_letters")?,
+        packets_injected: count("packets_injected")?,
+        flit_hops: count("flit_hops")?,
+    })
 }

@@ -1,6 +1,7 @@
 use super::*;
 use crate::builder::{LinkSpec, NetworkBuilder, NocParams};
 use memnet_common::{AccessKind, Agent, GpuId, MemReq, ReqId};
+use memnet_obs::json::Field;
 
 fn payload(bytes: u32, kind: AccessKind, id: u64) -> Payload {
     Payload::Req(MemReq {
@@ -539,12 +540,14 @@ fn a_restored_network_continues_like_the_original() {
     let (mut net, eps) = overlay_mesh(RoutingPolicy::Ugal);
     random_traffic(&mut net, &eps, 7, 0);
     net.tick(); // the last credit returns
-    let state = net.snapshot_state();
+    let record = net.snapshot();
     let (mut restored, _) = overlay_mesh(RoutingPolicy::Ugal);
-    restored.restore_state(&state).expect("same topology");
+    Field::root(&record, "")
+        .record(|f| restored.restore(f, net.cycle()))
+        .expect("same topology");
     assert_eq!(restored.ready_ports.next_from(0), None);
     assert_eq!(restored.ready_eps.next_from(0), None);
-    assert_eq!(restored.next.len() as u64, state.packet_slots);
+    assert_eq!(restored.next.len(), net.packets.len());
     let outcome = |net: &mut Network| {
         let start = net.cycle();
         let injected = random_traffic(net, &eps, 8, start);

@@ -6,7 +6,7 @@
 //!
 //! * [`JsonWriter`] — a push-style writer (compact or pretty) used by the
 //!   Chrome-trace exporter and the experiment artifacts;
-//! * [`ToJson`] — implemented for primitives, strings, slices, options and
+//! * [`ToJson`] — implemented for primitives, strings, slices and
 //!   (via [`to_json_struct!`](crate::to_json_struct)) plain structs;
 //! * [`parse`] — a strict parser into [`JsonValue`] for reading artifacts
 //!   back (e.g. the fig. 17 energy bench re-reads fig. 16's output);
@@ -215,12 +215,6 @@ impl JsonWriter {
         let _ = write!(self.out, "{v}");
     }
 
-    /// Writes a signed integer.
-    pub fn int(&mut self, v: i64) {
-        self.pre_value();
-        let _ = write!(self.out, "{v}");
-    }
-
     /// Writes a boolean.
     pub fn boolean(&mut self, v: bool) {
         self.pre_value();
@@ -267,26 +261,11 @@ macro_rules! impl_tojson_uint {
         }
     )*};
 }
-macro_rules! impl_tojson_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn write_json(&self, w: &mut JsonWriter) {
-                w.int(*self as i64);
-            }
-        }
-    )*};
-}
 impl_tojson_uint!(u8, u16, u32, u64, usize);
-impl_tojson_int!(i8, i16, i32, i64, isize);
 
 impl ToJson for f64 {
     fn write_json(&self, w: &mut JsonWriter) {
         w.number(*self);
-    }
-}
-impl ToJson for f32 {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.number(*self as f64);
     }
 }
 impl ToJson for bool {
@@ -321,14 +300,6 @@ impl<T: ToJson> ToJson for [T] {
 impl<T: ToJson> ToJson for Vec<T> {
     fn write_json(&self, w: &mut JsonWriter) {
         self.as_slice().write_json(w);
-    }
-}
-impl<T: ToJson> ToJson for Option<T> {
-    fn write_json(&self, w: &mut JsonWriter) {
-        match self {
-            Some(v) => v.write_json(w),
-            None => w.null(),
-        }
     }
 }
 
@@ -391,6 +362,16 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// An object of `members`, in order.
+    pub fn object<'k>(members: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Member lookup on objects; `None` otherwise.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -727,6 +708,36 @@ impl<'a> Parser<'a> {
 /// Largest integer a JSON number carries exactly (the parser stores `f64`).
 pub const MAX_SAFE_INT: u64 = 1 << 53;
 
+/// `v` as decimal text, the snapshot's integer encoding: a JSON number
+/// would round it above 2^53. [`Field::u64_str`] and [`Field::uint_str`]
+/// read it back.
+pub fn u64_str(v: u64) -> JsonValue {
+    JsonValue::String(v.to_string())
+}
+
+/// An array of [`u64_str`] values.
+pub fn u64_strs(vs: impl IntoIterator<Item = u64>) -> JsonValue {
+    JsonValue::Array(vs.into_iter().map(u64_str).collect())
+}
+
+/// `v`'s IEEE-754 bit pattern as decimal text, the snapshot's float
+/// encoding: the writer maps NaN and ±∞ to `null`. [`Field::f64_bits`]
+/// reads it back.
+pub fn f64_bits(v: f64) -> JsonValue {
+    u64_str(v.to_bits())
+}
+
+/// Refuses an array of `got` entries at `path` where the component
+/// reading it holds `want`.
+pub fn fit_len(path: &str, got: usize, want: usize) -> Result<(), String> {
+    if got == want {
+        return Ok(());
+    }
+    Err(format!(
+        "field '{path}' holds {got} entries, this configuration has {want}"
+    ))
+}
+
 /// A strict view over one JSON object's members, carrying its dotted path.
 ///
 /// Every outside input — serve requests, workload models, fault plans,
@@ -889,11 +900,69 @@ impl<'a, 'p> Field<'a, 'p> {
         )
     }
 
-    /// A `u64` written as a decimal string (the snapshot encoding, which
-    /// keeps values above 2^53 exact).
+    /// A `u64` written by [`u64_str`], over all 64 bits: a bit pattern,
+    /// hash, RNG state or cache tag.
     pub fn u64_str(&self) -> Result<u64, String> {
-        let n = self.value.as_str().and_then(|s| s.parse().ok());
-        self.want(n, "a u64 decimal string")
+        self.want(self.decimal(), "a u64 decimal string")
+    }
+
+    /// A count, cycle, deadline or sequence number written by
+    /// [`u64_str`]: no larger than 2^53, like every other outside integer,
+    /// so a run that adds to it cannot overflow.
+    pub fn uint_str(&self) -> Result<u64, String> {
+        self.uint_str_to(MAX_SAFE_INT)
+    }
+
+    /// [`Field::uint_str`], no larger than `limit` either.
+    pub fn uint_str_to(&self, limit: u64) -> Result<u64, String> {
+        let limit = limit.min(MAX_SAFE_INT);
+        let n = self.decimal().filter(|&n| n <= limit);
+        self.want(n, format_args!("a decimal string ≤ {limit}"))
+    }
+
+    /// A `u32` written by [`u64_str`].
+    pub fn u32_str(&self) -> Result<u32, String> {
+        self.want(self.decimal(), "a u32 decimal string")
+    }
+
+    /// An `f64` written by [`f64_bits`].
+    pub fn f64_bits(&self) -> Result<f64, String> {
+        self.u64_str().map(f64::from_bits)
+    }
+
+    fn decimal<T: std::str::FromStr>(&self) -> Option<T> {
+        self.value.as_str().and_then(|s| s.parse().ok())
+    }
+
+    /// An array of exactly `len` elements, the count the reading component
+    /// holds, each converted by `each`.
+    pub fn list_of<T>(
+        &self,
+        len: usize,
+        each: impl Fn(Field<'a, 'p>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.want(self.value.as_array(), "an array")?;
+        fit_len(&self.path(), items.len(), len)?;
+        self.list(each)
+    }
+
+    /// A flat array of `width`-cell rows, each converted by `each`; `len`,
+    /// when given, is the row count the reading component holds.
+    pub fn rows<T>(
+        &self,
+        width: usize,
+        len: Option<usize>,
+        each: impl Fn(&[Field<'a, 'p>]) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let cells = self.list(Ok)?;
+        let path = self.path();
+        if cells.len() % width != 0 {
+            return Err(format!("'{path}' length is not a multiple of {width}"));
+        }
+        if let Some(len) = len {
+            fit_len(&path, cells.len() / width, len)?;
+        }
+        cells.chunks_exact(width).map(each).collect()
     }
 
     /// An array, each element converted by `each` under an indexed path.
@@ -983,6 +1052,32 @@ mod tests {
         let v = parse(r#"{"n":9007199254740992}"#).expect("parse");
         let f = Fields::new(&v, "").expect("object");
         assert_eq!(f.req("n").and_then(|x| x.uint(u64::MAX)), Ok(MAX_SAFE_INT));
+    }
+
+    #[test]
+    fn snapshot_encoding_round_trips_and_caps_counts() {
+        let doc = JsonValue::object([
+            ("tag", u64_str(u64::MAX)),
+            ("count", u64_str(MAX_SAFE_INT + 1)),
+            ("min", f64_bits(f64::INFINITY)),
+            ("cells", u64_strs([1, 2, 3, 4, 5])),
+        ]);
+        let v = parse(&doc.to_json()).expect("parse");
+        let f = Fields::new(&v, "").expect("object");
+        assert_eq!(f.req("tag").and_then(|x| x.u64_str()), Ok(u64::MAX));
+        let count = f.req("count").expect("count");
+        assert_eq!(count.u64_str(), Ok(MAX_SAFE_INT + 1));
+        assert!(count.uint_str().unwrap_err().contains("'count' must be"));
+        assert!(count.u32_str().is_err());
+        assert_eq!(f.req("min").and_then(|x| x.f64_bits()), Ok(f64::INFINITY));
+        let cells = f.req("cells").expect("cells");
+        let err = cells.rows(2, None, |c| c[0].uint_str()).unwrap_err();
+        assert!(err.contains("multiple of 2"), "{err}");
+        assert_eq!(cells.rows(5, Some(1), |c| c[4].uint_str()), Ok(vec![5]));
+        assert_eq!(
+            cells.list_of(4, |x| x.uint_str()).unwrap_err(),
+            "field 'cells' holds 5 entries, this configuration has 4"
+        );
     }
 
     #[test]
@@ -1101,11 +1196,5 @@ mod tests {
         let src = r#"{"k":[true,false,null,"s",1.25]}"#;
         let v = parse(src).expect("parse");
         assert_eq!(v.to_json(), src);
-    }
-
-    #[test]
-    fn options_and_slices() {
-        let xs: Vec<Option<u32>> = vec![Some(1), None];
-        assert_eq!(xs.to_json(), "[1,null]");
     }
 }

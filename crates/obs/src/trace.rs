@@ -263,11 +263,6 @@ impl Tracer {
         self.events.is_empty()
     }
 
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped

@@ -39,8 +39,8 @@ fn checkpoint_restore_is_bit_identical_in_all_modes() {
         let restored = b().try_run_restored(&snap).expect("restore");
         assert_eq!(straight, restored, "restored-vs-straight");
 
-        // And through the JSON round trip, which is how the CLI and the
-        // serve daemon move snapshots between processes.
+        // And through the JSON round trip, which is how the CLI moves a
+        // snapshot between processes (`--checkpoint`, then `--restore`).
         let revived = memnet::sim::SystemSnapshot::from_json(&snap.to_json_string())
             .expect("snapshot JSON round trip");
         let restored2 = b().try_run_restored(&revived).expect("restore from JSON");

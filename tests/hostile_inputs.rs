@@ -9,7 +9,7 @@
 
 use memnet::common::rng::SplitMix64;
 use memnet::common::{FaultPlan, SystemConfig};
-use memnet::obs::MAX_SAFE_INT;
+use memnet::obs::{JsonValue, ToJson, MAX_SAFE_INT};
 use memnet::serve::JobSpec;
 use memnet::sim::{
     plan_from_json, plan_to_json, Organization, SanitizeMode, SimBuilder, SimError, SystemSnapshot,
@@ -84,25 +84,28 @@ fn mutated_job_params_are_refused_or_in_range() {
     }
 }
 
-#[test]
-fn mutated_snapshots_are_refused_or_parse() {
-    // The stock caches make an 11 MB snapshot; shrink them so 200 parses
-    // stay well inside the tier-1 budget, and the phase budget too, so a
-    // restored run a mutation stalls ends quickly. The sanitizer records,
-    // never panics: a run from a corrupted state may well break a law.
+/// The stock caches make an 11 MB snapshot; shrink them so hundreds of
+/// restores stay well inside the tier-1 budget, and the phase budget too,
+/// so a restored run a damaged value stalls ends quickly. The sanitizer
+/// records, never panics: a run from a corrupted state may well break a
+/// law.
+fn snapshot_builder() -> SimBuilder {
     let mut cfg = SystemConfig::scaled();
     for cache in [&mut cfg.cpu.l1, &mut cfg.cpu.l2, &mut cfg.gpu.l2] {
         cache.size_bytes = 8 * 1024;
     }
-    let builder = || {
-        SimBuilder::new(Organization::Gmn)
-            .config(cfg.clone())
-            .gpus(2)
-            .sms_per_gpu(2)
-            .phase_budget_ns(2e6)
-            .sanitize(SanitizeMode::Record)
-            .workload(Workload::VecAdd.spec_small())
-    };
+    SimBuilder::new(Organization::Gmn)
+        .config(cfg)
+        .gpus(2)
+        .sms_per_gpu(2)
+        .phase_budget_ns(2e5)
+        .sanitize(SanitizeMode::Record)
+        .workload(Workload::VecAdd.spec_small())
+}
+
+#[test]
+fn mutated_snapshots_are_refused_or_parse() {
+    let builder = snapshot_builder;
     let (_, snap) = builder()
         .try_run_checkpointed("hostile_inputs")
         .expect("checkpoint");
@@ -120,4 +123,59 @@ fn mutated_snapshots_are_refused_or_parse() {
         }
     }
     assert!(ran > 0, "no parsed mutation restored and ran");
+}
+
+/// The `n`th distinct string leaf under `v`, with its key, counting `n`
+/// down: the first element of an array stands for all of them, and each
+/// cell of the first row of a flattened array for its column.
+fn leaf<'a>(v: &'a mut JsonValue, key: &str, n: &mut usize) -> Option<(String, &'a mut JsonValue)> {
+    if matches!(v, JsonValue::String(_)) {
+        if *n == 0 {
+            return Some((key.to_string(), v));
+        }
+        *n -= 1;
+        return None;
+    }
+    match v {
+        JsonValue::Object(members) => members.iter_mut().find_map(|(k, m)| leaf(m, k, n)),
+        JsonValue::Array(items) => {
+            let width = match key {
+                "ways" => 3,
+                "banks" | "channels" => 5,
+                "page_table" => 2,
+                _ => 1,
+            };
+            items.iter_mut().take(width).find_map(|x| leaf(x, key, n))
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn every_snapshot_leaf_at_the_integer_limits_is_refused_or_runs() {
+    let (_, snap) = snapshot_builder()
+        .try_run_checkpointed("hostile_inputs")
+        .expect("checkpoint");
+    let doc = memnet::obs::parse(&snap.to_json_string()).expect("a snapshot parses");
+    let (mut ran, mut refused) = (0, 0);
+    for value in [u64::MAX, MAX_SAFE_INT] {
+        for n in 0.. {
+            let mut bad = doc.clone();
+            let Some((key, at)) = leaf(&mut bad, "", &mut { n }) else {
+                break;
+            };
+            *at = JsonValue::String(value.to_string());
+            // A report (`timed_out` allowed) or a refusal naming the
+            // field, never a panic.
+            let outcome = SystemSnapshot::from_json(&bad.to_json())
+                .map_err(SimError::Snapshot)
+                .and_then(|s| snapshot_builder().try_run_restored(&s));
+            match outcome {
+                Ok(_) => ran += 1,
+                Err(SimError::Snapshot(why)) if why.contains(key.as_str()) => refused += 1,
+                Err(e) => panic!("{key} = {value}: {e}"),
+            }
+        }
+    }
+    assert!(ran > 0 && refused > 80, "{ran} ran, {refused} refused");
 }
