@@ -85,12 +85,7 @@ pub fn grid<const N: usize>(
     let jobs = (0..dims.iter().product())
         .map(|flat| move || build(point(flat)).run())
         .collect();
-    // A simulation that panicked once panics again: no retries.
-    let cfg = memnet_engine::PoolConfig {
-        retries: 0,
-        ..Default::default()
-    };
-    let reports = memnet_engine::run_jobs(&cfg, jobs)
+    let reports = memnet_engine::run_jobs(&memnet_engine::PoolConfig::default(), jobs)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("bench job failed: {e}")))
         .collect();

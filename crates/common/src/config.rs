@@ -148,6 +148,7 @@ impl NocConfig {
     }
 
     /// SerDes latency in router cycles (rounded up).
+    #[allow(clippy::cast_possible_truncation, reason = "tens of ns at MHz clocks: few cycles")]
     pub fn serdes_cycles(&self) -> u32 {
         (self.serdes_ns * self.router_mhz / 1000.0).ceil() as u32
     }

@@ -167,6 +167,7 @@ impl FaultPlan {
     ///   horizon with probability ~1/2, so some cuts heal and some stick;
     /// - degrade factors stay in `2..=8` and vault stalls in
     ///   `64..=4096` tCK — disruptive but finite.
+    #[allow(clippy::cast_possible_truncation, reason = "next_below(4) and (7) fit any type")]
     pub fn random(seed: u64, n_events: usize, n_gpus: usize, horizon_fs: Fs) -> FaultPlan {
         let mut rng = SplitMix64::new(seed ^ 0xFA01_7000_FA01_7000);
         let mut plan = FaultPlan::new();
@@ -259,7 +260,7 @@ mod tests {
         for seed in 0..50 {
             for n_gpus in 1..=4usize {
                 let p = FaultPlan::random(seed, 32, n_gpus, 1_000_000_000);
-                let lost: std::collections::HashSet<u64> = p
+                let lost: std::collections::BTreeSet<u64> = p
                     .events()
                     .iter()
                     .filter_map(|e| match e.kind {

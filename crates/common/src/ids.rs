@@ -15,6 +15,7 @@ macro_rules! id_type {
         impl $name {
             /// Returns the raw index.
             #[inline]
+            #[allow(clippy::cast_possible_truncation, reason = "an id that indexes a table is below its length")]
             pub fn index(self) -> usize {
                 self.0 as usize
             }
@@ -109,9 +110,8 @@ mod tests {
     }
 
     #[test]
-    fn ids_order_and_hash() {
-        use std::collections::HashSet;
-        let mut s = HashSet::new();
+    fn ids_order_and_dedup() {
+        let mut s = std::collections::BTreeSet::new();
         s.insert(NodeId(1));
         s.insert(NodeId(1));
         s.insert(NodeId(2));

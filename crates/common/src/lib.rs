@@ -28,6 +28,7 @@
 //! assert!(clk.due(FS_PER_NS));
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod config;
 pub mod faults;

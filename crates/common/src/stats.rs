@@ -148,6 +148,7 @@ impl Histogram {
         if total == 0 {
             return 0;
         }
+        #[allow(clippy::cast_possible_truncation, reason = "saturating f64 cast; at most total")]
         let target = (p / 100.0 * total as f64).ceil() as u64;
         let mut seen = 0;
         for (i, &c) in self.buckets.iter().enumerate() {

@@ -13,6 +13,7 @@ pub const FS_PER_NS: Fs = 1_000_000;
 
 /// Converts nanoseconds (possibly fractional) to femtoseconds.
 #[inline]
+#[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates at u64::MAX fs")]
 pub fn ns_to_fs(ns: f64) -> Fs {
     (ns * FS_PER_NS as f64).round() as Fs
 }
@@ -58,6 +59,7 @@ impl Clock {
     }
 
     /// Creates a clock from a frequency in MHz.
+    #[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates; periods ≪ 2^64 fs")]
     pub fn from_freq_mhz(mhz: f64) -> Self {
         assert!(mhz > 0.0, "clock frequency must be positive");
         Clock::new((1e9 / mhz).round() as Fs)
@@ -142,8 +144,8 @@ impl Default for Clock {
 
 /// Narrows a 64-bit count to `u32`, panicking with a labelled message on
 /// overflow instead of silently truncating. Use this at domain edges where
-/// a wire format or stats field is narrower than the internal counter; the
-/// `memnet-lint` `fs-narrowing` rule rejects the bare `as` cast this
+/// a wire format or stats field is narrower than the internal counter;
+/// `clippy::cast_possible_truncation` rejects the bare `as` cast this
 /// replaces.
 #[inline]
 pub fn narrow_u32(v: u64, what: &str) -> u32 {

@@ -89,6 +89,7 @@ fn read_event(ev: &Fields) -> Result<(Fs, FaultKind), String> {
     let uint = |key| ev.req(key)?.uint(MAX_SAFE_INT);
     let class = || ev.req("class")?.named("link class", LinkTag::parse);
     let kind = ev.req("kind")?;
+    #[allow(clippy::cast_possible_truncation, reason = "the factor is reader-limited to u32::MAX")]
     let kind = match kind.str()? {
         "link-down" => FaultKind::LinkDown {
             class: class()?,

@@ -27,6 +27,7 @@
 //! assert_eq!(report.memcpy_ns, 0.0); // UMN shares memory — no copies
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod faults;
 pub mod memory;

@@ -123,6 +123,7 @@ impl MemoryLayout {
             .rev()
             .find(|r| vaddr >= r.base && vaddr < r.base + r.bytes)
             .unwrap_or_else(|| panic!("virtual address {vaddr:#x} outside all regions"));
+        #[allow(clippy::cast_possible_truncation, reason = "next_below(len) is below len")]
         let cluster = match self.policy {
             // Random page placement (Section VI-A).
             PlacementPolicy::Random => {
@@ -171,6 +172,7 @@ impl MemoryLayout {
     /// Refuses, untouched, a mistyped field, a cluster count this layout
     /// does not have, and a physical page or allocation cursor the
     /// address map cannot hand out on one of this layout's clusters.
+    #[allow(clippy::cast_possible_truncation, reason = "rr_next is reader-limited to 2^53")]
     pub(crate) fn restore(&mut self, f: &Fields) -> Result<(), String> {
         let clusters = self.next_seq.len();
         let page_table = f.req("page_table")?.rows(2, None, |c| {

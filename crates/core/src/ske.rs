@@ -51,6 +51,7 @@ pub fn partition(grid: u32, n_gpus: u32, policy: CtaPolicy) -> Vec<Vec<u32>> {
             let extra = grid % n_gpus;
             let mut next = 0u32;
             for (g, q) in queues.iter_mut().enumerate() {
+                #[allow(clippy::cast_possible_truncation, reason = "g < n_gpus, a u32")]
                 let len = base + u32::from((g as u32) < extra);
                 q.extend(next..next + len);
                 next += len;

@@ -238,6 +238,7 @@ impl SimBuilder {
     /// # Errors
     ///
     /// Same conditions as [`SimBuilder::try_run`].
+    #[allow(clippy::expect_used, reason = "the profiler was armed above")]
     pub fn try_run_profiled(self) -> Result<(SimReport, ProfileReport), SimError> {
         let mut sys = System::try_build(self)?;
         sys.arm_profiler();

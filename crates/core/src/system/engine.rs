@@ -276,6 +276,7 @@ impl System {
             }
             domain::DRAM => {
                 let tck = self.cal.clock(domain::DRAM).cycles();
+                #[allow(clippy::cast_possible_truncation, reason = "cubes are u16-id nodes")]
                 for (i, h) in self.hmcs.iter_mut().enumerate() {
                     h.tick_traced(tck, i as u32, self.tracer.as_mut());
                     while let Some(req) = h.pop_completed(tck) {

@@ -60,7 +60,10 @@ impl System {
             .front()
             .is_some_and(|f| f.edge_fs <= self.now)
         {
-            // memnet-lint: allow(tick-unwrap, the pop follows a front() check in the loop condition)
+            #[allow(
+                clippy::expect_used,
+                reason = "the pop follows a front() check in the loop condition"
+            )]
             let f = self.fault_q[d].pop_front().expect("checked front");
             self.apply_fault(&f);
         }
@@ -150,6 +153,7 @@ impl System {
 
 /// A plan's device index wrapped onto the `n` this system has, so seeded
 /// plans stay valid at any size.
+#[allow(clippy::cast_possible_truncation, reason = "`% n` is below n, a usize")]
 fn wrap(index: u64, n: usize) -> usize {
     (index % n.max(1) as u64) as usize
 }

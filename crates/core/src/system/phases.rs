@@ -199,6 +199,7 @@ impl System {
         }
         let n_kernels = kernels.len();
         for (model, ctas) in kernels {
+            #[allow(clippy::cast_possible_truncation, reason = "live GPUs ≤ n_gpus, a u32")]
             let queues = ske::partition(ctas, live.len() as u32, self.cta_policy);
             for (qi, q) in queues.into_iter().enumerate() {
                 if let Some(s) = self.san.as_mut() {
@@ -240,6 +241,7 @@ impl System {
     }
 
     /// Two-level dynamic scheduling: idle GPUs steal undispatched CTAs.
+    #[allow(clippy::cast_possible_truncation, reason = "GPU indices and a grid's CTAs fit u32")]
     fn steal_ctas(&mut self) {
         let active = self.active_gpus as usize;
         let pending: Vec<usize> = self.gpus[..active]

@@ -53,6 +53,7 @@ impl System {
                 Payload::Req(req),
                 overlay,
             );
+            #[allow(clippy::cast_possible_truncation, reason = "agents and cubes are u16 nodes")]
             self.trace_inject(row as u16, hmc as u16, bytes as u32);
         }
     }
@@ -75,6 +76,7 @@ impl System {
     }
 
     /// Delivers ejected packets: requests into vaults, responses to devices.
+    #[allow(clippy::cast_possible_truncation, reason = "GPU and CPU rows are u16-id network nodes")]
     pub(super) fn pump_out_of_network(&mut self) {
         // Dead-lettered packets (no surviving route after a link cut)
         // complete through the fail-fast recovery path: requests get a

@@ -27,6 +27,7 @@ impl System {
         };
         let n_gpus = cfg.n_gpus as usize;
         let local = cfg.hmcs_per_gpu as usize;
+        #[allow(clippy::cast_possible_truncation, reason = "n_gpus came from a u32 config field")]
         let cpu_cluster = n_gpus as u32;
 
         let mut params = NocParams::from_config(&cfg.noc);
@@ -124,6 +125,7 @@ impl System {
         layout.add_region(0, fp, &device_clusters);
         layout.add_region(HOST_BASE, fp, &[cpu_cluster]);
 
+        #[allow(clippy::cast_possible_truncation, reason = "GPUs are u16-id network nodes")]
         let gpus: Vec<Gpu> = (0..n_gpus)
             .map(|g| Gpu::new(GpuId(g as u16), &cfg.gpu))
             .collect();
@@ -152,6 +154,7 @@ impl System {
         });
         let metrics_every = b.metrics_every.unwrap_or(0);
 
+        #[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates at u64::MAX fs")]
         let mut sys = System {
             active_gpus: b.active_gpus.unwrap_or(cfg.n_gpus).min(cfg.n_gpus),
             use_overlay: b.overlay,

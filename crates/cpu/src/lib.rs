@@ -26,6 +26,7 @@
 //! cpu.tick();
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 use memnet_common::config::CpuConfig;
 use memnet_common::{AccessKind, Agent, CpuId, MemReq, MemResp, ReqId};
@@ -419,6 +420,7 @@ impl DmaEngine {
             };
             self.next_req += 1;
             let id = ReqId((1u64 << 62) | ((self.id.0 as u64) << 48) | self.next_req);
+            #[allow(clippy::cast_possible_truncation, reason = "at most one cache line")]
             let bytes = self.line.min(job.bytes - job.next_off) as u32;
             self.mem_out.push_back(MemReq {
                 id,

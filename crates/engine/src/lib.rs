@@ -14,6 +14,7 @@
 //! panic isolation, retry, and deterministic result ordering. `memnet sweep --jobs N`, the bench harness, and the examples
 //! run on it.
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod calendar;
 pub mod pool;

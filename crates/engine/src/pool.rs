@@ -17,21 +17,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Pool sizing and failure policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
     /// Worker threads; 0 means [`default_workers`].
     pub workers: usize,
-    /// Extra attempts after a panicked one.
+    /// Extra attempts after a panicked one; 0 by default, since a
+    /// deterministic simulation that panics once panics again.
     pub retries: u32,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: 0,
-            retries: 1,
-        }
-    }
 }
 
 /// Why a job produced no result.
@@ -121,6 +113,15 @@ where
 /// panic isolations that [`run_jobs`] absorbs silently. Feed
 /// [`PoolObs::events`] to a tracer and [`PoolObs::stats`] to a metrics
 /// registry to make sweep failures observable.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the run pool's threads and timing never reach simulated state"
+)]
+#[allow(
+    clippy::expect_used,
+    clippy::cast_possible_truncation,
+    reason = "a poisoned lock re-raises a job panic; ms clamped"
+)]
 pub fn run_jobs_observed<T, F>(
     cfg: &PoolConfig,
     jobs: Vec<F>,
@@ -185,6 +186,7 @@ where
 /// One job with retry: the error carries the final attempt's panic.
 /// `observe` is called with (`what`, 1-based attempt) for every failed
 /// attempt, every retry, and the successful completion.
+#[allow(clippy::expect_used, reason = "retries + 1 ≥ 1 attempts ran")]
 fn run_one<T>(
     job: &(impl Fn() -> T + Sync),
     cfg: &PoolConfig,

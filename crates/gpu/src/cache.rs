@@ -66,6 +66,7 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if line size or set count is not a power of two.
+    #[allow(clippy::cast_possible_truncation, reason = "a set count in memory fits usize")]
     pub fn new(cfg: &CacheConfig) -> Self {
         let sets = cfg.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
@@ -100,6 +101,7 @@ impl Cache {
     }
 
     #[inline]
+    #[allow(clippy::cast_possible_truncation, reason = "masked below the set count")]
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.set_shift;
         (
@@ -150,6 +152,7 @@ impl Cache {
             return;
         }
         let tick = self.tick;
+        #[allow(clippy::expect_used, reason = "every set has assoc ≥ 1 ways")]
         let victim = self.sets[set]
             .iter_mut()
             .min_by_key(|w| if w.valid { w.lru } else { 0 })

@@ -118,6 +118,7 @@ impl Gpu {
     /// drops any response still routed to it.
     pub fn fail(&mut self) -> Vec<(Arc<dyn KernelModel>, u32)> {
         let mut orphans: Vec<(Arc<dyn KernelModel>, u32)> = self.pending_ctas.drain(..).collect();
+        #[allow(clippy::cast_possible_truncation, reason = "CTA tags are u32 indices widened")]
         for sm in &mut self.sms {
             orphans.extend(
                 sm.fail_all()
@@ -258,6 +259,7 @@ impl Gpu {
             return;
         }
         let now = self.core_cycle;
+        #[allow(clippy::cast_possible_truncation, reason = "i < sms_per_gpu, a u32")]
         for i in 0..self.sms.len() {
             // Dispatch pending CTAs into free slots.
             while self.sms[i].has_free_slot() {

@@ -30,6 +30,7 @@
 //! gpu.tick_core();
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod cache;
 pub mod gpu;

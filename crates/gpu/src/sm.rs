@@ -149,6 +149,7 @@ impl Sm {
         now: u64,
         model: Option<Arc<dyn KernelModel>>,
     ) {
+        #[allow(clippy::expect_used, reason = "documented panic: callers check has_free_slot()")]
         let slot = self
             .slots
             .iter_mut()
@@ -194,6 +195,7 @@ impl Sm {
     }
 
     /// Total CTA slots (occupancy denominator).
+    #[allow(clippy::cast_possible_truncation, reason = "the slot count is a u32 config field")]
     pub fn slot_count(&self) -> u32 {
         self.slots.len() as u32
     }
@@ -300,6 +302,7 @@ impl Sm {
 
         // 3. Advance ready slots.
         let mut wake = u64::MAX;
+        #[allow(clippy::cast_possible_truncation, reason = "slot and access counts fit u32")]
         for i in 0..self.slots.len() {
             loop {
                 match self.slots[i].state {
@@ -310,10 +313,13 @@ impl Sm {
                     }
                     SlotState::Computing(until) => wake = wake.min(until),
                     SlotState::Ready => {
+                        #[allow(
+                            clippy::expect_used,
+                            reason = "a Ready slot always carries its CTA stream until retirement"
+                        )]
                         let op = self.slots[i]
                             .stream
                             .as_mut()
-                            // memnet-lint: allow(tick-unwrap, a Ready slot always carries its CTA stream until retirement)
                             .expect("ready slot has stream")
                             .next();
                         match op {

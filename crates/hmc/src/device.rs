@@ -76,6 +76,7 @@ impl HmcDevice {
     /// its queue but services nothing while stalled; overlapping stalls
     /// extend to the later deadline.
     pub fn stall_vault(&mut self, vault: u64, until_tck: u64) {
+        #[allow(clippy::cast_possible_truncation, reason = "`% len` is below the vault count")]
         let v = (vault % self.vaults.len() as u64) as usize;
         self.stalled_until[v] = self.stalled_until[v].max(until_tck);
         self.stalls += 1;
@@ -112,6 +113,7 @@ impl HmcDevice {
     /// [`HmcDevice::tick`] with optional vault-service tracing; `hmc` is
     /// this cube's global index for the trace track.
     pub fn tick_traced(&mut self, now_tck: u64, hmc: u32, mut tracer: Option<&mut Tracer>) {
+        #[allow(clippy::cast_possible_truncation, reason = "the vault count is a u32 config field")]
         for (vi, v) in self.vaults.iter_mut().enumerate() {
             if v.queue_len() == 0 || now_tck < self.stalled_until[vi] {
                 continue;

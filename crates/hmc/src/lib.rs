@@ -29,6 +29,7 @@
 //! assert_eq!(map.encode(loc), 0x1234_5678 & !0x1F); // column-word aligned
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod device;
 pub mod mapping;

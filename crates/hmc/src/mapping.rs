@@ -126,6 +126,7 @@ impl AddressMap {
 
     /// Decodes a physical byte address (the `BY` offset is dropped).
     pub fn decode(&self, addr: u64) -> Location {
+        #[allow(clippy::cast_possible_truncation, reason = "masked to a field's width, < 32 bits")]
         let field = |shift: u32, bits: u32| ((addr >> shift) & ((1u64 << bits) - 1)) as u32;
         let cll = field(self.by_bits, self.cll_bits);
         let clh = field(self.clh_shift(), self.clh_bits);
@@ -177,6 +178,7 @@ impl AddressMap {
     }
 
     /// The cluster a physical page lives on.
+    #[allow(clippy::cast_possible_truncation, reason = "masked to ct_bits")]
     pub fn page_cluster(&self, page: u64) -> u32 {
         let low_bits = self.ct_shift() - self.page_bits;
         ((page >> low_bits) & ((1u64 << self.ct_bits) - 1)) as u32

@@ -153,7 +153,7 @@ impl Vault {
             }
         }
         let idx = pick?;
-        // memnet-lint: allow(tick-unwrap, idx comes from enumerate() over this same queue)
+        #[allow(clippy::expect_used, reason = "idx comes from enumerate() over this same queue")]
         let e = self.queue.remove(idx).expect("index valid");
         let bank = &mut self.banks[e.bank as usize];
         let c = &self.cfg;

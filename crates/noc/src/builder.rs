@@ -98,6 +98,7 @@ impl LinkSpec {
 
     /// A 16-lane PCIe v3.0 channel: 15.75 GB/s = 12.6 B per 1.25 GHz cycle,
     /// with a long protocol latency folded into `serdes_cycles`.
+    #[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates; ~100s of cycles")]
     pub fn pcie(latency_ns: f64) -> Self {
         LinkSpec {
             bytes_per_cycle: 12.6,
@@ -169,6 +170,7 @@ impl NetworkBuilder {
 
     /// Adds a router (an HMC logic layer, a device network interface, or a
     /// PCIe switch) and returns its node id.
+    #[allow(clippy::cast_possible_truncation, reason = "node ids are u16: < 2^16 nodes")]
     pub fn router(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u16);
         self.nodes.push(NodeRec::Router);
@@ -185,6 +187,7 @@ impl NetworkBuilder {
     }
 
     /// Adds an endpoint attached to `router` with an explicit link spec.
+    #[allow(clippy::cast_possible_truncation, reason = "node ids are u16: < 2^16 nodes")]
     pub fn endpoint_with(&mut self, router: NodeId, link: LinkSpec) -> NodeId {
         assert!(
             matches!(self.nodes.get(router.index()), Some(NodeRec::Router)),

@@ -73,6 +73,7 @@ impl<T: Copy> CalendarQueue<T> {
         self.len = 0;
     }
 
+    #[allow(clippy::cast_possible_truncation, reason = "masked below the bucket count")]
     fn slot(&self, cycle: u64) -> usize {
         (cycle & (self.buckets.len() as u64 - 1)) as usize
     }
@@ -130,6 +131,7 @@ impl<T: Copy> CalendarQueue<T> {
             size *= 2;
         }
         self.buckets = vec![EMPTY; size];
+        #[allow(clippy::cast_possible_truncation, reason = "masked below old.len()")]
         for c in now..now + old.len() as u64 {
             let slot = self.slot(c);
             self.buckets[slot] = old[(c & (old.len() as u64 - 1)) as usize];

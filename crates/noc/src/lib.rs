@@ -50,6 +50,7 @@
 //! assert!(matches!(out.payload, Payload::Req(_)));
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod builder;
 mod calq;

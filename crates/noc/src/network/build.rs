@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Router-to-router hop counts over the links `up` admits, by BFS from
 /// every router; `u16::MAX` marks an unreachable pair.
+#[allow(clippy::cast_possible_truncation, reason = "router indices of a u16-id network")]
 pub(super) fn all_pairs_hops(
     nr: usize,
     link_rtrs: &[(u32, u32)],
@@ -44,6 +45,7 @@ pub(super) fn all_pairs_hops(
 /// (router, destination endpoint), in port order: the ports whose channel
 /// is up and whose peer is one hop closer under `dist`. An unreachable
 /// destination gets an empty set.
+#[allow(clippy::cast_possible_truncation, reason = "a router has under 256 ports")]
 pub(super) fn min_port_tables(
     routers: &[Router],
     channels: &[Channel],
@@ -95,6 +97,8 @@ pub(super) fn min_port_tables(
 }
 
 impl Network {
+    #[allow(clippy::cast_possible_truncation, reason = "u16 node ids; under 256 ports per router")]
+    #[allow(clippy::expect_used, reason = "overlay chains are validated by overlay_chain")]
     pub(crate) fn from_builder(b: NetworkBuilder) -> Network {
         let p = b.params;
         // Dense router / endpoint indices.

@@ -82,6 +82,7 @@ impl Network {
         })
     }
 
+    #[allow(clippy::cast_possible_truncation, reason = "live packets fit buffers: ≪ 2^32")]
     fn alloc(&mut self, pkt: Packet) -> PacketId {
         if let Some(pid) = self.free_pids.pop() {
             self.packets[pid as usize] = Some(pkt);
@@ -94,6 +95,7 @@ impl Network {
     }
 
     fn free(&mut self, pid: PacketId) -> Packet {
+        #[allow(clippy::expect_used, reason = "each pid is freed once, when its packet leaves")]
         let pkt = self.packets[pid as usize].take().expect("double free");
         self.free_pids.push(pid);
         pkt

@@ -17,6 +17,7 @@ impl Network {
     /// Resolves (tag, ordinal) to a concrete link index, wrapping the
     /// ordinal over the tag's population so seeded plans stay valid on any
     /// topology. `None` when the topology has no links with that tag.
+    #[allow(clippy::cast_possible_truncation, reason = "`% len` is below pop.len()")]
     pub fn resolve_link(&self, tag: LinkTag, ordinal: u64) -> Option<usize> {
         let pop: Vec<usize> = (0..self.link_rtrs.len())
             .filter(|&li| self.channels[Self::link_channels(li)[0]].tag == tag)

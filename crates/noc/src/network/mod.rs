@@ -133,6 +133,7 @@ impl Channel {
         }
     }
 
+    #[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates; a few cycles")]
     fn ser_cycles(&self, bytes: u32) -> u64 {
         ((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1) * self.degrade as u64
     }
@@ -405,8 +406,11 @@ impl Network {
     /// The packet behind an id the fabric holds in an injection queue, a
     /// VC buffer or a crossbar slot. Only an event's id can outlive its
     /// packet (a dead-letter while the arrival was in flight, see `tick`).
+    #[allow(
+        clippy::expect_used,
+        reason = "a pid queued for injection, in a VC buffer or holding a crossbar slot always names a live packet"
+    )]
     fn live(&mut self, pid: PacketId) -> &mut Packet {
-        // memnet-lint: allow(tick-unwrap, a pid queued for injection, in a VC buffer or holding a crossbar slot always names a live packet)
         self.packets[pid as usize].as_mut().expect("live packet")
     }
 

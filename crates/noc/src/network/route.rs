@@ -18,6 +18,7 @@ impl Network {
 
     /// Queues the head of input VC `vc` on port `in_port` of router `r` at
     /// output port `out` for allocation, and marks that port ready.
+    #[allow(clippy::cast_possible_truncation, reason = "ports and VCs per router are under 256")]
     fn pend(&mut self, r: usize, out: u8, in_port: usize, vc: usize, passthrough: bool) {
         let cand = Cand {
             in_port: in_port as u8,
@@ -64,6 +65,7 @@ impl Network {
         if self.policy == RoutingPolicy::Ugal && hops == 0 && via.is_none() && !overlay {
             let h_min = self.dist[r][home] as i64 + 1;
             if let Some(min_port) = self.min_ports_ep[r][e].first().copied() {
+                #[allow(clippy::cast_possible_truncation, reason = "below the router count")]
                 let x = self.rng.next_below(self.routers.len() as u64) as usize;
                 if x != r && x != home && !self.min_ports_rtr[r][x].is_empty() {
                     let h_non = (self.dist[r][x] + self.dist[x][home]) as i64 + 1;
@@ -103,6 +105,11 @@ impl Network {
             self.dead_letter_head(r, in_port, vc);
             return;
         }
+        #[allow(clippy::cast_possible_truncation, reason = "`% len` is below ports.len()")]
+        #[allow(
+            clippy::expect_used,
+            reason = "guarded by the routing-policy match; the candidate port list is nonempty here"
+        )]
         let out = if ports.len() == 1 {
             ports[0]
         } else {
@@ -118,7 +125,6 @@ impl Network {
                     *ports
                         .iter()
                         .min_by_key(|&&p| self.port_pressure(r, p, class))
-                        // memnet-lint: allow(tick-unwrap, guarded by the routing-policy match; the candidate port list is nonempty here)
                         .expect("nonempty")
                 }
             }
@@ -135,7 +141,9 @@ impl Network {
         let at = self.vc_at(r, in_port, vc);
         self.vcs[at].head = self.next[pid as usize];
         self.vcs[at].occ -= flits;
+        #[allow(clippy::cast_possible_truncation, reason = "VCs per port are under 256")]
         let vc = vc as u8;
+        #[allow(clippy::cast_possible_truncation, reason = "flat VC indices fit u32")]
         let ev = match self.routers[r].ports[in_port].peer {
             Peer::Router { idx, port } => Ev::Credit {
                 at: self.vc_at(idx as usize, port as usize, vc as usize) as u32,

@@ -124,6 +124,7 @@ impl Clusters {
 /// Used for slice shapes beyond 4 clusters.
 pub fn grid_dims(n: usize) -> (usize, usize) {
     assert!(n > 0, "grid needs at least one node");
+    #[allow(clippy::cast_possible_truncation, reason = "sqrt(n) ≤ n")]
     let mut a = (n as f64).sqrt() as usize;
     while a > 1 && !n.is_multiple_of(a) {
         a -= 1;
@@ -141,6 +142,7 @@ pub fn grid_dims(n: usize) -> (usize, usize) {
 /// # Panics
 ///
 /// Panics if `channels_per_device` is not divisible by `hmcs_per_cluster`.
+#[allow(clippy::cast_possible_truncation, reason = "a device has a handful of local HMCs")]
 pub fn build_clusters(
     b: &mut NetworkBuilder,
     n_clusters: usize,

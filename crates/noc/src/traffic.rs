@@ -30,6 +30,7 @@ impl Pattern {
     fn dest(self, src: usize, n: usize, rng: &mut SplitMix64) -> usize {
         match self {
             Pattern::Uniform => {
+                #[allow(clippy::cast_possible_truncation, reason = "below n, a usize")]
                 let mut d = rng.next_below(n as u64 - 1) as usize;
                 if d >= src {
                     d += 1;
@@ -71,7 +72,7 @@ pub struct LoadPoint {
 /// # Panics
 ///
 /// Panics if `sources` or `dests` is empty.
-#[allow(clippy::too_many_arguments)] // a load point *is* eight knobs
+#[allow(clippy::too_many_arguments, reason = "a load point *is* eight knobs")]
 pub fn run_load_point(
     net: &mut Network,
     sources: &[NodeId],
@@ -100,6 +101,7 @@ pub fn run_load_point(
                 if net.inject_ready(s) {
                     let d = dests[pattern.dest(si, dests.len(), &mut rng) % dests.len()];
                     id += 1;
+                    #[allow(clippy::cast_possible_truncation, reason = "sources are u16 nodes")]
                     let req = MemReq {
                         id: ReqId(id),
                         addr: id * 128,

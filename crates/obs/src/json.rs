@@ -128,6 +128,7 @@ impl JsonWriter {
     pub fn key(&mut self, k: &str) {
         debug_assert!(!self.expect_value, "key() after key()");
         let depth = self.stack.len();
+        #[allow(clippy::expect_used, reason = "follows begin_object(); misuse is a bug")]
         let (ctx, count) = self.stack.last_mut().expect("key() outside an object");
         debug_assert_eq!(*ctx, Ctx::Object, "key() inside an array");
         if *count > 0 {
@@ -165,6 +166,7 @@ impl JsonWriter {
 
     /// Closes the innermost object.
     pub fn end_object(&mut self) {
+        #[allow(clippy::expect_used, reason = "pairs with begin_object(); misuse is a bug")]
         let (ctx, count) = self.stack.pop().expect("end_object without begin_object");
         debug_assert_eq!(ctx, Ctx::Object);
         if self.pretty && count > 0 {
@@ -183,6 +185,7 @@ impl JsonWriter {
 
     /// Closes the innermost array.
     pub fn end_array(&mut self) {
+        #[allow(clippy::expect_used, reason = "pairs with begin_array(); misuse is a bug")]
         let (ctx, count) = self.stack.pop().expect("end_array without begin_array");
         debug_assert_eq!(ctx, Ctx::Array);
         if self.pretty && count > 0 {
@@ -673,6 +676,7 @@ impl<'a> Parser<'a> {
                     while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
                         end += 1;
                     }
+                    #[allow(clippy::expect_used, reason = "a &str cut at scalar bounds")]
                     out.push_str(std::str::from_utf8(&self.bytes[start..end]).expect("valid utf8"));
                     self.pos = end;
                 }
@@ -691,6 +695,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
+        #[allow(clippy::expect_used, reason = "the scan above took only ASCII bytes")]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(JsonValue::Number)
@@ -887,6 +892,7 @@ impl<'a, 'p> Field<'a, 'p> {
 
     /// An exact non-negative integer no larger than `limit` — and never
     /// above 2^53, past which the parser's `f64` would have rounded it.
+    #[allow(clippy::cast_possible_truncation, reason = "`n` is an integer within 2^53")]
     pub fn uint(&self, limit: u64) -> Result<u64, String> {
         let limit = limit.min(MAX_SAFE_INT);
         let n = self

@@ -26,13 +26,14 @@
 //!   loop so simulated results stay byte-identical) and a counting
 //!   global allocator ([`prof::CountingAlloc`]) for allocations/run.
 //!   This is the *only* module allowed to read wall clocks on the tick
-//!   path (enforced by `memnet-lint`'s `wall-clock` rule exemptions), and
+//!   path (clippy's `disallowed_methods` holds every other site), and
 //!   the only one with `unsafe` code.
 //!
 //! [`config`] binds the shared `memnet-common` configuration and
 //! statistics types to the JSON layer (export only: the configuration
 //! fingerprint hashes it).
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod config;
 pub mod json;

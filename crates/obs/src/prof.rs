@@ -3,7 +3,7 @@
 //!
 //! This module is the **only** place outside the engine run pool and the
 //! serve daemon where the workspace may read the host clock
-//! (`memnet-lint`'s `EXEMPTIONS` table names exactly this file), and the
+//! (`impl Profiler` carries the one `disallowed_methods` allow), and the
 //! only `unsafe` code: the crate root denies `unsafe_code`, and only the
 //! `GlobalAlloc` impl and its test allow it. The contract that keeps
 //! reports byte-identical with profiling enabled: a [`Profiler`] is
@@ -121,6 +121,11 @@ pub struct Profiler {
     phases: Vec<PhaseMark>,
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    clippy::cast_possible_truncation,
+    reason = "host-side timing, never simulated state; ns clamped"
+)]
 impl Profiler {
     /// Starts the run clock.
     pub fn new() -> Self {

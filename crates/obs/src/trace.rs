@@ -210,6 +210,7 @@ impl Tracer {
 
     /// Records a span measured in `domain` cycles.
     #[inline]
+    #[allow(clippy::cast_possible_truncation, reason = "f64 `as` saturates; times ≪ 2^64 fs")]
     pub fn emit(
         &mut self,
         domain: ClockDomain,

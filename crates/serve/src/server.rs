@@ -16,10 +16,10 @@
 //! produced. Everything around it is assembled with the `memnet-obs`
 //! JSON writer.
 //!
-//! This crate is on the lint's wall-clock exemption list
-//! (`EXEMPTIONS`): the daemon times real work (`busy_ms` in
-//! `stats`) like the engine pool does. No wall-clock value feeds
-//! simulated state.
+//! Like the engine pool, the daemon times real work (`busy_ms` in
+//! `stats`): the one `Instant::now` and the thread sites each carry an
+//! `allow(clippy::disallowed_methods)` (DESIGN §9a). No wall-clock value
+//! feeds simulated state.
 
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
@@ -356,6 +356,7 @@ impl Server {
         if specs.is_empty() {
             return Vec::new();
         }
+        #[allow(clippy::disallowed_methods, reason = "busy_ms: host timing, never simulated state")]
         let started = Instant::now();
         let sims: Vec<_> = specs
             .into_iter()
@@ -568,6 +569,10 @@ impl TcpDaemon {
     /// in-flight requests finish their responses first; a reply that a
     /// peer still leaves unread once shutdown is requested ends that
     /// peer's session.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "one handler thread per connection; jobs run on the pool"
+    )]
     pub fn run(self, server: &mut Server) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
         let server = Mutex::new(server);
@@ -911,6 +916,7 @@ mod tests {
     fn tcp_daemon_interleaves_connections_and_stops_on_shutdown() {
         let daemon = TcpDaemon::bind(0).expect("bind");
         let addr = daemon.local_addr().expect("addr");
+        #[allow(clippy::disallowed_methods, reason = "a client thread drives the daemon")]
         let handle = std::thread::spawn(move || {
             let mut s = Server::new(&ServeConfig::default());
             daemon.run(&mut s)

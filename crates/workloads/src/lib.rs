@@ -35,6 +35,7 @@
 //! assert!(spec.kernel.ctas > 0);
 //! ```
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]
 
 pub mod host;
 pub mod synth;

@@ -496,7 +496,7 @@ mod tests {
                 }
             }
         }
-        let distinct: std::collections::HashSet<_> = addrs.iter().map(|a| a / 4096).collect();
+        let distinct: std::collections::BTreeSet<_> = addrs.iter().map(|a| a / 4096).collect();
         assert!(
             distinct.len() > 2,
             "strided reads should touch several 4 KB pages"

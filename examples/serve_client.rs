@@ -9,6 +9,7 @@
 //! ```sh
 //! cargo run --release --example serve_client
 //! ```
+#![allow(clippy::disallowed_methods, reason = "the daemon runs on a thread beside its client")]
 
 use memnet::serve::{ServeConfig, Server, TcpDaemon};
 use std::io::{BufRead, BufReader, Write};

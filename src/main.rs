@@ -59,13 +59,6 @@ USAGE:
                                    memnet-wdl-v1 JSON model (default DIR .);
                                    `--dir tests/data` regenerates the
                                    golden files checked by CI
-  memnet lint [--root PATH]        run the determinism lint over the
-                                   workspace sources: HashMap/HashSet,
-                                   wall-clock reads, bare narrowing of
-                                   time/cycle values, unwrap, threads outside
-                                   the engine and serve crates, and malformed
-                                   suppressions; exit 0 clean, 1 violations,
-                                   2 i/o error
   memnet serve [--stdio | --port N] [--cache N] [--workers N] [--retries N]
                                    run the sim-as-a-service daemon:
                                    newline-delimited JSON-RPC (run / batch /
@@ -237,7 +230,6 @@ fn main() -> ExitCode {
             Ok(ExitCode::SUCCESS)
         }
         Some("run") => run_cmd(&args[1..]),
-        Some("lint") => lint_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
         Some("sweep") => sweep_cmd(&args[1..]),
         Some("serve") => serve_cmd(&args[1..]),
@@ -301,58 +293,6 @@ fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
 
 fn positive<T: std::str::FromStr + PartialOrd + Default>(s: &str) -> Option<T> {
     num(s).filter(|n| *n > T::default())
-}
-
-/// `memnet lint` options, split from execution for unit testing.
-struct LintOpts {
-    root: std::path::PathBuf,
-}
-
-fn parse_lint_opts(args: &[String]) -> Result<LintOpts, ExitCode> {
-    // The binary is built from the workspace root package, so its manifest
-    // dir IS the workspace root — the natural default scan target.
-    let mut opts = LintOpts {
-        root: std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")),
-    };
-    walk_flags(args, |f| {
-        match f.flag {
-            "--root" => opts.root = f.value()?.into(),
-            _ => return f.unknown(),
-        }
-        Ok(())
-    })?;
-    Ok(opts)
-}
-
-/// `memnet lint [--root PATH]`: the determinism lint, in-process.
-fn lint_cmd(args: &[String]) -> Cmd {
-    let opts = parse_lint_opts(args)?;
-    let res = memnet_lint::scan_workspace(&opts.root).map_err(|e| {
-        let root = opts.root.display();
-        eprintln!("memnet lint: i/o error scanning {root}: {e}");
-        ExitCode::from(2)
-    })?;
-    if res.violations.is_empty() {
-        println!(
-            "memnet lint: {} files clean ({} rules)",
-            res.files,
-            memnet_lint::RULES.len()
-        );
-    } else {
-        for v in &res.violations {
-            println!("{v}");
-        }
-        eprintln!(
-            "memnet lint: {} violation(s) in {} files scanned",
-            res.violations.len(),
-            res.files
-        );
-    }
-    Ok(if res.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 /// `memnet export [--dir DIR]`: writes every built-in workload as a
@@ -1002,52 +942,67 @@ mod tests {
     }
 
     #[test]
-    fn lint_flag_parsing() {
-        let opts = parse_lint_opts(&argv(&[])).expect("defaults are valid");
+    fn every_crate_inherits_the_determinism_lints() {
+        // A member without `[lints] workspace = true`, or a simulation
+        // crate root without its `deny` line, would skip DESIGN §9a's
+        // rules silently; and §9a must name exactly the lints declared.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let read = |path: std::path::PathBuf| std::fs::read_to_string(path).expect("readable");
+        let inherits = |toml: &str| toml.contains("\n[lints]\nworkspace = true\n");
+        let manifest = read(root.join("Cargo.toml"));
         assert!(
-            opts.root.join("Cargo.toml").is_file(),
-            "default root must be the workspace root"
+            inherits(&manifest),
+            "the root package must inherit the lints"
         );
-        let opts = parse_lint_opts(&argv(&["--root", "/tmp/elsewhere"])).expect("valid flags");
-        assert_eq!(opts.root, std::path::Path::new("/tmp/elsewhere"));
-        assert!(
-            parse_lint_opts(&argv(&["--root"])).is_err(),
-            "missing value"
-        );
-        assert!(parse_lint_opts(&argv(&["--fix"])).is_err(), "unknown flag");
-        assert!(parse_lint_opts(&argv(&["--json"])).is_err(), "removed flag");
-    }
-
-    #[test]
-    fn lint_subcommand_finds_this_workspace_clean() {
-        // The tree this test builds from must come back clean through the
-        // subcommand's in-process path.
-        let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        let res = memnet_lint::scan_workspace(&root).expect("scan own workspace");
-        assert!(
-            res.violations.is_empty(),
-            "workspace must be lint-clean: {:?}",
-            res.violations
-        );
-        assert!(res.files > 50, "scan should cover the whole workspace");
-    }
-
-    #[test]
-    fn design_section_9a_lists_exactly_the_lint_rules() {
-        // A suppression copied from DESIGN §9a must name a rule that
-        // exists, so its rule bullets (* **`rule`**) are held to RULES.
+        for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+            let dir = entry.expect("dir entry").path();
+            let lacks = "lacks `[lints] workspace = true`";
+            assert!(
+                inherits(&read(dir.join("Cargo.toml"))),
+                "{} {lacks}",
+                dir.display()
+            );
+        }
+        const DENY: &str =
+            "#![cfg_attr(not(test), deny(clippy::expect_used, clippy::cast_possible_truncation))]";
+        for c in [
+            "common",
+            "core",
+            "cpu",
+            "engine",
+            "gpu",
+            "hmc",
+            "noc",
+            "obs",
+            "workloads",
+        ] {
+            let lib = read(root.join(format!("crates/{c}/src/lib.rs")));
+            assert!(
+                lib.lines().any(|l| l == DENY),
+                "crates/{c}/src/lib.rs lacks {DENY}"
+            );
+        }
+        let table = manifest.split("[workspace.lints.clippy]\n").nth(1);
+        let mut declared: Vec<&str> = (table.expect("a clippy lint table").lines())
+            .take_while(|l| !l.starts_with('['))
+            .filter_map(|l| Some(l.split_once(" = ")?.0))
+            .chain(
+                DENY.split("clippy::")
+                    .skip(1)
+                    .map(|l| l.trim_end_matches(['(', ')', ']', ',', ' '])),
+            )
+            .collect();
         let design = include_str!("../DESIGN.md");
         let start = design.find("### 9a.").expect("DESIGN.md has §9a");
         let end = start + design[start..].find("\n### 9b.").expect("§9b follows §9a");
         let mut listed: Vec<&str> = design[start..end]
             .lines()
-            .filter_map(|l| l.strip_prefix("* **`")?.split_once("`**"))
-            .map(|(rule, _)| rule)
+            .filter_map(|l| l.strip_prefix("* **`clippy::")?.split_once("`**"))
+            .map(|(lint, _)| lint)
             .collect();
-        let mut rules = memnet_lint::RULES.to_vec();
+        declared.sort_unstable();
         listed.sort_unstable();
-        rules.sort_unstable();
-        assert_eq!(listed, rules);
+        assert_eq!(listed, declared);
     }
 
     #[test]

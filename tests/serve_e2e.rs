@@ -8,6 +8,10 @@
 //! * a cache hit returns the first run's report **byte-identically**;
 //! * a run restored from a snapshot is **byte-identical** to an
 //!   uncheckpointed run, in both engine modes.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a client drives the daemon from its own thread and times its peers"
+)]
 
 use memnet::serve::{ServeConfig, Server, TcpDaemon};
 use std::io::{BufRead, BufReader, Write};
