@@ -158,24 +158,26 @@ impl HmcDevice {
         Some(c.req)
     }
 
-    /// Requests accepted but not yet returned.
-    pub fn inflight(&self) -> usize {
-        self.inflight
-    }
-
     /// True while any vault or the completion queue holds work.
     pub fn has_work(&self) -> bool {
         self.inflight > 0
     }
 
-    /// True when a tick would be a no-op (idle signal for the
-    /// event-driven engine). Vault timing — including the tREFI refresh
-    /// cadence — is keyed off the externally supplied `now_tck`, and
-    /// vaults with empty queues are skipped inside [`HmcDevice::tick`],
-    /// so idle stretches need no catch-up.
+    /// True while a vault controller holds a request it has not yet
+    /// serviced: the only work a [`HmcDevice::tick`] can act on. Vault
+    /// timing — including the tREFI refresh cadence — is keyed off the
+    /// externally supplied `now_tck`, and vaults with empty queues are
+    /// skipped inside the tick, so an idle stretch needs no catch-up.
     #[inline]
-    pub fn is_idle(&self) -> bool {
-        !self.has_work()
+    pub fn has_queued(&self) -> bool {
+        self.inflight > self.completions.len()
+    }
+
+    /// The DRAM cycle at which the earliest serviced request completes,
+    /// or `None` when no completion is pending.
+    #[inline]
+    pub fn next_completion(&self) -> Option<u64> {
+        self.completions.peek().map(|Reverse(c)| c.at)
     }
 
     /// The snapshot record. Only valid while the cube is drained (no
@@ -261,7 +263,8 @@ mod tests {
         for i in 0..32 {
             d.try_accept(req(i), (i % 16) as u32, 0, 0).unwrap();
         }
-        assert!(d.has_work());
+        assert!(d.has_work() && d.has_queued());
+        assert_eq!(d.next_completion(), None);
         let mut done = 0;
         for now in 0..10_000 {
             d.tick(now);
@@ -275,6 +278,35 @@ mod tests {
         assert_eq!(done, 32);
         assert!(!d.has_work());
         assert_eq!(d.stats().served, 32);
+    }
+
+    #[test]
+    fn a_cube_that_sleeps_between_completions_matches_a_stepped_one() {
+        // The DRAM domain's park rule: with no request queued, nothing
+        // before the next completion can change the cube.
+        let cfg = SystemConfig::paper().hmc;
+        let run = |sleep: bool| {
+            let mut d = HmcDevice::new(&cfg);
+            let mut out = Vec::new();
+            for now in 0..20_000u64 {
+                if now % 500 == 0 && now < 10_000 {
+                    for i in 0..6 {
+                        let id = now + i;
+                        d.try_accept(req(id), (id % 3) as u32, 0, id / 4).unwrap();
+                    }
+                }
+                if sleep && !d.has_queued() && d.next_completion().is_none_or(|at| at > now) {
+                    continue;
+                }
+                d.tick(now);
+                while let Some(r) = d.pop_completed(now) {
+                    out.push((now, r.id));
+                }
+            }
+            assert!(!d.has_work());
+            out
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
