@@ -62,6 +62,13 @@ pub struct Gpu {
     /// (concurrent kernel execution).
     pending_ctas: VecDeque<(Arc<dyn KernelModel>, u32)>,
     core_cycle: u64,
+    /// A lower bound on every SM's wake cycle: before it, and with no CTA
+    /// to dispatch and no SM output to drain, a core tick only counts the
+    /// cycle. Recomputed by every full tick, lowered by every refill and
+    /// completion handed to an SM from outside one.
+    sm_wake: u64,
+    /// True while some SM may hold output for the L2.
+    sm_output: bool,
     mem_reqs: u64,
     // O(1) mirror of `busy()`: refreshed by a full scan at the end of
     // every tick, forced true by external work arrivals. The engine polls
@@ -104,6 +111,8 @@ impl Gpu {
             next_req: 0,
             pending_ctas: VecDeque::new(),
             core_cycle: 0,
+            sm_wake: u64::MAX,
+            sm_output: false,
             mem_reqs: 0,
             busy_cache: false,
             dead: false,
@@ -249,7 +258,8 @@ impl Gpu {
     }
 
     /// [`Gpu::tick_core`] with optional tracing of the CTA lifecycle
-    /// (launch instants at dispatch, retire spans from the SMs).
+    /// (launch instants at dispatch, retire spans from the SMs). Only the
+    /// SMs that are due tick; the rest would be no-ops.
     pub fn tick_core_traced(&mut self, mut tracer: Option<&mut Tracer>) {
         if self.dead {
             // A failed GPU's clock still runs (the silicon is dead, the
@@ -259,6 +269,16 @@ impl Gpu {
             return;
         }
         let now = self.core_cycle;
+        if now < self.sm_wake && self.pending_ctas.is_empty() && !self.sm_output {
+            debug_assert!(
+                self.sms.iter().all(|s| s.nothing_due(now)),
+                "an SM slept through work at {now}"
+            );
+            self.core_cycle += 1;
+            self.busy_cache = self.busy();
+            return;
+        }
+        let (mut wake, mut output) = (u64::MAX, false);
         #[allow(clippy::cast_possible_truncation, reason = "i < sms_per_gpu, a u32")]
         for i in 0..self.sms.len() {
             // Dispatch pending CTAs into free slots.
@@ -279,10 +299,15 @@ impl Gpu {
                     );
                 }
             }
-            self.sms[i].tick_traced(now, self.id.0, i as u32, tracer.as_deref_mut());
+            let sm = &mut self.sms[i];
+            if now >= sm.wake_at() {
+                sm.tick_traced(now, self.id.0, i as u32, tracer.as_deref_mut());
+            } else {
+                debug_assert!(sm.nothing_due(now), "SM {i} slept through work at {now}");
+            }
             // Drain SM output into the crossbar (bounded).
             while self.l2_in.len() < self.l2_in_cap {
-                match self.sms[i].pop_to_l2() {
+                match sm.pop_to_l2() {
                     Some(mut r) => {
                         r.sm = i as u32;
                         self.l2_in.push_back((now + self.xbar_latency, r));
@@ -290,7 +315,10 @@ impl Gpu {
                     None => break,
                 }
             }
+            wake = wake.min(sm.wake_at());
+            output |= sm.has_output();
         }
+        (self.sm_wake, self.sm_output) = (wake, output);
         self.core_cycle += 1;
         self.busy_cache = self.busy();
     }
@@ -325,7 +353,9 @@ impl Gpu {
                 // stats are counted inside Cache; a retry re-probes, which
                 // slightly overcounts misses only when stalled.
                 if self.l2.read(req.access.addr) {
-                    self.sms[req.sm as usize].refill(line, now + self.xbar_latency);
+                    let at = now + self.xbar_latency;
+                    self.sms[req.sm as usize].refill(line, at);
+                    self.sm_wake = self.sm_wake.min(at);
                     return true;
                 }
                 if self.mem_out.len() >= self.mem_out_cap {
@@ -425,21 +455,22 @@ impl Gpu {
             );
             return;
         };
-        let now = self.core_cycle;
+        let at = self.core_cycle + self.xbar_latency;
         match route {
             RespRoute::L2Read { line } => {
                 self.l2.fill(line);
                 let mut waiters = self.l2_mshr.complete(line);
                 waiters.dedup();
                 for sm in waiters.drain(..) {
-                    self.sms[sm as usize].refill(line, now + self.xbar_latency);
+                    self.sms[sm as usize].refill(line, at);
                 }
                 self.l2_mshr.recycle(waiters);
             }
             RespRoute::Atomic { sm, slot } => {
-                self.sms[sm as usize].schedule_completion(slot, now + self.xbar_latency);
+                self.sms[sm as usize].schedule_completion(slot, at);
             }
         }
+        self.sm_wake = self.sm_wake.min(at);
     }
 
     /// The snapshot record. Only valid at a quiescent phase boundary: no
@@ -493,6 +524,7 @@ impl Gpu {
         for sm in &mut self.sms {
             sm.wake();
         }
+        self.sm_wake = 0;
         Ok(())
     }
 
@@ -751,6 +783,73 @@ mod tests {
         .response();
         g.push_mem_response(resp);
         assert!(g.is_idle(), "dropped response must not wake a dead GPU");
+    }
+
+    /// Seeded CTAs: compute intervals and one- to three-access memory
+    /// ops over a 64-line range, so L1 and L2 hits, merged misses, writes
+    /// and atomics all occur.
+    struct Seeded;
+    impl KernelModel for Seeded {
+        fn grid_ctas(&self) -> u32 {
+            200
+        }
+        fn cta_stream(&self, cta: u32) -> crate::kernel::CtaStream {
+            use crate::kernel::{CtaOp, MemAccess};
+            let mut rng = memnet_common::SplitMix64::new(u64::from(cta));
+            let ops = 1 + rng.next_below(12);
+            Box::new((0..ops).map(move |_| {
+                if rng.chance(0.4) {
+                    #[allow(clippy::cast_possible_truncation, reason = "below 300")]
+                    return CtaOp::Compute(rng.next_below(300) as u32);
+                }
+                let n = 1 + rng.next_below(3);
+                CtaOp::Mem(
+                    (0..n)
+                        .map(|_| {
+                            let addr = rng.next_below(64) * 128;
+                            match rng.next_below(8) {
+                                0 => MemAccess::atomic(addr),
+                                1 | 2 => MemAccess::write(addr),
+                                _ => MemAccess::read(addr),
+                            }
+                        })
+                        .collect(),
+                )
+            }))
+        }
+        fn footprint_bytes(&self) -> u64 {
+            64 * 128
+        }
+    }
+
+    #[test]
+    fn sleeping_sms_are_skipped_without_losing_work() {
+        // Run in a debug build, every skipped SM is checked to have
+        // nothing due; responses return out of order, at seeded delays.
+        let mut g = gpu(16);
+        g.launch(Arc::new(Seeded), 0..200);
+        let mut rng = memnet_common::SplitMix64::new(7);
+        let mut pending: Vec<(u64, MemReq)> = Vec::new();
+        let mut now = 0u64;
+        while g.busy() && now < 1_000_000 {
+            g.tick_core();
+            if now.is_multiple_of(2) {
+                g.tick_l2();
+            }
+            while let Some(r) = g.pop_mem_request() {
+                if r.kind != AccessKind::Write {
+                    pending.push((now + 1 + rng.next_below(600), r));
+                }
+            }
+            let (due, later) = pending.into_iter().partition(|&(t, _)| t <= now);
+            pending = later;
+            for (_, r) in due {
+                g.push_mem_response(r.response());
+            }
+            now += 1;
+        }
+        assert!(!g.busy(), "GPU must drain (cycle {now})");
+        assert_eq!(g.stats().ctas_done, 200);
     }
 
     #[test]

@@ -64,10 +64,6 @@ pub struct SmStats {
     pub ctas_done: u64,
     /// Memory instructions executed.
     pub mem_instrs: u64,
-    /// Individual transactions issued.
-    pub transactions: u64,
-    /// Cycles with at least one resident CTA.
-    pub busy_cycles: u64,
 }
 
 /// One streaming multiprocessor.
@@ -87,7 +83,7 @@ pub struct Sm {
     /// Slots holding a CTA (every state but `Empty`).
     resident: u32,
     /// Earliest core cycle at which a tick can change state; until then
-    /// a tick only counts a busy cycle. See [`Sm::tick_traced`].
+    /// a tick is a no-op. See [`Sm::tick_traced`].
     wake_at: u64,
     stats: SmStats,
 }
@@ -215,6 +211,18 @@ impl Sm {
         self.wake_at = 0;
     }
 
+    /// The earliest core cycle at which a tick can change state.
+    #[inline]
+    pub(crate) fn wake_at(&self) -> u64 {
+        self.wake_at
+    }
+
+    /// True while a request waits for the GPU to drain it to the L2.
+    #[inline]
+    pub(crate) fn has_output(&self) -> bool {
+        !self.to_l2.is_empty()
+    }
+
     /// Pops one outbound request for the L2, if present.
     pub fn pop_to_l2(&mut self) -> Option<L2Req> {
         self.to_l2.pop_front()
@@ -259,14 +267,14 @@ impl Sm {
     /// Most ticks of a memory-bound kernel find every resident CTA
     /// waiting, so the SM sleeps: each full tick ends by recording in
     /// `wake_at` the earliest cycle at which the next one could change
-    /// state, and ticks before it only count the busy cycle. What can
-    /// change state is a queued LSU access (issues, or re-probes the L1 on
-    /// a structural stall: every cycle), a due completion, or a compute
-    /// interval running out; everything that adds one of those from
-    /// outside a tick ([`Sm::assign_cta`], [`Sm::schedule_completion`],
-    /// [`Sm::refill`]) lowers `wake_at` to match.
+    /// state, and ticks before it are no-ops, so the owning GPU skips
+    /// them. What can change state is a queued LSU access (issues, or
+    /// re-probes the L1 on a structural stall: every cycle), a due
+    /// completion, or a compute interval running out; everything that
+    /// adds one of those from outside a tick ([`Sm::assign_cta`],
+    /// [`Sm::schedule_completion`], [`Sm::refill`]) lowers `wake_at` to
+    /// match.
     pub fn tick_traced(&mut self, now: u64, gpu: u16, sm: u32, mut tracer: Option<&mut Tracer>) {
-        self.stats.busy_cycles += (self.resident > 0) as u64;
         if now < self.wake_at {
             debug_assert!(self.nothing_due(now), "SM slept through work at {now}");
             return;
@@ -349,7 +357,6 @@ impl Sm {
                             Some(CtaOp::Mem(accesses)) => {
                                 assert!(!accesses.is_empty(), "memory op needs ≥1 transaction");
                                 self.stats.mem_instrs += 1;
-                                self.stats.transactions += accesses.len() as u64;
                                 self.slots[i].state = SlotState::WaitMem(accesses.len() as u32);
                                 for a in accesses {
                                     self.lsu_q.push_back((i as u32, a));
@@ -375,7 +382,7 @@ impl Sm {
 
     /// The sleeping branch's full no-op predicate: a tick at `now` would
     /// deliver nothing, issue nothing and advance no slot.
-    fn nothing_due(&self, now: u64) -> bool {
+    pub(crate) fn nothing_due(&self, now: u64) -> bool {
         self.lsu_q.is_empty()
             && self
                 .completions
@@ -635,7 +642,11 @@ mod tests {
         s.assign(stream);
         let mut left_at = None;
         let mut retired_at = None;
+        let mut awake = Vec::new();
         for now in 0..200u64 {
+            if now >= s.wake_at {
+                awake.push(now);
+            }
             s.tick(now);
             if let Some(r) = s.pop_to_l2() {
                 assert_eq!(left_at.replace(now), None, "one request only");
@@ -650,7 +661,7 @@ mod tests {
         }
         assert_eq!(left_at, Some(102));
         assert_eq!(retired_at, Some(153));
-        assert_eq!(s.stats().busy_cycles, 154, "resident for ticks 0..=153");
+        assert_eq!(awake, [0, 100, 101, 102, 153], "asleep on every other tick");
         assert_eq!(s.stats().mem_instrs, 1);
         assert!(!s.busy());
     }

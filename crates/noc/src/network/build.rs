@@ -283,6 +283,7 @@ impl Network {
             seq: 0,
             cycle: 0,
             in_network: 0,
+            ejects: 0,
             packets: Vec::new(),
             next: Vec::new(),
             free_pids: Vec::new(),

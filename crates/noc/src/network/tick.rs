@@ -59,6 +59,7 @@ impl Network {
                         .record((self.cycle - pkt.injected_cycle) as f64);
                     self.stats.hops.record(pkt.hops as f64);
                     self.endpoints[ep as usize].eject_q.push_back(pid);
+                    self.ejects += 1;
                     self.in_network -= 1;
                 }
                 Ev::Credit { at, flits } => self.credits[at as usize] += flits as i32,
