@@ -2,10 +2,11 @@
 //! domains parked until their next event, and their skipped edges
 //! accounted as if they had ticked.
 
-use super::{domain, HmcPort, SimError, System};
+use super::{HmcPort, SimError, System};
 use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
 use memnet_obs::prof::ProfCat;
+use memnet_obs::ClockDomain::{self, Core, Cpu, Dram, Net, L2};
 
 /// How the engine advances simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -78,55 +79,62 @@ impl System {
     /// (or phase setup) hands the components new work — every predicate
     /// below is monotone in that sense. Work a domain schedules for
     /// itself is its alarm ([`System::park_idle`]), not this predicate.
-    fn domain_active(&self, d: usize) -> bool {
+    fn domain_active(&self, d: ClockDomain) -> bool {
         match d {
             // A GPU stays busy from kernel launch until its last response
             // is consumed (`Gpu::busy` covers outstanding routes), so the
             // core domain is never parked while replies are in flight —
             // crossbar release times computed from `core_cycle` stay
             // exact. The L2 services the same work, on the same signal.
-            domain::CORE | domain::L2 => self.gpus.iter().any(|g| !g.is_idle()),
+            Core | L2 => self.gpus.iter().any(|g| !g.is_idle()),
             // The DMA engine only issues reads; its responses and queue
             // drains arrive on net ticks, later in the timestep, and the
             // top-of-`advance` wake replays the edges a full window skipped.
-            domain::CPU => !self.cpu.is_idle() || self.dma.can_issue(),
-            // The net domain also hosts the metrics heartbeat: epoch
-            // snapshots ride net ticks and sample *live* gauges of other
-            // components, so with metrics enabled the domain is pinned
-            // active — synthesized catch-up epochs could not be
-            // bit-identical. Packets in the fabric are its alarm.
-            domain::NET => {
-                self.metrics.is_some()
-                    || !self.hmc_ports.iter().all(HmcPort::is_idle)
+            Cpu => !self.cpu.is_idle() || self.dma.can_issue(),
+            // Packets in the fabric and the next metrics epoch are its
+            // alarm.
+            Net => {
+                !self.hmc_ports.iter().all(HmcPort::is_idle)
                     || self.gpus.iter().any(Gpu::has_mem_request)
                     || self.cpu.has_mem_request()
                     || self.dma.has_mem_request()
             }
             // Serviced requests waiting to complete are its alarm.
-            domain::DRAM => self.hmcs.iter().any(HmcDevice::has_queued),
-            _ => unreachable!("unknown clock domain {d}"),
+            Dram => self.hmcs.iter().any(HmcDevice::has_queued),
         }
     }
 
-    /// Parks idle domain `d` until its next event: the net domain until
-    /// the fabric's next event, DRAM until the earliest completion, the
-    /// others for good. An event at the domain's very next edge keeps it
-    /// armed, and so does one whose edge overflows `Fs` — it then ticks
-    /// on, as the cycle-stepped loop would.
-    fn park_idle(&mut self, d: usize) {
+    /// Parks idle domain `d` until its alarm: the earlier of its own next
+    /// event and its pending fault edge, both edges of its own clock. The
+    /// net domain's own event is the fabric's next event or the tick that
+    /// takes the next metrics epoch, DRAM's the earliest completion; the
+    /// others have none, and park for good without a fault. An alarm at
+    /// the domain's very next edge keeps it armed, and so does one whose
+    /// edge overflows `Fs` — it then ticks on, as the cycle-stepped loop
+    /// would.
+    fn park_idle(&mut self, d: ClockDomain) {
         let event = match d {
-            domain::NET => self.net.next_event(),
-            domain::DRAM => self
+            // `observe_net_tick` takes the epoch once the tick has moved
+            // the net cycle to `next_epoch`: the tick from the cycle before.
+            Net => {
+                let epoch = self.metrics.is_some().then(|| self.next_epoch - 1);
+                self.net.next_event().into_iter().chain(epoch).min()
+            }
+            Dram => self
                 .hmcs
                 .iter()
                 .filter_map(HmcDevice::next_completion)
                 .min(),
-            _ => None,
+            Core | L2 | Cpu => None,
         };
-        let clock = self.cal.clock(d);
-        match event.map(|cycle| cycle.checked_mul(clock.period_fs())) {
-            None => self.cal.park(d),
-            Some(Some(edge)) if edge > clock.next_fs() => self.cal.park_until(d, edge),
+        let clock = self.cal.clock(d as usize);
+        let own = event.map(|cycle| cycle.checked_mul(clock.period_fs()));
+        let fault = self.fault_q[d as usize].front().map(|f| Some(f.edge_fs));
+        // An overflowed edge (`None`) orders before every `Some` edge, so
+        // it wins the minimum and keeps the domain armed.
+        match own.into_iter().chain(fault).min() {
+            None => self.cal.park(d as usize),
+            Some(Some(edge)) if edge > clock.next_fs() => self.cal.park_until(d as usize, edge),
             Some(_) => {}
         }
     }
@@ -135,22 +143,21 @@ impl System {
     /// domain, so downstream figures (crossbar timestamps, idle channel
     /// energy, utilization denominators, epoch numbering) match a run
     /// that ticked through the idle stretch.
-    fn apply_skip(&mut self, d: usize, skipped: u64) {
+    fn apply_skip(&mut self, d: ClockDomain, skipped: u64) {
         if skipped == 0 {
             return;
         }
         match d {
-            domain::CORE => {
+            Core => {
                 for g in &mut self.gpus {
                     g.skip_idle_cycles(skipped);
                 }
             }
-            domain::NET => self.net.skip_idle_cycles(skipped),
+            Net => self.net.skip_idle_cycles(skipped),
             // L2 and DRAM keep no counter of their own (they read the
             // core clock and the DRAM clock's cycle count respectively),
             // and the CPU core's internal cycle is purely relative.
-            domain::L2 | domain::CPU | domain::DRAM => {}
-            _ => unreachable!("unknown clock domain {d}"),
+            L2 | Cpu | Dram => {}
         }
     }
 
@@ -160,30 +167,11 @@ impl System {
     /// ticking through the idle stretch.
     pub(super) fn catch_up_parked(&mut self) {
         self.prof_begin(ProfCat::FastForward);
-        for d in 0..domain::COUNT {
-            let skipped = self.cal.catch_up_parked(d, self.now);
+        for d in ClockDomain::ALL {
+            let skipped = self.cal.catch_up_parked(d as usize, self.now);
             self.apply_skip(d, skipped);
         }
         self.prof_end(ProfCat::FastForward);
-    }
-
-    /// Wakes domain `d` at its first edge strictly after `self.now`.
-    /// Used at the top of a timestep for work produced by a
-    /// later-priority domain in an earlier timestep, or by phase setup:
-    /// in the cycle-stepped loop, `d`'s edges at or before that point had
-    /// already ticked (as no-ops) when the work appeared.
-    fn wake_after_now(&mut self, d: usize) {
-        let skipped = self.cal.wake_after(d, self.now);
-        self.apply_skip(d, skipped);
-    }
-
-    /// Wakes domain `d` at its first edge at or after `self.now`. Used
-    /// within a timestep, before `d`'s tick slot, for work produced by an
-    /// earlier-priority domain at this very timestep: if `d` has an edge
-    /// here, the cycle-stepped loop would have it act on the work now.
-    fn wake_at_or_after_now(&mut self, d: usize) {
-        let skipped = self.cal.wake_at_or_after(d, self.now);
-        self.apply_skip(d, skipped);
     }
 
     /// Advances simulated time to the earliest pending clock edge of an
@@ -196,117 +184,91 @@ impl System {
     pub(super) fn advance(&mut self) -> bool {
         // Re-arm parked domains that acquired work since their last
         // edge — from a later-priority producer last timestep, or from
-        // phase setup (kernel launch, `start_copy`, `run_program`).
-        // Waking replays the skipped idle window, so this is the
-        // fast-forward cost bucket.
+        // phase setup (kernel launch, `start_copy`, `run_program`) — at
+        // their first edge strictly after now: in the cycle-stepped loop,
+        // their edges at or before now had already ticked (as no-ops)
+        // when the work appeared. Waking replays the skipped idle window,
+        // so this is the fast-forward cost bucket.
         self.prof_begin(ProfCat::FastForward);
-        for d in 0..domain::COUNT {
-            if self.cal.is_parked(d) && self.domain_active(d) {
-                self.wake_after_now(d);
+        for d in ClockDomain::ALL {
+            if self.cal.is_parked(d as usize) && self.domain_active(d) {
+                let skipped = self.cal.wake_after(d as usize, self.now);
+                self.apply_skip(d, skipped);
             }
         }
         self.prof_end(ProfCat::FastForward);
         self.prof_begin(ProfCat::CalendarAdvance);
-        // Never let time jump past a pending fault's owner edge. The next
-        // timestep is the earlier of the next armed clock edge or alarm
-        // and the earliest pending fault edge; parked owners whose fault
-        // or alarm lands at exactly that timestep are woken there (and
-        // only there — waking an owner at a *later* fault edge would skip
-        // edges where work produced this timestep should tick).
-        // Re-evaluated every advance, so a fault inside a fast-forwarded
-        // idle window still fires on its exact edge and both engine modes
-        // apply it at the same simulated instant.
-        let fault_next = self
-            .fault_q
-            .iter()
-            .filter_map(|q| q.front().map(|f| f.edge_fs))
-            .min();
-        let next = match (self.cal.earliest(), fault_next) {
-            (Some(a), Some(f)) => a.min(f),
-            (Some(a), None) => a,
-            (None, Some(f)) => f,
-            (None, None) => {
-                self.prof_end(ProfCat::CalendarAdvance);
-                return false;
-            }
+        // The next timestep is the earliest armed edge or alarm. A parked
+        // domain's alarm holds its pending fault edge, so a fault inside a
+        // fast-forwarded idle window still fires on its exact edge and
+        // both engine modes apply it at the same simulated instant.
+        let Some(next) = self.cal.earliest() else {
+            self.prof_end(ProfCat::CalendarAdvance);
+            return false;
         };
         self.now = next;
-        for d in 0..domain::COUNT {
-            // One wake rule: a parked domain wakes at the earlier of its
-            // pending fault edge and its alarm. Time never passes either,
-            // so one at or before `next` is at `next`.
-            if !self.cal.is_parked(d) {
-                continue;
-            }
-            let fault = self.fault_q[d].front().map(|f| f.edge_fs);
-            let wake = fault.into_iter().chain(self.cal.alarm(d)).min();
-            if wake.is_some_and(|w| w <= next) {
-                self.wake_at_or_after_now(d);
+        for d in ClockDomain::ALL {
+            // One wake rule: a parked domain whose alarm is `next` wakes
+            // there (time never passes an alarm). Only there — waking it
+            // at a *later* alarm would skip edges where work produced this
+            // timestep should tick.
+            if self.cal.alarm(d as usize) == Some(next) {
+                let skipped = self.cal.wake_at_or_after(d as usize, next);
+                self.apply_skip(d, skipped);
             }
         }
         self.prof_end(ProfCat::CalendarAdvance);
 
-        for d in 0..domain::COUNT {
+        for d in ClockDomain::ALL {
             // Work produced earlier in this same timestep (by a
-            // higher-priority domain) re-arms `d` in time for a
-            // coincident edge.
-            if self.cal.is_parked(d) && self.domain_active(d) {
-                self.wake_at_or_after_now(d);
+            // higher-priority domain) re-arms `d` at its first edge at or
+            // after now: if `d` has an edge here, the cycle-stepped loop
+            // would have it act on the work now.
+            if self.cal.is_parked(d as usize) && self.domain_active(d) {
+                let skipped = self.cal.wake_at_or_after(d as usize, self.now);
+                self.apply_skip(d, skipped);
             }
-            if !self.cal.due(d, self.now) {
+            if !self.cal.due(d as usize, self.now) {
                 continue;
             }
             self.apply_due_faults(d);
-            let cat = Self::prof_cat(d);
-            self.prof_begin(cat);
+            self.prof_begin(ProfCat::Tick(d));
             self.tick_domain(d);
-            self.prof_end(cat);
-            self.cal.advance(d);
-            if self.park && !self.domain_active(d) && !self.cal.is_parked(d) {
+            self.prof_end(ProfCat::Tick(d));
+            self.cal.advance(d as usize);
+            if self.park && !self.domain_active(d) && !self.cal.is_parked(d as usize) {
                 self.park_idle(d);
             }
         }
         true
     }
 
-    /// Profiler category for one clock domain's tick.
-    fn prof_cat(d: usize) -> ProfCat {
-        match d {
-            domain::CORE => ProfCat::CoreTick,
-            domain::L2 => ProfCat::L2Tick,
-            domain::CPU => ProfCat::CpuTick,
-            domain::NET => ProfCat::NetTick,
-            domain::DRAM => ProfCat::DramTick,
-            _ => unreachable!("unknown clock domain {d}"),
-        }
-    }
-
     /// One tick of one clock domain, in priority order within a timestep:
     /// GPU cores, GPU L2s, CPU+DMA, network, DRAM.
-    fn tick_domain(&mut self, d: usize) {
+    fn tick_domain(&mut self, d: ClockDomain) {
         match d {
-            domain::CORE => {
+            Core => {
                 for g in &mut self.gpus {
                     g.tick_core_traced(self.tracer.as_mut());
                 }
             }
-            domain::L2 => {
+            L2 => {
                 for g in &mut self.gpus {
                     g.tick_l2();
                 }
             }
-            domain::CPU => {
+            Cpu => {
                 self.cpu.tick();
                 self.dma.tick();
             }
-            domain::NET => {
+            Net => {
                 self.pump_into_network();
                 self.net.tick_traced(self.tracer.as_mut());
                 self.pump_out_of_network();
                 self.observe_net_tick();
             }
-            domain::DRAM => {
-                let tck = self.cal.clock(domain::DRAM).cycles();
+            Dram => {
+                let tck = self.cal.clock(Dram as usize).cycles();
                 #[allow(clippy::cast_possible_truncation, reason = "cubes are u16-id nodes")]
                 for (i, h) in self.hmcs.iter_mut().enumerate() {
                     // A cube without work has empty vault queues and no
@@ -322,7 +284,6 @@ impl System {
                     }
                 }
             }
-            _ => unreachable!("unknown clock domain {d}"),
         }
     }
 }

@@ -3,11 +3,12 @@
 //! due fault does to the live system: link state, vault stalls, and GPU
 //! loss with its CTA rebalancing.
 
-use super::{domain, System};
+use super::System;
 use crate::ske::CtaPolicy;
 use memnet_common::faults::FaultKind;
 use memnet_common::time::Fs;
 use memnet_common::FaultPlan;
+use memnet_obs::ClockDomain::{self, Core, Dram, Net};
 use memnet_obs::TraceEventKind;
 
 /// A plan event pinned to an edge of its owning domain.
@@ -38,13 +39,13 @@ impl System {
                         self.faults_skipped += 1;
                         continue;
                     };
-                    (domain::NET, li)
+                    (Net, li)
                 }
-                FaultKind::VaultStall { hmc, .. } => (domain::DRAM, wrap(hmc, self.hmcs.len())),
-                FaultKind::GpuLoss { gpu } => (domain::CORE, wrap(gpu, self.gpus.len())),
+                FaultKind::VaultStall { hmc, .. } => (Dram, wrap(hmc, self.hmcs.len())),
+                FaultKind::GpuLoss { gpu } => (Core, wrap(gpu, self.gpus.len())),
             };
-            let period = self.cal.clock(owner).period_fs();
-            self.fault_q[owner].push_back(ResolvedFault {
+            let period = self.cal.clock(owner as usize).period_fs();
+            self.fault_q[owner as usize].push_back(ResolvedFault {
                 edge_fs: ev.at_fs.div_ceil(period) * period,
                 kind: ev.kind.clone(),
                 target,
@@ -55,16 +56,18 @@ impl System {
     /// Applies every pending fault owned by domain `d` whose edge has
     /// arrived. Called just before `d`'s tick so the fault's effect is
     /// visible to that very tick — in both engine modes, at the same edge.
-    pub(super) fn apply_due_faults(&mut self, d: usize) {
-        while self.fault_q[d]
-            .front()
-            .is_some_and(|f| f.edge_fs <= self.now)
-        {
-            #[allow(
-                clippy::expect_used,
-                reason = "the pop follows a front() check in the loop condition"
-            )]
-            let f = self.fault_q[d].pop_front().expect("checked front");
+    pub(super) fn apply_due_faults(&mut self, d: ClockDomain) {
+        // The queues only shrink after `resolve_faults`, and a parked
+        // domain's alarm holds its front edge, so no edge is ever passed.
+        debug_assert!(
+            self.fault_q[d as usize]
+                .front()
+                .is_none_or(|f| f.edge_fs >= self.cal.clock(d as usize).next_fs()),
+            "clock domain {} passed its pending fault edge",
+            d.name()
+        );
+        let now = self.now;
+        while let Some(f) = self.fault_q[d as usize].pop_front_if(|f| f.edge_fs <= now) {
             self.apply_fault(&f);
         }
     }
@@ -88,7 +91,7 @@ impl System {
             FaultKind::VaultStall {
                 vault, stall_tcks, ..
             } => {
-                let tck = self.cal.clock(domain::DRAM).cycles();
+                let tck = self.cal.clock(Dram as usize).cycles();
                 self.hmcs[t].stall_vault(vault, tck + stall_tcks);
                 stall_tcks
             }

@@ -54,7 +54,7 @@ use memnet_gpu::Gpu;
 use memnet_hmc::mapping::Location;
 use memnet_hmc::HmcDevice;
 use memnet_noc::Network;
-use memnet_obs::{MetricsRegistry, Tracer};
+use memnet_obs::{ClockDomain, MetricsRegistry, Tracer};
 use memnet_workloads::WorkloadSpec;
 use observers::ProfPack;
 use std::collections::VecDeque;
@@ -153,24 +153,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Clock-domain indices in intra-timestep tick (priority) order. A domain
-/// earlier in this order ticks first within one timestep, which decides
-/// whether work it produces is visible to a later domain at the *same*
-/// timestep (it is) or only at the consumer's next edge (work flowing
-/// "backwards" to an earlier domain).
-mod domain {
-    pub const CORE: usize = 0;
-    pub const L2: usize = 1;
-    pub const CPU: usize = 2;
-    pub const NET: usize = 3;
-    pub const DRAM: usize = 4;
-    pub const COUNT: usize = 5;
-
-    pub fn name(d: usize) -> &'static str {
-        ["core", "l2", "cpu", "net", "dram"][d]
-    }
-}
-
 /// Per-HMC state the engine keeps outside the device model.
 #[derive(Debug, Default)]
 struct HmcPort {
@@ -208,7 +190,7 @@ struct System {
     hmc_ports: Vec<HmcPort>,
     layout: MemoryLayout,
 
-    /// Clock domains indexed by the [`domain`] constants.
+    /// Clock domains indexed by [`ClockDomain`] discriminant.
     cal: Calendar,
     /// True when idle domains may be parked ([`EngineMode::EventDriven`]).
     park: bool,
@@ -221,7 +203,7 @@ struct System {
 
     /// Pending resolved faults per owning clock domain, each queue in plan
     /// order, which is edge order.
-    fault_q: [VecDeque<ResolvedFault>; domain::COUNT],
+    fault_q: [VecDeque<ResolvedFault>; ClockDomain::ALL.len()],
     faults_injected: u64,
     faults_skipped: u64,
     failed_requests: u64,

@@ -1,12 +1,12 @@
 //! The pure observers — trace marks, sanitizer audits, metric epochs, the
 //! self-profiler: nothing here feeds back into simulated state.
 
-use super::{domain, SimReport, System};
+use super::{SimReport, System};
 use crate::profile::{Heatmap, ProfileHist, ProfileReport};
 use memnet_common::time::Fs;
 use memnet_obs::metrics::Histogram;
 use memnet_obs::prof::{ProfCat, Profiler};
-use memnet_obs::{HistSnapshot, TraceEventKind};
+use memnet_obs::{ClockDomain, HistSnapshot, TraceEventKind};
 
 /// Profiling state owned by the engine driver, fully outside simulation
 /// state. The [`Profiler`] is written only from the driver loop
@@ -124,7 +124,7 @@ impl System {
         for d in self.cal.misaligned() {
             found.push(format!(
                 "{phase}: clock domain {} fell off its edge grid (next_fs != cycles * period_fs)",
-                domain::name(d)
+                ClockDomain::ALL[d].name()
             ));
         }
         for v in found {

@@ -1,7 +1,7 @@
 //! Which phases a run goes through, in order — host-pre, H2D, kernel, D2H,
 //! host-post — straight, checkpointed before the kernel, or resumed there.
 
-use super::{domain, HmcPort, SimError, SimReport, System};
+use super::{HmcPort, SimError, SimReport, System};
 use crate::memory::HOST_BASE;
 use crate::profile::ProfileReport;
 use crate::ske;
@@ -215,7 +215,7 @@ impl System {
         let mut last_steal = 0u64;
         let done = |s: &System| s.gpus.iter().all(|g| !g.busy()) && Self::memory_system_idle(s);
         let elapsed = self.run_phase(done, |s| {
-            let core_cycles = s.cal.clock(domain::CORE).cycles();
+            let core_cycles = s.cal.clock(ClockDomain::Core as usize).cycles();
             if steals && core_cycles > last_steal + 2000 {
                 last_steal = core_cycles;
                 s.steal_ctas();
@@ -262,7 +262,7 @@ impl System {
                         if let Some(t) = self.tracer.as_mut() {
                             t.emit_instant(
                                 ClockDomain::Core,
-                                self.cal.clock(domain::CORE).cycles(),
+                                self.cal.clock(ClockDomain::Core as usize).cycles(),
                                 TraceEventKind::CtaSteal {
                                     victim: victim as u32,
                                     thief: thief as u32,

@@ -1,12 +1,12 @@
 //! What a finished system is summarized as: [`SimReport`], its JSON
 //! rendering, and its assembly from the components' final statistics.
 
-use super::{domain, Organization, System};
+use super::{Organization, System};
 use crate::profile::ProfileReport;
 use crate::sanitize::{Sanitizer, SanitizerReport};
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::{fs_to_ns, Fs};
-use memnet_obs::{JsonWriter, ToJson, Tracer};
+use memnet_obs::{ClockDomain, JsonWriter, ToJson, Tracer};
 
 /// Per-GPU digest for detailed reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,7 +205,7 @@ impl System {
             row_total += s.served;
         }
         let trace_dropped = self.tracer.as_ref().map_or(0, Tracer::dropped);
-        let ns = self.cal.clock(domain::NET).period_fs() as f64 / 1e6;
+        let ns = self.cal.clock(ClockDomain::Net as usize).period_fs() as f64 / 1e6;
         let report = SimReport {
             org: self.org,
             workload: self.workload.abbr.clone(),

@@ -1,13 +1,14 @@
 //! What a checkpoint holds, and how each record is handed back to its
 //! owner on a freshly built system.
 
-use super::{domain, System};
+use super::System;
 use crate::sanitize::Sanitizer;
 use crate::snapshot::{Header, SystemSnapshot};
 use memnet_common::time::Fs;
 use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
 use memnet_obs::json::{fit_len, u64_strs, Field, Fields, JsonValue};
+use memnet_obs::ClockDomain;
 
 impl System {
     /// Captures the full mutable simulation state at the normalized,
@@ -26,9 +27,9 @@ impl System {
             fingerprint,
             meta: meta.to_string(),
             now: self.now,
-            clocks: (0..domain::COUNT)
-                .map(|d| self.cal.clock(d).cycles())
-                .collect(),
+            clocks: ClockDomain::ALL
+                .map(|d| self.cal.clock(d as usize).cycles())
+                .to_vec(),
             host_fs,
             memcpy_fs,
             counters: [
@@ -77,7 +78,7 @@ impl System {
 
     fn restore(&mut self, f: &Fields) -> Result<(Fs, Fs), String> {
         let h = Header::read(f)?;
-        fit_len("clocks", h.clocks.len(), domain::COUNT)?;
+        fit_len("clocks", h.clocks.len(), ClockDomain::ALL.len())?;
         // Every clock was normalized to the boundary: its next edge is the
         // first one after `now`.
         for (d, &cycles) in h.clocks.iter().enumerate() {
@@ -93,7 +94,7 @@ impl System {
         self.now = h.now;
         let gpus = f.req("gpus")?.list_of(self.gpus.len(), Ok)?;
         for (g, x) in self.gpus.iter_mut().zip(gpus) {
-            x.record(|r| g.restore(r, h.clocks[domain::CORE]))?;
+            x.record(|r| g.restore(r, h.clocks[ClockDomain::Core as usize]))?;
         }
         f.req("cpu")?.record(|r| self.cpu.restore(r))?;
         f.req("dma")?.record(|r| self.dma.restore(r))?;
@@ -102,7 +103,7 @@ impl System {
             x.record(|r| hmc.restore(r))?;
         }
         f.req("net")?
-            .record(|r| self.net.restore(r, h.clocks[domain::NET]))?;
+            .record(|r| self.net.restore(r, h.clocks[ClockDomain::Net as usize]))?;
         f.req("memory")?.record(|r| self.layout.restore(r))?;
         let cells = self.traffic.raw_bytes_mut();
         let traffic = f.req("traffic")?.list_of(cells.len(), |x| x.uint_str())?;

@@ -13,7 +13,8 @@ use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
 use memnet_noc::topo::{add_cpu_overlay, add_pcie_tree, build_clusters, TopologyKind};
 use memnet_noc::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
-use memnet_obs::{ClockDomain, MetricsRegistry, Tracer};
+use memnet_obs::ClockDomain::{self, Core, Cpu, Dram, Net, L2};
+use memnet_obs::{MetricsRegistry, Tracer};
 use memnet_workloads::WorkloadSpec;
 
 impl System {
@@ -135,20 +136,18 @@ impl System {
         let hmc_ports = (0..hmc_eps.len()).map(|_| HmcPort::default()).collect();
         let traffic = TrafficMatrix::new(n_gpus + 1, hmc_eps.len());
 
-        // One clock per domain, in the order of the `domain` constants.
-        let clocks = vec![
-            Clock::from_freq_mhz(cfg.gpu.core_mhz),
-            Clock::from_freq_mhz(cfg.gpu.l2_mhz),
-            Clock::from_freq_mhz(cfg.cpu.freq_mhz),
-            Clock::from_freq_mhz(cfg.noc.router_mhz),
-            Clock::new(memnet_common::time::ns_to_fs(cfg.hmc.tck_ns)),
-        ];
-        let periods: Vec<Fs> = clocks.iter().map(Clock::period_fs).collect();
+        // One clock per domain, in tick order.
+        let clocks = ClockDomain::ALL.map(|d| match d {
+            Core => Clock::from_freq_mhz(cfg.gpu.core_mhz),
+            L2 => Clock::from_freq_mhz(cfg.gpu.l2_mhz),
+            Cpu => Clock::from_freq_mhz(cfg.cpu.freq_mhz),
+            Net => Clock::from_freq_mhz(cfg.noc.router_mhz),
+            Dram => Clock::new(memnet_common::time::ns_to_fs(cfg.hmc.tck_ns)),
+        });
         let tracer = b.trace_capacity.map(|cap| {
-            use ClockDomain::{Core, Cpu, Dram, Net, L2};
             let mut t = Tracer::new(cap);
-            for (dom, &period) in [Core, L2, Cpu, Net, Dram].into_iter().zip(&periods) {
-                t.set_clock(dom, period as f64);
+            for (d, clock) in ClockDomain::ALL.into_iter().zip(&clocks) {
+                t.set_clock(d, clock.period_fs() as f64);
             }
             t
         });
@@ -161,7 +160,7 @@ impl System {
             phase_budget: (b.phase_budget_ns * 1e6) as Fs,
             cpu: CpuCore::new(CpuId(0), &cfg.cpu),
             dma: DmaEngine::new(CpuId(0), 32),
-            cal: Calendar::new(clocks),
+            cal: Calendar::new(clocks.to_vec()),
             park: engine_mode == EngineMode::EventDriven,
             engine_mode,
             now: 0,

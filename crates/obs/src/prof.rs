@@ -23,6 +23,7 @@
 //!   (`#[global_allocator]` in the `memnet` binary); when it is not
 //!   installed, [`alloc_stats`] reports `installed: false` and zeros.
 
+use crate::trace::ClockDomain;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -31,61 +32,46 @@ use std::time::Instant;
 /// clock-domain tick, plus the engine's own bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfCat {
-    /// GPU SM/core ticks (CTA dispatch, lane execution, L1).
-    CoreTick,
-    /// GPU L2 ticks.
-    L2Tick,
-    /// CPU core + DMA engine ticks.
-    CpuTick,
-    /// Router ticks (injection, routing, allocation, ejection pumps).
-    NetTick,
-    /// HMC vault ticks.
-    DramTick,
+    /// One clock domain's ticks: GPU cores (CTA dispatch, lane execution,
+    /// L1), GPU L2s, CPU core + DMA engine, routers (injection, routing,
+    /// allocation, ejection pumps) or HMC vaults.
+    Tick(ClockDomain),
     /// Calendar bookkeeping: earliest-edge search, re-arming, parking.
     CalendarAdvance,
     /// Idle fast-forward: catching parked domains up over skipped edges.
     FastForward,
 }
 
-/// Number of [`ProfCat`] variants (array sizing).
-pub const PROF_CATS: usize = 7;
+/// Number of [`ProfCat`] values (array sizing).
+pub const PROF_CATS: usize = ClockDomain::ALL.len() + 2;
 
 impl ProfCat {
     /// Stable report name.
     pub fn name(self) -> &'static str {
         match self {
-            ProfCat::CoreTick => "core-tick",
-            ProfCat::L2Tick => "l2-tick",
-            ProfCat::CpuTick => "cpu-tick",
-            ProfCat::NetTick => "net-tick",
-            ProfCat::DramTick => "dram-tick",
+            ProfCat::Tick(ClockDomain::Core) => "core-tick",
+            ProfCat::Tick(ClockDomain::L2) => "l2-tick",
+            ProfCat::Tick(ClockDomain::Cpu) => "cpu-tick",
+            ProfCat::Tick(ClockDomain::Net) => "net-tick",
+            ProfCat::Tick(ClockDomain::Dram) => "dram-tick",
             ProfCat::CalendarAdvance => "calendar-advance",
             ProfCat::FastForward => "fast-forward",
         }
     }
 
-    /// All categories in report order.
+    /// All categories in report order: the domain ticks in tick order,
+    /// then the bookkeeping.
     pub fn all() -> [ProfCat; PROF_CATS] {
-        [
-            ProfCat::CoreTick,
-            ProfCat::L2Tick,
-            ProfCat::CpuTick,
-            ProfCat::NetTick,
-            ProfCat::DramTick,
-            ProfCat::CalendarAdvance,
-            ProfCat::FastForward,
-        ]
+        use ProfCat::{CalendarAdvance, FastForward};
+        let [core, l2, cpu, net, dram] = ClockDomain::ALL.map(ProfCat::Tick);
+        [core, l2, cpu, net, dram, CalendarAdvance, FastForward]
     }
 
     fn index(self) -> usize {
         match self {
-            ProfCat::CoreTick => 0,
-            ProfCat::L2Tick => 1,
-            ProfCat::CpuTick => 2,
-            ProfCat::NetTick => 3,
-            ProfCat::DramTick => 4,
-            ProfCat::CalendarAdvance => 5,
-            ProfCat::FastForward => 6,
+            ProfCat::Tick(d) => d as usize,
+            ProfCat::CalendarAdvance => PROF_CATS - 2,
+            ProfCat::FastForward => PROF_CATS - 1,
         }
     }
 }
@@ -349,21 +335,21 @@ mod tests {
     fn scoped_timers_accumulate() {
         let mut p = Profiler::new();
         for _ in 0..3 {
-            p.begin(ProfCat::NetTick);
+            p.begin(ProfCat::Tick(ClockDomain::Net));
             std::hint::black_box(0u64);
-            p.end(ProfCat::NetTick);
+            p.end(ProfCat::Tick(ClockDomain::Net));
         }
-        assert_eq!(p.ticks(ProfCat::NetTick), 3);
-        assert_eq!(p.ticks(ProfCat::DramTick), 0);
-        assert!(p.wall_ns() >= p.total_ns(ProfCat::NetTick));
+        assert_eq!(p.ticks(ProfCat::Tick(ClockDomain::Net)), 3);
+        assert_eq!(p.ticks(ProfCat::Tick(ClockDomain::Dram)), 0);
+        assert!(p.wall_ns() >= p.total_ns(ProfCat::Tick(ClockDomain::Net)));
     }
 
     #[test]
     fn end_without_begin_is_a_noop() {
         let mut p = Profiler::new();
-        p.end(ProfCat::CoreTick);
-        assert_eq!(p.ticks(ProfCat::CoreTick), 0);
-        assert_eq!(p.total_ns(ProfCat::CoreTick), 0);
+        p.end(ProfCat::Tick(ClockDomain::Core));
+        assert_eq!(p.ticks(ProfCat::Tick(ClockDomain::Core)), 0);
+        assert_eq!(p.total_ns(ProfCat::Tick(ClockDomain::Core)), 0);
     }
 
     #[test]

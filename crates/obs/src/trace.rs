@@ -14,7 +14,12 @@ use crate::json::JsonWriter;
 use crate::metrics::MetricsRegistry;
 use std::collections::VecDeque;
 
-/// The clock domain a raw cycle count belongs to.
+/// The five clock domains, the one list of them. Variants are in
+/// intra-timestep tick (priority) order and the discriminant is the
+/// domain's index: a domain earlier in this order ticks first within one
+/// timestep, which decides whether work it produces is visible to a later
+/// domain at the *same* timestep (it is) or only at the consumer's next
+/// edge (work flowing "backwards" to an earlier domain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockDomain {
     /// GPU core clock (SMs, CTA dispatch).
@@ -30,14 +35,18 @@ pub enum ClockDomain {
 }
 
 impl ClockDomain {
-    fn index(self) -> usize {
-        match self {
-            ClockDomain::Core => 0,
-            ClockDomain::L2 => 1,
-            ClockDomain::Cpu => 2,
-            ClockDomain::Net => 3,
-            ClockDomain::Dram => 4,
-        }
+    /// Every domain, in tick order.
+    pub const ALL: [ClockDomain; 5] = [
+        ClockDomain::Core,
+        ClockDomain::L2,
+        ClockDomain::Cpu,
+        ClockDomain::Net,
+        ClockDomain::Dram,
+    ];
+
+    /// Display name (`"core"`, `"l2"`, `"cpu"`, `"net"`, `"dram"`).
+    pub fn name(self) -> &'static str {
+        ["core", "l2", "cpu", "net", "dram"][self as usize]
     }
 }
 
@@ -182,7 +191,7 @@ pub struct Tracer {
     capacity: usize,
     dropped: u64,
     /// Femtoseconds per cycle, indexed by [`ClockDomain`].
-    fs_per_cycle: [f64; 5],
+    fs_per_cycle: [f64; ClockDomain::ALL.len()],
 }
 
 impl Tracer {
@@ -197,7 +206,7 @@ impl Tracer {
             events: VecDeque::with_capacity(capacity.min(1 << 16)),
             capacity,
             dropped: 0,
-            fs_per_cycle: [1.0; 5],
+            fs_per_cycle: [1.0; ClockDomain::ALL.len()],
         }
     }
 
@@ -205,7 +214,7 @@ impl Tracer {
     /// domain recorded before this call are scaled wrongly, so install all
     /// periods before the run starts.
     pub fn set_clock(&mut self, domain: ClockDomain, fs_per_cycle: f64) {
-        self.fs_per_cycle[domain.index()] = fs_per_cycle;
+        self.fs_per_cycle[domain as usize] = fs_per_cycle;
     }
 
     /// Records a span measured in `domain` cycles.
@@ -218,7 +227,7 @@ impl Tracer {
         dur_cycles: u64,
         kind: TraceEventKind,
     ) {
-        let fs = self.fs_per_cycle[domain.index()];
+        let fs = self.fs_per_cycle[domain as usize];
         self.push(TraceEvent {
             start_fs: (start_cycle as f64 * fs) as u64,
             dur_fs: (dur_cycles as f64 * fs) as u64,

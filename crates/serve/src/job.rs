@@ -88,10 +88,13 @@ pub fn parse_placement(s: &str) -> Option<PlacementPolicy> {
     lookup(&table, s)
 }
 
-/// Parses an engine mode name (`cycle` / `event`, long forms accepted).
-pub fn parse_engine(s: &str) -> Option<EngineMode> {
-    EngineMode::parse(s)
-}
+/// The most GPUs a job may ask for. Network node ids are `u16`, so a
+/// network holds at most 65 536 nodes. The largest organizations (PCIe
+/// and GMN, which add a PCIe switch) build ten nodes per cluster — the
+/// device's router and endpoint, and a router and an endpoint for each of
+/// its four HMCs — for every GPU and the CPU, plus the switch:
+/// 10 × (6 552 + 1) + 1 = 65 531 nodes, where one GPU more needs 65 541.
+const MAX_GPUS: u32 = 6_552;
 
 /// One simulation request, with the same defaults as `memnet run`.
 #[derive(Debug, Clone)]
@@ -229,7 +232,7 @@ impl JobSpec {
             spec.chaos_seed = Some(x.uint(MAX_SAFE_INT)?);
         }
         if let Some(x) = f.opt("engine")? {
-            spec.engine = Some(x.named("engine (cycle | event)", parse_engine)?);
+            spec.engine = Some(x.named("engine (cycle | event)", EngineMode::parse)?);
         }
         if let Some(x) = f.opt("sanitize")? {
             spec.sanitize = x.bool()?;
@@ -245,6 +248,9 @@ impl JobSpec {
     pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
         if self.gpus == 0 {
             return Err(("gpus", "must be positive"));
+        }
+        if self.gpus > MAX_GPUS {
+            return Err(("gpus", "must be at most 6552 (network node ids are u16)"));
         }
         if self.sms == 0 {
             return Err(("sms", "must be positive"));
@@ -353,6 +359,7 @@ mod tests {
             (r#"{"gpus":2,"gpus":4}"#, "duplicate field 'params.gpus'"),
             (r#"{"org":"nvlink"}"#, "'params.org': unknown organization"),
             (r#"{"gpus":0}"#, "'params.gpus' must be positive"),
+            (r#"{"gpus":6553}"#, "'params.gpus' must be at most 6552"),
             (r#"{"sms":0}"#, "'params.sms' must be positive"),
             (r#"{"sim_threads":2}"#, "unknown field 'params.sim_threads'"),
             (
@@ -492,9 +499,12 @@ mod tests {
             Some(PlacementPolicy::RoundRobin)
         );
         assert!(parse_placement("x").is_none());
-        assert_eq!(parse_engine("event-driven"), Some(EngineMode::EventDriven));
-        assert_eq!(parse_engine("parallel"), None);
-        assert_eq!(parse_engine("pdes"), None);
-        assert_eq!(parse_engine("warp"), None);
+        assert_eq!(
+            EngineMode::parse("event-driven"),
+            Some(EngineMode::EventDriven)
+        );
+        assert_eq!(EngineMode::parse("parallel"), None);
+        assert_eq!(EngineMode::parse("pdes"), None);
+        assert_eq!(EngineMode::parse("warp"), None);
     }
 }

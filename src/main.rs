@@ -15,12 +15,12 @@ use memnet::common::{FaultEvent, FaultPlan};
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
 use memnet::obs::{MetricsRegistry, TraceEventKind, Tracer};
 use memnet::serve::job::{
-    load_model, parse_cta, parse_engine, parse_org, parse_placement, parse_routing, parse_topology,
+    load_model, parse_cta, parse_org, parse_placement, parse_routing, parse_topology,
     parse_workload,
 };
 use memnet::serve::{serve_stdio, JobSpec, ServeConfig, Server, TcpDaemon};
 use memnet::sim::{
-    plan_from_json, Organization, ProfileReport, SimBuilder, SimReport, SystemSnapshot,
+    plan_from_json, EngineMode, Organization, ProfileReport, SimBuilder, SimReport, SystemSnapshot,
 };
 use memnet::wdl;
 use memnet::workloads::{Workload, WorkloadSpec};
@@ -604,7 +604,7 @@ fn parse_run_opts<'a>(
             }
             "--faults" => fault_files.push(f.value()?),
             "--chaos-seed" => spec.chaos_seed = Some(f.parsed("a seed", num)?),
-            "--engine" => spec.engine = Some(f.parsed("cycle or event", parse_engine)?),
+            "--engine" => spec.engine = Some(f.parsed("cycle or event", EngineMode::parse)?),
             "--checkpoint" => o.checkpoint = Some(f.value()?.to_string()),
             "--restore" => o.restore = Some(f.value()?.to_string()),
             _ => return f.unknown(),
@@ -906,6 +906,7 @@ mod tests {
         for (flags, params) in [
             ("--sms 0", r#"{"sms":0}"#),
             ("--gpus 0", r#"{"gpus":0}"#),
+            ("--gpus 7000", r#"{"gpus":7000}"#),
             ("--seconds-budget -1", r#"{"budget_ms":-1}"#),
             ("--seconds-budget nan", r#"{"budget_ms":null}"#),
             ("--seconds-budget inf", r#"{"budget_ms":1e999}"#),
