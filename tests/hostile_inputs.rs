@@ -179,3 +179,48 @@ fn every_snapshot_leaf_at_the_integer_limits_is_refused_or_runs() {
     }
     assert!(ran > 0 && refused > 80, "{ran} ran, {refused} refused");
 }
+
+/// Systems the `u8` router-port and VC ids cannot address: a PCIe switch
+/// or a PCN device router past 256 ports, and a sliced mesh whose
+/// diameter needs more than 256 VCs per port. Each is refused, by the job
+/// validator or the network build, naming `gpus`. Each runs on its own
+/// thread under one 10 s deadline, so a system that hangs fails the test
+/// instead of the suite.
+#[test]
+fn systems_past_the_u8_port_and_vc_ids_are_refused_in_time() {
+    let rows = [
+        r#""org":"pcie","gpus":256"#,
+        r#""org":"gmn","gpus":256"#,
+        r#""org":"umn","gpus":256"#,
+        r#""org":"pcn","gpus":252"#,
+        r#""org":"umn","topology":"smesh","gpus":250"#,
+    ];
+    // The refusal, or "ran" for a system that ran to the end.
+    let refusal = |row: &str| -> String {
+        let params = format!(r#"{{"workload":"vecadd","small":true,"sms":1,{row}}}"#);
+        let run = || -> Result<_, String> {
+            let params = memnet::obs::parse(&params).map_err(|e| e.to_string())?;
+            let spec = JobSpec::from_json(&params)?;
+            spec.builder().try_run().map_err(|e| e.to_string())
+        };
+        run().err().unwrap_or_else(|| "ran".into())
+    };
+    #[allow(clippy::disallowed_methods, reason = "a hung run must not hang the suite")]
+    let runs: Vec<_> = (rows.iter())
+        .map(|&row| (row, std::thread::spawn(move || refusal(row))))
+        .collect();
+    for _ in 0..100 {
+        if runs.iter().all(|(_, run)| run.is_finished()) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    for (row, run) in runs {
+        assert!(run.is_finished(), "{row}: still running after 10 s");
+        let why = run.join().expect("no panic");
+        assert!(
+            why.contains("gpus"),
+            "{row}: the refusal must name gpus: {why}"
+        );
+    }
+}
