@@ -1,78 +1,3 @@
-//! Table I — system configuration.
-//!
-//! Prints the simulated machine's parameters next to the paper's Table I
-//! values (they are identical by construction; this target documents and
-//! checks that).
+//! Table I — system configuration (`memnet_bench::table1`).
 
-use memnet_common::SystemConfig;
-
-fn main() {
-    let c = SystemConfig::paper();
-    memnet_bench::header("Table I: system configuration (paper values reproduced exactly)");
-    println!(
-        "GPU:  {} cores/GPU, {} threads, {} CTAs, SIMD {}",
-        c.gpu.n_sms, c.gpu.threads_per_sm, c.gpu.ctas_per_sm, c.gpu.simd_width
-    );
-    println!(
-        "      L1 {} KB/core {}-way {} B lines; L2 {} MB/GPU {}-way",
-        c.gpu.l1.size_bytes >> 10,
-        c.gpu.l1.assoc,
-        c.gpu.l1.line_bytes,
-        c.gpu.l2.size_bytes >> 20,
-        c.gpu.l2.assoc
-    );
-    println!(
-        "      clocks: core {} MHz, xbar {} MHz, L2 {} MHz",
-        c.gpu.core_mhz, c.gpu.xbar_mhz, c.gpu.l2_mhz
-    );
-    println!(
-        "CPU:  OoO @ {} GHz, issue {}, ROB {}",
-        c.cpu.freq_mhz / 1000.0,
-        c.cpu.issue_width,
-        c.cpu.rob_size
-    );
-    println!(
-        "      L1 {} KB {}-way {}-cycle; L2 {} MB {}-way {}-cycle; {} B lines",
-        c.cpu.l1.size_bytes >> 10,
-        c.cpu.l1.assoc,
-        c.cpu.l1.latency_cycles,
-        c.cpu.l2.size_bytes >> 20,
-        c.cpu.l2.assoc,
-        c.cpu.l2.latency_cycles,
-        c.cpu.l1.line_bytes
-    );
-    println!(
-        "HMC:  {} layers x {} vaults, {} banks/vault, {} GB",
-        c.hmc.layers,
-        c.hmc.vaults,
-        c.hmc.banks_per_vault,
-        c.hmc.capacity_bytes >> 30
-    );
-    println!("      FR-FCFS, {}-entry queue/vault", c.hmc.vault_queue);
-    println!(
-        "      tCK={} ns tRP={} tCCD={} tRCD={} tCL={} tWR={} tRAS={}",
-        c.hmc.tck_ns, c.hmc.t_rp, c.hmc.t_ccd, c.hmc.t_rcd, c.hmc.t_cl, c.hmc.t_wr, c.hmc.t_ras
-    );
-    println!(
-        "NoC:  {} GB/s/channel, {} channels/device, router {} MHz, {}-stage pipeline",
-        c.noc.channel_gbs, c.noc.channels_per_device, c.noc.router_mhz, c.noc.pipeline_stages
-    );
-    println!(
-        "      SerDes {} ns, {} VCs/class x 2 classes, {} B/VC, energy {}/{} pJ/bit",
-        c.noc.serdes_ns,
-        c.noc.vcs_per_class,
-        c.noc.vc_buffer_bytes,
-        c.noc.energy_pj_per_bit,
-        c.noc.idle_pj_per_bit
-    );
-    println!(
-        "PCIe: {} GB/s (16-lane v3.0), {} ns latency",
-        c.pcie.gbs, c.pcie.latency_ns
-    );
-    println!(
-        "Mapping: RW:CLH:BK:CT:VL:LC:CLL:BY, {} B pages, random page placement",
-        c.page_bytes
-    );
-    c.validate().expect("Table I config must validate");
-    memnet_bench::write_json("table1", &c);
-}
+memnet_bench::bench_main!(table1);

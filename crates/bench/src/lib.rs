@@ -1,56 +1,151 @@
-//! Experiment harness shared by the per-figure bench targets.
+//! Experiment harness: one function per paper figure, and its check.
 //!
-//! Every table and figure of the paper's evaluation has a bench target in
-//! `crates/bench/benches/` (run with `cargo bench`, or a single one with
-//! `cargo bench --bench fig14_orgs`). Each target:
-//!
-//! 1. runs the simulations ([`grid`]: in parallel across workloads/configurations),
-//! 2. prints the figure's rows with the paper's reference values next to
-//!    the measured ones,
-//! 3. writes machine-readable JSON to `target/experiments/<name>.json`
-//!    (consumed when updating `EXPERIMENTS.md`).
-//!
-//! Setting `MEMNET_FAST=1` shrinks every experiment (tiny workloads, fewer
-//! points) for a quick smoke pass.
+//! Every table and figure of the paper's evaluation is a module here. Its
+//! `run(size)` builds the figure's simulations and returns the rows its
+//! artifact serializes, `print(&rows)` prints them next to the paper's
+//! reference values, and `check(&rows, size)` states the figure's bands at
+//! that size. The bench targets in `crates/bench/benches/` (`cargo bench`,
+//! or one with `cargo bench --bench fig14_orgs`) are those four steps
+//! ([`bench_main!`]): run at the size the environment selects
+//! ([`Size::from_env`]), print, write `target/experiments/<name>.json`, and
+//! check when `MEMNET_CHECK=1` ([`check_if_asked`]). `tests/paper_claims.rs`
+//! calls the same `run` and `check` at [`Size::Test`].
 #![forbid(unsafe_code)]
 
+pub mod ablation_cta_sched;
+pub mod ablation_pcn;
+pub mod ablation_placement;
+pub mod fault_resilience;
+pub mod fig07_remote_access;
+pub mod fig10_traffic;
+pub mod fig12_channels;
+pub mod fig14_orgs;
+pub mod fig15_adaptive;
+pub mod fig16_topology;
+pub mod fig18_overlay;
+pub mod fig19_scaling;
+pub mod noc_loadlatency;
+pub mod table1;
+
+use memnet_common::SystemConfig;
 use memnet_core::{Organization, SimBuilder, SimReport};
 use memnet_noc::topo::{SlicedKind, TopologyKind};
-use memnet_obs::ToJson;
-use memnet_workloads::{Workload, WorkloadSpec};
-use std::io::Write as _;
+use memnet_obs::{JsonValue, ToJson};
+use memnet_workloads::Workload;
 use std::path::PathBuf;
 
-/// True when `MEMNET_FAST=1`: use tiny workloads for a smoke run.
-pub fn fast_mode() -> bool {
-    std::env::var("MEMNET_FAST").is_ok_and(|v| v == "1")
+/// How large a figure's runs are: the one knob every figure takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Size {
+    /// The test suite's: small inputs on 2-SM GPUs, and for the larger
+    /// figures a subset of their axes.
+    Test,
+    /// `MEMNET_FAST=1`: small inputs on the scaled machine; a smoke pass.
+    Fast,
+    /// The default: the scaled machine (`SystemConfig::scaled`, 16 SMs per
+    /// GPU) at the documented scaled inputs.
+    Scaled,
+    /// `MEMNET_FULL=1`: the exact Table I machine (64 SMs/GPU). Slower by
+    /// roughly the SM ratio.
+    Full,
 }
 
-/// True when `MEMNET_FULL=1`: run on the exact Table I machine
-/// (64 SMs/GPU) instead of the scaled one. Slower by roughly the SM ratio.
-pub fn full_mode() -> bool {
-    std::env::var("MEMNET_FULL").is_ok_and(|v| v == "1")
-}
+impl Size {
+    /// The size a bench target runs at: `MEMNET_FAST=1` wins over
+    /// `MEMNET_FULL=1`, and neither means [`Size::Scaled`].
+    pub fn from_env() -> Size {
+        let set = |var| std::env::var(var).is_ok_and(|v| v == "1");
+        if set("MEMNET_FAST") {
+            Size::Fast
+        } else if set("MEMNET_FULL") {
+            Size::Full
+        } else {
+            Size::Scaled
+        }
+    }
 
-/// The workload spec to simulate: scaled by default, tiny in fast mode.
-pub fn spec_for(w: Workload) -> WorkloadSpec {
-    if fast_mode() {
-        w.spec_small()
-    } else {
-        w.spec()
+    /// True at the sizes that run the small workload inputs.
+    pub fn small(self) -> bool {
+        matches!(self, Size::Test | Size::Fast)
+    }
+
+    /// A builder for the evaluation machine (4 GPUs, 16 HMCs) at this size.
+    pub fn builder(self, org: Organization, w: Workload) -> SimBuilder {
+        let spec = if self.small() {
+            w.spec_small()
+        } else {
+            w.spec()
+        };
+        let b = SimBuilder::new(org)
+            .workload(spec)
+            .phase_budget_ns(20_000_000.0);
+        match self {
+            Size::Test => b.sms_per_gpu(2),
+            Size::Full => b.config(SystemConfig::paper()),
+            Size::Fast | Size::Scaled => b,
+        }
+    }
+
+    /// `test` at the test size, `all` at every other.
+    pub fn pick<T>(self, test: T, all: T) -> T {
+        if self == Size::Test {
+            test
+        } else {
+            all
+        }
     }
 }
 
-/// A builder preconfigured for the evaluation machine (4 GPUs, 16 HMCs,
-/// scaled SM count — see `SystemConfig::scaled`).
-pub fn eval_builder(org: Organization, w: Workload) -> SimBuilder {
-    let mut b = SimBuilder::new(org)
-        .workload(spec_for(w))
-        .phase_budget_ns(20_000_000.0);
-    if full_mode() {
-        b = b.config(memnet_common::SystemConfig::paper());
+/// Fails a figure's `check` unless `cond` holds, with the reason
+/// ``<why>: `<cond>` fails``.
+#[macro_export]
+macro_rules! ensure {
+    ($cond:expr, $($why:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!("{}: `{}` fails", format!($($why)+), stringify!($cond)));
+        }
+    };
+}
+
+/// The one row `pick` selects, or an error naming `what` is missing.
+pub fn find<'a, T>(rows: &'a [T], what: &str, pick: impl Fn(&T) -> bool) -> Result<&'a T, String> {
+    rows.iter()
+        .find(|r| pick(r))
+        .ok_or_else(|| format!("no {what} row"))
+}
+
+/// With `MEMNET_CHECK=1`, holds a figure to its bands: prints the verdict,
+/// and exits 1 when one fails.
+pub fn check_if_asked(name: &str, verdict: impl FnOnce() -> Result<(), String>) {
+    if !std::env::var("MEMNET_CHECK").is_ok_and(|v| v == "1") {
+        return;
     }
-    b
+    match verdict() {
+        Ok(()) => println!("[check] {name}: every band holds"),
+        Err(why) => {
+            eprintln!("FAIL: {name}: {why}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// A bench target's `main`: runs figure module `$fig` at the size the
+/// environment selects, prints it, writes its artifact (and each `$extra`
+/// artifact, a `$view` of the same rows), and checks it when
+/// `MEMNET_CHECK=1`.
+#[macro_export]
+macro_rules! bench_main {
+    ($fig:ident $(, $extra:literal => $view:path)*) => {
+        fn main() {
+            let size = $crate::Size::from_env();
+            let rows = $crate::$fig::run(size);
+            $crate::$fig::print(&rows);
+            $crate::write_json(stringify!($fig), &rows);
+            $($crate::write_json($extra, &$view(&rows));)*
+            $crate::check_if_asked(stringify!($fig), || $crate::$fig::check(&rows, size));
+        }
+    };
 }
 
 /// The reports of a [`grid`] run: `g[[i, j]]` is the point at position `i`
@@ -67,7 +162,8 @@ pub struct Grid<const N: usize> {
 ///
 /// # Panics
 ///
-/// Propagates the first job panic — the harness should fail loudly.
+/// Propagates the first job panic, and panics on a run that timed out —
+/// the harness should fail loudly.
 pub fn grid<const N: usize>(
     dims: [usize; N],
     build: impl Fn([usize; N]) -> SimBuilder + Sync,
@@ -88,7 +184,10 @@ pub fn grid<const N: usize>(
     let reports = memnet_engine::run_jobs(&memnet_engine::PoolConfig::default(), jobs)
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("bench job failed: {e}")))
-        .collect();
+        .collect::<Vec<SimReport>>();
+    for r in &reports {
+        assert!(!r.timed_out, "{} on {} timed out", r.workload, r.org.name());
+    }
     Grid { dims, reports }
 }
 
@@ -113,35 +212,9 @@ impl<const N: usize> std::ops::Index<[usize; N]> for Grid<N> {
     }
 }
 
-/// The five sliced topologies Figs. 16 and 17 sweep, in column order.
-pub fn sliced_topologies() -> [TopologyKind; 5] {
-    [
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: false,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Mesh,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Torus,
-            double: true,
-        },
-        TopologyKind::Sliced {
-            kind: SlicedKind::Fbfly,
-            double: false,
-        },
-    ]
-}
-
-/// Runs one (organization, workload) pair on the evaluation machine.
-pub fn run_org(org: Organization, w: Workload) -> SimReport {
-    eval_builder(org, w).run()
+/// A sliced topology.
+pub const fn sliced(kind: SlicedKind, double: bool) -> TopologyKind {
+    TopologyKind::Sliced { kind, double }
 }
 
 /// Prints a rule-and-title header for a figure.
@@ -150,34 +223,64 @@ pub fn header(title: &str) {
     println!("==== {title} ====");
 }
 
-/// Formats a ratio as `x.xx×`.
-pub fn ratio(a: f64, b: f64) -> String {
-    if b == 0.0 {
-        "n/a".to_string()
-    } else {
-        format!("{:.2}x", a / b)
+/// Prints `rows` under `title` as a table, one column per field, then the
+/// paper's reference values in `notes`.
+///
+/// # Panics
+///
+/// If a row's own JSON does not parse.
+pub fn table<T: ToJson>(title: &str, rows: &[T], notes: &[&str]) {
+    header(title);
+    let cell = |v: &JsonValue| match v {
+        JsonValue::Number(n) if n.fract() == 0.0 || n.abs() >= 100.0 => format!("{n:.0}"),
+        JsonValue::Number(n) => format!("{n:.3}"),
+        JsonValue::String(s) => s.clone(),
+        other => other.to_json(),
+    };
+    let rows: Vec<Vec<(String, String)>> = (rows.iter())
+        .map(|r| {
+            let row = memnet_obs::parse(&r.to_json()).expect("a row's own JSON parses");
+            let fields = row.as_object().unwrap_or_default().iter();
+            fields.map(|(k, v)| (k.clone(), cell(v))).collect()
+        })
+        .collect();
+    let line = |cells: Vec<&String>| {
+        let cells: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
+        println!("  {}", cells.join(" "));
+    };
+    if let Some(first) = rows.first() {
+        line(first.iter().map(|(key, _)| key).collect());
+    }
+    for row in &rows {
+        line(row.iter().map(|(_, v)| v).collect());
+    }
+    for note in notes {
+        println!("  {note}");
     }
 }
 
 /// Writes an experiment's JSON artifact under `target/experiments/`.
+pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) {
+    write_artifact(name, &value.to_json_pretty());
+}
+
+/// Writes `text` as the artifact `target/experiments/<name>.json`.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors — the harness should fail loudly.
-pub fn write_json<T: ToJson>(name: &str, value: &T) {
+pub fn write_artifact(name: &str, text: &str) {
     let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     path.pop();
     path.pop();
     path.push("target/experiments");
     std::fs::create_dir_all(&path).expect("create experiments dir");
     path.push(format!("{name}.json"));
-    let mut f = std::fs::File::create(&path).expect("create json");
-    let s = value.to_json_pretty();
-    f.write_all(s.as_bytes()).expect("write json");
+    std::fs::write(&path, text).expect("write json");
     println!("[wrote {}]", path.display());
 }
 
-/// Geometric mean re-export for harness binaries.
+/// Geometric mean re-export for the figures.
 pub use memnet_common::stats::geomean;
 
 #[cfg(test)]
@@ -202,11 +305,5 @@ mod tests {
                 assert_eq!(g.row(gi)[oi].kernel_ns, g[[gi, oi]].kernel_ns);
             }
         }
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(ratio(3.0, 2.0), "1.50x");
-        assert_eq!(ratio(1.0, 0.0), "n/a");
     }
 }

@@ -94,7 +94,10 @@ impl System {
             hmc_eps.extend(c.hmc_eps_flat());
             (g.device_eps, c.device_eps[0], hmc_eps)
         };
-        let net = nb.build();
+        let net = nb.try_build().map_err(|why| {
+            let topology = b.topology.name();
+            SimError::InvalidConfig(format!("gpus = {n_gpus} on topology {topology}: {why}"))
+        })?;
 
         // Memory layout: regions per data-residency policy. Co-workloads
         // stack above the primary footprint at page-aligned bases.

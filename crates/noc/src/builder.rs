@@ -268,12 +268,26 @@ impl NetworkBuilder {
 
     /// Freezes the graph into a runnable [`Network`].
     ///
+    /// # Errors
+    ///
+    /// A router with more ports, or a port with more VCs, than `u8` ids
+    /// address.
+    ///
     /// # Panics
     ///
     /// Panics if the router graph is disconnected (some endpoint pair would
     /// be unreachable).
-    pub fn build(self) -> Network {
+    pub fn try_build(self) -> Result<Network, String> {
         Network::from_builder(self)
+    }
+
+    /// [`NetworkBuilder::try_build`], panicking with its error.
+    ///
+    /// # Panics
+    ///
+    /// As `try_build`, and on the graphs it refuses.
+    pub fn build(self) -> Network {
+        self.try_build().unwrap_or_else(|why| panic!("{why}"))
     }
 }
 

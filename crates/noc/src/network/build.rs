@@ -41,19 +41,17 @@ pub(super) fn all_pairs_hops(
     dist
 }
 
-/// The minimal output ports per (router, destination router) and per
-/// (router, destination endpoint), in port order: the ports whose channel
-/// is up and whose peer is one hop closer under `dist`. An unreachable
-/// destination gets an empty set.
-#[allow(clippy::cast_possible_truncation, reason = "a router has under 256 ports")]
-pub(super) fn min_port_tables(
+/// The minimal output ports per (router, destination router), in port
+/// order: the ports whose channel is up and whose peer is one hop closer
+/// under `dist`. An unreachable destination gets an empty set.
+#[allow(clippy::cast_possible_truncation, reason = "ports checked ≤ MAX_U8_IDS at build")]
+pub(super) fn min_port_table(
     routers: &[Router],
     channels: &[Channel],
-    endpoints: &[Endpoint],
     dist: &[Vec<u16>],
-) -> (PortTable, PortTable) {
+) -> PortTable {
     let nr = routers.len();
-    let to_rtr: PortTable = (0..nr)
+    (0..nr)
         .map(|r| {
             (0..nr)
                 .map(|d| {
@@ -78,28 +76,20 @@ pub(super) fn min_port_tables(
                 })
                 .collect()
         })
-        .collect();
-    let to_ep = (0..nr)
-        .map(|r| {
-            endpoints
-                .iter()
-                .map(|e| {
-                    if r == e.router as usize {
-                        vec![e.router_port]
-                    } else {
-                        to_rtr[r][e.router as usize].clone()
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    (to_rtr, to_ep)
+        .collect()
 }
 
+/// Port ids and VC ids are `u8`: a router has at most this many ports, and
+/// a port at most this many VCs (both message classes together).
+pub(super) const MAX_U8_IDS: usize = 256;
+
 impl Network {
-    #[allow(clippy::cast_possible_truncation, reason = "u16 node ids; under 256 ports per router")]
+    /// Freezes the builder's graph. Every `u8` port and VC id is checked
+    /// here, once: a router with more than [`MAX_U8_IDS`] ports, or a
+    /// diameter that needs more VCs per port, is refused.
+    #[allow(clippy::cast_possible_truncation, reason = "u16 node ids; ports checked ≤ MAX_U8_IDS")]
     #[allow(clippy::expect_used, reason = "overlay chains are validated by overlay_chain")]
-    pub(crate) fn from_builder(b: NetworkBuilder) -> Network {
+    pub(crate) fn from_builder(b: NetworkBuilder) -> Result<Network, String> {
         let p = b.params;
         // Dense router / endpoint indices.
         let mut kind = Vec::with_capacity(b.nodes.len());
@@ -152,6 +142,27 @@ impl Network {
         };
         let vcs_per_class = p.vcs_per_class.max(needed);
         let total_vcs = (vcs_per_class as usize) * MsgClass::COUNT;
+        if total_vcs > MAX_U8_IDS {
+            return Err(format!(
+                "a diameter of {diameter} hops needs {total_vcs} VCs per port, \
+                 more than the {MAX_U8_IDS} that u8 VC ids address"
+            ));
+        }
+        let mut ports = vec![0usize; nr];
+        for &(a, b) in &link_rtrs {
+            ports[a as usize] += 1;
+            ports[b as usize] += 1;
+        }
+        for n in &b.nodes {
+            if let NodeRec::Endpoint { router, .. } = n {
+                ports[ridx(*router) as usize] += 1;
+            }
+        }
+        if let Some(most) = ports.into_iter().max().filter(|&n| n > MAX_U8_IDS) {
+            return Err(format!(
+                "a router needs {most} ports, more than the {MAX_U8_IDS} that u8 port ids address"
+            ));
+        }
 
         // Materialize routers: each link contributes one port on each side;
         // each endpoint contributes one port on its home router.
@@ -207,7 +218,7 @@ impl Network {
             }
         }
 
-        let (min_ports_rtr, min_ports_ep) = min_port_tables(&routers, &channels, &endpoints, &dist);
+        let min_ports_rtr = min_port_table(&routers, &channels, &dist);
 
         // Overlay chains: for each router on a chain, destination endpoints
         // homed further along the chain (in either direction) are reached
@@ -255,7 +266,7 @@ impl Network {
             .flat_map(|port| (0..total_vcs).map(|vc| port.vc_cap(vc)))
             .collect();
 
-        Network {
+        Ok(Network {
             flit_bytes: p.flit_bytes,
             pipeline_cycles: p.pipeline_cycles,
             passthrough_cycles: p.passthrough_cycles,
@@ -274,7 +285,6 @@ impl Network {
             kind,
             node_of_router,
             dist,
-            min_ports_ep,
             min_ports_rtr,
             link_rtrs,
             link_ports,
@@ -290,6 +300,6 @@ impl Network {
             rng: SplitMix64::new(p.seed),
             stats: NetStats::default(),
             ep_inj_cap: p.vc_buffer_flits as i32,
-        }
+        })
     }
 }

@@ -2,7 +2,7 @@
 //! back up, degrading it, and the route tables that follow from the links
 //! that are up.
 
-use super::build::{all_pairs_hops, min_port_tables};
+use super::build::{all_pairs_hops, min_port_table};
 use super::Network;
 use crate::builder::LinkTag;
 use memnet_common::NodeId;
@@ -87,7 +87,6 @@ impl Network {
         self.dist = all_pairs_hops(nr, &self.link_rtrs, |li| {
             self.channels[Self::link_channels(li)[0]].up
         });
-        (self.min_ports_rtr, self.min_ports_ep) =
-            min_port_tables(&self.routers, &self.channels, &self.endpoints, &self.dist);
+        self.min_ports_rtr = min_port_table(&self.routers, &self.channels, &self.dist);
     }
 }

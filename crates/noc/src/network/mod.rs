@@ -323,9 +323,8 @@ pub struct Network {
     node_of_router: Vec<NodeId>,
     /// Router-to-router hop distances.
     dist: Vec<Vec<u16>>,
-    /// Minimal output ports per (router, destination endpoint).
-    min_ports_ep: PortTable,
-    /// Minimal output ports per (router, destination router), for Valiant.
+    /// Minimal output ports per (router, destination router); toward an
+    /// endpoint, those toward its home router ([`Network::min_ports_to_ep`]).
     min_ports_rtr: PortTable,
 
     /// Per builder link: router pair (dense indices) and port pair. Index

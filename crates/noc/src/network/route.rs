@@ -16,9 +16,24 @@ impl Network {
             .sum()
     }
 
+    /// The minimal output ports at router `r` toward endpoint `e`: the
+    /// endpoint's own port at its home router, elsewhere the ports toward
+    /// that router.
+    fn min_ports_to_ep(&self, r: usize, e: usize) -> &[u8] {
+        let ep = &self.endpoints[e];
+        if r == ep.router as usize {
+            std::slice::from_ref(&ep.router_port)
+        } else {
+            &self.min_ports_rtr[r][ep.router as usize]
+        }
+    }
+
     /// Queues the head of input VC `vc` on port `in_port` of router `r` at
     /// output port `out` for allocation, and marks that port ready.
-    #[allow(clippy::cast_possible_truncation, reason = "ports and VCs per router are under 256")]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "ports and VCs checked ≤ MAX_U8_IDS at build"
+    )]
     fn pend(&mut self, r: usize, out: u8, in_port: usize, vc: usize, passthrough: bool) {
         let cand = Cand {
             in_port: in_port as u8,
@@ -64,7 +79,7 @@ impl Network {
         let home = self.endpoints[e].router as usize;
         if self.policy == RoutingPolicy::Ugal && hops == 0 && via.is_none() && !overlay {
             let h_min = self.dist[r][home] as i64 + 1;
-            if let Some(min_port) = self.min_ports_ep[r][e].first().copied() {
+            if let Some(min_port) = self.min_ports_to_ep(r, e).first().copied() {
                 #[allow(clippy::cast_possible_truncation, reason = "below the router count")]
                 let x = self.rng.next_below(self.routers.len() as u64) as usize;
                 if x != r && x != home && !self.min_ports_rtr[r][x].is_empty() {
@@ -99,7 +114,7 @@ impl Network {
         }
         let ports: &[u8] = match (via, via_rtr) {
             (Some(_), Some(vi)) => &self.min_ports_rtr[r][vi],
-            _ => &self.min_ports_ep[r][e],
+            _ => self.min_ports_to_ep(r, e),
         };
         if ports.is_empty() {
             self.dead_letter_head(r, in_port, vc);
@@ -141,7 +156,10 @@ impl Network {
         let at = self.vc_at(r, in_port, vc);
         self.vcs[at].head = self.next[pid as usize];
         self.vcs[at].occ -= flits;
-        #[allow(clippy::cast_possible_truncation, reason = "VCs per port are under 256")]
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "VCs per port checked ≤ MAX_U8_IDS at build"
+        )]
         let vc = vc as u8;
         #[allow(clippy::cast_possible_truncation, reason = "flat VC indices fit u32")]
         let ev = match self.routers[r].ports[in_port].peer {

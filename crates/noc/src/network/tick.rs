@@ -128,7 +128,10 @@ impl Network {
     }
 
     /// Tries to send one packet through output port `p` of router `r`.
-    #[allow(clippy::cast_possible_truncation, reason = "u16-id routers; ports and VCs under 256")]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "u16-id routers; ports and VCs checked ≤ MAX_U8_IDS at build"
+    )]
     fn allocate(&mut self, r: usize, p: usize, mut tracer: Option<&mut Tracer>) {
         let ch_idx = self.routers[r].ports[p].out_channel as usize;
         if !self.channels[ch_idx].up || self.channels[ch_idx].busy_until > self.cycle {
@@ -235,7 +238,10 @@ impl Network {
             };
             self.stats.flits_injected += flits as u64;
             let ser = self.commit(ch, bytes, flits);
-            #[allow(clippy::cast_possible_truncation, reason = "VCs per port are under 256")]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "VCs per port checked ≤ MAX_U8_IDS at build"
+            )]
             self.arrive(self.cycle + ser + 1, to, vc as u8, pid);
         }
     }

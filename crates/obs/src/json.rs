@@ -8,8 +8,8 @@
 //!   Chrome-trace exporter and the experiment artifacts;
 //! * [`ToJson`] — implemented for primitives, strings, slices and
 //!   (via [`to_json_struct!`](crate::to_json_struct)) plain structs;
-//! * [`parse`] — a strict parser into [`JsonValue`] for reading artifacts
-//!   back (e.g. the fig. 17 energy bench re-reads fig. 16's output);
+//! * [`parse`] — a strict parser into [`JsonValue`] for reading documents
+//!   back (golden files, and every outside input [`Fields`] reads);
 //! * [`Fields`] — the one strict typed reader that turns a parsed outside
 //!   input (serve request, workload model, fault plan, snapshot) into
 //!   values: deny unknown, deny duplicate, exact integers, path in every

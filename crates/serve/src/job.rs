@@ -88,13 +88,14 @@ pub fn parse_placement(s: &str) -> Option<PlacementPolicy> {
     lookup(&table, s)
 }
 
-/// The most GPUs a job may ask for. Network node ids are `u16`, so a
-/// network holds at most 65 536 nodes. The largest organizations (PCIe
-/// and GMN, which add a PCIe switch) build ten nodes per cluster — the
-/// device's router and endpoint, and a router and an endpoint for each of
-/// its four HMCs — for every GPU and the CPU, plus the switch:
-/// 10 × (6 552 + 1) + 1 = 65 531 nodes, where one GPU more needs 65 541.
-const MAX_GPUS: u32 = 6_552;
+/// The most GPUs a job may ask for. Router port ids are `u8`, so a router
+/// has at most 256 ports (`Network::from_builder` refuses more). The
+/// PCIe switch, which PCIe, PCIe-ZC, GMN and GMN-ZC all build, has one
+/// port per GPU and one for the CPU: 255 GPUs + 1 = 256 ports. Smaller
+/// systems can still exceed a bound (PCN's device routers link to every
+/// other device; a long sliced mesh needs more VCs than `u8` ids address),
+/// and the build refuses those.
+const MAX_GPUS: u32 = 255;
 
 /// One simulation request, with the same defaults as `memnet run`.
 #[derive(Debug, Clone)]
@@ -250,7 +251,7 @@ impl JobSpec {
             return Err(("gpus", "must be positive"));
         }
         if self.gpus > MAX_GPUS {
-            return Err(("gpus", "must be at most 6552 (network node ids are u16)"));
+            return Err(("gpus", "must be at most 255 (the PCIe switch has one u8 port id per GPU and one for the CPU)"));
         }
         if self.sms == 0 {
             return Err(("sms", "must be positive"));
@@ -359,7 +360,8 @@ mod tests {
             (r#"{"gpus":2,"gpus":4}"#, "duplicate field 'params.gpus'"),
             (r#"{"org":"nvlink"}"#, "'params.org': unknown organization"),
             (r#"{"gpus":0}"#, "'params.gpus' must be positive"),
-            (r#"{"gpus":6553}"#, "'params.gpus' must be at most 6552"),
+            (r#"{"gpus":6553}"#, "'params.gpus' must be at most 255"),
+            (r#"{"gpus":256}"#, "'params.gpus' must be at most 255"),
             (r#"{"sms":0}"#, "'params.sms' must be positive"),
             (r#"{"sim_threads":2}"#, "unknown field 'params.sim_threads'"),
             (
