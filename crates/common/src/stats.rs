@@ -110,7 +110,7 @@ impl fmt::Display for RunningStats {
 }
 
 /// Power-of-two bucketed histogram for latencies / queue depths.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
 }

@@ -4,9 +4,10 @@
 use super::{SimReport, System};
 use crate::profile::{Heatmap, ProfileHist, ProfileReport};
 use memnet_common::time::Fs;
-use memnet_obs::metrics::Histogram;
+use memnet_hmc::HmcDevice;
+use memnet_noc::Network;
 use memnet_obs::prof::{ProfCat, Profiler};
-use memnet_obs::{ClockDomain, HistSnapshot, TraceEventKind};
+use memnet_obs::{ClockDomain, HistSnapshot, MetricsRegistry, TraceEventKind};
 
 /// Profiling state owned by the engine driver, fully outside simulation
 /// state. The [`Profiler`] is written only from the driver loop
@@ -16,13 +17,10 @@ use memnet_obs::{ClockDomain, HistSnapshot, TraceEventKind};
 /// profiling cannot change a single simulated outcome.
 pub(super) struct ProfPack {
     pub(super) profiler: Profiler,
-    /// Packet injection-to-ejection latency, network cycles.
-    pub(super) lat_hist: Histogram,
-    /// Router input-VC occupancy, flits, sampled every
-    /// [`ProfPack::sample_every`] network cycles.
-    vc_hist: Histogram,
-    /// Vault controller queue depth, requests, same cadence.
-    vault_hist: Histogram,
+    /// Packet latency, VC occupancy and vault queue depth distributions,
+    /// the occupancies sampled every [`ProfPack::sample_every`] network
+    /// cycles.
+    pub(super) hists: MetricsRegistry,
     /// Network cycle at which the next occupancy sample is due.
     next_sample: u64,
     /// Network cycles between occupancy samples.
@@ -36,9 +34,7 @@ impl ProfPack {
     fn new(sample_every: u64) -> Self {
         ProfPack {
             profiler: Profiler::new(),
-            lat_hist: Histogram::default(),
-            vc_hist: Histogram::default(),
-            vault_hist: Histogram::default(),
+            hists: MetricsRegistry::new(),
             next_sample: sample_every,
             sample_every,
         }
@@ -48,20 +44,15 @@ impl ProfPack {
     pub(super) fn into_report(self, sys: &System, report: &SimReport) -> ProfileReport {
         let engine = sys.engine_mode.name();
         let mut pr = ProfileReport::from_profiler(&self.profiler, engine);
-        pr.hists = vec![
-            ProfileHist {
-                name: "net.pkt_latency_cycles",
-                snap: HistSnapshot::of(&self.lat_hist),
-            },
-            ProfileHist {
-                name: "net.vc_occupancy_flits",
-                snap: HistSnapshot::of(&self.vc_hist),
-            },
-            ProfileHist {
-                name: "hmc.vault_queue_depth",
-                snap: HistSnapshot::of(&self.vault_hist),
-            },
-        ];
+        pr.hists = [PKT_LATENCY, VC_OCCUPANCY, VAULT_DEPTH]
+            .map(|name| ProfileHist {
+                name,
+                snap: self
+                    .hists
+                    .hist(name)
+                    .map_or_else(HistSnapshot::default, HistSnapshot::of),
+            })
+            .into();
         pr.net_cycles = sys.net.cycle();
         pr.flit_hops = sys.net.stats().flit_hops;
         pr.ctas_done = report.per_gpu.iter().map(|g| g.ctas_done).sum();
@@ -71,6 +62,22 @@ impl ProfPack {
             links: sys.net.link_utilization(),
         };
         pr
+    }
+}
+
+/// Packet injection-to-ejection latency, network cycles.
+pub(super) const PKT_LATENCY: &str = "net.pkt_latency_cycles";
+/// Router input-VC occupancy, flits.
+const VC_OCCUPANCY: &str = "net.vc_occupancy_flits";
+/// Vault controller queue depth, requests.
+const VAULT_DEPTH: &str = "hmc.vault_queue_depth";
+
+/// Samples every router input VC's occupancy and every vault's queue
+/// depth into `m`: one sample per entity. Pure reads of queue state.
+fn sample_queues(net: &Network, hmcs: &[HmcDevice], m: &mut MetricsRegistry) {
+    net.sample_vc_occupancy(|occ| m.record_hist(VC_OCCUPANCY, occ));
+    for h in hmcs {
+        h.sample_vault_depths(|d| m.record_hist(VAULT_DEPTH, d));
     }
 }
 
@@ -168,12 +175,7 @@ impl System {
         }
         m.set("cpu.outstanding", f64::from(self.cpu.outstanding()));
         m.set("dma.reads_inflight", f64::from(self.dma.reads_inflight()));
-        // Queue-depth distributions, one sample per entity per epoch.
-        self.net
-            .sample_vc_occupancy(|occ| m.record_hist("net.vc_occupancy_flits", occ));
-        for h in &self.hmcs {
-            h.sample_vault_depths(|d| m.record_hist("hmc.vault_queue_depth", d));
-        }
+        sample_queues(&self.net, &self.hmcs, m);
         m.snapshot(self.now);
     }
 
@@ -201,17 +203,12 @@ impl System {
             self.next_epoch = self.net.cycle() + self.metrics_every;
             self.snapshot_metrics();
         }
-        // Profiler occupancy sampling: pure reads of queue state into
-        // driver-owned histograms, never sim-visible.
+        // Profiler occupancy sampling into driver-owned histograms, never
+        // sim-visible.
         if let Some(p) = self.prof.as_mut() {
             if self.net.cycle() >= p.next_sample {
                 p.next_sample = self.net.cycle() + p.sample_every;
-                let vc = &mut p.vc_hist;
-                self.net.sample_vc_occupancy(|occ| vc.record(occ));
-                let vault = &mut p.vault_hist;
-                for h in &self.hmcs {
-                    h.sample_vault_depths(|d| vault.record(d));
-                }
+                sample_queues(&self.net, &self.hmcs, &mut p.hists);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! How memory traffic crosses the driver: device → fabric → HMC vault and
 //! back, with the fail-fast path for what the fabric can no longer deliver.
 
+use super::observers::PKT_LATENCY;
 use super::System;
 use memnet_common::{Agent, MemReq, MemResp, NodeId, Payload};
 use memnet_noc::MsgClass;
@@ -200,11 +201,9 @@ impl System {
                 },
             );
         }
-        if let Some(p) = self.prof.as_mut() {
-            p.lat_hist.record(latency_cycles);
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.record_hist("net.pkt_latency_cycles", latency_cycles);
+        let prof = self.prof.as_mut().map(|p| &mut p.hists);
+        for m in self.metrics.iter_mut().chain(prof) {
+            m.record_hist(PKT_LATENCY, latency_cycles);
         }
     }
 

@@ -6,7 +6,7 @@ use crate::profile::ProfileReport;
 use crate::sanitize::{Sanitizer, SanitizerReport};
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::{fs_to_ns, Fs};
-use memnet_obs::{ClockDomain, JsonWriter, ToJson, Tracer};
+use memnet_obs::{ClockDomain, JsonWriter, MetricsRegistry, Tracer};
 
 /// Per-GPU digest for detailed reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +85,10 @@ pub struct SimReport {
     /// [`trace`](crate::SimBuilder::trace). Load it in `chrome://tracing`
     /// or Perfetto.
     pub trace_json: Option<String>,
-    /// Metrics-registry JSON (counters, gauges, epochs), when periodic
-    /// snapshots were enabled with
+    /// The metrics registry (counters, gauges, histograms, epochs), when
+    /// periodic snapshots were enabled with
     /// [`metrics_every`](crate::SimBuilder::metrics_every).
-    pub metrics_json: Option<String>,
+    pub metrics: Option<MetricsRegistry>,
     /// Invariant-audit results, when the runtime sanitizer was enabled
     /// with [`sanitize`](crate::SimBuilder::sanitize) or `MEMNET_SANITIZE`.
     pub sanitizer: Option<SanitizerReport>,
@@ -154,20 +154,12 @@ impl SimReport {
             w.begin_object();
             w.field("checks", &s.checks);
             w.field("clean", &s.is_clean());
-            w.key("violations");
-            w.begin_array();
-            for v in &s.violations {
-                w.value(v.as_str());
-            }
-            w.end_array();
+            w.field("violations", &s.violations);
             w.field("violations_dropped", &s.dropped);
             w.end_object();
         }
-        if let Some(m) = &self.metrics_json {
-            if let Ok(v) = memnet_obs::parse(m) {
-                w.key("metrics");
-                w.value(&v);
-            }
+        if let Some(m) = &self.metrics {
+            w.field("metrics", m);
         }
         w.end_object();
         w.finish()
@@ -240,7 +232,7 @@ impl System {
                 .tracer
                 .as_ref()
                 .map(|t| t.to_chrome_json(self.metrics.as_ref())),
-            metrics_json: self.metrics.as_ref().map(ToJson::to_json_pretty),
+            metrics: self.metrics.take(),
             sanitizer: self.san.take().map(Sanitizer::into_report),
             trace_dropped,
         };

@@ -1,7 +1,7 @@
 use super::{Organization, SimBuilder, SimError, SimReport};
 use crate::ske::CtaPolicy;
 use memnet_common::SystemConfig;
-use memnet_obs::json::JsonValue;
+use memnet_obs::json::{JsonValue, ToJson};
 use memnet_workloads::Workload;
 
 /// The test machine: two GPUs of two SMs each.
@@ -239,7 +239,7 @@ fn tracing_and_metrics_capture_the_run() {
     ] {
         assert!(trace.contains(needle), "trace must mention {needle}");
     }
-    let metrics = r.metrics_json.expect("metrics enabled");
+    let metrics = r.metrics.expect("metrics enabled").to_json_pretty();
     assert!(metrics.contains("net.flits_injected"));
     assert!(metrics.contains("occupancy"));
 }
@@ -260,7 +260,7 @@ fn tracing_does_not_perturb_the_simulation() {
 fn untraced_report_has_no_observability_payloads() {
     let r = small(Organization::Umn);
     assert!(r.trace_json.is_none());
-    assert!(r.metrics_json.is_none());
+    assert!(r.metrics.is_none());
 }
 
 #[test]
@@ -410,7 +410,7 @@ fn fault_trace_records_the_injection() {
         .run();
     let trace = r.trace_json.expect("trace enabled");
     assert!(trace.contains("gpu-loss"), "fault instant in the trace");
-    let metrics = r.metrics_json.expect("metrics enabled");
+    let metrics = r.metrics.expect("metrics enabled").to_json_pretty();
     assert!(metrics.contains("faults.injected"));
     assert!(metrics.contains("ske.rebalanced_ctas"));
 }

@@ -152,6 +152,21 @@ impl JsonWriter {
         v.write_json(self);
     }
 
+    /// Writes `key` followed by an object holding one member per
+    /// `(name, value)` pair, in iteration order.
+    pub fn object_field<K: AsRef<str>, V: ToJson>(
+        &mut self,
+        key: &str,
+        members: impl IntoIterator<Item = (K, V)>,
+    ) {
+        self.key(key);
+        self.begin_object();
+        for (k, v) in members {
+            self.field(k.as_ref(), &v);
+        }
+        self.end_object();
+    }
+
     /// Writes one value (array element or keyed member).
     pub fn value<T: ToJson + ?Sized>(&mut self, v: &T) {
         v.write_json(self);

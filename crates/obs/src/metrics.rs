@@ -29,8 +29,8 @@ use std::collections::BTreeMap;
 pub use memnet_common::stats::Histogram;
 
 /// Digest of a [`Histogram`] at snapshot time: sample count plus
-/// log-bucket percentile estimates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// log-bucket percentile estimates. The default is an empty histogram's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Samples recorded so far.
     pub count: u64,
@@ -55,10 +55,29 @@ impl HistSnapshot {
             max: h.percentile(100.0),
         }
     }
+
+    /// Writes the digest as an object; `tail` adds members after the five
+    /// digest fields, before the object closes.
+    fn write_with(&self, w: &mut JsonWriter, tail: impl FnOnce(&mut JsonWriter)) {
+        w.begin_object();
+        w.field("count", &self.count);
+        w.field("p50", &self.p50);
+        w.field("p90", &self.p90);
+        w.field("p99", &self.p99);
+        w.field("max", &self.max);
+        tail(w);
+        w.end_object();
+    }
+}
+
+impl ToJson for HistSnapshot {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.write_with(w, |_| {});
+    }
 }
 
 /// One periodic snapshot of every counter, gauge and histogram.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Epoch {
     /// Simulated time of the snapshot, femtoseconds.
     pub at_fs: u64,
@@ -70,8 +89,21 @@ pub struct Epoch {
     pub hists: Vec<(String, HistSnapshot)>,
 }
 
+impl ToJson for Epoch {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        w.field("at_ns", &(self.at_fs as f64 / 1e6));
+        w.object_field("counters", self.counters.iter().map(|(k, v)| (k, v)));
+        w.object_field("gauges", self.gauges.iter().map(|(k, v)| (k, v)));
+        if !self.hists.is_empty() {
+            w.object_field("histograms", self.hists.iter().map(|(k, s)| (k, s)));
+        }
+        w.end_object();
+    }
+}
+
 /// The concrete metrics store: current values plus the epoch time series.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
@@ -143,12 +175,21 @@ impl MetricsRegistry {
     }
 
     /// Records one sample into the histogram `name`, creating it on first
-    /// use.
+    /// use (only then is the name allocated).
     pub fn record_hist(&mut self, name: &'static str, value: u64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        if let Some(h) = self.hists.get_mut(name) {
+            h.record(value);
+        } else {
+            self.hists
+                .entry(name.to_string())
+                .or_default()
+                .record(value);
+        }
+    }
+
+    /// The histogram `name`, if any sample was ever recorded into it.
+    pub fn hist(&self, name: &str) -> Option<&Histogram> {
+        self.hists.get(name)
     }
 
     /// The recorded epoch snapshots, oldest first.
@@ -173,88 +214,34 @@ impl MetricsRegistry {
     }
 }
 
-fn write_hist_snapshot(w: &mut JsonWriter, s: &HistSnapshot) {
-    w.begin_object();
-    w.field("count", &s.count);
-    w.field("p50", &s.p50);
-    w.field("p90", &s.p90);
-    w.field("p99", &s.p99);
-    w.field("max", &s.max);
-    w.end_object();
-}
-
 impl ToJson for MetricsRegistry {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
-        w.key("counters");
-        w.begin_object();
-        for (k, v) in &self.counters {
-            w.field(k, v);
-        }
-        w.end_object();
-        w.key("gauges");
-        w.begin_object();
-        for (k, v) in &self.gauges {
-            w.field(k, v);
-        }
-        w.end_object();
+        w.object_field("counters", &self.counters);
+        w.object_field("gauges", &self.gauges);
         if !self.hists.is_empty() {
             w.key("histograms");
             w.begin_object();
             for (k, h) in &self.hists {
                 w.key(k);
-                w.begin_object();
-                let s = HistSnapshot::of(h);
-                w.field("count", &s.count);
-                w.field("p50", &s.p50);
-                w.field("p90", &s.p90);
-                w.field("p99", &s.p99);
-                w.field("max", &s.max);
-                // Sparse bucket dump: (log2 upper bound, count) pairs.
-                w.key("buckets");
-                w.begin_array();
-                for (i, &c) in h.buckets().iter().enumerate() {
-                    if c > 0 {
-                        w.begin_object();
-                        w.field("log2", &(i as u64));
-                        w.field("count", &c);
-                        w.end_object();
+                HistSnapshot::of(h).write_with(w, |w| {
+                    // Sparse bucket dump: (log2 upper bound, count) pairs.
+                    w.key("buckets");
+                    w.begin_array();
+                    for (i, &c) in h.buckets().iter().enumerate() {
+                        if c > 0 {
+                            w.begin_object();
+                            w.field("log2", &(i as u64));
+                            w.field("count", &c);
+                            w.end_object();
+                        }
                     }
-                }
-                w.end_array();
-                w.end_object();
+                    w.end_array();
+                });
             }
             w.end_object();
         }
-        w.key("epochs");
-        w.begin_array();
-        for e in &self.epochs {
-            w.begin_object();
-            w.field("at_ns", &(e.at_fs as f64 / 1e6));
-            w.key("counters");
-            w.begin_object();
-            for (k, v) in &e.counters {
-                w.field(k, v);
-            }
-            w.end_object();
-            w.key("gauges");
-            w.begin_object();
-            for (k, v) in &e.gauges {
-                w.field(k, v);
-            }
-            w.end_object();
-            if !e.hists.is_empty() {
-                w.key("histograms");
-                w.begin_object();
-                for (k, s) in &e.hists {
-                    w.key(k);
-                    write_hist_snapshot(w, s);
-                }
-                w.end_object();
-            }
-            w.end_object();
-        }
-        w.end_array();
+        w.field("epochs", &self.epochs);
         w.end_object();
     }
 }

@@ -76,18 +76,20 @@ impl ProfCat {
     }
 }
 
-/// Wall-clock and allocation deltas over one simulation phase.
-#[derive(Debug, Clone)]
-pub struct PhaseMark {
-    /// Phase name (`"host-pre"`, `"memcpy-h2d"`, `"kernel"`, ...).
-    pub name: &'static str,
-    /// Wall nanoseconds since the previous mark (or profiler creation).
-    pub wall_ns: u64,
-    /// Allocation calls since the previous mark (0 when the counting
-    /// allocator is not installed).
-    pub allocs: u64,
-    /// Bytes requested since the previous mark.
-    pub alloc_bytes: u64,
+crate::to_json_struct! {
+    /// Wall-clock and allocation deltas over one simulation phase.
+    #[derive(Debug, Clone)]
+    pub struct PhaseMark {
+        /// Phase name (`"host-pre"`, `"memcpy-h2d"`, `"kernel"`, ...).
+        pub name: &'static str,
+        /// Wall nanoseconds since the previous mark (or profiler creation).
+        pub wall_ns: u64,
+        /// Allocation calls since the previous mark (0 when the counting
+        /// allocator is not installed).
+        pub allocs: u64,
+        /// Bytes requested since the previous mark.
+        pub alloc_bytes: u64,
+    }
 }
 
 /// Scoped wall-clock timers, accumulated per [`ProfCat`].
@@ -282,20 +284,22 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// A point-in-time read of the counting allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AllocStats {
-    /// True when a [`CountingAlloc`] is installed in this process (any
-    /// allocation has been counted).
-    pub installed: bool,
-    /// Allocation calls since process start.
-    pub allocs: u64,
-    /// Bytes requested across all allocations.
-    pub bytes: u64,
-    /// Bytes currently live.
-    pub live_bytes: u64,
-    /// High-water mark of live bytes.
-    pub peak_bytes: u64,
+crate::to_json_struct! {
+    /// A point-in-time read of the counting allocator.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct AllocStats {
+        /// True when a [`CountingAlloc`] is installed in this process (any
+        /// allocation has been counted).
+        pub installed: bool,
+        /// Allocation calls since process start.
+        pub allocs: u64,
+        /// Bytes requested across all allocations.
+        pub bytes: u64,
+        /// Bytes currently live.
+        pub live_bytes: u64,
+        /// High-water mark of live bytes.
+        pub peak_bytes: u64,
+    }
 }
 
 /// Reads the counting allocator's totals. All zeros (and

@@ -335,10 +335,7 @@ impl Tracer {
         }
         w.end_array();
         w.field("displayTimeUnit", "ns");
-        w.key("otherData");
-        w.begin_object();
-        w.field("dropped_events", &self.dropped);
-        w.end_object();
+        w.object_field("otherData", [("dropped_events", self.dropped)]);
         w.end_object();
         w.finish()
     }
@@ -393,17 +390,41 @@ fn event_head(w: &mut JsonWriter, name: &str, cat: &str, ph: &str, ts_us: f64, t
 fn write_counter(w: &mut JsonWriter, ts_us: f64, name: &str, value: f64) {
     w.begin_object();
     event_head(w, name, "metrics", "C", ts_us, TID_PHASES);
-    w.key("args");
-    w.begin_object();
-    w.field("value", &value);
+    w.object_field("args", [("value", value)]);
     w.end_object();
-    w.end_object();
+}
+
+/// How an event kind is drawn: (name, category, span?). A span is a
+/// complete event (`"X"`) with a duration, anything else a thread-scoped
+/// instant (`"i"`).
+fn frame(kind: &TraceEventKind) -> (&'static str, &'static str, bool) {
+    match *kind {
+        TraceEventKind::PacketInject { .. } => ("packet-inject", "net", false),
+        TraceEventKind::PacketHop { .. } => ("packet-hop", "net", true),
+        TraceEventKind::PacketEject { .. } => ("packet-eject", "net", false),
+        TraceEventKind::VaultService { .. } => ("vault-service", "dram", true),
+        TraceEventKind::CtaLaunch { .. } => ("cta-launch", "gpu", false),
+        TraceEventKind::CtaRetire { .. } => ("cta", "gpu", true),
+        TraceEventKind::CtaSteal { .. } => ("cta-steal", "ske", false),
+        TraceEventKind::Phase { name } => (name, "phase", true),
+        TraceEventKind::PoolJob { what, .. } => (what, "pool", false),
+        TraceEventKind::SanitizerViolation { .. } => ("sanitizer-violation", "sanitizer", false),
+        TraceEventKind::Fault { kind, .. } => (kind, "fault", false),
+    }
 }
 
 fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
     let ts = ev.start_fs as f64 / 1e9; // fs → µs
-    let dur = ev.dur_fs as f64 / 1e9;
     let (tid, _, _) = tid_of(&ev.kind);
+    let (name, cat, span) = frame(&ev.kind);
+    w.begin_object();
+    event_head(w, name, cat, if span { "X" } else { "i" }, ts, tid);
+    if span {
+        w.field("dur", &(ev.dur_fs as f64 / 1e9));
+    } else {
+        w.field("s", "t");
+    }
+    w.key("args");
     w.begin_object();
     match &ev.kind {
         TraceEventKind::PacketInject {
@@ -412,15 +433,10 @@ fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
             class,
             bytes,
         } => {
-            event_head(w, "packet-inject", "net", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
             w.field("src", src);
             w.field("dst", dst);
-            w.field("class", *class);
+            w.field("class", class);
             w.field("bytes", bytes);
-            w.end_object();
         }
         TraceEventKind::PacketHop {
             router,
@@ -431,10 +447,6 @@ fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
             ser_cycles,
             passthrough,
         } => {
-            event_head(w, "packet-hop", "net", "X", ts, tid);
-            w.field("dur", &dur);
-            w.key("args");
-            w.begin_object();
             w.field("router", router);
             w.field("port", port);
             w.field("queue_cycles", queue_cycles);
@@ -442,21 +454,15 @@ fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
             w.field("serdes_cycles", serdes_cycles);
             w.field("ser_cycles", ser_cycles);
             w.field("passthrough", passthrough);
-            w.end_object();
         }
         TraceEventKind::PacketEject {
             dst,
             latency_cycles,
             hops,
         } => {
-            event_head(w, "packet-eject", "net", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
             w.field("dst", dst);
             w.field("latency_cycles", latency_cycles);
             w.field("hops", hops);
-            w.end_object();
         }
         TraceEventKind::VaultService {
             hmc,
@@ -464,88 +470,37 @@ fn write_event(w: &mut JsonWriter, ev: &TraceEvent) {
             row_hit,
             bytes,
         } => {
-            event_head(w, "vault-service", "dram", "X", ts, tid);
-            w.field("dur", &dur);
-            w.key("args");
-            w.begin_object();
             w.field("hmc", hmc);
             w.field("vault", vault);
             w.field("row_hit", row_hit);
             w.field("bytes", bytes);
-            w.end_object();
         }
-        TraceEventKind::CtaLaunch { gpu, sm, cta } => {
-            event_head(w, "cta-launch", "gpu", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
+        TraceEventKind::CtaLaunch { gpu, sm, cta } | TraceEventKind::CtaRetire { gpu, sm, cta } => {
             w.field("gpu", gpu);
             w.field("sm", sm);
             w.field("cta", cta);
-            w.end_object();
-        }
-        TraceEventKind::CtaRetire { gpu, sm, cta } => {
-            event_head(w, "cta", "gpu", "X", ts, tid);
-            w.field("dur", &dur);
-            w.key("args");
-            w.begin_object();
-            w.field("gpu", gpu);
-            w.field("sm", sm);
-            w.field("cta", cta);
-            w.end_object();
         }
         TraceEventKind::CtaSteal {
             victim,
             thief,
             count,
         } => {
-            event_head(w, "cta-steal", "ske", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
             w.field("victim", victim);
             w.field("thief", thief);
             w.field("count", count);
-            w.end_object();
         }
-        TraceEventKind::Phase { name } => {
-            event_head(w, name, "phase", "X", ts, tid);
-            w.field("dur", &dur);
-            w.key("args");
-            w.begin_object();
-            w.end_object();
-        }
-        TraceEventKind::PoolJob { what, job, attempt } => {
-            event_head(w, what, "pool", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
+        TraceEventKind::Phase { .. } => {}
+        TraceEventKind::PoolJob { job, attempt, .. } => {
             w.field("job", job);
             w.field("attempt", attempt);
-            w.end_object();
         }
-        TraceEventKind::SanitizerViolation { message } => {
-            event_head(w, "sanitizer-violation", "sanitizer", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
-            w.field("message", message);
-            w.end_object();
-        }
-        TraceEventKind::Fault {
-            kind,
-            target,
-            detail,
-        } => {
-            event_head(w, kind, "fault", "i", ts, tid);
-            w.field("s", "t");
-            w.key("args");
-            w.begin_object();
+        TraceEventKind::SanitizerViolation { message } => w.field("message", message),
+        TraceEventKind::Fault { target, detail, .. } => {
             w.field("target", target);
             w.field("detail", detail);
-            w.end_object();
         }
     }
+    w.end_object();
     w.end_object();
 }
 

@@ -10,9 +10,10 @@
 //! here; the cache only reports what happened through its return values.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 struct Entry {
-    report: String,
+    report: Arc<str>,
     last_used: u64,
 }
 
@@ -36,19 +37,21 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a fingerprint, refreshing its recency on a hit.
-    pub fn get(&mut self, fingerprint: u64) -> Option<&str> {
+    /// Looks up a fingerprint, refreshing its recency on a hit. The
+    /// report is shared with the entry, not copied.
+    pub fn get(&mut self, fingerprint: u64) -> Option<Arc<str>> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&fingerprint).map(|e| {
             e.last_used = tick;
-            e.report.as_str()
+            Arc::clone(&e.report)
         })
     }
 
-    /// Stores a report, evicting the least-recently-used entry when the
-    /// cache is full. Returns `true` if an entry was evicted.
-    pub fn insert(&mut self, fingerprint: u64, report: String) -> bool {
+    /// Stores a report (a fresh `String` or an already shared one),
+    /// evicting the least-recently-used entry when the cache is full.
+    /// Returns `true` if an entry was evicted.
+    pub fn insert(&mut self, fingerprint: u64, report: impl Into<Arc<str>>) -> bool {
         self.tick += 1;
         let mut evicted = false;
         if !self.map.contains_key(&fingerprint) && self.map.len() >= self.cap {
@@ -65,7 +68,7 @@ impl ResultCache {
         self.map.insert(
             fingerprint,
             Entry {
-                report,
+                report: report.into(),
                 last_used: self.tick,
             },
         );
@@ -96,18 +99,18 @@ mod tests {
     fn miss_then_hit_returns_the_same_bytes() {
         let mut c = ResultCache::new(4);
         assert!(c.get(1).is_none());
-        assert!(!c.insert(1, "{\"a\":1}".into()));
-        assert_eq!(c.get(1), Some("{\"a\":1}"));
+        assert!(!c.insert(1, "{\"a\":1}"));
+        assert_eq!(c.get(1).as_deref(), Some("{\"a\":1}"));
         assert_eq!(c.len(), 1);
     }
 
     #[test]
     fn evicts_least_recently_used() {
         let mut c = ResultCache::new(2);
-        c.insert(1, "one".into());
-        c.insert(2, "two".into());
+        c.insert(1, "one");
+        c.insert(2, "two");
         assert!(c.get(1).is_some(), "touch 1 so 2 is the LRU");
-        assert!(c.insert(3, "three".into()), "full cache must evict");
+        assert!(c.insert(3, "three"), "full cache must evict");
         assert!(c.get(2).is_none(), "2 was least recently used");
         assert!(c.get(1).is_some() && c.get(3).is_some());
     }
@@ -115,10 +118,10 @@ mod tests {
     #[test]
     fn overwriting_an_entry_does_not_evict() {
         let mut c = ResultCache::new(2);
-        c.insert(1, "one".into());
-        c.insert(2, "two".into());
-        assert!(!c.insert(1, "uno".into()), "replacement needs no space");
-        assert_eq!(c.get(1), Some("uno"));
+        c.insert(1, "one");
+        c.insert(2, "two");
+        assert!(!c.insert(1, "uno"), "replacement needs no space");
+        assert_eq!(c.get(1).as_deref(), Some("uno"));
         assert_eq!(c.len(), 2);
     }
 
@@ -126,8 +129,8 @@ mod tests {
     fn zero_capacity_is_clamped_to_one() {
         let mut c = ResultCache::new(0);
         assert_eq!(c.capacity(), 1);
-        c.insert(1, "one".into());
-        assert!(c.insert(2, "two".into()));
+        c.insert(1, "one");
+        assert!(c.insert(2, "two"));
         assert!(c.is_empty() || c.len() == 1);
         assert!(c.get(1).is_none() && c.get(2).is_some());
     }

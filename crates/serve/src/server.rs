@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Daemon tuning knobs.
@@ -118,13 +118,19 @@ fn spec_of(params: Field, parsed: Option<JobSpec>) -> Result<JobSpec, String> {
     parsed.map_or_else(|| JobSpec::from_field(params), Ok)
 }
 
+/// How one job of a request was served.
+struct Served {
+    cached: bool,
+    deduped: bool,
+    fingerprint: u64,
+    report: Arc<str>,
+}
+
 /// How one batch job resolved during classification.
 enum Slot {
-    /// The job did not parse.
-    Bad(String),
-    /// Served from cache; the report bytes are captured eagerly so a
-    /// later eviction inside the same batch cannot invalidate them.
-    Hit { fingerprint: u64, report: String },
+    /// Settled without a run: a parse error, or a cache hit, whose shared
+    /// bytes stay valid if a later insert in the same batch evicts them.
+    Done(Result<Served, String>),
     /// Scheduled as (or deduplicated onto) unique job `index`.
     Run {
         fingerprint: u64,
@@ -202,7 +208,13 @@ impl Server {
         let params = params.unwrap_or(Field::root(&no_params, "params"));
         envelope.finish()?;
         let body = match method {
-            "run" => return self.run_one(params),
+            "run" => {
+                let (mut served, _) = self.serve(vec![params]);
+                let s = served
+                    .pop()
+                    .unwrap_or_else(|| Err("no job was served".into()))?;
+                return Ok(run_body(s.cached, s.fingerprint, &s.report));
+            }
             "batch" => {
                 let batch = Fields::new(params.value(), "params")?;
                 let jobs = batch.req("jobs")?.list(Ok)?;
@@ -254,28 +266,12 @@ impl Server {
         Ok((fingerprint, Some(spec)))
     }
 
-    fn run_one(&mut self, params: Field) -> Result<String, String> {
-        let (fingerprint, parsed) = self.resolve(params)?;
-        if let Some(report) = self.cache.get(fingerprint) {
-            let body = run_body(true, fingerprint, report);
-            self.metrics.add("cache.hit", 1);
-            return Ok(body);
-        }
-        let spec = spec_of(params, parsed)?;
-        self.metrics.add("cache.miss", 1);
-        let report = self
-            .execute(vec![spec])
-            .pop()
-            .unwrap_or_else(|| Err("pool returned no outcome".into()))?;
-        if self.cache.insert(fingerprint, report.clone()) {
-            self.metrics.add("cache.evict", 1);
-        }
-        Ok(run_body(false, fingerprint, &report))
-    }
-
-    fn run_batch(&mut self, jobs: Vec<Field>) -> String {
-        // Classify each job: parse error, cache hit, or unique run —
-        // duplicates of an earlier miss are deduplicated onto it.
+    /// Serves jobs in order: a job that does not parse is an error, a
+    /// cached one a hit, and the rest run on the pool once each — a
+    /// duplicate of an earlier miss is deduplicated onto it. Returns each
+    /// job's outcome and the number deduplicated. A `run` request is a
+    /// batch of one.
+    fn serve(&mut self, jobs: Vec<Field>) -> (Vec<Result<Served, String>>, u64) {
         let mut slots = Vec::with_capacity(jobs.len());
         let mut unique: Vec<JobSpec> = Vec::new();
         let mut unique_fps: Vec<u64> = Vec::new();
@@ -284,17 +280,18 @@ impl Server {
             let (fingerprint, parsed) = match self.resolve(job) {
                 Ok(resolved) => resolved,
                 Err(e) => {
-                    slots.push(Slot::Bad(e));
+                    slots.push(Slot::Done(Err(e)));
                     continue;
                 }
             };
             if let Some(report) = self.cache.get(fingerprint) {
-                let report = report.to_string();
                 self.metrics.add("cache.hit", 1);
-                slots.push(Slot::Hit {
+                slots.push(Slot::Done(Ok(Served {
+                    cached: true,
+                    deduped: false,
                     fingerprint,
                     report,
-                });
+                })));
             } else if let Some(index) = unique_fps.iter().position(|&f| f == fingerprint) {
                 deduped += 1;
                 self.metrics.add("cache.dedup", 1);
@@ -307,7 +304,7 @@ impl Server {
                 let spec = match spec_of(job, parsed) {
                     Ok(spec) => spec,
                     Err(e) => {
-                        slots.push(Slot::Bad(e));
+                        slots.push(Slot::Done(Err(e)));
                         continue;
                     }
                 };
@@ -324,27 +321,37 @@ impl Server {
         let outcomes = self.execute(unique);
         for (&fingerprint, outcome) in unique_fps.iter().zip(&outcomes) {
             if let Ok(report) = outcome {
-                if self.cache.insert(fingerprint, report.clone()) {
+                if self.cache.insert(fingerprint, Arc::clone(report)) {
                     self.metrics.add("cache.evict", 1);
                 }
             }
         }
-        let entries: Vec<String> = slots
-            .iter()
+        let served = slots
+            .into_iter()
             .map(|slot| match slot {
-                Slot::Bad(e) => format!("{{\"error\":{}}}", json_str(e)),
-                Slot::Hit {
-                    fingerprint,
-                    report,
-                } => batch_entry(true, false, *fingerprint, report),
+                Slot::Done(served) => served,
                 Slot::Run {
                     fingerprint,
                     index,
                     deduped,
-                } => match &outcomes[*index] {
-                    Ok(report) => batch_entry(false, *deduped, *fingerprint, report),
-                    Err(e) => format!("{{\"error\":{}}}", json_str(e)),
-                },
+                } => outcomes[index].clone().map(|report| Served {
+                    cached: false,
+                    deduped,
+                    fingerprint,
+                    report,
+                }),
+            })
+            .collect();
+        (served, deduped)
+    }
+
+    fn run_batch(&mut self, jobs: Vec<Field>) -> String {
+        let (served, deduped) = self.serve(jobs);
+        let entries: Vec<String> = served
+            .iter()
+            .map(|s| match s {
+                Ok(s) => batch_entry(s.cached, s.deduped, s.fingerprint, &s.report),
+                Err(e) => format!("{{\"error\":{}}}", json_str(e)),
             })
             .collect();
         format!("{{\"deduped\":{deduped},\"jobs\":[{}]}}", entries.join(","))
@@ -352,7 +359,7 @@ impl Server {
 
     /// Runs specs on the work pool (panic isolation, ordered results),
     /// reducing each outcome to compact report JSON or an error message.
-    fn execute(&mut self, specs: Vec<JobSpec>) -> Vec<Result<String, String>> {
+    fn execute(&mut self, specs: Vec<JobSpec>) -> Vec<Result<Arc<str>, String>> {
         if specs.is_empty() {
             return Vec::new();
         }
@@ -372,7 +379,7 @@ impl Server {
         outcomes
             .into_iter()
             .map(|outcome| match outcome {
-                Ok(Ok(report)) => Ok(report.to_json_compact()),
+                Ok(Ok(report)) => Ok(report.to_json_compact().into()),
                 Ok(Err(e)) => Err(format!("simulation error: {e}")),
                 Err(e) => Err(format!("job failed: {e}")),
             })
@@ -380,34 +387,29 @@ impl Server {
     }
 
     fn stats_body(&self) -> String {
+        let count = |name: &str| self.metrics.counter(name);
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.key("cache");
-        w.begin_object();
-        w.key("entries");
-        w.uint(self.cache.len() as u64);
-        w.key("capacity");
-        w.uint(self.cache.capacity() as u64);
-        w.key("hits");
-        w.uint(self.metrics.counter("cache.hit"));
-        w.key("misses");
-        w.uint(self.metrics.counter("cache.miss"));
-        w.key("evicts");
-        w.uint(self.metrics.counter("cache.evict"));
-        w.key("dedup");
-        w.uint(self.metrics.counter("cache.dedup"));
-        w.end_object();
-        w.key("pool");
-        w.begin_object();
-        w.key("jobs");
-        w.uint(self.metrics.counter("pool.jobs"));
-        w.key("retries");
-        w.uint(self.metrics.counter("pool.retries"));
-        w.key("panics");
-        w.uint(self.metrics.counter("pool.panics"));
-        w.end_object();
-        w.key("busy_ms");
-        w.uint(self.busy_ms);
+        w.object_field(
+            "cache",
+            [
+                ("entries", self.cache.len() as u64),
+                ("capacity", self.cache.capacity() as u64),
+                ("hits", count("cache.hit")),
+                ("misses", count("cache.miss")),
+                ("evicts", count("cache.evict")),
+                ("dedup", count("cache.dedup")),
+            ],
+        );
+        w.object_field(
+            "pool",
+            [
+                ("jobs", count("pool.jobs")),
+                ("retries", count("pool.retries")),
+                ("panics", count("pool.panics")),
+            ],
+        );
+        w.field("busy_ms", &self.busy_ms);
         w.end_object();
         w.finish()
     }

@@ -63,55 +63,25 @@ pub fn model_file_name(abbr: &str) -> String {
     format!("{}.json", abbr.to_lowercase())
 }
 
-fn write_host_work(w: &mut JsonWriter, key: &str, h: &HostWork) {
-    w.key(key);
-    w.begin_object();
-    w.field("reads", &h.reads);
-    w.field("region_base", &h.region_base);
-    w.field("region_bytes", &h.region_bytes);
-    w.field("stride", &h.stride);
-    w.field("compute_per_read", &h.compute_per_read);
-    w.field("tail_compute", &h.tail_compute);
-    w.end_object();
-}
-
 /// Serializes a spec as a pretty-printed `memnet-wdl-v1` model.
 ///
 /// The output is canonical — field order and formatting are fixed — so
 /// export → parse → export is textually stable, which is what the golden
 /// drift check in CI relies on.
 pub fn spec_to_json(s: &WorkloadSpec) -> String {
-    let k = &s.kernel;
     let mut w = JsonWriter::pretty();
     w.begin_object();
     w.field("format", FORMAT);
     w.field("abbr", s.abbr.as_str());
     w.field("name", s.name.as_str());
-    w.key("kernel");
-    w.begin_object();
-    w.field("ctas", &k.ctas);
-    w.field("iters", &k.iters);
-    w.field("compute_gap", &k.compute_gap);
-    w.field("seq_reads", &k.seq_reads);
-    w.field("rand_reads", &k.rand_reads);
-    w.field("dep_reads", &k.dep_reads);
-    w.field("writes", &k.writes);
-    w.field("halo_reads", &k.halo_reads);
-    w.field("atomic_every", &k.atomic_every);
-    w.field("reuse", &k.reuse);
-    w.field("shared_bytes", &k.shared_bytes);
-    w.field("read_bytes", &k.read_bytes);
-    w.field("write_bytes", &k.write_bytes);
-    w.field("stride", &k.stride);
-    w.field("seed", &k.seed);
-    w.end_object();
+    w.field("kernel", s.kernel.as_ref());
     w.field("h2d_bytes", &s.h2d_bytes);
     w.field("d2h_bytes", &s.d2h_bytes);
     if let Some(h) = &s.host_pre {
-        write_host_work(&mut w, "host_pre", h);
+        w.field("host_pre", h);
     }
     if let Some(h) = &s.host_post {
-        write_host_work(&mut w, "host_post", h);
+        w.field("host_post", h);
     }
     w.end_object();
     w.finish()

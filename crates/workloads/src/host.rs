@@ -9,22 +9,24 @@
 
 use memnet_cpu::{CpuOp, CpuStream};
 
-/// A host compute phase: `reads` strided loads over a region, with
-/// `compute_per_read` CPU cycles of work after each, plus a fixed tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HostWork {
-    /// Number of 64 B loads.
-    pub reads: u64,
-    /// Byte offset of the region the host walks (virtual).
-    pub region_base: u64,
-    /// Region length in bytes.
-    pub region_bytes: u64,
-    /// Stride between loads in bytes.
-    pub stride: u64,
-    /// CPU cycles of computation per load.
-    pub compute_per_read: u64,
-    /// Fixed compute cycles at the end of the phase.
-    pub tail_compute: u64,
+memnet_obs::to_json_struct! {
+    /// A host compute phase: `reads` strided loads over a region, with
+    /// `compute_per_read` CPU cycles of work after each, plus a fixed tail.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HostWork {
+        /// Number of 64 B loads.
+        pub reads: u64,
+        /// Byte offset of the region the host walks (virtual).
+        pub region_base: u64,
+        /// Region length in bytes.
+        pub region_bytes: u64,
+        /// Stride between loads in bytes.
+        pub stride: u64,
+        /// CPU cycles of computation per load.
+        pub compute_per_read: u64,
+        /// Fixed compute cycles at the end of the phase.
+        pub tail_compute: u64,
+    }
 }
 
 impl HostWork {

@@ -20,45 +20,47 @@ use memnet_gpu::kernel::{CtaOp, CtaStream, KernelModel, MemAccess};
 /// Line size used for coalesced accesses.
 const LINE: u64 = 128;
 
-/// A deterministic, parametric GPU kernel model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SyntheticKernel {
-    /// CTAs in the grid.
-    pub ctas: u32,
-    /// Memory phases (outer iterations) per CTA.
-    pub iters: u32,
-    /// Compute cycles between memory phases.
-    pub compute_gap: u32,
-    /// Sequential-stream reads per phase (each from its own stream slice).
-    pub seq_reads: u32,
-    /// Independent random reads per phase, uniform over the shared region.
-    pub rand_reads: u32,
-    /// Dependent random reads per phase (serialized, pointer-chasing).
-    pub dep_reads: u32,
-    /// Sequential writes per phase.
-    pub writes: u32,
-    /// Halo reads per phase: reads into the *next* CTA's slice, so adjacent
-    /// CTAs share cache lines (stencil halos). This is what makes chunked
-    /// CTA assignment win over round-robin (Section III-B).
-    pub halo_reads: u32,
-    /// Issue one atomic every this many phases (0 = never).
-    pub atomic_every: u32,
-    /// Temporal reuse factor: each phase additionally re-reads the previous
-    /// phase's sequential/halo lines `reuse - 1` times. Models the
-    /// warp-level spatial/temporal reuse that gives real GPU kernels their
-    /// L1/L2 hit rates (1 = pure streaming).
-    pub reuse: u32,
-    /// Shared random-read region in bytes.
-    pub shared_bytes: u64,
-    /// Sequential-read region in bytes (divided across CTAs).
-    pub read_bytes: u64,
-    /// Write region in bytes (divided across CTAs).
-    pub write_bytes: u64,
-    /// Stride between consecutive sequential accesses (≥ 128; larger values
-    /// model butterfly/transpose patterns like FWT/FT).
-    pub stride: u64,
-    /// Base seed; each CTA derives an independent stream.
-    pub seed: u64,
+memnet_obs::to_json_struct! {
+    /// A deterministic, parametric GPU kernel model.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SyntheticKernel {
+        /// CTAs in the grid.
+        pub ctas: u32,
+        /// Memory phases (outer iterations) per CTA.
+        pub iters: u32,
+        /// Compute cycles between memory phases.
+        pub compute_gap: u32,
+        /// Sequential-stream reads per phase (each from its own stream slice).
+        pub seq_reads: u32,
+        /// Independent random reads per phase, uniform over the shared region.
+        pub rand_reads: u32,
+        /// Dependent random reads per phase (serialized, pointer-chasing).
+        pub dep_reads: u32,
+        /// Sequential writes per phase.
+        pub writes: u32,
+        /// Halo reads per phase: reads into the *next* CTA's slice, so adjacent
+        /// CTAs share cache lines (stencil halos). This is what makes chunked
+        /// CTA assignment win over round-robin (Section III-B).
+        pub halo_reads: u32,
+        /// Issue one atomic every this many phases (0 = never).
+        pub atomic_every: u32,
+        /// Temporal reuse factor: each phase additionally re-reads the previous
+        /// phase's sequential/halo lines `reuse - 1` times. Models the
+        /// warp-level spatial/temporal reuse that gives real GPU kernels their
+        /// L1/L2 hit rates (1 = pure streaming).
+        pub reuse: u32,
+        /// Shared random-read region in bytes.
+        pub shared_bytes: u64,
+        /// Sequential-read region in bytes (divided across CTAs).
+        pub read_bytes: u64,
+        /// Write region in bytes (divided across CTAs).
+        pub write_bytes: u64,
+        /// Stride between consecutive sequential accesses (≥ 128; larger values
+        /// model butterfly/transpose patterns like FWT/FT).
+        pub stride: u64,
+        /// Base seed; each CTA derives an independent stream.
+        pub seed: u64,
+    }
 }
 
 impl SyntheticKernel {

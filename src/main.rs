@@ -13,7 +13,7 @@
 
 use memnet::common::{FaultEvent, FaultPlan};
 use memnet::engine::{run_jobs_observed, PoolConfig, PoolObs};
-use memnet::obs::{MetricsRegistry, TraceEventKind, Tracer};
+use memnet::obs::{MetricsRegistry, ToJson, TraceEventKind, Tracer};
 use memnet::serve::job::{
     load_model, parse_cta, parse_org, parse_placement, parse_routing, parse_topology,
     parse_workload,
@@ -677,8 +677,8 @@ fn run_cmd(args: &[String]) -> Cmd {
     }
     write_trace(&r, opts.trace_file.as_deref())?;
     if !opts.json && opts.trace_file.is_none() {
-        if let Some(m) = &r.metrics_json {
-            println!("{m}");
+        if let Some(m) = &r.metrics {
+            println!("{}", m.to_json_pretty());
         }
     }
     Ok(exit_code(&r))
@@ -848,6 +848,7 @@ mod tests {
         assert!(run_opts(&["--engine", "quantum"]).is_err());
         assert!(run_opts(&["--engine", "parallel"]).is_err());
         assert!(run_opts(&["--sim-threads", "4"]).is_err());
+        assert!(run_opts(&["--sms", "10000000"]).is_err());
         assert!(run_opts(&["--checkpoint", "a.json", "--restore", "b.json"]).is_err());
         assert!(run_opts(&["--gpus", "2", "--small"]).is_ok());
         assert!(run_opts(&["--checkpoint", "a.json"]).is_ok());

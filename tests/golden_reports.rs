@@ -30,6 +30,7 @@ use memnet::common::{FaultKind, FaultPlan, LinkTag};
 use memnet::noc::topo::{build_clusters, SlicedKind, TopologyKind};
 use memnet::noc::traffic::run_load_point;
 use memnet::noc::{NetworkBuilder, NocParams, Pattern, RoutingPolicy};
+use memnet::obs::ToJson;
 use memnet::serve::job::parse_topology;
 use memnet::sim::{
     fnv1a64, CtaPolicy, EngineMode, Organization, SanitizeMode, SimBuilder, SimReport,
@@ -297,7 +298,8 @@ fn report_bytes(mut r: SimReport) -> String {
         r.traffic, r.per_gpu, r.passthrough, r.nonminimal, r.channel_utilization
     )
     .expect("writing to a String");
-    for stream in [r.trace_json, r.metrics_json].into_iter().flatten() {
+    let metrics = r.metrics.map(|m| m.to_json_pretty());
+    for stream in [r.trace_json, metrics].into_iter().flatten() {
         s.push_str(&stream);
     }
     s
@@ -315,7 +317,7 @@ fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
             report_bytes(b.try_run_restored(&snap).expect("restore"))
         }
         Pin::Trace => b.run().trace_json.expect("trace enabled"),
-        Pin::Metrics => b.run().metrics_json.expect("metrics enabled"),
+        Pin::Metrics => b.run().metrics.expect("metrics enabled").to_json_pretty(),
         Pin::Snapshot => {
             let (_, snap) = b
                 .engine(EngineMode::EventDriven)

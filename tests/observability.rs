@@ -3,7 +3,7 @@
 //! JSON document (the format Perfetto / `chrome://tracing` loads) with
 //! monotonic timestamps and every event family the engine instruments.
 
-use memnet::obs::JsonValue;
+use memnet::obs::{JsonValue, ToJson};
 use memnet::sim::{Organization, SimBuilder};
 use memnet::workloads::Workload;
 
@@ -189,7 +189,7 @@ fn histogram_epochs_surface_as_percentile_counter_tracks() {
         );
     }
     // The registry carries the same distributions and the drop counter.
-    let metrics = r.metrics_json.expect("metrics were enabled");
+    let metrics = r.metrics.expect("metrics were enabled").to_json_pretty();
     assert!(metrics.contains("histograms"));
     assert!(metrics.contains("trace.dropped"));
 }
@@ -197,7 +197,7 @@ fn histogram_epochs_surface_as_percentile_counter_tracks() {
 #[test]
 fn metrics_json_reports_the_instrumented_series() {
     let r = traced_report();
-    let json = r.metrics_json.expect("metrics were enabled");
+    let json = r.metrics.expect("metrics were enabled").to_json_pretty();
     let doc = memnet::obs::parse(&json).expect("metrics must be valid JSON");
     let epochs = doc
         .get("epochs")
