@@ -109,8 +109,8 @@ impl SimBuilder {
     }
 
     /// Snapshots every counter and gauge into a metrics epoch once per
-    /// `cycles` network cycles; the report then carries the registry JSON
-    /// in [`SimReport::metrics_json`]. A zero period disables snapshots.
+    /// `cycles` network cycles; the report then carries the registry in
+    /// [`SimReport::metrics`]. A zero period disables snapshots.
     pub fn metrics_every(mut self, cycles: u64) -> Self {
         self.metrics_every = Some(cycles);
         self
