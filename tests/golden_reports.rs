@@ -266,9 +266,13 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
     );
     // The snapshot document itself: with a sanitizer block; with a link
     // down, a vault stalled and a GPU lost before the boundary; with the
-    // DMA counters of a memcpy. The sanitizer is set on each row, so
+    // DMA counters of a memcpy; with a warm CPU, whose host-pre phase is
+    // CG.S's host-post (512 reads over 32 KB), so its counters and cache
+    // ways are non-zero. The sanitizer is set on each row, so
     // `MEMNET_SANITIZE` cannot add or remove that block.
     let off = |b: SimBuilder| b.sanitize(SanitizeMode::Off);
+    let mut warm = Workload::CgS.spec_small();
+    warm.host_pre = warm.host_post;
     for (name, b) in [
         (
             "snap-gmn-vecadd-sanitized",
@@ -279,6 +283,7 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
             off(small(Gmn, Workload::VecAdd).faults(three_faults())),
         ),
         ("snap-pcie-scan", off(small(Pcie, Workload::Scan))),
+        ("snap-gmn-warm-cpu", off(rig(Gmn, warm))),
     ] {
         rows.push((name.to_string(), Pin::Snapshot, b));
     }
