@@ -18,7 +18,7 @@
 
 use memnet_common::{SplitMix64, SystemConfig};
 use memnet_hmc::mapping::{AddressMap, Location};
-use memnet_obs::json::{u64_str, u64_strs, Fields, JsonValue};
+use memnet_obs::json::{snaps, Fields, JsonValue, Snap};
 use std::collections::BTreeMap;
 
 /// How fresh pages pick a cluster from their region's allowed set.
@@ -157,10 +157,10 @@ impl MemoryLayout {
         // (vpage, ppage) pairs, flattened in ascending key order.
         let pages = self.page_table.iter().flat_map(|(&v, &p)| [v, p]);
         JsonValue::object([
-            ("page_table", u64_strs(pages)),
-            ("next_seq", u64_strs(self.next_seq.iter().copied())),
-            ("rng_state", u64_str(self.rng.state())),
-            ("rr_next", u64_str(self.rr_next as u64)),
+            ("page_table", snaps(pages)),
+            ("next_seq", self.next_seq.snap()),
+            ("rng_state", self.rng.state().snap()),
+            ("rr_next", (self.rr_next as u64).snap()),
         ])
     }
 
@@ -197,7 +197,7 @@ impl MemoryLayout {
             Ok(seq)
         })?;
         let rng_state = f.req("rng_state")?.u64_str()?;
-        let rr_next = f.req("rr_next")?.uint_str()?;
+        let rr_next: u64 = f.get("rr_next")?;
         self.page_table = page_table.into_iter().collect();
         self.next_seq = next_seq;
         self.rng = SplitMix64::new(rng_state);

@@ -23,7 +23,7 @@
 //! across [`EngineMode`](crate::EngineMode)s (the event-driven engine
 //! skips idle ticks, so tick counts are engine-variant).
 
-use memnet_obs::json::{u64_str, Fields, JsonValue};
+use crate::SimError;
 
 /// Hard cap on recorded violation messages; the rest are only counted.
 /// A broken invariant usually fires every tick — the first few messages
@@ -45,15 +45,27 @@ pub enum SanitizeMode {
 }
 
 impl SanitizeMode {
-    /// Resolves the mode from the `MEMNET_SANITIZE` environment variable:
-    /// `1`/`on`/`true` record, `fatal` records and panics on violations,
-    /// anything else (or unset) is off. An explicit
-    /// [`SimBuilder::sanitize`](crate::SimBuilder::sanitize) call wins.
-    pub fn from_env() -> SanitizeMode {
-        match std::env::var("MEMNET_SANITIZE").ok().as_deref() {
-            Some("1" | "on" | "true") => SanitizeMode::Record,
-            Some("fatal") => SanitizeMode::Fatal,
-            _ => SanitizeMode::Off,
+    /// The mode the `MEMNET_SANITIZE` environment variable selects,
+    /// resolved when a builder without an explicit
+    /// [`SimBuilder::sanitize`](crate::SimBuilder::sanitize) call builds.
+    pub fn from_env() -> Result<SanitizeMode, SimError> {
+        let value = std::env::var_os("MEMNET_SANITIZE").unwrap_or_default();
+        SanitizeMode::from_env_value(&value.to_string_lossy())
+    }
+
+    /// [`SanitizeMode::from_env`] on the variable's value: unset, empty,
+    /// `0`, `off` and `false` are off; `1`, `on` and `true` record;
+    /// `fatal` records and panics on violations. Anything else is an
+    /// error, not off: a typo must not quietly run unsanitized.
+    pub fn from_env_value(value: &str) -> Result<SanitizeMode, SimError> {
+        match value {
+            "" | "0" | "off" | "false" => Ok(SanitizeMode::Off),
+            "1" | "on" | "true" => Ok(SanitizeMode::Record),
+            "fatal" => Ok(SanitizeMode::Fatal),
+            _ => Err(SimError::InvalidConfig(format!(
+                "MEMNET_SANITIZE='{value}' names no sanitizer mode (accepted: 0, off, false, \
+                 1, on, true, fatal)"
+            ))),
         }
     }
 
@@ -84,80 +96,60 @@ impl SanitizerReport {
     }
 }
 
+memnet_obs::snap_struct! {
+    /// The sanitizer's accumulated audit state: its snapshot record, so a
+    /// restored sanitizing run reports totals identical to an unbroken one.
+    #[derive(Debug, Default)]
+    pub(crate) struct Audit {
+        checks: u64,
+        violations: Vec<String>,
+        dropped: u64,
+        /// CTAs handed to `Gpu::launch` across all kernels.
+        pub(crate) ctas_launched: u64,
+        /// Orphaned CTAs dropped with a dead GPU because no survivor existed.
+        pub(crate) ctas_dropped: u64,
+    }
+}
+
 /// Live sanitizer state carried by the running `System`.
 #[derive(Debug)]
 pub(crate) struct Sanitizer {
+    /// The run's own choice; a restored [`Audit`] leaves it as it is.
     fatal: bool,
-    checks: u64,
-    violations: Vec<String>,
-    dropped: u64,
-    /// CTAs handed to `Gpu::launch` across all kernels.
-    pub(crate) ctas_launched: u64,
-    /// Orphaned CTAs dropped with a dead GPU because no survivor existed.
-    pub(crate) ctas_dropped: u64,
+    pub(crate) audit: Audit,
 }
 
 impl Sanitizer {
     pub(crate) fn new(fatal: bool) -> Sanitizer {
         Sanitizer {
             fatal,
-            checks: 0,
-            violations: Vec::new(),
-            dropped: 0,
-            ctas_launched: 0,
-            ctas_dropped: 0,
+            audit: Audit::default(),
         }
     }
 
     /// Counts one phase-boundary checkpoint.
     #[inline]
     pub(crate) fn checkpoint(&mut self) {
-        self.checks += 1;
+        self.audit.checks += 1;
     }
 
     /// Records one violation, dropping (but counting) past the cap.
     pub(crate) fn record(&mut self, msg: String) {
-        if self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(msg);
+        if self.audit.violations.len() < MAX_VIOLATIONS {
+            self.audit.violations.push(msg);
         } else {
-            self.dropped += 1;
+            self.audit.dropped += 1;
         }
-    }
-
-    /// The snapshot record of the accumulated audit state, so a restored
-    /// sanitizing run reports totals identical to an unbroken one.
-    pub(crate) fn snapshot(&self) -> JsonValue {
-        let violations = self.violations.iter().cloned().map(JsonValue::String);
-        JsonValue::object([
-            ("checks", u64_str(self.checks)),
-            ("violations", JsonValue::Array(violations.collect())),
-            ("dropped", u64_str(self.dropped)),
-            ("ctas_launched", u64_str(self.ctas_launched)),
-            ("ctas_dropped", u64_str(self.ctas_dropped)),
-        ])
-    }
-
-    /// Reads back a [`Sanitizer::snapshot`] record. The fatal flag is the
-    /// restoring run's own choice and is left untouched.
-    pub(crate) fn restore(&mut self, f: &Fields) -> Result<(), String> {
-        *self = Sanitizer {
-            fatal: self.fatal,
-            checks: f.req("checks")?.uint_str()?,
-            violations: f.req("violations")?.list(|x| x.str().map(str::to_string))?,
-            dropped: f.req("dropped")?.uint_str()?,
-            ctas_launched: f.req("ctas_launched")?.uint_str()?,
-            ctas_dropped: f.req("ctas_dropped")?.uint_str()?,
-        };
-        Ok(())
     }
 
     /// Finishes the run: panics in fatal mode if anything was found,
     /// otherwise returns the report.
     pub(crate) fn into_report(self) -> SanitizerReport {
+        let a = self.audit;
         let rep = SanitizerReport {
-            checks: self.checks,
-            violations: self.violations,
-            dropped: self.dropped,
+            checks: a.checks,
+            violations: a.violations,
+            dropped: a.dropped,
         };
         if self.fatal && !rep.is_clean() {
             panic!(
@@ -203,6 +195,26 @@ mod tests {
         let mut s = Sanitizer::new(true);
         s.record("credits vanished".into());
         let _ = s.into_report();
+    }
+
+    #[test]
+    fn env_values_name_a_mode_or_are_refused() {
+        for (value, mode) in [
+            ("", SanitizeMode::Off),
+            ("0", SanitizeMode::Off),
+            ("off", SanitizeMode::Off),
+            ("false", SanitizeMode::Off),
+            ("1", SanitizeMode::Record),
+            ("on", SanitizeMode::Record),
+            ("true", SanitizeMode::Record),
+            ("fatal", SanitizeMode::Fatal),
+        ] {
+            assert_eq!(SanitizeMode::from_env_value(value), Ok(mode), "{value:?}");
+        }
+        for typo in ["fatl", "yes", "FATAL", " 1"] {
+            let err = SanitizeMode::from_env_value(typo).expect_err("not a mode");
+            assert!(err.to_string().contains("MEMNET_SANITIZE"), "{err}");
+        }
     }
 
     #[test]

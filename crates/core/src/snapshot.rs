@@ -27,27 +27,28 @@
 //! A snapshot *is* one JSON document ([`JsonValue`]). This module writes
 //! and reads its header; each stateful component writes its own record
 //! (`snapshot`) and reads it back (`restore`), and the driver hands each
-//! its record. Every integer is a **decimal string** and every float its
-//! **IEEE-754 bit pattern in a decimal string**
-//! (`memnet_obs::json::{u64_str, f64_bits}`): the obs parser stores JSON
-//! numbers as `f64`, which would silently round u64 values above 2^53,
-//! and the writer maps non-finite floats to `null`, which would destroy
-//! the `RunningStats` ±∞ sentinels.
+//! its record. Every value is in its [`Snap`] encoding, which says why an
+//! integer is a decimal string and a float its bit pattern; a plain-data
+//! record ([`memnet_obs::snap_struct!`]) names its fields once.
 
 use memnet_common::time::Fs;
-use memnet_obs::json::{parse, u64_str, u64_strs, Fields, JsonValue, ToJson};
+use memnet_obs::json::{parse, Fields, JsonValue, Snap, ToJson};
 
 /// Snapshot format version, bumped on any encoding change.
 const FORMAT_VERSION: u64 = 1;
 
-/// The driver's fault and scheduling counters, in document order.
-const COUNTERS: [&str; 5] = [
-    "faults_injected",
-    "failed_requests",
-    "rebalanced_ctas",
-    "lost_gpus",
-    "steal_events",
-];
+memnet_obs::snap_struct! {
+    /// The driver's fault and scheduling counters, which the header
+    /// carries after the prefix's phase times.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(crate) struct Counters {
+        pub(crate) faults_injected: u64,
+        pub(crate) failed_requests: u64,
+        pub(crate) rebalanced_ctas: u64,
+        pub(crate) lost_gpus: u64,
+        pub(crate) steal_events: u64,
+    }
+}
 
 /// FNV-1a over `bytes`, finished with the SplitMix64 avalanche so the low
 /// bits are as well mixed as the high ones. Used for configuration
@@ -80,8 +81,8 @@ pub(crate) struct Header {
     pub(crate) host_fs: Fs,
     /// Elapsed memcpy time of the prefix, fs.
     pub(crate) memcpy_fs: Fs,
-    /// The [`COUNTERS`], in order.
-    pub(crate) counters: [u64; COUNTERS.len()],
+    /// The driver's counters.
+    pub(crate) counters: Counters,
 }
 
 impl Header {
@@ -100,24 +101,20 @@ impl Header {
                  (expected {FORMAT_VERSION})"
             ));
         }
-        let now = f.req("now")?.uint_str()?;
-        let host_fs = f.req("host_fs")?.uint_str()?;
-        let memcpy_fs = f.req("memcpy_fs")?.uint_str()?;
+        let now = f.get("now")?;
+        let host_fs: Fs = f.get("host_fs")?;
+        let memcpy_fs: Fs = f.get("memcpy_fs")?;
         if host_fs + memcpy_fs > now {
             return Err("field 'host_fs' + 'memcpy_fs' is past 'now'".into());
         }
-        let mut counters = [0; COUNTERS.len()];
-        for (c, key) in counters.iter_mut().zip(COUNTERS) {
-            *c = f.req(key)?.uint_str()?;
-        }
         Ok(Header {
             fingerprint: f.req("fingerprint")?.u64_str()?,
-            meta: f.req("meta")?.str()?.to_string(),
+            meta: f.get("meta")?,
             now,
-            clocks: f.req("clocks")?.list(|x| x.uint_str())?,
+            clocks: f.get("clocks")?,
             host_fs,
             memcpy_fs,
-            counters,
+            counters: Counters::read(f)?,
         })
     }
 }
@@ -145,15 +142,15 @@ impl SystemSnapshot {
     pub(crate) fn new(header: Header, records: Vec<(&str, JsonValue)>) -> SystemSnapshot {
         let h = &header;
         let mut members = vec![
-            ("memnet_snapshot", u64_str(FORMAT_VERSION)),
-            ("fingerprint", u64_str(h.fingerprint)),
-            ("meta", JsonValue::String(h.meta.clone())),
-            ("now", u64_str(h.now)),
-            ("clocks", u64_strs(h.clocks.iter().copied())),
-            ("host_fs", u64_str(h.host_fs)),
-            ("memcpy_fs", u64_str(h.memcpy_fs)),
+            ("memnet_snapshot", FORMAT_VERSION.snap()),
+            ("fingerprint", h.fingerprint.snap()),
+            ("meta", h.meta.snap()),
+            ("now", h.now.snap()),
+            ("clocks", h.clocks.snap()),
+            ("host_fs", h.host_fs.snap()),
+            ("memcpy_fs", h.memcpy_fs.snap()),
         ];
-        members.extend(COUNTERS.into_iter().zip(h.counters.map(u64_str)));
+        members.extend(h.counters.members());
         members.extend(records);
         let doc = JsonValue::object(members);
         SystemSnapshot { header, doc }

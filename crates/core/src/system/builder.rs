@@ -10,7 +10,7 @@ use crate::snapshot::SystemSnapshot;
 use memnet_common::{FaultPlan, SystemConfig};
 use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_noc::RoutingPolicy;
-use memnet_obs::ToJson;
+use memnet_obs::{Field, ToJson};
 use memnet_workloads::WorkloadSpec;
 
 /// Builds and runs one full-system simulation.
@@ -33,7 +33,8 @@ pub struct SimBuilder {
     /// `None` until [`SimBuilder::engine`]: `MEMNET_ENGINE` then decides.
     pub(super) engine_mode: Option<EngineMode>,
     pub(super) faults: FaultPlan,
-    pub(super) sanitize: SanitizeMode,
+    /// `None` until [`SimBuilder::sanitize`]: `MEMNET_SANITIZE` then decides.
+    pub(super) sanitize: Option<SanitizeMode>,
 }
 
 impl SimBuilder {
@@ -59,7 +60,7 @@ impl SimBuilder {
             metrics_every: None,
             engine_mode: None,
             faults: FaultPlan::new(),
-            sanitize: SanitizeMode::from_env(),
+            sanitize: None,
         }
     }
 
@@ -69,7 +70,7 @@ impl SimBuilder {
     /// findings land in [`SimReport::sanitizer`]; [`SanitizeMode::Fatal`]
     /// panics at the end of a run that violated any invariant.
     pub fn sanitize(mut self, mode: SanitizeMode) -> Self {
-        self.sanitize = mode;
+        self.sanitize = Some(mode);
         self
     }
 
@@ -290,7 +291,8 @@ impl SimBuilder {
             )));
         }
         let mut sys = System::try_build(self)?;
-        let (host_fs, memcpy_fs) = sys.apply_snapshot(snap).map_err(SimError::Snapshot)?;
+        let doc = Field::root(&snap.doc, "");
+        let (host_fs, memcpy_fs) = doc.record(|f| sys.restore(f)).map_err(SimError::Snapshot)?;
         Ok(sys.run_from_snapshot_point(host_fs, memcpy_fs).0)
     }
 

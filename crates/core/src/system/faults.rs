@@ -100,7 +100,7 @@ impl System {
                 0
             }
         };
-        self.faults_injected += 1;
+        self.counters.faults_injected += 1;
         let fault = TraceEventKind::Fault {
             kind: f.kind.name(),
             target: t as u64,
@@ -118,7 +118,7 @@ impl System {
             return;
         }
         let orphans = self.gpus[g].fail();
-        self.lost_gpus += 1;
+        self.counters.lost_gpus += 1;
         let survivors: Vec<usize> = (0..self.active_gpus as usize)
             .filter(|&i| !self.gpus[i].is_dead())
             .collect();
@@ -126,11 +126,11 @@ impl System {
             if let Some(s) = self.san.as_mut() {
                 // No adoptive GPU: the orphans are gone for good, and the
                 // CTA conservation law must account for them.
-                s.ctas_dropped += orphans.len() as u64;
+                s.audit.ctas_dropped += orphans.len() as u64;
             }
             return;
         }
-        self.rebalanced_ctas += orphans.len() as u64;
+        self.counters.rebalanced_ctas += orphans.len() as u64;
         let k = survivors.len();
         match self.cta_policy {
             CtaPolicy::StaticChunk | CtaPolicy::RoundRobin => {

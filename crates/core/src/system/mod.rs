@@ -44,6 +44,7 @@ pub use report::{GpuSummary, SimReport};
 use crate::memory::MemoryLayout;
 use crate::sanitize::Sanitizer;
 use crate::ske::CtaPolicy;
+use crate::snapshot::Counters;
 use faults::ResolvedFault;
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::Fs;
@@ -204,11 +205,9 @@ struct System {
     /// Pending resolved faults per owning clock domain, each queue in plan
     /// order, which is edge order.
     fault_q: [VecDeque<ResolvedFault>; ClockDomain::ALL.len()],
-    faults_injected: u64,
     faults_skipped: u64,
-    failed_requests: u64,
-    rebalanced_ctas: u64,
-    lost_gpus: u64,
+    /// The fault and scheduling counters a checkpoint carries.
+    counters: Counters,
 
     tracer: Option<Tracer>,
     /// Runtime invariant auditor; `None` unless sanitizing.
@@ -220,5 +219,4 @@ struct System {
     metrics_every: u64,
     /// Network cycle at which the next epoch is due.
     next_epoch: u64,
-    steal_events: u64,
 }

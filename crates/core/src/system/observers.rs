@@ -153,13 +153,13 @@ impl System {
         let dropped = self.tracer.as_ref().map(|t| ("trace.dropped", t.dropped()));
         let totals = [
             ("net.flits_injected", net.flits_injected),
-            ("ske.cta_steals", self.steal_events),
-            ("faults.injected", self.faults_injected),
+            ("ske.cta_steals", self.counters.steal_events),
+            ("faults.injected", self.counters.faults_injected),
             ("net.reroutes", net.reroutes),
             ("net.retries", net.retries),
             ("net.dead_letters", net.dead_letters),
-            ("faults.failed_requests", self.failed_requests),
-            ("ske.rebalanced_ctas", self.rebalanced_ctas),
+            ("faults.failed_requests", self.counters.failed_requests),
+            ("ske.rebalanced_ctas", self.counters.rebalanced_ctas),
         ];
         // Counters are cumulative: publish each as the delta since the
         // last epoch.

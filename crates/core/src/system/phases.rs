@@ -203,7 +203,7 @@ impl System {
             let queues = ske::partition(ctas, live.len() as u32, self.cta_policy);
             for (qi, q) in queues.into_iter().enumerate() {
                 if let Some(s) = self.san.as_mut() {
-                    s.ctas_launched += q.len() as u64;
+                    s.audit.ctas_launched += q.len() as u64;
                 }
                 self.gpus[live[qi]].launch(model.clone(), q);
             }
@@ -229,11 +229,11 @@ impl System {
             // on budget exhaustion — an unfinished kernel legitimately
             // leaves CTAs resident.
             let done: u64 = self.gpus.iter().map(|g| g.stats().ctas_done).sum();
-            if !self.timed_out && done + s.ctas_dropped != s.ctas_launched {
+            let (launched, dropped) = (s.audit.ctas_launched, s.audit.ctas_dropped);
+            if !self.timed_out && done + dropped != launched {
                 s.record(format!(
-                    "kernel: CTA conservation broken: launched {} != completed {} \
-                     + dropped-with-dead-gpu {}",
-                    s.ctas_launched, done, s.ctas_dropped
+                    "kernel: CTA conservation broken: launched {launched} != completed {done} \
+                     + dropped-with-dead-gpu {dropped}"
                 ));
             }
         }
@@ -258,7 +258,7 @@ impl System {
                     let moved = stolen.len() as u32;
                     self.gpus[thief].donate(stolen);
                     if moved > 0 {
-                        self.steal_events += 1;
+                        self.counters.steal_events += 1;
                         if let Some(t) = self.tracer.as_mut() {
                             t.emit_instant(
                                 ClockDomain::Core,

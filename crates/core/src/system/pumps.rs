@@ -92,7 +92,7 @@ impl System {
             match fp.payload {
                 Payload::Req(req) => self.fail_request(req),
                 Payload::Resp(resp) => {
-                    self.failed_requests += 1;
+                    self.counters.failed_requests += 1;
                     self.deliver_response(resp);
                 }
             }
@@ -140,7 +140,7 @@ impl System {
                     Agent::Dma(_) => (self.cpu_ep, false),
                 };
                 if !self.net.route_exists(self.hmc_eps[i], dest) {
-                    self.failed_requests += 1;
+                    self.counters.failed_requests += 1;
                     self.deliver_response(resp);
                     continue;
                 }
@@ -165,7 +165,7 @@ impl System {
                 };
                 if self.gpus[g].is_dead() {
                     // In-flight reply raced the GPU's death: account it.
-                    self.failed_requests += 1;
+                    self.counters.failed_requests += 1;
                     continue;
                 }
                 self.gpus[g].push_mem_response(resp);
@@ -212,7 +212,7 @@ impl System {
     /// response (so waiters make progress instead of hanging), writes
     /// just drop, and everything is counted in `failed_requests`.
     fn fail_request(&mut self, req: MemReq) {
-        self.failed_requests += 1;
+        self.counters.failed_requests += 1;
         if !req.kind.returns_data() {
             return;
         }

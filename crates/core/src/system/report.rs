@@ -218,14 +218,14 @@ impl System {
             passthrough: self.net.stats().passthrough,
             nonminimal: self.net.stats().nonminimal,
             timed_out: self.timed_out,
-            faults_injected: self.faults_injected,
+            faults_injected: self.counters.faults_injected,
             faults_skipped: self.faults_skipped,
             reroutes: self.net.stats().reroutes,
             retries: self.net.stats().retries,
             dead_letters: self.net.stats().dead_letters,
-            failed_requests: self.failed_requests,
-            rebalanced_ctas: self.rebalanced_ctas,
-            lost_gpus: self.lost_gpus,
+            failed_requests: self.counters.failed_requests,
+            rebalanced_ctas: self.counters.rebalanced_ctas,
+            lost_gpus: self.counters.lost_gpus,
             per_gpu,
             channel_utilization: self.net.channel_utilization(),
             trace_json: self

@@ -2,12 +2,12 @@
 //! owner on a freshly built system.
 
 use super::System;
-use crate::sanitize::Sanitizer;
+use crate::sanitize::Audit;
 use crate::snapshot::{Header, SystemSnapshot};
 use memnet_common::time::Fs;
 use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
-use memnet_obs::json::{fit_len, u64_strs, Field, Fields, JsonValue};
+use memnet_obs::json::{fit_len, snaps, Fields, JsonValue, Snap};
 use memnet_obs::ClockDomain;
 
 impl System {
@@ -32,17 +32,11 @@ impl System {
                 .to_vec(),
             host_fs,
             memcpy_fs,
-            counters: [
-                self.faults_injected,
-                self.failed_requests,
-                self.rebalanced_ctas,
-                self.lost_gpus,
-                self.steal_events,
-            ],
+            counters: self.counters,
         };
         let gpus = self.gpus.iter().map(Gpu::snapshot).collect();
         let hmcs = self.hmcs.iter().map(HmcDevice::snapshot).collect();
-        let traffic = u64_strs(self.traffic.raw_bytes().iter().copied());
+        let traffic = snaps(self.traffic.raw_bytes().iter().copied());
         let mut records = vec![
             ("gpus", JsonValue::Array(gpus)),
             ("cpu", self.cpu.snapshot()),
@@ -52,13 +46,15 @@ impl System {
             ("memory", self.layout.snapshot()),
             ("traffic", traffic),
         ];
-        records.extend(self.san.as_ref().map(|s| ("sanitizer", s.snapshot())));
+        if let Some(s) = &self.san {
+            records.push(("sanitizer", JsonValue::object(s.audit.members())));
+        }
         SystemSnapshot::new(header, records)
     }
 
-    /// Overwrites mutable state from a snapshot taken on an identically
-    /// configured system (enforced upstream by the fingerprint check) and
-    /// returns the prefix's `(host_fs, memcpy_fs)`. All clock domains come
+    /// Overwrites mutable state from a snapshot document `f` taken on an
+    /// identically configured system (the caller checks the fingerprint),
+    /// and returns the prefix's `(host_fs, memcpy_fs)`. All clock domains come
     /// back armed; in event-driven mode idle domains tick one no-op edge
     /// and re-park, which yields the same counter end-state as the
     /// checkpointing run's bulk skip accounting. Pending resolved faults
@@ -72,11 +68,7 @@ impl System {
     /// and the device counts here, each component's record in its
     /// `restore`, every message naming the full path. An error leaves a
     /// half-restored system, which the caller drops.
-    pub(super) fn apply_snapshot(&mut self, s: &SystemSnapshot) -> Result<(Fs, Fs), String> {
-        Field::root(&s.doc, "").record(|f| self.restore(f))
-    }
-
-    fn restore(&mut self, f: &Fields) -> Result<(Fs, Fs), String> {
+    pub(super) fn restore(&mut self, f: &Fields) -> Result<(Fs, Fs), String> {
         let h = Header::read(f)?;
         fit_len("clocks", h.clocks.len(), ClockDomain::ALL.len())?;
         // Every clock was normalized to the boundary: its next edge is the
@@ -106,15 +98,9 @@ impl System {
             .record(|r| self.net.restore(r, h.clocks[ClockDomain::Net as usize]))?;
         f.req("memory")?.record(|r| self.layout.restore(r))?;
         let cells = self.traffic.raw_bytes_mut();
-        let traffic = f.req("traffic")?.list_of(cells.len(), |x| x.uint_str())?;
+        let traffic = f.req("traffic")?.list_of(cells.len(), u64::unsnap)?;
         cells.copy_from_slice(&traffic);
-        [
-            self.faults_injected,
-            self.failed_requests,
-            self.rebalanced_ctas,
-            self.lost_gpus,
-            self.steal_events,
-        ] = h.counters;
+        self.counters = h.counters;
         for q in &mut self.fault_q {
             while q.front().is_some_and(|f| f.edge_fs <= h.now) {
                 q.pop_front();
@@ -125,9 +111,9 @@ impl System {
         // unbroken sanitized run. A snapshot from a non-sanitized run
         // restores with counters starting at the boundary, and a
         // non-sanitizing run still checks the record it ignores.
-        if let Some(x) = f.opt("sanitizer")? {
-            let mut ignored = Sanitizer::new(false);
-            x.record(|r| self.san.as_mut().unwrap_or(&mut ignored).restore(r))?;
+        let audit = f.opt("sanitizer")?.map(|x| x.record(Audit::read));
+        if let (Some(s), Some(audit)) = (self.san.as_mut(), audit.transpose()?) {
+            s.audit = audit;
         }
         // First epoch lands on the next whole period after the restored
         // network clock, exactly where the checkpointing run would have

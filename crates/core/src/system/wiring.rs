@@ -4,6 +4,7 @@
 use super::{EngineMode, HmcPort, Organization, SimBuilder, SimError, System};
 use crate::memory::{MemoryLayout, HOST_BASE};
 use crate::sanitize::{SanitizeMode, Sanitizer};
+use crate::snapshot::Counters;
 use memnet_common::stats::TrafficMatrix;
 use memnet_common::time::Fs;
 use memnet_common::{Clock, CpuId, GpuId, NodeId};
@@ -22,10 +23,8 @@ impl System {
         let cfg = b.cfg.clone();
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let workload = b.workload.clone().ok_or(SimError::MissingWorkload)?;
-        let engine_mode = match b.engine_mode {
-            Some(mode) => mode,
-            None => EngineMode::from_env()?,
-        };
+        let engine_mode = b.engine_mode.map_or_else(EngineMode::from_env, Ok)?;
+        let sanitize = b.sanitize.map_or_else(SanitizeMode::from_env, Ok)?;
         let n_gpus = cfg.n_gpus as usize;
         let local = cfg.hmcs_per_gpu as usize;
         #[allow(clippy::cast_possible_truncation, reason = "n_gpus came from a u32 config field")]
@@ -169,21 +168,16 @@ impl System {
             now: 0,
             timed_out: false,
             fault_q: Default::default(),
-            faults_injected: 0,
             faults_skipped: 0,
-            failed_requests: 0,
-            rebalanced_ctas: 0,
-            lost_gpus: 0,
+            counters: Counters::default(),
             tracer,
-            san: b
-                .sanitize
+            san: sanitize
                 .enabled()
-                .then(|| Sanitizer::new(b.sanitize == SanitizeMode::Fatal)),
+                .then(|| Sanitizer::new(sanitize == SanitizeMode::Fatal)),
             metrics: (metrics_every > 0).then(MetricsRegistry::new),
             prof: None,
             metrics_every,
             next_epoch: metrics_every,
-            steal_events: 0,
             cta_policy: b.cta_policy,
             org: b.org,
             workload,

@@ -31,7 +31,7 @@
 use memnet_common::config::CpuConfig;
 use memnet_common::{AccessKind, Agent, CpuId, MemReq, MemResp, ReqId};
 use memnet_gpu::cache::Cache;
-use memnet_obs::json::{u64_str, Fields, JsonValue};
+use memnet_obs::json::{Fields, JsonValue, Snap};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -49,15 +49,17 @@ pub enum CpuOp {
 /// A host program: a lazily generated op stream.
 pub type CpuStream = Box<dyn Iterator<Item = CpuOp> + Send>;
 
-/// Statistics for the host core.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CpuStats {
-    /// Ops executed.
-    pub ops: u64,
-    /// Loads that missed both cache levels (went to memory).
-    pub mem_reads: u64,
-    /// Cycles executed while a program was resident.
-    pub busy_cycles: u64,
+memnet_obs::snap_struct! {
+    /// Statistics for the host core.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct CpuStats {
+        /// Ops executed.
+        pub ops: u64,
+        /// Loads that missed both cache levels (went to memory).
+        pub mem_reads: u64,
+        /// Cycles executed while a program was resident.
+        pub busy_cycles: u64,
+    }
 }
 
 /// The out-of-order host core.
@@ -274,17 +276,14 @@ impl CpuCore {
             !self.busy() && self.mem_out.is_empty(),
             "CPU snapshot requires a quiescent phase boundary"
         );
-        let s = &self.stats;
-        JsonValue::object([
-            ("cycle", u64_str(self.cycle)),
-            ("compute_until", u64_str(self.compute_until)),
-            ("next_req", u64_str(self.next_req)),
-            ("ops", u64_str(s.ops)),
-            ("mem_reads", u64_str(s.mem_reads)),
-            ("busy_cycles", u64_str(s.busy_cycles)),
-            ("l1", self.l1.snapshot()),
-            ("l2", self.l2.snapshot()),
-        ])
+        let mut members = vec![
+            ("cycle", self.cycle.snap()),
+            ("compute_until", self.compute_until.snap()),
+            ("next_req", self.next_req.snap()),
+        ];
+        members.extend(self.stats.members());
+        members.extend([("l1", self.l1.snapshot()), ("l2", self.l2.snapshot())]);
+        JsonValue::object(members)
     }
 
     /// Reads back a [`CpuCore::snapshot`] record taken on an identically
@@ -296,7 +295,7 @@ impl CpuCore {
     /// recorded core is idle), a request sequence past
     /// [`ReqId::MAX_SEQ`], and a cache level its cache refuses.
     pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
-        let cycle = f.req("cycle")?.uint_str()?;
+        let cycle = f.get("cycle")?;
         let until = f.req("compute_until")?;
         let compute_until = until.uint_str()?;
         if compute_until > cycle {
@@ -304,11 +303,7 @@ impl CpuCore {
             return Err(format!("field '{path}' is past 'cycle' on an idle core"));
         }
         let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
-        let stats = CpuStats {
-            ops: f.req("ops")?.uint_str()?,
-            mem_reads: f.req("mem_reads")?.uint_str()?,
-            busy_cycles: f.req("busy_cycles")?.uint_str()?,
-        };
+        let stats = CpuStats::read(f)?;
         f.req("l1")?.record(|c| self.l1.restore(c))?;
         f.req("l2")?.record(|c| self.l2.restore(c))?;
         self.cycle = cycle;
@@ -448,8 +443,8 @@ impl DmaEngine {
     pub fn snapshot(&self) -> JsonValue {
         assert!(!self.busy(), "DMA snapshot requires a quiescent boundary");
         JsonValue::object([
-            ("next_req", u64_str(self.next_req)),
-            ("bytes_copied", u64_str(self.bytes_copied)),
+            ("next_req", self.next_req.snap()),
+            ("bytes_copied", self.bytes_copied.snap()),
         ])
     }
 
@@ -461,7 +456,7 @@ impl DmaEngine {
     /// [`ReqId::MAX_SEQ`].
     pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
         let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
-        self.bytes_copied = f.req("bytes_copied")?.uint_str()?;
+        self.bytes_copied = f.get("bytes_copied")?;
         self.next_req = next_req;
         Ok(())
     }

@@ -6,20 +6,22 @@
 //! cache is timing-only (tags, no data).
 
 use memnet_common::config::CacheConfig;
-use memnet_obs::json::{u64_str, Fields, JsonValue};
+use memnet_obs::json::{snaps, Fields, JsonValue, Snap};
 use std::collections::BTreeMap;
 
-/// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// Read hits.
-    pub read_hits: u64,
-    /// Read misses.
-    pub read_misses: u64,
-    /// Write hits (line present; data still written through).
-    pub write_hits: u64,
-    /// Write misses (no allocation performed).
-    pub write_misses: u64,
+memnet_obs::snap_struct! {
+    /// Hit/miss counters.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct CacheStats {
+        /// Read hits.
+        pub read_hits: u64,
+        /// Read misses.
+        pub read_misses: u64,
+        /// Write hits (line present; data still written through).
+        pub write_hits: u64,
+        /// Write misses (no allocation performed).
+        pub write_misses: u64,
+    }
 }
 
 impl CacheStats {
@@ -214,17 +216,10 @@ impl Cache {
     /// recorded — a restored cache must be built from the same
     /// [`CacheConfig`].
     pub fn snapshot(&self) -> JsonValue {
-        let cells = (self.pages.iter().flatten())
-            .flat_map(|w| [u64_str(w.tag), u64_str(w.valid.into()), u64_str(w.lru)]);
-        let s = &self.stats;
-        JsonValue::object([
-            ("ways", JsonValue::Array(cells.collect())),
-            ("tick", u64_str(self.tick)),
-            ("read_hits", u64_str(s.read_hits)),
-            ("read_misses", u64_str(s.read_misses)),
-            ("write_hits", u64_str(s.write_hits)),
-            ("write_misses", u64_str(s.write_misses)),
-        ])
+        let cells = (self.pages.iter().flatten()).flat_map(|w| [w.tag, w.valid.into(), w.lru]);
+        let mut members = vec![("ways", snaps(cells)), ("tick", self.tick.snap())];
+        members.extend(self.stats.members());
+        JsonValue::object(members)
     }
 
     /// Reads back a [`Cache::snapshot`] record taken on an identically
@@ -243,13 +238,8 @@ impl Cache {
                 lru: c[2].uint_str()?,
             })
         })?;
-        let tick = f.req("tick")?.uint_str()?;
-        let stats = CacheStats {
-            read_hits: f.req("read_hits")?.uint_str()?,
-            read_misses: f.req("read_misses")?.uint_str()?,
-            write_hits: f.req("write_hits")?.uint_str()?,
-            write_misses: f.req("write_misses")?.uint_str()?,
-        };
+        let tick = f.get("tick")?;
+        let stats = CacheStats::read(f)?;
         let page = self.sets_per_page * self.assoc;
         self.pages = ways.chunks(page).map(<[Way]>::to_vec).collect();
         self.tick = tick;

@@ -12,7 +12,7 @@ use crate::kernel::KernelModel;
 use crate::sm::{L2Req, Sm, SmStats};
 use memnet_common::config::GpuConfig;
 use memnet_common::{AccessKind, Agent, GpuId, MemReq, MemResp, ReqId};
-use memnet_obs::json::{u64_str, Fields, JsonValue};
+use memnet_obs::json::{Fields, JsonValue, Snap};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -487,10 +487,10 @@ impl Gpu {
             "GPU snapshot requires a quiescent phase boundary"
         );
         JsonValue::object([
-            ("dead", JsonValue::Bool(self.dead)),
-            ("core_cycle", u64_str(self.core_cycle)),
-            ("next_req", u64_str(self.next_req)),
-            ("mem_reqs", u64_str(self.mem_reqs)),
+            ("dead", self.dead.snap()),
+            ("core_cycle", self.core_cycle.snap()),
+            ("next_req", self.next_req.snap()),
+            ("mem_reqs", self.mem_reqs.snap()),
             ("l2", self.l2.snapshot()),
         ])
     }
@@ -505,7 +505,7 @@ impl Gpu {
     /// sequence past [`ReqId::MAX_SEQ`], and an L2 the cache refuses (see
     /// [`Cache::restore`]).
     pub fn restore(&mut self, f: &Fields, core_cycle: u64) -> Result<(), String> {
-        let dead = f.req("dead")?.bool()?;
+        let dead = f.get("dead")?;
         let cycle = f.req("core_cycle")?;
         if cycle.uint_str()? != core_cycle {
             let path = cycle.path();
@@ -514,7 +514,7 @@ impl Gpu {
             ));
         }
         let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
-        let mem_reqs = f.req("mem_reqs")?.uint_str()?;
+        let mem_reqs = f.get("mem_reqs")?;
         f.req("l2")?.record(|c| self.l2.restore(c))?;
         self.dead = dead;
         self.core_cycle = core_cycle;

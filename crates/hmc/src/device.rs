@@ -10,7 +10,7 @@
 use crate::vault::{Vault, VaultStats};
 use memnet_common::config::HmcConfig;
 use memnet_common::MemReq;
-use memnet_obs::json::{u64_str, u64_strs, Fields, JsonValue};
+use memnet_obs::json::{Fields, JsonValue, Snap};
 use memnet_obs::Tracer;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -194,12 +194,11 @@ impl HmcDevice {
             !self.has_work() && self.completions.is_empty(),
             "HMC snapshot requires a drained cube (quiescent phase boundary)"
         );
-        let stalled = u64_strs(self.stalled_until.iter().copied());
         let vaults = self.vaults.iter().map(Vault::snapshot).collect();
         JsonValue::object([
-            ("seq", u64_str(self.seq)),
-            ("stalled_until", stalled),
-            ("stalls", u64_str(self.stalls)),
+            ("seq", self.seq.snap()),
+            ("stalled_until", self.stalled_until.snap()),
+            ("stalls", self.stalls.snap()),
             ("vaults", JsonValue::Array(vaults)),
         ])
     }
@@ -213,9 +212,9 @@ impl HmcDevice {
     /// does not have, and a vault record its vault refuses.
     pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
         let n = self.vaults.len();
-        let seq = f.req("seq")?.uint_str()?;
-        let stalled_until = f.req("stalled_until")?.list_of(n, |x| x.uint_str())?;
-        let stalls = f.req("stalls")?.uint_str()?;
+        let seq = f.get("seq")?;
+        let stalled_until = f.req("stalled_until")?.list_of(n, u64::unsnap)?;
+        let stalls = f.get("stalls")?;
         for (v, x) in self.vaults.iter_mut().zip(f.req("vaults")?.list_of(n, Ok)?) {
             x.record(|r| v.restore(r))?;
         }

@@ -9,7 +9,7 @@
 
 use memnet_common::config::HmcConfig;
 use memnet_common::{AccessKind, MemReq};
-use memnet_obs::json::{u64_str, Fields, JsonValue};
+use memnet_obs::json::{Fields, JsonValue, Snap};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::VecDeque;
 
@@ -36,19 +36,21 @@ struct Entry {
     row: u64,
 }
 
-/// Scheduling statistics for one vault.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VaultStats {
-    /// Requests serviced that hit the open row.
-    pub row_hits: u64,
-    /// Requests serviced that required precharge/activate.
-    pub row_misses: u64,
-    /// Total requests serviced.
-    pub served: u64,
-    /// Total bytes moved over the vault data bus.
-    pub bytes: u64,
-    /// Refresh commands issued.
-    pub refreshes: u64,
+memnet_obs::snap_struct! {
+    /// Scheduling statistics for one vault.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct VaultStats {
+        /// Requests serviced that hit the open row.
+        pub row_hits: u64,
+        /// Requests serviced that required precharge/activate.
+        pub row_misses: u64,
+        /// Total requests serviced.
+        pub served: u64,
+        /// Total bytes moved over the vault data bus.
+        pub bytes: u64,
+        /// Refresh commands issued.
+        pub refreshes: u64,
+    }
 }
 
 /// One vault: queue + banks + data bus.
@@ -254,25 +256,21 @@ impl Vault {
         let banks = self.banks.iter().flat_map(|b| {
             let row = b
                 .open_row
-                .map_or_else(|| JsonValue::String("-".into()), u64_str);
+                .map_or_else(|| "-".to_string().snap(), |r| r.snap());
             let deadlines = [
                 b.next_cmd,
                 b.activated_at,
                 b.write_recovery_until,
                 b.next_refresh,
             ];
-            std::iter::once(row).chain(deadlines.map(u64_str))
+            std::iter::once(row).chain(deadlines.map(|d| d.snap()))
         });
-        let s = &self.stats;
-        JsonValue::object([
+        let mut members = vec![
             ("banks", JsonValue::Array(banks.collect())),
-            ("bus_free_at", u64_str(self.bus_free_at)),
-            ("row_hits", u64_str(s.row_hits)),
-            ("row_misses", u64_str(s.row_misses)),
-            ("served", u64_str(s.served)),
-            ("bytes", u64_str(s.bytes)),
-            ("refreshes", u64_str(s.refreshes)),
-        ])
+            ("bus_free_at", self.bus_free_at.snap()),
+        ];
+        members.extend(self.stats.members());
+        JsonValue::object(members)
     }
 
     /// Reads back a [`Vault::snapshot`] record taken on an identically
@@ -295,14 +293,8 @@ impl Vault {
                 next_refresh: c[4].uint_str()?,
             })
         })?;
-        let bus_free_at = f.req("bus_free_at")?.uint_str()?;
-        let stats = VaultStats {
-            row_hits: f.req("row_hits")?.uint_str()?,
-            row_misses: f.req("row_misses")?.uint_str()?,
-            served: f.req("served")?.uint_str()?,
-            bytes: f.req("bytes")?.uint_str()?,
-            refreshes: f.req("refreshes")?.uint_str()?,
-        };
+        let bus_free_at = f.get("bus_free_at")?;
+        let stats = VaultStats::read(f)?;
         self.banks = banks;
         self.bus_free_at = bus_free_at;
         self.stats = stats;

@@ -64,41 +64,43 @@ pub struct FailedPacket {
     pub dest: NodeId,
 }
 
-/// Aggregate network statistics.
-#[derive(Debug, Clone, Default)]
-pub struct NetStats {
-    /// Packets delivered.
-    pub delivered: u64,
-    /// Packet latency in router cycles.
-    pub latency: RunningStats,
-    /// Router-to-router hop counts.
-    pub hops: RunningStats,
-    /// Packets that took a Valiant (non-minimal) path.
-    pub nonminimal: u64,
-    /// Packets forwarded at least once through an overlay pass-through.
-    pub passthrough: u64,
-    /// Total bytes delivered (payload + headers).
-    pub bytes_delivered: u64,
-    /// Flits that left endpoint injection queues onto the wire (drives the
-    /// injected-flits/cycle metric epoch series).
-    pub flits_injected: u64,
-    /// Head packets re-routed after a link cut invalidated their chosen
-    /// output port.
-    pub reroutes: u64,
-    /// Extra serialization slots paid to retransmits on degraded-BER
-    /// channels (factor − 1 per traversal).
-    pub retries: u64,
-    /// Packets pulled from the fabric because no surviving path to their
-    /// destination existed (drained via [`Network::poll_failed`]).
-    pub dead_letters: u64,
-    /// Packets accepted by [`Network::inject`]. The sanitizer's
-    /// conservation law: `packets_injected == delivered + in-flight +
-    /// dead_letters` at every cycle.
-    pub packets_injected: u64,
-    /// Flit-hops: flits committed onto any channel (endpoint injection or
-    /// router crossbar). The denominator for the cycles/flit-hop cost
-    /// metric in the profiling bench.
-    pub flit_hops: u64,
+memnet_obs::snap_struct! {
+    /// Aggregate network statistics.
+    #[derive(Debug, Clone, Default)]
+    pub struct NetStats {
+        /// Packets delivered.
+        pub delivered: u64,
+        /// Packet latency in router cycles.
+        pub latency: RunningStats,
+        /// Router-to-router hop counts.
+        pub hops: RunningStats,
+        /// Packets that took a Valiant (non-minimal) path.
+        pub nonminimal: u64,
+        /// Packets forwarded at least once through an overlay pass-through.
+        pub passthrough: u64,
+        /// Total bytes delivered (payload + headers).
+        pub bytes_delivered: u64,
+        /// Flits that left endpoint injection queues onto the wire (drives the
+        /// injected-flits/cycle metric epoch series).
+        pub flits_injected: u64,
+        /// Head packets re-routed after a link cut invalidated their chosen
+        /// output port.
+        pub reroutes: u64,
+        /// Extra serialization slots paid to retransmits on degraded-BER
+        /// channels (factor − 1 per traversal).
+        pub retries: u64,
+        /// Packets pulled from the fabric because no surviving path to their
+        /// destination existed (drained via [`Network::poll_failed`]).
+        pub dead_letters: u64,
+        /// Packets accepted by [`Network::inject`]. The sanitizer's
+        /// conservation law: `packets_injected == delivered + in-flight +
+        /// dead_letters` at every cycle.
+        pub packets_injected: u64,
+        /// Flit-hops: flits committed onto any channel (endpoint injection or
+        /// router crossbar). The denominator for the cycles/flit-hop cost
+        /// metric in the profiling bench.
+        pub flit_hops: u64,
+    }
 }
 
 #[derive(Debug)]

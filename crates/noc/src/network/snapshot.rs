@@ -2,9 +2,8 @@
 //! record must pass before it replaces the live state.
 
 use super::{NetStats, Network};
-use memnet_common::stats::RunningStats;
 use memnet_common::SplitMix64;
-use memnet_obs::json::{f64_bits, u64_str, u64_strs, Fields, JsonValue};
+use memnet_obs::json::{snaps, Fields, JsonValue, Snap};
 
 impl Network {
     /// The snapshot record. Only valid while the fabric is quiescent with
@@ -36,25 +35,22 @@ impl Network {
             self.packets.len(),
             "network snapshot requires every packet slot to be free"
         );
-        let link_up = (0..self.link_rtrs.len())
-            .map(|li| JsonValue::Bool(self.channels[Self::link_channels(li)[0]].up));
+        let link_up =
+            (0..self.link_rtrs.len()).map(|li| self.channels[Self::link_channels(li)[0]].up);
         // Per channel: [up, degrade, busy_until, bytes_moved, busy_cycles].
         let channels = self.channels.iter().flat_map(|c| {
             let (up, degrade) = (u64::from(c.up), u64::from(c.degrade));
             [up, degrade, c.busy_until, c.bytes_moved, c.busy_cycles]
         });
         JsonValue::object([
-            ("cycle", u64_str(self.cycle)),
-            ("seq", u64_str(self.seq)),
-            ("rng_state", u64_str(self.rng.state())),
-            ("packet_slots", u64_str(self.packets.len() as u64)),
-            (
-                "free_pids",
-                u64_strs(self.free_pids.iter().map(|&p| u64::from(p))),
-            ),
-            ("link_up", JsonValue::Array(link_up.collect())),
-            ("channels", u64_strs(channels)),
-            ("stats", stats_record(&self.stats)),
+            ("cycle", self.cycle.snap()),
+            ("seq", self.seq.snap()),
+            ("rng_state", self.rng.state().snap()),
+            ("packet_slots", (self.packets.len() as u64).snap()),
+            ("free_pids", self.free_pids.snap()),
+            ("link_up", snaps(link_up)),
+            ("channels", snaps(channels)),
+            ("stats", JsonValue::object(self.stats.members())),
         ])
     }
 
@@ -80,11 +76,11 @@ impl Network {
                 "field '{path}' is not the network clock's cycle {cycle}"
             ));
         }
-        let seq = f.req("seq")?.uint_str()?;
+        let seq = f.get("seq")?;
         let rng_state = f.req("rng_state")?.u64_str()?;
-        let slots = f.req("packet_slots")?.uint_str()?;
+        let slots = f.get("packet_slots")?;
         let free = f.req("free_pids")?;
-        let free_pids = free.list(|x| x.u32_str())?;
+        let free_pids = Vec::<u32>::unsnap(free)?;
         let mut sorted = free_pids.clone();
         sorted.sort_unstable();
         if !sorted.iter().map(|&p| u64::from(p)).eq(0..slots) {
@@ -100,7 +96,7 @@ impl Network {
         let channels = rows.rows(5, Some(self.channels.len()), |c| {
             let up = c[0].uint_str()? != 0;
             let counts = (c[2].uint_str()?, c[3].uint_str()?, c[4].uint_str()?);
-            Ok((up, c[1].u32_str()?, counts))
+            Ok((up, u32::unsnap(c[1])?, counts))
         })?;
         let path = rows.path();
         for (i, &(up, degrade, _)) in channels.iter().enumerate() {
@@ -120,7 +116,7 @@ impl Network {
                 ));
             }
         }
-        let stats = f.req("stats")?.record(read_stats)?;
+        let stats = f.req("stats")?.record(NetStats::read)?;
         self.cycle = cycle;
         self.seq = seq;
         self.rng = SplitMix64::new(rng_state);
@@ -141,62 +137,4 @@ impl Network {
         self.recompute_routes();
         Ok(())
     }
-}
-
-/// An accumulator as `{count, sum, min, max}`, the ±∞ sentinels of an
-/// empty one included.
-fn running(s: &RunningStats) -> JsonValue {
-    let (count, sum, min, max) = s.raw();
-    JsonValue::object([
-        ("count", u64_str(count)),
-        ("sum", f64_bits(sum)),
-        ("min", f64_bits(min)),
-        ("max", f64_bits(max)),
-    ])
-}
-
-fn read_running(f: &Fields) -> Result<RunningStats, String> {
-    let bits = |key| f.req(key)?.f64_bits();
-    let count = f.req("count")?.uint_str()?;
-    Ok(RunningStats::from_raw(
-        count,
-        bits("sum")?,
-        bits("min")?,
-        bits("max")?,
-    ))
-}
-
-fn stats_record(s: &NetStats) -> JsonValue {
-    JsonValue::object([
-        ("delivered", u64_str(s.delivered)),
-        ("latency", running(&s.latency)),
-        ("hops", running(&s.hops)),
-        ("nonminimal", u64_str(s.nonminimal)),
-        ("passthrough", u64_str(s.passthrough)),
-        ("bytes_delivered", u64_str(s.bytes_delivered)),
-        ("flits_injected", u64_str(s.flits_injected)),
-        ("reroutes", u64_str(s.reroutes)),
-        ("retries", u64_str(s.retries)),
-        ("dead_letters", u64_str(s.dead_letters)),
-        ("packets_injected", u64_str(s.packets_injected)),
-        ("flit_hops", u64_str(s.flit_hops)),
-    ])
-}
-
-fn read_stats(f: &Fields) -> Result<NetStats, String> {
-    let count = |key| f.req(key)?.uint_str();
-    Ok(NetStats {
-        delivered: count("delivered")?,
-        latency: f.req("latency")?.record(read_running)?,
-        hops: f.req("hops")?.record(read_running)?,
-        nonminimal: count("nonminimal")?,
-        passthrough: count("passthrough")?,
-        bytes_delivered: count("bytes_delivered")?,
-        flits_injected: count("flits_injected")?,
-        reroutes: count("reroutes")?,
-        retries: count("retries")?,
-        dead_letters: count("dead_letters")?,
-        packets_injected: count("packets_injected")?,
-        flit_hops: count("flit_hops")?,
-    })
 }

@@ -13,11 +13,14 @@
 //! * [`Fields`] — the one strict typed reader that turns a parsed outside
 //!   input (serve request, workload model, fault plan, snapshot) into
 //!   values: deny unknown, deny duplicate, exact integers, path in every
-//!   error.
+//!   error;
+//! * [`Snap`] — the checkpoint's encoding of each value, with
+//!   [`snap_struct!`](crate::snap_struct) for plain-data records.
 //!
 //! Non-finite floats have no JSON representation; the writer emits `null`
 //! for NaN and ±∞, matching what `JSON.stringify` does.
 
+use memnet_common::stats::RunningStats;
 use std::fmt::Write as _;
 
 /// Types that can write themselves as one JSON value.
@@ -728,23 +731,90 @@ impl<'a> Parser<'a> {
 /// Largest integer a JSON number carries exactly (the parser stores `f64`).
 pub const MAX_SAFE_INT: u64 = 1 << 53;
 
-/// `v` as decimal text, the snapshot's integer encoding: a JSON number
-/// would round it above 2^53. [`Field::u64_str`] and [`Field::uint_str`]
-/// read it back.
-pub fn u64_str(v: u64) -> JsonValue {
-    JsonValue::String(v.to_string())
+/// A value in the checkpoint's encoding, the one place that encoding is
+/// chosen. A `u64` is decimal text: the parser stores JSON numbers as
+/// `f64`, which would round it above 2^53. An `f64` is its IEEE-754 bit
+/// pattern as decimal text: the writer maps NaN and ±∞ to `null`, which
+/// would destroy the `RunningStats` sentinels.
+pub trait Snap: Sized {
+    /// `self` as one snapshot value.
+    fn snap(&self) -> JsonValue;
+    /// Reads back what [`Snap::snap`] wrote; a refusal names `f`'s path.
+    fn unsnap(f: Field) -> Result<Self, String>;
 }
 
-/// An array of [`u64_str`] values.
-pub fn u64_strs(vs: impl IntoIterator<Item = u64>) -> JsonValue {
-    JsonValue::Array(vs.into_iter().map(u64_str).collect())
+macro_rules! impl_snap {
+    ($($t:ty: $write:expr, $read:expr;)*) => {$(
+        impl Snap for $t {
+            fn snap(&self) -> JsonValue {
+                $write(self)
+            }
+            fn unsnap(f: Field) -> Result<$t, String> {
+                $read(f)
+            }
+        }
+    )*};
+}
+// A `u64` reads back as a count, cycle, deadline or sequence number. A
+// full-width one (bit pattern, hash, RNG state, cache tag) is written the
+// same way and read by `Field::u64_str`.
+impl_snap! {
+    u64: |v: &u64| JsonValue::String(v.to_string()), |f: Field| f.uint_str();
+    u32: |v: &u32| u64::from(*v).snap(), |f: Field| f.want(f.decimal(), "a u32 decimal string");
+    f64: |v: &f64| v.to_bits().snap(), |f: Field| f.u64_str().map(f64::from_bits);
+    bool: |v: &bool| JsonValue::Bool(*v), |f: Field| f.bool();
+    String: |v: &String| JsonValue::String(v.clone()), |f: Field| f.str().map(str::to_string);
 }
 
-/// `v`'s IEEE-754 bit pattern as decimal text, the snapshot's float
-/// encoding: the writer maps NaN and ±∞ to `null`. [`Field::f64_bits`]
-/// reads it back.
-pub fn f64_bits(v: f64) -> JsonValue {
-    u64_str(v.to_bits())
+impl<T: Snap> Snap for Vec<T> {
+    fn snap(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(T::snap).collect())
+    }
+    fn unsnap(f: Field) -> Result<Vec<T>, String> {
+        f.list(T::unsnap)
+    }
+}
+
+/// An accumulator as `{count, sum, min, max}`, the ±∞ sentinels of an
+/// empty one included.
+impl Snap for RunningStats {
+    fn snap(&self) -> JsonValue {
+        let (count, sum, min, max) = self.raw();
+        let bits = [("sum", sum), ("min", min), ("max", max)].map(|(k, v)| (k, v.snap()));
+        JsonValue::object([("count", count.snap())].into_iter().chain(bits))
+    }
+    fn unsnap(f: Field) -> Result<Self, String> {
+        let read = |r: &Fields| Ok((r.get("count")?, r.get("sum")?, r.get("min")?, r.get("max")?));
+        let (count, sum, min, max) = f.record(read)?;
+        Ok(Self::from_raw(count, sum, min, max))
+    }
+}
+
+/// An array of `vs`, each in its snapshot encoding.
+pub fn snaps<T: Snap>(vs: impl IntoIterator<Item = T>) -> JsonValue {
+    JsonValue::Array(vs.into_iter().map(|v| v.snap()).collect())
+}
+
+/// Declares a plain-data snapshot record, so its field list exists once:
+/// `members()` writes each field in its [`Snap`] encoding, in declaration
+/// order, to nest as one object or to flatten into the owner's; `read(f)`
+/// reads every member from `f` before it returns any, so a refused record
+/// leaves its owner untouched (whoever holds `f` finishes it).
+#[macro_export]
+macro_rules! snap_struct {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $fty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])* $vis struct $name { $($(#[$fmeta])* $fvis $field: $fty),+ }
+        impl $name {
+            pub(crate) fn members(&self) -> Vec<(&'static str, $crate::json::JsonValue)> {
+                vec![$((stringify!($field), $crate::json::Snap::snap(&self.$field))),+]
+            }
+            pub(crate) fn read(f: &$crate::json::Fields) -> Result<Self, String> {
+                Ok($name { $($field: f.get(stringify!($field))?),+ })
+            }
+        }
+    };
 }
 
 /// Refuses an array of `got` entries at `path` where the component
@@ -821,6 +891,11 @@ impl<'a> Fields<'a> {
     pub fn req<'p>(&'p self, key: &'p str) -> Result<Field<'a, 'p>, String> {
         self.opt(key)?
             .ok_or_else(|| format!("missing field '{}'", join(&self.path, key)))
+    }
+
+    /// The required member `key`, read in its [`Snap`] encoding.
+    pub fn get<T: Snap>(&self, key: &str) -> Result<T, String> {
+        T::unsnap(self.req(key)?)
     }
 
     /// Ends the read: the first member nobody took is an unknown field.
@@ -921,14 +996,14 @@ impl<'a, 'p> Field<'a, 'p> {
         )
     }
 
-    /// A `u64` written by [`u64_str`], over all 64 bits: a bit pattern,
+    /// A `u64` in its [`Snap`] encoding, over all 64 bits: a bit pattern,
     /// hash, RNG state or cache tag.
     pub fn u64_str(&self) -> Result<u64, String> {
         self.want(self.decimal(), "a u64 decimal string")
     }
 
-    /// A count, cycle, deadline or sequence number written by
-    /// [`u64_str`]: no larger than 2^53, like every other outside integer,
+    /// A count, cycle, deadline or sequence number in its [`Snap`]
+    /// encoding: no larger than 2^53, like every other outside integer,
     /// so a run that adds to it cannot overflow.
     pub fn uint_str(&self) -> Result<u64, String> {
         self.uint_str_to(MAX_SAFE_INT)
@@ -939,16 +1014,6 @@ impl<'a, 'p> Field<'a, 'p> {
         let limit = limit.min(MAX_SAFE_INT);
         let n = self.decimal().filter(|&n| n <= limit);
         self.want(n, format_args!("a decimal string ≤ {limit}"))
-    }
-
-    /// A `u32` written by [`u64_str`].
-    pub fn u32_str(&self) -> Result<u32, String> {
-        self.want(self.decimal(), "a u32 decimal string")
-    }
-
-    /// An `f64` written by [`f64_bits`].
-    pub fn f64_bits(&self) -> Result<f64, String> {
-        self.u64_str().map(f64::from_bits)
     }
 
     fn decimal<T: std::str::FromStr>(&self) -> Option<T> {
@@ -1078,10 +1143,10 @@ mod tests {
     #[test]
     fn snapshot_encoding_round_trips_and_caps_counts() {
         let doc = JsonValue::object([
-            ("tag", u64_str(u64::MAX)),
-            ("count", u64_str(MAX_SAFE_INT + 1)),
-            ("min", f64_bits(f64::INFINITY)),
-            ("cells", u64_strs([1, 2, 3, 4, 5])),
+            ("tag", u64::MAX.snap()),
+            ("count", (MAX_SAFE_INT + 1).snap()),
+            ("min", f64::INFINITY.snap()),
+            ("cells", snaps([1u64, 2, 3, 4, 5])),
         ]);
         let v = parse(&doc.to_json()).expect("parse");
         let f = Fields::new(&v, "").expect("object");
@@ -1089,8 +1154,11 @@ mod tests {
         let count = f.req("count").expect("count");
         assert_eq!(count.u64_str(), Ok(MAX_SAFE_INT + 1));
         assert!(count.uint_str().unwrap_err().contains("'count' must be"));
-        assert!(count.u32_str().is_err());
-        assert_eq!(f.req("min").and_then(|x| x.f64_bits()), Ok(f64::INFINITY));
+        assert!(u32::unsnap(count).is_err());
+        assert_eq!(f.get("min"), Ok(f64::INFINITY));
+        let empty = RunningStats::new();
+        let back = RunningStats::unsnap(Field::root(&empty.snap(), "")).expect("sentinels");
+        assert_eq!(back.raw(), empty.raw());
         let cells = f.req("cells").expect("cells");
         let err = cells.rows(2, None, |c| c[0].uint_str()).unwrap_err();
         assert!(err.contains("multiple of 2"), "{err}");
@@ -1099,6 +1167,27 @@ mod tests {
             cells.list_of(4, |x| x.uint_str()).unwrap_err(),
             "field 'cells' holds 5 entries, this configuration has 4"
         );
+    }
+
+    #[test]
+    fn snap_records_write_and_read_their_declared_fields() {
+        crate::snap_struct! {
+            struct Counters { hits: u64, ratio: f64 }
+        }
+        let v = JsonValue::object(
+            Counters {
+                hits: 3,
+                ratio: 0.5,
+            }
+            .members(),
+        );
+        let want = r#"{"hits":"3","ratio":"4602678819172646912"}"#;
+        assert_eq!(v.to_json(), want);
+        let back = Field::root(&v, "").record(Counters::read).expect("read");
+        assert_eq!((back.hits, back.ratio), (3, 0.5));
+        let v = parse(r#"{"hits":"3","ratio":"4602678819172646912","x":1}"#).expect("parse");
+        let err = Field::root(&v, "c").record(Counters::read).map(|_| ());
+        assert_eq!(err, Err("unknown field 'c.x'".into()));
     }
 
     #[test]

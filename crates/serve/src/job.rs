@@ -472,6 +472,16 @@ mod tests {
     }
 
     #[test]
+    fn inline_models_past_the_size_ceilings_are_refused() {
+        let model = memnet_wdl::spec_to_json(&Workload::VecAdd.spec()).replace('\n', " ");
+        let huge = model.replacen("\"ctas\": 512", "\"ctas\": 4294967295", 1);
+        assert_ne!(huge, model, "test must actually edit the model");
+        let params = format!(r#"{{"org":"umn","gpus":2,"sms":2,"model":{huge}}}"#);
+        let err = spec_of(&params).unwrap_err();
+        assert!(err.contains("'ctas'"), "{err}");
+    }
+
+    #[test]
     fn workload_file_loads_a_model_from_disk() {
         let path = std::env::temp_dir().join("memnet-serve-job-model.json");
         let path = path.to_str().expect("utf-8 temp path");

@@ -290,6 +290,34 @@ mod tests {
         assert!(err.contains("stride"), "{err}");
     }
 
+    /// The three models that used to abort the process on allocation, each
+    /// refused at parse time by the field that sizes it.
+    #[test]
+    fn models_past_the_size_ceilings_are_refused_by_field() {
+        let json = spec_to_json(&Workload::VecAdd.spec());
+        let set = |text: &str, key: &str, v: u64| {
+            let from = format!("\"{key}\": ");
+            let at = text.find(&from).expect("a kernel field") + from.len();
+            let end = at + text[at..].find([',', '\n']).expect("value end");
+            format!("{}{v}{}", &text[..at], &text[end..])
+        };
+        let huge_grid = set(&set(&json, "ctas", 4_294_967_295), "read_bytes", 1 << 40);
+        let wide = set(&json, "seq_reads", 200_000_000);
+        let wrapping = set(
+            &set(&json, "seq_reads", 3_000_000_000),
+            "writes",
+            2_000_000_000,
+        );
+        for (model, field) in [
+            (huge_grid, "'ctas'"),
+            (wide, "'seq_reads'"),
+            (wrapping, "'writes'"),
+        ] {
+            let err = spec_from_json(&model).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+    }
+
     #[test]
     fn host_regions_must_fit_the_footprint() {
         let mut spec = Workload::CgS.spec_small();

@@ -63,6 +63,20 @@ memnet_obs::to_json_struct! {
     }
 }
 
+/// The most CTAs a kernel may launch; a run queues every one up front.
+/// Measured with a 2-GPU × 2-SM UMN VECADD model at `--seconds-budget
+/// 0.001` on a 2-core host: 1M CTAs take 0.06 s and 34 MB, 16M 0.88 s and
+/// 406 MB, 64M 3.5 s and 1.6 GB, and 4 294 967 295 abort on an 8.6 GB
+/// allocation. The built-in models reach 2 048 (`spec_large`).
+const MAX_CTAS: u32 = 1 << 20;
+
+/// The most accesses one memory op may carry, `(seq_reads + halo_reads) ×
+/// reuse + rand_reads + writes`, which are allocated together for each op.
+/// Measured at 2 × 16 384 SMs on the same host: 64 accesses take 42 s and
+/// 748 MB, and 1 024 abort at about 3.9 GB. The built-in models reach 29
+/// (3DFD), the fuzzer 16.
+const MAX_OP_ACCESSES: u64 = 64;
+
 impl SyntheticKernel {
     /// Validates parameter consistency.
     ///
@@ -72,6 +86,19 @@ impl SyntheticKernel {
     pub fn validate(&self) -> Result<(), String> {
         if self.ctas == 0 || self.iters == 0 {
             return Err("kernel needs at least one CTA and one iteration".into());
+        }
+        if self.ctas > MAX_CTAS {
+            return Err(format!("'ctas' must be at most {MAX_CTAS}"));
+        }
+        // In u64: the u32 fields can sum past u32::MAX.
+        let n = u64::from;
+        let reads = (n(self.seq_reads) + n(self.halo_reads)).saturating_mul(n(self.reuse.max(1)));
+        let width = reads.saturating_add(n(self.rand_reads) + n(self.writes));
+        if width > MAX_OP_ACCESSES {
+            return Err(format!(
+                "'seq_reads', 'halo_reads', 'reuse', 'rand_reads' and 'writes' give {width} \
+                 accesses per op, more than {MAX_OP_ACCESSES}"
+            ));
         }
         if self.seq_reads > 0 && self.read_bytes < LINE * self.ctas as u64 {
             return Err("read region too small for per-CTA slices".into());
@@ -91,7 +118,7 @@ impl SyntheticKernel {
         {
             return Err("halo reads require sequential streams and a read region".into());
         }
-        if self.seq_reads + self.rand_reads + self.dep_reads + self.writes + self.halo_reads == 0 {
+        if width + n(self.dep_reads) == 0 {
             return Err("kernel must access memory".into());
         }
         Ok(())
@@ -477,6 +504,27 @@ mod tests {
         k.atomic_every = 0;
         assert!(k.validate().is_err(), "kernel must access memory");
         assert!(basic().validate().is_ok());
+        let mut k = basic();
+        k.ctas = u32::MAX;
+        assert!(k.validate().unwrap_err().contains("'ctas'"));
+        for (seq, writes, reuse) in [
+            (200_000_000, 1, 1),
+            (3_000_000_000, 2_000_000_000, 1),
+            (16, 1, 4),
+        ] {
+            let mut k = basic();
+            (k.seq_reads, k.writes, k.reuse) = (seq, writes, reuse);
+            assert!(
+                k.validate().unwrap_err().contains("accesses per op"),
+                "{seq} {writes}"
+            );
+        }
+        let mut k = basic();
+        (k.seq_reads, k.halo_reads, k.reuse) = (u32::MAX, u32::MAX, u32::MAX);
+        assert!(
+            k.validate().is_err(),
+            "the width saturates instead of wrapping"
+        );
     }
 
     #[test]
