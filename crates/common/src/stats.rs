@@ -238,19 +238,6 @@ impl TrafficMatrix {
     pub fn raw_bytes_mut(&mut self) -> &mut [u64] {
         &mut self.bytes
     }
-
-    /// Ratio of the hottest to the coldest *nonzero* destination, the
-    /// imbalance metric quoted in Section V-A (up to 11.7× for CG.S).
-    pub fn max_min_column_ratio(&self) -> f64 {
-        let totals = self.column_totals();
-        let max = totals.iter().copied().max().unwrap_or(0);
-        let min = totals.iter().copied().filter(|&t| t > 0).min().unwrap_or(0);
-        if min == 0 {
-            0.0
-        } else {
-            max as f64 / min as f64
-        }
-    }
 }
 
 /// Geometric mean of positive values; returns 0.0 for an empty slice.
@@ -314,13 +301,12 @@ mod tests {
     }
 
     #[test]
-    fn traffic_matrix_imbalance_ratio() {
-        let mut m = TrafficMatrix::new(1, 3);
+    fn traffic_matrix_column_totals() {
+        let mut m = TrafficMatrix::new(2, 3);
         m.add(0, 0, 10);
         m.add(0, 1, 117);
-        assert!((m.max_min_column_ratio() - 11.7).abs() < 1e-9);
-        // All-zero matrix has no defined ratio.
-        assert_eq!(TrafficMatrix::new(1, 3).max_min_column_ratio(), 0.0);
+        m.add(1, 1, 3);
+        assert_eq!(m.column_totals(), [10, 120, 0]);
     }
 
     #[test]

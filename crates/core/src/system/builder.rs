@@ -27,7 +27,6 @@ pub struct SimBuilder {
     pub(super) active_gpus: Option<u32>,
     pub(super) phase_budget_ns: f64,
     pub(super) placement: PlacementPolicy,
-    pub(super) co_workloads: Vec<WorkloadSpec>,
     pub(super) trace_capacity: Option<usize>,
     pub(super) metrics_every: Option<u64>,
     /// `None` until [`SimBuilder::engine`]: `MEMNET_ENGINE` then decides.
@@ -55,7 +54,6 @@ impl SimBuilder {
             active_gpus: None,
             phase_budget_ns: 3_000_000.0,
             placement: PlacementPolicy::Random,
-            co_workloads: Vec::new(),
             trace_capacity: None,
             metrics_every: None,
             engine_mode: None,
@@ -114,20 +112,6 @@ impl SimBuilder {
     /// [`SimReport::metrics`]. A zero period disables snapshots.
     pub fn metrics_every(mut self, cycles: u64) -> Self {
         self.metrics_every = Some(cycles);
-        self
-    }
-
-    /// Adds a workload to run *concurrently* with the primary one
-    /// (concurrent kernel execution — the SKE extension of Section III).
-    /// Each co-workload gets a disjoint region of the shared address space
-    /// and its CTAs interleave with the primary kernel's on every GPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at `run`) if a co-workload has host compute phases; only the
-    /// primary workload's host phases execute.
-    pub fn co_workload(mut self, w: WorkloadSpec) -> Self {
-        self.co_workloads.push(w);
         self
     }
 
@@ -223,8 +207,8 @@ impl SimBuilder {
     /// # Errors
     ///
     /// [`SimError::MissingWorkload`] when no workload was set,
-    /// [`SimError::InvalidConfig`] when the configuration fails
-    /// validation.
+    /// [`SimError::InvalidConfig`] when the configuration or the
+    /// workload's kernel fails validation.
     pub fn try_run(self) -> Result<SimReport, SimError> {
         Ok(System::try_build(self)?.run_profiled().0)
     }
@@ -326,7 +310,8 @@ impl SimBuilder {
             self.cta_policy, self.placement
         );
         let _ = write!(s, "workload={:?};", self.workload);
-        let _ = write!(s, "co={:?};", self.co_workloads);
+        // The retired co-workload list, kept so fingerprints do not move.
+        s.push_str("co=[];");
         let _ = write!(
             s,
             "data_clusters={:?};active_gpus={:?};",

@@ -133,7 +133,7 @@ impl Organization {
 /// Why a simulation could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The [`SystemConfig`] failed validation.
+    /// The [`SystemConfig`] or the workload's kernel failed validation.
     InvalidConfig(String),
     /// [`SimBuilder::workload`] was never called.
     MissingWorkload,
@@ -174,7 +174,6 @@ struct System {
     cfg: SystemConfig,
     org: Organization,
     workload: WorkloadSpec,
-    co_workloads: Vec<(WorkloadSpec, u64)>,
     cta_policy: CtaPolicy,
     active_gpus: u32,
     use_overlay: bool,

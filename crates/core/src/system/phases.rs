@@ -8,11 +8,8 @@ use crate::ske;
 use crate::snapshot::SystemSnapshot;
 use memnet_common::time::Fs;
 use memnet_cpu::CpuStream;
-use memnet_gpu::kernel::OffsetKernel;
-use memnet_gpu::KernelModel;
 use memnet_obs::{ClockDomain, TraceEventKind};
 use memnet_workloads::HostWork;
-use std::sync::Arc;
 
 impl System {
     pub(super) fn run_profiled(mut self) -> (SimReport, Option<ProfileReport>) {
@@ -21,15 +18,14 @@ impl System {
     }
 
     /// Runs the pre-kernel prefix — host-pre compute plus the host→device
-    /// copies (including co-workload staging) — and returns the elapsed
-    /// `(host_fs, memcpy_fs)`. Ends at the quiescent pre-kernel phase
-    /// boundary, which is also the checkpoint point.
+    /// copy — and returns the elapsed `(host_fs, memcpy_fs)`. Ends at the
+    /// quiescent pre-kernel phase boundary, which is also the checkpoint
+    /// point.
     fn run_warmup(&mut self) -> (Fs, Fs) {
         let w = self.workload.clone();
         let mut host_fs: Fs = 0;
         let mut memcpy_fs: Fs = 0;
 
-        let co = self.co_workloads.clone();
         if let Some(pre) = w.host_pre {
             let t0 = self.now;
             host_fs += self.run_host_phase(&pre);
@@ -38,9 +34,6 @@ impl System {
         if self.org.uses_memcpy() {
             let t0 = self.now;
             memcpy_fs += self.run_memcpy_phase(HOST_BASE, 0, w.h2d_bytes);
-            for (cw, base) in &co {
-                memcpy_fs += self.run_memcpy_phase(HOST_BASE + base, *base, cw.h2d_bytes);
-            }
             self.emit_phase("memcpy-h2d", t0);
         }
         (host_fs, memcpy_fs)
@@ -56,7 +49,6 @@ impl System {
         memcpy_fs: Fs,
     ) -> (SimReport, Option<ProfileReport>) {
         let w = self.workload.clone();
-        let co = self.co_workloads.clone();
         let mut host_fs = host_fs;
         let mut memcpy_fs = memcpy_fs;
         let t0 = self.now;
@@ -67,12 +59,6 @@ impl System {
             if w.d2h_bytes > 0 {
                 let wbase = w.kernel.shared_bytes + w.kernel.read_bytes;
                 memcpy_fs += self.run_memcpy_phase(wbase, HOST_BASE + wbase, w.d2h_bytes);
-            }
-            for (cw, base) in &co {
-                if cw.d2h_bytes > 0 {
-                    let wbase = base + cw.kernel.shared_bytes + cw.kernel.read_bytes;
-                    memcpy_fs += self.run_memcpy_phase(wbase, HOST_BASE + wbase, cw.d2h_bytes);
-                }
             }
             self.emit_phase("memcpy-d2h", t0);
         }
@@ -188,28 +174,16 @@ impl System {
         if live.is_empty() {
             return 0;
         }
-        // Concurrent kernel execution: co-launch the extra kernels with
-        // offset address spaces and interleave CTA queues so they share
-        // every GPU.
-        let primary: Arc<dyn KernelModel> = self.workload.kernel.clone();
-        let mut kernels = vec![(primary, self.workload.kernel.ctas)];
-        for (cw, base) in &self.co_workloads {
-            let model = OffsetKernel::new(cw.kernel.clone(), *base);
-            kernels.push((Arc::new(model), cw.kernel.ctas));
-        }
-        let n_kernels = kernels.len();
-        for (model, ctas) in kernels {
-            #[allow(clippy::cast_possible_truncation, reason = "live GPUs ≤ n_gpus, a u32")]
-            let queues = ske::partition(ctas, live.len() as u32, self.cta_policy);
-            for (qi, q) in queues.into_iter().enumerate() {
-                if let Some(s) = self.san.as_mut() {
-                    s.audit.ctas_launched += q.len() as u64;
-                }
-                self.gpus[live[qi]].launch(model.clone(), q);
+        // Every live GPU gets the launch, an empty queue included, so each
+        // later thief or GPU-loss survivor already holds the kernel.
+        let kernel = self.workload.kernel.clone();
+        #[allow(clippy::cast_possible_truncation, reason = "live GPUs ≤ n_gpus, a u32")]
+        let queues = ske::partition(kernel.ctas, live.len() as u32, self.cta_policy);
+        for (&g, q) in live.iter().zip(queues) {
+            if let Some(s) = self.san.as_mut() {
+                s.audit.ctas_launched += q.len() as u64;
             }
-        }
-        for &g in &live {
-            self.gpus[g].interleave_pending(n_kernels);
+            self.gpus[g].launch(kernel.clone(), q);
         }
         let steals = self.cta_policy.steals();
         let mut last_steal = 0u64;

@@ -67,64 +67,6 @@ fn umn_beats_pcie_on_total_runtime() {
 }
 
 #[test]
-fn concurrent_kernels_complete_and_overlap() {
-    use memnet_workloads::Workload as W;
-    let iso = |w: Workload| rig(Organization::Umn).workload(w.spec_small()).run();
-    let cp = iso(W::Cp);
-    let scan = iso(W::Scan);
-    // Concurrent: compute-bound CP + bandwidth-bound SCAN co-scheduled.
-    let both = rig(Organization::Umn)
-        .workload(W::Cp.spec_small())
-        .co_workload(W::Scan.spec_small())
-        .run();
-    assert!(!both.timed_out);
-    // Sandwich: real concurrency means the co-run takes at least as
-    // long as the slower kernel alone. The upper bound is loose:
-    // co-resident kernels share L1/L2 capacity, so cache contention can
-    // make co-scheduling somewhat slower than back-to-back execution —
-    // a well-known CKE effect this model reproduces.
-    let slower = cp.kernel_ns.max(scan.kernel_ns);
-    let serial = cp.kernel_ns + scan.kernel_ns;
-    assert!(
-        both.kernel_ns >= slower * 0.95,
-        "CKE {} vs slower {}",
-        both.kernel_ns,
-        slower
-    );
-    assert!(
-        both.kernel_ns <= serial * 1.30,
-        "CKE {} vs serial {}",
-        both.kernel_ns,
-        serial
-    );
-}
-
-#[test]
-fn concurrent_kernels_use_disjoint_regions() {
-    use memnet_workloads::Workload as W;
-    // Runs to completion without address-space collisions (regions are
-    // page-aligned and stacked); traffic exceeds the single-kernel run.
-    let single = small(Organization::Umn);
-    let multi = rig(Organization::Umn)
-        .workload(W::VecAdd.spec_small())
-        .co_workload(W::VecAdd.spec_small())
-        .co_workload(W::VecAdd.spec_small())
-        .run();
-    assert!(!multi.timed_out);
-    assert!(multi.traffic.total() > 2 * single.traffic.total());
-}
-
-#[test]
-#[should_panic(expected = "host compute phases")]
-fn co_workload_with_host_phases_panics() {
-    use memnet_workloads::Workload as W;
-    let _ = rig(Organization::Umn)
-        .workload(W::VecAdd.spec_small())
-        .co_workload(W::CgS.spec_small())
-        .run();
-}
-
-#[test]
 fn pcn_beats_pcie_but_not_umn() {
     let pcie = small(Organization::Pcie);
     let pcn = small(Organization::Pcn);

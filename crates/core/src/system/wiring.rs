@@ -16,13 +16,16 @@ use memnet_noc::topo::{add_cpu_overlay, add_pcie_tree, build_clusters, TopologyK
 use memnet_noc::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
 use memnet_obs::ClockDomain::{self, Core, Cpu, Dram, Net, L2};
 use memnet_obs::{MetricsRegistry, Tracer};
-use memnet_workloads::WorkloadSpec;
 
 impl System {
     pub(super) fn try_build(b: SimBuilder) -> Result<System, SimError> {
         let cfg = b.cfg.clone();
         cfg.validate().map_err(SimError::InvalidConfig)?;
         let workload = b.workload.clone().ok_or(SimError::MissingWorkload)?;
+        workload
+            .kernel
+            .validate()
+            .map_err(SimError::InvalidConfig)?;
         let engine_mode = b.engine_mode.map_or_else(EngineMode::from_env, Ok)?;
         let sanitize = b.sanitize.map_or_else(SanitizeMode::from_env, Ok)?;
         let n_gpus = cfg.n_gpus as usize;
@@ -98,23 +101,13 @@ impl System {
             SimError::InvalidConfig(format!("gpus = {n_gpus} on topology {topology}: {why}"))
         })?;
 
-        // Memory layout: regions per data-residency policy. Co-workloads
-        // stack above the primary footprint at page-aligned bases.
-        let mut co_workloads: Vec<(WorkloadSpec, u64)> = Vec::new();
-        let mut next_base = workload
+        // Memory layout: regions per data-residency policy, each the
+        // footprint rounded up to whole pages.
+        let fp = workload
             .footprint_bytes()
             .max(4096)
             .div_ceil(cfg.page_bytes)
             * cfg.page_bytes;
-        for w in &b.co_workloads {
-            assert!(
-                w.host_pre.is_none() && w.host_post.is_none(),
-                "co-workloads cannot have host compute phases"
-            );
-            co_workloads.push((w.clone(), next_base));
-            next_base += w.footprint_bytes().max(4096).div_ceil(cfg.page_bytes) * cfg.page_bytes;
-        }
-        let fp = next_base.max(4096);
         let mut layout = MemoryLayout::new(&cfg, cpu_cluster + 1);
         layout.set_policy(b.placement);
         let device_clusters: Vec<u32> = match b.org {
@@ -181,7 +174,6 @@ impl System {
             cta_policy: b.cta_policy,
             org: b.org,
             workload,
-            co_workloads,
             cfg,
             net,
             gpus,

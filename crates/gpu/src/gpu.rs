@@ -57,10 +57,11 @@ pub struct Gpu {
     mem_out_cap: usize,
     resp_routes: BTreeMap<ReqId, RespRoute>,
     next_req: u64,
-    /// CTAs assigned by the SKE runtime, not yet dispatched. Each entry
-    /// carries its kernel so several kernels can be co-resident
-    /// (concurrent kernel execution).
-    pending_ctas: VecDeque<(Arc<dyn KernelModel>, u32)>,
+    /// The kernel installed by [`Gpu::launch`]; every CTA this GPU runs,
+    /// queued or resident, is one of its grid.
+    kernel: Option<Arc<dyn KernelModel>>,
+    /// CTAs assigned by the SKE runtime, not yet dispatched.
+    pending_ctas: VecDeque<u32>,
     core_cycle: u64,
     /// A lower bound on every SM's wake cycle: before it, and with no CTA
     /// to dispatch and no SM output to drain, a core tick only counts the
@@ -109,6 +110,7 @@ impl Gpu {
             mem_out_cap: 64,
             resp_routes: BTreeMap::new(),
             next_req: 0,
+            kernel: None,
             pending_ctas: VecDeque::new(),
             core_cycle: 0,
             sm_wake: u64::MAX,
@@ -120,20 +122,16 @@ impl Gpu {
     }
 
     /// Fault injection: kills this GPU. Every undispatched and resident
-    /// CTA is returned as (kernel, cta) pairs so the SKE runtime can
-    /// re-execute them from scratch on surviving devices; all in-flight
-    /// internal state (crossbar, memory port, response routes, MSHRs) is
-    /// dropped. Afterward the GPU ticks as a no-op, reports idle, and
-    /// drops any response still routed to it.
-    pub fn fail(&mut self) -> Vec<(Arc<dyn KernelModel>, u32)> {
-        let mut orphans: Vec<(Arc<dyn KernelModel>, u32)> = self.pending_ctas.drain(..).collect();
+    /// CTA index is returned so the SKE runtime can re-execute them from
+    /// scratch on surviving devices; all in-flight internal state
+    /// (crossbar, memory port, response routes, MSHRs) is dropped.
+    /// Afterward the GPU ticks as a no-op, reports idle, and drops any
+    /// response still routed to it.
+    pub fn fail(&mut self) -> Vec<u32> {
+        let mut orphans: Vec<u32> = self.pending_ctas.drain(..).collect();
         #[allow(clippy::cast_possible_truncation, reason = "CTA tags are u32 indices widened")]
         for sm in &mut self.sms {
-            orphans.extend(
-                sm.fail_all()
-                    .into_iter()
-                    .map(|(model, tag)| (model, tag as u32)),
-            );
+            orphans.extend(sm.fail_all().into_iter().map(|tag| tag as u32));
         }
         self.l2_in.clear();
         self.mem_out.clear();
@@ -154,33 +152,15 @@ impl Gpu {
         self.id
     }
 
-    /// Installs a kernel and the CTA indices this GPU will run (the SKE
-    /// launch command of Fig. 5, with its CTA range information). May be
-    /// called multiple times before/while running: later launches
-    /// co-execute with earlier ones (concurrent kernel execution).
+    /// Installs the kernel and the CTA indices this GPU will run (the SKE
+    /// launch command of Fig. 5, with its CTA range information). A run
+    /// launches one kernel: a later launch replaces the kernel for every
+    /// CTA not yet dispatched.
     pub fn launch(&mut self, model: Arc<dyn KernelModel>, ctas: impl IntoIterator<Item = u32>) {
         debug_assert!(!self.dead, "launch on a failed GPU");
-        self.pending_ctas
-            .extend(ctas.into_iter().map(|c| (model.clone(), c)));
+        self.kernel = Some(model);
+        self.pending_ctas.extend(ctas);
         self.busy_cache = true;
-    }
-
-    /// Interleaves the pending queue round-robin across kernels so that
-    /// co-launched kernels actually share the GPU instead of running
-    /// back-to-back. No-op for a single kernel.
-    pub fn interleave_pending(&mut self, kernels: usize) {
-        if kernels < 2 || self.pending_ctas.len() < 2 {
-            return;
-        }
-        let items: Vec<(Arc<dyn KernelModel>, u32)> = self.pending_ctas.drain(..).collect();
-        let per = items.len().div_ceil(kernels);
-        for i in 0..per {
-            for k in 0..kernels {
-                if let Some(it) = items.get(k * per + i) {
-                    self.pending_ctas.push_back(it.clone());
-                }
-            }
-        }
     }
 
     /// CTAs assigned but not yet dispatched to an SM (stealable).
@@ -190,17 +170,18 @@ impl Gpu {
 
     /// Removes up to `n` undispatched CTAs from the tail of the queue (CTA
     /// stealing, Section III-B).
-    pub fn steal(&mut self, n: usize) -> Vec<(Arc<dyn KernelModel>, u32)> {
+    pub fn steal(&mut self, n: usize) -> Vec<u32> {
         let take = n.min(self.pending_ctas.len());
         let at = self.pending_ctas.len() - take;
         self.pending_ctas.split_off(at).into()
     }
 
-    /// Adds stolen CTAs to this GPU's queue.
-    pub fn donate(&mut self, ctas: Vec<(Arc<dyn KernelModel>, u32)>) {
+    /// Adds stolen or orphaned CTAs of the launched kernel to this GPU's
+    /// queue.
+    pub fn donate(&mut self, ctas: Vec<u32>) {
         debug_assert!(
-            !self.dead || ctas.is_empty(),
-            "donating CTAs to a failed GPU"
+            ctas.is_empty() || (!self.dead && self.kernel.is_some()),
+            "donating CTAs to a failed GPU or one without the kernel"
         );
         if !ctas.is_empty() {
             self.busy_cache = true;
@@ -283,10 +264,11 @@ impl Gpu {
         for i in 0..self.sms.len() {
             // Dispatch pending CTAs into free slots.
             while self.sms[i].has_free_slot() {
-                let Some((model, cta)) = self.pending_ctas.pop_front() else {
+                let Some(model) = &self.kernel else { break };
+                let Some(cta) = self.pending_ctas.pop_front() else {
                     break;
                 };
-                self.sms[i].assign_cta(model.cta_stream(cta), cta as u64, now, Some(model.clone()));
+                self.sms[i].assign_tagged(model.cta_stream(cta), cta as u64, now);
                 if let Some(tr) = tracer.as_deref_mut() {
                     tr.emit_instant(
                         ClockDomain::Core,
@@ -611,16 +593,10 @@ mod tests {
         // All CTAs stream the same small range: first CTA misses, rest hit.
         struct SharedReads;
         impl KernelModel for SharedReads {
-            fn grid_ctas(&self) -> u32 {
-                16
-            }
             fn cta_stream(&self, _cta: u32) -> crate::kernel::CtaStream {
                 Box::new((0..8).map(|i| {
                     crate::kernel::CtaOp::Mem(vec![crate::kernel::MemAccess::read(i * 128)])
                 }))
-            }
-            fn footprint_bytes(&self) -> u64 {
-                8 * 128
             }
         }
         g.launch(Arc::new(SharedReads), 0..16);
@@ -664,52 +640,13 @@ mod tests {
         assert_eq!(g.pending_ctas(), 100);
         let stolen = g.steal(30);
         assert_eq!(stolen.len(), 30);
-        assert_eq!(stolen[0].1, 70, "steal takes from the tail");
+        assert_eq!(stolen[0], 70, "steal takes from the tail");
         assert_eq!(g.pending_ctas(), 70);
         let back = g.steal(1000);
-        assert_eq!(back.len(), 70);
+        assert_eq!(back, (0..70).collect::<Vec<u32>>(), "launch order kept");
         assert_eq!(g.pending_ctas(), 0);
         g.donate(stolen);
         assert_eq!(g.pending_ctas(), 30);
-    }
-
-    #[test]
-    fn co_launched_kernels_interleave_and_both_finish() {
-        let mut g = gpu(2);
-        let a = Arc::new(StreamKernel {
-            ctas: 8,
-            rounds: 2,
-            gap: 4,
-        });
-        let b = Arc::new(crate::kernel::OffsetKernel::new(
-            Arc::new(StreamKernel {
-                ctas: 8,
-                rounds: 2,
-                gap: 4,
-            }),
-            1 << 22,
-        ));
-        g.launch(a, 0..8);
-        g.launch(b, 0..8);
-        g.interleave_pending(2);
-        assert_eq!(g.pending_ctas(), 16);
-        run(&mut g, 60, 2_000_000);
-        assert_eq!(g.stats().ctas_done, 16, "both kernels' CTAs must retire");
-    }
-
-    #[test]
-    fn interleave_is_noop_for_single_kernel() {
-        let mut g = gpu(1);
-        let k = Arc::new(StreamKernel {
-            ctas: 6,
-            rounds: 1,
-            gap: 1,
-        });
-        g.launch(k, 0..6);
-        g.interleave_pending(1);
-        assert_eq!(g.pending_ctas(), 6);
-        let order: Vec<u32> = g.steal(6).into_iter().map(|(_, c)| c).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4, 5], "order preserved");
     }
 
     #[test]
@@ -717,18 +654,12 @@ mod tests {
         let mut g = gpu(1);
         struct Writes;
         impl KernelModel for Writes {
-            fn grid_ctas(&self) -> u32 {
-                4
-            }
             fn cta_stream(&self, cta: u32) -> crate::kernel::CtaStream {
                 Box::new((0..4).map(move |i| {
                     crate::kernel::CtaOp::Mem(vec![crate::kernel::MemAccess::write(
                         (cta as u64 * 4 + i) * 128,
                     )])
                 }))
-            }
-            fn footprint_bytes(&self) -> u64 {
-                16 * 128
             }
         }
         g.launch(Arc::new(Writes), 0..4);
@@ -790,9 +721,6 @@ mod tests {
     /// and atomics all occur.
     struct Seeded;
     impl KernelModel for Seeded {
-        fn grid_ctas(&self) -> u32 {
-            200
-        }
         fn cta_stream(&self, cta: u32) -> crate::kernel::CtaStream {
             use crate::kernel::{CtaOp, MemAccess};
             let mut rng = memnet_common::SplitMix64::new(u64::from(cta));
@@ -816,9 +744,6 @@ mod tests {
                         .collect(),
                 )
             }))
-        }
-        fn footprint_bytes(&self) -> u64 {
-            64 * 128
         }
     }
 

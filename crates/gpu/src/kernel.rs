@@ -67,77 +67,18 @@ pub enum CtaOp {
 /// A per-CTA op stream. `next_op` returns `None` when the CTA retires.
 pub type CtaStream = Box<dyn Iterator<Item = CtaOp> + Send>;
 
-/// A kernel: grid size plus a generator of per-CTA op streams.
+/// A kernel: a generator of per-CTA op streams. The grid is the CTA
+/// range the SKE runtime launches ([`crate::Gpu::launch`]).
 ///
 /// Implementations must be deterministic: the stream for a given CTA index
 /// may not depend on simulation interleaving.
 pub trait KernelModel: Send + Sync {
-    /// Number of CTAs in the grid (flattened, Section III-B).
-    fn grid_ctas(&self) -> u32;
-
     /// The op stream for one CTA.
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `cta >= grid_ctas()`.
+    /// Implementations may panic if `cta` lies outside the grid.
     fn cta_stream(&self, cta: u32) -> CtaStream;
-
-    /// Total bytes of the workload's data footprint (used by the runtime to
-    /// size the address space).
-    fn footprint_bytes(&self) -> u64;
-}
-
-/// Wraps a kernel, shifting every memory address by a fixed base.
-///
-/// Used to co-schedule multiple kernels in one virtual address space
-/// (concurrent kernel execution): each co-resident kernel gets a disjoint
-/// region.
-#[derive(Clone)]
-pub struct OffsetKernel {
-    inner: std::sync::Arc<dyn KernelModel>,
-    base: u64,
-}
-
-impl OffsetKernel {
-    /// Wraps `inner`, adding `base` to every address.
-    pub fn new(inner: std::sync::Arc<dyn KernelModel>, base: u64) -> Self {
-        OffsetKernel { inner, base }
-    }
-}
-
-impl std::fmt::Debug for OffsetKernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OffsetKernel")
-            .field("base", &self.base)
-            .finish()
-    }
-}
-
-impl KernelModel for OffsetKernel {
-    fn grid_ctas(&self) -> u32 {
-        self.inner.grid_ctas()
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.inner.footprint_bytes()
-    }
-
-    fn cta_stream(&self, cta: u32) -> CtaStream {
-        let base = self.base;
-        Box::new(self.inner.cta_stream(cta).map(move |op| {
-            match op {
-                CtaOp::Compute(c) => CtaOp::Compute(c),
-                CtaOp::Mem(v) => CtaOp::Mem(
-                    v.into_iter()
-                        .map(|a| MemAccess {
-                            addr: a.addr + base,
-                            ..a
-                        })
-                        .collect(),
-                ),
-            }
-        }))
-    }
 }
 
 /// A trivial kernel for tests: every CTA does `rounds` of
@@ -154,10 +95,6 @@ pub struct StreamKernel {
 }
 
 impl KernelModel for StreamKernel {
-    fn grid_ctas(&self) -> u32 {
-        self.ctas
-    }
-
     fn cta_stream(&self, cta: u32) -> CtaStream {
         assert!(cta < self.ctas, "cta {cta} out of range");
         let base = cta as u64 * self.rounds as u64 * 128;
@@ -169,10 +106,6 @@ impl KernelModel for StreamKernel {
                 CtaOp::Mem(vec![MemAccess::read(base + r as u64 * 128)]),
             ]
         }))
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.ctas as u64 * self.rounds as u64 * 128
     }
 }
 
@@ -218,34 +151,6 @@ mod tests {
         assert_eq!(MemAccess::write(0).kind, AccessKind::Write);
         assert_eq!(MemAccess::atomic(0).kind, AccessKind::Atomic);
         assert_eq!(MemAccess::read(0).bytes, 128);
-    }
-
-    #[test]
-    fn offset_kernel_shifts_every_address() {
-        let inner = std::sync::Arc::new(StreamKernel {
-            ctas: 2,
-            rounds: 3,
-            gap: 5,
-        });
-        let wrapped = OffsetKernel::new(inner.clone(), 1 << 20);
-        assert_eq!(wrapped.grid_ctas(), 2);
-        assert_eq!(wrapped.footprint_bytes(), inner.footprint_bytes());
-        let orig: Vec<CtaOp> = inner.cta_stream(1).collect();
-        let shifted: Vec<CtaOp> = wrapped.cta_stream(1).collect();
-        assert_eq!(orig.len(), shifted.len());
-        for (a, b) in orig.iter().zip(&shifted) {
-            match (a, b) {
-                (CtaOp::Compute(x), CtaOp::Compute(y)) => assert_eq!(x, y),
-                (CtaOp::Mem(va), CtaOp::Mem(vb)) => {
-                    for (ma, mb) in va.iter().zip(vb) {
-                        assert_eq!(mb.addr, ma.addr + (1 << 20));
-                        assert_eq!(mb.kind, ma.kind);
-                        assert_eq!(mb.bytes, ma.bytes);
-                    }
-                }
-                _ => panic!("op kinds must match"),
-            }
-        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! atomics return (writes are posted).
 
 use crate::cache::{Cache, CacheStats, MshrResult, MshrTable};
-use crate::kernel::{CtaOp, CtaStream, KernelModel, MemAccess};
+use crate::kernel::{CtaOp, CtaStream, MemAccess};
 use memnet_common::config::CacheConfig;
 use memnet_common::AccessKind;
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 /// A memory request leaving the SM toward the GPU's shared L2.
 #[derive(Debug, Clone, Copy)]
@@ -45,10 +44,6 @@ struct Slot {
     tag: u64,
     /// Core cycle the CTA was installed (start of its lifecycle span).
     launched_at: u64,
-    /// The kernel that produced the stream, kept so a failed device can
-    /// hand its resident CTAs back for re-execution elsewhere. `None`
-    /// for streams assigned without a model (bare [`Sm::assign`]).
-    model: Option<Arc<dyn KernelModel>>,
 }
 
 impl std::fmt::Debug for Slot {
@@ -98,7 +93,6 @@ impl Sm {
                     state: SlotState::Empty,
                     tag: 0,
                     launched_at: 0,
-                    model: None,
                 })
                 .collect(),
             l1: Cache::new(l1_cfg),
@@ -130,21 +124,10 @@ impl Sm {
     }
 
     /// [`Sm::assign`] carrying the CTA's flattened index and the launch
-    /// cycle, so retirement can emit a full lifecycle span.
+    /// cycle, so retirement can emit a full lifecycle span and
+    /// [`Sm::fail_all`] can hand the CTA back for re-execution on a
+    /// survivor after the owning GPU is fault-injected dead.
     pub fn assign_tagged(&mut self, stream: CtaStream, cta: u64, now: u64) {
-        self.assign_cta(stream, cta, now, None);
-    }
-
-    /// [`Sm::assign_tagged`] that also remembers the producing kernel, so
-    /// [`Sm::fail_all`] can return the CTA for re-execution on a survivor
-    /// after the owning GPU is fault-injected dead.
-    pub fn assign_cta(
-        &mut self,
-        stream: CtaStream,
-        cta: u64,
-        now: u64,
-        model: Option<Arc<dyn KernelModel>>,
-    ) {
         #[allow(clippy::expect_used, reason = "documented panic: callers check has_free_slot()")]
         let slot = self
             .slots
@@ -155,23 +138,19 @@ impl Sm {
         slot.state = SlotState::Ready;
         slot.tag = cta;
         slot.launched_at = now;
-        slot.model = model;
         self.resident += 1;
         self.wake_at = 0;
     }
 
     /// Fault injection: aborts every resident CTA and drops all in-flight
     /// SM state (LSU queue, outbound requests, completions, MSHRs).
-    /// Returns the aborted CTAs whose kernel is known, as (kernel, cta)
-    /// pairs for from-scratch re-execution on surviving devices. Aborted
-    /// CTAs never count as retired.
-    pub fn fail_all(&mut self) -> Vec<(Arc<dyn KernelModel>, u64)> {
+    /// Returns the tags of the aborted CTAs for from-scratch re-execution
+    /// on surviving devices. Aborted CTAs never count as retired.
+    pub fn fail_all(&mut self) -> Vec<u64> {
         let mut orphans = Vec::new();
         for slot in &mut self.slots {
             if !matches!(slot.state, SlotState::Empty) {
-                if let Some(m) = slot.model.take() {
-                    orphans.push((m, slot.tag));
-                }
+                orphans.push(slot.tag);
                 slot.stream = None;
                 slot.state = SlotState::Empty;
             }
@@ -271,7 +250,7 @@ impl Sm {
     /// them. What can change state is a queued LSU access (issues, or
     /// re-probes the L1 on a structural stall: every cycle), a due
     /// completion, or a compute interval running out; everything that
-    /// adds one of those from outside a tick ([`Sm::assign_cta`],
+    /// adds one of those from outside a tick ([`Sm::assign_tagged`],
     /// [`Sm::schedule_completion`], [`Sm::refill`]) lowers `wake_at` to
     /// match.
     pub fn tick_traced(&mut self, now: u64, gpu: u16, sm: u32, mut tracer: Option<&mut Tracer>) {
@@ -333,7 +312,6 @@ impl Sm {
                         match op {
                             None => {
                                 self.slots[i].stream = None;
-                                self.slots[i].model = None;
                                 self.slots[i].state = SlotState::Empty;
                                 self.resident -= 1;
                                 self.stats.ctas_done += 1;
@@ -669,13 +647,13 @@ mod tests {
     #[test]
     fn fail_all_returns_resident_ctas_and_clears_state() {
         let mut s = sm();
-        let k: Arc<dyn KernelModel> = Arc::new(StreamKernel {
+        let k = StreamKernel {
             ctas: 4,
             rounds: 8,
             gap: 2,
-        });
+        };
         for c in 0..3u32 {
-            s.assign_cta(k.cta_stream(c), c as u64, 0, Some(k.clone()));
+            s.assign_tagged(k.cta_stream(c), c as u64, 0);
         }
         // Get some transactions in flight before the failure.
         for now in 0..20 {
@@ -683,7 +661,7 @@ mod tests {
         }
         assert!(s.busy());
         let orphans = s.fail_all();
-        let mut tags: Vec<u64> = orphans.iter().map(|(_, t)| *t).collect();
+        let mut tags = orphans;
         tags.sort_unstable();
         assert_eq!(tags, vec![0, 1, 2], "all resident CTAs handed back");
         assert!(!s.busy(), "failed SM holds no residual work");

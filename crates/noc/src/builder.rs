@@ -170,7 +170,7 @@ impl NetworkBuilder {
 
     /// Adds a router (an HMC logic layer, a device network interface, or a
     /// PCIe switch) and returns its node id.
-    #[allow(clippy::cast_possible_truncation, reason = "node ids are u16: < 2^16 nodes")]
+    #[allow(clippy::cast_possible_truncation, reason = "u16 ids; try_build refuses > MAX_NODES")]
     pub fn router(&mut self) -> NodeId {
         let id = NodeId(self.nodes.len() as u16);
         self.nodes.push(NodeRec::Router);
@@ -187,7 +187,7 @@ impl NetworkBuilder {
     }
 
     /// Adds an endpoint attached to `router` with an explicit link spec.
-    #[allow(clippy::cast_possible_truncation, reason = "node ids are u16: < 2^16 nodes")]
+    #[allow(clippy::cast_possible_truncation, reason = "u16 ids; try_build refuses > MAX_NODES")]
     pub fn endpoint_with(&mut self, router: NodeId, link: LinkSpec) -> NodeId {
         assert!(
             matches!(self.nodes.get(router.index()), Some(NodeRec::Router)),
@@ -270,8 +270,8 @@ impl NetworkBuilder {
     ///
     /// # Errors
     ///
-    /// A router with more ports, or a port with more VCs, than `u8` ids
-    /// address.
+    /// More nodes than `u16` ids address, a router with more ports, or a
+    /// port with more VCs, than `u8` ids address.
     ///
     /// # Panics
     ///

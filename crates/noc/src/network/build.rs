@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// Router-to-router hop counts over the links `up` admits, by BFS from
 /// every router; `u16::MAX` marks an unreachable pair.
-#[allow(clippy::cast_possible_truncation, reason = "router indices of a u16-id network")]
+#[allow(clippy::cast_possible_truncation, reason = "router indices < MAX_NODES, checked at build")]
 pub(super) fn all_pairs_hops(
     nr: usize,
     link_rtrs: &[(u32, u32)],
@@ -83,14 +83,26 @@ pub(super) fn min_port_table(
 /// a port at most this many VCs (both message classes together).
 pub(super) const MAX_U8_IDS: usize = 256;
 
+/// Node ids are `u16`: a network has at most this many nodes. With
+/// [`MAX_U8_IDS`] ports per router and VCs per port, every flat VC index
+/// then fits a `u32` (at most 2^16 · 2^8 · 2^8 − 1).
+pub(crate) const MAX_NODES: usize = 1 << 16;
+
 impl Network {
-    /// Freezes the builder's graph. Every `u8` port and VC id is checked
-    /// here, once: a router with more than [`MAX_U8_IDS`] ports, or a
-    /// diameter that needs more VCs per port, is refused.
-    #[allow(clippy::cast_possible_truncation, reason = "u16 node ids; ports checked ≤ MAX_U8_IDS")]
+    /// Freezes the builder's graph. Every id width is checked here, once:
+    /// more than [`MAX_NODES`] nodes, a router with more than
+    /// [`MAX_U8_IDS`] ports, or a diameter that needs more VCs per port, is
+    /// refused.
+    #[allow(clippy::cast_possible_truncation, reason = "node and port counts checked here")]
     #[allow(clippy::expect_used, reason = "overlay chains are validated by overlay_chain")]
     pub(crate) fn from_builder(b: NetworkBuilder) -> Result<Network, String> {
         let p = b.params;
+        if b.nodes.len() > MAX_NODES {
+            return Err(format!(
+                "{} nodes, more than the {MAX_NODES} that u16 node ids address",
+                b.nodes.len()
+            ));
+        }
         // Dense router / endpoint indices.
         let mut kind = Vec::with_capacity(b.nodes.len());
         let mut node_of_router = Vec::new();

@@ -161,7 +161,7 @@ impl Network {
             reason = "VCs per port checked ≤ MAX_U8_IDS at build"
         )]
         let vc = vc as u8;
-        #[allow(clippy::cast_possible_truncation, reason = "flat VC indices fit u32")]
+        #[allow(clippy::cast_possible_truncation, reason = "flat VC ids fit u32 (MAX_NODES)")]
         let ev = match self.routers[r].ports[in_port].peer {
             Peer::Router { idx, port } => Ev::Credit {
                 at: self.vc_at(idx as usize, port as usize, vc as usize) as u32,

@@ -71,7 +71,6 @@ pub struct WorkloadSpec {
 impl WorkloadSpec {
     /// Total virtual footprint in bytes.
     pub fn footprint_bytes(&self) -> u64 {
-        use memnet_gpu::kernel::KernelModel;
         self.kernel.footprint_bytes()
     }
 

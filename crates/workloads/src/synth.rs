@@ -124,6 +124,11 @@ impl SyntheticKernel {
         Ok(())
     }
 
+    /// Total bytes of the data footprint: the three regions end to end.
+    pub fn footprint_bytes(&self) -> u64 {
+        self.shared_bytes + self.read_bytes + self.write_bytes
+    }
+
     /// Start of the sequential-read region.
     fn read_base(&self) -> u64 {
         self.shared_bytes
@@ -136,14 +141,6 @@ impl SyntheticKernel {
 }
 
 impl KernelModel for SyntheticKernel {
-    fn grid_ctas(&self) -> u32 {
-        self.ctas
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.shared_bytes + self.read_bytes + self.write_bytes
-    }
-
     fn cta_stream(&self, cta: u32) -> CtaStream {
         assert!(cta < self.ctas, "cta {cta} out of range");
         debug_assert!(
@@ -237,7 +234,10 @@ impl Iterator for SynthStream {
                 }
                 continue;
             }
-            let batch = self.k.seq_reads + self.k.rand_reads + self.k.writes + self.k.halo_reads;
+            // Saturating: an unvalidated kernel's widths can sum past u32.
+            let batch = [self.k.rand_reads, self.k.writes, self.k.halo_reads]
+                .into_iter()
+                .fold(self.k.seq_reads, u32::saturating_add);
             if batch > 0 && !self.batch_done {
                 let mut v = Vec::with_capacity(batch as usize);
                 for s in 0..self.k.seq_reads {

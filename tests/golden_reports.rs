@@ -240,10 +240,6 @@ fn cases() -> Vec<(String, Pin, SimBuilder)> {
             );
         }
     }
-    report(
-        key(Umn, "co-kernels"),
-        small(Umn, Workload::Cp).co_workload(Workload::Scan.spec_small()),
-    );
     // Same events, same order, same epoch numbering in both engines.
     let streams = |b: SimBuilder| b.trace(1 << 16).metrics_every(500);
     for org in [Pcie, Umn] {

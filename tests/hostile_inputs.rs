@@ -9,6 +9,7 @@
 
 use memnet::common::rng::SplitMix64;
 use memnet::common::{FaultPlan, SystemConfig};
+use memnet::noc::{NetworkBuilder, NocParams};
 use memnet::obs::{JsonValue, ToJson, MAX_SAFE_INT};
 use memnet::serve::JobSpec;
 use memnet::sim::{
@@ -222,5 +223,49 @@ fn systems_past_the_u8_port_and_vc_ids_are_refused_in_time() {
             why.contains("gpus"),
             "{row}: the refusal must name gpus: {why}"
         );
+    }
+}
+
+/// Inputs built in code skip the parsers' ceilings, so the library holds
+/// them itself: a kernel of `u32::MAX` CTAs (the whole grid is queued up
+/// front) and a network of 65 537 routers plus one endpoint (node ids are
+/// `u16`). Each is refused with a typed error naming what is too large,
+/// on its own thread under one 1 s deadline.
+#[test]
+fn code_built_kernels_and_networks_past_their_ceilings_are_refused_in_time() {
+    let kernel = || {
+        let mut w = Workload::VecAdd.spec_small();
+        std::sync::Arc::make_mut(&mut w.kernel).ctas = u32::MAX;
+        let b = SimBuilder::new(Organization::Gmn).gpus(2).sms_per_gpu(2);
+        match b.workload(w).try_run() {
+            Err(SimError::InvalidConfig(why)) => why,
+            Err(e) => format!("not a configuration error: {e}"),
+            Ok(_) => "ran".into(),
+        }
+    };
+    let network = || {
+        let mut nb = NetworkBuilder::new(NocParams::default());
+        let r0 = nb.router();
+        for _ in 1..65_537 {
+            nb.router();
+        }
+        nb.endpoint(r0);
+        nb.try_build().err().unwrap_or_else(|| "built".into())
+    };
+    #[allow(clippy::disallowed_methods, reason = "a run that allocates must not hang the suite")]
+    let runs = [
+        ("'ctas'", std::thread::spawn(kernel)),
+        ("65538 nodes", std::thread::spawn(network)),
+    ];
+    for _ in 0..10 {
+        if runs.iter().all(|(_, run)| run.is_finished()) {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    for (names, run) in runs {
+        assert!(run.is_finished(), "{names}: still running after 1 s");
+        let why = run.join().expect("no panic");
+        assert!(why.contains(names), "the refusal must name {names}: {why}");
     }
 }
