@@ -129,9 +129,8 @@ impl Gpu {
     /// response still routed to it.
     pub fn fail(&mut self) -> Vec<u32> {
         let mut orphans: Vec<u32> = self.pending_ctas.drain(..).collect();
-        #[allow(clippy::cast_possible_truncation, reason = "CTA tags are u32 indices widened")]
         for sm in &mut self.sms {
-            orphans.extend(sm.fail_all().into_iter().map(|tag| tag as u32));
+            orphans.extend(sm.fail_all());
         }
         self.l2_in.clear();
         self.mem_out.clear();
@@ -250,25 +249,30 @@ impl Gpu {
             return;
         }
         let now = self.core_cycle;
-        if now < self.sm_wake && self.pending_ctas.is_empty() && !self.sm_output {
-            debug_assert!(
-                self.sms.iter().all(|s| s.nothing_due(now)),
-                "an SM slept through work at {now}"
-            );
-            self.core_cycle += 1;
-            self.busy_cache = self.busy();
-            return;
-        }
+        // With no CTA to dispatch, no output to drain and every SM asleep,
+        // or before the first launch (no SM holds a CTA), a tick only
+        // counts the cycle.
+        let kernel = match self.kernel.as_deref() {
+            Some(k) if now >= self.sm_wake || !self.pending_ctas.is_empty() || self.sm_output => k,
+            _ => {
+                debug_assert!(
+                    self.sms.iter().all(|s| s.nothing_due(now)),
+                    "an SM slept through work at {now}"
+                );
+                self.core_cycle += 1;
+                self.busy_cache = self.busy();
+                return;
+            }
+        };
         let (mut wake, mut output) = (u64::MAX, false);
         #[allow(clippy::cast_possible_truncation, reason = "i < sms_per_gpu, a u32")]
         for i in 0..self.sms.len() {
             // Dispatch pending CTAs into free slots.
             while self.sms[i].has_free_slot() {
-                let Some(model) = &self.kernel else { break };
                 let Some(cta) = self.pending_ctas.pop_front() else {
                     break;
                 };
-                self.sms[i].assign_tagged(model.cta_stream(cta), cta as u64, now);
+                self.sms[i].assign(kernel.cursor(cta), now);
                 if let Some(tr) = tracer.as_deref_mut() {
                     tr.emit_instant(
                         ClockDomain::Core,
@@ -283,7 +287,7 @@ impl Gpu {
             }
             let sm = &mut self.sms[i];
             if now >= sm.wake_at() {
-                sm.tick_traced(now, self.id.0, i as u32, tracer.as_deref_mut());
+                sm.tick_traced(now, kernel, self.id.0, i as u32, tracer.as_deref_mut());
             } else {
                 debug_assert!(sm.nothing_due(now), "SM {i} slept through work at {now}");
             }
@@ -534,8 +538,8 @@ impl Gpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::StreamKernel;
-    use memnet_common::SystemConfig;
+    use crate::kernel::{CtaCursor, CtaOp, MemAccess, StreamKernel};
+    use memnet_common::{SplitMix64, SystemConfig};
 
     fn gpu(n_sms: u32) -> Gpu {
         let mut cfg = SystemConfig::paper().gpu;
@@ -593,10 +597,15 @@ mod tests {
         // All CTAs stream the same small range: first CTA misses, rest hit.
         struct SharedReads;
         impl KernelModel for SharedReads {
-            fn cta_stream(&self, _cta: u32) -> crate::kernel::CtaStream {
-                Box::new((0..8).map(|i| {
-                    crate::kernel::CtaOp::Mem(vec![crate::kernel::MemAccess::read(i * 128)])
-                }))
+            fn cursor(&self, cta: u32) -> CtaCursor {
+                CtaCursor::new(cta, SplitMix64::new(0))
+            }
+            fn next_op(&self, cur: &mut CtaCursor, out: &mut Vec<MemAccess>) -> Option<CtaOp> {
+                (cur.step < 8).then(|| {
+                    out.push(MemAccess::read(u64::from(cur.step) * 128));
+                    cur.step += 1;
+                    CtaOp::Mem
+                })
             }
         }
         g.launch(Arc::new(SharedReads), 0..16);
@@ -654,12 +663,16 @@ mod tests {
         let mut g = gpu(1);
         struct Writes;
         impl KernelModel for Writes {
-            fn cta_stream(&self, cta: u32) -> crate::kernel::CtaStream {
-                Box::new((0..4).map(move |i| {
-                    crate::kernel::CtaOp::Mem(vec![crate::kernel::MemAccess::write(
-                        (cta as u64 * 4 + i) * 128,
-                    )])
-                }))
+            fn cursor(&self, cta: u32) -> CtaCursor {
+                CtaCursor::new(cta, SplitMix64::new(0))
+            }
+            fn next_op(&self, cur: &mut CtaCursor, out: &mut Vec<MemAccess>) -> Option<CtaOp> {
+                (cur.step < 4).then(|| {
+                    let line = u64::from(cur.cta) * 4 + u64::from(cur.step);
+                    out.push(MemAccess::write(line * 128));
+                    cur.step += 1;
+                    CtaOp::Mem
+                })
             }
         }
         g.launch(Arc::new(Writes), 0..4);
@@ -718,32 +731,34 @@ mod tests {
 
     /// Seeded CTAs: compute intervals and one- to three-access memory
     /// ops over a 64-line range, so L1 and L2 hits, merged misses, writes
-    /// and atomics all occur.
+    /// and atomics all occur. `iter` holds the CTA's op count.
     struct Seeded;
     impl KernelModel for Seeded {
-        fn cta_stream(&self, cta: u32) -> crate::kernel::CtaStream {
-            use crate::kernel::{CtaOp, MemAccess};
-            let mut rng = memnet_common::SplitMix64::new(u64::from(cta));
-            let ops = 1 + rng.next_below(12);
-            Box::new((0..ops).map(move |_| {
-                if rng.chance(0.4) {
-                    #[allow(clippy::cast_possible_truncation, reason = "below 300")]
-                    return CtaOp::Compute(rng.next_below(300) as u32);
-                }
-                let n = 1 + rng.next_below(3);
-                CtaOp::Mem(
-                    (0..n)
-                        .map(|_| {
-                            let addr = rng.next_below(64) * 128;
-                            match rng.next_below(8) {
-                                0 => MemAccess::atomic(addr),
-                                1 | 2 => MemAccess::write(addr),
-                                _ => MemAccess::read(addr),
-                            }
-                        })
-                        .collect(),
-                )
-            }))
+        #[allow(clippy::cast_possible_truncation, reason = "below 13")]
+        fn cursor(&self, cta: u32) -> CtaCursor {
+            let mut cur = CtaCursor::new(cta, SplitMix64::new(u64::from(cta)));
+            cur.iter = 1 + cur.rng.next_below(12) as u32;
+            cur
+        }
+        fn next_op(&self, cur: &mut CtaCursor, out: &mut Vec<MemAccess>) -> Option<CtaOp> {
+            if cur.step == cur.iter {
+                return None;
+            }
+            cur.step += 1;
+            let rng = &mut cur.rng;
+            if rng.chance(0.4) {
+                #[allow(clippy::cast_possible_truncation, reason = "below 300")]
+                return Some(CtaOp::Compute(rng.next_below(300) as u32));
+            }
+            for _ in 0..1 + rng.next_below(3) {
+                let addr = rng.next_below(64) * 128;
+                out.push(match rng.next_below(8) {
+                    0 => MemAccess::atomic(addr),
+                    1 | 2 => MemAccess::write(addr),
+                    _ => MemAccess::read(addr),
+                });
+            }
+            Some(CtaOp::Mem)
         }
     }
 

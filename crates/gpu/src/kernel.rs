@@ -2,16 +2,19 @@
 //!
 //! The simulator is *model-driven*: instead of executing SASS instructions
 //! (the paper used GPGPU-sim), each workload provides a [`KernelModel`]
-//! that generates, per CTA, a deterministic stream of [`CtaOp`]s — compute
-//! intervals interleaved with memory instructions. This captures exactly
-//! what the paper's evaluation depends on: traffic volume, access pattern,
+//! that steps each CTA through a deterministic stream of [`CtaOp`]s —
+//! compute intervals interleaved with memory instructions. A CTA's place
+//! in its stream is a plain [`CtaCursor`] that its SM slot holds, and a
+//! memory instruction writes its transactions into a buffer the SM
+//! reuses, so running a CTA allocates nothing. This captures exactly what
+//! the paper's evaluation depends on: traffic volume, access pattern,
 //! read/write/atomic mix, and compute intensity.
 //!
 //! Addresses in [`MemAccess`] are *virtual*: byte offsets into the
 //! workload's unified address space. The SKE runtime translates them to
 //! physical addresses at the GPU boundary (Section III-C).
 
-use memnet_common::AccessKind;
+use memnet_common::{AccessKind, SplitMix64};
 
 /// One memory transaction issued by a warp (already coalesced).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,31 +57,61 @@ impl MemAccess {
 }
 
 /// One step of a CTA's execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CtaOp {
     /// Pure computation for the given number of core cycles.
     Compute(u32),
-    /// A memory instruction: the CTA blocks until every transaction
+    /// A memory instruction, whose transactions the kernel appended to
+    /// the caller's buffer: the CTA blocks until every transaction
     /// completes (reads/atomics) or is accepted by the memory system
     /// (writes, which are posted).
-    Mem(Vec<MemAccess>),
+    Mem,
 }
 
-/// A per-CTA op stream. `next_op` returns `None` when the CTA retires.
-pub type CtaStream = Box<dyn Iterator<Item = CtaOp> + Send>;
+/// Where one CTA stands in its op stream. The SM slot running the CTA
+/// holds it; the kernel reads and advances it ([`KernelModel::next_op`]).
+/// What `iter` and `step` count is the kernel's own choice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CtaCursor {
+    /// The CTA's index in the grid.
+    pub cta: u32,
+    /// The outer iteration (phase).
+    pub iter: u32,
+    /// The op within the iteration.
+    pub step: u32,
+    /// The CTA's own random stream.
+    pub rng: SplitMix64,
+}
 
-/// A kernel: a generator of per-CTA op streams. The grid is the CTA
-/// range the SKE runtime launches ([`crate::Gpu::launch`]).
+impl CtaCursor {
+    /// The cursor before `cta`'s first op.
+    pub fn new(cta: u32, rng: SplitMix64) -> Self {
+        CtaCursor {
+            cta,
+            iter: 0,
+            step: 0,
+            rng,
+        }
+    }
+}
+
+/// A kernel: the op streams of the CTAs of its grid, the CTA range the
+/// SKE runtime launches ([`crate::Gpu::launch`]).
 ///
 /// Implementations must be deterministic: the stream for a given CTA index
 /// may not depend on simulation interleaving.
 pub trait KernelModel: Send + Sync {
-    /// The op stream for one CTA.
+    /// The cursor of `cta` before its first op.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `cta` lies outside the grid.
-    fn cta_stream(&self, cta: u32) -> CtaStream;
+    fn cursor(&self, cta: u32) -> CtaCursor;
+
+    /// Advances `cur` past its next op and returns that op, or `None`
+    /// once the CTA retires. A [`CtaOp::Mem`] appends its one or more
+    /// transactions to `accesses`; no other op touches it.
+    fn next_op(&self, cur: &mut CtaCursor, accesses: &mut Vec<MemAccess>) -> Option<CtaOp>;
 }
 
 /// A trivial kernel for tests: every CTA does `rounds` of
@@ -95,23 +128,41 @@ pub struct StreamKernel {
 }
 
 impl KernelModel for StreamKernel {
-    fn cta_stream(&self, cta: u32) -> CtaStream {
+    fn cursor(&self, cta: u32) -> CtaCursor {
         assert!(cta < self.ctas, "cta {cta} out of range");
-        let base = cta as u64 * self.rounds as u64 * 128;
-        let gap = self.gap;
-        let rounds = self.rounds;
-        Box::new((0..rounds).flat_map(move |r| {
-            [
-                CtaOp::Compute(gap),
-                CtaOp::Mem(vec![MemAccess::read(base + r as u64 * 128)]),
-            ]
-        }))
+        CtaCursor::new(cta, SplitMix64::new(0))
+    }
+
+    /// `iter` counts rounds; `step` is 1 between a round's compute and
+    /// its read.
+    fn next_op(&self, cur: &mut CtaCursor, accesses: &mut Vec<MemAccess>) -> Option<CtaOp> {
+        if cur.iter >= self.rounds {
+            return None;
+        }
+        if cur.step == 0 {
+            cur.step = 1;
+            return Some(CtaOp::Compute(self.gap));
+        }
+        let base = u64::from(cur.cta) * u64::from(self.rounds) * 128;
+        accesses.push(MemAccess::read(base + u64::from(cur.iter) * 128));
+        (cur.iter, cur.step) = (cur.iter + 1, 0);
+        Some(CtaOp::Mem)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every op of `cta`, each with the transactions it appended.
+    fn ops(k: &dyn KernelModel, cta: u32) -> Vec<(CtaOp, Vec<MemAccess>)> {
+        let mut cur = k.cursor(cta);
+        std::iter::from_fn(|| {
+            let mut accesses = Vec::new();
+            k.next_op(&mut cur, &mut accesses).map(|op| (op, accesses))
+        })
+        .collect()
+    }
 
     #[test]
     fn stream_kernel_is_deterministic() {
@@ -120,8 +171,8 @@ mod tests {
             rounds: 3,
             gap: 10,
         };
-        let a: Vec<CtaOp> = k.cta_stream(2).collect();
-        let b: Vec<CtaOp> = k.cta_stream(2).collect();
+        let a = ops(&k, 2);
+        let b = ops(&k, 2);
         assert_eq!(a, b);
         assert_eq!(a.len(), 6); // 3 rounds × (compute + mem)
     }
@@ -134,10 +185,11 @@ mod tests {
             gap: 1,
         };
         let addrs = |cta: u32| -> Vec<u64> {
-            k.cta_stream(cta)
-                .filter_map(|op| match op {
-                    CtaOp::Mem(a) => Some(a[0].addr),
-                    _ => None,
+            ops(&k, cta)
+                .into_iter()
+                .filter_map(|(op, a)| match op {
+                    CtaOp::Mem => Some(a[0].addr),
+                    CtaOp::Compute(_) => None,
                 })
                 .collect()
         };
@@ -161,6 +213,6 @@ mod tests {
             rounds: 1,
             gap: 1,
         };
-        let _ = k.cta_stream(5);
+        let _ = k.cursor(5);
     }
 }

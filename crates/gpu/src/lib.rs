@@ -3,8 +3,11 @@
 //!
 //! This crate replaces GPGPU-sim in the paper's toolchain with a
 //! model-driven simulator: workloads provide [`kernel::KernelModel`]s that
-//! generate deterministic per-CTA op streams (compute intervals + coalesced
-//! memory transactions), and the GPU executes them with Table I resources:
+//! step each CTA through a deterministic op stream (compute intervals +
+//! coalesced memory transactions). A resident CTA is a plain
+//! [`kernel::CtaCursor`] in its SM slot, which the GPU's one kernel
+//! advances; a memory op writes its transactions into a buffer the SM
+//! reuses. The GPU executes them with Table I resources:
 //!
 //! * configurable SMs per GPU (Table I: 64), 8 resident CTAs each;
 //! * per-SM 32 KB L1 and per-GPU 2 MB L2, both **write-through,
@@ -39,5 +42,5 @@ pub mod sm;
 
 pub use cache::{Cache, CacheStats, MshrTable};
 pub use gpu::{Gpu, GpuStats};
-pub use kernel::{CtaOp, CtaStream, KernelModel, MemAccess};
+pub use kernel::{CtaCursor, CtaOp, KernelModel, MemAccess};
 pub use sm::Sm;

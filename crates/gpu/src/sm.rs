@@ -7,9 +7,9 @@
 //! atomics return (writes are posted).
 
 use crate::cache::{Cache, CacheStats, MshrResult, MshrTable};
-use crate::kernel::{CtaOp, CtaStream, MemAccess};
+use crate::kernel::{CtaCursor, CtaOp, KernelModel, MemAccess};
 use memnet_common::config::CacheConfig;
-use memnet_common::AccessKind;
+use memnet_common::{AccessKind, SplitMix64};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -37,19 +37,13 @@ enum SlotState {
     WaitMem(u32),
 }
 
+#[derive(Debug)]
 struct Slot {
-    stream: Option<CtaStream>,
+    /// The resident CTA's place in its op stream (stale while `Empty`).
+    cursor: CtaCursor,
     state: SlotState,
-    /// Flattened CTA index of the resident stream (trace identity).
-    tag: u64,
     /// Core cycle the CTA was installed (start of its lifecycle span).
     launched_at: u64,
-}
-
-impl std::fmt::Debug for Slot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Slot").field("state", &self.state).finish()
-    }
 }
 
 /// Execution statistics for one SM.
@@ -69,6 +63,9 @@ pub struct Sm {
     l1_latency: u64,
     mshr: MshrTable,
     lsu_q: VecDeque<(u32, MemAccess)>,
+    /// The transactions of the memory op being fetched, moved to `lsu_q`
+    /// at once; reused, so it grows only to the widest op.
+    op_accesses: Vec<MemAccess>,
     lsu_width: u32,
     /// Outbound queue drained by the GPU (bounded for backpressure).
     to_l2: VecDeque<L2Req>,
@@ -89,9 +86,8 @@ impl Sm {
         Sm {
             slots: (0..ctas_per_sm)
                 .map(|_| Slot {
-                    stream: None,
+                    cursor: CtaCursor::new(0, SplitMix64::new(0)),
                     state: SlotState::Empty,
-                    tag: 0,
                     launched_at: 0,
                 })
                 .collect(),
@@ -99,6 +95,7 @@ impl Sm {
             l1_latency: l1_cfg.latency_cycles as u64,
             mshr: MshrTable::new(l1_cfg.mshrs as usize),
             lsu_q: VecDeque::new(),
+            op_accesses: Vec::new(),
             lsu_width: 2,
             to_l2: VecDeque::new(),
             to_l2_cap: 16,
@@ -114,29 +111,23 @@ impl Sm {
         self.resident < self.slot_count()
     }
 
-    /// Installs a CTA stream into a free slot.
+    /// Installs a CTA, at its `cursor`, into a free slot at core cycle
+    /// `now`. Retirement emits the CTA's lifecycle span from `now`, and
+    /// [`Sm::fail_all`] hands the CTA back by index for re-execution on a
+    /// survivor after the owning GPU is fault-injected dead.
     ///
     /// # Panics
     ///
     /// Panics if no slot is free.
-    pub fn assign(&mut self, stream: CtaStream) {
-        self.assign_tagged(stream, 0, 0);
-    }
-
-    /// [`Sm::assign`] carrying the CTA's flattened index and the launch
-    /// cycle, so retirement can emit a full lifecycle span and
-    /// [`Sm::fail_all`] can hand the CTA back for re-execution on a
-    /// survivor after the owning GPU is fault-injected dead.
-    pub fn assign_tagged(&mut self, stream: CtaStream, cta: u64, now: u64) {
+    pub fn assign(&mut self, cursor: CtaCursor, now: u64) {
         #[allow(clippy::expect_used, reason = "documented panic: callers check has_free_slot()")]
         let slot = self
             .slots
             .iter_mut()
             .find(|s| matches!(s.state, SlotState::Empty))
             .expect("assign requires a free slot");
-        slot.stream = Some(stream);
+        slot.cursor = cursor;
         slot.state = SlotState::Ready;
-        slot.tag = cta;
         slot.launched_at = now;
         self.resident += 1;
         self.wake_at = 0;
@@ -144,14 +135,14 @@ impl Sm {
 
     /// Fault injection: aborts every resident CTA and drops all in-flight
     /// SM state (LSU queue, outbound requests, completions, MSHRs).
-    /// Returns the tags of the aborted CTAs for from-scratch re-execution
-    /// on surviving devices. Aborted CTAs never count as retired.
-    pub fn fail_all(&mut self) -> Vec<u64> {
+    /// Returns the indices of the aborted CTAs for from-scratch
+    /// re-execution on surviving devices. Aborted CTAs never count as
+    /// retired.
+    pub fn fail_all(&mut self) -> Vec<u32> {
         let mut orphans = Vec::new();
         for slot in &mut self.slots {
             if !matches!(slot.state, SlotState::Empty) {
-                orphans.push(slot.tag);
-                slot.stream = None;
+                orphans.push(slot.cursor.cta);
                 slot.state = SlotState::Empty;
             }
         }
@@ -234,9 +225,9 @@ impl Sm {
         self.stats
     }
 
-    /// Advances the SM by one core cycle.
-    pub fn tick(&mut self, now: u64) {
-        self.tick_traced(now, 0, 0, None);
+    /// Advances the SM by one core cycle; its resident CTAs run `kernel`.
+    pub fn tick(&mut self, now: u64, kernel: &dyn KernelModel) {
+        self.tick_traced(now, kernel, 0, 0, None);
     }
 
     /// [`Sm::tick`] with optional tracing. The SM holds no identity of its
@@ -250,10 +241,17 @@ impl Sm {
     /// them. What can change state is a queued LSU access (issues, or
     /// re-probes the L1 on a structural stall: every cycle), a due
     /// completion, or a compute interval running out; everything that
-    /// adds one of those from outside a tick ([`Sm::assign_tagged`],
+    /// adds one of those from outside a tick ([`Sm::assign`],
     /// [`Sm::schedule_completion`], [`Sm::refill`]) lowers `wake_at` to
     /// match.
-    pub fn tick_traced(&mut self, now: u64, gpu: u16, sm: u32, mut tracer: Option<&mut Tracer>) {
+    pub fn tick_traced(
+        &mut self,
+        now: u64,
+        kernel: &dyn KernelModel,
+        gpu: u16,
+        sm: u32,
+        mut tracer: Option<&mut Tracer>,
+    ) {
         if now < self.wake_at {
             debug_assert!(self.nothing_due(now), "SM slept through work at {now}");
             return;
@@ -300,18 +298,8 @@ impl Sm {
                     }
                     SlotState::Computing(until) => wake = wake.min(until),
                     SlotState::Ready => {
-                        #[allow(
-                            clippy::expect_used,
-                            reason = "a Ready slot always carries its CTA stream until retirement"
-                        )]
-                        let op = self.slots[i]
-                            .stream
-                            .as_mut()
-                            .expect("ready slot has stream")
-                            .next();
-                        match op {
+                        match kernel.next_op(&mut self.slots[i].cursor, &mut self.op_accesses) {
                             None => {
-                                self.slots[i].stream = None;
                                 self.slots[i].state = SlotState::Empty;
                                 self.resident -= 1;
                                 self.stats.ctas_done += 1;
@@ -324,7 +312,7 @@ impl Sm {
                                         TraceEventKind::CtaRetire {
                                             gpu,
                                             sm,
-                                            cta: self.slots[i].tag,
+                                            cta: u64::from(self.slots[i].cursor.cta),
                                         },
                                     );
                                 }
@@ -332,13 +320,14 @@ impl Sm {
                             Some(CtaOp::Compute(c)) => {
                                 self.slots[i].state = SlotState::Computing(now + c.max(1) as u64);
                             }
-                            Some(CtaOp::Mem(accesses)) => {
-                                assert!(!accesses.is_empty(), "memory op needs ≥1 transaction");
+                            Some(CtaOp::Mem) => {
+                                let n = self.op_accesses.len();
+                                assert!(n > 0, "memory op needs ≥1 transaction");
                                 self.stats.mem_instrs += 1;
-                                self.slots[i].state = SlotState::WaitMem(accesses.len() as u32);
-                                for a in accesses {
-                                    self.lsu_q.push_back((i as u32, a));
-                                }
+                                self.slots[i].state = SlotState::WaitMem(n as u32);
+                                let slot = i as u32;
+                                self.lsu_q
+                                    .extend(self.op_accesses.drain(..).map(|a| (slot, a)));
                             }
                         }
                         continue; // a retired CTA frees the slot this cycle
@@ -438,7 +427,7 @@ impl Sm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{KernelModel, StreamKernel};
+    use crate::kernel::StreamKernel;
     use memnet_common::SystemConfig;
 
     fn sm() -> Sm {
@@ -446,13 +435,40 @@ mod tests {
         Sm::new(cfg.ctas_per_sm, &cfg.l1)
     }
 
+    /// A kernel whose every CTA runs the same ops, one transaction per
+    /// memory op.
+    struct Script(Vec<Step>);
+
+    enum Step {
+        Compute(u32),
+        Mem(MemAccess),
+    }
+
+    impl KernelModel for Script {
+        fn cursor(&self, cta: u32) -> CtaCursor {
+            CtaCursor::new(cta, SplitMix64::new(0))
+        }
+
+        fn next_op(&self, cur: &mut CtaCursor, accesses: &mut Vec<MemAccess>) -> Option<CtaOp> {
+            let step = self.0.get(cur.step as usize)?;
+            cur.step += 1;
+            Some(match *step {
+                Step::Compute(c) => CtaOp::Compute(c),
+                Step::Mem(a) => {
+                    accesses.push(a);
+                    CtaOp::Mem
+                }
+            })
+        }
+    }
+
     /// Runs the SM standalone, answering every L2 request after `mem_lat`
     /// cycles. Returns cycles until idle.
-    fn run_standalone(sm: &mut Sm, mem_lat: u64, max: u64) -> u64 {
+    fn run_standalone(sm: &mut Sm, k: &dyn KernelModel, mem_lat: u64, max: u64) -> u64 {
         let mut pending: Vec<(u64, L2Req)> = Vec::new();
         let mut now = 0;
         while sm.busy() && now < max {
-            sm.tick(now);
+            sm.tick(now, k);
             while let Some(r) = sm.pop_to_l2() {
                 pending.push((now + mem_lat, r));
             }
@@ -483,8 +499,8 @@ mod tests {
             rounds: 5,
             gap: 4,
         };
-        s.assign(k.cta_stream(0));
-        run_standalone(&mut s, 50, 100_000);
+        s.assign(k.cursor(0), 0);
+        run_standalone(&mut s, &k, 50, 100_000);
         assert_eq!(s.stats().ctas_done, 1);
         assert_eq!(s.stats().mem_instrs, 5);
     }
@@ -498,10 +514,10 @@ mod tests {
             gap: 2,
         };
         for c in 0..8 {
-            s.assign(k.cta_stream(c));
+            s.assign(k.cursor(c), 0);
         }
         assert!(!s.has_free_slot());
-        run_standalone(&mut s, 30, 100_000);
+        run_standalone(&mut s, &k, 30, 100_000);
         assert_eq!(s.stats().ctas_done, 8);
         assert!(s.has_free_slot());
     }
@@ -510,12 +526,14 @@ mod tests {
     fn l1_reuse_hits() {
         let mut s = sm();
         // Two CTAs read the same line repeatedly.
-        let mk = || -> CtaStream {
-            Box::new((0..10).map(|_| CtaOp::Mem(vec![MemAccess::read(0x1000)])))
-        };
-        s.assign(mk());
-        s.assign(mk());
-        run_standalone(&mut s, 40, 100_000);
+        let k = Script(
+            (0..10)
+                .map(|_| Step::Mem(MemAccess::read(0x1000)))
+                .collect(),
+        );
+        s.assign(k.cursor(0), 0);
+        s.assign(k.cursor(1), 0);
+        run_standalone(&mut s, &k, 40, 100_000);
         let st = s.l1_stats();
         assert!(st.read_hits > 10, "repeated reads should hit: {st:?}");
     }
@@ -528,11 +546,11 @@ mod tests {
             gap: 1,
         };
         let mut fast = sm();
-        fast.assign(k.cta_stream(0));
-        let t_fast = run_standalone(&mut fast, 10, 1_000_000);
+        fast.assign(k.cursor(0), 0);
+        let t_fast = run_standalone(&mut fast, &k, 10, 1_000_000);
         let mut slow = sm();
-        slow.assign(k.cta_stream(0));
-        let t_slow = run_standalone(&mut slow, 500, 1_000_000);
+        slow.assign(k.cursor(0), 0);
+        let t_slow = run_standalone(&mut slow, &k, 500, 1_000_000);
         assert!(t_slow > t_fast + 1000, "fast {t_fast} slow {t_slow}");
     }
 
@@ -540,35 +558,35 @@ mod tests {
     fn multiple_ctas_overlap_memory_latency() {
         // With long memory latency, 4 CTAs should take much less than 4×
         // one CTA's time (latency hiding).
-        let mk = |cta: u32| {
-            StreamKernel {
-                ctas: 4,
-                rounds: 8,
-                gap: 1,
-            }
-            .cta_stream(cta)
+        let k = StreamKernel {
+            ctas: 4,
+            rounds: 8,
+            gap: 1,
         };
         let mut one = sm();
-        one.assign(mk(0));
-        let t1 = run_standalone(&mut one, 200, 1_000_000);
+        one.assign(k.cursor(0), 0);
+        let t1 = run_standalone(&mut one, &k, 200, 1_000_000);
         let mut four = sm();
         for c in 0..4 {
-            four.assign(mk(c));
+            four.assign(k.cursor(c), 0);
         }
-        let t4 = run_standalone(&mut four, 200, 1_000_000);
+        let t4 = run_standalone(&mut four, &k, 200, 1_000_000);
         assert!(t4 < 2 * t1, "one-CTA {t1}, four-CTA {t4}");
     }
 
     #[test]
     fn writes_are_posted() {
         let mut s = sm();
-        let stream: CtaStream =
-            Box::new((0..5).map(|i| CtaOp::Mem(vec![MemAccess::write(i as u64 * 128)])));
-        s.assign(stream);
+        let k = Script(
+            (0..5)
+                .map(|i| Step::Mem(MemAccess::write(i * 128)))
+                .collect(),
+        );
+        s.assign(k.cursor(0), 0);
         // Never answer writes; the SM must still drain.
         let mut now = 0;
         while s.busy() && now < 10_000 {
-            s.tick(now);
+            s.tick(now, &k);
             while s.pop_to_l2().is_some() {}
             now += 1;
         }
@@ -578,12 +596,11 @@ mod tests {
     #[test]
     fn atomic_waits_for_response() {
         let mut s = sm();
-        let stream: CtaStream =
-            Box::new(std::iter::once(CtaOp::Mem(vec![MemAccess::atomic(0x40)])));
-        s.assign(stream);
+        let k = Script(vec![Step::Mem(MemAccess::atomic(0x40))]);
+        s.assign(k.cursor(0), 0);
         let mut got_req = None;
         for now in 0..100 {
-            s.tick(now);
+            s.tick(now, &k);
             if let Some(r) = s.pop_to_l2() {
                 got_req = Some(r);
             }
@@ -593,7 +610,7 @@ mod tests {
         assert!(s.busy(), "atomic must block until response");
         s.schedule_completion(r.slot, 100);
         for now in 100..200 {
-            s.tick(now);
+            s.tick(now, &k);
         }
         assert!(!s.busy());
     }
@@ -610,14 +627,8 @@ mod tests {
         //   103..=152 waiting; the refill lands after tick 152
         //   153      completion delivered -> Ready -> stream ends: retire
         let mut s = sm();
-        let stream: CtaStream = Box::new(
-            [
-                CtaOp::Compute(100),
-                CtaOp::Mem(vec![MemAccess::read(0x1000)]),
-            ]
-            .into_iter(),
-        );
-        s.assign(stream);
+        let k = Script(vec![Step::Compute(100), Step::Mem(MemAccess::read(0x1000))]);
+        s.assign(k.cursor(0), 0);
         let mut left_at = None;
         let mut retired_at = None;
         let mut awake = Vec::new();
@@ -625,7 +636,7 @@ mod tests {
             if now >= s.wake_at {
                 awake.push(now);
             }
-            s.tick(now);
+            s.tick(now, &k);
             if let Some(r) = s.pop_to_l2() {
                 assert_eq!(left_at.replace(now), None, "one request only");
                 assert_eq!(r.access.addr, 0x1000);
@@ -652,12 +663,12 @@ mod tests {
             rounds: 8,
             gap: 2,
         };
-        for c in 0..3u32 {
-            s.assign_tagged(k.cta_stream(c), c as u64, 0);
+        for c in 0..3 {
+            s.assign(k.cursor(c), 0);
         }
         // Get some transactions in flight before the failure.
         for now in 0..20 {
-            s.tick(now);
+            s.tick(now, &k);
         }
         assert!(s.busy());
         let orphans = s.fail_all();
@@ -678,7 +689,7 @@ mod tests {
             gap: 1,
         };
         for c in 0..9 {
-            s.assign(k.cta_stream(c)); // 9th overflows the 8 slots
+            s.assign(k.cursor(c), 0); // 9th overflows the 8 slots
         }
     }
 }

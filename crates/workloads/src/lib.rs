@@ -568,7 +568,7 @@ fn spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memnet_gpu::kernel::{CtaOp, KernelModel};
+    use memnet_gpu::kernel::CtaOp;
 
     #[test]
     fn all_specs_validate() {
@@ -740,9 +740,9 @@ mod tests {
             let s = w.spec_small();
             let mut ops = 0;
             let mut mem = 0;
-            for op in s.kernel.cta_stream(0) {
+            for (op, _) in crate::synth::tests::ops(&*s.kernel, 0) {
                 ops += 1;
-                if matches!(op, CtaOp::Mem(_)) {
+                if op == CtaOp::Mem {
                     mem += 1;
                 }
                 assert!(ops < 10_000, "{}: runaway stream", s.abbr);

@@ -15,7 +15,7 @@
 //! and compute/memory ratio.
 
 use memnet_common::SplitMix64;
-use memnet_gpu::kernel::{CtaOp, CtaStream, KernelModel, MemAccess};
+use memnet_gpu::kernel::{CtaCursor, CtaOp, KernelModel, MemAccess};
 
 /// Line size used for coalesced accesses.
 const LINE: u64 = 128;
@@ -71,7 +71,7 @@ memnet_obs::to_json_struct! {
 const MAX_CTAS: u32 = 1 << 20;
 
 /// The most accesses one memory op may carry, `(seq_reads + halo_reads) ×
-/// reuse + rand_reads + writes`, which are allocated together for each op.
+/// reuse + rand_reads + writes`, which the op queues at its SM's LSU at once.
 /// Measured at 2 × 16 384 SMs on the same host: 64 accesses take 42 s and
 /// 748 MB, and 1 024 abort at about 3.9 GB. The built-in models reach 29
 /// (3DFD), the fuzzer 16.
@@ -138,58 +138,16 @@ impl SyntheticKernel {
     fn write_base(&self) -> u64 {
         self.shared_bytes + self.read_bytes
     }
-}
 
-impl KernelModel for SyntheticKernel {
-    fn cta_stream(&self, cta: u32) -> CtaStream {
-        assert!(cta < self.ctas, "cta {cta} out of range");
-        debug_assert!(
-            self.validate().is_ok(),
-            "invalid kernel: {:?}",
-            self.validate()
-        );
-        Box::new(SynthStream {
-            k: self.clone(),
-            rng: SplitMix64::new(self.seed).fork(cta as u64),
-            cta: cta as u64,
-            iter: 0,
-            dep_left: 0,
-            atomic_pending: false,
-            emitted_compute: false,
-            batch_done: false,
-        })
-    }
-}
-
-/// Iterator state for one CTA.
-struct SynthStream {
-    k: SyntheticKernel,
-    rng: SplitMix64,
-    cta: u64,
-    iter: u32,
-    /// Dependent reads still to emit in the current phase.
-    dep_left: u32,
-    /// Atomic still to emit in the current phase.
-    atomic_pending: bool,
-    /// Compute op for the current phase already emitted.
-    emitted_compute: bool,
-    /// Batched phase accesses already emitted.
-    batch_done: bool,
-}
-
-impl SynthStream {
-    fn rand_shared_line(&mut self) -> u64 {
-        let lines = (self.k.shared_bytes / LINE).max(1);
-        self.rng.next_below(lines) * LINE
+    /// One line of the shared region, uniformly at random.
+    fn rand_shared_line(&self, rng: &mut SplitMix64) -> u64 {
+        let lines = (self.shared_bytes / LINE).max(1);
+        rng.next_below(lines) * LINE
     }
 
-    /// Sequential slice position for stream `s` at the current iteration,
-    /// wrapping within this CTA's slice of `region_bytes`.
-    fn seq_addr(&self, base: u64, region_bytes: u64, streams: u32, s: u32) -> u64 {
-        self.seq_addr_for(self.cta, self.iter, base, region_bytes, streams, s)
-    }
-
-    fn seq_addr_for(
+    /// Sequential slice position of stream `s` of `streams` for `cta` at
+    /// iteration `iter`, wrapping within the CTA's slice of `region_bytes`.
+    fn seq_addr(
         &self,
         cta: u64,
         iter: u32,
@@ -198,11 +156,11 @@ impl SynthStream {
         streams: u32,
         s: u32,
     ) -> u64 {
-        let slice = (region_bytes / self.k.ctas as u64).max(LINE * streams.max(1) as u64);
+        let slice = (region_bytes / self.ctas as u64).max(LINE * streams.max(1) as u64);
         let slice_base = base + (cta * slice) % region_bytes.max(slice);
         let per_stream = (slice / streams.max(1) as u64).max(LINE);
         let stream_base = slice_base + s as u64 * per_stream;
-        let off = (iter as u64 * self.k.stride) % per_stream.max(LINE);
+        let off = (iter as u64 * self.stride) % per_stream.max(LINE);
         // Align and clamp inside the region.
         let addr = stream_base + (off / LINE) * LINE;
         let end = base + region_bytes;
@@ -212,117 +170,120 @@ impl SynthStream {
             addr
         }
     }
-}
 
-impl Iterator for SynthStream {
-    type Item = CtaOp;
-
-    fn next(&mut self) -> Option<CtaOp> {
-        loop {
-            if self.iter >= self.k.iters {
-                return None;
+    /// The batched accesses of `cur`'s phase: its own sequential reads,
+    /// then the halo reads into the next CTA's slice, `reuse - 1` more
+    /// rounds of both for the previous phase, the random reads, and the
+    /// writes.
+    fn batch(&self, cur: &mut CtaCursor, out: &mut Vec<MemAccess>) {
+        let cta = u64::from(cur.cta);
+        let neighbor = (cta + 1) % u64::from(self.ctas);
+        let streams = self.seq_reads.max(1);
+        // Temporal reuse: re-read the previous phase's lines, which hit in
+        // the L1 (own lines) or the GPU-shared L2 (halo lines from
+        // neighbor CTAs resident on the same GPU).
+        let rounds = if cur.iter > 0 { self.reuse.max(1) } else { 1 };
+        for round in 0..rounds {
+            let iter = cur.iter - round.min(1);
+            for (owner, n) in [(cta, self.seq_reads), (neighbor, self.halo_reads)] {
+                for s in 0..n {
+                    let a = self.seq_addr(
+                        owner,
+                        iter,
+                        self.read_base(),
+                        self.read_bytes,
+                        streams,
+                        s % streams,
+                    );
+                    out.push(MemAccess::read(a));
+                }
             }
-            // Phase order: compute → batched phase accesses → dependent
-            // chain → atomic → next phase.
-            if !self.emitted_compute {
-                self.emitted_compute = true;
-                self.dep_left = self.k.dep_reads;
-                self.atomic_pending =
-                    self.k.atomic_every > 0 && (self.iter + 1).is_multiple_of(self.k.atomic_every);
-                if self.k.compute_gap > 0 {
-                    return Some(CtaOp::Compute(self.k.compute_gap));
-                }
-                continue;
-            }
-            // Saturating: an unvalidated kernel's widths can sum past u32.
-            let batch = [self.k.rand_reads, self.k.writes, self.k.halo_reads]
-                .into_iter()
-                .fold(self.k.seq_reads, u32::saturating_add);
-            if batch > 0 && !self.batch_done {
-                let mut v = Vec::with_capacity(batch as usize);
-                for s in 0..self.k.seq_reads {
-                    v.push(MemAccess::read(self.seq_addr(
-                        self.k.read_base(),
-                        self.k.read_bytes,
-                        self.k.seq_reads,
-                        s,
-                    )));
-                }
-                for s in 0..self.k.halo_reads {
-                    let neighbor = (self.cta + 1) % self.k.ctas as u64;
-                    v.push(MemAccess::read(self.seq_addr_for(
-                        neighbor,
-                        self.iter,
-                        self.k.read_base(),
-                        self.k.read_bytes,
-                        self.k.seq_reads.max(1),
-                        s % self.k.seq_reads.max(1),
-                    )));
-                }
-                // Temporal reuse: re-read the previous phase's lines, which
-                // hit in the L1 (own lines) or the GPU-shared L2 (halo
-                // lines from neighbor CTAs resident on the same GPU).
-                if self.k.reuse > 1 && self.iter > 0 {
-                    for _ in 1..self.k.reuse {
-                        for s in 0..self.k.seq_reads {
-                            v.push(MemAccess::read(self.seq_addr_for(
-                                self.cta,
-                                self.iter - 1,
-                                self.k.read_base(),
-                                self.k.read_bytes,
-                                self.k.seq_reads,
-                                s,
-                            )));
-                        }
-                        for s in 0..self.k.halo_reads {
-                            let neighbor = (self.cta + 1) % self.k.ctas as u64;
-                            v.push(MemAccess::read(self.seq_addr_for(
-                                neighbor,
-                                self.iter - 1,
-                                self.k.read_base(),
-                                self.k.read_bytes,
-                                self.k.seq_reads.max(1),
-                                s % self.k.seq_reads.max(1),
-                            )));
-                        }
-                    }
-                }
-                for _ in 0..self.k.rand_reads {
-                    let a = self.rand_shared_line();
-                    v.push(MemAccess::read(a));
-                }
-                for s in 0..self.k.writes {
-                    v.push(MemAccess::write(self.seq_addr(
-                        self.k.write_base(),
-                        self.k.write_bytes,
-                        self.k.writes,
-                        s,
-                    )));
-                }
-                self.batch_done = true;
-                return Some(CtaOp::Mem(v));
-            }
-            if self.dep_left > 0 {
-                self.dep_left -= 1;
-                let a = self.rand_shared_line();
-                return Some(CtaOp::Mem(vec![MemAccess::read(a)]));
-            }
-            if self.atomic_pending {
-                self.atomic_pending = false;
-                let a = self.rand_shared_line();
-                return Some(CtaOp::Mem(vec![MemAccess::atomic(a)]));
-            }
-            // Phase finished.
-            self.iter += 1;
-            self.emitted_compute = false;
-            self.batch_done = false;
+        }
+        for _ in 0..self.rand_reads {
+            out.push(MemAccess::read(self.rand_shared_line(&mut cur.rng)));
+        }
+        for s in 0..self.writes {
+            let a = self.seq_addr(
+                cta,
+                cur.iter,
+                self.write_base(),
+                self.write_bytes,
+                self.writes,
+                s,
+            );
+            out.push(MemAccess::write(a));
         }
     }
 }
 
+/// A CTA's `iter` is its phase, and `step` its place in the phase:
+/// compute (0), batched accesses (1), the dependent chain (2 up to
+/// `dep_reads + 1`), then the atomic. A step the kernel does not use is
+/// skipped.
+impl KernelModel for SyntheticKernel {
+    fn cursor(&self, cta: u32) -> CtaCursor {
+        assert!(cta < self.ctas, "cta {cta} out of range");
+        debug_assert!(
+            self.validate().is_ok(),
+            "invalid kernel: {:?}",
+            self.validate()
+        );
+        CtaCursor::new(cta, SplitMix64::new(self.seed).fork(cta as u64))
+    }
+
+    fn next_op(&self, cur: &mut CtaCursor, out: &mut Vec<MemAccess>) -> Option<CtaOp> {
+        while cur.iter < self.iters {
+            let step = cur.step;
+            cur.step += 1;
+            match step {
+                0 if self.compute_gap > 0 => return Some(CtaOp::Compute(self.compute_gap)),
+                0 => {}
+                1 => {
+                    let start = out.len();
+                    self.batch(cur, out);
+                    if out.len() > start {
+                        return Some(CtaOp::Mem);
+                    }
+                }
+                _ if step - 2 < self.dep_reads => {
+                    out.push(MemAccess::read(self.rand_shared_line(&mut cur.rng)));
+                    return Some(CtaOp::Mem);
+                }
+                _ if step - 2 == self.dep_reads
+                    && self.atomic_every > 0
+                    && (cur.iter + 1).is_multiple_of(self.atomic_every) =>
+                {
+                    out.push(MemAccess::atomic(self.rand_shared_line(&mut cur.rng)));
+                    return Some(CtaOp::Mem);
+                }
+                // Phase finished.
+                _ => (cur.iter, cur.step) = (cur.iter + 1, 0),
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every op of `cta`, each with the transactions it appended.
+    pub(crate) fn ops(
+        k: &dyn KernelModel,
+        cta: u32,
+    ) -> impl Iterator<Item = (CtaOp, Vec<MemAccess>)> + '_ {
+        let mut cur = k.cursor(cta);
+        std::iter::from_fn(move || {
+            let mut accesses = Vec::new();
+            k.next_op(&mut cur, &mut accesses).map(|op| (op, accesses))
+        })
+    }
+
+    /// The transactions of every memory op of `cta`, one batch per op.
+    fn mem_ops(k: &SyntheticKernel, cta: u32) -> impl Iterator<Item = Vec<MemAccess>> + '_ {
+        ops(k, cta).filter_map(|(op, a)| (op == CtaOp::Mem).then_some(a))
+    }
 
     fn basic() -> SyntheticKernel {
         SyntheticKernel {
@@ -347,42 +308,34 @@ mod tests {
     #[test]
     fn streams_are_deterministic() {
         let k = basic();
-        let a: Vec<CtaOp> = k.cta_stream(3).collect();
-        let b: Vec<CtaOp> = k.cta_stream(3).collect();
-        assert_eq!(a, b);
+        assert!(ops(&k, 3).eq(ops(&k, 3)));
     }
 
     #[test]
     fn different_ctas_differ() {
         let k = basic();
-        let a: Vec<CtaOp> = k.cta_stream(0).collect();
-        let b: Vec<CtaOp> = k.cta_stream(1).collect();
-        assert_ne!(a, b);
+        assert!(ops(&k, 0).ne(ops(&k, 1)));
     }
 
     #[test]
     fn phase_structure_matches_parameters() {
         let k = basic();
-        let ops: Vec<CtaOp> = k.cta_stream(0).collect();
+        let ops: Vec<_> = ops(&k, 0).collect();
         let computes = ops
             .iter()
-            .filter(|o| matches!(o, CtaOp::Compute(_)))
+            .filter(|o| matches!(o.0, CtaOp::Compute(_)))
             .count();
         assert_eq!(computes, 4, "one compute per phase");
-        let atomics: usize = ops
-            .iter()
-            .filter_map(|o| match o {
-                CtaOp::Mem(v) => Some(
-                    v.iter()
-                        .filter(|a| a.kind == memnet_common::AccessKind::Atomic)
-                        .count(),
-                ),
-                _ => None,
+        let atomics: usize = mem_ops(&k, 0)
+            .map(|v| {
+                v.iter()
+                    .filter(|a| a.kind == memnet_common::AccessKind::Atomic)
+                    .count()
             })
             .sum();
         assert_eq!(atomics, 2, "atomic every 2 phases over 4 iters");
         // Per phase: 1 batched op + 2 dependent ops (+ maybe atomic).
-        let mems = ops.iter().filter(|o| matches!(o, CtaOp::Mem(_))).count();
+        let mems = ops.iter().filter(|o| o.0 == CtaOp::Mem).count();
         assert_eq!(mems, 4 * (1 + 2) + 2);
     }
 
@@ -391,16 +344,12 @@ mod tests {
         let k = basic();
         let fp = k.footprint_bytes();
         for cta in 0..k.ctas {
-            for op in k.cta_stream(cta) {
-                if let CtaOp::Mem(v) = op {
-                    for a in v {
-                        assert!(
-                            a.addr + a.bytes as u64 <= fp,
-                            "addr {:#x} outside footprint {fp:#x}",
-                            a.addr
-                        );
-                    }
-                }
+            for a in mem_ops(&k, cta).flatten() {
+                assert!(
+                    a.addr + a.bytes as u64 <= fp,
+                    "addr {:#x} outside footprint {fp:#x}",
+                    a.addr
+                );
             }
         }
     }
@@ -408,22 +357,18 @@ mod tests {
     #[test]
     fn regions_are_respected() {
         let k = basic();
-        for op in k.cta_stream(2) {
-            if let CtaOp::Mem(v) = op {
-                for a in v {
-                    match a.kind {
-                        memnet_common::AccessKind::Write => {
-                            assert!(
-                                a.addr >= k.shared_bytes + k.read_bytes,
-                                "writes go to the write region"
-                            );
-                        }
-                        memnet_common::AccessKind::Atomic => {
-                            assert!(a.addr < k.shared_bytes, "atomics hit the shared region");
-                        }
-                        memnet_common::AccessKind::Read => {}
-                    }
+        for a in mem_ops(&k, 2).flatten() {
+            match a.kind {
+                memnet_common::AccessKind::Write => {
+                    assert!(
+                        a.addr >= k.shared_bytes + k.read_bytes,
+                        "writes go to the write region"
+                    );
                 }
+                memnet_common::AccessKind::Atomic => {
+                    assert!(a.addr < k.shared_bytes, "atomics hit the shared region");
+                }
+                memnet_common::AccessKind::Read => {}
             }
         }
     }
@@ -437,11 +382,9 @@ mod tests {
         k.iters = 64;
         let mut quart = [0u64; 4];
         for cta in 0..k.ctas {
-            for op in k.cta_stream(cta) {
-                if let CtaOp::Mem(v) = op {
-                    for a in v.iter().filter(|a| a.addr < k.shared_bytes) {
-                        quart[(a.addr * 4 / k.shared_bytes) as usize] += 1;
-                    }
+            for a in mem_ops(&k, cta).flatten() {
+                if a.addr < k.shared_bytes {
+                    quart[(a.addr * 4 / k.shared_bytes) as usize] += 1;
                 }
             }
         }
@@ -462,12 +405,9 @@ mod tests {
         k.writes = 0;
         // Collect per-phase batched reads; from phase 1 on, each batch must
         // contain the previous phase's addresses again.
-        let mut batches: Vec<Vec<u64>> = Vec::new();
-        for op in k.cta_stream(0) {
-            if let CtaOp::Mem(v) = op {
-                batches.push(v.iter().map(|a| a.addr).collect());
-            }
-        }
+        let batches: Vec<Vec<u64>> = mem_ops(&k, 0)
+            .map(|v| v.iter().map(|a| a.addr).collect())
+            .collect();
         assert!(batches.len() >= 2);
         for w in batches.windows(2) {
             let (prev, cur) = (&w[0], &w[1]);
@@ -534,16 +474,12 @@ mod tests {
         k.ctas = 2;
         k.read_bytes = 1 << 20;
         let mut addrs = Vec::new();
-        for op in k.cta_stream(0) {
-            if let CtaOp::Mem(v) = op {
-                for a in v {
-                    if a.kind == memnet_common::AccessKind::Read
-                        && a.addr >= k.shared_bytes
-                        && a.addr < k.shared_bytes + k.read_bytes
-                    {
-                        addrs.push(a.addr);
-                    }
-                }
+        for a in mem_ops(&k, 0).flatten() {
+            if a.kind == memnet_common::AccessKind::Read
+                && a.addr >= k.shared_bytes
+                && a.addr < k.shared_bytes + k.read_bytes
+            {
+                addrs.push(a.addr);
             }
         }
         let distinct: std::collections::BTreeSet<_> = addrs.iter().map(|a| a / 4096).collect();
