@@ -60,11 +60,8 @@ impl HostWork {
         let w = *self;
         let mem_ops = (0..w.reads).flat_map(move |i| {
             let addr = w.region_base + (i * w.stride) % w.region_bytes.max(64);
-            let mut ops = vec![CpuOp::Read(addr)];
-            if w.compute_per_read > 0 {
-                ops.push(CpuOp::Compute(w.compute_per_read));
-            }
-            ops
+            let compute = (w.compute_per_read > 0).then_some(CpuOp::Compute(w.compute_per_read));
+            [Some(CpuOp::Read(addr)), compute].into_iter().flatten()
         });
         Box::new(mem_ops.chain((w.tail_compute > 0).then_some(CpuOp::Compute(w.tail_compute))))
     }
