@@ -45,8 +45,10 @@ pub enum Size {
     /// The default: the scaled machine (`SystemConfig::scaled`, 16 SMs per
     /// GPU) at the documented scaled inputs.
     Scaled,
-    /// `MEMNET_FULL=1`: the exact Table I machine (64 SMs/GPU). Slower by
-    /// roughly the SM ratio.
+    /// `MEMNET_FULL=1`: the exact Table I machine (64 SMs/GPU). On a
+    /// 2-core host, Fig. 14 took 78 s at this size, build included, and
+    /// 77–80 s at the scaled size; single CLI runs at `--sms 64` took
+    /// 1.2–1.8× the 16-SM time for KMN and SCAN under UMN and PCIe.
     Full,
 }
 
