@@ -181,6 +181,41 @@ fn every_snapshot_leaf_at_the_integer_limits_is_refused_or_runs() {
     assert!(ran > 0 && refused > 80, "{ran} ran, {refused} refused");
 }
 
+/// The member `key` of object `v`, for editing.
+fn member<'a>(v: &'a mut JsonValue, key: &str) -> Option<&'a mut JsonValue> {
+    match v {
+        JsonValue::Object(members) => members.iter_mut().find(|(k, _)| k == key).map(|(_, m)| m),
+        _ => None,
+    }
+}
+
+/// A page-table row whose virtual page lies in no declared region is one
+/// first touch never makes. Restore refuses it naming the field, so a
+/// snapshot cannot make the layout hold pages no access reaches.
+#[test]
+fn a_page_table_row_outside_every_region_is_refused() {
+    let (_, snap) = snapshot_builder()
+        .try_run_checkpointed("hostile_inputs")
+        .expect("checkpoint");
+    let mut doc = memnet::obs::parse(&snap.to_json_string()).expect("a snapshot parses");
+    let table = member(&mut doc, "memory").and_then(|m| member(m, "page_table"));
+    let Some(JsonValue::Array(rows)) = table else {
+        panic!("the snapshot has a page table");
+    };
+    // Virtual page 2^27 lies between the device region at 0 and the host
+    // region at 2^40 bytes; its physical page is the first row's.
+    let ppage = rows[1].clone();
+    rows.extend([JsonValue::String((1u64 << 27).to_string()), ppage]);
+    let outcome = SystemSnapshot::from_json(&doc.to_json())
+        .map_err(SimError::Snapshot)
+        .and_then(|s| snapshot_builder().try_run_restored(&s));
+    match outcome {
+        Err(SimError::Snapshot(why)) => assert!(why.contains("page_table"), "{why}"),
+        Ok(_) => panic!("a page outside every region was restored"),
+        Err(e) => panic!("refused for another reason: {e}"),
+    }
+}
+
 /// Systems the `u8` router-port and VC ids cannot address: a PCIe switch
 /// or a PCN device router past 256 ports, and a sliced mesh whose
 /// diameter needs more than 256 VCs per port. Each is refused, by the job
