@@ -43,7 +43,7 @@ impl AccessKind {
 pub struct MemReq {
     /// Unique id; the response echoes it.
     pub id: ReqId,
-    /// Physical byte address.
+    /// Byte address as the issuer sees it (virtual; the driver translates).
     pub addr: u64,
     /// Access size in bytes (128 B for GPU cache lines, 64 B for CPU).
     pub bytes: u32,
@@ -83,7 +83,7 @@ impl MemReq {
 pub struct MemResp {
     /// Echo of the request id.
     pub id: ReqId,
-    /// Physical byte address of the original request.
+    /// The request's address, echoed; a GPU read finds its L2 MSHR entry by it.
     pub addr: u64,
     /// Access size of the original request in bytes.
     pub bytes: u32,
