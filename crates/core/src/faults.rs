@@ -1,6 +1,6 @@
 //! The on-disk JSON fault-plan format.
 //!
-//! A [`FaultPlan`](memnet_common::FaultPlan) is abstract — link tags plus
+//! A [`FaultPlan`] is abstract — link tags plus
 //! ordinals, HMC/vault indices, GPU ids; the driver resolves it against
 //! the system a [`SimBuilder`](crate::SimBuilder) built (DESIGN §5b).
 //!

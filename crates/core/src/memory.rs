@@ -185,17 +185,18 @@ impl MemoryLayout {
         ])
     }
 
-    /// Reads back a [`MemoryLayout::snapshot`] record taken on an
+    /// This layout, fresh from [`MemoryLayout::new`] with its regions
+    /// added, holding a [`MemoryLayout::snapshot`] record taken on an
     /// identically configured layout.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a mistyped field, a cluster count this layout
-    /// does not have, a virtual page in no declared region, and a
-    /// physical page or allocation cursor the address map cannot hand out
-    /// on one of this layout's clusters.
+    /// Refuses a mistyped field, a cluster count this layout does not
+    /// have, a virtual page in no declared region, and a physical page or
+    /// allocation cursor the address map cannot hand out on one of this
+    /// layout's clusters.
     #[allow(clippy::cast_possible_truncation, reason = "rr_next is reader-limited to 2^53")]
-    pub(crate) fn restore(&mut self, f: &Fields) -> Result<(), String> {
+    pub(crate) fn restored(mut self, f: &Fields) -> Result<Self, String> {
         let clusters = self.next_seq.len();
         let page_table = f.req("page_table")?.rows(2, None, |c| {
             let ppage = c[1].uint_str()?;
@@ -214,9 +215,11 @@ impl MemoryLayout {
             }
             Ok((vpage, ppage))
         })?;
+        for (vpage, ppage) in page_table {
+            *self.entry(vpage) = ppage;
+        }
         let limit = self.map.pages_per_cluster();
-        let next = f.req("next_seq")?;
-        let next_seq = next.list_of(clusters, |x| {
+        self.next_seq = f.req("next_seq")?.list_of(clusters, |x| {
             let seq = x.uint_str()?;
             if seq >= limit {
                 let path = x.path();
@@ -224,16 +227,9 @@ impl MemoryLayout {
             }
             Ok(seq)
         })?;
-        let rng_state = f.req("rng_state")?.u64_str()?;
-        let rr_next: u64 = f.get("rr_next")?;
-        self.page_table.clear();
-        for (vpage, ppage) in page_table {
-            *self.entry(vpage) = ppage;
-        }
-        self.next_seq = next_seq;
-        self.rng = SplitMix64::new(rng_state);
-        self.rr_next = rr_next as usize;
-        Ok(())
+        self.rng = SplitMix64::new(f.req("rng_state")?.u64_str()?);
+        self.rr_next = f.get::<u64>("rr_next")? as usize;
+        Ok(self)
     }
 }
 
@@ -395,9 +391,8 @@ mod tests {
         );
         let want: Vec<u64> = reference.iter().flat_map(|(&v, &p)| [v, p]).collect();
         assert_eq!(rows(&l), want, "rows in ascending virtual-page order");
-        let mut back = bordered();
-        Field::root(&l.snapshot(), "")
-            .record(|f| back.restore(f))
+        let mut back = Field::root(&l.snapshot(), "")
+            .record(|f| bordered().restored(f))
             .expect("a layout restores its own snapshot");
         assert_eq!(rows(&back), want);
         for (&v, &p) in &reference {

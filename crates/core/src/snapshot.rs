@@ -26,10 +26,11 @@
 //!
 //! A snapshot *is* one JSON document ([`JsonValue`]). This module writes
 //! and reads its header; each stateful component writes its own record
-//! (`snapshot`) and reads it back (`restore`), and the driver hands each
-//! its record. Every value is in its [`Snap`] encoding, which says why an
-//! integer is a decimal string and a float its bit pattern; a plain-data
-//! record ([`memnet_obs::snap_struct!`]) names its fields once.
+//! (`snapshot`) and reads it back into a freshly built copy of itself,
+//! which it returns (`restored`), and the driver hands each its record.
+//! Every value is in its [`Snap`] encoding, which says why an integer is
+//! a decimal string and a float its bit pattern; a plain-data record
+//! ([`memnet_obs::snap_struct!`]) names its fields once.
 
 use memnet_common::time::Fs;
 use memnet_obs::json::{parse, Fields, JsonValue, Snap, ToJson};

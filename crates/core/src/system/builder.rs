@@ -274,9 +274,11 @@ impl SimBuilder {
                 snap.fingerprint(),
             )));
         }
-        let mut sys = System::try_build(self)?;
+        let sys = System::try_build(self)?;
         let doc = Field::root(&snap.doc, "");
-        let (host_fs, memcpy_fs) = doc.record(|f| sys.restore(f)).map_err(SimError::Snapshot)?;
+        let (sys, host_fs, memcpy_fs) = doc
+            .record(|f| sys.restored(f))
+            .map_err(SimError::Snapshot)?;
         Ok(sys.run_from_snapshot_point(host_fs, memcpy_fs).0)
     }
 

@@ -9,6 +9,7 @@ use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
 use memnet_obs::json::{fit_len, snaps, Fields, JsonValue, Snap};
 use memnet_obs::ClockDomain;
+use std::iter::zip;
 
 impl System {
     /// Captures the full mutable simulation state at the normalized,
@@ -52,23 +53,23 @@ impl System {
         SystemSnapshot::new(header, records)
     }
 
-    /// Overwrites mutable state from a snapshot document `f` taken on an
-    /// identically configured system (the caller checks the fingerprint),
-    /// and returns the prefix's `(host_fs, memcpy_fs)`. All clock domains come
-    /// back armed; in event-driven mode idle domains tick one no-op edge
-    /// and re-park, which yields the same counter end-state as the
-    /// checkpointing run's bulk skip accounting. Pending resolved faults
-    /// whose edge lies at or before the snapshot instant were already
-    /// applied by the checkpointing run — their effects live in the
-    /// restored component state — so they are dropped from the queue
-    /// fronts.
+    /// This system, fresh from [`System::try_build`], holding a snapshot
+    /// document `f` taken on an identically configured system (the caller
+    /// checks the fingerprint), with the prefix's `(host_fs, memcpy_fs)`.
+    /// All clock domains come back armed; in event-driven mode idle
+    /// domains tick one no-op edge and re-park, which yields the same
+    /// counter end-state as the checkpointing run's bulk skip accounting.
+    /// Pending resolved faults whose edge lies at or before the snapshot
+    /// instant were already applied by the checkpointing run — their
+    /// effects live in the restored component state — so they are
+    /// dropped from the queue fronts.
     ///
     /// A matching fingerprint does not stop a hand-edited file, so each
     /// record is read, and checked, by its owner: the header, the clocks
     /// and the device counts here, each component's record in its
-    /// `restore`, every message naming the full path. An error leaves a
-    /// half-restored system, which the caller drops.
-    pub(super) fn restore(&mut self, f: &Fields) -> Result<(Fs, Fs), String> {
+    /// `restored`, every message naming the full path. On a refusal the
+    /// system is dropped with the error.
+    pub(super) fn restored(mut self, f: &Fields) -> Result<(Self, Fs, Fs), String> {
         let h = Header::read(f)?;
         fit_len("clocks", h.clocks.len(), ClockDomain::ALL.len())?;
         // Every clock was normalized to the boundary: its next edge is the
@@ -84,19 +85,20 @@ impl System {
             self.cal.restore_clock(d, cycles);
         }
         self.now = h.now;
+        let core = h.clocks[ClockDomain::Core as usize];
         let gpus = f.req("gpus")?.list_of(self.gpus.len(), Ok)?;
-        for (g, x) in self.gpus.iter_mut().zip(gpus) {
-            x.record(|r| g.restore(r, h.clocks[ClockDomain::Core as usize]))?;
-        }
-        f.req("cpu")?.record(|r| self.cpu.restore(r))?;
-        f.req("dma")?.record(|r| self.dma.restore(r))?;
+        self.gpus = zip(self.gpus, gpus)
+            .map(|(g, x)| x.record(|r| g.restored(r, core)))
+            .collect::<Result<_, _>>()?;
+        self.cpu = f.req("cpu")?.record(|r| self.cpu.restored(r))?;
+        self.dma = f.req("dma")?.record(|r| self.dma.restored(r))?;
         let hmcs = f.req("hmcs")?.list_of(self.hmcs.len(), Ok)?;
-        for (hmc, x) in self.hmcs.iter_mut().zip(hmcs) {
-            x.record(|r| hmc.restore(r))?;
-        }
-        f.req("net")?
-            .record(|r| self.net.restore(r, h.clocks[ClockDomain::Net as usize]))?;
-        f.req("memory")?.record(|r| self.layout.restore(r))?;
+        self.hmcs = zip(self.hmcs, hmcs)
+            .map(|(hmc, x)| x.record(|r| hmc.restored(r)))
+            .collect::<Result<_, _>>()?;
+        let net = h.clocks[ClockDomain::Net as usize];
+        self.net = f.req("net")?.record(|r| self.net.restored(r, net))?;
+        self.layout = f.req("memory")?.record(|r| self.layout.restored(r))?;
         let cells = self.traffic.raw_bytes_mut();
         let traffic = f.req("traffic")?.list_of(cells.len(), u64::unsnap)?;
         cells.copy_from_slice(&traffic);
@@ -121,6 +123,6 @@ impl System {
         if let Some(periods) = self.net.cycle().checked_div(self.metrics_every) {
             self.next_epoch = (periods + 1) * self.metrics_every;
         }
-        Ok((h.host_fs, h.memcpy_fs))
+        Ok((self, h.host_fs, h.memcpy_fs))
     }
 }

@@ -402,16 +402,18 @@ fn damaged_snapshots_are_refused_by_field() {
     let (report, snap) = builder().try_run_checkpointed("").expect("checkpoint");
     let restored = builder().try_run_restored(&snap).expect("intact restore");
     assert_eq!(restored, report);
-    let channels = snap.doc.get("net").and_then(|n| n.get("channels"));
-    let last = channels
-        .and_then(JsonValue::as_array)
-        .expect("channels")
-        .len()
-        / 5
-        - 1;
+    let len = |v: Option<&JsonValue>| v.and_then(JsonValue::as_array).expect("an array").len();
+    let last = len(snap.doc.get("net").and_then(|n| n.get("channels"))) / 5 - 1;
     let (last_up, last_channel) = (
         format!("net.channels.{}", 5 * last),
         format!("'net.channels[{last}]'"),
+    );
+    let hmcs = snap.doc.get("hmcs");
+    let hmc = len(hmcs) - 1;
+    let vault = len(hmcs.and_then(|h| h.as_array()?.last()?.get("vaults"))) - 1;
+    let (last_banks, last_vault) = (
+        format!("hmcs.{hmc}.vaults.{vault}.banks"),
+        format!("'hmcs[{hmc}].vaults[{vault}].banks'"),
     );
     // Each damage is refused by the record's owner — the driver or the
     // component — and named by its full path.
@@ -433,6 +435,10 @@ fn damaged_snapshots_are_refused_by_field() {
         ("'net.channels[1]'", "net.channels.5", Set("0")),
         (last_channel.as_str(), last_up.as_str(), Set("0")),
         ("'cpu.l1.ways'", "cpu.l1.ways", Cut(3)),
+        // Records read after their siblings were taken: the L2 after the
+        // L1, the last vault of the last cube after every other vault.
+        ("'cpu.l2.ways'", "cpu.l2.ways", Cut(3)),
+        (last_vault.as_str(), last_banks.as_str(), Cut(5)),
         ("'memory.next_seq'", "memory.next_seq", Cut(1)),
         ("'hmcs[0].stalls'", "hmcs.0.stalls", Set("x")),
         (

@@ -286,31 +286,28 @@ impl CpuCore {
         JsonValue::object(members)
     }
 
-    /// Reads back a [`CpuCore::snapshot`] record taken on an identically
-    /// configured core.
+    /// This core, fresh from [`CpuCore::new`], holding a
+    /// [`CpuCore::snapshot`] record taken on an identically configured
+    /// core.
     ///
     /// # Errors
     ///
     /// Refuses a mistyped field, a compute backlog past `cycle` (the
     /// recorded core is idle), a request sequence past
     /// [`ReqId::MAX_SEQ`], and a cache level its cache refuses.
-    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
-        let cycle = f.get("cycle")?;
+    pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
+        self.cycle = f.get("cycle")?;
         let until = f.req("compute_until")?;
-        let compute_until = until.uint_str()?;
-        if compute_until > cycle {
+        self.compute_until = until.uint_str()?;
+        if self.compute_until > self.cycle {
             let path = until.path();
             return Err(format!("field '{path}' is past 'cycle' on an idle core"));
         }
-        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
-        let stats = CpuStats::read(f)?;
-        f.req("l1")?.record(|c| self.l1.restore(c))?;
-        f.req("l2")?.record(|c| self.l2.restore(c))?;
-        self.cycle = cycle;
-        self.compute_until = compute_until;
-        self.next_req = next_req;
-        self.stats = stats;
-        Ok(())
+        self.next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+        self.stats = CpuStats::read(f)?;
+        self.l1 = f.req("l1")?.record(|c| self.l1.restored(c))?;
+        self.l2 = f.req("l2")?.record(|c| self.l2.restored(c))?;
+        Ok(self)
     }
 }
 
@@ -448,17 +445,17 @@ impl DmaEngine {
         ])
     }
 
-    /// Reads back a [`DmaEngine::snapshot`] record.
+    /// This engine, fresh from [`DmaEngine::new`], holding a
+    /// [`DmaEngine::snapshot`] record.
     ///
     /// # Errors
     ///
     /// Refuses a mistyped field and a request sequence past
     /// [`ReqId::MAX_SEQ`].
-    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
-        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+    pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
+        self.next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
         self.bytes_copied = f.get("bytes_copied")?;
-        self.next_req = next_req;
-        Ok(())
+        Ok(self)
     }
 
     /// Delivers a read response: emits the matching write to the

@@ -214,23 +214,22 @@ impl Cache {
         JsonValue::object(members)
     }
 
-    /// Reads back a [`Cache::snapshot`] record taken on an identically
-    /// configured cache.
+    /// This cache, fresh from [`Cache::new`], holding a
+    /// [`Cache::snapshot`] record taken on an identically configured
+    /// cache.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a mistyped field, a tag past 2^53 (no address
-    /// the model issues has one), and a way count this cache's geometry
-    /// does not have.
-    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+    /// Refuses a mistyped field, a tag past 2^53 (no address the model
+    /// issues has one), and a way count this cache's geometry does not
+    /// have.
+    pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
         let len = self.tags.iter().map(Vec::len).sum();
         let ways = f.req("ways")?.rows(3, Some(len), |c| {
             let tag = c[0].uint_str()?;
             let valid = if c[1].uint_str()? != 0 { VALID } else { 0 };
             Ok((tag | valid, c[2].uint_str()?))
         })?;
-        let tick = f.get("tick")?;
-        let stats = CacheStats::read(f)?;
         let slots = self
             .tags
             .iter_mut()
@@ -239,9 +238,9 @@ impl Cache {
         for ((w, lru), row) in slots.zip(ways) {
             (*w, *lru) = row;
         }
-        self.tick = tick;
-        self.stats = stats;
-        Ok(())
+        self.tick = f.get("tick")?;
+        self.stats = CacheStats::read(f)?;
+        Ok(self)
     }
 }
 
@@ -302,7 +301,7 @@ impl MshrTable {
     }
 
     /// Completes `line`, returning all merged waiters in arrival order.
-    /// Hand the list back through [`MshrTable::recycle`] once consumed.
+    /// Hand the list back through `MshrTable::recycle` once consumed.
     pub fn complete(&mut self, line: u64) -> Vec<Waiter> {
         let Some(i) = self.lines.iter().position(|&l| l == line) else {
             return Vec::new();

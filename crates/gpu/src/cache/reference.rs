@@ -179,11 +179,9 @@ fn cache_agrees(cfg: &CacheConfig, seed: u64) {
             assert!(c.snapshot() == r.snapshot(), "snapshot, {at}");
         }
         if i == ops / 2 {
-            let mut back = Cache::new(cfg);
-            Field::root(&c.snapshot(), "")
-                .record(|f| back.restore(f))
+            c = Field::root(&c.snapshot(), "")
+                .record(|f| Cache::new(cfg).restored(f))
                 .expect("a cache restores its own snapshot");
-            c = back;
         }
     }
     assert!(c.snapshot() == r.snapshot(), "final snapshot, seed {seed}");

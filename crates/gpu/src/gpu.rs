@@ -469,17 +469,18 @@ impl Gpu {
         ])
     }
 
-    /// Reads back a [`Gpu::snapshot`] record taken on an identically
-    /// configured GPU at a quiescent boundary. `core_cycle` is the core
-    /// clock's restored cycle, which a GPU's own count equals there.
+    /// This GPU, fresh from [`Gpu::new`], holding a [`Gpu::snapshot`]
+    /// record taken on an identically configured GPU at a quiescent
+    /// boundary. `core_cycle` is the core clock's restored cycle, which a
+    /// GPU's own count equals there.
     ///
     /// # Errors
     ///
     /// Refuses a mistyped field, a core cycle off the clock, a request
     /// sequence past [`ReqId::MAX_SEQ`], and an L2 the cache refuses (see
-    /// [`Cache::restore`]).
-    pub fn restore(&mut self, f: &Fields, core_cycle: u64) -> Result<(), String> {
-        let dead = f.get("dead")?;
+    /// [`Cache::restored`]).
+    pub fn restored(mut self, f: &Fields, core_cycle: u64) -> Result<Self, String> {
+        self.dead = f.get("dead")?;
         let cycle = f.req("core_cycle")?;
         if cycle.uint_str()? != core_cycle {
             let path = cycle.path();
@@ -487,19 +488,11 @@ impl Gpu {
                 "field '{path}' is not the core clock's cycle {core_cycle}"
             ));
         }
-        let next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
-        let mem_reqs = f.get("mem_reqs")?;
-        f.req("l2")?.record(|c| self.l2.restore(c))?;
-        self.dead = dead;
         self.core_cycle = core_cycle;
-        self.next_req = next_req;
-        self.mem_reqs = mem_reqs;
-        self.busy_cache = false;
-        for sm in &mut self.sms {
-            sm.wake();
-        }
-        self.sm_wake = 0;
-        Ok(())
+        self.next_req = f.req("next_req")?.uint_str_to(ReqId::MAX_SEQ)?;
+        self.mem_reqs = f.get("mem_reqs")?;
+        self.l2 = f.req("l2")?.record(|c| self.l2.restored(c))?;
+        Ok(self)
     }
 
     /// Aggregate statistics.

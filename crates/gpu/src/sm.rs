@@ -175,12 +175,6 @@ impl Sm {
             || self.resident > 0
     }
 
-    /// Forgets the recorded wake cycle, so the next tick runs in full and
-    /// re-derives it (the owning GPU's cycle counter was overwritten).
-    pub(crate) fn wake(&mut self) {
-        self.wake_at = 0;
-    }
-
     /// The earliest core cycle at which a tick can change state.
     #[inline]
     pub(crate) fn wake_at(&self) -> u64 {

@@ -14,6 +14,7 @@ use memnet_obs::json::{Fields, JsonValue, Snap};
 use memnet_obs::Tracer;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::zip;
 
 #[derive(Debug)]
 struct Completion {
@@ -203,27 +204,24 @@ impl HmcDevice {
         ])
     }
 
-    /// Reads back a [`HmcDevice::snapshot`] record taken on an identically
-    /// configured cube.
+    /// This cube, fresh from [`HmcDevice::new`], holding a
+    /// [`HmcDevice::snapshot`] record taken on an identically configured
+    /// cube.
     ///
     /// # Errors
     ///
     /// Refuses a mistyped field, a stall-deadline or vault count this cube
     /// does not have, and a vault record its vault refuses.
-    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
+    pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
         let n = self.vaults.len();
-        let seq = f.get("seq")?;
-        let stalled_until = f.req("stalled_until")?.list_of(n, u64::unsnap)?;
-        let stalls = f.get("stalls")?;
-        for (v, x) in self.vaults.iter_mut().zip(f.req("vaults")?.list_of(n, Ok)?) {
-            x.record(|r| v.restore(r))?;
-        }
-        self.seq = seq;
-        self.stalled_until = stalled_until;
-        self.stalls = stalls;
-        self.completions.clear();
-        self.inflight = 0;
-        Ok(())
+        self.seq = f.get("seq")?;
+        self.stalled_until = f.req("stalled_until")?.list_of(n, u64::unsnap)?;
+        self.stalls = f.get("stalls")?;
+        let records = f.req("vaults")?.list_of(n, Ok)?;
+        self.vaults = zip(self.vaults, records)
+            .map(|(v, x)| x.record(|r| v.restored(r)))
+            .collect::<Result<_, _>>()?;
+        Ok(self)
     }
 
     /// Merged statistics over all vaults.

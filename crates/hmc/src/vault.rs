@@ -273,15 +273,15 @@ impl Vault {
         JsonValue::object(members)
     }
 
-    /// Reads back a [`Vault::snapshot`] record taken on an identically
-    /// configured vault.
+    /// This vault, fresh from [`Vault::new`], holding a
+    /// [`Vault::snapshot`] record taken on an identically configured
+    /// vault.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a mistyped field and a bank count this vault
-    /// does not have.
-    pub fn restore(&mut self, f: &Fields) -> Result<(), String> {
-        let banks = f.req("banks")?.rows(5, Some(self.banks.len()), |c| {
+    /// Refuses a mistyped field and a bank count this vault does not have.
+    pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
+        self.banks = f.req("banks")?.rows(5, Some(self.banks.len()), |c| {
             Ok(Bank {
                 open_row: match c[0].str()? {
                     "-" => None,
@@ -293,12 +293,9 @@ impl Vault {
                 next_refresh: c[4].uint_str()?,
             })
         })?;
-        let bus_free_at = f.get("bus_free_at")?;
-        let stats = VaultStats::read(f)?;
-        self.banks = banks;
-        self.bus_free_at = bus_free_at;
-        self.stats = stats;
-        Ok(())
+        self.bus_free_at = f.get("bus_free_at")?;
+        self.stats = VaultStats::read(f)?;
+        Ok(self)
     }
 }
 

@@ -70,15 +70,6 @@ impl<T: Copy> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Drops every event; the ring keeps its size.
-    pub(crate) fn clear(&mut self) {
-        self.buckets.fill(EMPTY);
-        self.occupied.fill(0);
-        self.nodes.clear();
-        self.free = NIL;
-        self.len = 0;
-    }
-
     #[allow(clippy::cast_possible_truncation, reason = "masked below the bucket count")]
     fn slot(&self, cycle: u64) -> usize {
         (cycle & (self.buckets.len() as u64 - 1)) as usize

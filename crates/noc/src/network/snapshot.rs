@@ -1,5 +1,5 @@
 //! What a quiescent network writes into a checkpoint, and the checks its
-//! record must pass before it replaces the live state.
+//! record must pass before a restored network runs.
 
 use super::{NetStats, Network};
 use memnet_common::SplitMix64;
@@ -54,21 +54,22 @@ impl Network {
         ])
     }
 
-    /// Reads back a [`Network::snapshot`] record taken on a network built
-    /// from the identical topology. `cycle` is the network clock's
-    /// restored cycle, which the fabric's own count equals there. Route
-    /// tables are recomputed from the restored link states.
+    /// This network, fresh from its builder, holding a
+    /// [`Network::snapshot`] record taken on a network built from the
+    /// identical topology. `cycle` is the network clock's restored cycle,
+    /// which the fabric's own count equals there. Route tables are
+    /// recomputed from the restored link states.
     ///
     /// # Errors
     ///
-    /// Refuses, untouched, a mistyped field, a cycle off the clock, a link
-    /// or channel count this network does not have, a free list that is
-    /// not a permutation of the packet slots — a quiescent fabric owns no
+    /// Refuses a mistyped field, a cycle off the clock, a link or channel
+    /// count this network does not have, a free list that is not a
+    /// permutation of the packet slots — a quiescent fabric owns no
     /// packet; checked before the slab is allocated — and a channel no run
     /// can reach: a degrade of 0 (a free wire), an `up` that disagrees
     /// with its link's `link_up`, or an endpoint channel that is down (no
     /// fault takes one down, and nothing would bring it back).
-    pub fn restore(&mut self, f: &Fields, cycle: u64) -> Result<(), String> {
+    pub fn restored(mut self, f: &Fields, cycle: u64) -> Result<Self, String> {
         let at = f.req("cycle")?;
         if at.uint_str()? != cycle {
             let path = at.path();
@@ -76,12 +77,13 @@ impl Network {
                 "field '{path}' is not the network clock's cycle {cycle}"
             ));
         }
-        let seq = f.get("seq")?;
-        let rng_state = f.req("rng_state")?.u64_str()?;
+        self.cycle = cycle;
+        self.seq = f.get("seq")?;
+        self.rng = SplitMix64::new(f.req("rng_state")?.u64_str()?);
         let slots = f.get("packet_slots")?;
         let free = f.req("free_pids")?;
-        let free_pids = Vec::<u32>::unsnap(free)?;
-        let mut sorted = free_pids.clone();
+        self.free_pids = Vec::<u32>::unsnap(free)?;
+        let mut sorted = self.free_pids.clone();
         sorted.sort_unstable();
         if !sorted.iter().map(|&p| u64::from(p)).eq(0..slots) {
             let path = free.path();
@@ -89,6 +91,8 @@ impl Network {
                 "field '{path}' is not a permutation of the {slots} 'packet_slots'"
             ));
         }
+        self.packets = (0..slots).map(|_| None).collect();
+        self.next = vec![0; self.packets.len()];
         let link_up = f
             .req("link_up")?
             .list_of(self.link_rtrs.len(), |x| x.bool())?;
@@ -99,7 +103,7 @@ impl Network {
             Ok((up, u32::unsnap(c[1])?, counts))
         })?;
         let path = rows.path();
-        for (i, &(up, degrade, _)) in channels.iter().enumerate() {
+        for (i, (c, (up, degrade, counts))) in self.channels.iter_mut().zip(channels).enumerate() {
             if degrade == 0 {
                 return Err(format!(
                     "field '{path}[{i}]' has degrade 0; a clean channel has 1"
@@ -115,26 +119,12 @@ impl Network {
                     "field '{path}[{i}]' is {got}, but its link is {want}"
                 ));
             }
-        }
-        let stats = f.req("stats")?.record(NetStats::read)?;
-        self.cycle = cycle;
-        self.seq = seq;
-        self.rng = SplitMix64::new(rng_state);
-        self.packets = (0..slots).map(|_| None).collect();
-        self.next = vec![0; self.packets.len()];
-        self.ready_ports.0.fill(0);
-        self.ready_eps.0.fill(0);
-        self.free_pids = free_pids;
-        for (c, (up, degrade, counts)) in self.channels.iter_mut().zip(channels) {
             c.up = up;
             c.degrade = degrade;
             (c.busy_until, c.bytes_moved, c.busy_cycles) = counts;
         }
-        self.events.clear();
-        self.failed_q.clear();
-        self.in_network = 0;
-        self.stats = stats;
+        self.stats = f.req("stats")?.record(NetStats::read)?;
         self.recompute_routes();
-        Ok(())
+        Ok(self)
     }
 }

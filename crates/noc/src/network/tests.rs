@@ -576,9 +576,9 @@ fn a_restored_network_continues_like_the_original() {
     random_traffic(&mut net, &eps, 7, 0);
     net.tick(); // the last credit returns
     let record = net.snapshot();
-    let (mut restored, _) = overlay_mesh(RoutingPolicy::Ugal);
-    Field::root(&record, "")
-        .record(|f| restored.restore(f, net.cycle()))
+    let (fresh, _) = overlay_mesh(RoutingPolicy::Ugal);
+    let mut restored = Field::root(&record, "")
+        .record(|f| fresh.restored(f, net.cycle()))
         .expect("same topology");
     assert_eq!(restored.ready_ports.next_from(0), None);
     assert_eq!(restored.ready_eps.next_from(0), None);

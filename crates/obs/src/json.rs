@@ -798,8 +798,8 @@ pub fn snaps<T: Snap>(vs: impl IntoIterator<Item = T>) -> JsonValue {
 /// Declares a plain-data snapshot record, so its field list exists once:
 /// `members()` writes each field in its [`Snap`] encoding, in declaration
 /// order, to nest as one object or to flatten into the owner's; `read(f)`
-/// reads every member from `f` before it returns any, so a refused record
-/// leaves its owner untouched (whoever holds `f` finishes it).
+/// reads every member from `f` into a new value (whoever holds `f`
+/// finishes it).
 #[macro_export]
 macro_rules! snap_struct {
     ($(#[$meta:meta])* $vis:vis struct $name:ident {
