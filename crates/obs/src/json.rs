@@ -10,6 +10,8 @@
 //!   (via [`to_json_struct!`](crate::to_json_struct)) plain structs;
 //! * [`parse`] — a strict parser into [`JsonValue`] for reading documents
 //!   back (golden files, and every outside input [`Fields`] reads);
+//! * [`split_members`] — the same checks without the tree: an object's
+//!   top-level members as raw bytes, for a caller that answers from them;
 //! * [`Fields`] — the one strict typed reader that turns a parsed outside
 //!   input (serve request, workload model, fault plan, snapshot) into
 //!   values: deny unknown, deny duplicate, exact integers, path in every
@@ -220,9 +222,15 @@ impl JsonWriter {
     }
 
     /// Writes a float; NaN and ±∞ become `null`.
+    #[allow(clippy::cast_possible_truncation, reason = "`v` is an integer within 2^53")]
     pub fn number(&mut self, v: f64) {
         self.pre_value();
-        if v.is_finite() {
+        // An integer within 2^53 (but `-0`) has the digits Display prints
+        // for it as an `i64` too, which skips the float formatter.
+        let integer = v.fract() == 0.0 && v.abs() <= MAX_SAFE_INT as f64;
+        if integer && (v != 0.0 || v.is_sign_positive()) {
+            let _ = write!(self.out, "{}", v as i64);
+        } else if v.is_finite() {
             // Rust's Display for f64 is shortest-roundtrip decimal — valid JSON.
             let _ = write!(self.out, "{v}");
         } else {
@@ -486,18 +494,33 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document, rejecting trailing garbage.
 pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
-    Ok(v)
+    Parser::new(s).document(Parser::value)
+}
+
+/// Checks `s` as [`parse`] would — the same grammar, errors and nesting
+/// limit (`MAX_DEPTH`) — without building a tree or allocating, and
+/// hands each top-level member of an object document to `member` as it
+/// goes: the key's bytes between its quotes, escapes as written, and the
+/// value's bytes as written. A document that is not an object has no
+/// members. On an error the members before it have been handed out too,
+/// so a caller acts on them only after `Ok`.
+pub fn split_members<'a>(
+    s: &'a str,
+    mut member: impl FnMut(&'a str, &'a str),
+) -> Result<(), JsonError> {
+    Parser::new(s).document(|p| {
+        if p.peek() != Some(b'{') {
+            return p.skip_value();
+        }
+        p.nested(|p| {
+            p.object(|p, (), key| {
+                let start = p.pos;
+                p.skip_value()?;
+                member(key, &p.src[start..p.pos]);
+                Ok(())
+            })
+        })
+    })
 }
 
 /// Deepest container nesting [`parse`] follows. The parser recurses per
@@ -505,16 +528,80 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
 /// document the workspace reads or writes nests past eight.
 const MAX_DEPTH: usize = 64;
 
+/// Where a scanned string's text goes: into the `String` [`parse`]
+/// builds, or nowhere when [`split_members`] only checks it.
+trait Text: Default {
+    /// Appends a run of source bytes holding no quote, backslash or
+    /// control byte, so it starts and ends at scalar boundaries.
+    fn push_run(&mut self, run: &[u8]);
+    /// Appends one decoded escape.
+    fn push_char(&mut self, c: char);
+}
+
+impl Text for String {
+    fn push_run(&mut self, run: &[u8]) {
+        #[allow(clippy::expect_used, reason = "a &str cut at ASCII bytes")]
+        self.push_str(std::str::from_utf8(run).expect("valid utf8"));
+    }
+    fn push_char(&mut self, c: char) {
+        self.push(c);
+    }
+}
+
+impl Text for () {
+    fn push_run(&mut self, _: &[u8]) {}
+    fn push_char(&mut self, _: char) {}
+}
+
+/// A refusal, whose position and message the parser holds: a `?` inside
+/// the parser then moves a one-byte result rather than a [`JsonError`].
+struct Refused;
+
+type Step<T> = Result<T, Refused>;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Containers currently open.
     depth: usize,
+    /// Why the parse stopped, once a step is refused.
+    error: JsonError,
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> JsonError {
-        JsonError { pos: self.pos, msg }
+    fn new(src: &'a str) -> Parser<'a> {
+        Parser {
+            src,
+            bytes: src.as_bytes(),
+            pos: 0,
+            depth: 0,
+            error: JsonError { pos: 0, msg: "" },
+        }
+    }
+
+    /// Runs `step` over the one document in the source, which nothing but
+    /// whitespace may follow.
+    fn document<T>(mut self, step: impl FnOnce(&mut Self) -> Step<T>) -> Result<T, JsonError> {
+        self.skip_ws();
+        let done = step(&mut self).and_then(|v| {
+            self.skip_ws();
+            if self.pos != self.bytes.len() {
+                return self.fail("trailing characters after document");
+            }
+            Ok(v)
+        });
+        done.map_err(|Refused| self.error)
+    }
+
+    /// Refuses the document at the current byte.
+    fn fail<T>(&mut self, msg: &'static str) -> Step<T> {
+        self.fail_at(self.pos, msg)
+    }
+
+    fn fail_at<T>(&mut self, pos: usize, msg: &'static str) -> Step<T> {
+        self.error = JsonError { pos, msg };
+        Err(Refused)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -527,200 +614,267 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, b: u8, msg: &'static str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(msg))
+    fn expect(&mut self, b: u8, msg: &'static str) -> Step<()> {
+        if self.peek() != Some(b) {
+            return self.fail(msg);
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("invalid literal"))
+    fn literal(&mut self, lit: &str) -> Step<()> {
+        if !self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            return self.fail("invalid literal");
         }
+        self.pos += lit.len();
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self) -> Step<JsonValue> {
         match self.peek() {
-            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+            Some(b'{') => self.nested(|p| {
+                let mut members = Vec::new();
+                p.object(|p, key: String, _| {
+                    members.push((key, p.value()?));
+                    Ok(())
+                })?;
+                Ok(JsonValue::Object(members))
+            }),
+            Some(b'[') => self.nested(|p| {
+                let mut items = Vec::new();
+                p.array(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(JsonValue::Array(items))
+            }),
+            Some(b'"') => self.string().map(JsonValue::String),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => {
+                let start = self.pos;
+                self.number()?;
+                match self.src[start..self.pos].parse::<f64>() {
+                    Ok(n) => Ok(JsonValue::Number(n)),
+                    Err(_) => self.fail_at(start, "invalid number"),
+                }
+            }
+            _ => self.fail("expected a JSON value"),
         }
     }
 
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
+    /// [`Parser::value`] without the value: the same checks, nothing built.
+    fn skip_value(&mut self) -> Step<()> {
+        match self.peek() {
+            Some(b'{') => self.nested(|p| p.object(|p, (), _| p.skip_value())),
+            Some(b'[') => self.nested(|p| p.array(Self::skip_value)),
+            Some(b'"') => self.string::<()>(),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => self.fail("expected a JSON value"),
+        }
+    }
+
+    /// Runs `container` one level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested<T>(&mut self, container: impl FnOnce(&mut Self) -> Step<T>) -> Step<T> {
+        if self.depth == MAX_DEPTH {
+            return self.fail("nesting too deep");
+        }
         self.depth += 1;
         let v = container(self);
         self.depth -= 1;
         v
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    /// Walks one object. `member` gets each key, as text of type `K` and
+    /// as its raw bytes between the quotes, with the parser at the value,
+    /// which it must consume.
+    fn object<K: Text>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, K, &'a str) -> Step<()>,
+    ) -> Step<()> {
         self.expect(b'{', "expected '{'")?;
-        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Object(members));
+            return Ok(());
         }
         loop {
             self.skip_ws();
+            let start = self.pos;
             let key = self.string()?;
+            let raw = &self.src[start + 1..self.pos - 1];
             self.skip_ws();
             self.expect(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let v = self.value()?;
-            members.push((key, v));
+            member(self, key, raw)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                _ => return self.fail("expected ',' or '}' in object"),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    /// Walks one array; `item` consumes each element.
+    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Step<()>) -> Step<()> {
         self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+                    return Ok(());
                 }
-                _ => return Err(self.err("expected ',' or ']' in array")),
+                _ => return self.fail("expected ',' or ']' in array"),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
+    fn hex4(&mut self) -> Step<u32> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let d = self
-                .peek()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = (d as char)
-                .to_digit(16)
-                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            let Some(d) = self.peek() else {
+                return self.fail("truncated \\u escape");
+            };
+            let Some(d) = (d as char).to_digit(16) else {
+                return self.fail("invalid \\u escape");
+            };
             v = v * 16 + d;
             self.pos += 1;
         }
         Ok(v)
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    fn string<T: Text>(&mut self) -> Step<T> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let mut out = T::default();
         loop {
-            let b = self.peek().ok_or_else(|| self.err("unterminated string"))?;
-            match b {
-                b'"' => {
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+                .unwrap_or(rest.len());
+            if run > 0 {
+                out.push_run(&rest[..run]);
+                self.pos += run;
+            }
+            match self.peek() {
+                None => return self.fail("unterminated string"),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(b'\\') => {
                     self.pos += 1;
-                    let e = self.peek().ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let cp = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: require the low half.
-                                if self.peek() != Some(b'\\') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                if self.peek() != Some(b'u') {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 1;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| self.err("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    let c = self.escape()?;
+                    out.push_char(c);
                 }
-                0x00..=0x1f => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Copy one UTF-8 scalar (input is &str, so it's valid).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    #[allow(clippy::expect_used, reason = "a &str cut at scalar bounds")]
-                    out.push_str(std::str::from_utf8(&self.bytes[start..end]).expect("valid utf8"));
-                    self.pos = end;
-                }
+                Some(_) => return self.fail("raw control character in string"),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Step<char> {
+        let Some(e) = self.peek() else {
+            return self.fail("truncated escape");
+        };
+        self.pos += 1;
+        Ok(match e {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{08}',
+            b'f' => '\u{0c}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => {
+                let hi = self.hex4()?;
+                let cp = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if self.peek() != Some(b'\\') {
+                        return self.fail("unpaired surrogate");
+                    }
+                    self.pos += 1;
+                    if self.peek() != Some(b'u') {
+                        return self.fail("unpaired surrogate");
+                    }
+                    self.pos += 1;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return self.fail("invalid low surrogate");
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                match char::from_u32(cp) {
+                    Some(c) => c,
+                    None => return self.fail("invalid unicode escape"),
+                }
+            }
+            _ => return self.fail("unknown escape"),
+        })
+    }
+
+    /// Scans one number, refusing it unless RFC 8259 allows it:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, not followed by
+    /// another number byte. So the token is still cut as the longest run
+    /// of `[0-9.eE+-]`, and `05`, `1.`, `1.e2` and `01.5` are invalid
+    /// numbers, as `.5` and `+1` never start a value.
+    fn number(&mut self) -> Step<()> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
+        let first = self.peek();
+        let int = self.digits();
+        let mut valid = int == 1 || (int > 1 && first != Some(b'0'));
+        if valid && self.peek() == Some(b'.') {
+            self.pos += 1;
+            valid = self.digits() > 0;
+        }
+        if valid && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            valid = self.digits() > 0;
+        }
+        let more = matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
+        );
+        if !valid || more {
+            return self.fail_at(start, "invalid number");
+        }
+        Ok(())
+    }
+
+    /// Skips a run of decimal digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        #[allow(clippy::expect_used, reason = "the scan above took only ASCII bytes")]
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| JsonError {
-                pos: start,
-                msg: "invalid number",
-            })
+        self.pos - start
     }
 }
 
@@ -1234,6 +1388,28 @@ mod tests {
     }
 
     #[test]
+    fn integral_floats_print_the_digits_display_prints() {
+        let limit = MAX_SAFE_INT as f64;
+        for v in [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e15,
+            -123.0,
+            limit,
+            -limit,
+            limit + 2.0,
+            0.5,
+            -2.5e-7,
+        ] {
+            let mut w = JsonWriter::new();
+            w.number(v);
+            assert_eq!(w.finish(), format!("{v}"), "{v:?}");
+        }
+    }
+
+    #[test]
     fn pretty_output_is_indented_and_reparses() {
         let mut w = JsonWriter::pretty();
         w.begin_object();
@@ -1289,6 +1465,100 @@ mod tests {
         assert!(parse("[1] x").is_err());
         assert!(parse(r#""unterminated"#).is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn parser_refuses_numbers_json_forbids() {
+        for (doc, at) in [
+            ("05", 0),
+            ("1.", 0),
+            ("1.e2", 0),
+            ("01.5", 0),
+            ("-", 0),
+            ("-01", 0),
+            ("--1", 0),
+            ("1e", 0),
+            ("1e+", 0),
+            ("1.5.2", 0),
+            ("1e5-3", 0),
+            ("[1,02]", 3),
+            (r#"{"id":05}"#, 6),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!((err.pos, err.msg), (at, "invalid number"), "{doc}");
+        }
+        for (doc, want) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("10", 10.0),
+            ("1e2", 100.0),
+            ("1E+2", 100.0),
+            ("-1.25e-2", -0.0125),
+        ] {
+            assert_eq!(parse(doc).map(|v| v.as_f64()), Ok(Some(want)), "{doc}");
+        }
+        // `.5` and `+1` never start a value.
+        assert_eq!(parse(".5").unwrap_err().msg, "expected a JSON value");
+        assert_eq!(parse("+1").unwrap_err().msg, "expected a JSON value");
+    }
+
+    #[test]
+    fn split_members_checks_what_parse_checks_and_hands_out_raw_bytes() {
+        let deep = format!("{}1{}", "[".repeat(65), "]".repeat(65));
+        let deep_member = format!(r#"{{"id":{}1{}}}"#, "[".repeat(64), "]".repeat(64));
+        let corpus = [
+            r#"{"id":1,"method":"run","params":{"a":[1,2.5e3,"x"]}}"#,
+            r#" { "b" : "\u0041\n" , "c":[ ] ,"d":{ } } "#,
+            r#"{"p\u0061rams":1}"#,
+            r#"{"k":"😀\ud83d\ude00"}"#,
+            "[1,2]",
+            "\"s\"",
+            "-0",
+            "true",
+            "null",
+            "",
+            "{",
+            "{}x",
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{1:2}"#,
+            "[1,]",
+            "[1 2]",
+            "nul",
+            "tru",
+            "05",
+            "1.",
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\udc00""#,
+            r#""\x""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+            "\"a\u{1}\"",
+            "\"unterminated",
+            "\"tab\there\"",
+            &deep,
+            &deep_member,
+        ];
+        for doc in corpus {
+            let skipped = split_members(doc, |_, _| {});
+            assert_eq!(skipped, parse(doc).map(|_| ()), "{doc:?}");
+        }
+        let mut members = Vec::new();
+        let doc = r#" { "id" : [1, {"a":2}] ,"p\u0061rams":{ "x": "y" },"n":-1.5e2 } "#;
+        split_members(doc, |k, v| members.push((k, v))).expect("valid");
+        assert_eq!(
+            members,
+            [
+                ("id", r#"[1, {"a":2}]"#),
+                ("p\\u0061rams", r#"{ "x": "y" }"#),
+                ("n", "-1.5e2"),
+            ]
+        );
+        let mut count = 0;
+        split_members(r#"[{"a":1}]"#, |_, _| count += 1).expect("valid");
+        assert_eq!(count, 0, "an array has no members");
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! Cached reports are spliced into responses **verbatim**: the `report`
 //! member of a cache hit is the exact byte string the first run
 //! produced. Everything around it is assembled with the `memnet-obs`
-//! JSON writer.
+//! JSON writer. A repeat `run` is answered from the request's own bytes
+//! ([`Server::handle_line`]); every other line is parsed.
 //!
 //! Like the engine pool, the daemon times real work (`busy_ms` in
 //! `stats`): the one `Instant::now` and the thread sites each carry an
@@ -24,6 +25,7 @@
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
 use memnet_engine::{run_jobs_observed, PoolConfig};
+use memnet_obs::json::split_members;
 use memnet_obs::{parse, Field, Fields, JsonValue, JsonWriter, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
@@ -76,8 +78,21 @@ fn json_str(s: &str) -> String {
     w.finish()
 }
 
+/// `{"id":<id>,"result":<body>}`, with `body` written straight into the
+/// reply: one buffer, sized for `body_len` bytes of result and the
+/// newline the transport appends.
+fn ok_reply(id: &str, body_len: usize, body: impl FnOnce(&mut String)) -> String {
+    let mut out = String::with_capacity(id.len() + body_len + 18);
+    out.push_str("{\"id\":");
+    out.push_str(id);
+    out.push_str(",\"result\":");
+    body(&mut out);
+    out.push('}');
+    out
+}
+
 fn ok_line(id: &str, result_body: &str) -> String {
-    format!("{{\"id\":{id},\"result\":{result_body}}}")
+    ok_reply(id, result_body.len(), |out| out.push_str(result_body))
 }
 
 fn err_line(id: &str, message: &str) -> String {
@@ -87,9 +102,26 @@ fn err_line(id: &str, message: &str) -> String {
     )
 }
 
-/// The `run` result body; `report` is spliced verbatim.
-fn run_body(cached: bool, fingerprint: u64, report: &str) -> String {
-    format!("{{\"cached\":{cached},\"fingerprint\":\"{fingerprint:016x}\",\"report\":{report}}}")
+/// Bytes of a `run` result besides its report.
+const RUN_BODY_BYTES: usize = 59;
+
+/// Writes the `run` result; `report` is spliced verbatim.
+fn run_body(out: &mut String, cached: bool, fingerprint: u64, report: &str) {
+    out.push_str(if cached {
+        "{\"cached\":true"
+    } else {
+        "{\"cached\":false"
+    });
+    out.push_str(",\"fingerprint\":\"");
+    // `{fingerprint:016x}` without the formatting machinery.
+    for shift in (0..16).rev() {
+        out.push(char::from(
+            b"0123456789abcdef"[(fingerprint >> (4 * shift)) as usize & 0xf],
+        ));
+    }
+    out.push_str("\",\"report\":");
+    out.push_str(report);
+    out.push('}');
 }
 
 /// One entry of a `batch` result; `report` is spliced verbatim.
@@ -118,6 +150,40 @@ fn spec_of(params: Field, parsed: Option<JobSpec>) -> Result<JobSpec, String> {
     parsed.map_or_else(|| JobSpec::from_field(params), Ok)
 }
 
+/// A request line's envelope as sent: the raw bytes of its `id`, `method`
+/// and `params` values.
+#[derive(Default)]
+struct Envelope<'a> {
+    id: Option<&'a str>,
+    method: Option<&'a str>,
+    params: Option<&'a str>,
+}
+
+impl<'a> Envelope<'a> {
+    /// Splits a line that `parse` accepts and whose top-level keys are
+    /// `id`, `method` and `params`, each spelled without escapes and at
+    /// most once. Any other line has no envelope here: `dispatch` reads
+    /// it, and refuses it or decodes what the bytes spell.
+    fn split(line: &'a str) -> Option<Envelope<'a>> {
+        let mut envelope = Envelope::default();
+        let mut plain = true;
+        split_members(line, |key, value| {
+            let slot = match key {
+                "id" => &mut envelope.id,
+                "method" => &mut envelope.method,
+                "params" => &mut envelope.params,
+                _ => {
+                    plain = false;
+                    return;
+                }
+            };
+            plain &= slot.replace(value).is_none();
+        })
+        .ok()?;
+        plain.then_some(envelope)
+    }
+}
+
 /// How one job of a request was served.
 struct Served {
     cached: bool,
@@ -144,8 +210,9 @@ enum Slot {
 pub struct Server {
     pool: PoolConfig,
     cache: ResultCache,
-    /// Fingerprint of each params value already parsed, keyed by its
-    /// compact re-serialization (see [`Server::resolve`]).
+    /// Fingerprint of each params value already parsed, keyed by an
+    /// exact spelling of it: for a `run`, the bytes it was sent as (see
+    /// [`Server::resolve`]).
     memo: BTreeMap<String, u64>,
     /// Summed length of the memo's keys.
     memo_bytes: usize,
@@ -179,21 +246,65 @@ impl Server {
     /// Handles one request line, producing one response line. The
     /// envelope is read as strictly as the job inside it: an unknown or
     /// duplicate key (`"parms"`) is an error reply, never a default job.
+    ///
+    /// A `run` whose params bytes this server has resolved before, and
+    /// whose report is still cached, is answered from the line's bytes
+    /// without a parse; every other line, each refusal and each miss
+    /// included, goes through the parse.
     pub fn handle_line(&mut self, line: &str) -> Reply {
+        let envelope = Envelope::split(line);
+        if let Some(text) = envelope.as_ref().and_then(|e| self.memo_hit(e)) {
+            return Reply {
+                text,
+                shutdown: false,
+            };
+        }
+        self.dispatched(line, envelope.and_then(|e| e.params))
+    }
+
+    /// The reply `dispatch` makes for `line`, whose params were sent as
+    /// `raw_params` when its envelope split.
+    fn dispatched(&mut self, line: &str, raw_params: Option<&str>) -> Reply {
         let mut shutdown = false;
         let mut id = String::from("null");
-        let text = match self.dispatch(line, &mut id, &mut shutdown) {
+        let text = match self.dispatch(line, raw_params, &mut id, &mut shutdown) {
             Ok(body) => ok_line(&id, &body),
             Err(e) => err_line(&id, &e),
         };
         Reply { text, shutdown }
     }
 
+    /// Answers a cached `run` without a tree: it needs `method` spelled
+    /// exactly `"run"`, params bytes the memo holds and their fingerprint
+    /// in the cache, and writes what `dispatch` would, into one buffer.
+    /// The id is echoed re-written, as `dispatch` echoes it (`1.50` as
+    /// `1.5`). A memo entry whose report was evicted answers `None`, and
+    /// `dispatch` runs the job again; the lookup that found nothing only
+    /// advanced the cache's recency clock, which orders entries and
+    /// nothing else.
+    fn memo_hit(&mut self, envelope: &Envelope) -> Option<String> {
+        if envelope.method != Some("\"run\"") {
+            return None;
+        }
+        let &fingerprint = self.memo.get(envelope.params?)?;
+        let id = match envelope.id {
+            Some(raw) => json_of(&parse(raw).ok()?),
+            None => "null".to_string(),
+        };
+        let report = self.cache.get(fingerprint)?;
+        self.metrics.add("cache.hit", 1);
+        Some(ok_reply(&id, report.len() + RUN_BODY_BYTES, |out| {
+            run_body(out, true, fingerprint, &report);
+        }))
+    }
+
     /// Reads the envelope and runs the method; `id` is filled in as soon
-    /// as it is known so an error reply can still echo it.
+    /// as it is known so an error reply can still echo it. `raw_params`
+    /// is what the line's `params` were sent as, when its envelope split.
     fn dispatch(
         &mut self,
         line: &str,
+        raw_params: Option<&str>,
         id: &mut String,
         shutdown: &mut bool,
     ) -> Result<String, String> {
@@ -209,15 +320,17 @@ impl Server {
         envelope.finish()?;
         let body = match method {
             "run" => {
-                let (mut served, _) = self.serve(vec![params]);
+                let (mut served, _) = self.serve(vec![(params, raw_params)]);
                 let s = served
                     .pop()
                     .unwrap_or_else(|| Err("no job was served".into()))?;
-                return Ok(run_body(s.cached, s.fingerprint, &s.report));
+                let mut body = String::with_capacity(s.report.len() + RUN_BODY_BYTES);
+                run_body(&mut body, s.cached, s.fingerprint, &s.report);
+                return Ok(body);
             }
             "batch" => {
                 let batch = Fields::new(params.value(), "params")?;
-                let jobs = batch.req("jobs")?.list(Ok)?;
+                let jobs = batch.req("jobs")?.list(|job| Ok((job, None)))?;
                 batch.finish()?;
                 return Ok(self.run_batch(jobs));
             }
@@ -237,18 +350,32 @@ impl Server {
     /// parse nor a fingerprint; otherwise the spec is parsed and returned
     /// beside its address, so a miss does not parse it twice.
     ///
-    /// The memo key is the value's compact re-serialization: whitespace
-    /// does not matter, key order does. The writer is one-to-one on every
-    /// value a parse accepts (the one value it writes lossily, a
-    /// non-finite number, is refused by every reader, as `null` is), and
-    /// only an accepted value is memoized, so a refused one is refused
-    /// every time. A job naming a `workload_file` is never memoized: the
-    /// file can change between requests. The memo is cleared before it
-    /// would pass [`MEMO_PER_ENTRY`] × the cache capacity entries or
+    /// The memo key is an exact spelling of the value: `raw`, the bytes
+    /// it was sent as, when the envelope split gave them (a `run`), and
+    /// its compact re-serialization otherwise (a `batch` job, a `run`
+    /// whose envelope spells a key with escapes, a default `{}`). Both
+    /// parse back to the value, so one map holds either, and two
+    /// spellings of one value are two entries with one fingerprint:
+    /// whitespace and key order both split a key. Only an accepted value
+    /// is memoized, so a refused one is refused every time. A job naming
+    /// a `workload_file` is never memoized: the file can change between
+    /// requests. The memo is cleared before it would pass
+    /// [`MEMO_PER_ENTRY`] × the cache capacity entries or
     /// [`MEMO_KEY_BYTES`] of keys.
-    fn resolve(&mut self, params: Field) -> Result<(u64, Option<JobSpec>), String> {
-        let key = json_of(params.value());
-        if let Some(&fingerprint) = self.memo.get(&key) {
+    fn resolve(
+        &mut self,
+        params: Field,
+        raw: Option<&str>,
+    ) -> Result<(u64, Option<JobSpec>), String> {
+        let compact;
+        let key = match raw {
+            Some(raw) => raw,
+            None => {
+                compact = json_of(params.value());
+                &compact
+            }
+        };
+        if let Some(&fingerprint) = self.memo.get(key) {
             return Ok((fingerprint, None));
         }
         let spec = JobSpec::from_field(params)?;
@@ -261,7 +388,7 @@ impl Server {
                 self.memo_bytes = 0;
             }
             self.memo_bytes += key.len();
-            self.memo.insert(key, fingerprint);
+            self.memo.insert(key.to_string(), fingerprint);
         }
         Ok((fingerprint, Some(spec)))
     }
@@ -270,14 +397,14 @@ impl Server {
     /// cached one a hit, and the rest run on the pool once each — a
     /// duplicate of an earlier miss is deduplicated onto it. Returns each
     /// job's outcome and the number deduplicated. A `run` request is a
-    /// batch of one.
-    fn serve(&mut self, jobs: Vec<Field>) -> (Vec<Result<Served, String>>, u64) {
+    /// batch of one. Each job comes with its raw params bytes, if known.
+    fn serve(&mut self, jobs: Vec<(Field, Option<&str>)>) -> (Vec<Result<Served, String>>, u64) {
         let mut slots = Vec::with_capacity(jobs.len());
         let mut unique: Vec<JobSpec> = Vec::new();
         let mut unique_fps: Vec<u64> = Vec::new();
         let mut deduped = 0u64;
-        for job in jobs {
-            let (fingerprint, parsed) = match self.resolve(job) {
+        for (job, raw) in jobs {
+            let (fingerprint, parsed) = match self.resolve(job, raw) {
                 Ok(resolved) => resolved,
                 Err(e) => {
                     slots.push(Slot::Done(Err(e)));
@@ -345,7 +472,7 @@ impl Server {
         (served, deduped)
     }
 
-    fn run_batch(&mut self, jobs: Vec<Field>) -> String {
+    fn run_batch(&mut self, jobs: Vec<(Field, Option<&str>)>) -> String {
         let (served, deduped) = self.serve(jobs);
         let entries: Vec<String> = served
             .iter()
@@ -423,24 +550,26 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// the daemon is stopping.
 const POLL: Duration = Duration::from_millis(50);
 
-/// Writes `text` and a newline. A write that times out keeps what it sent
-/// and is retried, so a slow reader still gets the whole line, until
-/// `stopped()` answers true: then the timeout is returned and ends the
-/// session.
-fn send_line(writer: &mut impl Write, text: &str, stopped: &impl Fn() -> bool) -> io::Result<()> {
-    for mut rest in [text.as_bytes(), b"\n"] {
-        while !rest.is_empty() {
-            match writer.write(rest) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => rest = &rest[n..],
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if stopped() {
-                        return Err(e);
-                    }
+/// Writes `text` and its newline in one write, so a TCP peer does not
+/// wait out its delayed ACK for a lone newline. A write that times out
+/// keeps what it sent and is retried, so a slow reader still gets the
+/// whole line, until `stopped()` answers true: then the timeout is
+/// returned and ends the session.
+fn send_line(writer: &mut impl Write, text: String, stopped: &impl Fn() -> bool) -> io::Result<()> {
+    let mut line = text.into_bytes();
+    line.push(b'\n');
+    let mut rest = &line[..];
+    while !rest.is_empty() {
+        match writer.write(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stopped() {
+                    return Err(e);
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
             }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     writer.flush()
@@ -480,7 +609,7 @@ fn serve_session(
         if !too_long && line.len() + take > MAX_LINE_BYTES {
             too_long = true;
             let why = format!("bad request: line exceeds the {MAX_LINE_BYTES}-byte limit");
-            send_line(&mut writer, &err_line("null", &why), &stopped)?;
+            send_line(&mut writer, err_line("null", &why), &stopped)?;
         }
         if !too_long {
             line.extend_from_slice(&buf[..take]);
@@ -496,7 +625,7 @@ fn serve_session(
             std::str::from_utf8(&line).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))?;
         if !text.trim().is_empty() {
             let reply = handle(text);
-            send_line(&mut writer, &reply.text, &stopped)?;
+            send_line(&mut writer, reply.text, &stopped)?;
             if reply.shutdown {
                 return Ok(true);
             }
@@ -537,6 +666,8 @@ fn handle_conn(
     // shutdown.
     conn.set_read_timeout(Some(POLL))?;
     conn.set_write_timeout(Some(POLL))?;
+    // Each reply is one write; nothing is gained by holding it back.
+    conn.set_nodelay(true)?;
     let shutdown = serve_session(
         BufReader::new(conn.try_clone()?),
         conn,
@@ -653,50 +784,60 @@ mod tests {
         assert!(r.shutdown);
     }
 
+    /// Lines refused before any id is known or whose reply names no field,
+    /// each with what its reply says.
+    const UNREADABLE: [(&str, &str); 4] = [
+        ("not json", "bad request"),
+        (r#"{"id":1}"#, "missing field 'method'"),
+        (r#"{"id":1,"method":"warp"}"#, "unknown method"),
+        // JSON numbers have no leading zeros, so `02` is refused.
+        (
+            r#"{"id":1,"method":"run","params":{"gpus":02}}"#,
+            "JSON error at byte 40: invalid number",
+        ),
+    ];
+
+    /// Envelopes refused by what they hold, each with what its reply says.
+    const REFUSED: [(&str, &str); 7] = [
+        (
+            r#"{"id":1,"method":"run","params":{"gpu":2}}"#,
+            "unknown field 'params.gpu'",
+        ),
+        (
+            r#"{"id":1,"method":"run","parms":{"gpus":2}}"#,
+            "unknown field 'parms'",
+        ),
+        (
+            r#"{"id":1,"method":"ping","method":"shutdown"}"#,
+            "duplicate field 'method'",
+        ),
+        (
+            r#"{"id":1,"method":"run","params":[]}"#,
+            "'params' must be an object",
+        ),
+        (
+            r#"{"id":1,"method":"stats","params":{"verbose":true}}"#,
+            "unknown field 'params.verbose'",
+        ),
+        (
+            r#"{"id":1,"method":"batch","params":{"jobs":[],"job":[]}}"#,
+            "unknown field 'params.job'",
+        ),
+        (
+            r#"{"id":1,"method":"batch","params":{}}"#,
+            "missing field 'params.jobs'",
+        ),
+    ];
+
     #[test]
     fn malformed_requests_are_errors_not_panics() {
         let mut s = server();
-        assert!(s.handle_line("not json").text.contains("bad request"));
-        assert!(s
-            .handle_line(r#"{"id":1}"#)
-            .text
-            .contains("missing field 'method'"));
-        assert!(s
-            .handle_line(r#"{"id":1,"method":"warp"}"#)
-            .text
-            .contains("unknown method"));
+        for (line, want) in UNREADABLE {
+            assert!(s.handle_line(line).text.contains(want), "{line}");
+        }
         // The envelope is as strict as the job: a typo'd or repeated key
         // is an error reply that still echoes the id, never a default run.
-        for (line, want) in [
-            (
-                r#"{"id":1,"method":"run","params":{"gpu":2}}"#,
-                "unknown field 'params.gpu'",
-            ),
-            (
-                r#"{"id":1,"method":"run","parms":{"gpus":2}}"#,
-                "unknown field 'parms'",
-            ),
-            (
-                r#"{"id":1,"method":"ping","method":"shutdown"}"#,
-                "duplicate field 'method'",
-            ),
-            (
-                r#"{"id":1,"method":"run","params":[]}"#,
-                "'params' must be an object",
-            ),
-            (
-                r#"{"id":1,"method":"stats","params":{"verbose":true}}"#,
-                "unknown field 'params.verbose'",
-            ),
-            (
-                r#"{"id":1,"method":"batch","params":{"jobs":[],"job":[]}}"#,
-                "unknown field 'params.job'",
-            ),
-            (
-                r#"{"id":1,"method":"batch","params":{}}"#,
-                "missing field 'params.jobs'",
-            ),
-        ] {
+        for (line, want) in REFUSED {
             let r = s.handle_line(line);
             assert!(
                 r.text.starts_with(r#"{"id":1,"error":"#) && r.text.contains(want),
@@ -839,7 +980,7 @@ mod tests {
                 memnet_wdl::spec_to_json(&spec)
             );
             let value = parse(&params).expect("params parse");
-            s.resolve(Field::root(&value, "params"))
+            s.resolve(Field::root(&value, "params"), Some(&params))
                 .expect("a valid job");
             let held: usize = s.memo.keys().map(String::len).sum();
             assert_eq!(held, s.memo_bytes);
@@ -851,9 +992,163 @@ mod tests {
         let params = format!(r#"{{"model":{}}}"#, memnet_wdl::spec_to_json(&spec));
         let value = parse(&params).expect("params parse");
         let before = s.memo.len();
-        s.resolve(Field::root(&value, "params"))
+        s.resolve(Field::root(&value, "params"), Some(&params))
             .expect("a valid job");
         assert_eq!(s.memo.len(), before);
+    }
+
+    #[test]
+    fn a_hit_answered_from_the_bytes_is_the_reply_dispatch_makes() {
+        // One server answers through `handle_line`, the other through
+        // `dispatch` alone; every reply and the final counters must agree.
+        // A one-entry cache lets `b` evict `a` near the end.
+        use memnet_workloads::Workload;
+        let cfg = ServeConfig {
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        };
+        let (mut fast, mut slow) = (Server::new(&cfg), Server::new(&cfg));
+        let a = r#"{"org":"gmn","workload":"vecadd","small":true,"gpus":2,"sms":2}"#;
+        let b = r#"{"org":"gmn","workload":"vecadd","small":true,"gpus":2,"sms":4}"#;
+        let spaced = a.replace(',', " , ").replace(':', " : ");
+        let model = memnet_wdl::spec_to_json(&Workload::VecAdd.spec_small());
+        let with_model = format!(r#"{{"org":"gmn","gpus":2,"sms":2,"model":{model}}}"#);
+        let path =
+            std::env::temp_dir().join(format!("memnet-fast-path-{}.json", std::process::id()));
+        std::fs::write(&path, &model).expect("write the model");
+        let file = path.to_str().expect("temp path is utf-8");
+        let with_file = format!(r#"{{"org":"gmn","gpus":2,"sms":2,"workload_file":"{file}"}}"#);
+        let run =
+            |id: &str, params: &str| format!(r#"{{"id":{id},"method":"run","params":{params}}}"#);
+        // An id at the deepest nesting `parse` accepts, and one level past.
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+
+        let mut lines = vec![run("1", a)];
+        for id in [
+            "null",
+            "true",
+            "false",
+            "-0",
+            "1.50",
+            "1e2",
+            r#""\u0041""#,
+            r#"[1,{"a":2}]"#,
+            "{}",
+        ] {
+            lines.push(run(id, a));
+        }
+        lines.push(format!(r#"{{"method":"run","params":{a}}}"#));
+        let members = [
+            r#""id":7"#,
+            r#""method":"run""#,
+            &format!(r#""params":{a}"#),
+        ];
+        for [i, j, k] in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let (x, y, z) = (members[i], members[j], members[k]);
+            lines.push(format!("{{{x},{y},{z}}}"));
+            let spread = |m: &str| m.replacen(':', " \t:\r\n ", 1);
+            lines.push(format!(
+                " {{ {} , {} ,\n{} }} ",
+                spread(x),
+                spread(y),
+                spread(z)
+            ));
+        }
+        for params in [
+            spaced.as_str(),
+            &spaced,
+            &with_model,
+            &with_model,
+            &with_file,
+            &with_file,
+        ] {
+            lines.push(run("2", params));
+        }
+        lines.extend([
+            format!(r#"{{"id":3,"method":"r\u0075n","params":{a}}}"#),
+            format!(r#"{{"id":3,"method":"run","p\u0061rams":{a}}}"#),
+            format!(r#"{{"\u0069d":3,"method":"run","params":{a}}}"#),
+            format!(r#"{{"id":4,"method":"run","params":{a},"params":{a}}}"#),
+            format!(r#"{{"id":4,"id":5,"method":"run","params":{a}}}"#),
+            format!(r#"{{"id":4,"method":"run","params":{a},"extra":1}}"#),
+            format!(r#"{{"id":4,"method":"run","params":{a}}} x"#),
+            format!(r#"{{"id":4,"method":"run","params":{a}}}}}"#),
+            format!(r#"{{"id":4,"method":"run","params":{a}"#),
+            format!(r#"{{"id":4,"method":"run ","params":{a}}}"#),
+            format!(r#"{{"id":4,"method":"RUN","params":{a}}}"#),
+            format!(r#"{{"id":4,"method":["run"],"params":{a}}}"#),
+            format!(r#"{{"id":4,"method":"ping","params":{a}}}"#),
+            format!(r#"{{"id":4,"method":"batch","params":{a}}}"#),
+            run(&nested(63), a),
+            run(&nested(64), a),
+            run("05", a),
+            format!(r#"[{a}]"#),
+            a.to_string(),
+            r#"{"id":6,"method":"ping"}"#.to_string(),
+            format!(r#"{{"id":7,"method":"batch","params":{{"jobs":[{a},{spaced},{with_model},{with_file}]}}}}"#),
+            r#"{"id":8,"method":"shutdown"}"#.to_string(),
+        ]);
+        lines.extend(
+            UNREADABLE
+                .iter()
+                .chain(&REFUSED)
+                .map(|(line, _)| line.to_string()),
+        );
+        // `spaced` fills the two-entry memo, so `a` then clears it and
+        // stays in it while `b` evicts its report: `a`'s next request
+        // falls through and runs again, and the one after that is a hit.
+        lines.extend([
+            run("9", &spaced),
+            run("10", a),
+            run("11", b),
+            run("12", a),
+            run("13", a),
+        ]);
+
+        let mut answered = 0;
+        for line in &lines {
+            // A cached reply to params bytes the memo held beforehand is
+            // one the fast path gave.
+            let known = Envelope::split(line)
+                .filter(|e| e.method == Some("\"run\""))
+                .and_then(|e| fast.memo.get(e.params?).copied());
+            let want = slow.dispatched(line, None);
+            let got = fast.handle_line(line);
+            assert_eq!(got, want, "{line}");
+            if known.is_some() && got.text.contains("\"cached\":true") {
+                answered += 1;
+                assert!(got.text.capacity() > got.text.len(), "room for the newline");
+            }
+        }
+        std::fs::remove_file(&path).expect("clean up the model");
+        for counter in [
+            "cache.hit",
+            "cache.miss",
+            "cache.evict",
+            "cache.dedup",
+            "pool.jobs",
+        ] {
+            let (got, want) = (
+                fast.metrics().counter(counter),
+                slow.metrics().counter(counter),
+            );
+            assert_eq!(got, want, "{counter}");
+        }
+        assert_eq!(
+            fast.metrics().counter("cache.miss"),
+            3,
+            "a, b and a again ran"
+        );
+        // Nine ids, no id, twelve envelope spellings, the second of the
+        // spaced params and of the model, the deepest id and the last `a`.
+        assert_eq!(answered, 26, "lines answered from the bytes");
     }
 
     /// Accepts at most three bytes per call and times out on every other

@@ -29,7 +29,9 @@ fn main() {
     let mut rpc = |line: &str| -> String {
         let mut conn = &conn;
         println!("→ {line}");
-        writeln!(conn, "{line}").expect("send request");
+        // One write per request line, its newline included.
+        conn.write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
         let mut response = String::new();
         reader.read_line(&mut response).expect("read response");
         let response = response.trim_end().to_string();

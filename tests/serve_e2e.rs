@@ -107,9 +107,9 @@ fn inline_models_share_the_cache_with_their_builtin_twin() {
 
 #[test]
 fn a_key_order_variant_of_a_cached_job_is_a_hit() {
-    // The params → fingerprint memo is keyed by the compact
-    // re-serialization of `params`: spaces change nothing, and another
-    // key order parses to the same fingerprint, so both are hits.
+    // The params → fingerprint memo is keyed by the bytes `params` was
+    // sent as: a spaced or reordered spelling misses it, parses to the
+    // same fingerprint and so hits the cache.
     let mut server = Server::new(&ServeConfig::default());
     let cold = server.handle_line(&run_request(1)).text;
     assert!(cold.contains("\"cached\":false"), "{cold}");
@@ -199,9 +199,12 @@ fn spawn_daemon() -> (SocketAddr, std::thread::JoinHandle<()>) {
 }
 
 /// Sends one request line and reads its one reply line. Requests and
-/// replies alternate, so a reader per call leaves nothing behind.
+/// replies alternate, so a reader per call leaves nothing behind. The
+/// line and its newline go in one write: `writeln!` may split them, and
+/// a lone newline can wait out the daemon's delayed ACK.
 fn ask(mut conn: &TcpStream, line: &str) -> String {
-    writeln!(conn, "{line}").expect("send request");
+    conn.write_all(format!("{line}\n").as_bytes())
+        .expect("send request");
     let mut response = String::new();
     BufReader::new(conn)
         .read_line(&mut response)
@@ -230,6 +233,29 @@ fn tcp_daemon_serves_and_shuts_down() {
     );
     let bye = send(r#"{"id":4,"method":"shutdown"}"#);
     assert!(bye.contains("\"ok\":true"), "{bye}");
+    handle.join().expect("daemon thread exits after shutdown");
+}
+
+#[test]
+fn cached_hits_over_tcp_do_not_wait_for_delayed_acks() {
+    // The daemon wrote each reply and then its newline, with Nagle's
+    // algorithm on, so the newline waited for the peer's delayed ACK:
+    // about 44 ms a round trip, 2.2 s for these fifty.
+    let (addr, handle) = spawn_daemon();
+    let conn = TcpStream::connect(addr).expect("connect to the daemon");
+    let cold = ask(&conn, &run_request(0));
+    assert!(cold.contains("\"cached\":false"), "{cold}");
+    let started = Instant::now();
+    for id in 1..=50 {
+        let warm = ask(&conn, &run_request(id));
+        assert!(warm.contains("\"cached\":true"), "{warm}");
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "50 cached round trips took {took:?}"
+    );
+    ask(&conn, r#"{"id":51,"method":"shutdown"}"#);
     handle.join().expect("daemon thread exits after shutdown");
 }
 
