@@ -35,8 +35,11 @@
 use memnet_common::time::Fs;
 use memnet_obs::json::{parse, Fields, JsonValue, Snap, ToJson};
 
-/// Snapshot format version, bumped on any encoding change.
-const FORMAT_VERSION: u64 = 1;
+/// Snapshot format version, bumped on any encoding change. Version 2
+/// records only the cache ways a run touched and drops the network's
+/// event sequence number; version 1 documents are still read (each
+/// owner's reader takes either form of its record).
+const FORMAT_VERSION: u64 = 2;
 
 memnet_obs::snap_struct! {
     /// The driver's fault and scheduling counters, which the header
@@ -96,7 +99,7 @@ impl Header {
     /// prefix phase times that add up past `now`.
     pub(crate) fn read(f: &Fields) -> Result<Header, String> {
         let version = f.req("memnet_snapshot")?.u64_str()?;
-        if version != FORMAT_VERSION {
+        if !(1..=FORMAT_VERSION).contains(&version) {
             return Err(format!(
                 "'memnet_snapshot': format version {version} is not supported \
                  (expected {FORMAT_VERSION})"
@@ -237,7 +240,8 @@ mod tests {
             .unwrap_err()
             .contains("memnet_snapshot"));
         for (from, to, want) in [
-            ("_snapshot\": \"1", "_snapshot\": \"2", "version 2"),
+            ("_snapshot\": \"2", "_snapshot\": \"3", "version 3"),
+            ("_snapshot\": \"2", "_snapshot\": \"0", "version 0"),
             ("\"now\": \"", "\"now\": \"x", "'now' must be"),
             ("\"now\": ", "\"now\": \"1\", \"now\": ", "duplicate"),
             (

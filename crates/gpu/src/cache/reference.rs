@@ -6,6 +6,7 @@
 //! outstanding line to its waiters in arrival order. Every probe result,
 //! [`MshrResult`], waiter list and snapshot row must agree.
 
+use super::tests::pages;
 use super::*;
 use memnet_common::SplitMix64;
 use memnet_obs::json::Field;
@@ -103,7 +104,19 @@ impl RefCache {
         }
     }
 
+    /// A row for each way that is not in its initial state.
     fn snapshot(&self) -> JsonValue {
+        let touched = (0u64..)
+            .zip(&self.ways)
+            .filter(|(_, w)| w.tag != 0 || w.valid || w.lru != 0);
+        let cells = touched.flat_map(|(i, w)| [i, w.tag, w.valid.into(), w.lru]);
+        let mut members = vec![("rows", snaps(cells)), ("tick", self.tick.snap())];
+        members.extend(self.stats.members());
+        JsonValue::object(members)
+    }
+
+    /// The version 1 record: every way as a `(tag, valid, lru)` row.
+    fn snapshot_v1(&self) -> JsonValue {
         let cells = self
             .ways
             .iter()
@@ -152,7 +165,8 @@ fn geometry(size_bytes: u64, assoc: u32, line_bytes: u32) -> CacheConfig {
 /// twice the cache's lines (at two address bases a terabyte apart),
 /// comparing every probe and, four times and at the end, the snapshot.
 /// Halfway, the cache under test is swapped for one restored from its
-/// own snapshot.
+/// own snapshot, and at three quarters for one restored from the
+/// reference's version 1 record; each holds the pages it replaced.
 fn cache_agrees(cfg: &CacheConfig, seed: u64) {
     let (mut c, mut r) = (Cache::new(cfg), RefCache::new(cfg));
     let mut rng = SplitMix64::new(seed);
@@ -178,10 +192,17 @@ fn cache_agrees(cfg: &CacheConfig, seed: u64) {
         if i % (ops / 4) == 0 {
             assert!(c.snapshot() == r.snapshot(), "snapshot, {at}");
         }
-        if i == ops / 2 {
-            c = Field::root(&c.snapshot(), "")
+        if i == ops / 2 || i == 3 * ops / 4 {
+            let record = if i == ops / 2 {
+                c.snapshot()
+            } else {
+                r.snapshot_v1()
+            };
+            let back = Field::root(&record, "")
                 .record(|f| Cache::new(cfg).restored(f))
-                .expect("a cache restores its own snapshot");
+                .expect("a cache restores its own snapshot and a version 1 record");
+            assert_eq!(pages(&back), pages(&c), "restored pages, {at}");
+            c = back;
         }
     }
     assert!(c.snapshot() == r.snapshot(), "final snapshot, seed {seed}");
@@ -203,6 +224,26 @@ fn caches_agree_with_the_flat_way_reference() {
     }
 }
 
+/// A version 1 record lists every way; only those that differ from a
+/// fresh way allocate their page.
+#[test]
+fn a_version_1_record_restores_only_the_touched_pages() {
+    let cfg = geometry(16 << 20, 16, 64); // the host's L2: 64 pages
+    let (mut c, mut r) = (Cache::new(&cfg), RefCache::new(&cfg));
+    // Sets 0 and 300: pages 0 and 1.
+    for addr in [0, 300 * 64] {
+        c.fill(addr);
+        r.fill(addr);
+    }
+    c.invalidate(0);
+    r.invalidate(0);
+    let back = Field::root(&r.snapshot_v1(), "")
+        .record(|f| Cache::new(&cfg).restored(f))
+        .expect("a version 1 record restores");
+    assert_eq!(pages(&back), [0, 1]);
+    assert!(back.snapshot() == c.snapshot());
+}
+
 #[test]
 fn an_invalidated_way_keeps_its_stale_tag_in_the_snapshot() {
     let cfg = geometry(1024, 2, 128);
@@ -218,11 +259,11 @@ fn an_invalidated_way_keeps_its_stale_tag_in_the_snapshot() {
     assert!(snap == r.snapshot());
     // Set 0's first way: line 0x1000 >> 7 = 32 over 4 sets is tag 8,
     // filled on tick 1, now invalid.
-    let Some(JsonValue::Array(ways)) = snap.get("ways") else {
-        panic!("ways is an array: {snap:?}");
+    let Some(JsonValue::Array(rows)) = snap.get("rows") else {
+        panic!("rows is an array: {snap:?}");
     };
-    let row: Vec<_> = ways[..3].iter().filter_map(JsonValue::as_str).collect();
-    assert_eq!(row, ["8", "0", "1"]);
+    let row: Vec<_> = rows[..4].iter().filter_map(JsonValue::as_str).collect();
+    assert_eq!(row, ["0", "8", "0", "1"]);
 }
 
 #[test]

@@ -302,7 +302,6 @@ impl Network {
             link_ports,
             failed_q: VecDeque::new(),
             events: CalendarQueue::new(),
-            seq: 0,
             cycle: 0,
             in_network: 0,
             ejects: 0,

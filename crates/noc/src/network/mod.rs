@@ -338,9 +338,6 @@ pub struct Network {
     failed_q: VecDeque<PacketId>,
 
     events: CalendarQueue<Ev>,
-    /// Events ever scheduled. Nothing orders by it any more (the queue's
-    /// buckets are FIFO), but the snapshot record carries it.
-    seq: u64,
     cycle: u64,
     in_network: u64,
     /// Packets waiting in eject queues for [`Network::poll_eject`].
@@ -439,11 +436,6 @@ impl Network {
     )]
     fn live(&mut self, pid: PacketId) -> &mut Packet {
         self.packets[pid as usize].as_mut().expect("live packet")
-    }
-
-    fn push_event(&mut self, cycle: u64, ev: Ev) {
-        self.seq += 1;
-        self.events.push(self.cycle, cycle, ev);
     }
 
     fn class_base(&self, class: MsgClass) -> usize {

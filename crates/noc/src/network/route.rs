@@ -169,7 +169,7 @@ impl Network {
             },
             Peer::Endpoint { idx } => Ev::CreditEp { ep: idx, vc, flits },
         };
-        self.push_event(self.cycle + 1, ev);
+        self.events.push(self.cycle, self.cycle + 1, ev);
         Some(pid)
     }
 

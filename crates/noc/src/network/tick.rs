@@ -124,7 +124,7 @@ impl Network {
             },
             Peer::Endpoint { idx } => Ev::ArriveEndpoint { ep: idx, pid },
         };
-        self.push_event(at, ev);
+        self.events.push(self.cycle, at, ev);
     }
 
     /// Tries to send one packet through output port `p` of router `r`.

@@ -7,6 +7,7 @@
 //! engines, the sanitizer's own report (the pins blank it), and the typed
 //! errors. Two reports agree when `a == b`: every field, floats exact.
 
+use memnet::obs::JsonValue;
 use memnet::sim::{EngineMode, Organization, SimBuilder};
 use memnet::workloads::Workload;
 
@@ -223,4 +224,81 @@ fn builder_errors_are_typed_not_panics() {
             "names the variable, the value and the accepted spellings: {msg}"
         );
     }
+}
+
+/// The version 1 form of a cache record: a dense `ways` array of `[tag,
+/// valid, lru]` rows, one per way, in place of the touched ways' `[index,
+/// tag, valid, lru]` rows.
+fn dense_cache_record(record: &mut JsonValue, ways: u64) {
+    let JsonValue::Object(members) = record else {
+        panic!("a cache record is an object");
+    };
+    let (key, value) = &mut members[0];
+    assert_eq!(key, "rows", "version 2 lists a cache's rows first");
+    let Some(rows) = value.as_array() else {
+        panic!("rows is an array");
+    };
+    let zero = JsonValue::String("0".into());
+    let mut dense = vec![zero; 3 * ways as usize];
+    for row in rows.chunks_exact(4) {
+        let index: usize = row[0]
+            .as_str()
+            .and_then(|s| s.parse().ok())
+            .expect("an index");
+        dense[3 * index..3 * index + 3].clone_from_slice(&row[1..]);
+    }
+    (*key, *value) = ("ways".into(), JsonValue::Array(dense));
+}
+
+#[test]
+fn a_version_1_snapshot_restores_like_its_version_2_original() {
+    use memnet::common::SystemConfig;
+    use memnet::obs::{parse, ToJson};
+    use memnet::sim::SystemSnapshot;
+    // A warm CPU, so the CPU caches hold rows at the boundary.
+    let mut warm = Workload::CgS.spec_small();
+    warm.host_pre = warm.host_post;
+    let b = || small(Organization::Gmn, Workload::CgS).workload(warm.clone());
+    let (straight, snap) = b().try_run_checkpointed("v1").expect("checkpoint");
+    let v2 = b().try_run_restored(&snap).expect("restore version 2");
+    assert_eq!(straight, v2);
+
+    let mut doc = parse(&snap.to_json_string()).expect("a snapshot parses");
+    let JsonValue::Object(members) = &mut doc else {
+        panic!("a snapshot is an object");
+    };
+    let cfg = SystemConfig::scaled();
+    let ways = |c: &memnet::common::config::CacheConfig| c.sets() * u64::from(c.assoc);
+    for (key, value) in members.iter_mut() {
+        match (key.as_str(), value) {
+            ("memnet_snapshot", v) => *v = JsonValue::String("1".into()),
+            ("gpus", JsonValue::Array(gpus)) => {
+                for gpu in gpus {
+                    let JsonValue::Object(g) = gpu else {
+                        panic!("a GPU record is an object");
+                    };
+                    let l2 = g.iter_mut().find(|m| m.0 == "l2").expect("an L2");
+                    dense_cache_record(&mut l2.1, ways(&cfg.gpu.l2));
+                }
+            }
+            ("cpu", JsonValue::Object(cpu)) => {
+                for (level, record) in cpu.iter_mut() {
+                    match level.as_str() {
+                        "l1" => dense_cache_record(record, ways(&cfg.cpu.l1)),
+                        "l2" => dense_cache_record(record, ways(&cfg.cpu.l2)),
+                        _ => {}
+                    }
+                }
+            }
+            // Version 1's network record carries its event count after
+            // the cycle.
+            ("net", JsonValue::Object(net)) => {
+                net.insert(1, ("seq".into(), JsonValue::String("4242".into())))
+            }
+            _ => {}
+        }
+    }
+    let v1 = SystemSnapshot::from_json(&doc.to_json()).expect("a version 1 header");
+    let restored = b().try_run_restored(&v1).expect("restore version 1");
+    assert_eq!(restored, v2);
 }

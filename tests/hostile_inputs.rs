@@ -85,23 +85,26 @@ fn mutated_job_params_are_refused_or_in_range() {
     }
 }
 
-/// The stock caches make an 11 MB snapshot; shrink them so hundreds of
-/// restores stay well inside the tier-1 budget, and the phase budget too,
-/// so a restored run a damaged value stalls ends quickly. The sanitizer
-/// records, never panics: a run from a corrupted state may well break a
-/// law.
+/// VecAdd after a warm CPU (host-pre is CG.S's host-post), so the CPU
+/// caches' records hold rows. The caches are shrunk to 8 KiB, so hundreds
+/// of restores stay well inside the tier-1 budget, and the phase budget
+/// too, so a restored run a damaged value stalls ends quickly. The
+/// sanitizer records, never panics: a run from a corrupted state may well
+/// break a law.
 fn snapshot_builder() -> SimBuilder {
     let mut cfg = SystemConfig::scaled();
     for cache in [&mut cfg.cpu.l1, &mut cfg.cpu.l2, &mut cfg.gpu.l2] {
         cache.size_bytes = 8 * 1024;
     }
+    let mut spec = Workload::VecAdd.spec_small();
+    spec.host_pre = Workload::CgS.spec_small().host_post;
     SimBuilder::new(Organization::Gmn)
         .config(cfg)
         .gpus(2)
         .sms_per_gpu(2)
         .phase_budget_ns(2e5)
         .sanitize(SanitizeMode::Record)
-        .workload(Workload::VecAdd.spec_small())
+        .workload(spec)
 }
 
 #[test]
@@ -141,7 +144,7 @@ fn leaf<'a>(v: &'a mut JsonValue, key: &str, n: &mut usize) -> Option<(String, &
         JsonValue::Object(members) => members.iter_mut().find_map(|(k, m)| leaf(m, k, n)),
         JsonValue::Array(items) => {
             let width = match key {
-                "ways" => 3,
+                "rows" => 4,
                 "banks" | "channels" => 5,
                 "page_table" => 2,
                 _ => 1,
@@ -158,7 +161,7 @@ fn every_snapshot_leaf_at_the_integer_limits_is_refused_or_runs() {
         .try_run_checkpointed("hostile_inputs")
         .expect("checkpoint");
     let doc = memnet::obs::parse(&snap.to_json_string()).expect("a snapshot parses");
-    let (mut ran, mut refused) = (0, 0);
+    let (mut ran, mut refused, mut rows) = (0, 0, 0);
     for value in [u64::MAX, MAX_SAFE_INT] {
         for n in 0.. {
             let mut bad = doc.clone();
@@ -173,12 +176,18 @@ fn every_snapshot_leaf_at_the_integer_limits_is_refused_or_runs() {
                 .and_then(|s| snapshot_builder().try_run_restored(&s));
             match outcome {
                 Ok(_) => ran += 1,
-                Err(SimError::Snapshot(why)) if why.contains(key.as_str()) => refused += 1,
+                Err(SimError::Snapshot(why)) if why.contains(key.as_str()) => {
+                    refused += 1;
+                    rows += usize::from(key == "rows");
+                }
                 Err(e) => panic!("{key} = {value}: {e}"),
             }
         }
     }
     assert!(ran > 0 && refused > 80, "{ran} ran, {refused} refused");
+    // Both CPU caches' first rows: the index at either limit, and the
+    // tag, valid flag and LRU stamp at u64::MAX.
+    assert!(rows >= 8, "{rows} cache-row cells refused");
 }
 
 /// The member `key` of object `v`, for editing.
