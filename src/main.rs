@@ -192,6 +192,24 @@ fn print_table(r: &SimReport) {
     }
 }
 
+/// The `memnet list` text: the workloads, then the organizations. It is
+/// built whole so that the command writes it in one `write`, not one per
+/// line.
+fn listing() -> String {
+    use std::fmt::Write;
+    let mut s = String::from("workloads (Table II):\n");
+    for w in Workload::table2() {
+        let w = w.spec();
+        let _ = writeln!(s, "  {:<7} {}", w.abbr, w.name);
+    }
+    let _ = writeln!(s, "  {:<7} vectorAdd (Fig. 7 microbenchmark)", "VECADD");
+    s.push_str("\norganizations (Table III + PCN):\n");
+    for o in Organization::all_extended() {
+        let _ = writeln!(s, "  {}", o.name());
+    }
+    s
+}
+
 fn print_json(r: &SimReport) {
     println!("{}", r.to_json_string());
 }
@@ -217,17 +235,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = match args.first().map(String::as_str) {
         Some("list") => {
-            println!("workloads (Table II):");
-            for w in Workload::table2() {
-                let s = w.spec();
-                println!("  {:<7} {}", s.abbr, s.name);
-            }
-            println!("  {:<7} vectorAdd (Fig. 7 microbenchmark)", "VECADD");
-            println!("\norganizations (Table III + PCN):");
-            for o in Organization::all_extended() {
-                println!("  {}", o.name());
-            }
-            Ok(ExitCode::SUCCESS)
+            use std::io::Write;
+            let text = listing();
+            let mut out = std::io::stdout().lock();
+            out.write_all(text.as_bytes())
+                .map(|()| ExitCode::SUCCESS)
+                .map_err(|e| fail(format!("memnet list: {e}")))
         }
         Some("run") => run_cmd(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
