@@ -37,9 +37,10 @@ use memnet_obs::json::{parse, Fields, JsonValue, Snap, ToJson};
 
 /// Snapshot format version, bumped on any encoding change. Version 2
 /// records only the cache ways a run touched and drops the network's
-/// event sequence number; version 1 documents are still read (each
+/// event sequence number; version 3 records only the HMC banks that
+/// differ from a fresh vault's. Versions 1 and 2 are still read (each
 /// owner's reader takes either form of its record).
-const FORMAT_VERSION: u64 = 2;
+const FORMAT_VERSION: u64 = 3;
 
 memnet_obs::snap_struct! {
     /// The driver's fault and scheduling counters, which the header
@@ -240,8 +241,8 @@ mod tests {
             .unwrap_err()
             .contains("memnet_snapshot"));
         for (from, to, want) in [
-            ("_snapshot\": \"2", "_snapshot\": \"3", "version 3"),
-            ("_snapshot\": \"2", "_snapshot\": \"0", "version 0"),
+            ("_snapshot\": \"3", "_snapshot\": \"4", "version 4"),
+            ("_snapshot\": \"3", "_snapshot\": \"0", "version 0"),
             ("\"now\": \"", "\"now\": \"x", "'now' must be"),
             ("\"now\": ", "\"now\": \"1\", \"now\": ", "duplicate"),
             (

@@ -401,8 +401,10 @@ fn damaged_snapshots_are_refused_by_field() {
         Add(&'static str),
         /// Removes a member from an object.
         Remove(&'static str),
+        /// Appends a copy of an array's elements.
+        Twice,
     }
-    use Edit::{Add, Cut, Push, Remove, Set};
+    use Edit::{Add, Cut, Push, Remove, Set, Twice};
     const LIMIT: &str = "9007199254740992";
     // A warm CPU: host-pre is CG.S's host-post, so the CPU caches hold
     // rows at the boundary. No GPU has run a kernel there, so their L2s
@@ -436,9 +438,13 @@ fn damaged_snapshots_are_refused_by_field() {
     let hmc = len("hmcs") - 1;
     let vault = len(&format!("hmcs.{hmc}.vaults")) - 1;
     let (last_banks, last_vault) = (
-        format!("hmcs.{hmc}.vaults.{vault}.banks"),
-        format!("'hmcs[{hmc}].vaults[{vault}].banks'"),
+        format!("hmcs.{hmc}.vaults.{vault}.rows"),
+        format!("'hmcs[{hmc}].vaults[{vault}].rows'"),
     );
+    for rows in ["hmcs.0.vaults.0.rows", last_banks.as_str()] {
+        assert!(len(rows) >= 6, "{rows} holds a row");
+    }
+    let banks = SystemConfig::scaled().hmc.banks_per_vault.to_string();
     // Each damage is refused by the record's owner — the driver or the
     // component — and named by its full path.
     let damages = [
@@ -447,7 +453,6 @@ fn damaged_snapshots_are_refused_by_field() {
         ("'hmcs'", "hmcs", Cut(1)),
         ("'traffic'", "traffic", Cut(1)),
         ("'gpus[1].l2.rows'", "gpus.1.l2.rows", Push("0")),
-        ("'hmcs[0].vaults[2].banks'", "hmcs.0.vaults.2.banks", Cut(5)),
         ("'net.free_pids'", "net.free_pids", Cut(1)),
         ("'clocks[0]'", "clocks.0", Set("1")),
         ("'hmcs[0].stalled_until'", "hmcs.0.stalled_until", Cut(1)),
@@ -465,15 +470,26 @@ fn damaged_snapshots_are_refused_by_field() {
         ("'cpu.l1.rows[4]'", "cpu.l1.rows.4", Set(&first_l1_way)),
         ("'cpu.l1'", "cpu.l1", Add("ways")),
         ("'gpus[0].l2'", "gpus.0.l2", Remove("rows")),
+        // Bank rows, the same way: a 5-cell row, a bank past the vault's,
+        // a bank that repeats the one before, both encodings, neither.
+        ("'hmcs[0].vaults[2].rows'", "hmcs.0.vaults.2.rows", Cut(1)),
+        (
+            "'hmcs[0].vaults[0].rows[0]'",
+            "hmcs.0.vaults.0.rows.0",
+            Set(&banks),
+        ),
+        ("'hmcs[0].vaults[0].rows[6]'", "hmcs.0.vaults.0.rows", Twice),
+        ("'hmcs[0].vaults[1]'", "hmcs.0.vaults.1", Add("banks")),
+        ("'hmcs[0].vaults[3]'", "hmcs.0.vaults.3", Remove("rows")),
         // Records read after their siblings were taken: the L2 after the
         // L1, the last vault of the last cube after every other vault.
         ("'cpu.l2.rows'", "cpu.l2.rows", Cut(1)),
-        (last_vault.as_str(), last_banks.as_str(), Cut(5)),
+        (last_vault.as_str(), last_banks.as_str(), Cut(1)),
         ("'memory.next_seq'", "memory.next_seq", Cut(1)),
         ("'hmcs[0].stalls'", "hmcs.0.stalls", Set("x")),
         (
-            "'hmcs[0].vaults[0].banks[0]'",
-            "hmcs.0.vaults.0.banks.0",
+            "'hmcs[0].vaults[0].rows[1]'",
+            "hmcs.0.vaults.0.rows.1",
             Set("-1"),
         ),
         // Counts the owners hold to their clocks, their idle state and
@@ -489,6 +505,7 @@ fn damaged_snapshots_are_refused_by_field() {
             (JsonValue::Array(xs), Cut(n)) => xs.truncate(xs.len() - n),
             (v, Set(s)) => *v = JsonValue::String(s.into()),
             (JsonValue::Array(xs), Push(s)) => xs.push(JsonValue::String(s.into())),
+            (JsonValue::Array(xs), Twice) => xs.extend_from_within(..),
             (JsonValue::Object(ms), Add(key)) => ms.push((key.into(), JsonValue::Array(vec![]))),
             (JsonValue::Object(ms), Remove(key)) => ms.retain(|m| m.0 != key),
             (v, _) => panic!("{path}: {v:?} cannot take this edit"),

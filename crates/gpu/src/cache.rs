@@ -260,21 +260,8 @@ impl Cache {
             Ok((tag.uint_str()? | valid, lru.uint_str()?))
         };
         let ways = self.ways();
-        let rows: Vec<(u64, (u64, u64))> = match (f.opt("rows")?, f.opt("ways")?) {
-            (Some(sparse), None) => {
-                let last = ways as u64 - 1;
-                let rows = sparse.rows(4, None, |c| {
-                    Ok((c[0].uint_str_to(last)?, way(c[1], c[2], c[3])?))
-                })?;
-                if let Some(k) = (1..rows.len()).find(|&k| rows[k].0 <= rows[k - 1].0) {
-                    let (path, prev) = (sparse.path(), rows[k - 1].0);
-                    return Err(format!(
-                        "'{path}[{}]' must be above the previous row's index {prev}",
-                        4 * k
-                    ));
-                }
-                rows
-            }
+        let rows: Vec<(usize, (u64, u64))> = match (f.opt("rows")?, f.opt("ways")?) {
+            (Some(sparse), None) => sparse.indexed_rows(4, ways, |c| way(c[0], c[1], c[2]))?,
             (None, Some(dense)) => {
                 let rows = dense.rows(3, Some(ways), |c| way(c[0], c[1], c[2]))?;
                 (0..).zip(rows).collect()
@@ -288,8 +275,7 @@ impl Cache {
         };
         let full = self.assoc << self.page_shift;
         for (i, (w, lru)) in rows.into_iter().filter(|&(_, way)| way != (0, 0)) {
-            #[allow(clippy::cast_possible_truncation, reason = "below the way count")]
-            let (page, at) = (i as usize / full, i as usize % full);
+            let (page, at) = (i / full, i % full);
             let (tags, lrus) = self.page_mut(page);
             (tags[at], lrus[at]) = (w, lru);
         }

@@ -9,12 +9,12 @@
 
 use memnet_common::config::HmcConfig;
 use memnet_common::{AccessKind, MemReq};
-use memnet_obs::json::{Fields, JsonValue, Snap};
+use memnet_obs::json::{Field, Fields, JsonValue, Snap};
 use memnet_obs::{ClockDomain, TraceEventKind, Tracer};
 use std::collections::VecDeque;
 
 /// One DRAM bank's timing state.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bank {
     open_row: Option<u64>,
     /// Earliest tCK the next command (activate/precharge/column) may issue.
@@ -26,6 +26,17 @@ struct Bank {
     /// Next scheduled refresh (tREFI cadence; refresh closes the row and
     /// blocks the bank for tRFC).
     next_refresh: u64,
+}
+
+/// Bank `i` of a fresh vault: closed, with no deadline but its first
+/// refresh. Refreshes are staggered across banks so they don't all fire
+/// at t = 0 or collide on the same cycle.
+fn fresh_bank(cfg: &HmcConfig, i: usize) -> Bank {
+    Bank {
+        next_refresh: (i as u64 + 1) * cfg.t_refi.max(1) as u64 / cfg.banks_per_vault as u64
+            + cfg.t_refi as u64 / 2,
+        ..Bank::default()
+    }
 }
 
 /// A queued request with its decoded bank/row.
@@ -67,15 +78,8 @@ pub struct Vault {
 impl Vault {
     /// Creates a vault per the HMC configuration.
     pub fn new(cfg: &HmcConfig) -> Self {
-        // Refreshes are staggered across banks so they don't all fire at
-        // t = 0 or collide on the same cycle.
-        let banks = (0..cfg.banks_per_vault)
-            .map(|i| Bank {
-                next_refresh: (i as u64 + 1) * cfg.t_refi.max(1) as u64
-                    / cfg.banks_per_vault as u64
-                    + cfg.t_refi as u64 / 2,
-                ..Bank::default()
-            })
+        let banks = (0..cfg.banks_per_vault as usize)
+            .map(|i| fresh_bank(cfg, i))
             .collect();
         Vault {
             queue: VecDeque::with_capacity(cfg.vault_queue as usize),
@@ -241,7 +245,10 @@ impl Vault {
     /// The snapshot record. Only valid while the queue is empty (a
     /// quiescent phase boundary). Bank timing state — open rows, command
     /// deadlines, the staggered refresh schedule — and the bus deadline
-    /// are all in absolute tCK, so they restore verbatim.
+    /// are all in absolute tCK, so they restore verbatim. Each bank that
+    /// differs from a fresh one is a row `[index, open_row ("-" = closed),
+    /// next_cmd, activated_at, write_recovery_until, next_refresh]`, in
+    /// ascending index; a vault no request reached has none.
     ///
     /// # Panics
     ///
@@ -251,9 +258,9 @@ impl Vault {
             self.queue.is_empty(),
             "vault snapshot requires an empty request queue"
         );
-        // Per bank: [open_row ("-" = closed), next_cmd, activated_at,
-        // write_recovery_until, next_refresh], flattened.
-        let banks = self.banks.iter().flat_map(|b| {
+        let touched =
+            (self.banks.iter().enumerate()).filter(|&(i, b)| *b != fresh_bank(&self.cfg, i));
+        let rows = touched.flat_map(|(i, b)| {
             let row = b
                 .open_row
                 .map_or_else(|| "-".to_string().snap(), |r| r.snap());
@@ -263,10 +270,12 @@ impl Vault {
                 b.write_recovery_until,
                 b.next_refresh,
             ];
-            std::iter::once(row).chain(deadlines.map(|d| d.snap()))
+            [(i as u64).snap(), row]
+                .into_iter()
+                .chain(deadlines.map(|d| d.snap()))
         });
         let mut members = vec![
-            ("banks", JsonValue::Array(banks.collect())),
+            ("rows", JsonValue::Array(rows.collect())),
             ("bus_free_at", self.bus_free_at.snap()),
         ];
         members.extend(self.stats.members());
@@ -275,13 +284,18 @@ impl Vault {
 
     /// This vault, fresh from [`Vault::new`], holding a
     /// [`Vault::snapshot`] record taken on an identically configured
-    /// vault.
+    /// vault: version 3's `rows`, or versions 1 and 2's `banks`, a dense
+    /// `[open_row, next_cmd, activated_at, write_recovery_until,
+    /// next_refresh]` row per bank. A bank no row names stays fresh.
     ///
     /// # Errors
     ///
-    /// Refuses a mistyped field and a bank count this vault does not have.
+    /// Refuses a record with both `rows` and `banks` or with neither, a
+    /// mistyped field, a bank index past this vault's banks or not above
+    /// the previous row's, and a dense bank count this vault does not
+    /// have.
     pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
-        self.banks = f.req("banks")?.rows(5, Some(self.banks.len()), |c| {
+        let bank = |c: &[Field]| {
             Ok(Bank {
                 open_row: match c[0].str()? {
                     "-" => None,
@@ -292,7 +306,21 @@ impl Vault {
                 write_recovery_until: c[3].uint_str()?,
                 next_refresh: c[4].uint_str()?,
             })
-        })?;
+        };
+        match (f.opt("rows")?, f.opt("banks")?) {
+            (Some(sparse), None) => {
+                for (i, b) in sparse.indexed_rows(6, self.banks.len(), bank)? {
+                    self.banks[i] = b;
+                }
+            }
+            (None, Some(dense)) => self.banks = dense.rows(5, Some(self.banks.len()), bank)?,
+            _ => {
+                let path = f.path();
+                return Err(format!(
+                    "field '{path}' must hold exactly one of 'rows' and 'banks'"
+                ));
+            }
+        }
         self.bus_free_at = f.get("bus_free_at")?;
         self.stats = VaultStats::read(f)?;
         Ok(self)
@@ -463,6 +491,25 @@ mod tests {
         }
         let s = v.stats();
         assert!(s.row_hits * 10 > s.served * 9, "{s:?}");
+    }
+
+    #[test]
+    fn only_banks_that_left_their_fresh_state_are_recorded() {
+        let c = cfg();
+        let rows = |v: &Vault| match v.snapshot().get("rows") {
+            Some(JsonValue::Array(cells)) => cells.len(),
+            other => panic!("rows is an array: {other:?}"),
+        };
+        let mut v = Vault::new(&c);
+        assert_eq!(rows(&v), 0, "a fresh vault records no bank");
+        v.try_enqueue(req(1, 128, AccessKind::Write), 3, 5).unwrap();
+        v.tick(0).expect("issued");
+        let snap = v.snapshot();
+        assert_eq!(rows(&v), 6, "one row, for bank 3");
+        let f = Fields::new(&snap, "").expect("an object");
+        let back = Vault::new(&c).restored(&f).expect("restores");
+        assert_eq!(back.snapshot(), snap);
+        assert_eq!(back.banks, v.banks);
     }
 }
 

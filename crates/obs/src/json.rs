@@ -1205,6 +1205,33 @@ impl<'a, 'p> Field<'a, 'p> {
         cells.chunks_exact(width).map(each).collect()
     }
 
+    /// The sparse form of [`Field::rows`]: each `width`-cell row leads
+    /// with its index among the `count` the reading component holds,
+    /// above the previous row's; `each` converts the rest of the row.
+    pub fn indexed_rows<T>(
+        &self,
+        width: usize,
+        count: usize,
+        each: impl Fn(&[Field<'a, 'p>]) -> Result<T, String>,
+    ) -> Result<Vec<(usize, T)>, String> {
+        let rows = self.rows(width, None, |c| {
+            let last = count.checked_sub(1);
+            let last = self.want(last, "empty: it indexes nothing")?;
+            #[allow(clippy::cast_possible_truncation, reason = "at most `count - 1`")]
+            let i = c[0].uint_str_to(last as u64)? as usize;
+            Ok((i, each(&c[1..])?))
+        })?;
+        if let Some(k) = (1..rows.len()).find(|&k| rows[k].0 <= rows[k - 1].0) {
+            return Err(format!(
+                "'{}[{}]' must be above the previous row's index {}",
+                self.path(),
+                width * k,
+                rows[k - 1].0
+            ));
+        }
+        Ok(rows)
+    }
+
     /// An array, each element converted by `each` under an indexed path.
     pub fn list<T>(
         &self,

@@ -250,6 +250,9 @@ fn dense_cache_record(record: &mut JsonValue, ways: u64) {
     (*key, *value) = ("ways".into(), JsonValue::Array(dense));
 }
 
+/// The original is written in the current format (version 3 since the
+/// sparse bank rows); every record that changed since version 1 is
+/// expanded back to its version 1 form.
 #[test]
 fn a_version_1_snapshot_restores_like_its_version_2_original() {
     use memnet::common::SystemConfig;
@@ -260,8 +263,8 @@ fn a_version_1_snapshot_restores_like_its_version_2_original() {
     warm.host_pre = warm.host_post;
     let b = || small(Organization::Gmn, Workload::CgS).workload(warm.clone());
     let (straight, snap) = b().try_run_checkpointed("v1").expect("checkpoint");
-    let v2 = b().try_run_restored(&snap).expect("restore version 2");
-    assert_eq!(straight, v2);
+    let original = b().try_run_restored(&snap).expect("restore the original");
+    assert_eq!(straight, original);
 
     let mut doc = parse(&snap.to_json_string()).expect("a snapshot parses");
     let JsonValue::Object(members) = &mut doc else {
@@ -295,10 +298,112 @@ fn a_version_1_snapshot_restores_like_its_version_2_original() {
             ("net", JsonValue::Object(net)) => {
                 net.insert(1, ("seq".into(), JsonValue::String("4242".into())))
             }
+            ("hmcs", cubes) => _ = dense_vault_records(cubes, &cfg.hmc),
             _ => {}
         }
     }
     let v1 = SystemSnapshot::from_json(&doc.to_json()).expect("a version 1 header");
     let restored = b().try_run_restored(&v1).expect("restore version 1");
-    assert_eq!(restored, v2);
+    assert_eq!(restored, original);
+}
+
+/// The version 2 form of a vault record: a dense `banks` array of
+/// `[open_row, next_cmd, activated_at, write_recovery_until,
+/// next_refresh]` rows, one per bank, in place of the `[index, ...]`
+/// rows of the banks that differ from a fresh one. A fresh bank is
+/// closed, with no deadline but its refresh, staggered across the vault.
+/// Returns how many banks had a row.
+fn dense_vault_record(record: &mut JsonValue, hmc: &memnet::common::config::HmcConfig) -> usize {
+    let JsonValue::Object(members) = record else {
+        panic!("a vault record is an object");
+    };
+    let (key, value) = &mut members[0];
+    assert_eq!(key, "rows", "version 3 lists a vault's rows first");
+    let Some(rows) = value.as_array() else {
+        panic!("rows is an array");
+    };
+    let (banks, t_refi) = (u64::from(hmc.banks_per_vault), u64::from(hmc.t_refi));
+    let fresh = |i: u64| {
+        let refresh = (i + 1) * t_refi.max(1) / banks + t_refi / 2;
+        [
+            "-".into(),
+            "0".into(),
+            "0".into(),
+            "0".into(),
+            refresh.to_string(),
+        ]
+    };
+    let mut dense: Vec<JsonValue> = (0..banks).flat_map(fresh).map(JsonValue::String).collect();
+    for row in rows.chunks_exact(6) {
+        let index: usize = row[0]
+            .as_str()
+            .and_then(|s| s.parse().ok())
+            .expect("an index");
+        dense[5 * index..5 * index + 5].clone_from_slice(&row[1..]);
+    }
+    let touched = rows.len() / 6;
+    (*key, *value) = ("banks".into(), JsonValue::Array(dense));
+    touched
+}
+
+/// [`dense_vault_record`] over every vault of every cube in `hmcs`.
+fn dense_vault_records(hmcs: &mut JsonValue, hmc: &memnet::common::config::HmcConfig) -> usize {
+    let JsonValue::Array(cubes) = hmcs else {
+        panic!("hmcs is an array");
+    };
+    let mut touched = 0;
+    for cube in cubes {
+        let JsonValue::Object(c) = cube else {
+            panic!("a cube record is an object");
+        };
+        let vaults = c.iter_mut().find(|m| m.0 == "vaults").expect("vaults");
+        let JsonValue::Array(vaults) = &mut vaults.1 else {
+            panic!("vaults is an array");
+        };
+        for vault in vaults {
+            touched += dense_vault_record(vault, hmc);
+        }
+    }
+    touched
+}
+
+#[test]
+fn a_version_2_snapshot_restores_like_its_version_3_original() {
+    use memnet::common::SystemConfig;
+    use memnet::obs::{parse, ToJson};
+    use memnet::sim::SystemSnapshot;
+    // A warm CPU, whose walk reaches every vault, and a PCIe run, whose
+    // H2D copy precedes the snapshot.
+    let mut warm = Workload::CgS.spec_small();
+    warm.host_pre = warm.host_post;
+    let rigs = [
+        small(Organization::Gmn, Workload::CgS).workload(warm),
+        small(Organization::Pcie, Workload::Scan),
+    ];
+    let hmc = SystemConfig::scaled().hmc;
+    for rig in rigs {
+        let (straight, snap) = rig.clone().try_run_checkpointed("v2").expect("checkpoint");
+        let v3 = rig
+            .clone()
+            .try_run_restored(&snap)
+            .expect("restore version 3");
+        assert_eq!(straight, v3);
+
+        let mut doc = parse(&snap.to_json_string()).expect("a snapshot parses");
+        let JsonValue::Object(members) = &mut doc else {
+            panic!("a snapshot is an object");
+        };
+        let mut touched = 0;
+        for (key, value) in members.iter_mut() {
+            match (key.as_str(), value) {
+                ("memnet_snapshot", v) => *v = JsonValue::String("2".into()),
+                ("hmcs", cubes) => touched += dense_vault_records(cubes, &hmc),
+                _ => {}
+            }
+        }
+        assert!(touched > 0, "the snapshot holds bank rows");
+        let v2 = SystemSnapshot::from_json(&doc.to_json()).expect("a version 2 header");
+        let restored = rig.try_run_restored(&v2).expect("restore version 2");
+        assert_eq!(restored, v3);
+    }
 }
