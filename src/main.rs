@@ -236,9 +236,8 @@ fn main() -> ExitCode {
     let outcome = match args.first().map(String::as_str) {
         Some("list") => {
             use std::io::Write;
-            let text = listing();
             let mut out = std::io::stdout().lock();
-            out.write_all(text.as_bytes())
+            out.write_all(listing().as_bytes())
                 .map(|()| ExitCode::SUCCESS)
                 .map_err(|e| fail(format!("memnet list: {e}")))
         }
