@@ -371,7 +371,7 @@ fn dense_vault_records(hmcs: &mut JsonValue, hmc: &memnet::common::config::HmcCo
 fn a_version_2_snapshot_restores_like_its_version_3_original() {
     use memnet::common::SystemConfig;
     use memnet::obs::{parse, ToJson};
-    use memnet::sim::SystemSnapshot;
+    use memnet::sim::{SimError, SystemSnapshot};
     // A warm CPU, whose walk reaches every vault, and a PCIe run, whose
     // H2D copy precedes the snapshot.
     let mut warm = Workload::CgS.spec_small();
@@ -403,7 +403,35 @@ fn a_version_2_snapshot_restores_like_its_version_3_original() {
         }
         assert!(touched > 0, "the snapshot holds bank rows");
         let v2 = SystemSnapshot::from_json(&doc.to_json()).expect("a version 2 header");
-        let restored = rig.try_run_restored(&v2).expect("restore version 2");
+        let restored = rig
+            .clone()
+            .try_run_restored(&v2)
+            .expect("restore version 2");
         assert_eq!(restored, v3);
+
+        // A dense record one bank short is refused by its path.
+        let JsonValue::Array(xs) = member(&mut doc, "hmcs.0.vaults.0.banks") else {
+            panic!("a dense banks array");
+        };
+        xs.truncate(xs.len() - 5);
+        let short = SystemSnapshot::from_json(&doc.to_json()).expect("a version 2 header");
+        match rig.try_run_restored(&short) {
+            Err(SimError::Snapshot(why)) => {
+                assert!(why.contains("'hmcs[0].vaults[0].banks'"), "{why}");
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
     }
+}
+
+/// The member of `doc` at a dotted path of object keys and array indices.
+fn member<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut JsonValue {
+    path.split('.').fold(doc, |v, step| match v {
+        JsonValue::Array(xs) => &mut xs[step.parse::<usize>().expect("an index")],
+        JsonValue::Object(ms) => {
+            let m = ms.iter_mut().find(|m| m.0 == step);
+            &mut m.unwrap_or_else(|| panic!("no member {step}")).1
+        }
+        v => panic!("{step}: {v:?} has no members"),
+    })
 }
