@@ -1309,6 +1309,60 @@ mod tests {
             .contains("'params' must be an object"));
     }
 
+    /// `doc` read as a whole document through `read`; a JSON error is its
+    /// text.
+    fn read_doc<T>(doc: &str, read: impl FnOnce(Field) -> Result<T, String>) -> Result<T, String> {
+        let v = parse(doc).map_err(|e| e.to_string())?;
+        read(Field::root(&v, ""))
+    }
+
+    #[test]
+    fn keys_are_compared_and_named_unescaped() {
+        let a = |f: Field| f.record(|r| r.req("a")?.uint(9));
+        let dup = read_doc(r#"{"a":1,"\u0061":2}"#, a);
+        assert_eq!(dup.unwrap_err(), "duplicate field 'a'");
+        let unknown = read_doc(r#"{"a":1,"t\u0079po":2}"#, a);
+        assert_eq!(unknown.unwrap_err(), "unknown field 'typo'");
+        let child = |f: Field| f.record(|r| r.req("child")?.record(|_| Ok(())));
+        let nested = read_doc(r#"{"child":{"k\t":1}}"#, child);
+        assert_eq!(nested.unwrap_err(), "unknown field 'child.k\t'");
+    }
+
+    #[test]
+    fn string_members_read_alike_with_and_without_escapes() {
+        let doc = r#"{"s":"vecadd","e":"vec\u0061dd","n":"12","ne":"1\u0032","q":"a\tb\"c"}"#;
+        let got = read_doc(doc, |f| {
+            f.record(|r| {
+                let str = |k| Ok::<_, String>(r.req(k)?.str()?.to_string());
+                let name = |k| {
+                    r.req(k)?
+                        .named("workload", |s| (s == "vecadd").then_some(7))
+                };
+                let uint = |k| r.req(k)?.uint_str();
+                let strs = (str("s")?, str("e")?, str("q")?);
+                Ok((strs, name("s")?, name("e")?, uint("n")?, uint("ne")?))
+            })
+        });
+        let strs = ("vecadd".into(), "vecadd".into(), "a\tb\"c".into());
+        assert_eq!(got, Ok((strs, 7, 7, 12, 12)));
+        let unknown = read_doc(r#"{"w":"w\u0061rp"}"#, |f| {
+            f.record(|r| r.req("w")?.named("workload", |_| None::<()>))
+        });
+        assert_eq!(unknown.unwrap_err(), "'w': unknown workload 'warp'");
+    }
+
+    #[test]
+    fn a_json_error_inside_a_nested_value_names_its_byte_in_the_document() {
+        let all = |f: Field| f.record(|r| r.req("a").map(|_| ()));
+        let err = read_doc(r#"  {"a":{"b":[1,02]}}"#, all);
+        assert_eq!(err.unwrap_err(), "JSON error at byte 15: invalid number");
+        let deep = format!(r#"{{"a":{}1{}}}"#, "[".repeat(64), "]".repeat(64));
+        let err = read_doc(&deep, all);
+        assert_eq!(err.unwrap_err(), "JSON error at byte 68: nesting too deep");
+        let err = read_doc(r#"{"a":{"b":"\x"}}"#, all);
+        assert_eq!(err.unwrap_err(), "JSON error at byte 13: unknown escape");
+    }
+
     #[test]
     fn reader_refuses_inexact_and_out_of_range_integers() {
         for bad in ["-1", "1e30", "9007199254740994", "0.5", "\"7\"", "null"] {

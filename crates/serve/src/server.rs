@@ -868,6 +868,22 @@ mod tests {
     }
 
     #[test]
+    fn an_envelope_spelling_its_keys_with_escapes_is_served_alike() {
+        let escaped = VECADD
+            .replace("\"method\"", r#""m\u0065thod""#)
+            .replace("\"params\"", r#""p\u0061rams""#);
+        assert_ne!(escaped, VECADD);
+        let (mut plain, mut s) = (server(), server());
+        let cold = s.handle_line(&escaped).text;
+        assert_eq!(cold, plain.handle_line(VECADD).text);
+        let warm = s.handle_line(&escaped).text;
+        assert!(warm.contains("\"cached\":true"), "{warm}");
+        assert_eq!(warm, plain.handle_line(VECADD).text);
+        let ping = s.handle_line(r#"{"id":2,"m\u0065thod":"ping"}"#);
+        assert_eq!(ping.text, r#"{"id":2,"result":{"pong":true}}"#);
+    }
+
+    #[test]
     fn engine_mode_shares_the_cache_entry() {
         // Bit-identity across engines (DESIGN §5) makes the fingerprint
         // engine-agnostic: a run computed under one engine serves the
@@ -997,26 +1013,17 @@ mod tests {
         assert_eq!(s.memo.len(), before);
     }
 
-    #[test]
-    fn a_hit_answered_from_the_bytes_is_the_reply_dispatch_makes() {
-        // One server answers through `handle_line`, the other through
-        // `dispatch` alone; every reply and the final counters must agree.
-        // A one-entry cache lets `b` evict `a` near the end.
+    /// The request corpus the pinned replies answer, in order: id
+    /// spellings, key orders, whitespace, inline models, a model file at
+    /// `file`, escaped keys, nesting at and past `MAX_DEPTH`, refusals,
+    /// and, through a one-entry cache, an eviction and the re-run after it.
+    fn corpus(file: &str) -> Vec<String> {
         use memnet_workloads::Workload;
-        let cfg = ServeConfig {
-            cache_capacity: 1,
-            ..ServeConfig::default()
-        };
-        let (mut fast, mut slow) = (Server::new(&cfg), Server::new(&cfg));
         let a = r#"{"org":"gmn","workload":"vecadd","small":true,"gpus":2,"sms":2}"#;
         let b = r#"{"org":"gmn","workload":"vecadd","small":true,"gpus":2,"sms":4}"#;
         let spaced = a.replace(',', " , ").replace(':', " : ");
         let model = memnet_wdl::spec_to_json(&Workload::VecAdd.spec_small());
         let with_model = format!(r#"{{"org":"gmn","gpus":2,"sms":2,"model":{model}}}"#);
-        let path =
-            std::env::temp_dir().join(format!("memnet-fast-path-{}.json", std::process::id()));
-        std::fs::write(&path, &model).expect("write the model");
-        let file = path.to_str().expect("temp path is utf-8");
         let with_file = format!(r#"{{"org":"gmn","gpus":2,"sms":2,"workload_file":"{file}"}}"#);
         let run =
             |id: &str, params: &str| format!(r#"{{"id":{id},"method":"run","params":{params}}}"#);
@@ -1112,6 +1119,151 @@ mod tests {
             run("13", a),
         ]);
 
+        lines
+    }
+
+    /// Serves [`corpus`] through a one-entry cache, handing each line and
+    /// its reply to `each`, with the corpus's model file in place.
+    fn replay_corpus(mut each: impl FnMut(&mut Server, &str)) -> Server {
+        let model = memnet_wdl::spec_to_json(&memnet_workloads::Workload::VecAdd.spec_small());
+        let path = std::env::temp_dir().join(format!("memnet-corpus-{}.json", std::process::id()));
+        std::fs::write(&path, &model).expect("write the model");
+        let mut s = Server::new(&ServeConfig {
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        });
+        for line in corpus(path.to_str().expect("temp path is utf-8")) {
+            each(&mut s, &line);
+        }
+        std::fs::remove_file(&path).expect("clean up the model");
+        s
+    }
+
+    /// FNV-1a hashes of the replies to [`corpus`], in order, recorded
+    /// when a cached `run` was answered on a second request path held to
+    /// `dispatch` reply for reply.
+    const CORPUS_REPLIES: [u64; 67] = [
+        0xfe72ea9b7cfd28c4,
+        0x4972b2e3cb434cdf,
+        0x081bd7275fa3cac9,
+        0xb69db1187e3d9342,
+        0x6f38dc4ceaaaa531,
+        0x29be44a3d7117ea8,
+        0xbe4b73f8e49b120d,
+        0xb690ccffb1431368,
+        0x962441b5370fd9e4,
+        0x98934d159c45c097,
+        0x4972b2e3cb434cdf,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0x08909b0905f3cc0f,
+        0xfee7a30519c60086,
+        0xfee7a30519c60086,
+        0xfee7a30519c60086,
+        0xfee7a30519c60086,
+        0xfee7a30519c60086,
+        0xfee7a30519c60086,
+        0xcec83a1fead11c97,
+        0xcec83a1fead11c97,
+        0xcec83a1fead11c97,
+        0x8f4efdd3cbe14209,
+        0x3c6ce0daf9d05c10,
+        0x1954329087d43af5,
+        0x60c36cfbb457ad98,
+        0x73785d4f5acef19e,
+        0xd59440bca0b4ef02,
+        0x2b6be680372b013b,
+        0x435b599d0ade357d,
+        0xef0c6d2143ee652d,
+        0x5fda362139fa0874,
+        0xeb41aa1a9356a605,
+        0xfb9a89a7666f4de8,
+        0xf96d0d7e553b0ba6,
+        0xc9d14ed6dd82dfe6,
+        0x1ad067fcf14d01ec,
+        0xb4172628f5ebeb6e,
+        0x44c9c4d425721ff7,
+        0x020501816357741f,
+        0x2da040ddfbdd4b01,
+        0x8bd98c4062ea60e1,
+        0x7dbcee0478d96939,
+        0x08845d2c4dab4751,
+        0x9ca5ad121c2a0014,
+        0x9ba363a284d9ff41,
+        0xba07be107dc31ae7,
+        0x178ce276282cf2ae,
+        0xa87b66d5f6406b79,
+        0x8e9ba10a58191846,
+        0x49136a8e4f9bda10,
+        0x2982587a57e33a5b,
+        0x70f36d10d834bc36,
+        0x72b8a004e0abee1f,
+        0xcff56905310ab1c4,
+        0x2cf1a7eeca5da654,
+        0x9da1dbaf66bd1589,
+    ];
+
+    #[test]
+    fn the_corpus_replies_as_pinned() {
+        let mut replies = Vec::new();
+        let s = replay_corpus(|s, line| {
+            let reply = s.handle_line(line);
+            if reply.text.contains("\"cached\":true") {
+                assert!(
+                    reply.text.capacity() > reply.text.len(),
+                    "room for the newline"
+                );
+            }
+            replies.push(reply);
+        });
+        let hashes: Vec<u64> = replies
+            .iter()
+            .map(|r| memnet_core::fnv1a64(r.text.as_bytes()))
+            .collect();
+        assert_eq!(hashes, CORPUS_REPLIES);
+        let stopped: Vec<&str> = replies
+            .iter()
+            .filter(|r| r.shutdown)
+            .map(|r| &r.text[..])
+            .collect();
+        assert_eq!(stopped, [r#"{"id":8,"result":{"ok":true}}"#]);
+        let counters = [
+            "cache.hit",
+            "cache.miss",
+            "cache.evict",
+            "cache.dedup",
+            "pool.jobs",
+        ];
+        let counts = counters.map(|c| s.metrics().counter(c));
+        // `a`, `b` and `a` again ran; the batch deduplicated nothing.
+        assert_eq!(counts, [39, 3, 2, 0, 3]);
+    }
+
+    #[test]
+    fn a_hit_answered_from_the_bytes_is_the_reply_dispatch_makes() {
+        // One server answers through `handle_line`, the other through
+        // `dispatch` alone; every reply and the final counters must agree.
+        // A one-entry cache lets `b` evict `a` near the end.
+        use memnet_workloads::Workload;
+        let cfg = ServeConfig {
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        };
+        let (mut fast, mut slow) = (Server::new(&cfg), Server::new(&cfg));
+        let model = memnet_wdl::spec_to_json(&Workload::VecAdd.spec_small());
+        let path =
+            std::env::temp_dir().join(format!("memnet-fast-path-{}.json", std::process::id()));
+        std::fs::write(&path, &model).expect("write the model");
+        let lines = corpus(path.to_str().expect("temp path is utf-8"));
         let mut answered = 0;
         for line in &lines {
             // A cached reply to params bytes the memo held beforehand is
