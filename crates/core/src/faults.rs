@@ -21,7 +21,7 @@
 use memnet_common::faults::{FaultKind, LinkTag};
 use memnet_common::time::{fs_to_ns, ns_to_fs, Fs};
 use memnet_common::FaultPlan;
-use memnet_obs::json::{parse, Field, Fields, MAX_SAFE_INT};
+use memnet_obs::json::{Field, Fields, MAX_SAFE_INT};
 use memnet_obs::JsonWriter;
 
 /// Serializes a plan to the JSON format accepted by [`plan_from_json`].
@@ -90,7 +90,7 @@ fn read_event(ev: &Fields) -> Result<(Fs, FaultKind), String> {
     let class = || ev.req("class")?.named("link class", LinkTag::parse);
     let kind = ev.req("kind")?;
     #[allow(clippy::cast_possible_truncation, reason = "the factor is reader-limited to u32::MAX")]
-    let kind = match kind.str()? {
+    let kind = match &*kind.str()? {
         "link-down" => FaultKind::LinkDown {
             class: class()?,
             ordinal: uint("ordinal")?,
@@ -127,8 +127,8 @@ fn read_event(ev: &Fields) -> Result<(Fs, FaultKind), String> {
 /// run reaches, and the clock arithmetic that snaps it to an edge would
 /// overflow.
 pub fn plan_from_json(s: &str) -> Result<FaultPlan, String> {
-    let v = parse(s).map_err(|e| format!("fault plan: {e}"))?;
-    let events = Field::root(&v, "")
+    let doc = Field::root(s, "").map_err(|e| format!("fault plan: {e}"))?;
+    let events = doc
         .record(|doc| doc.req("events")?.list(|ev| ev.record(read_event)))
         .map_err(|e| format!("fault plan: {e}"))?;
     let mut plan = FaultPlan::new();

@@ -236,7 +236,7 @@ impl MemoryLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memnet_obs::json::Field;
+    use memnet_obs::json::{Field, ToJson};
 
     fn layout(n_clusters: u32) -> MemoryLayout {
         MemoryLayout::new(&SystemConfig::paper(), n_clusters)
@@ -391,7 +391,9 @@ mod tests {
         );
         let want: Vec<u64> = reference.iter().flat_map(|(&v, &p)| [v, p]).collect();
         assert_eq!(rows(&l), want, "rows in ascending virtual-page order");
-        let mut back = Field::root(&l.snapshot(), "")
+        let text = l.snapshot().to_json();
+        let mut back = Field::root(&text, "")
+            .expect("valid JSON")
             .record(|f| bordered().restored(f))
             .expect("a layout restores its own snapshot");
         assert_eq!(rows(&back), want);

@@ -24,8 +24,8 @@
 //!
 //! # Encoding
 //!
-//! A snapshot *is* one JSON document ([`JsonValue`]). This module writes
-//! and reads its header; each stateful component writes its own record
+//! A snapshot *is* one JSON document, held as its text. This module
+//! writes and reads its header; each stateful component writes its own record
 //! (`snapshot`) and reads it back into a freshly built copy of itself,
 //! which it returns (`restored`), and the driver hands each its record.
 //! Every value is in its [`Snap`] encoding, which says why an integer is
@@ -33,7 +33,7 @@
 //! ([`memnet_obs::snap_struct!`]) names its fields once.
 
 use memnet_common::time::Fs;
-use memnet_obs::json::{parse, Fields, JsonValue, Snap, ToJson};
+use memnet_obs::json::{Field, Fields, JsonValue, Snap, ToJson};
 
 /// Snapshot format version, bumped on any encoding change. Version 2
 /// records only the cache ways a run touched and drops the network's
@@ -124,8 +124,8 @@ impl Header {
     }
 }
 
-/// Full mutable simulation state at the pre-kernel phase boundary: one
-/// JSON document, its header checked.
+/// Full mutable simulation state at the pre-kernel phase boundary: the
+/// text of one JSON document, its header checked.
 ///
 /// Produced by
 /// [`SimBuilder::try_run_checkpointed`](crate::SimBuilder::try_run_checkpointed),
@@ -135,14 +135,14 @@ impl Header {
 /// [`SystemSnapshot::from_json`].
 #[derive(Debug, Clone)]
 pub struct SystemSnapshot {
-    /// The header of `doc`, read once.
+    /// The header of `text`, read once.
     pub(crate) header: Header,
     /// The document: the header's members, then each component's record.
-    pub(crate) doc: JsonValue,
+    pub(crate) text: String,
 }
 
 impl SystemSnapshot {
-    /// Assembles the document: the header's members, then the component
+    /// Writes the document: the header's members, then the component
     /// `records` in order.
     pub(crate) fn new(header: Header, records: Vec<(&str, JsonValue)>) -> SystemSnapshot {
         let h = &header;
@@ -157,8 +157,8 @@ impl SystemSnapshot {
         ];
         members.extend(h.counters.members());
         members.extend(records);
-        let doc = JsonValue::object(members);
-        SystemSnapshot { header, doc }
+        let text = JsonValue::object(members).to_json_pretty();
+        SystemSnapshot { header, text }
     }
 
     /// The configuration fingerprint the snapshot was taken under.
@@ -176,13 +176,13 @@ impl SystemSnapshot {
         self.header.now
     }
 
-    /// Serializes the snapshot as one pretty-printed JSON document.
+    /// The snapshot's JSON document.
     pub fn to_json_string(&self) -> String {
-        self.doc.to_json_pretty()
+        self.text.clone()
     }
 
-    /// Parses a snapshot serialized by [`SystemSnapshot::to_json_string`]
-    /// and checks its header. Each component record is checked by its
+    /// Checks a snapshot document written by
+    /// [`SystemSnapshot::to_json_string`] and reads its header. Each component record is checked by its
     /// owner when
     /// [`SimBuilder::try_run_restored`](crate::SimBuilder::try_run_restored)
     /// hands it over.
@@ -192,11 +192,13 @@ impl SystemSnapshot {
     /// Returns a human-readable message on malformed JSON, a missing or
     /// unsupported format version, or any absent/mistyped header field.
     pub fn from_json(text: &str) -> Result<SystemSnapshot, String> {
-        let doc = parse(text).map_err(|e| format!("snapshot: {e}"))?;
-        let header = Fields::new(&doc, "")
+        let doc = Field::root(text, "").map_err(|e| format!("snapshot: {e}"))?;
+        let header = doc
+            .object()
             .and_then(|f| Header::read(&f))
             .map_err(|e| format!("snapshot: {e}"))?;
-        Ok(SystemSnapshot { header, doc })
+        let text = text.to_string();
+        Ok(SystemSnapshot { header, text })
     }
 }
 
@@ -234,7 +236,7 @@ mod tests {
             .expect("checkpoint");
         let good = snap.to_json_string();
         let back = SystemSnapshot::from_json(&good).expect("parse back");
-        assert_eq!(back.doc, snap.doc);
+        assert_eq!(back.text, snap.text);
         assert_eq!(back.header.meta, snap.header.meta);
         assert!(SystemSnapshot::from_json("not json").is_err());
         assert!(SystemSnapshot::from_json("{}")

@@ -275,9 +275,9 @@ impl SimBuilder {
             )));
         }
         let sys = System::try_build(self)?;
-        let doc = Field::root(&snap.doc, "");
-        let (sys, host_fs, memcpy_fs) = doc
-            .record(|f| sys.restored(f))
+        let (sys, host_fs, memcpy_fs) = Field::root(&snap.text, "")
+            .map_err(|e| e.to_string())
+            .and_then(|doc| doc.record(|f| sys.restored(f)))
             .map_err(SimError::Snapshot)?;
         Ok(sys.run_from_snapshot_point(host_fs, memcpy_fs).0)
     }

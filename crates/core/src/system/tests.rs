@@ -1,7 +1,8 @@
 use super::{Organization, SimBuilder, SimError, SimReport};
 use crate::ske::CtaPolicy;
+use crate::snapshot::SystemSnapshot;
 use memnet_common::SystemConfig;
-use memnet_obs::json::{JsonValue, ToJson};
+use memnet_obs::json::{parse, JsonValue, ToJson};
 use memnet_workloads::Workload;
 
 /// The test machine: two GPUs of two SMs each.
@@ -415,8 +416,9 @@ fn damaged_snapshots_are_refused_by_field() {
     let (report, snap) = builder().try_run_checkpointed("").expect("checkpoint");
     let restored = builder().try_run_restored(&snap).expect("intact restore");
     assert_eq!(restored, report);
+    let doc = parse(&snap.to_json_string()).expect("a snapshot parses");
     let array = |path: &str| {
-        let mut doc = snap.doc.clone();
+        let mut doc = doc.clone();
         match member(&mut doc, path) {
             JsonValue::Array(xs) => xs.clone(),
             v => panic!("{path}: {v:?} is not an array"),
@@ -500,8 +502,8 @@ fn damaged_snapshots_are_refused_by_field() {
         ("'memory.next_seq[0]'", "memory.next_seq.0", Set(LIMIT)),
     ];
     for (field, path, edit) in damages {
-        let mut bad = snap.clone();
-        match (member(&mut bad.doc, path), edit) {
+        let mut bad = doc.clone();
+        match (member(&mut bad, path), edit) {
             (JsonValue::Array(xs), Cut(n)) => xs.truncate(xs.len() - n),
             (v, Set(s)) => *v = JsonValue::String(s.into()),
             (JsonValue::Array(xs), Push(s)) => xs.push(JsonValue::String(s.into())),
@@ -510,6 +512,7 @@ fn damaged_snapshots_are_refused_by_field() {
             (JsonValue::Object(ms), Remove(key)) => ms.retain(|m| m.0 != key),
             (v, _) => panic!("{path}: {v:?} cannot take this edit"),
         }
+        let bad = SystemSnapshot::from_json(&bad.to_json()).expect("an intact header");
         match builder().try_run_restored(&bad) {
             Err(SimError::Snapshot(why)) => assert!(why.contains(field), "{field}: {why}"),
             other => panic!("{field}: expected a snapshot error, got {other:?}"),

@@ -9,7 +9,7 @@
 use super::tests::pages;
 use super::*;
 use memnet_common::SplitMix64;
-use memnet_obs::json::Field;
+use memnet_obs::json::{Field, ToJson};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -198,7 +198,9 @@ fn cache_agrees(cfg: &CacheConfig, seed: u64) {
             } else {
                 r.snapshot_v1()
             };
-            let back = Field::root(&record, "")
+            let text = record.to_json();
+            let back = Field::root(&text, "")
+                .expect("valid JSON")
                 .record(|f| Cache::new(cfg).restored(f))
                 .expect("a cache restores its own snapshot and a version 1 record");
             assert_eq!(pages(&back), pages(&c), "restored pages, {at}");
@@ -237,7 +239,9 @@ fn a_version_1_record_restores_only_the_touched_pages() {
     }
     c.invalidate(0);
     r.invalidate(0);
-    let back = Field::root(&r.snapshot_v1(), "")
+    let text = r.snapshot_v1().to_json();
+    let back = Field::root(&text, "")
+        .expect("valid JSON")
         .record(|f| Cache::new(&cfg).restored(f))
         .expect("a version 1 record restores");
     assert_eq!(pages(&back), [0, 1]);

@@ -297,7 +297,7 @@ impl Vault {
     pub fn restored(mut self, f: &Fields) -> Result<Self, String> {
         let bank = |c: &[Field]| {
             Ok(Bank {
-                open_row: match c[0].str()? {
+                open_row: match &*c[0].str()? {
                     "-" => None,
                     _ => Some(c[0].uint_str()?),
                 },
@@ -331,6 +331,7 @@ impl Vault {
 mod tests {
     use super::*;
     use memnet_common::{Agent, GpuId, ReqId, SystemConfig};
+    use memnet_obs::json::ToJson;
 
     fn cfg() -> HmcConfig {
         SystemConfig::paper().hmc
@@ -506,7 +507,11 @@ mod tests {
         v.tick(0).expect("issued");
         let snap = v.snapshot();
         assert_eq!(rows(&v), 6, "one row, for bank 3");
-        let f = Fields::new(&snap, "").expect("an object");
+        let text = snap.to_json();
+        let f = Field::root(&text, "")
+            .expect("valid JSON")
+            .object()
+            .expect("an object");
         let back = Vault::new(&c).restored(&f).expect("restores");
         assert_eq!(back.snapshot(), snap);
         assert_eq!(back.banks, v.banks);

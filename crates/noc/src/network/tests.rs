@@ -1,7 +1,7 @@
 use super::*;
 use crate::builder::{LinkSpec, NetworkBuilder, NocParams};
 use memnet_common::{AccessKind, Agent, GpuId, MemReq, ReqId};
-use memnet_obs::json::Field;
+use memnet_obs::json::{Field, ToJson};
 
 fn payload(bytes: u32, kind: AccessKind, id: u64) -> Payload {
     Payload::Req(MemReq {
@@ -577,7 +577,9 @@ fn a_restored_network_continues_like_the_original() {
     net.tick(); // the last credit returns
     let record = net.snapshot();
     let (fresh, _) = overlay_mesh(RoutingPolicy::Ugal);
-    let mut restored = Field::root(&record, "")
+    let text = record.to_json();
+    let mut restored = Field::root(&text, "")
+        .expect("valid JSON")
         .record(|f| fresh.restored(f, net.cycle()))
         .expect("same topology");
     assert_eq!(restored.ready_ports.next_from(0), None);

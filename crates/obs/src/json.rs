@@ -8,14 +8,12 @@
 //!   Chrome-trace exporter and the experiment artifacts;
 //! * [`ToJson`] — implemented for primitives, strings, slices and
 //!   (via [`to_json_struct!`](crate::to_json_struct)) plain structs;
-//! * [`parse`] — a strict parser into [`JsonValue`] for reading documents
-//!   back (golden files, and every outside input [`Fields`] reads);
-//! * [`split_members`] — the same checks without the tree: an object's
-//!   top-level members as raw bytes, for a caller that answers from them;
-//! * [`Fields`] — the one strict typed reader that turns a parsed outside
-//!   input (serve request, workload model, fault plan, snapshot) into
-//!   values: deny unknown, deny duplicate, exact integers, path in every
-//!   error;
+//! * [`parse`] — a strict parser into [`JsonValue`], for where a tree is
+//!   the product: serve's id echo, tables, tests;
+//! * [`Fields`] — the one strict typed reader that turns an outside input
+//!   (serve request, workload model, fault plan, snapshot) into values
+//!   straight from its text: deny unknown, deny duplicate, exact integers,
+//!   path in every error;
 //! * [`Snap`] — the checkpoint's encoding of each value, with
 //!   [`snap_struct!`](crate::snap_struct) for plain-data records.
 //!
@@ -23,6 +21,7 @@
 //! for NaN and ±∞, matching what `JSON.stringify` does.
 
 use memnet_common::stats::RunningStats;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Types that can write themselves as one JSON value.
@@ -497,39 +496,13 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
     Parser::new(s).document(Parser::value)
 }
 
-/// Checks `s` as [`parse`] would — the same grammar, errors and nesting
-/// limit (`MAX_DEPTH`) — without building a tree or allocating, and
-/// hands each top-level member of an object document to `member` as it
-/// goes: the key's bytes between its quotes, escapes as written, and the
-/// value's bytes as written. A document that is not an object has no
-/// members. On an error the members before it have been handed out too,
-/// so a caller acts on them only after `Ok`.
-pub fn split_members<'a>(
-    s: &'a str,
-    mut member: impl FnMut(&'a str, &'a str),
-) -> Result<(), JsonError> {
-    Parser::new(s).document(|p| {
-        if p.peek() != Some(b'{') {
-            return p.skip_value();
-        }
-        p.nested(|p| {
-            p.object(|p, (), key| {
-                let start = p.pos;
-                p.skip_value()?;
-                member(key, &p.src[start..p.pos]);
-                Ok(())
-            })
-        })
-    })
-}
-
 /// Deepest container nesting [`parse`] follows. The parser recurses per
 /// level, so an unbounded `[[[[…` line would overflow the stack; no
 /// document the workspace reads or writes nests past eight.
 const MAX_DEPTH: usize = 64;
 
-/// Where a scanned string's text goes: into the `String` [`parse`]
-/// builds, or nowhere when [`split_members`] only checks it.
+/// Where a scanned string's text goes: into a `String`, or nowhere when
+/// the scan only checks it.
 trait Text: Default {
     /// Appends a run of source bytes holding no quote, backslash or
     /// control byte, so it starts and ends at scalar boundaries.
@@ -634,18 +607,12 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.nested(|p| {
                 let mut members = Vec::new();
-                p.object(|p, key: String, _| {
-                    members.push((key, p.value()?));
-                    Ok(())
-                })?;
+                p.object(|p, key: String, _| p.value().map(|v| members.push((key, v))))?;
                 Ok(JsonValue::Object(members))
             }),
             Some(b'[') => self.nested(|p| {
                 let mut items = Vec::new();
-                p.array(|p| {
-                    items.push(p.value()?);
-                    Ok(())
-                })?;
+                p.array(|p| p.value().map(|v| items.push(v)))?;
                 Ok(JsonValue::Array(items))
             }),
             Some(b'"') => self.string().map(JsonValue::String),
@@ -678,6 +645,13 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// [`Parser::skip_value`], returning the value's text.
+    fn skip_span(&mut self) -> Step<&'a str> {
+        let (src, start) = (self.src, self.pos);
+        self.skip_value()?;
+        Ok(&src[start..self.pos])
+    }
+
     /// Runs `container` one level deeper, refusing to pass [`MAX_DEPTH`].
     fn nested<T>(&mut self, container: impl FnOnce(&mut Self) -> Step<T>) -> Step<T> {
         if self.depth == MAX_DEPTH {
@@ -690,44 +664,41 @@ impl<'a> Parser<'a> {
     }
 
     /// Walks one object. `member` gets each key, as text of type `K` and
-    /// as its raw bytes between the quotes, with the parser at the value,
-    /// which it must consume.
+    /// as its literal, quotes and escapes as written, with the parser at
+    /// the value, which it must consume.
     fn object<K: Text>(
         &mut self,
         mut member: impl FnMut(&mut Self, K, &'a str) -> Step<()>,
     ) -> Step<()> {
-        self.expect(b'{', "expected '{'")?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let start = self.pos;
-            let key = self.string()?;
-            let raw = &self.src[start + 1..self.pos - 1];
-            self.skip_ws();
-            self.expect(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            member(self, key, raw)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return self.fail("expected ',' or '}' in object"),
-            }
-        }
+        let refusals = ["expected '{'", "expected ',' or '}' in object"];
+        self.container(*b"{}", refusals, |p| {
+            let start = p.pos;
+            let key = p.string()?;
+            let raw = &p.src[start..p.pos];
+            p.skip_ws();
+            p.expect(b':', "expected ':' after object key")?;
+            p.skip_ws();
+            member(p, key, raw)
+        })
     }
 
     /// Walks one array; `item` consumes each element.
-    fn array(&mut self, mut item: impl FnMut(&mut Self) -> Step<()>) -> Step<()> {
-        self.expect(b'[', "expected '['")?;
+    fn array(&mut self, item: impl FnMut(&mut Self) -> Step<()>) -> Step<()> {
+        let refusals = ["expected '['", "expected ',' or ']' in array"];
+        self.container(*b"[]", refusals, item)
+    }
+
+    /// Walks one container from `open` to `close`; `item` consumes each
+    /// entry. `refusals` name a missing `open` and a bad separator.
+    fn container(
+        &mut self,
+        [open, close]: [u8; 2],
+        refusals: [&'static str; 2],
+        mut item: impl FnMut(&mut Self) -> Step<()>,
+    ) -> Step<()> {
+        self.expect(open, refusals[0])?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
             return Ok(());
         }
@@ -737,11 +708,11 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
                     return Ok(());
                 }
-                _ => return self.fail("expected ',' or ']' in array"),
+                _ => return self.fail(refusals[1]),
             }
         }
     }
@@ -917,7 +888,7 @@ impl_snap! {
     u32: |v: &u32| u64::from(*v).snap(), |f: Field| f.want(f.decimal(), "a u32 decimal string");
     f64: |v: &f64| v.to_bits().snap(), |f: Field| f.u64_str().map(f64::from_bits);
     bool: |v: &bool| JsonValue::Bool(*v), |f: Field| f.bool();
-    String: |v: &String| JsonValue::String(v.clone()), |f: Field| f.str().map(str::to_string);
+    String: |v: &String| JsonValue::String(v.clone()), |f: Field| f.str().map(Cow::into_owned);
 }
 
 impl<T: Snap> Snap for Vec<T> {
@@ -986,37 +957,32 @@ pub fn fit_len(path: &str, got: usize, want: usize) -> Result<(), String> {
 ///
 /// Every outside input — serve requests, workload models, fault plans,
 /// snapshots — becomes a typed value through this one reader (DESIGN,
-/// "Input formats: one reader"). Members are taken by key with
-/// [`req`](Self::req) / [`opt`](Self::opt) and converted by the [`Field`]
-/// accessors; [`finish`](Self::finish) then rejects the first member
-/// nobody took. A key that occurs twice is an error when it is taken.
-/// Every message names the full path (`events[1].ordinal`,
-/// `params.model.kernel.iters`).
+/// "Input formats: one reader"), straight from its text. Members are taken
+/// by key with [`req`](Self::req) / [`opt`](Self::opt) and converted by
+/// the [`Field`] accessors; [`finish`](Self::finish) then rejects the
+/// first member nobody took. A key that occurs twice, compared unescaped,
+/// is an error when it is taken. Every message names the full path
+/// (`events[1].ordinal`, `params.model.kernel.iters`).
 #[derive(Debug)]
 pub struct Fields<'a> {
     path: String,
-    members: &'a [(String, JsonValue)],
+    /// Each member's key literal, as sent, and its value's text.
+    members: Vec<(&'a str, &'a str)>,
     /// Bit `i` is set once member `i` was taken.
     taken: std::cell::Cell<u64>,
 }
 
-/// One member (or array element) handed out by [`Fields`], not yet typed.
+/// One member (or array element) handed out by [`Fields`], not yet typed:
+/// its path and its value's text, which was checked with the document.
 #[derive(Debug, Clone, Copy)]
 pub struct Field<'a, 'p> {
     prefix: &'p str,
     key: &'p str,
     index: Option<usize>,
-    value: &'a JsonValue,
+    raw: &'a str,
 }
 
 impl<'a> Fields<'a> {
-    /// Views `v` as an object located at `path`, for a reader that must
-    /// [`finish`](Self::finish) before it acts on what it read; the others
-    /// use [`Field::record`].
-    pub fn new(v: &'a JsonValue, path: &str) -> Result<Fields<'a>, String> {
-        Field::root(v, path).object()
-    }
-
     /// The dotted path of this object (empty at a document root).
     pub fn path(&self) -> &str {
         &self.path
@@ -1024,15 +990,15 @@ impl<'a> Fields<'a> {
 
     /// The optional member `key`.
     pub fn opt<'p>(&'p self, key: &'p str) -> Result<Option<Field<'a, 'p>>, String> {
-        let mut hits = self.members.iter().enumerate().filter(|(_, m)| m.0 == key);
-        let Some((i, (_, value))) = hits.next() else {
+        let mut hits = (self.members.iter().enumerate()).filter(|(_, m)| unquote(m.0) == key);
+        let Some((i, &(_, raw))) = hits.next() else {
             return Ok(None);
         };
         let field = Field {
             prefix: &self.path,
             key,
             index: None,
-            value,
+            raw,
         };
         if hits.next().is_some() {
             return Err(format!("duplicate field '{}'", field.path()));
@@ -1061,30 +1027,43 @@ impl<'a> Fields<'a> {
     }
 
     fn unknown(&self, i: usize) -> String {
-        format!("unknown field '{}'", join(&self.path, &self.members[i].0))
+        let key = unquote(self.members[i].0);
+        format!("unknown field '{}'", join(&self.path, &key))
     }
 }
 
 /// `prefix.key`, without the dot when either side is empty.
 fn join(prefix: &str, key: &str) -> String {
-    let sep = if prefix.is_empty() || key.is_empty() {
-        ""
-    } else {
-        "."
-    };
-    format!("{prefix}{sep}{key}")
+    if prefix.is_empty() || key.is_empty() {
+        return [prefix, key].concat();
+    }
+    format!("{prefix}.{key}")
+}
+
+/// The text of a checked string literal, quotes and escapes as written:
+/// borrowed, unless an escape makes it differ from its bytes.
+fn unquote(literal: &str) -> Cow<'_, str> {
+    match &literal[1..literal.len() - 1] {
+        inner if !inner.contains('\\') => Cow::Borrowed(inner),
+        _ => Cow::Owned(Parser::new(literal).string().unwrap_or_default()),
+    }
 }
 
 impl<'a, 'p> Field<'a, 'p> {
-    /// A whole document (or an already-located value) as a field at
-    /// `path`; empty for a document root.
-    pub fn root(value: &'a JsonValue, path: &'p str) -> Field<'a, 'p> {
-        Field {
+    /// Checks `text` as one JSON document, as [`parse`] would — the same
+    /// grammar, errors, byte positions and nesting limit — without
+    /// building a tree, and views it as a field at `path`: empty for a
+    /// document root. Each object and array inside is walked from its text
+    /// when it is read, and a string is unescaped only if it holds an
+    /// escape.
+    pub fn root(text: &'a str, path: &'p str) -> Result<Field<'a, 'p>, JsonError> {
+        let raw = Parser::new(text).document(Parser::skip_span)?;
+        Ok(Field {
             prefix: "",
             key: path,
             index: None,
-            value,
-        }
+            raw,
+        })
     }
 
     /// The full dotted path, e.g. `gpus[0].l2.ways`.
@@ -1103,45 +1082,42 @@ impl<'a, 'p> Field<'a, 'p> {
         })
     }
 
-    /// The raw value, for members that are echoed rather than interpreted.
-    pub fn value(&self) -> &'a JsonValue {
-        self.value
+    /// The value's text as it was sent, for members that are echoed or
+    /// keyed on rather than interpreted.
+    pub fn raw(&self) -> &'a str {
+        self.raw
     }
 
     /// A string.
-    pub fn str(&self) -> Result<&'a str, String> {
-        self.want(self.value.as_str(), "a string")
+    pub fn str(&self) -> Result<Cow<'a, str>, String> {
+        let text = self.raw.starts_with('"').then(|| unquote(self.raw));
+        self.want(text, "a string")
     }
 
     /// A string that `parse` recognises as the name of a `what`.
-    pub fn named<T>(
-        &self,
-        what: &str,
-        parse: impl FnOnce(&'a str) -> Option<T>,
-    ) -> Result<T, String> {
+    pub fn named<T>(&self, what: &str, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
         let name = self.str()?;
-        parse(name).ok_or_else(|| format!("'{}': unknown {what} '{name}'", self.path()))
+        parse(&name).ok_or_else(|| format!("'{}': unknown {what} '{name}'", self.path()))
     }
 
     /// A boolean.
     pub fn bool(&self) -> Result<bool, String> {
-        self.want(self.value.as_bool(), "a boolean")
+        self.want(self.raw.parse().ok(), "a boolean")
     }
 
-    /// A finite number.
+    /// A finite number, read as [`parse`] reads it: of all checked JSON
+    /// texts, only a number's parses as an `f64`.
     pub fn f64(&self) -> Result<f64, String> {
-        let n = self.value.as_f64().filter(|n| n.is_finite());
+        let n = self.raw.parse().ok().filter(|n: &f64| n.is_finite());
         self.want(n, "a finite number")
     }
 
     /// An exact non-negative integer no larger than `limit` — and never
-    /// above 2^53, past which the parser's `f64` would have rounded it.
+    /// above 2^53, past which an `f64` would have rounded it.
     #[allow(clippy::cast_possible_truncation, reason = "`n` is an integer within 2^53")]
     pub fn uint(&self, limit: u64) -> Result<u64, String> {
         let limit = limit.min(MAX_SAFE_INT);
-        let n = self
-            .value
-            .as_f64()
+        let n = (self.raw.parse::<f64>().ok())
             .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0 && *n <= limit as f64);
         // Exact: `n` is an integer within 2^53.
         self.want(
@@ -1171,7 +1147,7 @@ impl<'a, 'p> Field<'a, 'p> {
     }
 
     fn decimal<T: std::str::FromStr>(&self) -> Option<T> {
-        self.value.as_str().and_then(|s| s.parse().ok())
+        self.str().ok().and_then(|s| s.parse().ok())
     }
 
     /// An array of exactly `len` elements, the count the reading component
@@ -1181,9 +1157,9 @@ impl<'a, 'p> Field<'a, 'p> {
         len: usize,
         each: impl Fn(Field<'a, 'p>) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        let items = self.want(self.value.as_array(), "an array")?;
+        let items = self.list(Ok)?;
         fit_len(&self.path(), items.len(), len)?;
-        self.list(each)
+        items.into_iter().map(each).collect()
     }
 
     /// A flat array of `width`-cell rows, each converted by `each`; `len`,
@@ -1237,13 +1213,32 @@ impl<'a, 'p> Field<'a, 'p> {
         &self,
         each: impl Fn(Field<'a, 'p>) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        let items = self.want(self.value.as_array(), "an array")?;
-        let indexed = |(i, value)| Field {
+        let items = self.walk(false)?;
+        let indexed = |(i, (_, raw))| Field {
             index: Some(i),
-            value,
+            raw,
             ..*self
         };
-        items.iter().enumerate().map(indexed).map(each).collect()
+        items
+            .into_iter()
+            .enumerate()
+            .map(indexed)
+            .map(each)
+            .collect()
+    }
+
+    /// Walks the object (or array) this value must be: each member's key
+    /// literal and value text, or each element's text beside an empty key.
+    fn walk(&self, object: bool) -> Result<Vec<(&'a str, &'a str)>, String> {
+        let mut members = Vec::new();
+        let mut p = Parser::new(self.raw);
+        let walked = if object {
+            p.object(|p, (), key| p.skip_span().map(|v| members.push((key, v))))
+        } else {
+            p.array(|p| p.skip_span().map(|v| members.push(("", v))))
+        };
+        let what = if object { "an object" } else { "an array" };
+        self.want(walked.ok().map(|()| members), what)
     }
 
     /// A child object read to the end by `read`: members it leaves
@@ -1258,15 +1253,18 @@ impl<'a, 'p> Field<'a, 'p> {
         Ok(v)
     }
 
-    fn object(&self) -> Result<Fields<'a>, String> {
-        let members = self.want(self.value.as_object(), "an object")?;
+    /// The object this value must be, for a reader that must
+    /// [`finish`](Fields::finish) before it acts on what it read; the
+    /// others use [`Field::record`].
+    pub fn object(&self) -> Result<Fields<'a>, String> {
+        let members = self.walk(true)?;
         let fields = Fields {
             path: self.path(),
             members,
             taken: std::cell::Cell::new(0),
         };
         // No schema here has 64 fields, so member 64 cannot be a known one.
-        if members.len() > 64 {
+        if fields.members.len() > 64 {
             return Err(fields.unknown(64));
         }
         Ok(fields)
@@ -1279,14 +1277,14 @@ mod tests {
 
     #[test]
     fn reader_takes_typed_fields_and_names_every_failure_by_path() {
-        let v = parse(
-            r#"{"n":3,"s":"x","b":true,"f":1.5,"big":"18446744073709551615",
-                "xs":[1,2.5],"child":{"k":1,"typo":2},"dup":1,"dup":2}"#,
-        )
-        .expect("parse");
-        let f = Fields::new(&v, "").expect("object");
+        let doc = r#"{"n":3,"s":"x","b":true,"f":1.5,"big":"18446744073709551615",
+                "xs":[1,2.5],"child":{"k":1,"typo":2},"dup":1,"dup":2}"#;
+        let f = Field::root(doc, "")
+            .expect("valid")
+            .object()
+            .expect("object");
         assert_eq!(f.req("n").and_then(|x| x.uint(10)), Ok(3));
-        assert_eq!(f.req("s").and_then(|x| x.str()), Ok("x"));
+        assert_eq!(f.req("s").and_then(|x| x.str()), Ok("x".into()));
         assert_eq!(f.req("b").and_then(|x| x.bool()), Ok(true));
         assert_eq!(f.req("f").and_then(|x| x.f64()), Ok(1.5));
         assert_eq!(f.req("big").and_then(|x| x.u64_str()), Ok(u64::MAX));
@@ -1304,7 +1302,9 @@ mod tests {
             .and_then(|x| x.record(|c| c.req("k")?.uint(9)));
         assert_eq!(child.unwrap_err(), "unknown field 'child.typo'");
         assert_eq!(f.finish().unwrap_err(), "unknown field 'dup'");
-        assert!(Fields::new(&JsonValue::Null, "params")
+        let null = Field::root("null", "params").expect("valid");
+        assert!(null
+            .object()
             .unwrap_err()
             .contains("'params' must be an object"));
     }
@@ -1312,8 +1312,7 @@ mod tests {
     /// `doc` read as a whole document through `read`; a JSON error is its
     /// text.
     fn read_doc<T>(doc: &str, read: impl FnOnce(Field) -> Result<T, String>) -> Result<T, String> {
-        let v = parse(doc).map_err(|e| e.to_string())?;
-        read(Field::root(&v, ""))
+        read(Field::root(doc, "").map_err(|e| e.to_string())?)
     }
 
     #[test]
@@ -1366,13 +1365,17 @@ mod tests {
     #[test]
     fn reader_refuses_inexact_and_out_of_range_integers() {
         for bad in ["-1", "1e30", "9007199254740994", "0.5", "\"7\"", "null"] {
-            let v = parse(&format!("{{\"n\":{bad}}}")).expect("parse");
-            let f = Fields::new(&v, "").expect("object");
-            assert!(f.req("n").and_then(|x| x.uint(u64::MAX)).is_err(), "{bad}");
+            let uint = |f: Field| f.record(|r| r.req("n")?.uint(u64::MAX));
+            assert!(
+                read_doc(&format!("{{\"n\":{bad}}}"), uint).is_err(),
+                "{bad}"
+            );
         }
-        let v = parse(r#"{"n":9007199254740992}"#).expect("parse");
-        let f = Fields::new(&v, "").expect("object");
-        assert_eq!(f.req("n").and_then(|x| x.uint(u64::MAX)), Ok(MAX_SAFE_INT));
+        let uint = |f: Field| f.record(|r| r.req("n")?.uint(u64::MAX));
+        assert_eq!(
+            read_doc(r#"{"n":9007199254740992}"#, uint),
+            Ok(MAX_SAFE_INT)
+        );
     }
 
     #[test]
@@ -1383,8 +1386,11 @@ mod tests {
             ("min", f64::INFINITY.snap()),
             ("cells", snaps([1u64, 2, 3, 4, 5])),
         ]);
-        let v = parse(&doc.to_json()).expect("parse");
-        let f = Fields::new(&v, "").expect("object");
+        let text = doc.to_json();
+        let f = Field::root(&text, "")
+            .expect("valid")
+            .object()
+            .expect("object");
         assert_eq!(f.req("tag").and_then(|x| x.u64_str()), Ok(u64::MAX));
         let count = f.req("count").expect("count");
         assert_eq!(count.u64_str(), Ok(MAX_SAFE_INT + 1));
@@ -1392,7 +1398,8 @@ mod tests {
         assert!(u32::unsnap(count).is_err());
         assert_eq!(f.get("min"), Ok(f64::INFINITY));
         let empty = RunningStats::new();
-        let back = RunningStats::unsnap(Field::root(&empty.snap(), "")).expect("sentinels");
+        let text = empty.snap().to_json();
+        let back = RunningStats::unsnap(Field::root(&text, "").expect("valid")).expect("sentinels");
         assert_eq!(back.raw(), empty.raw());
         let cells = f.req("cells").expect("cells");
         let err = cells.rows(2, None, |c| c[0].uint_str()).unwrap_err();
@@ -1418,11 +1425,11 @@ mod tests {
         );
         let want = r#"{"hits":"3","ratio":"4602678819172646912"}"#;
         assert_eq!(v.to_json(), want);
-        let back = Field::root(&v, "").record(Counters::read).expect("read");
+        let back = read_doc(want, |f| f.record(Counters::read)).expect("read");
         assert_eq!((back.hits, back.ratio), (3, 0.5));
-        let v = parse(r#"{"hits":"3","ratio":"4602678819172646912","x":1}"#).expect("parse");
-        let err = Field::root(&v, "c").record(Counters::read).map(|_| ());
-        assert_eq!(err, Err("unknown field 'c.x'".into()));
+        let v = r#"{"hits":"3","ratio":"4602678819172646912","x":1}"#;
+        let err = Field::root(v, "c").expect("valid").record(Counters::read);
+        assert_eq!(err.map(|_| ()), Err("unknown field 'c.x'".into()));
     }
 
     #[test]
@@ -1585,7 +1592,7 @@ mod tests {
     }
 
     #[test]
-    fn split_members_checks_what_parse_checks_and_hands_out_raw_bytes() {
+    fn the_reader_checks_what_parse_checks_and_reads_values_as_sent() {
         let deep = format!("{}1{}", "[".repeat(65), "]".repeat(65));
         let deep_member = format!(r#"{{"id":{}1{}}}"#, "[".repeat(64), "]".repeat(64));
         let corpus = [
@@ -1623,23 +1630,28 @@ mod tests {
             &deep_member,
         ];
         for doc in corpus {
-            let skipped = split_members(doc, |_, _| {});
-            assert_eq!(skipped, parse(doc).map(|_| ()), "{doc:?}");
+            let root = Field::root(doc, "").map(|f| f.raw());
+            assert_eq!(root.clone().map(|_| ()), parse(doc).map(|_| ()), "{doc:?}");
+            if let Ok(raw) = root {
+                assert_eq!(raw, doc.trim(), "the root is the document, trimmed");
+            }
         }
-        let mut members = Vec::new();
         let doc = r#" { "id" : [1, {"a":2}] ,"p\u0061rams":{ "x": "y" },"n":-1.5e2 } "#;
-        split_members(doc, |k, v| members.push((k, v))).expect("valid");
+        let f = Field::root(doc, "")
+            .expect("valid")
+            .object()
+            .expect("an object");
+        let raw = |key| f.req(key).map(|x| x.raw());
+        assert_eq!(raw("id"), Ok(r#"[1, {"a":2}]"#));
+        assert_eq!(raw("params"), Ok(r#"{ "x": "y" }"#));
+        assert_eq!(raw("n"), Ok("-1.5e2"));
+        let items = f.req("id").and_then(|x| x.list(|e| Ok(e.raw())));
+        assert_eq!(items, Ok(vec!["1", r#"{"a":2}"#]));
+        let array = Field::root(r#"[{"a":1}]"#, "").expect("valid");
         assert_eq!(
-            members,
-            [
-                ("id", r#"[1, {"a":2}]"#),
-                ("p\\u0061rams", r#"{ "x": "y" }"#),
-                ("n", "-1.5e2"),
-            ]
+            array.object().unwrap_err(),
+            "the document must be an object"
         );
-        let mut count = 0;
-        split_members(r#"[{"a":1}]"#, |_, _| count += 1).expect("valid");
-        assert_eq!(count, 0, "an array has no members");
     }
 
     #[test]

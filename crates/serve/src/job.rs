@@ -19,7 +19,7 @@ use memnet_common::FaultPlan;
 use memnet_core::{CtaPolicy, EngineMode, Organization, PlacementPolicy, SanitizeMode, SimBuilder};
 use memnet_noc::topo::{SlicedKind, TopologyKind};
 use memnet_noc::RoutingPolicy;
-use memnet_obs::{Field, Fields, JsonValue, MAX_SAFE_INT};
+use memnet_obs::{Field, Fields, JsonValue, ToJson, MAX_SAFE_INT};
 use memnet_workloads::{Workload, WorkloadSpec};
 
 /// The first entry of a name table that matches `s`, ignoring ASCII case.
@@ -171,16 +171,19 @@ pub fn load_model(path: &str) -> Result<WorkloadSpec, String> {
 }
 
 impl JobSpec {
-    /// Parses a spec from the `params` member of a protocol request.
-    /// Absent keys take the `memnet run` defaults; unknown or duplicate
-    /// keys, mistyped values and out-of-range values are errors naming
-    /// the key (`params.gpus`).
+    /// [`JobSpec::from_field`] over a `params` tree, which it writes out
+    /// and reads back. It exists for callers that hold a tree (the layer
+    /// probes, the hostile-input tests); a request is read from its text.
     pub fn from_json(params: &JsonValue) -> Result<JobSpec, String> {
-        JobSpec::from_field(Field::root(params, "params"))
+        let text = params.to_json();
+        let params = Field::root(&text, "params").map_err(|e| e.to_string())?;
+        JobSpec::from_field(params)
     }
 
-    /// [`JobSpec::from_json`] over an already-located object (a batch
-    /// job carries the `params.jobs[i]` path).
+    /// Reads a spec from the `params` member of a protocol request (a
+    /// batch job carries the `params.jobs[i]` path). Absent keys take the
+    /// `memnet run` defaults; unknown or duplicate keys, mistyped values
+    /// and out-of-range values are errors naming the key (`params.gpus`).
     pub fn from_field(params: Field) -> Result<JobSpec, String> {
         params.record(JobSpec::read)
     }
@@ -194,7 +197,7 @@ impl JobSpec {
                 return Err(format!("'{m}' and '{p}' are mutually exclusive"));
             }
             (Some(model), None) => Some(memnet_wdl::spec_from_field(model)?),
-            (None, Some(path)) => Some(load_model(path.str()?)?),
+            (None, Some(path)) => Some(load_model(&path.str()?)?),
             (None, None) => None,
         };
         if spec.model.is_some() && (workload.is_some() || small.is_some()) {

@@ -14,8 +14,8 @@
 //! Cached reports are spliced into responses **verbatim**: the `report`
 //! member of a cache hit is the exact byte string the first run
 //! produced. Everything around it is assembled with the `memnet-obs`
-//! JSON writer. A repeat `run` is answered from the request's own bytes
-//! ([`Server::handle_line`]); every other line is parsed.
+//! JSON writer. Every line is read from its text by the one strict reader
+//! (`memnet_obs::Fields`); a repeat `run` is answered without a tree.
 //!
 //! Like the engine pool, the daemon times real work (`busy_ms` in
 //! `stats`): the one `Instant::now` and the thread sites each carry an
@@ -25,8 +25,7 @@
 use crate::cache::ResultCache;
 use crate::job::JobSpec;
 use memnet_engine::{run_jobs_observed, PoolConfig};
-use memnet_obs::json::split_members;
-use memnet_obs::{parse, Field, Fields, JsonValue, JsonWriter, MetricsRegistry};
+use memnet_obs::{parse, Field, JsonWriter, MetricsRegistry, ToJson};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -62,13 +61,6 @@ pub struct Reply {
     pub text: String,
     /// True after a `shutdown` request was acknowledged.
     pub shutdown: bool,
-}
-
-/// Serializes any JSON value compactly (used to echo request ids).
-fn json_of(v: &JsonValue) -> String {
-    let mut w = JsonWriter::new();
-    w.value(v);
-    w.finish()
 }
 
 /// A JSON string literal (quoted, escaped) for `s`.
@@ -144,46 +136,6 @@ const MEMO_PER_ENTRY: usize = 2;
 /// the memo's memory; a key longer than this is not memoized.
 const MEMO_KEY_BYTES: usize = MAX_LINE_BYTES;
 
-/// A job's spec: the one [`Server::resolve`] parsed, or a fresh parse of
-/// the same params when the memo answered and the cache then missed.
-fn spec_of(params: Field, parsed: Option<JobSpec>) -> Result<JobSpec, String> {
-    parsed.map_or_else(|| JobSpec::from_field(params), Ok)
-}
-
-/// A request line's envelope as sent: the raw bytes of its `id`, `method`
-/// and `params` values.
-#[derive(Default)]
-struct Envelope<'a> {
-    id: Option<&'a str>,
-    method: Option<&'a str>,
-    params: Option<&'a str>,
-}
-
-impl<'a> Envelope<'a> {
-    /// Splits a line that `parse` accepts and whose top-level keys are
-    /// `id`, `method` and `params`, each spelled without escapes and at
-    /// most once. Any other line has no envelope here: `dispatch` reads
-    /// it, and refuses it or decodes what the bytes spell.
-    fn split(line: &'a str) -> Option<Envelope<'a>> {
-        let mut envelope = Envelope::default();
-        let mut plain = true;
-        split_members(line, |key, value| {
-            let slot = match key {
-                "id" => &mut envelope.id,
-                "method" => &mut envelope.method,
-                "params" => &mut envelope.params,
-                _ => {
-                    plain = false;
-                    return;
-                }
-            };
-            plain &= slot.replace(value).is_none();
-        })
-        .ok()?;
-        plain.then_some(envelope)
-    }
-}
-
 /// How one job of a request was served.
 struct Served {
     cached: bool,
@@ -210,9 +162,8 @@ enum Slot {
 pub struct Server {
     pool: PoolConfig,
     cache: ResultCache,
-    /// Fingerprint of each params value already parsed, keyed by an
-    /// exact spelling of it: for a `run`, the bytes it was sent as (see
-    /// [`Server::resolve`]).
+    /// Fingerprint of each params value already parsed, keyed by the
+    /// bytes it was sent as (see [`Server::resolve`]).
     memo: BTreeMap<String, u64>,
     /// Summed length of the memo's keys.
     memo_bytes: usize,
@@ -246,93 +197,54 @@ impl Server {
     /// Handles one request line, producing one response line. The
     /// envelope is read as strictly as the job inside it: an unknown or
     /// duplicate key (`"parms"`) is an error reply, never a default job.
-    ///
-    /// A `run` whose params bytes this server has resolved before, and
-    /// whose report is still cached, is answered from the line's bytes
-    /// without a parse; every other line, each refusal and each miss
-    /// included, goes through the parse.
     pub fn handle_line(&mut self, line: &str) -> Reply {
-        let envelope = Envelope::split(line);
-        if let Some(text) = envelope.as_ref().and_then(|e| self.memo_hit(e)) {
-            return Reply {
-                text,
-                shutdown: false,
-            };
-        }
-        self.dispatched(line, envelope.and_then(|e| e.params))
-    }
-
-    /// The reply `dispatch` makes for `line`, whose params were sent as
-    /// `raw_params` when its envelope split.
-    fn dispatched(&mut self, line: &str, raw_params: Option<&str>) -> Reply {
         let mut shutdown = false;
         let mut id = String::from("null");
-        let text = match self.dispatch(line, raw_params, &mut id, &mut shutdown) {
-            Ok(body) => ok_line(&id, &body),
-            Err(e) => err_line(&id, &e),
-        };
+        let text = self
+            .dispatch(line, &mut id, &mut shutdown)
+            .unwrap_or_else(|e| err_line(&id, &e));
         Reply { text, shutdown }
     }
 
-    /// Answers a cached `run` without a tree: it needs `method` spelled
-    /// exactly `"run"`, params bytes the memo holds and their fingerprint
-    /// in the cache, and writes what `dispatch` would, into one buffer.
-    /// The id is echoed re-written, as `dispatch` echoes it (`1.50` as
-    /// `1.5`). A memo entry whose report was evicted answers `None`, and
-    /// `dispatch` runs the job again; the lookup that found nothing only
-    /// advanced the cache's recency clock, which orders entries and
-    /// nothing else.
-    fn memo_hit(&mut self, envelope: &Envelope) -> Option<String> {
-        if envelope.method != Some("\"run\"") {
-            return None;
-        }
-        let &fingerprint = self.memo.get(envelope.params?)?;
-        let id = match envelope.id {
-            Some(raw) => json_of(&parse(raw).ok()?),
-            None => "null".to_string(),
-        };
-        let report = self.cache.get(fingerprint)?;
-        self.metrics.add("cache.hit", 1);
-        Some(ok_reply(&id, report.len() + RUN_BODY_BYTES, |out| {
-            run_body(out, true, fingerprint, &report);
-        }))
-    }
-
-    /// Reads the envelope and runs the method; `id` is filled in as soon
-    /// as it is known so an error reply can still echo it. `raw_params`
-    /// is what the line's `params` were sent as, when its envelope split.
+    /// Reads the envelope and runs the method, returning the reply; `id`
+    /// is filled in as soon as it is known so an error reply can still
+    /// echo it. A `run` reply is written once, into one buffer.
     fn dispatch(
         &mut self,
         line: &str,
-        raw_params: Option<&str>,
         id: &mut String,
         shutdown: &mut bool,
     ) -> Result<String, String> {
-        let request = parse(line).map_err(|e| format!("bad request: {e}"))?;
-        let envelope = Fields::new(&request, "").map_err(|e| format!("bad request: {e}"))?;
+        let request = Field::root(line, "").map_err(|e| e.to_string());
+        let envelope = request
+            .and_then(|r| r.object())
+            .map_err(|e| format!("bad request: {e}"))?;
         if let Some(x) = envelope.opt("id")? {
-            *id = json_of(x.value());
+            // Echoed re-written, as a tree writes it: `1.50` as `1.5`.
+            *id = parse(x.raw()).map_err(|e| e.to_string())?.to_json();
         }
         let method = envelope.req("method")?.str()?;
-        let no_params = JsonValue::Object(Vec::new());
-        let params = envelope.opt("params")?;
-        let params = params.unwrap_or(Field::root(&no_params, "params"));
+        let params = match envelope.opt("params")? {
+            Some(params) => params,
+            None => Field::root("{}", "params").map_err(|e| e.to_string())?,
+        };
         envelope.finish()?;
-        let body = match method {
+        let body = match &*method {
             "run" => {
-                let (mut served, _) = self.serve(vec![(params, raw_params)]);
+                let (mut served, _) = self.serve(&[params]);
                 let s = served
                     .pop()
                     .unwrap_or_else(|| Err("no job was served".into()))?;
-                let mut body = String::with_capacity(s.report.len() + RUN_BODY_BYTES);
-                run_body(&mut body, s.cached, s.fingerprint, &s.report);
-                return Ok(body);
+                let len = s.report.len() + RUN_BODY_BYTES;
+                return Ok(ok_reply(id, len, |out| {
+                    run_body(out, s.cached, s.fingerprint, &s.report);
+                }));
             }
             "batch" => {
-                let batch = Fields::new(params.value(), "params")?;
-                let jobs = batch.req("jobs")?.list(|job| Ok((job, None)))?;
+                let batch = params.object()?;
+                let jobs = batch.req("jobs")?.list(Ok)?;
                 batch.finish()?;
-                return Ok(self.run_batch(jobs));
+                return Ok(ok_line(id, &self.run_batch(&jobs)));
             }
             "ping" => "{\"pong\":true}".to_string(),
             "stats" => self.stats_body(),
@@ -342,7 +254,7 @@ impl Server {
         // These three take no parameters at all.
         params.record(|_| Ok(()))?;
         *shutdown = method == "shutdown";
-        Ok(body)
+        Ok(ok_line(id, &body))
     }
 
     /// Resolves one job's `params` to its cache address. A value this
@@ -350,37 +262,24 @@ impl Server {
     /// parse nor a fingerprint; otherwise the spec is parsed and returned
     /// beside its address, so a miss does not parse it twice.
     ///
-    /// The memo key is an exact spelling of the value: `raw`, the bytes
-    /// it was sent as, when the envelope split gave them (a `run`), and
-    /// its compact re-serialization otherwise (a `batch` job, a `run`
-    /// whose envelope spells a key with escapes, a default `{}`). Both
-    /// parse back to the value, so one map holds either, and two
-    /// spellings of one value are two entries with one fingerprint:
-    /// whitespace and key order both split a key. Only an accepted value
-    /// is memoized, so a refused one is refused every time. A job naming
-    /// a `workload_file` is never memoized: the file can change between
+    /// The memo key is the value's bytes as sent: a `run`'s `params`, a
+    /// batch's `jobs[i]`, `{}` for a `run` without params. Two spellings
+    /// of one value are two entries with one fingerprint: whitespace,
+    /// escapes and key order all split a key. Only an accepted value is
+    /// memoized, so a refused one is refused every time. A job naming a
+    /// `workload_file` is never memoized: the file can change between
     /// requests. The memo is cleared before it would pass
     /// [`MEMO_PER_ENTRY`] × the cache capacity entries or
     /// [`MEMO_KEY_BYTES`] of keys.
-    fn resolve(
-        &mut self,
-        params: Field,
-        raw: Option<&str>,
-    ) -> Result<(u64, Option<JobSpec>), String> {
-        let compact;
-        let key = match raw {
-            Some(raw) => raw,
-            None => {
-                compact = json_of(params.value());
-                &compact
-            }
-        };
+    fn resolve(&mut self, params: Field) -> Result<(u64, Option<JobSpec>), String> {
+        let key = params.raw();
         if let Some(&fingerprint) = self.memo.get(key) {
             return Ok((fingerprint, None));
         }
         let spec = JobSpec::from_field(params)?;
         let fingerprint = spec.fingerprint();
-        if params.value().get("workload_file").is_none() && key.len() <= MEMO_KEY_BYTES {
+        let from_file = params.object()?.opt("workload_file")?.is_some();
+        if !from_file && key.len() <= MEMO_KEY_BYTES {
             if self.memo.len() >= self.cache.capacity().saturating_mul(MEMO_PER_ENTRY)
                 || self.memo_bytes + key.len() > MEMO_KEY_BYTES
             {
@@ -397,14 +296,14 @@ impl Server {
     /// cached one a hit, and the rest run on the pool once each — a
     /// duplicate of an earlier miss is deduplicated onto it. Returns each
     /// job's outcome and the number deduplicated. A `run` request is a
-    /// batch of one. Each job comes with its raw params bytes, if known.
-    fn serve(&mut self, jobs: Vec<(Field, Option<&str>)>) -> (Vec<Result<Served, String>>, u64) {
+    /// batch of one.
+    fn serve(&mut self, jobs: &[Field]) -> (Vec<Result<Served, String>>, u64) {
         let mut slots = Vec::with_capacity(jobs.len());
         let mut unique: Vec<JobSpec> = Vec::new();
         let mut unique_fps: Vec<u64> = Vec::new();
         let mut deduped = 0u64;
-        for (job, raw) in jobs {
-            let (fingerprint, parsed) = match self.resolve(job, raw) {
+        for &job in jobs {
+            let (fingerprint, parsed) = match self.resolve(job) {
                 Ok(resolved) => resolved,
                 Err(e) => {
                     slots.push(Slot::Done(Err(e)));
@@ -428,7 +327,7 @@ impl Server {
                     deduped: true,
                 });
             } else {
-                let spec = match spec_of(job, parsed) {
+                let spec = match parsed.map_or_else(|| JobSpec::from_field(job), Ok) {
                     Ok(spec) => spec,
                     Err(e) => {
                         slots.push(Slot::Done(Err(e)));
@@ -472,7 +371,7 @@ impl Server {
         (served, deduped)
     }
 
-    fn run_batch(&mut self, jobs: Vec<(Field, Option<&str>)>) -> String {
+    fn run_batch(&mut self, jobs: &[Field]) -> String {
         let (served, deduped) = self.serve(jobs);
         let entries: Vec<String> = served
             .iter()
@@ -995,9 +894,8 @@ mod tests {
                 r#"{{"org":"gmn","gpus":2,"model":{}}}"#,
                 memnet_wdl::spec_to_json(&spec)
             );
-            let value = parse(&params).expect("params parse");
-            s.resolve(Field::root(&value, "params"), Some(&params))
-                .expect("a valid job");
+            let value = Field::root(&params, "params").expect("params parse");
+            s.resolve(value).expect("a valid job");
             let held: usize = s.memo.keys().map(String::len).sum();
             assert_eq!(held, s.memo_bytes);
             assert!(held <= MEMO_KEY_BYTES, "{held} key bytes after {i}");
@@ -1006,10 +904,9 @@ mod tests {
         // A key longer than the whole budget is answered but not kept.
         spec.name = "x".repeat(MEMO_KEY_BYTES);
         let params = format!(r#"{{"model":{}}}"#, memnet_wdl::spec_to_json(&spec));
-        let value = parse(&params).expect("params parse");
+        let value = Field::root(&params, "params").expect("params parse");
         let before = s.memo.len();
-        s.resolve(Field::root(&value, "params"), Some(&params))
-            .expect("a valid job");
+        s.resolve(value).expect("a valid job");
         assert_eq!(s.memo.len(), before);
     }
 
@@ -1139,9 +1036,9 @@ mod tests {
         s
     }
 
-    /// FNV-1a hashes of the replies to [`corpus`], in order, recorded
-    /// when a cached `run` was answered on a second request path held to
-    /// `dispatch` reply for reply.
+    /// FNV-1a hashes of the replies to [`corpus`], in order, as recorded
+    /// while a second request path answered cached `run`s and a test held
+    /// it to `dispatch` reply for reply.
     const CORPUS_REPLIES: [u64; 67] = [
         0xfe72ea9b7cfd28c4,
         0x4972b2e3cb434cdf,
@@ -1246,61 +1143,6 @@ mod tests {
         let counts = counters.map(|c| s.metrics().counter(c));
         // `a`, `b` and `a` again ran; the batch deduplicated nothing.
         assert_eq!(counts, [39, 3, 2, 0, 3]);
-    }
-
-    #[test]
-    fn a_hit_answered_from_the_bytes_is_the_reply_dispatch_makes() {
-        // One server answers through `handle_line`, the other through
-        // `dispatch` alone; every reply and the final counters must agree.
-        // A one-entry cache lets `b` evict `a` near the end.
-        use memnet_workloads::Workload;
-        let cfg = ServeConfig {
-            cache_capacity: 1,
-            ..ServeConfig::default()
-        };
-        let (mut fast, mut slow) = (Server::new(&cfg), Server::new(&cfg));
-        let model = memnet_wdl::spec_to_json(&Workload::VecAdd.spec_small());
-        let path =
-            std::env::temp_dir().join(format!("memnet-fast-path-{}.json", std::process::id()));
-        std::fs::write(&path, &model).expect("write the model");
-        let lines = corpus(path.to_str().expect("temp path is utf-8"));
-        let mut answered = 0;
-        for line in &lines {
-            // A cached reply to params bytes the memo held beforehand is
-            // one the fast path gave.
-            let known = Envelope::split(line)
-                .filter(|e| e.method == Some("\"run\""))
-                .and_then(|e| fast.memo.get(e.params?).copied());
-            let want = slow.dispatched(line, None);
-            let got = fast.handle_line(line);
-            assert_eq!(got, want, "{line}");
-            if known.is_some() && got.text.contains("\"cached\":true") {
-                answered += 1;
-                assert!(got.text.capacity() > got.text.len(), "room for the newline");
-            }
-        }
-        std::fs::remove_file(&path).expect("clean up the model");
-        for counter in [
-            "cache.hit",
-            "cache.miss",
-            "cache.evict",
-            "cache.dedup",
-            "pool.jobs",
-        ] {
-            let (got, want) = (
-                fast.metrics().counter(counter),
-                slow.metrics().counter(counter),
-            );
-            assert_eq!(got, want, "{counter}");
-        }
-        assert_eq!(
-            fast.metrics().counter("cache.miss"),
-            3,
-            "a, b and a again ran"
-        );
-        // Nine ids, no id, twelve envelope spellings, the second of the
-        // spaced params and of the model, the deepest id and the last `a`.
-        assert_eq!(answered, 26, "lines answered from the bytes");
     }
 
     /// Accepts at most three bytes per call and times out on every other

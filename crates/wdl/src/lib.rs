@@ -38,7 +38,7 @@
 
 pub mod fuzz;
 
-use memnet_obs::json::{parse, Field, Fields, MAX_SAFE_INT};
+use memnet_obs::json::{Field, Fields, MAX_SAFE_INT};
 use memnet_obs::JsonWriter;
 use memnet_workloads::{HostWork, SyntheticKernel, Workload, WorkloadSpec};
 use std::sync::Arc;
@@ -172,8 +172,8 @@ pub fn spec_from_field(model: Field) -> Result<WorkloadSpec, String> {
 /// Returns a human-readable message on malformed JSON or an invalid model
 /// (see [`spec_from_field`]).
 pub fn spec_from_json(s: &str) -> Result<WorkloadSpec, String> {
-    let v = parse(s).map_err(|e| format!("workload model: {e}"))?;
-    spec_from_field(Field::root(&v, ""))
+    let doc = Field::root(s, "").map_err(|e| format!("workload model: {e}"))?;
+    spec_from_field(doc)
 }
 
 /// Semantic validation beyond types: the kernel must be self-consistent
