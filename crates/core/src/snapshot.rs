@@ -157,7 +157,7 @@ impl SystemSnapshot {
         ];
         members.extend(h.counters.members());
         members.extend(records);
-        let text = JsonValue::object(members).to_json_pretty();
+        let text = JsonValue::object(members).to_json();
         SystemSnapshot { header, text }
     }
 
@@ -176,14 +176,16 @@ impl SystemSnapshot {
         self.header.now
     }
 
-    /// The snapshot's JSON document.
+    /// The snapshot's JSON document: compact, on one line, as written
+    /// (or as read, for a snapshot from [`SystemSnapshot::from_json`]).
     pub fn to_json_string(&self) -> String {
         self.text.clone()
     }
 
     /// Checks a snapshot document written by
-    /// [`SystemSnapshot::to_json_string`] and reads its header. Each component record is checked by its
-    /// owner when
+    /// [`SystemSnapshot::to_json_string`], in either layout (a format 3
+    /// file from before the compact writer is indented), and reads its
+    /// header. Each component record is checked by its owner when
     /// [`SimBuilder::try_run_restored`](crate::SimBuilder::try_run_restored)
     /// hands it over.
     ///
@@ -243,13 +245,13 @@ mod tests {
             .unwrap_err()
             .contains("memnet_snapshot"));
         for (from, to, want) in [
-            ("_snapshot\": \"3", "_snapshot\": \"4", "version 4"),
-            ("_snapshot\": \"3", "_snapshot\": \"0", "version 0"),
-            ("\"now\": \"", "\"now\": \"x", "'now' must be"),
-            ("\"now\": ", "\"now\": \"1\", \"now\": ", "duplicate"),
+            ("_snapshot\":\"3", "_snapshot\":\"4", "version 4"),
+            ("_snapshot\":\"3", "_snapshot\":\"0", "version 0"),
+            ("\"now\":\"", "\"now\":\"x", "'now' must be"),
+            ("\"now\":", "\"now\":\"1\",\"now\":", "duplicate"),
             (
-                "host_fs\": \"0\"",
-                "host_fs\": \"9007199254740992\"",
+                "host_fs\":\"0\"",
+                "host_fs\":\"9007199254740992\"",
                 "past 'now'",
             ),
         ] {
