@@ -3,9 +3,10 @@
 //! Three pieces, all dependency-free so the workspace builds offline:
 //!
 //! - [`json`] — a hand-rolled JSON writer ([`json::JsonWriter`], the
-//!   [`json::ToJson`] trait, the [`to_json_struct!`] helper macro) and a
-//!   strict parser ([`json::parse`] → [`json::JsonValue`]) with the one
-//!   typed reader every outside input goes through ([`json::Fields`]).
+//!   [`json::ToJson`] trait, the [`to_json_struct!`] helper macro), a
+//!   strict parser ([`json::parse`] → [`json::JsonValue`]) and the one
+//!   typed reader every outside input goes through ([`json::Fields`]),
+//!   which reads the checked text without building a tree.
 //!   This replaces `serde`/`serde_json` everywhere in the workspace.
 //! - [`metrics`] — hierarchically-named counters and gauges
 //!   ([`metrics::MetricsRegistry`]), with periodic epoch snapshots
