@@ -501,31 +501,6 @@ pub fn parse(s: &str) -> Result<JsonValue, JsonError> {
 /// document the workspace reads or writes nests past eight.
 const MAX_DEPTH: usize = 64;
 
-/// Where a scanned string's text goes: into a `String`, or nowhere when
-/// the scan only checks it.
-trait Text: Default {
-    /// Appends a run of source bytes holding no quote, backslash or
-    /// control byte, so it starts and ends at scalar boundaries.
-    fn push_run(&mut self, run: &[u8]);
-    /// Appends one decoded escape.
-    fn push_char(&mut self, c: char);
-}
-
-impl Text for String {
-    fn push_run(&mut self, run: &[u8]) {
-        #[allow(clippy::expect_used, reason = "a &str cut at ASCII bytes")]
-        self.push_str(std::str::from_utf8(run).expect("valid utf8"));
-    }
-    fn push_char(&mut self, c: char) {
-        self.push(c);
-    }
-}
-
-impl Text for () {
-    fn push_run(&mut self, _: &[u8]) {}
-    fn push_char(&mut self, _: char) {}
-}
-
 /// A refusal, whose position and message the parser holds: a `?` inside
 /// the parser then moves a one-byte result rather than a [`JsonError`].
 struct Refused;
@@ -607,7 +582,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.nested(|p| {
                 let mut members = Vec::new();
-                p.object(|p, key: String, _| p.value().map(|v| members.push((key, v))))?;
+                p.object(true, |p, key, _| p.value().map(|v| members.push((key, v))))?;
                 Ok(JsonValue::Object(members))
             }),
             Some(b'[') => self.nested(|p| {
@@ -615,7 +590,7 @@ impl<'a> Parser<'a> {
                 p.array(|p| p.value().map(|v| items.push(v)))?;
                 Ok(JsonValue::Array(items))
             }),
-            Some(b'"') => self.string().map(JsonValue::String),
+            Some(b'"') => self.string(true).map(JsonValue::String),
             Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
             Some(b'n') => self.literal("null").map(|()| JsonValue::Null),
@@ -634,9 +609,9 @@ impl<'a> Parser<'a> {
     /// [`Parser::value`] without the value: the same checks, nothing built.
     fn skip_value(&mut self) -> Step<()> {
         match self.peek() {
-            Some(b'{') => self.nested(|p| p.object(|p, (), _| p.skip_value())),
+            Some(b'{') => self.nested(|p| p.object(false, |p, _, _| p.skip_value())),
             Some(b'[') => self.nested(|p| p.array(Self::skip_value)),
-            Some(b'"') => self.string::<()>(),
+            Some(b'"') => self.string(false).map(drop),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
             Some(b'n') => self.literal("null"),
@@ -663,17 +638,18 @@ impl<'a> Parser<'a> {
         v
     }
 
-    /// Walks one object. `member` gets each key, as text of type `K` and
-    /// as its literal, quotes and escapes as written, with the parser at
-    /// the value, which it must consume.
-    fn object<K: Text>(
+    /// Walks one object. `member` gets each key, as its text if `keys`
+    /// and as its literal, quotes and escapes as written, with the parser
+    /// at the value, which it must consume.
+    fn object(
         &mut self,
-        mut member: impl FnMut(&mut Self, K, &'a str) -> Step<()>,
+        keys: bool,
+        mut member: impl FnMut(&mut Self, String, &'a str) -> Step<()>,
     ) -> Step<()> {
         let refusals = ["expected '{'", "expected ',' or '}' in object"];
         self.container(*b"{}", refusals, |p| {
             let start = p.pos;
-            let key = p.string()?;
+            let key = p.string(keys)?;
             let raw = &p.src[start..p.pos];
             p.skip_ws();
             p.expect(b':', "expected ':' after object key")?;
@@ -732,19 +708,22 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn string<T: Text>(&mut self) -> Step<T> {
+    /// Scans one string, returning its text if `keep`, else an empty
+    /// `String`, which allocates nothing.
+    fn string(&mut self, keep: bool) -> Step<String> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = T::default();
+        let mut out = String::new();
         loop {
             let rest = &self.bytes[self.pos..];
             let run = rest
                 .iter()
                 .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
                 .unwrap_or(rest.len());
-            if run > 0 {
-                out.push_run(&rest[..run]);
-                self.pos += run;
+            if keep {
+                // Cut at ASCII bytes, so at character boundaries.
+                out.push_str(&self.src[self.pos..self.pos + run]);
             }
+            self.pos += run;
             match self.peek() {
                 None => return self.fail("unterminated string"),
                 Some(b'"') => {
@@ -754,7 +733,9 @@ impl<'a> Parser<'a> {
                 Some(b'\\') => {
                     self.pos += 1;
                     let c = self.escape()?;
-                    out.push_char(c);
+                    if keep {
+                        out.push(c);
+                    }
                 }
                 Some(_) => return self.fail("raw control character in string"),
             }
@@ -1045,7 +1026,7 @@ fn join(prefix: &str, key: &str) -> String {
 fn unquote(literal: &str) -> Cow<'_, str> {
     match &literal[1..literal.len() - 1] {
         inner if !inner.contains('\\') => Cow::Borrowed(inner),
-        _ => Cow::Owned(Parser::new(literal).string().unwrap_or_default()),
+        _ => Cow::Owned(Parser::new(literal).string(true).unwrap_or_default()),
     }
 }
 
@@ -1233,7 +1214,9 @@ impl<'a, 'p> Field<'a, 'p> {
         let mut members = Vec::new();
         let mut p = Parser::new(self.raw);
         let walked = if object {
-            p.object(|p, (), key| p.skip_span().map(|v| members.push((key, v))))
+            p.object(false, |p, _, key| {
+                p.skip_span().map(|v| members.push((key, v)))
+            })
         } else {
             p.array(|p| p.skip_span().map(|v| members.push(("", v))))
         };
