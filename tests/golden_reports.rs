@@ -334,17 +334,28 @@ fn hash_case(pin: &Pin, b: SimBuilder, mode: EngineMode) -> u64 {
 
 /// The noc-saturated workload's fabric (8 clusters × 4 HMCs, sFBFLY, GPUs
 /// inject, HMCs eject) at test size: name, routing, pattern, offered load.
-fn net_cases() -> [(&'static str, RoutingPolicy, Pattern, f64); 3] {
+/// One standalone load point: name, routing, pattern, offered load, and
+/// the ×factor BER degrade put on the first HMC–HMC link before it runs
+/// (1 = clean).
+type NetCase = (&'static str, RoutingPolicy, Pattern, f64, u32);
+
+fn net_cases() -> [NetCase; 6] {
     use {Pattern::*, RoutingPolicy::*};
     [
-        ("net-min-uniform-0.8", Minimal, Uniform, 0.8),
-        ("net-ugal-uniform-0.8", Ugal, Uniform, 0.8),
-        ("net-min-hotspot-0.5", Minimal, Hotspot, 0.5),
+        ("net-min-uniform-0.8", Minimal, Uniform, 0.8, 1),
+        ("net-ugal-uniform-0.8", Ugal, Uniform, 0.8, 1),
+        ("net-min-hotspot-0.5", Minimal, Hotspot, 0.5, 1),
+        ("net-min-transpose-0.8", Minimal, Transpose, 0.8, 1),
+        ("net-ugal-hotspot-0.5", Ugal, Hotspot, 0.5, 1),
+        // ×8 serializes a 144-byte packet for 72 cycles on the 16 B/cycle
+        // channel: the channel stays busy longer than the 64-cycle horizon
+        // a waiting port sleeps through.
+        ("net-min-uniform-0.8-degraded", Minimal, Uniform, 0.8, 8),
     ]
 }
 
 /// One load point, then everything the network reports about it.
-fn hash_net(policy: RoutingPolicy, pattern: Pattern, load: f64) -> u64 {
+fn hash_net(policy: RoutingPolicy, pattern: Pattern, load: f64, degrade: u32) -> u64 {
     let mut b = NetworkBuilder::new(NocParams::default());
     let kind = TopologyKind::Sliced {
         kind: SlicedKind::Fbfly,
@@ -353,6 +364,12 @@ fn hash_net(policy: RoutingPolicy, pattern: Pattern, load: f64) -> u64 {
     let c = build_clusters(&mut b, 8, 4, 8, kind);
     b.routing(policy);
     let mut net = b.build();
+    if degrade > 1 {
+        let li = net
+            .resolve_link(LinkTag::HmcHmc, 0)
+            .expect("sFBFLY has HMC–HMC links");
+        net.degrade_link(li, degrade);
+    }
     let hmc = c.hmc_eps_flat();
     let point = run_load_point(&mut net, &c.device_eps, &hmc, pattern, load, 200, 1000, 1);
     let bytes = format!(
@@ -460,7 +477,9 @@ fn event_driven_matches_golden() {
 fn network_matches_golden() {
     let got = net_cases()
         .into_iter()
-        .map(|(name, policy, pattern, load)| (name.to_string(), hash_net(policy, pattern, load)))
+        .map(|(name, policy, pattern, load, degrade)| {
+            (name.to_string(), hash_net(policy, pattern, load, degrade))
+        })
         .collect();
     held("network", got, &golden()[cases().len()..]);
 }
@@ -483,8 +502,8 @@ fn bless() {
         let h = hash_case(&pin, b, EngineMode::CycleStepped);
         writeln!(out, "{name} {h:016x}").expect("writing to a String");
     }
-    for (name, policy, pattern, load) in net_cases() {
-        let h = hash_net(policy, pattern, load);
+    for (name, policy, pattern, load, degrade) in net_cases() {
+        let h = hash_net(policy, pattern, load, degrade);
         writeln!(out, "{name} {h:016x}").expect("writing to a String");
     }
     for (name, h) in op_rows() {
