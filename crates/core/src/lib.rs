@@ -39,7 +39,7 @@ pub mod system;
 
 pub use faults::{plan_from_json, plan_to_json};
 pub use memory::{MemoryLayout, PlacementPolicy, HOST_BASE};
-pub use profile::{DomainProfile, Heatmap, ProfileHist, ProfileReport};
+pub use profile::{DomainProfile, Heatmap, ProfileHist, ProfileReport, WorkProfile};
 pub use sanitize::{SanitizeMode, SanitizerReport};
 pub use ske::CtaPolicy;
 pub use snapshot::{fnv1a64, SystemSnapshot};

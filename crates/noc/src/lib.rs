@@ -60,6 +60,8 @@ pub mod topo;
 pub mod traffic;
 
 pub use builder::{LinkSpec, LinkTag, NetworkBuilder, NocParams};
-pub use network::{EjectedPacket, FailedPacket, LinkUtilization, NetStats, Network, RoutingPolicy};
+pub use network::{
+    EjectedPacket, FailedPacket, LinkUtilization, NetStats, Network, RoutingPolicy, WorkCounts,
+};
 pub use packet::{MsgClass, Packet, PacketId};
 pub use traffic::{LoadPoint, Pattern};
