@@ -75,7 +75,7 @@ impl Network {
     pub fn route_exists(&self, src: NodeId, dest: NodeId) -> bool {
         let s = self.endpoints[self.ep_idx(src)].router as usize;
         let d = self.endpoints[self.ep_idx(dest)].router as usize;
-        self.dist[s][d] != u16::MAX
+        self.hops(s, d) != u16::MAX
     }
 
     /// Rebuilds `dist` and the minimal-port tables over the links that are
