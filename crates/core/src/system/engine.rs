@@ -2,7 +2,7 @@
 //! domains parked until their next event, and their skipped edges
 //! accounted as if they had ticked.
 
-use super::{HmcPort, SimError, System};
+use super::{SimError, System};
 use memnet_gpu::Gpu;
 use memnet_hmc::HmcDevice;
 use memnet_obs::prof::ProfCat;
@@ -94,7 +94,15 @@ impl System {
             // Packets in the fabric and the next metrics epoch are its
             // alarm.
             Net => {
-                !self.hmc_ports.iter().all(HmcPort::is_idle)
+                debug_assert!(
+                    (self.hmc_ports.iter().enumerate()).all(|(i, p)| (self.hmc_busy[i / 64]
+                        >> (i % 64)
+                        & 1
+                        == 1)
+                        != p.is_idle()),
+                    "the HMC busy set disagrees with the ports"
+                );
+                self.hmc_busy.iter().any(|&w| w != 0)
                     || self.gpus.iter().any(Gpu::has_mem_request)
                     || self.cpu.has_mem_request()
                     || self.dma.has_mem_request()
@@ -280,6 +288,7 @@ impl System {
                     while let Some(req) = h.pop_completed(tck) {
                         if req.kind.returns_data() {
                             self.hmc_ports[i].resp_q.push_back(req.response());
+                            self.hmc_busy[i / 64] |= 1 << (i % 64);
                         }
                     }
                 }
